@@ -13,30 +13,20 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import mub_finite, mub_padic, sweeps
-from .errors import CapError, OddPrimeError, PrecisionError, ResolutionError
-from .gauss import DEFAULT_TERM_CAP, IntegralParams, RingSumParams, integral_report, ring_report
+from .errors import CapError, OddPrimeError
+from .finite_field import build_field
+from .gauss import DEFAULT_TERM_CAP, check_ring_params, integral_report, ring_report
 from .mub_padic import ball_fourier_closed, ball_state, fourier, make_grid
-from .padic import PadicNumber, as_fraction, frac_valuation, parse_padic
+from .padic import as_fraction, frac_valuation, parse_coefficient
 
 FLOAT_DIGITS = 12
-
-
-@dataclass
-class RunConfig:
-    """The fully resolved invocation, embedded verbatim in every report."""
-
-    command: str
-    options: dict
-
-    def to_dict(self) -> dict:
-        return {"command": self.command, **self.options}
+REL_TOL_HELP = "oracle tolerance on |closed - numeric|, relative to max(closed norm, 1)"
 
 
 def _round_floats(obj):
@@ -64,18 +54,7 @@ def _fmt(x: float) -> str:
     return f"{x:.{FLOAT_DIGITS}g}"
 
 
-def _coefficient(text: str, p: int) -> Fraction | PadicNumber:
-    """Parse `num/den` or an explicit digit string `d0 d1 ... *p^v`."""
-    text = text.strip()
-    if "*" in text:
-        return parse_padic(text, p)
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
-
-
-def _emit(report: dict, args, csv_text: str | None = None, table: str | None = None) -> None:
+def _emit(report: dict, args, table: str | None, csv_text: str | None) -> None:
     fmt = args.format
     if fmt == "json":
         text = json.dumps(_round_floats(report), sort_keys=True, indent=2) + "\n"
@@ -85,9 +64,8 @@ def _emit(report: dict, args, csv_text: str | None = None, table: str | None = N
         text = csv_text
     else:
         text = table if table is not None else _default_table(report)
-    out = getattr(args, "out", None)
-    if out:
-        path = Path(out)
+    if args.out:
+        path = Path(args.out)
         if not path.is_absolute():
             path = Path(os.environ.get("PADIC_MUB_OUTDIR", ".")) / path
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -109,60 +87,51 @@ def _default_table(report: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (report dict, table text or None, CSV text or None)
 # ---------------------------------------------------------------------------
 
 
-def cmd_gauss_ring(args) -> int:
-    params = RingSumParams(args.p, args.k, args.l, args.a, args.b)
+def cmd_gauss_ring(args):
+    check_ring_params(args.p, args.k, args.l)  # these errors take precedence over p = 2
     if args.p == 2:
         raise OddPrimeError("the ring Gauss-sum norm table")
-    report = ring_report(params, oracle=args.oracle, tol=args.tol, term_cap=args.term_cap)
+    report = ring_report(args.p, args.k, args.l, args.a, args.b,
+                         oracle=args.oracle, tol=args.tol, term_cap=args.term_cap)
     d = report.to_json_dict()
-    d["config"] = RunConfig("gauss-ring", _options(args)).to_dict()
-    closed = d["closed_exact"]
     numeric = "" if report.numeric is None else f"  numeric {_fmt(report.numeric)}"
     table = (
         f"ring Gauss sum p={args.p} k={args.k} l={args.l} a={args.a} b={args.b}\n"
-        f"closed {closed} ({report.case}){numeric}\n"
-        f"{'PASS' if report.passed else 'FAIL'}\n"
-    )
-    _emit(d, args, table=table)
-    return 0 if report.passed else 1
-
-
-def cmd_gauss_integral(args) -> int:
-    if args.p == 2:
-        raise OddPrimeError("the Gauss-integral norm table")
-    a = _coefficient(args.a, args.p)
-    b = _coefficient(args.b, args.p)
-    af = as_fraction(a, args.p, need_abs_precision=2 * args.r)
-    bf = as_fraction(b, args.p, need_abs_precision=args.r)
-    params = IntegralParams(args.p, args.r, af, bf)
-    report = integral_report(params, oracle=args.oracle, tol=args.tol, term_cap=args.term_cap)
-    d = report.to_json_dict()
-    d["config"] = RunConfig("gauss-integral", _options(args)).to_dict()
-    numeric = "" if report.numeric is None else f"  numeric {_fmt(report.numeric)}"
-    table = (
-        f"Gauss integral p={args.p} r={args.r} a={af} b={bf}\n"
         f"closed {d['closed_exact']} ({report.case}){numeric}\n"
         f"{'PASS' if report.passed else 'FAIL'}\n"
     )
-    _emit(d, args, table=table)
-    return 0 if report.passed else 1
+    return d, table, None
 
 
-def cmd_mub_finite(args) -> int:
+def cmd_gauss_integral(args):
+    if args.p == 2:
+        raise OddPrimeError("the Gauss-integral norm table")
+    a = parse_coefficient(args.a, args.p)
+    b = parse_coefficient(args.b, args.p)
+    report = integral_report(args.p, args.r, a, b,
+                             oracle=args.oracle, tol=args.tol, term_cap=args.term_cap)
+    d = report.to_json_dict()
+    numeric = "" if report.numeric is None else f"  numeric {_fmt(report.numeric)}"
+    table = (
+        f"Gauss integral p={args.p} r={args.r} a={d['params']['a']} b={d['params']['b']}\n"
+        f"closed {d['closed_exact']} ({report.case}){numeric}\n"
+        f"{'PASS' if report.passed else 'FAIL'}\n"
+    )
+    return d, table, None
+
+
+def cmd_mub_finite(args):
     if args.p == 2:
         raise OddPrimeError("certifying unbiasedness of the quadratic-phase bases")
-    from .finite_field import build_field
-
     field = build_field(args.p, args.r)
     bases = mub_finite.build_mub_set(field)
     report = mub_finite.verify_mub(bases, tol=args.tol, ortho_tol=args.ortho_tol)
     d = report.to_json_dict()
     d["bases"] = len(bases)
-    d["config"] = RunConfig("mub-finite", _options(args)).to_dict()
     table = (
         f"{len(bases)} bases in C^{field.size} (modulus {field.modulus})\n"
         f"target modulus {_fmt(report.target)}  max deviation {_fmt(report.max_deviation)}\n"
@@ -174,22 +143,19 @@ def cmd_mub_finite(args) -> int:
         csv_lines.append(
             f"{s.i},{s.j},{s.labels[0]},{s.labels[1]},{s.min_mod!r},{s.max_mod!r},{s.max_dev!r}"
         )
-    _emit(d, args, csv_text="\n".join(csv_lines) + "\n", table=table)
-    return 0 if report.passed else 1
+    return d, table, "\n".join(csv_lines) + "\n"
 
 
-def cmd_mub_padic(args) -> int:
+def cmd_mub_padic(args):
     if args.p == 2:
         raise OddPrimeError("the closed norm table behind the p+1 families")
     b_samples = (
-        [_coefficient(t, args.p) for t in args.bs.split(",")] if args.bs else None
+        [parse_coefficient(t, args.p) for t in args.bs.split(",")] if args.bs else None
     )
     params = mub_padic.canonical_family_params(args.p, b_samples)
     report = mub_padic.gram_report(
         params, r=args.r, p=args.p, auto_raise=args.auto_raise, tol=args.tol
     )
-    d = report.to_json_dict()
-    d["config"] = RunConfig("mub-padic", _options(args)).to_dict()
     raised = f" (raised from {report.r_requested})" if report.r_used != report.r_requested else ""
     table = (
         f"{args.p + 1} families, {len(report.labels)} vectors, "
@@ -199,13 +165,11 @@ def cmd_mub_padic(args) -> int:
         f"family ranks {report.family_ranks}\n"
         f"{'PASS' if report.passed else 'FAIL'}\n"
     )
-    _emit(d, args, csv_text=report.to_csv(), table=table)
-    return 0 if report.passed else 1
+    return report.to_json_dict(), table, report.to_csv()
 
 
-def cmd_fourier_ball(args) -> int:
-    z = _coefficient(args.z, args.p)
-    zf = as_fraction(z, args.p)
+def cmd_fourier_ball(args):
+    zf = as_fraction(parse_coefficient(args.z, args.p), args.p)
     vz = frac_valuation(zf, args.p)
     r0 = max(0, -int(vz) if zf != 0 else 0, -args.r)
     k = max(args.r, 1 - r0) if args.k is None else args.k
@@ -226,44 +190,33 @@ def cmd_fourier_ball(args) -> int:
         "norm_deviation": norm_dev,
         "tol": args.tol,
         "passed": passed,
-        "config": RunConfig("fourier-ball", _options(args)).to_dict(),
     }
     table = (
         f"ball z={zf} + p^{args.r}Z_p on grid (p={args.p}, r={grid.r}, k={grid.k})\n"
         f"max pointwise deviation {_fmt(deviation)}  norm deviation {_fmt(norm_dev)}\n"
         f"{'PASS' if passed else 'FAIL'}\n"
     )
-    _emit(d, args, table=table)
-    return 0 if passed else 1
+    return d, table, None
 
 
-def cmd_eigen_check(args) -> int:
-    a = _coefficient(args.a, args.p)
-    b = _coefficient(args.b, args.p)
-    c = _coefficient(args.c, args.p)
+def cmd_eigen_check(args):
+    a, b, c = (parse_coefficient(t, args.p) for t in (args.a, args.b, args.c))
     report = mub_padic.eigen_check(a, b, c, p=args.p, tol=args.tol)
-    d = report.to_json_dict()
-    d["config"] = RunConfig("eigen-check", _options(args)).to_dict()
     table = (
         f"shift/modulation composite on the (a={report.a}, b={report.b}) state, c={report.c}\n"
         f"expected phase {report.expected_phase}  residual {_fmt(report.residual)}\n"
         f"{'PASS' if report.passed else 'FAIL'}\n"
     )
-    _emit(d, args, table=table)
-    return 0 if report.passed else 1
+    return report.to_json_dict(), table, None
 
 
-def cmd_sweep(args) -> int:
-    runner = sweeps.SUITES[args.suite]
-    report = runner(args.seed, args.term_cap)
-    report["config"] = RunConfig("sweep", _options(args)).to_dict()
-    _emit(report, args)
-    return 0 if report["passed"] else 1
+def cmd_sweep(args):
+    return sweeps.SUITES[args.suite](args.seed, args.term_cap), None, None
 
 
 def _options(args) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    """The resolved invocation, `command` included, embedded in every report."""
+    return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-l", type=int, required=True)
     s.add_argument("-a", type=int, required=True)
     s.add_argument("-b", type=int, required=True)
-    s.add_argument("--tol", type=float, default=1e-6)
+    s.add_argument("--tol", type=float, default=1e-6, help=REL_TOL_HELP)
     _add_common(s, oracle=True)
     s.set_defaults(func=cmd_gauss_ring)
 
@@ -305,15 +258,18 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-r", type=int, required=True)
     s.add_argument("-a", required=True)
     s.add_argument("-b", required=True)
-    s.add_argument("--tol", type=float, default=1e-9)
+    s.add_argument("--tol", type=float, default=1e-9,
+                   help=REL_TOL_HELP + ", or to p^(r-k) if larger (k: the reported reduction_k)")
     _add_common(s, oracle=True)
     s.set_defaults(func=cmd_gauss_integral)
 
     s = sub.add_parser("mub-finite", help="build and verify the p^r+1 bases of C^(p^r)")
     s.add_argument("-p", type=int, required=True)
     s.add_argument("-r", type=int, required=True)
-    s.add_argument("--tol", type=float, default=1e-10)
-    s.add_argument("--ortho-tol", type=float, default=1e-12, dest="ortho_tol")
+    s.add_argument("--tol", type=float, default=1e-10,
+                   help="absolute bound on | |<u|v>| - p^(-r/2) | over all basis pairs")
+    s.add_argument("--ortho-tol", type=float, default=1e-12, dest="ortho_tol",
+                   help="absolute bound on the entries of V*V - I per basis")
     _add_common(s)
     s.set_defaults(func=cmd_mub_finite)
 
@@ -324,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--auto-raise", action=argparse.BooleanOptionalAction,
                    default=True, dest="auto_raise",
                    help="raise r past every pairwise threshold (reported)")
-    s.add_argument("--tol", type=float, default=1e-9)
+    s.add_argument("--tol", type=float, default=1e-9,
+                   help="absolute bound on each certified Gram deviation")
     _add_common(s)
     s.set_defaults(func=cmd_mub_padic)
 
@@ -333,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-r", type=int, required=True, help="ball exponent: z + p^r Z_p")
     s.add_argument("-z", default="0")
     s.add_argument("-k", type=int, default=None, help="override the grid resolution")
-    s.add_argument("--tol", type=float, default=1e-10)
+    s.add_argument("--tol", type=float, default=1e-10,
+                   help="absolute bound on the pointwise and the norm deviation")
     _add_common(s)
     s.set_defaults(func=cmd_fourier_ball)
 
@@ -342,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-a", required=True)
     s.add_argument("-b", required=True)
     s.add_argument("-c", required=True)
-    s.add_argument("--tol", type=float, default=1e-9)
+    s.add_argument("--tol", type=float, default=1e-9,
+                   help="absolute bound on the residual |X Z v - e v| / |v|")
     _add_common(s)
     s.set_defaults(func=cmd_eigen_check)
 
@@ -356,14 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, PrecisionError, ResolutionError, OddPrimeError, CapError,
-            ZeroDivisionError) as exc:
+        report, table, csv_text = args.func(args)
+        report["config"] = _options(args)
+        _emit(report, args, table, csv_text)
+    except (ValueError, CapError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if report["passed"] else 1
 
 
 if __name__ == "__main__":

@@ -109,27 +109,7 @@ class MubReport:
     passed: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "dim": self.dim,
-            "target": self.target,
-            "tol": self.tol,
-            "ortho_tol": self.ortho_tol,
-            "max_deviation": self.max_deviation,
-            "ortho_deviation": self.ortho_deviation,
-            "passed": self.passed,
-            "pairs": [
-                {
-                    "i": s.i,
-                    "j": s.j,
-                    "labels": list(s.labels),
-                    "min_mod": s.min_mod,
-                    "max_mod": s.max_mod,
-                    "max_dev": s.max_dev,
-                }
-                for s in self.pairs
-            ],
-        }
+        return {"schema": 1, **vars(self), "pairs": [vars(s).copy() for s in self.pairs]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -336,17 +336,9 @@ class EigenReport:
         return {
             "schema": 1,
             "kind": "eigen",
-            "p": self.p,
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "grid": self.grid,
-            "expected_phase": self.expected_phase,
+            **vars(self),
             "expected_value": [self.expected_value.real, self.expected_value.imag],
             "measured_value": [self.measured_value.real, self.measured_value.imag],
-            "residual": self.residual,
-            "tol": self.tol,
-            "passed": self.passed,
         }
 
 
@@ -467,35 +459,13 @@ class GramReport:
     max_certified_deviation: float
     uncertified_pairs: int
     passed: bool
-    config: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "kind": "gram",
-            "p": self.p,
-            "r_requested": self.r_requested,
-            "r_used": self.r_used,
-            "k_used": self.k_used,
-            "labels": self.labels,
-            "tol": self.tol,
-            "max_certified_deviation": self.max_certified_deviation,
-            "uncertified_pairs": self.uncertified_pairs,
-            "family_ranks": self.family_ranks,
-            "passed": self.passed,
-            "entries": [
-                {
-                    "i": e.i,
-                    "j": e.j,
-                    "numeric": e.numeric,
-                    "closed": e.closed,
-                    "certified": e.certified,
-                    "deviation": e.deviation,
-                }
-                for e in self.entries
-            ],
-            **({"config": self.config} if self.config else {}),
-        }
+        # shallow on purpose: dataclasses.asdict would deep-copy every entry
+        d = {"schema": 1, "kind": "gram", **vars(self)}
+        del d["moduli"]
+        d["entries"] = [vars(e).copy() for e in self.entries]
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)

@@ -340,8 +340,11 @@ def as_fraction(
     return Fraction(x)
 
 
-def parse_padic(text: str, p: int, precision: int = 12) -> PadicNumber:
-    """Parse `num/den` or an explicit digit string `d0 d1 ... *p^v`."""
+def parse_coefficient(text: str, p: int) -> Fraction | PadicNumber:
+    """Parse an exact rational `num/den` or integer, or a digit string `d0 d1 ... *p^v`.
+
+    Rationals stay exact; only a digit string carries a truncated precision.
+    """
     text = text.strip()
     if "*" in text:
         body, _, tail = text.partition("*")
@@ -357,5 +360,13 @@ def parse_padic(text: str, p: int, precision: int = 12) -> PadicNumber:
         return PadicNumber(p, v + shift, digits[shift:])
     if "/" in text:
         num, _, den = text.partition("/")
-        return from_rational(int(num), int(den), p, precision)
-    return from_rational(int(text), 1, p, precision)
+        return Fraction(int(num), int(den))
+    return Fraction(int(text))
+
+
+def parse_padic(text: str, p: int, precision: int = 12) -> PadicNumber:
+    """Parse as parse_coefficient does, expanding a rational to `precision` digits."""
+    x = parse_coefficient(text, p)
+    if isinstance(x, PadicNumber):
+        return x
+    return from_rational(x.numerator, x.denominator, p, precision)

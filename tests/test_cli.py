@@ -1,9 +1,20 @@
 """Command-line contract: exit codes, report schemas, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from padic_mub import (
+    build_field,
+    build_mub_set,
+    canonical_family_params,
+    eigen_check,
+    gram_report,
+    integral_report,
+    ring_report,
+    verify_mub,
+)
 from padic_mub.cli import main
 
 
@@ -52,6 +63,16 @@ def test_gauss_integral_accepts_digit_strings(capsys):
                        "-a", "2 2 0 0 *3^-1", "-b", "0", "--oracle")
     assert code == 0
     assert "a=8/3" in out
+
+
+@pytest.mark.parametrize("coeffs", [
+    ["-p", "199", "-r", "7", "-a", "0", "-b", "0"],  # norm 199^7 ~ 1.2e16
+    ["-p", "11", "-r", "9", "-a", "0", "-b=-7086244/3"],  # norm 0 on a ball of 11^9
+])
+def test_gauss_integral_large_ball_passes(capsys, coeffs):
+    # an absolute 1e-9 is below the double rounding of these brute-force sums
+    code, out, _ = run(capsys, "gauss-integral", *coeffs, "--oracle")
+    assert code == 0 and "PASS" in out
 
 
 def test_mub_finite_pass_and_reject(capsys):
@@ -141,3 +162,34 @@ def test_invalid_coefficient_is_exit_2(capsys):
     code, _, err = run(capsys, "gauss-integral", "-p", "3", "-r", "1",
                        "-a", "1 *5^0", "-b", "0")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("report", [
+    pytest.param(lambda: ring_report(3, 1, 1, 1, 0, oracle=True), id="ring"),
+    pytest.param(lambda: integral_report(3, 1, Fraction(1), Fraction(0), oracle=True),
+                 id="integral"),
+    pytest.param(lambda: verify_mub(build_mub_set(build_field(3, 1))), id="mub"),
+    pytest.param(lambda: gram_report(canonical_family_params(3), r=1, p=3), id="gram"),
+    pytest.param(lambda: eigen_check(1, 0, Fraction(1, 3), p=3), id="eigen"),
+])
+def test_report_json_dicts_serialize(report):
+    d = report().to_json_dict()
+    assert d["schema"] == 1
+    assert json.loads(json.dumps(d))["passed"] is True
+
+
+def test_eigen_report_complex_values_are_pairs():
+    d = eigen_check(1, 0, Fraction(1, 3), p=3).to_json_dict()
+    for key in ("expected_value", "measured_value"):
+        re, im = d[key]
+        assert isinstance(re, float) and isinstance(im, float)
+    assert d["kind"] == "eigen" and d["expected_phase"] == "8/3^2"
+
+
+def test_gram_json_dict_omits_the_moduli_matrix():
+    rep = gram_report(canonical_family_params(3), r=1, p=3)
+    d = rep.to_json_dict()
+    assert "moduli" not in d and "config" not in d
+    assert d["kind"] == "gram" and len(d["entries"]) == 12 * 13 // 2
+    d["entries"][0]["numeric"] = -1.0  # a copy: the report itself is untouched
+    assert rep.entries[0].numeric != -1.0

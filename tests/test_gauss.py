@@ -9,9 +9,7 @@ import pytest
 
 from padic_mub import (
     CapError,
-    IntegralParams,
     OddPrimeError,
-    RingSumParams,
     build_field,
     simplified_norm,
     field_sum_norm_closed,
@@ -238,7 +236,7 @@ def test_exact_norm_formatting():
 
 
 def test_ring_report_roundtrip():
-    rep = ring_report(RingSumParams(3, 1, 1, 1, 0), oracle=True)
+    rep = ring_report(3, 1, 1, 1, 0, oracle=True)
     assert rep.passed
     d = rep.to_json_dict()
     assert d["schema"] == 1
@@ -248,14 +246,14 @@ def test_ring_report_roundtrip():
 
 
 def test_ring_report_p2_marks_closed_unavailable():
-    rep = ring_report(RingSumParams(2, 2, 1, 1, 1), oracle=True)
+    rep = ring_report(2, 2, 1, 1, 1, oracle=True)
     assert rep.closed is None
     assert rep.to_json_dict()["closed_exact"] == "unavailable"
     assert rep.numeric is not None  # brute force still runs for exploration
 
 
 def test_integral_report_flags_uncertified():
-    rep = integral_report(IntegralParams(3, 0, Fraction(9), Fraction(0)), oracle=True)
+    rep = integral_report(3, 0, Fraction(9), Fraction(0), oracle=True)
     assert rep.extras["threshold"] == 1
     assert rep.extras["simplified_certified"] is False
     assert rep.passed  # the full closed form still matches the oracle
@@ -263,8 +261,22 @@ def test_integral_report_flags_uncertified():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        RingSumParams(3, 1, 2, 0, 0)  # k < l
+        ring_report(3, 1, 2, 0, 0)  # k < l
     with pytest.raises(ValueError):
-        RingSumParams(4, 1, 1, 0, 0)
+        ring_report(4, 1, 1, 0, 0)
     with pytest.raises(ValueError):
-        IntegralParams(6, 1, Fraction(0), Fraction(0))
+        integral_report(6, 1, Fraction(0), Fraction(0))
+
+
+def test_integral_report_tolerance_scales_with_the_ball():
+    # the norm is 199^7, about 1.2e16: double rounding alone exceeds 1e-9
+    rep = integral_report(199, 7, Fraction(0), Fraction(0), oracle=True)
+    assert rep.closed.normsq == Fraction(199) ** 14
+    assert rep.deviation == abs(rep.closed.value - rep.numeric)  # stays absolute
+    assert rep.deviation / rep.closed.value <= rep.tol
+    assert rep.passed
+    # a zero norm, brute-forced as 11^(9-k) times a ring sum of 11^k terms
+    rep = integral_report(11, 9, Fraction(0), Fraction(-7086244, 3), oracle=True)
+    assert rep.case == "case2" and rep.extras["reduction_k"] == 3
+    assert rep.deviation / 11**6 <= rep.tol
+    assert rep.passed

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padic_mub import INF, PrecisionError, from_rational, norm_p, valuation, zero
-from padic_mub.padic import PadicNumber, PFraction, frac_part, frac_valuation, parse_padic
+from padic_mub.padic import (
+    PadicNumber,
+    PFraction,
+    frac_part,
+    frac_valuation,
+    parse_coefficient,
+    parse_padic,
+)
 
 primes = st.sampled_from([3, 5, 7])
 
@@ -203,6 +210,17 @@ def test_digit_string_keeps_trailing_zeros():
     x = parse_padic("2 2 0 0 *3^-1", 3)
     assert x.digits == (2, 2, 0, 0)
     assert x.abs_precision == 3
+
+
+def test_parse_coefficient_keeps_rationals_exact():
+    assert parse_coefficient("1/3", 3) == Fraction(1, 3)
+    assert isinstance(parse_coefficient("1/3", 3), Fraction)
+    assert parse_coefficient(" -45 ", 3) == Fraction(-45)
+    assert parse_coefficient("2 2 0 0 *3^-1", 3) == parse_padic("2 2 0 0 *3^-1", 3)
+    with pytest.raises(ZeroDivisionError):
+        parse_coefficient("5/0", 3)
+    with pytest.raises(ValueError):
+        parse_coefficient("1 *5^0", 3)  # base mismatch
 
 
 def test_direct_construction_validates():
