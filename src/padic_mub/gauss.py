@@ -47,6 +47,14 @@ def _fsum_complex(values: np.ndarray) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def _float_power(p: int, exponent: float, what: str = "norm") -> float:
+    """p ** exponent as a float, or a ValueError past the double range."""
+    try:
+        return float(p) ** exponent
+    except OverflowError:
+        raise ValueError(f"{what} {p}^{exponent:g} exceeds the double range") from None
+
+
 @dataclass(frozen=True)
 class ExactNorm:
     """A norm that is exactly 0 or exactly p**(half_power/2)."""
@@ -62,7 +70,7 @@ class ExactNorm:
     def value(self) -> float:
         if self.is_zero:
             return 0.0
-        return float(self.p) ** (self.half_power / 2.0)
+        return _float_power(self.p, self.half_power / 2.0)
 
     @property
     def normsq(self) -> Fraction:
@@ -284,7 +292,8 @@ def integral_numeric(
     mod = p**l
     a_int = rational_mod(af * Fraction(p) ** (l - 2 * r), mod)
     b_int = rational_mod(bf * Fraction(p) ** (l - r), mod)
-    return float(p) ** (r - k) * ring_sum_numeric(p, k, l, a_int, b_int, term_cap)
+    scale = _float_power(p, r - k, "norm scale")
+    return scale * ring_sum_numeric(p, k, l, a_int, b_int, term_cap)
 
 
 def threshold_t(p: int, a: Coefficient, b: Coefficient) -> int | float:

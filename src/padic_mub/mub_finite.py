@@ -59,6 +59,11 @@ def _trace_gram(ctx: FieldCtx) -> np.ndarray:
     )
 
 
+def _phase_matrix(phases: np.ndarray, p: int) -> np.ndarray:
+    """Entries zeta_p^phases / sqrt(d) for a d x d array of integer phases."""
+    return ((1.0 / np.sqrt(phases.shape[0])) * roots_of_unity(p))[phases]
+
+
 def build_mub_set(fieldctx: FieldCtx, dim_cap: int = DEFAULT_DIM_CAP) -> list[BasisMatrix]:
     """All p^r bases V_a plus the computational basis, deterministically ordered.
 
@@ -74,13 +79,11 @@ def build_mub_set(fieldctx: FieldCtx, dim_cap: int = DEFAULT_DIM_CAP) -> list[Ba
     gram = _trace_gram(fieldctx)
     # trace(b*x) for every (x, b) pair, and trace(a*x^2) per a below
     tr_bx = coeff @ gram @ coeff.T % p  # [x, b]
-    w = roots_of_unity(p)
-    scale = 1.0 / np.sqrt(q)
     bases = []
     for a in elems:
         tr_ax2 = sq_coeff @ gram @ np.array(a.coeffs, dtype=np.int64) % p  # [x]
         phases = (tr_ax2[:, None] + tr_bx) % p
-        bases.append(BasisMatrix(label=f"a={a}", a=a, matrix=scale * w[phases]))
+        bases.append(BasisMatrix(label=f"a={a}", a=a, matrix=_phase_matrix(phases, p)))
     bases.append(BasisMatrix(label="inf", a=None, matrix=np.eye(q, dtype=complex)))
     return bases
 
@@ -115,6 +118,39 @@ class MubReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
+def _abs_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Entrywise |u* v|: the one dense product behind every pair statistic."""
+    return np.abs(u.conj().T @ v)
+
+
+def _difference_keys(bases: list[BasisMatrix]) -> tuple[int, np.ndarray]:
+    """Exact row phases of each quadratic-phase basis against a reference.
+
+    A basis with `a` set certifies when its matrix is, bit for bit,
+    zeta_p^m / sqrt(d) for integer phases m = rint(angle * p / 2pi) mod p, and
+    m - m_ref mod p is constant along each row, m_ref being the phases of the
+    first basis that certifies.  Its key is that column t, so the basis is
+    exactly diag(zeta_p^t) W with W = zeta_p^m_ref / sqrt(d), and
+    V_i* V_j = W* diag(zeta_p^(t_j - t_i)) W depends on t_j - t_i mod p alone.
+    Returns (p of the reference, keys), one key per row of `keys`; bases of
+    another field, the computational basis and any basis failing the check
+    keep the row -1.
+    """
+    ref_ctx, ref_phases = None, None
+    keys = np.full((len(bases), bases[0].matrix.shape[0]), -1, dtype=np.int64)
+    for key, b in zip(keys, bases):
+        if b.a is not None and (ref_ctx is None or b.a.ctx == ref_ctx):
+            p = b.a.ctx.p
+            phases = np.rint(np.angle(b.matrix) * (p / (2 * np.pi))).astype(np.int64) % p
+            if np.array_equal(b.matrix, _phase_matrix(phases, p)):
+                if ref_phases is None:
+                    ref_ctx, ref_phases = b.a.ctx, phases
+                diff = (phases - ref_phases) % p
+                if (diff == diff[:, :1]).all():
+                    key[:] = diff[:, 0]
+    return (0 if ref_ctx is None else ref_ctx.p), keys
+
+
 def verify_mub(
     bases: list[BasisMatrix], tol: float = 1e-10, ortho_tol: float = 1e-12
 ) -> MubReport:
@@ -122,6 +158,14 @@ def verify_mub(
 
     Also checks each basis for orthonormality (Gram = identity).  Pairs are
     scanned in index order, so reports are deterministic.
+
+    A pair of quadratic-phase bases whose exact phase certificate holds (see
+    `_difference_keys`) reuses the statistics of the first pair with the same
+    phase difference t_j - t_i mod p, whose product is equal entry for entry
+    in exact arithmetic; the reused floats differ from a direct product only
+    in rounding.  Every other pair, the first of each difference class
+    included, is computed directly.  For the p^r + 1 bases of F_q that is
+    (q - 1) + q pair products instead of q(q + 1)/2.
     """
     dims = {b.matrix.shape for b in bases}
     if len(dims) != 1:
@@ -132,17 +176,24 @@ def verify_mub(
     for b in bases:
         dev = np.abs(b.matrix.conj().T @ b.matrix - eye).max()
         report.ortho_deviation = max(report.ortho_deviation, float(dev))
+    p, keys = _difference_keys(bases)
+    seen: dict[bytes, tuple[float, float, float]] = {}
+    certified = keys[:, 0] >= 0
     for i in range(len(bases)):
+        diffs = (keys - keys[i]) % p if certified[i] else None
         for j in range(i + 1, len(bases)):
-            mods = np.abs(bases[i].matrix.conj().T @ bases[j].matrix)
-            stat = PairStat(
-                i=i,
-                j=j,
-                labels=(bases[i].label, bases[j].label),
-                min_mod=float(mods.min()),
-                max_mod=float(mods.max()),
-                max_dev=float(np.abs(mods - report.target).max()),
-            )
+            key = diffs[j].tobytes() if diffs is not None and certified[j] else None
+            stats = seen.get(key)
+            if stats is None:
+                mods = _abs_product(bases[i].matrix, bases[j].matrix)
+                stats = (
+                    float(mods.min()),
+                    float(mods.max()),
+                    float(np.abs(mods - report.target).max()),
+                )
+                if key is not None:
+                    seen[key] = stats
+            stat = PairStat(i, j, (bases[i].label, bases[j].label), *stats)
             report.pairs.append(stat)
             report.max_deviation = max(report.max_deviation, stat.max_dev)
     report.passed = (

@@ -75,6 +75,15 @@ def test_gauss_integral_large_ball_passes(capsys, coeffs):
     assert code == 0 and "PASS" in out
 
 
+def test_gauss_integral_oracle_past_the_double_range_is_exit_2(capsys):
+    argv = ["gauss-integral", "-p", "599", "-r", "200", "-a", "0", "-b", "0"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "PASS" in out  # the exact closed form needs no float
+    code, out, err = run(capsys, *argv, "--oracle")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "norm" in err and "exceeds the double range" in err
+
+
 def test_mub_finite_pass_and_reject(capsys):
     code, out, _ = run(capsys, "mub-finite", "-p", "3", "-r", "2")
     assert code == 0 and "10 bases" in out

@@ -235,6 +235,14 @@ def test_exact_norm_formatting():
     assert ExactNorm(3, -2).normsq == Fraction(1, 9)
 
 
+def test_float_value_past_the_double_range_is_a_value_error():
+    assert ExactNorm(599, 200).value == pytest.approx(599.0**100)
+    with pytest.raises(ValueError, match="exceeds the double range"):
+        ExactNorm(599, 400).value
+    with pytest.raises(ValueError, match="exceeds the double range"):
+        integral_numeric(599, 200, 0, 0)
+
+
 def test_ring_report_roundtrip():
     rep = ring_report(3, 1, 1, 1, 0, oracle=True)
     assert rep.passed
