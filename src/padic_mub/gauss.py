@@ -6,10 +6,16 @@ Three independent routes to the same norms live here and check one another:
 * an exact counting identity for |sum|^2 over the finite ring, and
 * direct numeric summation with exact phase reduction.
 
-Numeric sums reduce every exponent modulo the exact phase denominator first
-and convert to complex doubles only when accumulating; accumulation uses
-exactly-rounded summation (error below the 2*eps*sum|terms| compensated
-bound), in a fixed ascending order, so results are reproducible bit for bit.
+A numeric sum over N terms is a sum of roots of unity zeta_n^e with exact
+integer exponents e.  It is first reduced to an exact int64 histogram c of
+the exponents mod n (for a ring sum, one period of x only, scaled by the
+exact number of periods), and converts to doubles only at the end: fsum of
+the weighted roots c[m] * w[m] over the nonzero bins, in ascending residue
+order, for the real and the imaginary part.  Each weighted root is rounded
+once and fsum rounds once (Shewchuk 1997), so each part lies within
+(1 + eps) * eps * N of the same sum over the rounded roots w, and results
+are reproducible bit for bit.  Residue arrays come from `_residues`, which
+keeps every product of two residues inside int64.
 """
 
 from __future__ import annotations
@@ -38,8 +44,31 @@ def roots_of_unity(n: int) -> np.ndarray:
     return w
 
 
-def _fsum_complex(values: np.ndarray) -> complex:
-    return complex(math.fsum(values.real), math.fsum(values.imag))
+INT64_MAX = 2**63 - 1
+MAX_INT64_RESIDUE = math.isqrt(INT64_MAX)  # 3037000499
+
+
+def _residues(mod: int) -> np.ndarray:
+    """The residues 0..mod-1 as int64, for moduli whose squares fit int64."""
+    if mod > MAX_INT64_RESIDUE:
+        raise CapError(
+            f"modulus {mod} exceeds {MAX_INT64_RESIDUE}: residue products overflow int64"
+        )
+    return np.arange(mod, dtype=np.int64)
+
+
+def _phase_sum(counts: np.ndarray, mod: int) -> complex:
+    """sum_m counts[m] * zeta_mod^m from exact int64 counts.
+
+    Only the nonzero bins enter, in ascending residue order; see the module
+    docstring for the error bound.
+    """
+    m = np.flatnonzero(counts)
+    c = counts[m]
+    w = roots_of_unity(mod)
+    # fsum reads the doubles through a memoryview, without a list of floats
+    real = math.fsum(memoryview(c * w.real[m]))
+    return complex(real, math.fsum(memoryview(c * w.imag[m])))
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +106,8 @@ class ExactNorm:
         """The squared norm, an exact rational power of p."""
         if self.is_zero:
             return Fraction(0)
-        return Fraction(self.p) ** self.half_power
+        hp = self.half_power
+        return Fraction(self.p**hp) if hp >= 0 else Fraction(1, self.p**-hp)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -98,16 +128,36 @@ class ExactNorm:
 def ring_sum_numeric(
     p: int, k: int, l: int, a: int, b: int, term_cap: int = DEFAULT_TERM_CAP
 ) -> complex:
-    """Direct summation; exponents reduced mod p^l exactly before rounding."""
+    """Direct summation of exp(2*pi*i*(a*x^2 + b*x)/p^l) over x in Z/p^k Z.
+
+    The exponent mod p^l has period p^l in x, so its histogram over the
+    p^k terms is exactly p^(k-l) times the histogram over one period
+    x in [0, p^l).  The value is the fsum of the at most p^l weighted roots
+    of that exact histogram (`_phase_sum`): within (1 + eps) * eps * p^k of
+    the same sum over the rounded roots, in each of the real and imaginary
+    parts.
+    """
     if not 1 <= l <= k:
         raise ValueError("need k >= l >= 1")
     terms = p**k
     if terms > term_cap:
         raise CapError(f"{terms} terms exceed the cap {term_cap}")
+    if terms > INT64_MAX:
+        raise CapError(f"{terms} terms overflow the int64 counts")
     mod = p**l
-    x = np.arange(terms, dtype=np.int64) % mod
-    expo = ((a % mod) * (x * x % mod) + (b % mod) * x) % mod
-    return _fsum_complex(roots_of_unity(mod)[expo])
+    x = _residues(mod)
+    expo = x * x
+    expo %= mod
+    expo *= a % mod
+    x *= b % mod
+    x %= mod  # keeps the sum below mod^2 + mod, inside int64
+    expo += x
+    del x
+    expo %= mod
+    counts = np.bincount(expo, minlength=mod)
+    del expo
+    counts *= p ** (k - l)
+    return _phase_sum(counts, mod)
 
 
 def ring_sum_normsq_exact(p: int, k: int, l: int, a: int, b: int) -> int:
@@ -119,8 +169,8 @@ def ring_sum_normsq_exact(p: int, k: int, l: int, a: int, b: int) -> int:
     if not 1 <= l <= k:
         raise ValueError("need k >= l >= 1")
     mod = p**l
-    y = np.arange(mod, dtype=np.int64)
-    count = int((((a % mod) * y + b) % mod == 0).sum())
+    y = _residues(mod)
+    count = int((((a % mod) * y + b % mod) % mod == 0).sum())
     return p ** (2 * (k - l)) * mod * count
 
 
@@ -169,13 +219,13 @@ def ring_sum_numeric_table(
         raise CapError(f"{p**k} terms exceed the cap {term_cap}")
     mod = p**l
     scale = p ** (k - l)  # each residue class mod p^l is hit p^(k-l) times
-    x = np.arange(mod, dtype=np.int64)
+    x = _residues(mod)
     xsq = x * x % mod
     w = roots_of_unity(mod)
     out = np.empty((mod, mod), dtype=complex)
     for a in range(mod):
         base = a * xsq % mod  # (mod,) exponents of the quadratic part
-        expo = (base[None, :] + np.outer(np.arange(mod, dtype=np.int64), x)) % mod
+        expo = (base[None, :] + np.outer(x, x)) % mod
         out[a] = w[expo].sum(axis=1)
     return scale * out
 
@@ -183,7 +233,7 @@ def ring_sum_numeric_table(
 def ring_sum_normsq_table(p: int, k: int, l: int) -> np.ndarray:
     """Exact counting |sum|^2 for every (a, b) in [0, p^l)^2 (int64 array)."""
     mod = p**l
-    y = np.arange(mod, dtype=np.int64)
+    y = _residues(mod)
     out = np.zeros((mod, mod), dtype=np.int64)
     for a in range(mod):
         hits = np.bincount((-a * y) % mod, minlength=mod)  # b values with a*y+b=0
@@ -204,11 +254,7 @@ def field_sum_numeric(alpha: FieldElem, beta: FieldElem) -> complex:
     counts = [0] * ctx.p
     for x in ctx.elements():
         counts[(alpha * x * x + beta * x).trace()] += 1
-    w = roots_of_unity(ctx.p)
-    return complex(
-        math.fsum(c * w[m].real for m, c in enumerate(counts)),
-        math.fsum(c * w[m].imag for m, c in enumerate(counts)),
-    )
+    return _phase_sum(np.array(counts, dtype=np.int64), ctx.p)
 
 
 def field_sum_norm_closed(alpha: FieldElem, beta: FieldElem) -> tuple[ExactNorm, str]:

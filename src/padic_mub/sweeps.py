@@ -70,7 +70,8 @@ def sweep_gauss_grid(tol_rel: float = 1e-6, term_cap: int = DEFAULT_TERM_CAP) ->
                 if closed.normsq != int(exact_sq[a, b]):
                     failures += 1
                     continue
-                rel = abs(numeric[a, b] - closed.value) / max(closed.value, 1.0)
+                value = closed.value
+                rel = abs(numeric[a, b] - value) / max(value, 1.0)
                 max_rel = max(max_rel, rel)
                 if rel > tol_rel:
                     failures += 1

@@ -84,6 +84,14 @@ def test_gauss_integral_oracle_past_the_double_range_is_exit_2(capsys):
     assert err.startswith("error: ") and "norm" in err and "exceeds the double range" in err
 
 
+def test_gauss_ring_oracle_past_int64_residues_is_exit_2(capsys):
+    # 3^21 residues would need products past int64; the guard refuses before allocating
+    code, out, err = run(capsys, "gauss-ring", "-p", "3", "-k", "21", "-l", "21",
+                         "-a", "1", "-b", "1", "--oracle", "--term-cap", "100000000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "overflow int64" in err
+
+
 def test_mub_finite_pass_and_reject(capsys):
     code, out, _ = run(capsys, "mub-finite", "-p", "3", "-r", "2")
     assert code == 0 and "10 bases" in out

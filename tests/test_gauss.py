@@ -29,13 +29,38 @@ from padic_mub.gauss import (
     ExactNorm,
     ring_sum_normsq_table,
     ring_sum_numeric_table,
+    roots_of_unity,
 )
+
+EPS = np.finfo(float).eps
 
 
 def _hand_ring_sum(p, k, l, a, b):
     """Oracle: the definition, summed term by term with library-free phases."""
     w = cmath.exp(2j * cmath.pi / p**l)
     return sum(w ** ((a * x * x + b * x) % p**l) for x in range(p**k))
+
+
+def _fsum_ring_sum(p, k, l, a, b):
+    """Reference: fsum of the gathered root of every one of the p^k terms."""
+    mod = p**l
+    x = np.arange(p**k, dtype=np.int64) % mod
+    expo = ((a % mod) * (x * x % mod) + (b % mod) * x) % mod
+    terms = roots_of_unity(mod)[expo]
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+def _fsum_field_sum(alpha, beta):
+    """Reference: fsum over all p trace classes, zero counts included."""
+    ctx = alpha.ctx
+    counts = [0] * ctx.p
+    for x in ctx.elements():
+        counts[(alpha * x * x + beta * x).trace()] += 1
+    w = roots_of_unity(ctx.p)
+    return complex(
+        math.fsum(c * w[m].real for m, c in enumerate(counts)),
+        math.fsum(c * w[m].imag for m, c in enumerate(counts)),
+    )
 
 
 def test_ring_sum_p3_quadratic():
@@ -96,6 +121,33 @@ def test_ring_term_cap():
         ring_sum_numeric(3, 13, 1, 1, 0, term_cap=10**5)
 
 
+@pytest.mark.parametrize("p, k, l", [(2, 11, 3), (3, 7, 3), (5, 5, 2), (7, 4, 2), (3, 6, 1)])
+def test_ring_sum_histogram_matches_full_fsum(p, k, l):
+    # the histogram kernel sums at most p^l weighted roots instead of p^k
+    # roots; both are within (1 + eps) * eps * p^k per part of the
+    # rounded-root sum
+    for a in (0, 1, 2, p, p + 1, p * p):  # zero, units, non-units
+        for b in (0, 1, p, 3 * p + 2):
+            got = ring_sum_numeric(p, k, l, a, b)
+            want = _fsum_ring_sum(p, k, l, a, b)
+            assert abs(got - want) <= 4 * EPS * p**k, (p, k, l, a, b)
+
+
+def test_int64_guard_raises_cap_error():
+    # 3^21 > 3037000499 = isqrt(2^63 - 1): residue products would overflow
+    with pytest.raises(CapError, match="overflow int64"):
+        ring_sum_numeric(3, 21, 21, 1, 1, term_cap=10**11)
+    with pytest.raises(CapError, match="overflow int64"):
+        ring_sum_normsq_exact(3, 21, 21, 1, 1)
+    with pytest.raises(CapError, match="overflow int64"):
+        ring_sum_numeric_table(3, 21, 21, term_cap=10**11)
+    with pytest.raises(CapError, match="overflow int64"):
+        ring_sum_normsq_table(3, 21, 21)
+    # 3^40 terms overflow the int64 histogram even over a small modulus
+    with pytest.raises(CapError, match="overflow the int64 counts"):
+        ring_sum_numeric(3, 40, 1, 1, 0, term_cap=10**30)
+
+
 def test_scale_invariance_exact_at_phase_level():
     # the exponent histogram at (k, l) is exactly p^(k-l) copies of (l, l)
     for p, k, l in ((3, 3, 1), (3, 3, 2), (5, 2, 1)):
@@ -136,6 +188,16 @@ def test_field_sum_cases_f9():
             assert abs(abs(field_sum_numeric(a, b)) - 3) < 1e-12
     norm, case = field_sum_norm_closed(one, zero)
     assert norm.value == 3 and case == "case1"
+
+
+@pytest.mark.parametrize("p, r", [(3, 2), (5, 2)])
+def test_field_sum_matches_generator_fsum(p, r):
+    # skipping zero bins leaves every weighted root and its order unchanged,
+    # so the two agree bit for bit
+    elems = list(build_field(p, r).elements())
+    for alpha in elems:
+        for beta in elems[:: len(elems) // 5]:  # every beta of F_9, 5 of F_25
+            assert field_sum_numeric(alpha, beta) == _fsum_field_sum(alpha, beta)
 
 
 def test_integral_closed_examples():
@@ -233,6 +295,13 @@ def test_exact_norm_formatting():
     assert str(ExactNorm(3, 0)) == "1"
     assert str(ExactNorm(3, None)) == "0"
     assert ExactNorm(3, -2).normsq == Fraction(1, 9)
+
+
+def test_exact_normsq_is_the_rational_power():
+    for p in (3, 5, 7):
+        for hp in range(-6, 7):
+            assert ExactNorm(p, hp).normsq == Fraction(p) ** hp
+        assert ExactNorm(p, None).normsq == 0
 
 
 def test_float_value_past_the_double_range_is_a_value_error():
