@@ -224,11 +224,12 @@ def _options(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, *, oracle=False) -> None:
+def _add_common(sub, *, oracle=False, term_cap=False) -> None:
     sub.add_argument("--format", choices=["table", "json", "csv"], default="table")
     sub.add_argument("--out", help="write the report here instead of stdout "
                      "(relative paths resolve under $PADIC_MUB_OUTDIR)")
-    sub.add_argument("--term-cap", type=int, default=DEFAULT_TERM_CAP, dest="term_cap")
+    if term_cap:
+        sub.add_argument("--term-cap", type=int, default=DEFAULT_TERM_CAP, dest="term_cap")
     if oracle:
         sub.add_argument("--oracle", action="store_true",
                          help="also run the brute-force oracles and compare")
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-a", type=int, required=True)
     s.add_argument("-b", type=int, required=True)
     s.add_argument("--tol", type=float, default=1e-6, help=REL_TOL_HELP)
-    _add_common(s, oracle=True)
+    _add_common(s, oracle=True, term_cap=True)
     s.set_defaults(func=cmd_gauss_ring)
 
     s = sub.add_parser("gauss-integral", help="norm of a Gauss integral over p^(-r)Z_p")
@@ -260,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-b", required=True)
     s.add_argument("--tol", type=float, default=1e-9,
                    help=REL_TOL_HELP + ", or to p^(r-k) if larger (k: the reported reduction_k)")
-    _add_common(s, oracle=True)
+    _add_common(s, oracle=True, term_cap=True)
     s.set_defaults(func=cmd_gauss_integral)
 
     s = sub.add_parser("mub-finite", help="build and verify the p^r+1 bases of C^(p^r)")
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="run a whole verification suite")
     s.add_argument("suite", choices=sorted(sweeps.SUITES))
     s.add_argument("--seed", type=int, default=0)
-    _add_common(s)
+    _add_common(s, term_cap=True)
     s.set_defaults(func=cmd_sweep)
 
     return parser

@@ -20,7 +20,7 @@ import numpy as np
 
 from .characters import phase_to_complex
 from .errors import CapError, ResolutionError
-from .gauss import NEG_INF, roots_of_unity, threshold_t
+from .gauss import MAX_INT64_RESIDUE, NEG_INF, roots_of_unity, threshold_t
 from .padic import (
     INF,
     PadicNumber,
@@ -69,7 +69,7 @@ class Grid:
         """Cell index of a point of the domain (v_p(x) >= -r required)."""
         xf = as_fraction(x, self.p, need_abs_precision=self.k)
         if frac_valuation(xf, self.p) < -self.r:
-            raise ValueError(f"{xf} lies outside p^(-{self.r})Z_p")
+            raise ValueError(f"{xf} lies outside p^({-self.r})Z_p")
         return rational_mod(xf * Fraction(self.p) ** self.r, self.n)
 
 
@@ -155,11 +155,17 @@ def _phase_term(grid: Grid, coeff: Fraction, degree: int) -> tuple[int, int]:
 
 
 def _quad_phase_indices(grid: Grid, a: Fraction, b: Fraction) -> tuple[np.ndarray, int]:
-    """Exact phase numerators of e(a*x^2 + b*x) per cell, over denominator p^M."""
+    """Exact phase numerators of e(a*x^2 + b*x) per cell, over denominator p^M.
+
+    The one source of exact cell phases.  Raises CapError when p^M exceeds
+    gauss.MAX_INT64_RESIDUE, where the int64 residue products would wrap.
+    """
     p = grid.p
     ma, ca = _phase_term(grid, a, 2)
     mb, cb = _phase_term(grid, b, 1)
     depth = max(ma, mb)
+    if p**depth > MAX_INT64_RESIDUE:
+        raise CapError(f"phase modulus {p}^{depth} exceeds {MAX_INT64_RESIDUE}: int64 overflow")
     i = np.arange(grid.n, dtype=np.int64)
     idx = np.zeros(grid.n, dtype=np.int64)
     if ma:
@@ -171,16 +177,27 @@ def _quad_phase_indices(grid: Grid, a: Fraction, b: Fraction) -> tuple[np.ndarra
     return (idx % p**depth if depth else idx), depth
 
 
+def _cell_phase_indices(a: Coefficient, b: Coefficient, grid: Grid) -> tuple[np.ndarray, int]:
+    """_quad_phase_indices once a and b are known well enough and the grid
+    resolves e(a*x^2 + b*x) (k >= required_resolution)."""
+    p = grid.p
+    af = as_fraction(a, p, need_abs_precision=2 * grid.r)
+    bf = as_fraction(b, p, need_abs_precision=grid.r)
+    needed = required_resolution(af, bf, grid.r, p)
+    if grid.k < needed:
+        raise ResolutionError(
+            f"e(a*x^2+b*x) is not cell-constant at k={grid.k}; need k >= {needed}"
+        )
+    return _quad_phase_indices(grid, af, bf)
+
+
 def quadratic_phase_profile(
     a: Coefficient, b: Coefficient, grid: Grid
 ) -> tuple[PFraction, ...]:
     """The exact phase of e(a*x^2 + b*x) at every cell representative."""
-    p = grid.p
-    af = as_fraction(a, p, need_abs_precision=2 * grid.r)
-    bf = as_fraction(b, p, need_abs_precision=grid.r)
-    idx, depth = _quad_phase_indices(grid, af, bf)
-    den = p**depth
-    return tuple(PFraction.from_fraction(Fraction(int(m), den), p) for m in idx)
+    idx, depth = _cell_phase_indices(a, b, grid)
+    den = grid.p**depth
+    return tuple(PFraction.from_fraction(Fraction(int(m), den), grid.p) for m in idx)
 
 
 # ---------------------------------------------------------------------------
@@ -190,48 +207,34 @@ def quadratic_phase_profile(
 
 def vector_v(a: Coefficient, b: Coefficient, grid: Grid) -> StateVector:
     """The quadratic-character state with amplitude e(a*x^2 + b*x) per cell."""
-    p = grid.p
-    af = as_fraction(a, p, need_abs_precision=2 * grid.r)
-    bf = as_fraction(b, p, need_abs_precision=grid.r)
-    needed = required_resolution(af, bf, grid.r, p)
-    if grid.k < needed:
-        raise ResolutionError(
-            f"e(a*x^2+b*x) is not cell-constant at k={grid.k}; need k >= {needed}"
-        )
-    idx, depth = _quad_phase_indices(grid, af, bf)
-    return StateVector(grid, roots_of_unity(p**depth)[idx])
+    idx, depth = _cell_phase_indices(a, b, grid)
+    return StateVector(grid, roots_of_unity(grid.p**depth)[idx])
+
+
+def _ball_indicator(grid: Grid, i0: int, e: int, value: float) -> StateVector:
+    """value on the cells of the ball rep(i0) + p^e Z_p, 0 elsewhere."""
+    amps = np.zeros(grid.n, dtype=complex)
+    # the ball collects the cells with index = i0 mod p^(r+e)
+    step = grid.p ** max(grid.r + e, 0)
+    amps[(i0 + np.arange(0, grid.n, step, dtype=np.int64)) % grid.n] = value
+    return StateVector(grid, amps)
 
 
 def vector_v_inf(b: Coefficient, grid: Grid) -> StateVector:
     """The scaled near-delta state: amplitude p^r on the ball -b + p^r Z_p."""
-    p, r = grid.p, grid.r
+    r = grid.r
     if grid.k < r:
         raise ResolutionError(f"need k >= r = {r} to resolve the ball p^{r}Z_p")
-    bf = as_fraction(b, p, need_abs_precision=grid.k)
-    if frac_valuation(bf, p) < -r:
-        raise ValueError(f"center -({bf}) lies outside the grid domain")
-    i0 = grid.index_of(-bf)
-    amps = np.zeros(grid.n, dtype=complex)
-    # the support -b + p^r Z_p collects the cells with index = i0 mod p^(2r)
-    step = p ** (2 * r) if r > 0 else 1
-    hits = (i0 + np.arange(0, grid.n, step, dtype=np.int64)) % grid.n
-    amps[hits] = float(p) ** r
-    return StateVector(grid, amps)
+    return _ball_indicator(grid, -grid.index_of(b), r, float(grid.p) ** r)
 
 
-def ball_state(z: Coefficient, scale: int, grid: Grid, normalized: bool = True) -> StateVector:
-    """Indicator of z + p^scale Z_p, scaled to unit norm when normalized."""
-    p = grid.p
+def ball_state(z: Coefficient, scale: int, grid: Grid) -> StateVector:
+    """Indicator of z + p^scale Z_p, scaled to unit norm."""
     if not -grid.r <= scale <= grid.k:
         raise ResolutionError(
             f"ball exponent {scale} must lie in [{-grid.r}, {grid.k}] for this grid"
         )
-    i0 = grid.index_of(z)
-    amps = np.zeros(grid.n, dtype=complex)
-    step = p ** (grid.r + scale)
-    hits = (i0 + np.arange(0, grid.n, step, dtype=np.int64)) % grid.n
-    amps[hits] = float(p) ** (scale / 2.0) if normalized else 1.0
-    return StateVector(grid, amps)
+    return _ball_indicator(grid, grid.index_of(z), scale, float(grid.p) ** (scale / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +263,19 @@ def inverse_fourier(phi: StateVector) -> StateVector:
 
 def ball_fourier_closed(z: Coefficient, scale: int, dual: Grid) -> np.ndarray:
     """Expected transform of the normalized ball indicator: e(y*z)*p^(-scale/2)
-    on p^(-scale)Z_p and 0 outside, evaluated on the dual grid's cells."""
+    on p^(-scale)Z_p and 0 outside, evaluated on the dual grid's cells.
+
+    v(rep(j)) >= -scale exactly when p^max(dual.r - scale, 0) divides j; the
+    phases m/p^M of those cells are evaluated as phase_to_complex does.
+    """
     p = dual.p
-    zf = as_fraction(z, p)
-    out = np.zeros(dual.n, dtype=complex)
+    idx, depth = _quad_phase_indices(dual, 0, as_fraction(z, p))
+    keep = np.arange(0, dual.n, p ** min(max(dual.r - scale, 0), dual.r + dual.k))
+    t = 2.0 * math.pi * (idx[keep] / p**depth)
     amp = float(p) ** (-scale / 2.0)
-    for j in range(dual.n):
-        y = dual.rep(j)
-        if frac_valuation(y, p) >= -scale:
-            out[j] = amp * phase_to_complex(frac_part(y * zf, p))
+    out = np.zeros(dual.n, dtype=complex)
+    out.real[keep] = amp * np.cos(t)
+    out.imag[keep] = amp * np.sin(t)
     return out
 
 
@@ -278,13 +285,15 @@ def ball_fourier_closed(z: Coefficient, scale: int, dual: Grid) -> np.ndarray:
 
 
 def op_X(psi: StateVector, c: Coefficient) -> StateVector:
-    """Shift |y> -> |y+c>: an exact permutation of the cells."""
-    g = psi.grid
-    cf = as_fraction(c, g.p, need_abs_precision=g.k)
-    if frac_valuation(cf, g.p) < -g.r:
-        raise ValueError(f"shift {cf} leaves the domain p^(-{g.r})Z_p")
-    s = rational_mod(cf * Fraction(g.p) ** g.r, g.n)
-    return StateVector(g, np.roll(psi.amplitudes, s))
+    """Shift |y> -> |y+c>: an exact permutation of the cells (v(c) >= -r)."""
+    return StateVector(psi.grid, np.roll(psi.amplitudes, psi.grid.index_of(c)))
+
+
+def _times_phase(psi: StateVector, idx: np.ndarray, depth: int) -> StateVector:
+    """psi times the roots of unity with exact phases idx / p^depth."""
+    if depth == 0:
+        return StateVector(psi.grid, psi.amplitudes.copy())
+    return StateVector(psi.grid, psi.amplitudes * roots_of_unity(psi.grid.p**depth)[idx])
 
 
 def op_Z(psi: StateVector, d: Coefficient) -> StateVector:
@@ -293,12 +302,7 @@ def op_Z(psi: StateVector, d: Coefficient) -> StateVector:
     df = as_fraction(d, g.p, need_abs_precision=g.r)
     if df != 0 and frac_valuation(df, g.p) < -g.k:
         raise ResolutionError(f"modulation e(y*d) with v(d) < {-g.k} is not cell-constant")
-    depth, cu = _phase_term(g, df, 1)
-    if depth == 0:
-        return StateVector(g, psi.amplitudes.copy())
-    i = np.arange(g.n, dtype=np.int64)
-    idx = i % g.p**depth * cu % g.p**depth
-    return StateVector(g, psi.amplitudes * roots_of_unity(g.p**depth)[idx])
+    return _times_phase(psi, *_quad_phase_indices(g, 0, df))
 
 
 def op_P(psi: StateVector, d: Coefficient) -> StateVector:
@@ -308,12 +312,7 @@ def op_P(psi: StateVector, d: Coefficient) -> StateVector:
     needed = required_resolution(df, 0, g.r, g.p)
     if g.k < needed:
         raise ResolutionError(f"chirp e(d*x^2) needs k >= {needed}, grid has {g.k}")
-    depth, cu = _phase_term(g, df, 2)
-    if depth == 0:
-        return StateVector(g, psi.amplitudes.copy())
-    i = np.arange(g.n, dtype=np.int64)
-    idx = (i % g.p**depth) ** 2 % g.p**depth * cu % g.p**depth
-    return StateVector(g, psi.amplitudes * roots_of_unity(g.p**depth)[idx])
+    return _times_phase(psi, *_quad_phase_indices(g, df, 0))
 
 
 @dataclass
@@ -353,19 +352,17 @@ def eigen_check(
     cell_cap: int = DEFAULT_CELL_CAP,
 ) -> EigenReport:
     """Apply X_c Z_{2ac} to the (a, b) state and compare with e(-bc-ac^2) times it."""
+    if grid is not None:
+        p = grid.p
+    elif p is None:
+        raise ValueError("pass a grid or a prime to build one from")
+    af, bf, cf = (as_fraction(x, p) for x in (a, b, c))
     if grid is None:
-        if p is None:
-            raise ValueError("pass a grid or a prime to build one from")
-        af, bf, cf = (as_fraction(x, p) for x in (a, b, c))
         vc = frac_valuation(cf, p)
         r = max(1, -int(vc) if vc != INF else 0)
         k_mod = required_resolution(0, 2 * af * cf, r, p)
         k = max(required_resolution(af, bf, r, p), k_mod, 1 - r)
         grid = make_grid(p, r, k, cell_cap)
-    p = grid.p
-    af = as_fraction(a, p)
-    bf = as_fraction(b, p)
-    cf = as_fraction(c, p)
     state = vector_v(af, bf, grid)
     moved = op_X(op_Z(state, 2 * af * cf), cf)
     phase = frac_part(-(bf * cf + af * cf * cf), p)
@@ -507,25 +504,26 @@ def gram_report(
         )
         for lab, a_raw, b_raw in raw
     ]
-    pairs_min_r = [
-        _pair_min_r(p, ai, bi, aj, bj)
-        for _, ai, bi in entries_ab
-        for _, aj, bj in entries_ab
-    ]
+    # _pair_min_r reads only valuations, so it is symmetric in the pair: one
+    # pass over i <= j serves the grid sizing and the certified flags
+    pairs_min_r = {
+        (i, j): _pair_min_r(p, ai, bi, aj, bj)
+        for i, (_, ai, bi) in enumerate(entries_ab)
+        for j, (_, aj, bj) in enumerate(entries_ab[i:], i)
+    }
     r_used = r
     if auto_raise:
-        needed = max((m for m in pairs_min_r if m != NEG_INF), default=r)
+        needed = max((m for m in pairs_min_r.values() if m != NEG_INF), default=r)
         r_used = max(r, int(needed))
     k = 1 - r_used
-    has_inf = any(ai is None for _, ai, _ in entries_ab)
-    if has_inf:
+    if any(ai is None for _, ai, _ in entries_ab):
         k = max(k, r_used)
+    # every bound of required_resolution falls as the valuation rises, and
+    # v(x - y) >= min(v(x), v(y)), so no difference (ai - aj, bi - bj) needs
+    # a finer grid than the states themselves
     for _, ai, bi in entries_ab:
         if ai is not None:
             k = max(k, required_resolution(ai, bi, r_used, p))
-        for _, aj, bj in entries_ab:
-            if ai is not None and aj is not None:
-                k = max(k, required_resolution(ai - aj, bi - bj, r_used, p))
     grid = make_grid(p, r_used, k, cell_cap)
     states, labels = [], []
     for (lab, a_raw, b_raw), (_, ai, bi) in zip(raw, entries_ab):
@@ -541,27 +539,22 @@ def gram_report(
     entries: list[GramEntry] = []
     max_dev = 0.0
     uncert = 0
-    for i, (_, ai, bi) in enumerate(entries_ab):
-        for j in range(i, len(entries_ab)):
-            _, aj, bj = entries_ab[j]
-            closed = _pair_closed(p, r_used, ai, bi, aj, bj)
-            certified = r_used >= _pair_min_r(p, ai, bi, aj, bj)
-            dev = float(abs(moduli[i, j] - closed))
-            entries.append(GramEntry(i, j, float(moduli[i, j]), closed, certified, dev))
-            if certified:
-                max_dev = max(max_dev, dev)
-            else:
-                uncert += 1
+    for (i, j), min_r in pairs_min_r.items():
+        (_, ai, bi), (_, aj, bj) = entries_ab[i], entries_ab[j]
+        closed = _pair_closed(p, r_used, ai, bi, aj, bj)
+        certified = r_used >= min_r
+        dev = float(abs(moduli[i, j] - closed))
+        entries.append(GramEntry(i, j, float(moduli[i, j]), closed, certified, dev))
+        if certified:
+            max_dev = max(max_dev, dev)
+        else:
+            uncert += 1
     # each family sample should stay linearly independent on its grid
+    families = ["inf" if lab is None else str(lab) for lab, _, _ in raw]
     family_ranks: dict[str, int] = {}
-    for fam in sorted({str(lab) if lab is not None else "inf" for lab, _, _ in entries_ab}):
-        idxs = [
-            i
-            for i, (lab, _, _) in enumerate(entries_ab)
-            if (str(lab) if lab is not None else "inf") == fam
-        ]
-        sub = gram[np.ix_(idxs, idxs)]
-        family_ranks[fam] = int(np.linalg.matrix_rank(sub))
+    for fam in sorted(set(families)):
+        idxs = [i for i, f in enumerate(families) if f == fam]
+        family_ranks[fam] = int(np.linalg.matrix_rank(gram[np.ix_(idxs, idxs)]))
     passed = max_dev <= tol and (uncert == 0 or not auto_raise)
     return GramReport(
         p=p,

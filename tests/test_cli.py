@@ -132,6 +132,19 @@ def test_sweep_operators_and_unknown_suite(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["mub-padic", "-p", "3", "-r", "1"],
+    ["mub-finite", "-p", "3", "-r", "1"],
+    ["fourier-ball", "-p", "3", "-r", "1"],
+    ["eigen-check", "-p", "3", "-a", "1", "-b", "0", "-c", "1/3"],
+])
+def test_term_cap_is_rejected_where_nothing_reads_it(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--term-cap", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --term-cap 5" in capsys.readouterr().err
+
+
 def test_json_reports_are_deterministic(capsys):
     argv = ["mub-padic", "-p", "3", "-r", "1", "--format", "json"]
     code1, out1, _ = run(capsys, *argv)

@@ -20,9 +20,11 @@ from padic_mub import (
     inner,
     inverse_fourier,
     make_grid,
+    mub_padic,
     op_P,
     op_X,
     op_Z,
+    parse_coefficient,
     phase_mul,
     phase_to_complex,
     quadratic_phase_profile,
@@ -31,7 +33,8 @@ from padic_mub import (
     vector_v_inf,
 )
 from padic_mub.errors import CapError, PrecisionError
-from padic_mub.padic import frac_part, frac_valuation
+from padic_mub.gauss import MAX_INT64_RESIDUE, NEG_INF, roots_of_unity
+from padic_mub.padic import as_fraction, frac_part, frac_valuation
 
 W3 = complex(-0.5, np.sqrt(3) / 2)  # e^(2*pi*i/3)
 
@@ -408,3 +411,221 @@ def test_statevector_json_schema():
     assert d["grid"] == {"p": 3, "r": 0, "k": 1}
     assert len(d["amplitudes"]) == 3
     assert d["amplitudes"][0] == [1.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# the old per-cell and per-ordered-pair paths, kept as oracles
+# ---------------------------------------------------------------------------
+
+
+def _ball_fourier_loop(z, scale, dual):
+    """ball_fourier_closed as a per-cell Fraction loop."""
+    p = dual.p
+    out = np.zeros(dual.n, dtype=complex)
+    amp = float(p) ** (-scale / 2.0)
+    for j in range(dual.n):
+        y = dual.rep(j)
+        if frac_valuation(y, p) >= -scale:
+            out[j] = amp * phase_to_complex(frac_part(y * Fraction(z), p))
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_ball_fourier_closed_matches_the_cell_loop(p):
+    zs = [0, 1, 2, Fraction(1, p), Fraction(7, p**2), Fraction(5, p**3)]
+    grids = [(0, 1), (1, 0), (1, 1), (2, 1), (1, 2), (0, 3), (3, 0)]
+    if p == 3:
+        grids += [(2, 3), (4, 1)]
+    for r, k in grids:
+        dual = Grid(p, r, k)
+        for z in zs:
+            for scale in range(-1, 3):
+                got = ball_fourier_closed(z, scale, dual)
+                assert np.array_equal(got, _ball_fourier_loop(z, scale, dual)), (r, k, z, scale)
+
+
+def _op_Z_old(psi, d):
+    g = psi.grid
+    depth, cu = mub_padic._phase_term(g, Fraction(d), 1)
+    if depth == 0:
+        return psi.amplitudes.copy()
+    i = np.arange(g.n, dtype=np.int64)
+    idx = i % g.p**depth * cu % g.p**depth
+    return psi.amplitudes * roots_of_unity(g.p**depth)[idx]
+
+
+def _op_P_old(psi, d):
+    g = psi.grid
+    depth, cu = mub_padic._phase_term(g, Fraction(d), 2)
+    if depth == 0:
+        return psi.amplitudes.copy()
+    i = np.arange(g.n, dtype=np.int64)
+    idx = (i % g.p**depth) ** 2 % g.p**depth * cu % g.p**depth
+    return psi.amplitudes * roots_of_unity(g.p**depth)[idx]
+
+
+def test_op_Z_and_op_P_match_their_old_index_formulas():
+    rng = np.random.default_rng(17)
+    checked = 0
+    for p, r, k in ((3, 1, 2), (3, 2, 3), (5, 1, 2), (7, 1, 2), (3, 0, 3), (5, -1, 3)):
+        g = make_grid(p, r, k)
+        psi = StateVector(g, rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
+        for d in (0, 1, 2, p, p**2 + 1, Fraction(1, p), Fraction(4, p**2), Fraction(2, p**3)):
+            if d == 0 or frac_valuation(d, p) >= -k:
+                assert np.array_equal(op_Z(psi, d).amplitudes, _op_Z_old(psi, d)), (p, r, k, d)
+                checked += 1
+            if k >= required_resolution(d, 0, r, p):
+                assert np.array_equal(op_P(psi, d).amplitudes, _op_P_old(psi, d)), (p, r, k, d)
+                checked += 1
+    assert checked > 60
+
+
+def _gram_sizing_ordered(params, r, p, auto_raise):
+    """r_used, k_used and the certified flags of the pairs i <= j, computed
+    over all n^2 ordered pairs as gram_report once did."""
+    ab = [
+        (None if mub_padic._normalize_family(a) is None else as_fraction(a, p),
+         as_fraction(b, p))
+        for a, b in params
+    ]
+    min_r = {
+        (i, j): mub_padic._pair_min_r(p, ai, bi, aj, bj)
+        for i, (ai, bi) in enumerate(ab)
+        for j, (aj, bj) in enumerate(ab)
+    }
+    assert all(m == min_r[j, i] for (i, j), m in min_r.items())
+    r_used = r
+    if auto_raise:
+        r_used = max(r, int(max((m for m in min_r.values() if m != NEG_INF), default=r)))
+    k = 1 - r_used
+    if any(ai is None for ai, _ in ab):
+        k = max(k, r_used)
+    for ai, bi in ab:
+        if ai is not None:
+            k = max(k, required_resolution(ai, bi, r_used, p))
+        for aj, bj in ab:
+            if ai is not None and aj is not None:
+                k = max(k, required_resolution(ai - aj, bi - bj, r_used, p))
+    n = len(ab)
+    return r_used, k, [r_used >= min_r[i, j] for i in range(n) for j in range(i, n)]
+
+
+def _mixed_param_sets():
+    """(p, params, largest r whose grid fits the default cell cap): digit
+    strings, repeated residue classes, both label spellings of the deltas."""
+    digits = parse_coefficient("2 1 0 0 0 0 0 0 0 0 *3^0", 3)  # 5, known mod 3^10
+    a_digits = parse_coefficient("1 2 0 0 0 0 0 0 0 *3^-1", 3)  # 7/3, known mod 3^8
+    yield 3, canonical_family_params(3, [0, 1, 4, Fraction(1, 3), Fraction(10, 3), digits]), 2
+    yield 3, [(0, 0), (9, 0), (None, 0), (None, 9), (1, Fraction(1, 3)),
+              (a_digits, 2), (Fraction(1, 3), 0), ("inf", 3)], 2
+    yield 3, [(1, 0), (1, 3), (10, 0), (None, 3), (None, 0)], 2
+    yield 5, canonical_family_params(5, [0, 5, Fraction(2, 5)]), 2
+    yield 7, [(a, b) for a in (0, 3, None) for b in (0, 1, 2)], 1
+
+
+def test_gram_report_pairs_match_the_ordered_pair_sizing():
+    cases = 0
+    for p, params, max_r in _mixed_param_sets():
+        for r in range(-1, max_r + 1):
+            for auto_raise in (True, False):
+                r_used, k, certified = _gram_sizing_ordered(params, r, p, auto_raise)
+                if any(
+                    mub_padic._normalize_family(a) is None
+                    and frac_valuation(as_fraction(b, p), p) < -r_used
+                    for a, b in params
+                ):  # a delta center outside the grid's domain p^(-r)Z_p
+                    with pytest.raises(ValueError, match="lies outside"):
+                        gram_report(params, r=r, p=p, auto_raise=auto_raise)
+                    continue
+                rep = gram_report(params, r=r, p=p, auto_raise=auto_raise)
+                assert (rep.r_used, rep.k_used) == (r_used, k)
+                assert [e.certified for e in rep.entries] == certified
+                assert rep.uncertified_pairs == certified.count(False)
+                cases += 1
+    assert cases >= 32
+
+
+def test_pair_differences_need_no_finer_grid_than_their_states():
+    p = 3
+    coeffs = [0, 1, 2, 3, 9, 10, Fraction(1, 3), Fraction(4, 3), Fraction(2, 9), Fraction(1, 27)]
+    for r in range(-1, 3):
+        for ai in coeffs:
+            for aj in coeffs:
+                for bi, bj in ((0, 1), (Fraction(1, 3), Fraction(7, 3)), (9, Fraction(1, 9))):
+                    pair = required_resolution(ai - aj, bi - bj, r, p)
+                    assert pair <= max(required_resolution(ai, bi, r, p),
+                                       required_resolution(aj, bj, r, p))
+
+
+def test_gram_report_sizes_each_unordered_pair_once(monkeypatch):
+    calls = []
+    pair_min_r = mub_padic._pair_min_r
+
+    def counted(*args):
+        calls.append(args)
+        return pair_min_r(*args)
+
+    monkeypatch.setattr(mub_padic, "_pair_min_r", counted)
+    params = canonical_family_params(3)
+    gram_report(params, r=1, p=3)
+    n = len(params)
+    assert len(calls) == n * (n + 1) // 2
+
+
+def test_quadratic_phase_profile_checks_resolution():
+    # a of valuation -20 has phases of depth 2r + 20 = 22: k = 9 does not
+    # resolve it, and unchecked int64 residues wrapped on 78 of the 609 cells
+    # sampled below
+    a = Fraction(3**20 - 1, 3**20)
+    for fn in (quadratic_phase_profile, vector_v):
+        with pytest.raises(ResolutionError):
+            fn(a, 0, Grid(3, 1, 9))
+    # a grid that resolves it needs 3^22-th roots: refused before any cell exists
+    with pytest.raises(CapError):
+        quadratic_phase_profile(a, 0, Grid(3, 1, 22))
+    # at depth 9 the profile is exact on every sampled cell
+    g, a = Grid(3, 1, 9), Fraction(3**7 - 1, 3**7)
+    profile = quadratic_phase_profile(a, 0, g)
+    assert all(profile[i] == frac_part(a * g.rep(i) ** 2, 3) for i in range(0, g.n, 97))
+
+
+def test_quad_phase_indices_refuses_moduli_past_int64_residues():
+    g = Grid(3, 1, 1)
+    assert 3**19 <= MAX_INT64_RESIDUE < 3**20
+    a = Fraction(1, 3**17)  # depth 2r - v(a) = 19
+    idx, depth = mub_padic._quad_phase_indices(g, a, Fraction(0))
+    assert depth == 19
+    assert [Fraction(int(m), 3**19) for m in idx] == [
+        frac_part(a * g.rep(i) ** 2, 3).value for i in range(g.n)
+    ]
+    for a, b in ((Fraction(1, 3**18), 0), (0, Fraction(1, 3**19))):  # depth 20
+        with pytest.raises(CapError):
+            mub_padic._quad_phase_indices(g, Fraction(a), Fraction(b))
+
+
+def test_cell_lookups_keep_the_index_of_checks():
+    g = make_grid(3, 1, 2)
+    psi = vector_v(0, 0, g)
+    coarse = from_rational(1, 1, 3, 1)  # known only mod 3, the grid needs 3^2
+    for call in (
+        lambda: op_X(psi, coarse),
+        lambda: vector_v_inf(coarse, g),
+        lambda: ball_state(coarse, 1, g),
+    ):
+        with pytest.raises(PrecisionError):
+            call()
+    for call in (
+        lambda: op_X(psi, Fraction(1, 9)),
+        lambda: vector_v_inf(Fraction(1, 9), g),
+        lambda: ball_state(Fraction(1, 9), 1, g),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    # the delta state of b sits on the p^(k-r) cells of -b + p^r Z_p
+    v = vector_v_inf(Fraction(1, 3), g).amplitudes
+    hits = sorted(g.index_of(Fraction(-1, 3) + 3 * t) for t in range(3))
+    assert np.flatnonzero(v).tolist() == hits and np.all(v[hits] == 3.0)
+    # the ball z + Z_p holds the p^k cells of z + t, t = 0..p^k - 1
+    ball = ball_state(Fraction(2, 3), 0, g).amplitudes
+    hits = sorted(g.index_of(Fraction(2, 3) + t) for t in range(9))
+    assert np.flatnonzero(ball).tolist() == hits and np.all(ball[hits] == 1.0)
