@@ -7,15 +7,20 @@ Three independent routes to the same norms live here and check one another:
 * direct numeric summation with exact phase reduction.
 
 A numeric sum over N terms is a sum of roots of unity zeta_n^e with exact
-integer exponents e.  It is first reduced to an exact int64 histogram c of
-the exponents mod n (for a ring sum, one period of x only, scaled by the
-exact number of periods), and converts to doubles only at the end: fsum of
-the weighted roots c[m] * w[m] over the nonzero bins, in ascending residue
-order, for the real and the imaginary part.  Each weighted root is rounded
-once and fsum rounds once (Shewchuk 1997), so each part lies within
-(1 + eps) * eps * N of the same sum over the rounded roots w, and results
-are reproducible bit for bit.  Residue arrays come from `_residues`, which
-keeps every product of two residues inside int64.
+integer exponents e, n = p^l.  It is first reduced to an exact int64
+histogram c of the exponents mod n (for a ring sum, one period of x only,
+scaled by the exact number of periods).  Since Phi_{p^l}(x) = Phi_p(x^(n/p)),
+the p roots of each coset {r + j*n/p} sum to 0, so subtracting from c its
+minimum on each coset leaves the sum unchanged in Z[zeta_n]; the result c'
+is the canonical representative with a zero in every coset, and the sum is
+0 exactly when c' is.  Only then does it convert to doubles: fsum of the
+weighted roots c'[m] * w[m] over the nonzero bins of c', in ascending
+residue order, for the real and the imaginary part.  Each weighted root is
+rounded once and fsum rounds once (Shewchuk 1997), so each part lies within
+(1 + eps) * eps * N' of the same sum over the rounded roots w, where
+N' = sum(c') <= N, and results are reproducible bit for bit.  Residue arrays
+come from `_residues`, which keeps every product of two residues inside
+int64.
 """
 
 from __future__ import annotations
@@ -57,18 +62,24 @@ def _residues(mod: int) -> np.ndarray:
     return np.arange(mod, dtype=np.int64)
 
 
-def _phase_sum(counts: np.ndarray, mod: int) -> complex:
-    """sum_m counts[m] * zeta_mod^m from exact int64 counts.
+def _phase_sum(counts: np.ndarray, mod: int, p: int) -> complex:
+    """sum_m counts[m] * zeta_mod^m from exact int64 counts, mod = p^l.
 
-    Only the nonzero bins enter, in ascending residue order; see the module
-    docstring for the error bound.
+    The counts are first reduced by their minimum on each coset of
+    (mod/p)Z/mod Z, which changes the sum by an exact 0; only the nonzero
+    bins of the result enter, in ascending residue order.  Their roots
+    exp(2*pi*i*m/mod) are those of `roots_of_unity(mod)`, bit for bit,
+    without a table of all mod roots.  See the module docstring for the
+    error bound.
     """
-    m = np.flatnonzero(counts)
-    c = counts[m]
-    w = roots_of_unity(mod)
+    cosets = counts.reshape(p, mod // p)  # column r is the coset {r + j*mod/p}
+    reduced = (cosets - cosets.min(axis=0)).ravel()
+    m = np.flatnonzero(reduced)
+    c = reduced[m]
+    w = np.exp(2j * np.pi * m / mod)
     # fsum reads the doubles through a memoryview, without a list of floats
-    real = math.fsum(memoryview(c * w.real[m]))
-    return complex(real, math.fsum(memoryview(c * w.imag[m])))
+    real = math.fsum(memoryview(c * w.real))
+    return complex(real, math.fsum(memoryview(c * w.imag)))
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +143,12 @@ def ring_sum_numeric(
 
     The exponent mod p^l has period p^l in x, so its histogram over the
     p^k terms is exactly p^(k-l) times the histogram over one period
-    x in [0, p^l).  The value is the fsum of the at most p^l weighted roots
-    of that exact histogram (`_phase_sum`): within (1 + eps) * eps * p^k of
-    the same sum over the rounded roots, in each of the real and imaginary
-    parts.
+    x in [0, p^l).  `_phase_sum` reduces that exact histogram by its
+    minimum on each coset of p^(l-1)Z/p^l Z, which changes the sum by an
+    exact 0, and fsums the weighted roots of the at most p^l - p^(l-1)
+    surviving bins: within (1 + eps) * eps * p^k of the same sum over the
+    rounded roots, in each of the real and imaginary parts.  A sum that is
+    0 in Z[zeta_{p^l}], such as every case2 sum, comes out exactly 0j.
     """
     if not 1 <= l <= k:
         raise ValueError("need k >= l >= 1")
@@ -157,7 +170,7 @@ def ring_sum_numeric(
     counts = np.bincount(expo, minlength=mod)
     del expo
     counts *= p ** (k - l)
-    return _phase_sum(counts, mod)
+    return _phase_sum(counts, mod, p)
 
 
 def ring_sum_normsq_exact(p: int, k: int, l: int, a: int, b: int) -> int:
@@ -254,7 +267,7 @@ def field_sum_numeric(alpha: FieldElem, beta: FieldElem) -> complex:
     counts = [0] * ctx.p
     for x in ctx.elements():
         counts[(alpha * x * x + beta * x).trace()] += 1
-    return _phase_sum(np.array(counts, dtype=np.int64), ctx.p)
+    return _phase_sum(np.array(counts, dtype=np.int64), ctx.p, ctx.p)
 
 
 def field_sum_norm_closed(alpha: FieldElem, beta: FieldElem) -> tuple[ExactNorm, str]:

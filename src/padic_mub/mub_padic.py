@@ -513,8 +513,10 @@ def gram_report(
     }
     r_used = r
     if auto_raise:
-        needed = max((m for m in pairs_min_r.values() if m != NEG_INF), default=r)
-        r_used = max(r, int(needed))
+        needed = [int(m) for m in pairs_min_r.values() if m != NEG_INF]
+        # a delta state's center -b must lie in the domain p^(-r)Z_p
+        needed += [-int(frac_valuation(bi, p)) for ai, _, bi in entries_ab if ai is None and bi]
+        r_used = max([r, *needed])
     k = 1 - r_used
     if any(ai is None for _, ai, _ in entries_ab):
         k = max(k, r_used)

@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from padic_mub import (
     CapError,
@@ -27,10 +30,12 @@ from padic_mub import (
 from padic_mub.gauss import (
     NEG_INF,
     ExactNorm,
+    _phase_sum,
     ring_sum_normsq_table,
     ring_sum_numeric_table,
     roots_of_unity,
 )
+from padic_mub.sweeps import gauss_grid_combos
 
 EPS = np.finfo(float).eps
 
@@ -50,16 +55,38 @@ def _fsum_ring_sum(p, k, l, a, b):
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
+def _field_counts(alpha, beta):
+    """How many x in F_q have each trace class of alpha*x^2 + beta*x."""
+    counts = [0] * alpha.ctx.p
+    for x in alpha.ctx.elements():
+        counts[(alpha * x * x + beta * x).trace()] += 1
+    return counts
+
+
 def _fsum_field_sum(alpha, beta):
     """Reference: fsum over all p trace classes, zero counts included."""
-    ctx = alpha.ctx
-    counts = [0] * ctx.p
-    for x in ctx.elements():
-        counts[(alpha * x * x + beta * x).trace()] += 1
-    w = roots_of_unity(ctx.p)
+    counts = _field_counts(alpha, beta)
+    w = roots_of_unity(alpha.ctx.p)
     return complex(
         math.fsum(c * w[m].real for m, c in enumerate(counts)),
         math.fsum(c * w[m].imag for m, c in enumerate(counts)),
+    )
+
+
+def _coset_reduced_fsum(counts, p):
+    """Reference: subtract each coset's minimum in plain Python, then fsum."""
+    mod = len(counts)
+    step = mod // p
+    reduced = list(counts)
+    for r in range(step):
+        low = min(counts[r + j * step] for j in range(p))
+        for j in range(p):
+            reduced[r + j * step] -= low
+    w = roots_of_unity(mod)
+    bins = [(m, c) for m, c in enumerate(reduced) if c]
+    return complex(
+        math.fsum(c * w[m].real for m, c in bins),
+        math.fsum(c * w[m].imag for m, c in bins),
     )
 
 
@@ -192,12 +219,65 @@ def test_field_sum_cases_f9():
 
 @pytest.mark.parametrize("p, r", [(3, 2), (5, 2)])
 def test_field_sum_matches_generator_fsum(p, r):
-    # skipping zero bins leaves every weighted root and its order unchanged,
-    # so the two agree bit for bit
-    elems = list(build_field(p, r).elements())
+    # the coset reduction changes the rounding, not the exact sum: within
+    # 4 eps q of the fsum over all p bins, and bit for bit the plain-Python
+    # reduction followed by fsum
+    ctx = build_field(p, r)
+    elems = list(ctx.elements())
+    q = len(elems)
     for alpha in elems:
         for beta in elems[:: len(elems) // 5]:  # every beta of F_9, 5 of F_25
-            assert field_sum_numeric(alpha, beta) == _fsum_field_sum(alpha, beta)
+            got = field_sum_numeric(alpha, beta)
+            assert abs(got - _fsum_field_sum(alpha, beta)) <= 4 * EPS * q
+            assert got == _coset_reduced_fsum(_field_counts(alpha, beta), p)
+    # a nontrivial character sums to an exact zero
+    for beta in elems:
+        if not beta.is_zero:
+            assert field_sum_numeric(ctx.zero, beta) == 0j
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    p=st.sampled_from([2, 3, 5, 7]),
+    l=st.integers(1, 4),
+)
+def test_phase_sum_ignores_coset_constant_counts(data, p, l):
+    # Phi_{p^l}(x) = Phi_p(x^(p^(l-1))): the p roots of each coset of
+    # p^(l-1)Z/p^l Z sum to 0, and the kernel sees only the reduced counts
+    mod = p**l
+    counts = data.draw(arrays(np.int64, mod, elements=st.integers(0, 10**9)))
+    per_coset = data.draw(arrays(np.int64, mod // p, elements=st.integers(0, 10**9)))
+    shifted = counts + np.tile(per_coset, p)  # index r + j*mod/p gets per_coset[r]
+    value = _phase_sum(counts, mod, p)
+    assert _phase_sum(shifted, mod, p) == value
+    assert value == _coset_reduced_fsum(counts.tolist(), p)
+
+
+def test_case2_ring_sums_are_exact_zeros():
+    # a case2 histogram is constant on every coset, so it reduces to zero
+    count = 0
+    for p, k, l in gauss_grid_combos():
+        mod = p**l
+        for a in range(mod):
+            for b in range(mod):
+                if ring_sum_norm_closed(p, k, l, a, b)[1] == "case2":
+                    assert ring_sum_numeric(p, k, l, a, b) == 0j, (p, k, l, a, b)
+                    count += 1
+    assert count == 18376
+
+
+@pytest.mark.parametrize("mod", [3, 8, 49, 243, 3125, 2**19, 7**7, 997**2])
+def test_phase_roots_match_the_root_table_bit_for_bit(mod):
+    m = np.unique(np.random.default_rng(mod).integers(0, mod, size=2000))
+    w = np.exp(2j * np.pi * m / mod)  # the roots _phase_sum evaluates
+    assert np.array_equal(w.view(np.float64), roots_of_unity(mod)[m].view(np.float64))
+
+
+def test_ring_sum_builds_no_root_table():
+    before = roots_of_unity.cache_info()
+    ring_sum_numeric(31, 4, 4, 1, 1)
+    assert roots_of_unity.cache_info() == before
 
 
 def test_integral_closed_examples():

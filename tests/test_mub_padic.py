@@ -396,6 +396,21 @@ def test_gram_report_auto_raise_reports_original_r():
     assert rep.r_requested == 0 and rep.r_used == 1
 
 
+def test_gram_report_auto_raise_holds_delta_centers():
+    # the delta-delta threshold v(b - b') + 1 = -1 alone left the center
+    # -1/9 outside p^(0)Z_p
+    params = [(None, 0), (None, Fraction(1, 9))]
+    rep = gram_report(params, r=0, p=3)
+    assert rep.passed and rep.r_requested == 0 and rep.r_used == 2
+    assert rep.uncertified_pairs == 0
+    with pytest.raises(ValueError, match="lies outside"):
+        gram_report(params, r=0, p=3, auto_raise=False)
+    # against the constant state the pair threshold is -inf: only the
+    # center asks for r = 2
+    rep = gram_report([(0, 0), (None, Fraction(1, 9))], r=0, p=3)
+    assert rep.passed and rep.r_used == 2
+
+
 def test_gram_csv_and_json():
     rep = gram_report(canonical_family_params(3), r=1, p=3)
     header = rep.to_csv().splitlines()[0]
