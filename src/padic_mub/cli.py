@@ -130,20 +130,27 @@ def cmd_mub_finite(args):
     field = build_field(args.p, args.r)
     bases = mub_finite.build_mub_set(field)
     report = mub_finite.verify_mub(bases, tol=args.tol, ortho_tol=args.ortho_tol)
-    d = report.to_json_dict()
-    d["bases"] = len(bases)
     table = (
         f"{len(bases)} bases in C^{field.size} (modulus {field.modulus})\n"
         f"target modulus {_fmt(report.target)}  max deviation {_fmt(report.max_deviation)}\n"
         f"orthonormality deviation {_fmt(report.ortho_deviation)}\n"
         f"{'PASS' if report.passed else 'FAIL'}\n"
     )
-    csv_lines = ["i,j,label_i,label_j,min_mod,max_mod,max_dev"]
-    for s in report.pairs:
-        csv_lines.append(
+    # the per-pair rows are built only for the format that prints them
+    if args.format != "json":
+        d = {"passed": report.passed}
+    else:
+        d = report.to_json_dict()
+        d["bases"] = len(bases)
+    csv_text = None
+    if args.format == "csv":
+        csv_lines = ["i,j,label_i,label_j,min_mod,max_mod,max_dev"]
+        csv_lines += [
             f"{s.i},{s.j},{s.labels[0]},{s.labels[1]},{s.min_mod!r},{s.max_mod!r},{s.max_dev!r}"
-        )
-    return d, table, "\n".join(csv_lines) + "\n"
+            for s in report.pairs
+        ]
+        csv_text = "\n".join(csv_lines) + "\n"
+    return d, table, csv_text
 
 
 def cmd_mub_padic(args):

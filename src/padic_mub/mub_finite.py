@@ -8,14 +8,14 @@ element enumeration, so matrices are byte-reproducible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .errors import CapError
 from .finite_field import FieldCtx, FieldElem
-from .gauss import roots_of_unity
+from .gauss import INT64_MAX, roots_of_unity
 
 DEFAULT_DIM_CAP = 343
 
@@ -28,40 +28,27 @@ class BasisMatrix:
     a: FieldElem | None  # None labels the computational basis
     matrix: np.ndarray
 
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "dim": self.matrix.shape[0],
-            "columns": [
-                [[z.real, z.imag] for z in col] for col in self.matrix.T
-            ],
-        }
 
-    def to_csv(self) -> str:
-        """Rows of re/im interleaved entries, one matrix row per line."""
-        lines = []
-        for row in self.matrix:
-            cells: list[str] = []
-            for z in row:
-                cells += [repr(z.real), repr(z.imag)]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
-
-def _trace_gram(ctx: FieldCtx) -> np.ndarray:
-    """G[s, t] = trace(x^s * x^t) over the power basis, so that
-    trace(u*v) = (u_coeffs @ G @ v_coeffs) mod p."""
-    r = ctx.r
-    basis = [ctx.element(tuple(1 if i == s else 0 for i in range(r))) for s in range(r)]
-    return np.array(
-        [[(basis[s] * basis[t]).trace() for t in range(r)] for s in range(r)],
-        dtype=np.int64,
-    )
+def _structure_tensor(ctx: FieldCtx) -> np.ndarray:
+    """T[s, t] = the coefficients of x^s * x^t mod the field modulus, so that
+    u * v = sum_{s,t} u_s v_t T[s, t] over the power basis."""
+    p, r = ctx.p, ctx.r
+    low = [-c % p for c in ctx.modulus[:r]]  # x^r = low[0] + ... + low[r-1] x^(r-1)
+    powers = [[int(k == n) for k in range(r)] for n in range(r)]
+    for _ in range(r - 1):  # x^r .. x^(2r-2), each x times the last
+        top = powers[-1]
+        powers.append([((top[k - 1] if k else 0) + top[-1] * low[k]) % p for k in range(r)])
+    return np.array([[powers[s + t] for t in range(r)] for s in range(r)], dtype=np.int64)
 
 
 def _phase_matrix(phases: np.ndarray, p: int) -> np.ndarray:
-    """Entries zeta_p^phases / sqrt(d) for a d x d array of integer phases."""
-    return ((1.0 / np.sqrt(phases.shape[0])) * roots_of_unity(p))[phases]
+    """Entries zeta_p^phases / sqrt(d) for a d x d array of integer phases.
+
+    The phases may run over [0, 2p): the table holds two periods of the
+    scaled roots, so m and m + p give the same entry bit for bit.
+    """
+    roots = (1.0 / np.sqrt(phases.shape[0])) * roots_of_unity(p)
+    return np.concatenate((roots, roots)).take(phases)
 
 
 def build_mub_set(fieldctx: FieldCtx, dim_cap: int = DEFAULT_DIM_CAP) -> list[BasisMatrix]:
@@ -70,20 +57,23 @@ def build_mub_set(fieldctx: FieldCtx, dim_cap: int = DEFAULT_DIM_CAP) -> list[Ba
     The construction itself is prime-agnostic; only the closed-form
     certification of unbiasedness is restricted to odd p elsewhere.
     """
-    p, q = fieldctx.p, fieldctx.size
+    p, r, q = fieldctx.p, fieldctx.r, fieldctx.size
     if q > dim_cap:
         raise CapError(f"dimension {q} exceeds cap {dim_cap}")
-    elems = list(fieldctx.elements())
-    coeff = np.array([e.coeffs for e in elems], dtype=np.int64)  # (q, r)
-    sq_coeff = np.array([(e * e).coeffs for e in elems], dtype=np.int64)
-    gram = _trace_gram(fieldctx)
-    # trace(b*x) for every (x, b) pair, and trace(a*x^2) per a below
-    tr_bx = coeff @ gram @ coeff.T % p  # [x, b]
-    bases = []
-    for a in elems:
-        tr_ax2 = sq_coeff @ gram @ np.array(a.coeffs, dtype=np.int64) % p  # [x]
-        phases = (tr_ax2[:, None] + tr_bx) % p
-        bases.append(BasisMatrix(label=f"a={a}", a=a, matrix=_phase_matrix(phases, p)))
+    # the widest int64 sum below is the squares': r^2 products of three residues
+    if r * r * (p - 1) ** 3 > INT64_MAX:
+        raise CapError(f"F_{p}^{r} products of three residues overflow int64")
+    mult = _structure_tensor(fieldctx)
+    # trace(x^k) is the trace of multiplication by x^k; gram[s, t] = trace(x^s * x^t)
+    gram = np.einsum("stk,k->st", mult, np.einsum("ktt->k", mult) % p) % p
+    coeff = np.arange(q)[:, None] // p ** np.arange(r) % p  # [x, i], in label order
+    sq_coeff = np.einsum("xi,xj,ijk->xk", coeff, coeff, mult) % p  # x^2
+    tr_bx = (coeff @ gram % p) @ coeff.T % p  # trace(b*x) at [x, b]
+    tr_ax2 = (sq_coeff @ gram % p) @ coeff.T % p  # trace(a*x^2) at [x, a]
+    bases = [
+        BasisMatrix(label=f"a={a}", a=a, matrix=_phase_matrix(tr_ax2[:, [n]] + tr_bx, p))
+        for n, a in enumerate(fieldctx.elements())
+    ]
     bases.append(BasisMatrix(label="inf", a=None, matrix=np.eye(q, dtype=complex)))
     return bases
 
@@ -114,40 +104,63 @@ class MubReport:
     def to_json_dict(self) -> dict:
         return {"schema": 1, **vars(self), "pairs": [vars(s).copy() for s in self.pairs]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def _abs_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Entrywise |u* v|: the one dense product behind every pair statistic."""
     return np.abs(u.conj().T @ v)
 
 
+def _pair_moduli(u: np.ndarray, v: np.ndarray, u_unit: bool, v_unit: bool) -> np.ndarray:
+    """|u* v|, read off entry by entry when u or v is the identity.
+
+    In IEEE arithmetic conj(u)^T I = conj(u)^T and I v = v exactly, every
+    other term being a product with 0, so the moduli equal the dense
+    product's bit for bit; an inf or nan entry would make some of those
+    terms nan, so such a basis is multiplied after all.
+    """
+    if u_unit or v_unit:
+        mods = np.abs(v) if u_unit else np.abs(u).T
+        if np.isfinite(mods.max()):
+            return mods
+    return _abs_product(u, v)
+
+
+def _angle_phases(z: np.ndarray, p: int) -> np.ndarray:
+    """The integer m mod p nearest to angle(z) * p / 2pi, entry by entry."""
+    return np.rint(np.angle(z) * (p / (2 * np.pi))).astype(np.int64) % p
+
+
 def _difference_keys(bases: list[BasisMatrix]) -> tuple[int, np.ndarray]:
     """Exact row phases of each quadratic-phase basis against a reference.
 
-    A basis with `a` set certifies when its matrix is, bit for bit,
-    zeta_p^m / sqrt(d) for integer phases m = rint(angle * p / 2pi) mod p, and
-    m - m_ref mod p is constant along each row, m_ref being the phases of the
-    first basis that certifies.  Its key is that column t, so the basis is
-    exactly diag(zeta_p^t) W with W = zeta_p^m_ref / sqrt(d), and
-    V_i* V_j = W* diag(zeta_p^(t_j - t_i)) W depends on t_j - t_i mod p alone.
-    Returns (p of the reference, keys), one key per row of `keys`; bases of
-    another field, the computational basis and any basis failing the check
-    keep the row -1.
+    The reference is the first basis with `a` set whose matrix is, bit for
+    bit, W = zeta_p^m_ref / sqrt(d) for the integer phases
+    m_ref = rint(angle * p / 2pi) mod p of all its entries.  A later basis
+    with `a` in the same field reads t = m_0 - m_ref[:, 0] mod p from the
+    phases m_0 of its column 0 alone, and certifies when its matrix is, bit
+    for bit, zeta_p^((m_ref + t) mod p) / sqrt(d) = diag(zeta_p^t) W.  Then
+    V_i* V_j = W* diag(zeta_p^(t_j - t_i)) W depends on t_j - t_i mod p
+    alone.  This accepts exactly the bases whose full-matrix phases m equal
+    zeta_p^m / sqrt(d) bit for bit with m - m_ref constant along each row.
+    Returns (p of the reference, keys), one key t per row of `keys` (zero
+    for the reference); bases of another field, the computational basis and
+    any basis failing the check keep the row -1.
     """
     ref_ctx, ref_phases = None, None
     keys = np.full((len(bases), bases[0].matrix.shape[0]), -1, dtype=np.int64)
     for key, b in zip(keys, bases):
-        if b.a is not None and (ref_ctx is None or b.a.ctx == ref_ctx):
-            p = b.a.ctx.p
-            phases = np.rint(np.angle(b.matrix) * (p / (2 * np.pi))).astype(np.int64) % p
+        if b.a is None or (ref_ctx is not None and b.a.ctx != ref_ctx):
+            continue
+        p = b.a.ctx.p
+        if ref_phases is None:
+            phases = _angle_phases(b.matrix, p)
             if np.array_equal(b.matrix, _phase_matrix(phases, p)):
-                if ref_phases is None:
-                    ref_ctx, ref_phases = b.a.ctx, phases
-                diff = (phases - ref_phases) % p
-                if (diff == diff[:, :1]).all():
-                    key[:] = diff[:, 0]
+                ref_ctx, ref_phases = b.a.ctx, phases
+                key[:] = 0
+        else:
+            t = (_angle_phases(b.matrix[:, 0], p) - ref_phases[:, 0]) % p
+            if np.array_equal(b.matrix, _phase_matrix(ref_phases + t[:, None], p)):
+                key[:] = t
     return (0 if ref_ctx is None else ref_ctx.p), keys
 
 
@@ -159,13 +172,16 @@ def verify_mub(
     Also checks each basis for orthonormality (Gram = identity).  Pairs are
     scanned in index order, so reports are deterministic.
 
-    A pair of quadratic-phase bases whose exact phase certificate holds (see
-    `_difference_keys`) reuses the statistics of the first pair with the same
-    phase difference t_j - t_i mod p, whose product is equal entry for entry
-    in exact arithmetic; the reused floats differ from a direct product only
-    in rounding.  Every other pair, the first of each difference class
-    included, is computed directly.  For the p^r + 1 bases of F_q that is
-    (q - 1) + q pair products instead of q(q + 1)/2.
+    A pair with a basis whose matrix equals the identity bit for bit takes
+    its moduli entry by entry from the other basis (`_pair_moduli`), with no
+    product and no rounding.  A pair of quadratic-phase bases whose exact
+    phase certificate holds (see `_difference_keys`) reuses the statistics
+    of the first pair with the same phase difference t_j - t_i mod p, whose
+    product is equal entry for entry in exact arithmetic; the reused floats
+    differ from a direct product only in rounding.  Every other pair, the
+    first of each difference class included, is computed directly.  For the
+    p^r + 1 bases of F_q that is q - 1 pair products plus q entrywise moduli,
+    instead of q(q + 1)/2 products.
     """
     dims = {b.matrix.shape for b in bases}
     if len(dims) != 1:
@@ -177,25 +193,35 @@ def verify_mub(
         dev = np.abs(b.matrix.conj().T @ b.matrix - eye).max()
         report.ortho_deviation = max(report.ortho_deviation, float(dev))
     p, keys = _difference_keys(bases)
-    seen: dict[bytes, tuple[float, float, float]] = {}
     certified = keys[:, 0] >= 0
-    for i in range(len(bases)):
-        diffs = (keys - keys[i]) % p if certified[i] else None
-        for j in range(i + 1, len(bases)):
-            key = diffs[j].tobytes() if diffs is not None and certified[j] else None
-            stats = seen.get(key)
-            if stats is None:
-                mods = _abs_product(bases[i].matrix, bases[j].matrix)
-                stats = (
-                    float(mods.min()),
-                    float(mods.max()),
-                    float(np.abs(mods - report.target).max()),
-                )
+    unit = [b.matrix[0, 0] == 1 and np.array_equal(b.matrix, eye) for b in bases]
+    n, width = len(bases), keys.shape[1] * keys.itemsize
+    stats = np.empty((n * (n - 1) // 2, 3))  # min_mod, max_mod, max_dev per pair
+    seen: dict[bytes, np.ndarray] = {}
+    row = 0
+    for i in range(n):
+        # the difference keys of row i against every later basis, as one blob
+        blob = ((keys[i + 1:] - keys[i]) % p).tobytes() if certified[i] else None
+        for j in range(i + 1, n):
+            key = None
+            if blob is not None and certified[j]:
+                key = blob[(j - i - 1) * width:(j - i) * width]
+            reused = seen.get(key)
+            if reused is not None:
+                stats[row] = reused
+            else:
+                mods = _pair_moduli(bases[i].matrix, bases[j].matrix, unit[i], unit[j])
+                stats[row] = mods.min(), mods.max(), np.abs(mods - report.target).max()
                 if key is not None:
-                    seen[key] = stats
-            stat = PairStat(i, j, (bases[i].label, bases[j].label), *stats)
-            report.pairs.append(stat)
-            report.max_deviation = max(report.max_deviation, stat.max_dev)
+                    seen[key] = stats[row]
+            row += 1
+    labels = [b.label for b in bases]
+    report.pairs = [
+        PairStat(i, j, (labels[i], labels[j]), *s)
+        for (i, j), s in zip(combinations(range(n), 2), stats.tolist())
+    ]
+    # a running max from 0.0, as the pairs are scanned: a nan never enters it
+    report.max_deviation = max([0.0, *stats[:, 2].tolist()])
     report.passed = (
         report.max_deviation <= tol and report.ortho_deviation <= ortho_tol
     )

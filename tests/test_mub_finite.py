@@ -1,10 +1,14 @@
 """Construction and verification of the p^r + 1 bases of C^(p^r)."""
 
+import json
+
 import numpy as np
 import pytest
 
 from padic_mub import build_field, build_mub_set, field_sum_numeric, mub_finite, verify_mub
 from padic_mub.errors import CapError
+from padic_mub.finite_field import FieldCtx
+from padic_mub.gauss import roots_of_unity
 from padic_mub.mub_finite import DEFAULT_DIM_CAP, BasisMatrix, MubReport, PairStat
 
 ORACLE_FIELDS = [
@@ -145,18 +149,13 @@ def test_mixed_dimensions_rejected():
 
 def test_exports():
     bases = build_mub_set(build_field(3, 1))
-    csv = bases[0].to_csv()
-    rows = csv.strip().split("\n")
-    assert len(rows) == 3 and len(rows[0].split(",")) == 6  # re/im interleaved
-    d = bases[0].to_json_dict()
-    assert d["dim"] == 3 and len(d["columns"]) == 3
     rep = verify_mub(bases)
     assert rep.to_json_dict()["schema"] == 1
 
 
 def test_report_is_deterministic():
-    r1 = verify_mub(build_mub_set(build_field(3, 2))).to_json()
-    r2 = verify_mub(build_mub_set(build_field(3, 2))).to_json()
+    r1 = json.dumps(verify_mub(build_mub_set(build_field(3, 2))).to_json_dict(), sort_keys=True)
+    r2 = json.dumps(verify_mub(build_mub_set(build_field(3, 2))).to_json_dict(), sort_keys=True)
     assert r1 == r2
 
 
@@ -171,7 +170,7 @@ def test_field_set_forms_one_product_per_class_and_computational_pair(products, 
     q = p**r
     rep = verify_mub(build_mub_set(build_field(p, r)))
     assert rep.passed and len(rep.pairs) == q * (q + 1) // 2
-    assert len(products) == (q - 1) + q
+    assert len(products) == q - 1  # the q computational pairs form no product
 
 
 @pytest.mark.parametrize("k", [0, 4, 8])
@@ -183,9 +182,10 @@ def test_perturbed_entry_breaks_the_certificate(products, k):
     bases[k] = BasisMatrix(bases[k].label, bases[k].a, bad)
     rep = assert_agrees_with_all_pairs(bases)
     assert not rep.passed and rep.max_deviation > rep.tol
-    # every pair of the perturbed basis is a direct product, none reused
-    assert sum(u is bad or v is bad for u, v in products) == q
-    assert len(products) == (q - 1) + (q - 1) + q
+    # every pair of the perturbed basis is a direct product, none reused,
+    # except its pair with the computational basis, read off entry by entry
+    assert sum(u is bad or v is bad for u, v in products) == q - 1
+    assert len(products) == (q - 1) + (q - 1)
     failing = {(s.i, s.j) for s in rep.pairs if s.max_dev > rep.tol}
     assert failing == {tuple(sorted((k, j))) for j in range(q + 1) if j != k}
 
@@ -202,7 +202,7 @@ def test_repeated_basis_keeps_its_verdict(products):
 def test_computational_basis_first_keeps_its_verdict(products):
     bases = build_mub_set(build_field(5, 1))
     rep = assert_agrees_with_all_pairs([bases[-1], *bases[:-1]])
-    assert rep.passed and len(products) == 5 + (5 - 1)
+    assert rep.passed and len(products) == 5 - 1
 
 
 def test_bases_of_another_field_are_multiplied_directly(products):
@@ -210,7 +210,7 @@ def test_bases_of_another_field_are_multiplied_directly(products):
     other = build_mub_set(build_field(3, 2, modulus=(2, 1, 1)))[3]
     mixed = [*bases, other]
     assert_agrees_with_all_pairs(mixed)
-    assert sum(v is other.matrix for _, v in products) == len(bases)
+    assert sum(v is other.matrix for _, v in products) == len(bases) - 1  # all but I
 
 
 def test_exact_phases_off_the_reference_rows_are_multiplied_directly(products):
@@ -234,3 +234,207 @@ def test_phases_of_another_prime_are_multiplied_directly(products):
                        mub_finite._phase_matrix((m0 + t1) % 5, 5))
     assert_agrees_with_all_pairs([v0, v1, fake])
     assert len(products) == 3
+
+
+# ---------------------------------------------------------------------------
+# The previous verifier and construction, kept as oracles
+# ---------------------------------------------------------------------------
+
+
+def _old_phase_matrix(phases, p):
+    return ((1.0 / np.sqrt(phases.shape[0])) * roots_of_unity(p))[phases]
+
+
+def _old_difference_keys(bases):
+    """The full-matrix certificate: every entry's angle, then a row check."""
+    ref_ctx, ref_phases = None, None
+    keys = np.full((len(bases), bases[0].matrix.shape[0]), -1, dtype=np.int64)
+    for key, b in zip(keys, bases):
+        if b.a is not None and (ref_ctx is None or b.a.ctx == ref_ctx):
+            p = b.a.ctx.p
+            phases = np.rint(np.angle(b.matrix) * (p / (2 * np.pi))).astype(np.int64) % p
+            if np.array_equal(b.matrix, _old_phase_matrix(phases, p)):
+                if ref_phases is None:
+                    ref_ctx, ref_phases = b.a.ctx, phases
+                diff = (phases - ref_phases) % p
+                if (diff == diff[:, :1]).all():
+                    key[:] = diff[:, 0]
+    return (0 if ref_ctx is None else ref_ctx.p), keys
+
+
+def verify_by_classes(bases, tol=1e-10, ortho_tol=1e-12):
+    """The previous verifier: difference classes, every other pair multiplied."""
+    d = bases[0].matrix.shape[0]
+    report = MubReport(dim=d, target=d**-0.5, tol=tol, ortho_tol=ortho_tol)
+    eye = np.eye(d)
+    for b in bases:
+        dev = np.abs(b.matrix.conj().T @ b.matrix - eye).max()
+        report.ortho_deviation = max(report.ortho_deviation, float(dev))
+    p, keys = _old_difference_keys(bases)
+    seen = {}
+    certified = keys[:, 0] >= 0
+    for i in range(len(bases)):
+        diffs = (keys - keys[i]) % p if certified[i] else None
+        for j in range(i + 1, len(bases)):
+            key = diffs[j].tobytes() if diffs is not None and certified[j] else None
+            stats = seen.get(key)
+            if stats is None:
+                mods = np.abs(bases[i].matrix.conj().T @ bases[j].matrix)
+                stats = (
+                    float(mods.min()),
+                    float(mods.max()),
+                    float(np.abs(mods - report.target).max()),
+                )
+                if key is not None:
+                    seen[key] = stats
+            stat = PairStat(i, j, (bases[i].label, bases[j].label), *stats)
+            report.pairs.append(stat)
+            report.max_deviation = max(report.max_deviation, stat.max_dev)
+    report.passed = report.max_deviation <= tol and report.ortho_deviation <= ortho_tol
+    return report
+
+
+def _old_trace_gram(ctx):
+    r = ctx.r
+    basis = [ctx.element(tuple(1 if i == s else 0 for i in range(r))) for s in range(r)]
+    return np.array(
+        [[(basis[s] * basis[t]).trace() for t in range(r)] for s in range(r)], dtype=np.int64
+    )
+
+
+def build_by_elements(fieldctx):
+    """The previous construction: FieldElem squarings and a FieldElem trace Gram."""
+    p, q = fieldctx.p, fieldctx.size
+    elems = list(fieldctx.elements())
+    coeff = np.array([e.coeffs for e in elems], dtype=np.int64)
+    sq_coeff = np.array([(e * e).coeffs for e in elems], dtype=np.int64)
+    gram = _old_trace_gram(fieldctx)
+    tr_bx = coeff @ gram @ coeff.T % p
+    bases = []
+    for a in elems:
+        tr_ax2 = sq_coeff @ gram @ np.array(a.coeffs, dtype=np.int64) % p
+        phases = (tr_ax2[:, None] + tr_bx) % p
+        bases.append(BasisMatrix(label=f"a={a}", a=a, matrix=_old_phase_matrix(phases, p)))
+    bases.append(BasisMatrix(label="inf", a=None, matrix=np.eye(q, dtype=complex)))
+    return bases
+
+
+def assert_same_report(bases):
+    got, want = verify_mub(bases), verify_by_classes(bases)
+    assert got.to_json_dict() == want.to_json_dict()
+    return got
+
+
+@pytest.mark.parametrize("p,r,modulus", [*ORACLE_FIELDS, (7, 2, None), (3, 4, None)])
+def test_report_matches_the_previous_verifier(p, r, modulus):
+    assert assert_same_report(build_mub_set(build_field(p, r, modulus=modulus))).passed
+
+
+def _swapped_rows():
+    bases = build_mub_set(build_field(3, 2))
+    fake = BasisMatrix("swapped", bases[0].a, bases[0].matrix[[0, 2, 1, *range(3, 9)]])
+    return [bases[0], fake, fake, *bases[1:]]
+
+
+def _other_prime():
+    v0, v1, *rest = build_mub_set(build_field(3, 2))
+    m0, m1 = (np.rint(np.angle(v.matrix) * 3 / (2 * np.pi)).astype(np.int64) % 3 for v in (v0, v1))
+    fake = BasisMatrix("p=5", build_field(5, 1).element(1),
+                       _old_phase_matrix((m0 + (m1 - m0)[:, :1] % 3) % 5, 5))
+    return [v0, v1, fake, *rest]
+
+
+def _perturbed(k):
+    bases = build_mub_set(build_field(3, 2))
+    bad = bases[k].matrix.copy()
+    bad[1, 2] *= 1 + 1e-6
+    bases[k] = BasisMatrix(bases[k].label, bases[k].a, bad)
+    return bases
+
+
+@pytest.mark.parametrize(
+    "make", [_swapped_rows, _other_prime, *(lambda k=k: _perturbed(k) for k in (0, 4, 8))],
+    ids=["swapped-rows", "other-prime", "perturbed-0", "perturbed-4", "perturbed-8"],
+)
+def test_report_matches_the_previous_verifier_off_the_field(make):
+    assert not assert_same_report(make()).passed
+
+
+@pytest.mark.parametrize("p,r", [(3, 1), (3, 2), (5, 2), (7, 2)])
+def test_identity_pairs_equal_the_dense_product(p, r):
+    bases = build_mub_set(build_field(p, r))
+    eye = bases[-1].matrix
+    for v in (b.matrix for b in bases):
+        assert np.array_equal(mub_finite._pair_moduli(v, eye, False, True),
+                              np.abs(v.conj().T @ eye))
+        assert np.array_equal(mub_finite._pair_moduli(eye, v, True, False),
+                              np.abs(eye.conj().T @ v))
+    # and in the report, with the identity last and first
+    for order in (bases, [bases[-1], *bases[:-1]]):
+        got, want = verify_mub(order), verify_all_pairs(order)
+        unit = order.index(bases[-1])
+        pick = [(s.min_mod, s.max_mod, s.max_dev) for s in got.pairs if unit in (s.i, s.j)]
+        assert pick == [(s.min_mod, s.max_mod, s.max_dev) for s in want.pairs if unit in (s.i, s.j)]
+
+
+def test_identity_nudged_by_one_ulp_is_multiplied_directly(products):
+    q = 9
+    bases = build_mub_set(build_field(3, 2))
+    nudged = np.eye(q, dtype=complex)
+    nudged[4, 4] = np.nextafter(1.0, 2.0)
+    bases[-1] = BasisMatrix("inf", None, nudged)
+    rep = assert_same_report(bases)
+    assert sum(u is nudged or v is nudged for u, v in products) == q
+    assert len(products) == (q - 1) + q
+    assert rep.passed  # one ulp is far inside both tolerances
+
+
+def test_non_finite_basis_against_the_identity_is_multiplied_directly(products):
+    # conj(V)^T I holds inf * 0 = nan where |V| holds inf, so no shortcut
+    eye = np.eye(3, dtype=complex)
+    for bad in (np.inf, np.nan):
+        v = build_mub_set(build_field(3, 1))[1].matrix.copy()
+        v[0, 1] = bad
+        bases = [BasisMatrix("inf", None, eye), BasisMatrix("bad", None, v)]
+        products.clear()
+        with np.errstate(invalid="ignore"):
+            got, want = verify_mub(bases), verify_by_classes(bases)
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+        assert len(products) == 1
+
+
+@pytest.mark.parametrize("p,r,modulus", [
+    (2, 1, None), (2, 3, None), (3, 1, None), (3, 2, None), (3, 2, (2, 1, 1)), (5, 2, None),
+    (3, 3, None), (3, 3, (1, 2, 0, 1)), (7, 2, None), (3, 4, None), (2, 5, None),
+])
+def test_construction_matches_the_element_by_element_one(p, r, modulus):
+    field = build_field(p, r, modulus=modulus)
+    got, want = build_mub_set(field), build_by_elements(field)
+    assert [(b.label, b.a) for b in got] == [(b.label, b.a) for b in want]
+    assert all(g.matrix.tobytes() == w.matrix.tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("p,r,modulus", [
+    (2, 3, None), (3, 3, (1, 2, 0, 1)), (5, 2, None), (7, 1, None), (3, 4, None), (5, 3, None),
+])
+def test_structure_tensor_and_traces_match_field_arithmetic(p, r, modulus):
+    field = build_field(p, r, modulus=modulus)
+    mult = mub_finite._structure_tensor(field)
+    x = [field.element(tuple(int(i == s) for i in range(r))) for s in range(r)]
+    for s in range(r):
+        for t in range(r):
+            assert tuple(mult[s, t]) == (x[s] * x[t]).coeffs
+    assert [int(v) for v in np.einsum("ktt->k", mult) % p] == [e.trace() for e in x]
+
+
+def test_int64_guard_refuses_before_building(monkeypatch):
+    def built(*args):
+        raise AssertionError("an element or array was built")
+
+    monkeypatch.setattr(mub_finite, "_structure_tensor", built)
+    monkeypatch.setattr(FieldCtx, "elements", built)
+    # (p - 1)^3 passes 2^63 - 1 between these two primes
+    with pytest.raises(CapError, match="int64"):
+        build_mub_set(build_field(2097169, 1, size_cap=10**7), dim_cap=10**7)
+    with pytest.raises(AssertionError, match="was built"):
+        build_mub_set(build_field(2097143, 1, size_cap=10**7), dim_cap=10**7)
