@@ -2,9 +2,19 @@
 
 Three independent routes to the same norms live here and check one another:
 
-* closed-form case tables (valid for odd p only),
+* closed forms, all read off one case table (valid for odd p only),
 * an exact counting identity for |sum|^2 over the finite ring, and
 * direct numeric summation with exact phase reduction.
+
+Every closed form reads one case table, `_norm_table`, at the shifted
+valuations dx = v(a) - 2r, dy = v(b) - r over the ball p^(-r)Z_p (inf for
+a zero coefficient): case1 where dx < 0 and dx <= dy, norm p^(v(a)/2);
+else case2 where dy < 0, norm 0; else case3, the ball's measure p^r.  A
+ring sum over Z/p^k Z mod p^l reads it at dx, dy = v_l - l (valuations
+truncated at l) with measure p^k; a field sum over F_{p^r} at dx, dy = -r
+or 0 as the coefficient is nonzero or zero.  `simplified_norm` is the table
+read at R = max(r, threshold_t + 1), certified for r > threshold_t, and the
+Gram pairs of `mub_padic` read it too.  The table alone refuses p = 2.
 
 A numeric sum over N terms is a sum of roots of unity zeta_n^e with exact
 integer exponents e, n = p^l.  It is first reduced to an exact int64
@@ -35,6 +45,7 @@ import numpy as np
 from .errors import CapError, OddPrimeError
 from .finite_field import FieldElem
 from .padic import INF, PadicNumber, as_fraction, frac_valuation, is_prime, rational_mod
+from .padic import int_valuation
 
 DEFAULT_TERM_CAP = 10**6
 
@@ -131,6 +142,28 @@ class ExactNorm:
         return f"{self.p}^{{{hp}/2}}"
 
 
+_CASES = ("case1", "case2", "case3")
+
+
+def _norm_table(p: int, dx, dy):
+    """Case index 0, 1 or 2 (case1..case3, see the module docstring) of the
+    shifted valuations dx, dy, given as ints, math.inf or int arrays."""
+    if p == 2:
+        raise OddPrimeError()
+    # plain operators, so that scalars stay Python numbers and arrays numpy
+    case1 = (dx < 0) & (dx <= dy)
+    case2 = (dy < 0) & (case1 == 0)
+    case3 = (case1 | case2) == 0
+    return 1 * case2 + 2 * case3
+
+
+def _table_norm(p: int, dx, dy, base: int) -> tuple[ExactNorm, str]:
+    """The table's norm and case label for one coefficient pair, where
+    p^(base/2) is the domain's measure: half-power base + dx, none or base."""
+    case = _norm_table(p, dx, dy)
+    return ExactNorm(p, (base + dx, None, base)[case]), _CASES[case]
+
+
 # ---------------------------------------------------------------------------
 # sums over the finite ring Z/p^k Z
 # ---------------------------------------------------------------------------
@@ -187,18 +220,6 @@ def ring_sum_normsq_exact(p: int, k: int, l: int, a: int, b: int) -> int:
     return p ** (2 * (k - l)) * mod * count
 
 
-def _truncated_valuation(x: int, p: int, l: int) -> int:
-    """v_p of the representative of x in [0, p^l); l itself when x = 0 mod p^l."""
-    x %= p**l
-    if x == 0:
-        return l
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
 def ring_sum_norm_closed(p: int, k: int, l: int, a: int, b: int) -> tuple[ExactNorm, str]:
     """Closed-form norm of the ring sum, with the case that fired.
 
@@ -206,17 +227,20 @@ def ring_sum_norm_closed(p: int, k: int, l: int, a: int, b: int) -> tuple[ExactN
     case2: b != 0 mod p^l and v(a) >  v(b)  ->  0
     case3: a  = b = 0 mod p^l               ->  p^k
     """
-    if p == 2:
-        raise OddPrimeError("the ring Gauss-sum norm table")
     if not 1 <= l <= k:
         raise ValueError("need k >= l >= 1")
-    va = _truncated_valuation(a, p, l)
-    vb = _truncated_valuation(b, p, l)
-    if va == l and vb == l:
-        return ExactNorm(p, 2 * k), "case3"
-    if va <= vb:  # here va < l, so a != 0 mod p^l
-        return ExactNorm(p, 2 * k - l + va), "case1"
-    return ExactNorm(p, None), "case2"
+    dx, dy = (min(int_valuation(x % p**l, p), l) - l for x in (a, b))
+    return _table_norm(p, dx, dy, 2 * k)
+
+
+def ring_sum_norm_closed_table(p: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """The case table's (case, half-power) arrays for every (a, b) in
+    [0, p^l)^2, indexed [a, b]: ring_sum_norm_closed for all pairs at once."""
+    x = _residues(p**l)
+    shift = sum((x % p**j == 0).astype(np.int64) for j in range(1, l + 1)) - l
+    dx = shift[:, None]
+    case = _norm_table(p, dx, shift[None, :])
+    return case, np.where(case == 0, 2 * k + dx, 2 * k)
 
 
 def ring_sum_numeric_table(
@@ -273,13 +297,8 @@ def field_sum_numeric(alpha: FieldElem, beta: FieldElem) -> complex:
 def field_sum_norm_closed(alpha: FieldElem, beta: FieldElem) -> tuple[ExactNorm, str]:
     """|field Gauss sum|: sqrt(p^r) if alpha != 0; else 0 or p^r as beta is 0."""
     p, r = alpha.ctx.p, alpha.ctx.r
-    if p == 2:
-        raise OddPrimeError("the field Gauss-sum norm table")
-    if not alpha.is_zero:
-        return ExactNorm(p, r), "case1"
-    if not beta.is_zero:
-        return ExactNorm(p, None), "case2"
-    return ExactNorm(p, 2 * r), "case3"
+    dx, dy = (0 if x.is_zero else -r for x in (alpha, beta))
+    return _table_norm(p, dx, dy, 2 * r)
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +324,8 @@ def integral_norm_closed(
     case2: v(b) < r  and v(a) >  v(b) + r  ->  0
     case3: v(a) >= 2r and v(b) >= r        ->  p^r   (the whole ball's measure)
     """
-    if p == 2:
-        raise OddPrimeError("the Gauss-integral norm table")
     _, _, va, vb = _coeff_valuations(p, r, a, b)
-    if va < 2 * r and va <= vb + r:
-        return ExactNorm(p, int(va)), "case1"
-    if vb < r and va > vb + r:
-        return ExactNorm(p, None), "case2"
-    return ExactNorm(p, 2 * r), "case3"
+    return _table_norm(p, va - 2 * r, vb - r, 2 * r)
 
 
 def _reduction_exponents(r: int, va: int | float, vb: int | float) -> tuple[int, int]:
@@ -344,9 +357,8 @@ def integral_numeric(
     once l and k clear the thresholds computed from v(a), v(b); both derived
     coefficients A, B are then genuine integers mod p^l.
     """
-    if p == 2:
-        raise OddPrimeError("the Gauss-integral reduction")
     af, bf, va, vb = _coeff_valuations(p, r, a, b)
+    _norm_table(p, va - 2 * r, vb - r)  # odd p only, as the table it checks
     l, k = _reduction_exponents(r, va, vb)
     mod = p**l
     a_int = rational_mod(af * Fraction(p) ** (l - 2 * r), mod)
@@ -362,17 +374,14 @@ def threshold_t(p: int, a: Coefficient, b: Coefficient) -> int | float:
     t = -inf if a = b = 0; t = v(b) if a = 0 only; otherwise
     t = floor(max(v(a)/2, v(a) - v(b))).
     """
-    af = as_fraction(a, p)
-    bf = as_fraction(b, p)
-    va, vb = frac_valuation(af, p), frac_valuation(bf, p)
-    if va == INF and vb == INF:
-        return NEG_INF
+    return _threshold(*(frac_valuation(as_fraction(x, p), p) for x in (a, b)))
+
+
+def _threshold(va: int | float, vb: int | float) -> int | float:
+    """threshold_t from the valuations v(a), v(b)."""
     if va == INF:
-        return int(vb)
-    bound = Fraction(int(va), 2)
-    if vb != INF:
-        bound = max(bound, Fraction(int(va) - int(vb)))
-    return math.floor(bound)
+        return NEG_INF if vb == INF else vb
+    return max(va // 2, va - vb)
 
 
 def simplified_norm(
@@ -380,21 +389,16 @@ def simplified_norm(
 ) -> tuple[ExactNorm, str, bool]:
     """The simplified large-r norm table, plus whether r certifies it.
 
-    Returns (norm, case, certified) where certified means r > threshold_t;
-    for r at or below the threshold the table is *not* asserted to hold and
-    callers must treat the norm as informational only.
+    This is the case table read at R = max(r, threshold_t + 1), where it is
+    certified; coefficients need no digits beyond their valuations.  Returns
+    (norm, case, certified) where certified means r > threshold_t; for r at
+    or below the threshold the table is *not* asserted to hold and callers
+    must treat the norm as informational only.
     """
-    if p == 2:
-        raise OddPrimeError("the simplified Gauss-integral norm table")
-    af = as_fraction(a, p)
-    bf = as_fraction(b, p)
-    certified = r > threshold_t(p, af, bf)
-    va = frac_valuation(af, p)
-    if af != 0:
-        return ExactNorm(p, int(va)), "case1", certified
-    if bf != 0:
-        return ExactNorm(p, None), "case2", certified
-    return ExactNorm(p, 2 * r), "case3", certified
+    va, vb = (frac_valuation(as_fraction(x, p), p) for x in (a, b))
+    t = _threshold(va, vb)
+    big_r = max(r, t + 1)
+    return (*_table_norm(p, va - 2 * big_r, vb - big_r, 2 * big_r), r > t)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ unitaries, all with exact rational phase bookkeeping.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +19,7 @@ import numpy as np
 
 from .characters import phase_to_complex
 from .errors import CapError, ResolutionError
-from .gauss import MAX_INT64_RESIDUE, NEG_INF, roots_of_unity, threshold_t
+from .gauss import MAX_INT64_RESIDUE, NEG_INF, roots_of_unity, simplified_norm, threshold_t
 from .padic import (
     INF,
     PadicNumber,
@@ -99,12 +98,6 @@ class StateVector:
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "grid": {"p": self.grid.p, "r": self.grid.r, "k": self.grid.k},
-            "amplitudes": [[z.real, z.imag] for z in self.amplitudes],
-        }
 
 
 def inner(u: StateVector, w: StateVector) -> complex:
@@ -194,10 +187,20 @@ def _cell_phase_indices(a: Coefficient, b: Coefficient, grid: Grid) -> tuple[np.
 def quadratic_phase_profile(
     a: Coefficient, b: Coefficient, grid: Grid
 ) -> tuple[PFraction, ...]:
-    """The exact phase of e(a*x^2 + b*x) at every cell representative."""
+    """The exact phase of e(a*x^2 + b*x) at every cell representative.
+
+    Each distinct numerator m/p^depth loses its power of p in numpy once.
+    """
     idx, depth = _cell_phase_indices(a, b, grid)
-    den = grid.p**depth
-    return tuple(PFraction.from_fraction(Fraction(int(m), den), grid.p) for m in idx)
+    p = grid.p
+    nums, cell_num = np.unique(idx, return_inverse=True)
+    exps = np.full(nums.shape, depth)
+    for _ in range(depth):
+        div = (nums != 0) & (nums % p == 0)
+        nums[div] //= p
+        exps[div] -= 1
+    phases = [PFraction(p, m, e if m else 0) for m, e in zip(nums.tolist(), exps.tolist())]
+    return tuple(map(phases.__getitem__, cell_num.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -400,24 +403,17 @@ def _normalize_family(a: FamilyLabel):
 
 
 def _pair_closed(p: int, r: int, ai, bi: Fraction, aj, bj: Fraction) -> float:
-    """Large-r modulus of the pair's inner product (ai/aj None for deltas)."""
-    if ai is None and aj is None:
-        return float(p) ** r if bi == bj else 0.0
-    if ai is None or aj is None:
+    """Large-r modulus of the pair's inner product (ai/aj None for deltas):
+    1 for a delta and a chirp, else simplified_norm of the differences."""
+    if (ai is None) != (aj is None):
         return 1.0
-    if ai == aj:
-        return float(p) ** r if bi == bj else 0.0
-    v = frac_valuation(ai - aj, p)
-    return float(p) ** (int(v) / 2.0)
+    da = (ai or 0) - (aj or 0)
+    return simplified_norm(p, r, da, bi - bj)[0].value
 
 
 def _pair_min_r(p: int, ai, bi: Fraction, aj, bj: Fraction) -> int | float:
     """Smallest r at which the closed modulus above is certified."""
-    if ai is None and aj is None:
-        if bi == bj:
-            return NEG_INF
-        return int(frac_valuation(bi - bj, p)) + 1
-    if ai is None or aj is None:
+    if (ai is None) != (aj is None):
         a, b, binf = (aj, bj, bi) if ai is None else (ai, bi, bj)
         bounds = []
         lin = 2 * a * (-binf) + b
@@ -426,8 +422,7 @@ def _pair_min_r(p: int, ai, bi: Fraction, aj, bj: Fraction) -> int | float:
         if a != 0:
             bounds.append(math.ceil(Fraction(-int(frac_valuation(a, p)), 2)))
         return max(bounds) if bounds else NEG_INF
-    t = threshold_t(p, ai - aj, bi - bj)
-    return NEG_INF if t == NEG_INF else int(t) + 1
+    return threshold_t(p, (ai or 0) - (aj or 0), bi - bj) + 1
 
 
 @dataclass
@@ -463,9 +458,6 @@ class GramReport:
         del d["moduli"]
         d["entries"] = [vars(e).copy() for e in self.entries]
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def to_csv(self) -> str:
         lines = ["i,j,label_i,label_j,numeric,closed_exact,certified,deviation"]

@@ -49,7 +49,6 @@ def int_valuation(n: int, p: int) -> int | float:
 
 
 def frac_valuation(q: Fraction | int, p: int) -> int | float:
-    q = Fraction(q)
     if q == 0:
         return INF
     return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
@@ -337,7 +336,7 @@ def as_fraction(
                 f"need {p}^{need_abs_precision}"
             )
         return x.to_fraction()
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def parse_coefficient(text: str, p: int) -> Fraction | PadicNumber:

@@ -19,7 +19,7 @@ from .gauss import (
     simplified_norm,
     integral_norm_closed,
     integral_numeric,
-    ring_sum_norm_closed,
+    ring_sum_norm_closed_table,
     ring_sum_normsq_table,
     ring_sum_numeric_table,
     threshold_t,
@@ -62,20 +62,15 @@ def sweep_gauss_grid(tol_rel: float = 1e-6, term_cap: int = DEFAULT_TERM_CAP) ->
     for p, k, l in gauss_grid_combos():
         numeric = np.abs(ring_sum_numeric_table(p, k, l, term_cap))
         exact_sq = ring_sum_normsq_table(p, k, l)
-        mod = p**l
-        for a in range(mod):
-            for b in range(mod):
-                closed, _case = ring_sum_norm_closed(p, k, l, a, b)
-                checks += 1
-                if closed.normsq != int(exact_sq[a, b]):
-                    failures += 1
-                    continue
-                value = closed.value
-                rel = abs(numeric[a, b] - value) / max(value, 1.0)
-                max_rel = max(max_rel, rel)
-                if rel > tol_rel:
-                    failures += 1
-        combos.append({"p": p, "k": k, "l": l, "pairs": mod * mod})
+        case, half = ring_sum_norm_closed_table(p, k, l)
+        zero = case == 1
+        matched = np.where(zero, 0, p**half) == exact_sq
+        value = np.where(zero, 0.0, float(p) ** (half / 2.0))
+        rel = np.abs(numeric - value) / np.maximum(value, 1.0)
+        checks += rel.size
+        failures += int((~matched | (rel > tol_rel)).sum())
+        max_rel = max(max_rel, float(rel.max(where=matched, initial=0.0)))
+        combos.append({"p": p, "k": k, "l": l, "pairs": rel.size})
     return {
         "schema": 1,
         "suite": "gauss-grid",

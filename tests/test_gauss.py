@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -31,11 +31,13 @@ from padic_mub.gauss import (
     NEG_INF,
     ExactNorm,
     _phase_sum,
+    ring_sum_norm_closed_table,
     ring_sum_normsq_table,
     ring_sum_numeric_table,
     roots_of_unity,
 )
-from padic_mub.sweeps import gauss_grid_combos
+from padic_mub.padic import as_fraction, frac_valuation, parse_coefficient
+from padic_mub.sweeps import gauss_grid_combos, sweep_gauss_grid
 
 EPS = np.finfo(float).eps
 
@@ -437,3 +439,195 @@ def test_integral_report_tolerance_scales_with_the_ball():
     assert rep.case == "case2" and rep.extras["reduction_k"] == 3
     assert rep.deviation / 11**6 <= rep.tol
     assert rep.passed
+
+
+# ---------------------------------------------------------------------------
+# the closed forms as they were before the one case table, kept as oracles
+# ---------------------------------------------------------------------------
+
+
+def _old_truncated_valuation(x, p, l):
+    x %= p**l
+    if x == 0:
+        return l
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def _old_ring_closed(p, k, l, a, b):
+    va = _old_truncated_valuation(a, p, l)
+    vb = _old_truncated_valuation(b, p, l)
+    if va == l and vb == l:
+        return 2 * k, "case3"
+    if va <= vb:
+        return 2 * k - l + va, "case1"
+    return None, "case2"
+
+
+def _old_field_closed(alpha, beta):
+    r = alpha.ctx.r
+    if not alpha.is_zero:
+        return r, "case1"
+    if not beta.is_zero:
+        return None, "case2"
+    return 2 * r, "case3"
+
+
+def _old_integral_closed(p, r, a, b):
+    va = frac_valuation(as_fraction(a, p, need_abs_precision=2 * r), p)
+    vb = frac_valuation(as_fraction(b, p, need_abs_precision=r), p)
+    if va < 2 * r and va <= vb + r:
+        return int(va), "case1"
+    if vb < r and va > vb + r:
+        return None, "case2"
+    return 2 * r, "case3"
+
+
+def _old_threshold_t(p, a, b):
+    af, bf = as_fraction(a, p), as_fraction(b, p)
+    va, vb = frac_valuation(af, p), frac_valuation(bf, p)
+    if va == math.inf and vb == math.inf:
+        return NEG_INF
+    if va == math.inf:
+        return int(vb)
+    bound = Fraction(int(va), 2)
+    if vb != math.inf:
+        bound = max(bound, Fraction(int(va) - int(vb)))
+    return math.floor(bound)
+
+
+def _old_simplified(p, r, a, b):
+    af, bf = as_fraction(a, p), as_fraction(b, p)
+    certified = r > _old_threshold_t(p, af, bf)
+    if af != 0:
+        return int(frac_valuation(af, p)), "case1", certified
+    if bf != 0:
+        return None, "case2", certified
+    return 2 * r, "case3", certified
+
+
+def _outcome(fn, *args):
+    """What a closed form returns, with its ExactNorm read as a half-power,
+    or the type of the error it raises."""
+    try:
+        out = fn(*args)
+    except (ValueError, RuntimeError) as e:
+        return type(e)
+    if isinstance(out[0], ExactNorm):
+        return (out[0].half_power, *out[1:])
+    return out
+
+
+def test_ring_forms_match_the_old_ones_and_the_old_sweep_loop():
+    checks = failures = 0
+    max_rel = 0.0
+    for p, k, l in gauss_grid_combos():
+        numeric = np.abs(ring_sum_numeric_table(p, k, l))
+        exact_sq = ring_sum_normsq_table(p, k, l)
+        case, half = ring_sum_norm_closed_table(p, k, l)
+        for a in range(p**l):
+            for b in range(p**l):
+                old = _old_ring_closed(p, k, l, a, b)
+                assert _outcome(ring_sum_norm_closed, p, k, l, a, b) == old, (p, k, l, a, b)
+                table_half = None if case[a, b] == 1 else int(half[a, b])
+                assert (table_half, f"case{case[a, b] + 1}") == old, (p, k, l, a, b)
+                # the sweep's old per-cell loop
+                closed = ExactNorm(p, old[0])
+                checks += 1
+                if closed.normsq != int(exact_sq[a, b]):
+                    failures += 1
+                    continue
+                rel = abs(numeric[a, b] - closed.value) / max(closed.value, 1.0)
+                max_rel = max(max_rel, rel)
+                failures += rel > 1e-6
+    got = sweep_gauss_grid()
+    assert (got["checks"], got["failures"]) == (checks, failures) == (140466, 0)
+    assert got["max_rel_deviation"] == max_rel  # bit for bit
+
+
+@pytest.mark.parametrize("p, r", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
+def test_field_form_matches_the_old_one(p, r):
+    f = build_field(p, r)
+    elems = list(f.elements())
+    for alpha in elems[:8]:
+        for beta in elems[:8]:
+            assert _outcome(field_sum_norm_closed, alpha, beta) == _old_field_closed(alpha, beta)
+
+
+def _valuation_grid_coefficients(p):
+    """0, one rational and two digit strings per valuation in -6..6, and the
+    all-zero digit string: the strings carry from 1 to 31 digits, so some
+    are too coarse for the integral's precision demand at larger r."""
+    coeffs = [Fraction(0), parse_coefficient("0 0 *%d^0" % p, p)]
+    for v in range(-6, 7):
+        coeffs.append(Fraction(1 + v % 2 * (p - 2)) * Fraction(p) ** v)
+        for n in (1 + (v + 6) % 4, 31):
+            digits = " ".join(["2", "1"] + ["0"] * (n - 2))[: 2 * n - 1]
+            coeffs.append(parse_coefficient(f"{digits} *{p}^{v}", p))
+    return coeffs
+
+
+def test_integral_and_simplified_forms_match_the_old_ones():
+    p = 3
+    coeffs = _valuation_grid_coefficients(p)
+    compared = raised = 0
+    for a in coeffs:
+        for b in coeffs:
+            assert threshold_t(p, a, b) == _old_threshold_t(p, a, b), (a, b)
+            for r in range(-4, 9):
+                old = _outcome(_old_integral_closed, p, r, a, b)
+                assert _outcome(integral_norm_closed, p, r, a, b) == old, (p, r, a, b)
+                raised += isinstance(old, type)
+                old = _outcome(_old_simplified, p, r, a, b)
+                assert _outcome(simplified_norm, p, r, a, b) == old, (p, r, a, b)
+                compared += 1
+    assert compared == len(coeffs) ** 2 * 13 and 0 < raised < compared
+
+
+def test_closed_forms_refuse_p2_from_the_table():
+    f = build_field(2, 2)
+    for call in (
+        lambda: ring_sum_norm_closed(2, 2, 1, 1, 0),
+        lambda: field_sum_norm_closed(f.one, f.zero),
+        lambda: integral_norm_closed(2, 1, 1, 0),
+        lambda: integral_numeric(2, 1, 1, 0),
+        lambda: simplified_norm(2, 1, 1, 0),
+    ):
+        with pytest.raises(OddPrimeError, match="odd prime"):
+            call()
+
+
+VALUATIONS = st.one_of(st.integers(-8, 8), st.just(math.inf))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7]),
+    va=VALUATIONS,
+    vb=VALUATIONS,
+    units=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    r=st.integers(-4, 8),
+)
+@example(p=3, va=1, vb=0, units=(1, 1), r=1)  # dx = dy < 0: case1
+@example(p=5, va=2, vb=math.inf, units=(1, 1), r=1)  # dx = 0: case3
+@example(p=7, va=math.inf, vb=-1, units=(2, 3), r=0)  # a = 0 and dy < 0: case2
+def test_one_case_fires_and_the_simplified_table_holds_above_the_threshold(p, va, vb, units, r):
+    a, b = (
+        Fraction(0) if v == math.inf else Fraction(1 + u % (p - 1)) * Fraction(p) ** v
+        for v, u in ((va, units[0]), (vb, units[1]))
+    )
+    fired = [
+        va < 2 * r and va <= vb + r,
+        vb < r and va > vb + r,
+        va >= 2 * r and vb >= r,
+    ]
+    closed, case = integral_norm_closed(p, r, a, b)
+    assert fired.count(True) == 1
+    assert case == f"case{fired.index(True) + 1}"
+    simplified, simplified_case, certified = simplified_norm(p, r, a, b)
+    assert certified == (r > threshold_t(p, a, b))
+    if certified:
+        assert (simplified_case, simplified.normsq) == (case, closed.normsq)

@@ -399,8 +399,19 @@ def test_non_finite_basis_against_the_identity_is_multiplied_directly(products):
         products.clear()
         with np.errstate(invalid="ignore"):
             got, want = verify_mub(bases), verify_by_classes(bases)
-        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+        assert json.dumps(got.to_json_dict()["pairs"]) == json.dumps(want.to_json_dict()["pairs"])
+        assert got.passed is False
         assert len(products) == 1
+
+
+def test_nan_entry_fails_the_report():
+    # a running max from 0.0 never takes a nan, which once let this set PASS
+    bases = build_mub_set(build_field(3, 2))
+    bases[1].matrix[0, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        rep = verify_mub(bases)
+    assert rep.passed is False
+    assert np.isnan(rep.max_deviation) and np.isnan(rep.ortho_deviation)
 
 
 @pytest.mark.parametrize("p,r,modulus", [

@@ -1,5 +1,7 @@
 """Grid models of L^2(Q_p): states, Fourier transform, unitaries, Gram tables."""
 
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -33,8 +35,8 @@ from padic_mub import (
     vector_v_inf,
 )
 from padic_mub.errors import CapError, PrecisionError
-from padic_mub.gauss import MAX_INT64_RESIDUE, NEG_INF, roots_of_unity
-from padic_mub.padic import as_fraction, frac_part, frac_valuation
+from padic_mub.gauss import MAX_INT64_RESIDUE, NEG_INF, roots_of_unity, threshold_t
+from padic_mub.padic import PFraction, as_fraction, frac_part, frac_valuation
 
 W3 = complex(-0.5, np.sqrt(3) / 2)  # e^(2*pi*i/3)
 
@@ -417,15 +419,16 @@ def test_gram_csv_and_json():
     assert header == "i,j,label_i,label_j,numeric,closed_exact,certified,deviation"
     d = rep.to_json_dict()
     assert d["schema"] == 1 and d["passed"] is True
-    assert rep.to_json() == gram_report(canonical_family_params(3), r=1, p=3).to_json()
+    again = gram_report(canonical_family_params(3), r=1, p=3)
+    assert json.dumps(d, sort_keys=True) == json.dumps(again.to_json_dict(), sort_keys=True)
 
 
 def test_statevector_json_schema():
     g = make_grid(3, 0, 1)
-    d = vector_v(0, Fraction(1, 3), g).to_json_dict()
-    assert d["grid"] == {"p": 3, "r": 0, "k": 1}
-    assert len(d["amplitudes"]) == 3
-    assert d["amplitudes"][0] == [1.0, 0.0]
+    v = vector_v(0, Fraction(1, 3), g)
+    assert (v.grid.p, v.grid.r, v.grid.k) == (3, 0, 1)
+    assert len(v.amplitudes) == 3
+    assert [v.amplitudes[0].real, v.amplitudes[0].imag] == [1.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -644,3 +647,74 @@ def test_cell_lookups_keep_the_index_of_checks():
     ball = ball_state(Fraction(2, 3), 0, g).amplitudes
     hits = sorted(g.index_of(Fraction(2, 3) + t) for t in range(9))
     assert np.flatnonzero(ball).tolist() == hits and np.all(ball[hits] == 1.0)
+
+
+def _old_pair_closed(p, r, ai, bi, aj, bj):
+    if ai is None and aj is None:
+        return float(p) ** r if bi == bj else 0.0
+    if ai is None or aj is None:
+        return 1.0
+    if ai == aj:
+        return float(p) ** r if bi == bj else 0.0
+    v = frac_valuation(ai - aj, p)
+    return float(p) ** (int(v) / 2.0)
+
+
+def _old_pair_min_r(p, ai, bi, aj, bj):
+    if ai is None and aj is None:
+        if bi == bj:
+            return NEG_INF
+        return int(frac_valuation(bi - bj, p)) + 1
+    if ai is None or aj is None:
+        a, b, binf = (aj, bj, bi) if ai is None else (ai, bi, bj)
+        bounds = []
+        lin = 2 * a * (-binf) + b
+        if lin != 0:
+            bounds.append(-int(frac_valuation(lin, p)))
+        if a != 0:
+            bounds.append(math.ceil(Fraction(-int(frac_valuation(a, p)), 2)))
+        return max(bounds) if bounds else NEG_INF
+    t = threshold_t(p, ai - aj, bi - bj)
+    return NEG_INF if t == NEG_INF else int(t) + 1
+
+
+def test_pair_closed_forms_match_the_old_ones():
+    sets = [(p, params) for p, params, _ in _mixed_param_sets()]
+    sets += [(p, canonical_family_params(p)) for p in (3, 5, 7)]
+    pairs = 0
+    for p, params in sets:
+        ab = [
+            (None if mub_padic._normalize_family(a) is None else as_fraction(a, p),
+             as_fraction(b, p))
+            for a, b in params
+        ]
+        for ai, bi in ab:
+            for aj, bj in ab:
+                want = _old_pair_min_r(p, ai, bi, aj, bj)
+                assert mub_padic._pair_min_r(p, ai, bi, aj, bj) == want, (p, ai, bi, aj, bj)
+                for r in range(-2, 5):
+                    want = _old_pair_closed(p, r, ai, bi, aj, bj)
+                    got = mub_padic._pair_closed(p, r, ai, bi, aj, bj)
+                    assert got == want, (p, r, ai, bi, aj, bj)  # bit for bit
+                pairs += 1
+    assert pairs > 1000
+
+
+def _profile_loop(a, b, grid):
+    """quadratic_phase_profile as one Fraction and one PFraction per cell."""
+    idx, depth = mub_padic._cell_phase_indices(a, b, grid)
+    den = grid.p**depth
+    return tuple(PFraction.from_fraction(Fraction(int(m), den), grid.p) for m in idx)
+
+
+def test_quadratic_phase_profile_matches_the_per_cell_loop():
+    cases = [(Fraction(1, 3), 2, make_grid(3, 1, 3))]
+    for a, d, b in ((1, 2, 1), (Fraction(1, 3), 1, 0), (2, Fraction(2, 3), Fraction(1, 3))):
+        k = max(required_resolution(x, y, 1, 3) for x, y in ((a, b), (d, 0), (a + d, b)))
+        g = make_grid(3, 1, k)
+        cases += [(a, b, g), (d, 0, g), (a + d, b, g)]
+    g = Grid(3, 1, 9)
+    cases += [(0, 0, g), (Fraction(3**7 - 1, 3**7), 0, g), (Fraction(2, 9), 5, g)]
+    cases += [(Fraction(1, 25), Fraction(3, 5), make_grid(5, 1, 4)), (0, 0, make_grid(7, -1, 3))]
+    for a, b, grid in cases:
+        assert quadratic_phase_profile(a, b, grid) == _profile_loop(a, b, grid), (a, b, grid)
