@@ -15,6 +15,11 @@ truncated at l) with measure p^k; a field sum over F_{p^r} at dx, dy = -r
 or 0 as the coefficient is nonzero or zero.  `simplified_norm` is the table
 read at R = max(r, threshold_t + 1), certified for r > threshold_t, and the
 Gram pairs of `mub_padic` read it too.  The table alone refuses p = 2.
+The bounds read the same (dx, dy): the reduction of a ball integral to a
+ring sum takes l = max(1, -dx, -dy) and k = max(l, -(dx // 2)), and
+`mub_padic.required_resolution` resolves e(a*x^2 + b*x) at
+k = max(0, -dx - min(r, 0), -dy - min(r, 0), -r - (dx // 2)), each dx or
+dy term dropped for a zero coefficient.
 
 A numeric sum over N terms is a sum of roots of unity zeta_n^e with exact
 integer exponents e, n = p^l.  It is first reduced to an exact int64
@@ -54,7 +59,8 @@ NEG_INF = -math.inf
 
 @lru_cache(maxsize=64)
 def roots_of_unity(n: int) -> np.ndarray:
-    """The n-th roots of unity exp(2*pi*i*m/n), m = 0..n-1 (read-only)."""
+    """The n-th roots of unity exp(2*pi*i*m/n), m = 0..n-1 (read-only).
+    Cached, so only for the p-entry tables of F_p phases."""
     w = np.exp(2j * np.pi * np.arange(n) / n)
     w.setflags(write=False)
     return w
@@ -258,7 +264,7 @@ def ring_sum_numeric_table(
     scale = p ** (k - l)  # each residue class mod p^l is hit p^(k-l) times
     x = _residues(mod)
     xsq = x * x % mod
-    w = roots_of_unity(mod)
+    w = np.exp(2j * np.pi * x / mod)  # its own table, not the cached one
     out = np.empty((mod, mod), dtype=complex)
     for a in range(mod):
         base = a * xsq % mod  # (mod,) exponents of the quadratic part
@@ -309,10 +315,12 @@ def field_sum_norm_closed(alpha: FieldElem, beta: FieldElem) -> tuple[ExactNorm,
 Coefficient = PadicNumber | Fraction | int
 
 
-def _coeff_valuations(p: int, r: int, a: Coefficient, b: Coefficient):
+def _shifted_valuations(p: int, r: int, a: Coefficient, b: Coefficient):
+    """a and b as rationals known to p^(2r) and p^r, and their shifted
+    valuations dx = v(a) - 2r, dy = v(b) - r over the ball p^(-r)Z_p."""
     af = as_fraction(a, p, need_abs_precision=2 * r)
     bf = as_fraction(b, p, need_abs_precision=r)
-    return af, bf, frac_valuation(af, p), frac_valuation(bf, p)
+    return af, bf, frac_valuation(af, p) - 2 * r, frac_valuation(bf, p) - r
 
 
 def integral_norm_closed(
@@ -324,28 +332,20 @@ def integral_norm_closed(
     case2: v(b) < r  and v(a) >  v(b) + r  ->  0
     case3: v(a) >= 2r and v(b) >= r        ->  p^r   (the whole ball's measure)
     """
-    _, _, va, vb = _coeff_valuations(p, r, a, b)
-    return _table_norm(p, va - 2 * r, vb - r, 2 * r)
+    _, _, dx, dy = _shifted_valuations(p, r, a, b)
+    return _table_norm(p, dx, dy, 2 * r)
 
 
-def _reduction_exponents(r: int, va: int | float, vb: int | float) -> tuple[int, int]:
-    """Exponents (l, k) that turn the ball integral into a finite ring sum.
+def _reduction_exponents(dx: int | float, dy: int | float) -> tuple[int, int]:
+    """Exponents (l, k) that turn the ball integral into a finite ring sum,
+    from the shifted valuations dx = v(a) - 2r, dy = v(b) - r.
 
-    l makes A = a*p^(l-2r) and B = b*p^(l-r) integral; k additionally makes
-    the discarded tail of the integrand constant on cosets of p^k.
-    Infinite valuations (zero coefficients) impose no constraint.
+    l = max(1, -dx, -dy) makes A = a*p^(l-2r) and B = b*p^(l-r) integral;
+    k = max(l, -(dx // 2)) also makes the discarded tail of the integrand
+    constant on cosets of p^k.  A zero coefficient (dx or dy inf) drops out.
     """
-    l_bounds = [1]
-    k_bounds = [1]
-    if va != INF:
-        l_bounds.append(2 * r - int(va))
-        k_bounds += [2 * r - int(va), r - math.floor(va / 2)]
-    if vb != INF:
-        l_bounds.append(r - int(vb))
-        k_bounds.append(r - int(vb))
-    l = max(l_bounds)
-    k = max(k_bounds + [l])
-    return l, k
+    l = max(1, -dx, -dy)
+    return l, l if dx == INF else max(l, -(dx // 2))
 
 
 def integral_numeric(
@@ -357,9 +357,9 @@ def integral_numeric(
     once l and k clear the thresholds computed from v(a), v(b); both derived
     coefficients A, B are then genuine integers mod p^l.
     """
-    af, bf, va, vb = _coeff_valuations(p, r, a, b)
-    _norm_table(p, va - 2 * r, vb - r)  # odd p only, as the table it checks
-    l, k = _reduction_exponents(r, va, vb)
+    af, bf, dx, dy = _shifted_valuations(p, r, a, b)
+    _norm_table(p, dx, dy)  # odd p only, as the table it checks
+    l, k = _reduction_exponents(dx, dy)
     mod = p**l
     a_int = rational_mod(af * Fraction(p) ** (l - 2 * r), mod)
     b_int = rational_mod(bf * Fraction(p) ** (l - r), mod)
@@ -505,14 +505,14 @@ def integral_report(
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    a, b, va, vb = _coeff_valuations(p, r, a, b)
+    a, b, dx, dy = _shifted_valuations(p, r, a, b)
     closed, case = integral_norm_closed(p, r, a, b)
     t = threshold_t(p, a, b)
     extras = {"threshold": None if t == NEG_INF else t, "simplified_certified": r > t}
     numeric = deviation = None
     passed = True
     if oracle:
-        l, k = _reduction_exponents(r, va, vb)
+        l, k = _reduction_exponents(dx, dy)
         extras.update({"reduction_l": l, "reduction_k": k})
         numeric = abs(integral_numeric(p, r, a, b, term_cap))
         deviation = abs(closed.value - numeric)

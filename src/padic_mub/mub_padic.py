@@ -19,7 +19,7 @@ import numpy as np
 
 from .characters import phase_to_complex
 from .errors import CapError, ResolutionError
-from .gauss import MAX_INT64_RESIDUE, NEG_INF, roots_of_unity, simplified_norm, threshold_t
+from .gauss import MAX_INT64_RESIDUE, NEG_INF, _table_norm, _threshold
 from .padic import (
     INF,
     PadicNumber,
@@ -117,21 +117,19 @@ def required_resolution(
 ) -> int:
     """Smallest k making e(a*x^2 + b*x) constant on every cell of Grid(p, r, k).
 
-    With a recentering shift c, the integrand on x + c has the same quadratic
-    coefficient and linear coefficient 2ac + b, so the same rule applies to
-    that pair.  Zero coefficients impose no constraint.
+    It reads the shifted valuations dx = v(a) - 2r, dy = v(b) - r of the
+    Gauss norm table: k >= 2r - v(a), r - v(a), ceil(-v(a)/2), r - v(b) and
+    -v(b), where a zero coefficient's terms drop out.  With a recentering
+    shift c, the integrand on x + c has the same quadratic coefficient and
+    linear coefficient 2ac + b, so the same rule applies to that pair.
     """
     af = as_fraction(a, p)
     bf = as_fraction(b, p)
     if c is not None:
         bf = 2 * af * as_fraction(c, p) + bf
-    bounds = [0]
-    va, vb = frac_valuation(af, p), frac_valuation(bf, p)
-    if va != INF:
-        bounds += [2 * r - int(va), r - int(va), math.ceil(Fraction(-int(va), 2))]
-    if vb != INF:
-        bounds += [r - int(vb), -int(vb)]
-    return max(bounds)
+    dx, dy = frac_valuation(af, p) - 2 * r, frac_valuation(bf, p) - r
+    low = min(r, 0)
+    return max(0, -dx - low, -dy - low, NEG_INF if dx == INF else -r - dx // 2)
 
 
 def _phase_term(grid: Grid, coeff: Fraction, degree: int) -> tuple[int, int]:
@@ -211,7 +209,7 @@ def quadratic_phase_profile(
 def vector_v(a: Coefficient, b: Coefficient, grid: Grid) -> StateVector:
     """The quadratic-character state with amplitude e(a*x^2 + b*x) per cell."""
     idx, depth = _cell_phase_indices(a, b, grid)
-    return StateVector(grid, roots_of_unity(grid.p**depth)[idx])
+    return StateVector(grid, np.exp(2j * np.pi * idx / grid.p**depth))
 
 
 def _ball_indicator(grid: Grid, i0: int, e: int, value: float) -> StateVector:
@@ -293,10 +291,11 @@ def op_X(psi: StateVector, c: Coefficient) -> StateVector:
 
 
 def _times_phase(psi: StateVector, idx: np.ndarray, depth: int) -> StateVector:
-    """psi times the roots of unity with exact phases idx / p^depth."""
+    """psi times the roots of unity with exact phases idx / p^depth, each
+    evaluated at its cell as `gauss._phase_sum` evaluates its roots."""
     if depth == 0:
         return StateVector(psi.grid, psi.amplitudes.copy())
-    return StateVector(psi.grid, psi.amplitudes * roots_of_unity(psi.grid.p**depth)[idx])
+    return StateVector(psi.grid, psi.amplitudes * np.exp(2j * np.pi * idx / psi.grid.p**depth))
 
 
 def op_Z(psi: StateVector, d: Coefficient) -> StateVector:
@@ -402,27 +401,23 @@ def _normalize_family(a: FamilyLabel):
     return a
 
 
-def _pair_closed(p: int, r: int, ai, bi: Fraction, aj, bj: Fraction) -> float:
-    """Large-r modulus of the pair's inner product (ai/aj None for deltas):
-    1 for a delta and a chirp, else simplified_norm of the differences."""
-    if (ai is None) != (aj is None):
-        return 1.0
-    da = (ai or 0) - (aj or 0)
-    return simplified_norm(p, r, da, bi - bj)[0].value
+def _difference_valuations(values: list[Fraction], p: int) -> tuple[list[int], list[list]]:
+    """Each value's index among the distinct values, and the table of
+    v(x - y) over the distinct values x, y (inf on the diagonal)."""
+    distinct = list(dict.fromkeys(values))
+    table = [[INF] * len(distinct) for _ in distinct]
+    for m, x in enumerate(distinct):
+        for n in range(m):
+            table[m][n] = table[n][m] = frac_valuation(x - distinct[n], p)
+    index = {x: m for m, x in enumerate(distinct)}
+    return [index[x] for x in values], table
 
 
-def _pair_min_r(p: int, ai, bi: Fraction, aj, bj: Fraction) -> int | float:
-    """Smallest r at which the closed modulus above is certified."""
-    if (ai is None) != (aj is None):
-        a, b, binf = (aj, bj, bi) if ai is None else (ai, bi, bj)
-        bounds = []
-        lin = 2 * a * (-binf) + b
-        if lin != 0:
-            bounds.append(-int(frac_valuation(lin, p)))
-        if a != 0:
-            bounds.append(math.ceil(Fraction(-int(frac_valuation(a, p)), 2)))
-        return max(bounds) if bounds else NEG_INF
-    return threshold_t(p, (ai or 0) - (aj or 0), bi - bj) + 1
+def _pair_min_r(p: int, va: int | float, a: Fraction, b: Fraction, b_delta: Fraction):
+    """Smallest r certifying |<v_inf(b_delta)|v(a, b)>| = 1, from v(a) and
+    the linear coefficient b - 2a*b_delta of the chirp seen from -b_delta."""
+    half = NEG_INF if va == INF else -(va // 2)
+    return max(half, -frac_valuation(b - 2 * a * b_delta, p))
 
 
 @dataclass
@@ -488,57 +483,55 @@ def gram_report(
     raw = [(_normalize_family(a), a, b) for a, b in params]
     # representatives are enough for thresholds and grid sizing (they only
     # need valuations); the state constructors re-check precision themselves
-    entries_ab = [
-        (
-            lab,
-            as_fraction(a_raw, p) if lab is not None else None,
-            as_fraction(b_raw, p),
-        )
-        for lab, a_raw, b_raw in raw
-    ]
-    # _pair_min_r reads only valuations, so it is symmetric in the pair: one
-    # pass over i <= j serves the grid sizing and the certified flags
-    pairs_min_r = {
-        (i, j): _pair_min_r(p, ai, bi, aj, bj)
-        for i, (_, ai, bi) in enumerate(entries_ab)
-        for j, (_, aj, bj) in enumerate(entries_ab[i:], i)
-    }
+    ab = [(None if lab is None else as_fraction(a, p), as_fraction(b, p)) for lab, a, b in raw]
+    # a pair reads v(a_i - a_j) and v(b_i - b_j) from tables over the
+    # distinct labels, a delta's a read as 0; one pass over i <= j serves
+    # the grid sizing and the certified flags
+    a_of, va = _difference_valuations([0 if a is None else a for a, _ in ab], p)
+    b_of, vb = _difference_valuations([b for _, b in ab], p)
+    keys = {}  # (i, j) -> (v(a_i - a_j), v(b_i - b_j)), None for a delta and a chirp
+    min_r = {}
+    for i, (ai, bi) in enumerate(ab):
+        for j, (aj, bj) in enumerate(ab[i:], i):
+            v = va[a_of[i]][a_of[j]]
+            if (ai is None) == (aj is None):
+                keys[i, j] = (v, vb[b_of[i]][b_of[j]])
+            else:
+                a, b, b_delta = (aj, bj, bi) if ai is None else (ai, bi, bj)
+                keys[i, j], min_r[i, j] = None, _pair_min_r(p, v, a, b, b_delta)
+    # each distinct valuation pair's threshold once, then r_used, then its
+    # closed modulus once: the table read at R = max(r_used, t + 1), as
+    # gauss.simplified_norm reads it
+    thresholds = {key: _threshold(*key) for key in set(keys.values()) - {None}}
+    min_r.update((ij, thresholds[key] + 1) for ij, key in keys.items() if key is not None)
     r_used = r
     if auto_raise:
-        needed = [int(m) for m in pairs_min_r.values() if m != NEG_INF]
+        needed = [int(m) for m in min_r.values() if m != NEG_INF]
         # a delta state's center -b must lie in the domain p^(-r)Z_p
-        needed += [-int(frac_valuation(bi, p)) for ai, _, bi in entries_ab if ai is None and bi]
-        r_used = max([r, *needed])
-    k = 1 - r_used
-    if any(ai is None for _, ai, _ in entries_ab):
-        k = max(k, r_used)
+        centers = {b for a, b in ab if a is None and b}
+        r_used = max([r, *needed, *(-frac_valuation(b, p) for b in centers)])
     # every bound of required_resolution falls as the valuation rises, and
     # v(x - y) >= min(v(x), v(y)), so no difference (ai - aj, bi - bj) needs
-    # a finer grid than the states themselves
-    for _, ai, bi in entries_ab:
-        if ai is not None:
-            k = max(k, required_resolution(ai, bi, r_used, p))
+    # a finer grid than the states themselves; a delta state needs k >= r
+    k = max([1 - r_used, *(r_used if a is None else required_resolution(a, b, r_used, p)
+                           for a, b in ab)])
     grid = make_grid(p, r_used, k, cell_cap)
-    states, labels = [], []
-    for (lab, a_raw, b_raw), (_, ai, bi) in zip(raw, entries_ab):
-        if lab is None:
-            states.append(vector_v_inf(b_raw, grid))
-            labels.append(f"a=inf b={bi}")
-        else:
-            states.append(vector_v(a_raw, b_raw, grid))
-            labels.append(f"a={ai} b={bi}")
-    stack = np.stack([s.amplitudes for s in states])
+    stack = np.stack([
+        (vector_v_inf(b, grid) if lab is None else vector_v(a, b, grid)).amplitudes
+        for lab, a, b in raw
+    ])
+    labels = [f"a={'inf' if a is None else a} b={b}" for a, b in ab]
     gram = stack.conj() @ stack.T * float(grid.measure)
     moduli = np.abs(gram)
-    entries: list[GramEntry] = []
-    max_dev = 0.0
-    uncert = 0
-    for (i, j), min_r in pairs_min_r.items():
-        (_, ai, bi), (_, aj, bj) = entries_ab[i], entries_ab[j]
-        closed = _pair_closed(p, r_used, ai, bi, aj, bj)
-        certified = r_used >= min_r
-        dev = float(abs(moduli[i, j] - closed))
-        entries.append(GramEntry(i, j, float(moduli[i, j]), closed, certified, dev))
+    closed_of = {None: 1.0}  # a delta and a chirp overlap with modulus 1
+    for (dva, dvb), t in thresholds.items():
+        big_r = max(r_used, t + 1)
+        closed_of[dva, dvb] = _table_norm(p, dva - 2 * big_r, dvb - big_r, 2 * big_r)[0].value
+    entries, max_dev, uncert = [], 0.0, 0
+    for (i, j), key in keys.items():
+        certified = r_used >= min_r[i, j]
+        dev = float(abs(moduli[i, j] - closed_of[key]))
+        entries.append(GramEntry(i, j, float(moduli[i, j]), closed_of[key], certified, dev))
         if certified:
             max_dev = max(max_dev, dev)
         else:

@@ -8,7 +8,8 @@ so x is known exactly modulo p**(v + N).  The digit count N is chosen by the
 caller per computation; arithmetic propagates min(N_x, N_y) significant
 digits (additive cancellation shrinks the count further) and operations that
 would need digits outside the retained window raise PrecisionError instead
-of silently padding zeros.
+of silently padding zeros.  An all-zero digit string or a full cancellation
+is not the exact zero but O(p**N): no digits, known only modulo p**N.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ def is_prime(n: int) -> bool:
 
 def int_valuation(n: int, p: int) -> int | float:
     """Exponent of the largest power of p dividing n; +inf for n = 0."""
+    if p < 2:
+        raise ValueError(f"{p} is not prime")
     if n == 0:
         return INF
     v = 0
@@ -135,8 +138,9 @@ def frac_part(q: Fraction | int, p: int) -> PFraction:
 class PadicNumber:
     """A truncated p-adic expansion: digits[j] is the coefficient of p**(valuation+j).
 
-    The zero element has valuation +inf and an empty digit tuple; any nonzero
-    value has a nonzero leading digit.  Instances are immutable.
+    A zero has an empty digit tuple: the exact zero has valuation +inf, the
+    zero O(p**N) known only modulo p**N has valuation N.  Any other value has
+    a nonzero leading digit.  Instances are immutable.
     """
 
     prime: int
@@ -147,12 +151,10 @@ class PadicNumber:
         p = self.prime
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if self.valuation == INF:
-            if self.digits:
-                raise ValueError("zero must carry an empty digit tuple")
-            return
         if not self.digits:
-            raise ValueError("a nonzero value needs at least one digit")
+            return
+        if self.valuation == INF:
+            raise ValueError("the exact zero must carry an empty digit tuple")
         if self.digits[0] == 0:
             raise ValueError("leading digit must be nonzero")
         if any(not 0 <= d < p for d in self.digits):
@@ -162,17 +164,18 @@ class PadicNumber:
 
     @property
     def is_zero(self) -> bool:
-        return self.valuation == INF
+        """Zero as far as it is known: the exact zero or some O(p**N)."""
+        return not self.digits
 
     @property
     def precision(self) -> int:
-        """Count of significant digits retained (0 for the exact zero)."""
+        """Count of significant digits retained (0 for a zero)."""
         return len(self.digits)
 
     @property
     def abs_precision(self) -> int | float:
         """The value is known exactly modulo p**abs_precision."""
-        return INF if self.is_zero else self.valuation + len(self.digits)
+        return self.valuation + len(self.digits)
 
     def unit(self) -> int:
         """The digit expansion evaluated as an integer (x = unit * p**valuation)."""
@@ -202,11 +205,11 @@ class PadicNumber:
             raise ValueError(f"mixed primes {self.prime} and {other.prime}")
 
     def __add__(self, other: "PadicNumber") -> "PadicNumber":
-        """Sum carrying min(N_x, N_y) digits; cancellation shrinks the count."""
+        """Sum known modulo the coarser modulus; a full cancellation is O(p**N)."""
         self._check_same_field(other)
-        if self.is_zero:
+        if self.valuation == INF:
             return other
-        if other.is_zero:
+        if other.valuation == INF:
             return self
         p = self.prime
         v = min(self.valuation, other.valuation)
@@ -218,7 +221,7 @@ class PadicNumber:
             + other.unit() * p ** (other.valuation - v)
         ) % mod
         if total == 0:
-            return zero(p)
+            return PadicNumber(p, abs_prec, ())
         shift = int_valuation(total, p)
         return _from_unit(p, v + shift, total // p**shift, window - shift)
 
@@ -233,8 +236,8 @@ class PadicNumber:
 
     def __mul__(self, other: "PadicNumber") -> "PadicNumber":
         self._check_same_field(other)
-        if self.is_zero or other.is_zero:
-            return zero(self.prime)
+        if self.is_zero or other.is_zero:  # O(p**N) * x is known modulo p**(N + v(x))
+            return PadicNumber(self.prime, self.valuation + other.valuation, ())
         n = min(len(self.digits), len(other.digits))
         u = self.unit() * other.unit() % self.prime**n
         return _from_unit(self.prime, self.valuation + other.valuation, u, n)
@@ -251,10 +254,11 @@ class PadicNumber:
         """Sum of the negative-power digits, as an exact reduced fraction.
 
         Requires every negative-power digit to sit inside the retained window
-        (precision >= -valuation when the valuation is negative).
+        (precision >= -valuation when the valuation is negative); a zero
+        O(p**N) with N < 0 has none of them.
         """
         p = self.prime
-        if self.is_zero or self.valuation >= 0:
+        if self.valuation >= 0:
             return PFraction.zero(p)
         depth = -self.valuation
         if len(self.digits) < depth:
@@ -267,7 +271,7 @@ class PadicNumber:
 
     def __str__(self) -> str:
         if self.is_zero:
-            return "0"
+            return "0" if self.valuation == INF else f"O({self.prime}^{self.valuation})"
         body = " ".join(str(d) for d in self.digits)
         return f"{body} *{self.prime}^{self.valuation}"
 
@@ -305,7 +309,7 @@ def from_rational(num: int, den: int, p: int, precision: int) -> PadicNumber:
 
 
 def valuation(x: PadicNumber) -> int | float:
-    """v_p(x); +inf for the zero element."""
+    """v_p(x); +inf for the exact zero, the lower bound N for O(p**N)."""
     return x.valuation
 
 
@@ -352,8 +356,8 @@ def parse_coefficient(text: str, p: int) -> Fraction | PadicNumber:
         if int(base) != p:
             raise ValueError(f"digit string is base {base}, expected {p}")
         v = int(exp) if exp else 0
-        if not any(digits):
-            return zero(p)
+        if not any(digits):  # known to be 0 modulo p^(v + n) only
+            return PadicNumber(p, v + len(digits), ())
         # leading zeros only shift the valuation; trailing zeros stay significant
         shift = next(i for i, d in enumerate(digits) if d != 0)
         return PadicNumber(p, v + shift, digits[shift:])

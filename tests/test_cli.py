@@ -194,6 +194,30 @@ def test_invalid_coefficient_is_exit_2(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # p = 1 looped forever in the valuation, p = 0 divided by zero
+    ["eigen-check", "-p", "1", "-a", "1", "-b", "1", "-c", "1"],
+    ["fourier-ball", "-p", "1", "-r", "1", "-z", "1"],
+    ["mub-padic", "-p", "1", "-r", "1", "--bs", "1"],
+    ["eigen-check", "-p", "0", "-a", "1", "-b", "1", "-c", "1"],
+])
+def test_p_below_2_is_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {argv[2]} is not prime\n"
+
+
+def test_zero_digit_string_below_its_precision_is_exit_2(capsys):
+    # "0 0 *3^0" is 0 modulo 3^2 only, and the ball p^(-5)Z_p reads a modulo 3^10
+    code, out, err = run(capsys, "gauss-integral", "-p", "3", "-r", "5",
+                         "-a", "0 0 *3^0", "-b", "1")
+    assert code == 2 and out == ""
+    assert "known only modulo 3^2, need 3^10" in err
+    code, out, _ = run(capsys, "gauss-integral", "-p", "3", "-r", "1",
+                       "-a", "0 0 *3^0", "-b", "1")
+    assert code == 0 and "PASS" in out
+
+
 @pytest.mark.parametrize("report", [
     pytest.param(lambda: ring_report(3, 1, 1, 1, 0, oracle=True), id="ring"),
     pytest.param(lambda: integral_report(3, 1, Fraction(1), Fraction(0), oracle=True),

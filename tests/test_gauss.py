@@ -28,9 +28,11 @@ from padic_mub import (
     threshold_t,
 )
 from padic_mub.gauss import (
+    INF,
     NEG_INF,
     ExactNorm,
     _phase_sum,
+    _reduction_exponents,
     ring_sum_norm_closed_table,
     ring_sum_normsq_table,
     ring_sum_numeric_table,
@@ -585,6 +587,32 @@ def test_integral_and_simplified_forms_match_the_old_ones():
                 assert _outcome(simplified_norm, p, r, a, b) == old, (p, r, a, b)
                 compared += 1
     assert compared == len(coeffs) ** 2 * 13 and 0 < raised < compared
+
+
+def _old_reduction_exponents(r, va, vb):
+    l_bounds = [1]
+    k_bounds = [1]
+    if va != INF:
+        l_bounds.append(2 * r - int(va))
+        k_bounds += [2 * r - int(va), r - math.floor(va / 2)]
+    if vb != INF:
+        l_bounds.append(r - int(vb))
+        k_bounds.append(r - int(vb))
+    l = max(l_bounds)
+    return l, max(k_bounds + [l])
+
+
+def test_reduction_exponents_read_the_shifted_valuations():
+    vals = [*range(-8, 9), INF]
+    cases = 0
+    for r in range(-6, 9):
+        for va in vals:
+            for vb in vals:
+                got = _reduction_exponents(va - 2 * r, vb - r)
+                assert got == _old_reduction_exponents(r, va, vb), (r, va, vb)
+                assert all(type(e) is int for e in got)
+                cases += 1
+    assert cases == 4860
 
 
 def test_closed_forms_refuse_p2_from_the_table():

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padic_mub import (
     Grid,
@@ -79,6 +81,37 @@ def test_required_resolution_examples():
     assert required_resolution(1, 0, 1, 3, c=Fraction(1, 3)) == required_resolution(
         1, Fraction(2, 3), 1, 3
     )
+
+
+def _old_required_resolution(a, b, r, p, c=None):
+    af = as_fraction(a, p)
+    bf = as_fraction(b, p)
+    if c is not None:
+        bf = 2 * af * as_fraction(c, p) + bf
+    bounds = [0]
+    va, vb = frac_valuation(af, p), frac_valuation(bf, p)
+    if va != math.inf:
+        bounds += [2 * r - int(va), r - int(va), math.ceil(Fraction(-int(va), 2))]
+    if vb != math.inf:
+        bounds += [r - int(vb), -int(vb)]
+    return max(bounds)
+
+
+def test_required_resolution_reads_the_shifted_valuations():
+    p = 3
+    coeffs = [Fraction(0)] + [Fraction(2) ** (v % 2) * Fraction(p) ** v for v in range(-8, 9)]
+    cases = 0
+    for r in range(-6, 9):
+        for a in coeffs:
+            for b in coeffs:
+                got = required_resolution(a, b, r, p)
+                assert got == _old_required_resolution(a, b, r, p), (r, a, b)
+                assert type(got) is int
+                cases += 1
+        for a, b, c in ((1, 0, Fraction(1, 3)), (Fraction(1, 9), 2, 3), (0, 5, Fraction(1, 27))):
+            want = _old_required_resolution(a, b, r, p, c)
+            assert required_resolution(a, b, r, p, c=c) == want, (r, a, b, c)
+    assert cases == 4860
 
 
 def test_vector_v_constant_function():
@@ -482,6 +515,22 @@ def _op_P_old(psi, d):
     return psi.amplitudes * roots_of_unity(g.p**depth)[idx]
 
 
+def test_cell_roots_are_the_cached_table_entries():
+    """vector_v and the phase operators evaluate exp(2*pi*i*m/p^M) at their
+    cells only; each root is the table entry roots_of_unity(p^M)[m]."""
+    rng = np.random.default_rng(5)
+    for p, r, k, a, b in ((3, 1, 3, Fraction(1, 3), 2), (5, 1, 3, 2, Fraction(3, 5)),
+                          (7, 0, 2, Fraction(3, 7), 1), (3, 2, 4, 1, 0)):
+        g = make_grid(p, r, k)
+        idx, depth = mub_padic._cell_phase_indices(a, b, g)
+        want = roots_of_unity(p**depth)[idx]
+        assert np.array_equal(vector_v(a, b, g).amplitudes.view(np.float64),
+                              want.view(np.float64)), (p, r, k, a, b)
+        psi = StateVector(g, rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
+        got = mub_padic._times_phase(psi, idx, depth).amplitudes
+        assert np.array_equal(got.view(np.float64), (psi.amplitudes * want).view(np.float64))
+
+
 def test_op_Z_and_op_P_match_their_old_index_formulas():
     rng = np.random.default_rng(17)
     checked = 0
@@ -507,7 +556,7 @@ def _gram_sizing_ordered(params, r, p, auto_raise):
         for a, b in params
     ]
     min_r = {
-        (i, j): mub_padic._pair_min_r(p, ai, bi, aj, bj)
+        (i, j): _old_pair_min_r(p, ai, bi, aj, bj)
         for i, (ai, bi) in enumerate(ab)
         for j, (aj, bj) in enumerate(ab)
     }
@@ -515,6 +564,8 @@ def _gram_sizing_ordered(params, r, p, auto_raise):
     r_used = r
     if auto_raise:
         r_used = max(r, int(max((m for m in min_r.values() if m != NEG_INF), default=r)))
+        # a delta state's center -b must lie in the domain p^(-r)Z_p
+        r_used = max([r_used, *(-frac_valuation(bi, p) for ai, bi in ab if ai is None and bi)])
     k = 1 - r_used
     if any(ai is None for ai, _ in ab):
         k = max(k, r_used)
@@ -576,18 +627,42 @@ def test_pair_differences_need_no_finer_grid_than_their_states():
 
 
 def test_gram_report_sizes_each_unordered_pair_once(monkeypatch):
+    """The pair pass takes its valuations from tables over the distinct
+    labels: at most |A|^2 + |B|^2 frac_valuation calls for the tables, plus
+    one per delta-chirp pair for its linear coefficient.  The states and
+    their grid sizing read their own valuations and are not counted."""
     calls = []
-    pair_min_r = mub_padic._pair_min_r
+    paused = [0]  # depth of the uncounted calls in progress
+    frac_valuation = mub_padic.frac_valuation
 
-    def counted(*args):
-        calls.append(args)
-        return pair_min_r(*args)
+    def counted(q, p):
+        if not paused[0]:
+            calls.append(q)
+        return frac_valuation(q, p)
 
-    monkeypatch.setattr(mub_padic, "_pair_min_r", counted)
-    params = canonical_family_params(3)
-    gram_report(params, r=1, p=3)
-    n = len(params)
-    assert len(calls) == n * (n + 1) // 2
+    def uncounted(fn):
+        def call(*args):
+            paused[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                paused[0] -= 1
+        return call
+
+    monkeypatch.setattr(mub_padic, "frac_valuation", counted)
+    for name in ("vector_v", "vector_v_inf", "required_resolution"):
+        monkeypatch.setattr(mub_padic, name, uncounted(getattr(mub_padic, name)))
+    for p, params in ((3, canonical_family_params(3)),
+                      (5, canonical_family_params(5, [0, 1, Fraction(1, 5)]))):
+        calls.clear()
+        rep = gram_report(params, r=1, p=p)
+        assert len(rep.entries) == len(params) * (len(params) + 1) // 2
+        a_labels = {Fraction(0) if mub_padic._normalize_family(a) is None else Fraction(a)
+                    for a, _ in params}
+        b_labels = {Fraction(b) for _, b in params}
+        deltas = sum(mub_padic._normalize_family(a) is None for a, _ in params)
+        mixed = deltas * (len(params) - deltas)
+        assert 0 < len(calls) <= len(a_labels) ** 2 + len(b_labels) ** 2 + mixed, p
 
 
 def test_quadratic_phase_profile_checks_resolution():
@@ -678,26 +753,72 @@ def _old_pair_min_r(p, ai, bi, aj, bj):
     return NEG_INF if t == NEG_INF else int(t) + 1
 
 
+def _stub_states(mp):
+    """Replace the states of gram_report by three-cell placeholders.  Its
+    sizing, closed values and certified flags read only the labels, so with
+    an unbounded cell cap they can be checked on grids too large to build."""
+    def stub(*args):
+        return StateVector(Grid(3, 1, 0), np.ones(3))
+
+    mp.setattr(mub_padic, "vector_v", stub)
+    mp.setattr(mub_padic, "vector_v_inf", stub)
+
+
+def _pair_oracle_check(p, params, r, auto_raise):
+    """gram_report with stubbed states against the ordered-pair sizing and
+    the old pair forms; returns the number of entries checked."""
+    r_used, k, certified = _gram_sizing_ordered(params, r, p, auto_raise)
+    rep = gram_report(params, r=r, p=p, auto_raise=auto_raise, cell_cap=math.inf)
+    assert (rep.r_used, rep.k_used) == (r_used, k)
+    assert [e.certified for e in rep.entries] == certified
+    assert rep.uncertified_pairs == certified.count(False)
+    ab = [
+        (None if mub_padic._normalize_family(a) is None else as_fraction(a, p),
+         as_fraction(b, p))
+        for a, b in params
+    ]
+    for e in rep.entries:
+        want = _old_pair_closed(p, r_used, *ab[e.i], *ab[e.j])
+        assert e.closed == want, (p, r, ab[e.i], ab[e.j])  # bit for bit
+    return len(rep.entries)
+
+
 def test_pair_closed_forms_match_the_old_ones():
     sets = [(p, params) for p, params, _ in _mixed_param_sets()]
     sets += [(p, canonical_family_params(p)) for p in (3, 5, 7)]
-    pairs = 0
-    for p, params in sets:
-        ab = [
-            (None if mub_padic._normalize_family(a) is None else as_fraction(a, p),
-             as_fraction(b, p))
-            for a, b in params
-        ]
-        for ai, bi in ab:
-            for aj, bj in ab:
-                want = _old_pair_min_r(p, ai, bi, aj, bj)
-                assert mub_padic._pair_min_r(p, ai, bi, aj, bj) == want, (p, ai, bi, aj, bj)
-                for r in range(-2, 5):
-                    want = _old_pair_closed(p, r, ai, bi, aj, bj)
-                    got = mub_padic._pair_closed(p, r, ai, bi, aj, bj)
-                    assert got == want, (p, r, ai, bi, aj, bj)  # bit for bit
-                pairs += 1
-    assert pairs > 1000
+    entries = 0
+    with pytest.MonkeyPatch.context() as mp:
+        _stub_states(mp)
+        for p, params in sets:
+            for r in range(-2, 5):
+                for auto_raise in (True, False):
+                    entries += _pair_oracle_check(p, params, r, auto_raise)
+    assert entries > 10000
+
+
+def _labels(p):
+    """Family labels: deltas in both spellings, rationals of valuation -3..3
+    and digit strings."""
+    rational = st.builds(
+        lambda u, v: Fraction(u) * Fraction(p) ** v,
+        st.integers(-20, 20).filter(lambda u: u % p), st.integers(-3, 3),
+    ) | st.just(Fraction(0))
+    digits = st.builds(
+        lambda ds, e: parse_coefficient(" ".join(map(str, ds)) + f" *{p}^{e}", p),
+        st.lists(st.integers(0, p - 1), min_size=1, max_size=6), st.integers(-3, 3),
+    )
+    coeff = rational | digits
+    return st.tuples(st.none() | st.just("inf") | coeff, coeff)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), p=st.sampled_from([3, 5, 7]), r=st.integers(-1, 2),
+       auto_raise=st.booleans())
+def test_gram_pairs_match_the_old_pair_forms(data, p, r, auto_raise):
+    params = data.draw(st.lists(_labels(p), min_size=1, max_size=8))
+    with pytest.MonkeyPatch.context() as mp:
+        _stub_states(mp)
+        _pair_oracle_check(p, params, r, auto_raise)
 
 
 def _profile_loop(a, b, grid):

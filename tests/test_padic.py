@@ -10,8 +10,10 @@ from padic_mub import INF, PrecisionError, from_rational, norm_p, valuation, zer
 from padic_mub.padic import (
     PadicNumber,
     PFraction,
+    as_fraction,
     frac_part,
     frac_valuation,
+    int_valuation,
     parse_coefficient,
     parse_padic,
 )
@@ -230,3 +232,64 @@ def test_direct_construction_validates():
         PadicNumber(3, 0, (3,))  # digit out of range
     with pytest.raises(ValueError):
         PadicNumber(3, INF, (1,))  # zero with digits
+
+
+def test_valuation_refuses_p_below_2():
+    for p in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"{p} is not prime"):
+            int_valuation(5, p)
+
+
+def test_zero_digit_string_is_known_to_its_digits_only():
+    x = parse_coefficient("0 0 *3^1", 3)
+    assert x.is_zero and x.abs_precision == 3 and str(x) == "O(3^3)"
+    assert as_fraction(x, 3, need_abs_precision=3) == 0
+    with pytest.raises(PrecisionError, match="known only modulo 3\\^3, need 3\\^4"):
+        as_fraction(x, 3, need_abs_precision=4)
+
+
+def test_full_cancellation_keeps_the_sum_precision():
+    three = from_rational(3, 1, 3, 4)  # known modulo 3^5
+    d = three + (-three)
+    assert d.is_zero and d.abs_precision == 5 and d != zero(3)
+    with pytest.raises(PrecisionError):
+        as_fraction(d, 3, need_abs_precision=6)
+    # an O(3^5) only blurs what it is added to past 3^5
+    s = d + from_rational(1, 1, 3, 10)
+    assert s.abs_precision == 5 and s.to_fraction() == 1
+    assert (d + from_rational(3**6, 1, 3, 4)).abs_precision == 5
+
+
+def test_zero_times_a_value_is_known_modulo_the_product_level():
+    z = parse_coefficient("0 0 *3^0", 3)  # O(3^2)
+    assert (z * from_rational(9, 1, 3, 4)).abs_precision == 4
+    assert (from_rational(1, 9, 3, 1) * z).abs_precision == 0
+    assert (z * z).abs_precision == 4
+    assert (zero(3) * z) == zero(3) == (z * zero(3))  # the exact zero stays exact
+    assert (zero(3) + z) == z and (z + zero(3)) == z
+
+
+def test_zero_fractional_part_needs_its_negative_digits():
+    assert PadicNumber(3, 0, ()).fractional_part() == PFraction.zero(3)
+    assert zero(3).fractional_part() == PFraction.zero(3)
+    with pytest.raises(PrecisionError):
+        PadicNumber(3, -1, ()).fractional_part()
+
+
+def _digit_strings(p):
+    return st.builds(
+        lambda ds, e: parse_coefficient(" ".join(map(str, ds)) + f" *{p}^{e}", p),
+        st.lists(st.integers(0, p - 1), min_size=1, max_size=6), st.integers(-3, 3),
+    ) | st.just(zero(p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), p=primes)
+def test_sum_is_known_no_better_than_its_terms(data, p):
+    x, y = data.draw(_digit_strings(p)), data.draw(_digit_strings(p))
+    s = x + y
+    n = min(x.abs_precision, y.abs_precision)
+    assert s.abs_precision <= n
+    if n != INF:  # and the sum is right modulo p^n
+        diff = s.to_fraction() - x.to_fraction() - y.to_fraction()
+        assert diff == 0 or frac_valuation(diff, p) >= n
