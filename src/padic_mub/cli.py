@@ -128,20 +128,21 @@ def cmd_mub_finite(args):
     if args.p == 2:
         raise OddPrimeError("certifying unbiasedness of the quadratic-phase bases")
     field = build_field(args.p, args.r)
-    bases = mub_finite.build_mub_set(field)
-    report = mub_finite.verify_mub(bases, tol=args.tol, ortho_tol=args.ortho_tol)
+    # the per-pair rows are built only for the formats that print them
+    report = mub_finite.field_report(field, tol=args.tol, ortho_tol=args.ortho_tol,
+                                     pairs=args.format != "table")
+    bases = field.size + 1
     table = (
-        f"{len(bases)} bases in C^{field.size} (modulus {field.modulus})\n"
+        f"{bases} bases in C^{field.size} (modulus {field.modulus})\n"
         f"target modulus {_fmt(report.target)}  max deviation {_fmt(report.max_deviation)}\n"
         f"orthonormality deviation {_fmt(report.ortho_deviation)}\n"
         f"{'PASS' if report.passed else 'FAIL'}\n"
     )
-    # the per-pair rows are built only for the format that prints them
     if args.format != "json":
         d = {"passed": report.passed}
     else:
         d = report.to_json_dict()
-        d["bases"] = len(bases)
+        d["bases"] = bases
     csv_text = None
     if args.format == "csv":
         csv_lines = ["i,j,label_i,label_j,min_mod,max_mod,max_dev"]
@@ -176,7 +177,8 @@ def cmd_mub_padic(args):
 
 
 def cmd_fourier_ball(args):
-    zf = as_fraction(parse_coefficient(args.z, args.p), args.p)
+    # the ball z + p^r Z_p needs z known modulo p^r
+    zf = as_fraction(parse_coefficient(args.z, args.p), args.p, need_abs_precision=args.r)
     vz = frac_valuation(zf, args.p)
     r0 = max(0, -int(vz) if zf != 0 else 0, -args.r)
     k = max(args.r, 1 - r0) if args.k is None else args.k
@@ -267,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-a", required=True)
     s.add_argument("-b", required=True)
     s.add_argument("--tol", type=float, default=1e-9,
-                   help=REL_TOL_HELP + ", or to p^(r-k) if larger (k: the reported reduction_k)")
+                   help=REL_TOL_HELP + ", or to p^(r-l) if larger (l: the reported reduction_l)")
     _add_common(s, oracle=True, term_cap=True)
     s.set_defaults(func=cmd_gauss_integral)
 

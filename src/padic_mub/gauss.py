@@ -16,7 +16,7 @@ or 0 as the coefficient is nonzero or zero.  `simplified_norm` is the table
 read at R = max(r, threshold_t + 1), certified for r > threshold_t, and the
 Gram pairs of `mub_padic` read it too.  The table alone refuses p = 2.
 The bounds read the same (dx, dy): the reduction of a ball integral to a
-ring sum takes l = max(1, -dx, -dy) and k = max(l, -(dx // 2)), and
+ring sum takes one full period, p^l terms with l = max(1, -dx, -dy), and
 `mub_padic.required_resolution` resolves e(a*x^2 + b*x) at
 k = max(0, -dx - min(r, 0), -dy - min(r, 0), -r - (dx // 2)), each dx or
 dy term dropped for a zero coefficient.
@@ -348,43 +348,49 @@ def integral_norm_closed(
     return _table_norm(p, dx, dy, 2 * r)
 
 
-def _reduction_exponents(dx: int | float, dy: int | float) -> tuple[int, int]:
-    """Exponents (l, k) that turn the ball integral into a finite ring sum,
-    from the shifted valuations dx = v(a) - 2r, dy = v(b) - r.
+def _reduction_exponents(dx: int | float, dy: int | float) -> int:
+    """The exponent l that turns the ball integral into one period of a ring
+    sum, from the shifted valuations dx = v(a) - 2r, dy = v(b) - r.
 
-    l = max(1, -dx, -dy) makes A = a*p^(l-2r) and B = b*p^(l-r) integral;
-    k = max(l, -(dx // 2)) also makes the discarded tail of the integrand
-    constant on cosets of p^k.  A zero coefficient (dx or dy inf) drops out.
+    l = max(1, -dx, -dy) makes A = a*p^(l-2r) and B = b*p^(l-r) integral.  A
+    zero coefficient (dx or dy inf) drops out.
     """
-    l = max(1, -dx, -dy)
-    return l, l if dx == INF else max(l, -(dx // 2))
+    return max(1, -dx, -dy)
+
+
+def _ring_reduction(
+    p: int, r: int, af: Fraction, bf: Fraction, dx: int | float, dy: int | float
+) -> tuple[tuple[int, int, int], float]:
+    """`_integral_reduction` from a, b as rationals and their shifted valuations."""
+    _norm_table(p, dx, dy)  # odd p only, as the table it checks
+    l = _reduction_exponents(dx, dy)
+    mod = p**l
+    a_int = rational_mod(af * Fraction(p) ** (l - 2 * r), mod)
+    b_int = rational_mod(bf * Fraction(p) ** (l - r), mod)
+    return (l, a_int, b_int), _float_power(p, r - l, "norm scale")
 
 
 def _integral_reduction(
     p: int, r: int, a: Coefficient, b: Coefficient
-) -> tuple[tuple[int, int, int, int], float]:
-    """The ring sum behind the ball integral: ((k, l, A, B), p^(r-k)).
+) -> tuple[tuple[int, int, int], float]:
+    """The ring sum behind the ball integral: ((l, A, B), p^(r-l)).
 
-    The ball integral equals p^(r-k) * (ring sum of A, B at exponents k, l)
-    once l and k clear the thresholds computed from v(a), v(b); both derived
-    coefficients A, B are then genuine integers mod p^l.
+    With x = p^(-r)*y the integrand e(a*x^2 + b*x) is zeta_{p^l}^(A*y^2 + B*y)
+    for the integers A, B mod p^l of `_reduction_exponents`, so it depends on
+    y mod p^l alone: the ball p^(-r)Z_p splits into p^l cosets of measure
+    p^(r-l), on each of which it is constant.  The integral is therefore
+    p^(r-l) times one full period, the ring sum of A, B at k = l.
     """
-    af, bf, dx, dy = _shifted_valuations(p, r, a, b)
-    _norm_table(p, dx, dy)  # odd p only, as the table it checks
-    l, k = _reduction_exponents(dx, dy)
-    mod = p**l
-    a_int = rational_mod(af * Fraction(p) ** (l - 2 * r), mod)
-    b_int = rational_mod(bf * Fraction(p) ** (l - r), mod)
-    return (k, l, a_int, b_int), _float_power(p, r - k, "norm scale")
+    return _ring_reduction(p, r, *_shifted_valuations(p, r, a, b))
 
 
 def integral_numeric(
     p: int, r: int, a: Coefficient, b: Coefficient, term_cap: int = DEFAULT_TERM_CAP
 ) -> complex:
     """Brute-force value of the Gauss integral, via its finite-ring
-    reduction `_integral_reduction`: p^(r-k) times a ring sum."""
-    key, scale = _integral_reduction(p, r, a, b)
-    return scale * ring_sum_numeric(p, *key, term_cap)
+    reduction `_integral_reduction`: p^(r-l) times one period of a ring sum."""
+    (l, a_int, b_int), scale = _integral_reduction(p, r, a, b)
+    return scale * ring_sum_numeric(p, l, l, a_int, b_int, term_cap)
 
 
 def threshold_t(p: int, a: Coefficient, b: Coefficient) -> int | float:
@@ -426,7 +432,11 @@ def simplified_norm(
     must treat the norm as informational only.  A zero O(p^N) raises
     PrecisionError, as threshold_t does.
     """
-    va, vb = _known_valuation(a, p), _known_valuation(b, p)
+    return _simplified(p, r, _known_valuation(a, p), _known_valuation(b, p))
+
+
+def _simplified(p: int, r: int, va: int | float, vb: int | float) -> tuple[ExactNorm, str, bool]:
+    """simplified_norm from the valuations v(a), v(b)."""
     t = _threshold(va, vb)
     big_r = max(r, t + 1)
     return (*_table_norm(p, va - 2 * big_r, vb - big_r, 2 * big_r), r > t)
@@ -528,9 +538,9 @@ def integral_report(
 ) -> NormReport:
     """Closed form for the ball integral; with oracle=True also brute force.
 
-    The brute force is p^(r-k) times a ring sum of p^k unit terms, and the
+    The brute force is p^(r-l) times a ring sum of p^l unit terms, and the
     oracle judges that sum as ring_report does: it passes when
-    |closed - numeric| <= tol * max(closed, p^(r-k), 1).  An absolute
+    |closed - numeric| <= tol * max(closed, p^(r-l), 1).  An absolute
     tolerance would ask for more than double precision once p^r is large,
     even for a zero norm.  The reported deviation stays absolute.
     """
@@ -543,11 +553,12 @@ def integral_report(
     numeric = deviation = None
     passed = True
     if oracle:
-        l, k = _reduction_exponents(dx, dy)
-        extras.update({"reduction_l": l, "reduction_k": k})
+        # reduction_k is one period, k = l; the field stays for report readers
+        l = _reduction_exponents(dx, dy)
+        extras.update({"reduction_l": l, "reduction_k": l})
         numeric = abs(integral_numeric(p, r, a, b, term_cap))
         deviation = abs(closed.value - numeric)
-        passed = deviation / max(closed.value, float(p) ** (r - k), 1.0) <= tol
+        passed = deviation / max(closed.value, float(p) ** (r - l), 1.0) <= tol
     return NormReport(
         kind="integral",
         case=case,

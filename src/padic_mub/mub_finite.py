@@ -4,6 +4,17 @@ For each a in F_{p^r} the basis V_a has columns indexed by b with entries
 exp(2*pi*i*trace(a*x^2 + b*x)/p) / sqrt(p^r); the computational basis joins
 them as the (p^r+1)-st member.  Rows/columns follow the lexicographic field
 element enumeration, so matrices are byte-reproducible.
+
+Every inner product of the set is a Gauss sum over the field:
+(V_a* V_c)[b, b'] = G(c - a, b' - b) / q, with q = p^r and
+G(alpha, beta) = sum_x zeta_p^trace(alpha*x^2 + beta*x).  So one q x q table
+S = Z F, Z[alpha, x] = zeta_p^trace(alpha*x^2) / sqrt(q) and
+F[x, beta] = zeta_p^trace(beta*x) / sqrt(q), holds every number the report
+reads: row a_j - a_i for a pair of quadratic bases, row 0 for the
+orthonormality of each V_a, and the moduli of the p scaled roots for a pair
+with the computational basis.  `field_report` reads the report of a field's
+set off that table, one complex product in all; `verify_mub` checks any list
+of basis matrices pair by pair and is its oracle.
 """
 
 from __future__ import annotations
@@ -51,25 +62,35 @@ def _phase_matrix(phases: np.ndarray, p: int) -> np.ndarray:
     return np.concatenate((roots, roots)).take(phases)
 
 
-def build_mub_set(fieldctx: FieldCtx, dim_cap: int = DEFAULT_DIM_CAP) -> list[BasisMatrix]:
-    """All p^r bases V_a plus the computational basis, deterministically ordered.
-
-    The construction itself is prime-agnostic; only the closed-form
-    certification of unbiasedness is restricted to odd p elsewhere.
-    """
-    p, r, q = fieldctx.p, fieldctx.r, fieldctx.size
+def _trace_tables(
+    ctx: FieldCtx, dim_cap: int = DEFAULT_DIM_CAP
+) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 tables (trace(a*x^2), trace(b*x)) of the field's elements, in
+    label order; every entry is a residue in [0, p)."""
+    p, r, q = ctx.p, ctx.r, ctx.size
     if q > dim_cap:
         raise CapError(f"dimension {q} exceeds cap {dim_cap}")
     # the widest int64 sum below is the squares': r^2 products of three residues
     if r * r * (p - 1) ** 3 > INT64_MAX:
         raise CapError(f"F_{p}^{r} products of three residues overflow int64")
-    mult = _structure_tensor(fieldctx)
+    mult = _structure_tensor(ctx)
     # trace(x^k) is the trace of multiplication by x^k; gram[s, t] = trace(x^s * x^t)
     gram = np.einsum("stk,k->st", mult, np.einsum("ktt->k", mult) % p) % p
     coeff = np.arange(q)[:, None] // p ** np.arange(r) % p  # [x, i], in label order
     sq_coeff = np.einsum("xi,xj,ijk->xk", coeff, coeff, mult) % p  # x^2
     tr_bx = (coeff @ gram % p) @ coeff.T % p  # trace(b*x) at [x, b]
     tr_ax2 = (sq_coeff @ gram % p) @ coeff.T % p  # trace(a*x^2) at [x, a]
+    return tr_ax2, tr_bx
+
+
+def build_mub_set(fieldctx: FieldCtx, dim_cap: int = DEFAULT_DIM_CAP) -> list[BasisMatrix]:
+    """All p^r bases V_a plus the computational basis, deterministically ordered.
+
+    The construction itself is prime-agnostic; only the closed-form
+    certification of unbiasedness is restricted to odd p elsewhere.
+    """
+    tr_ax2, tr_bx = _trace_tables(fieldctx, dim_cap)
+    p, q = fieldctx.p, fieldctx.size
     bases = [
         BasisMatrix(label=f"a={a}", a=a, matrix=_phase_matrix(tr_ax2[:, [n]] + tr_bx, p))
         for n, a in enumerate(fieldctx.elements())
@@ -225,4 +246,51 @@ def verify_mub(
     report.passed = (
         report.max_deviation <= tol and report.ortho_deviation <= ortho_tol
     )
+    return report
+
+
+def _row_stats(mods: np.ndarray, target: float) -> np.ndarray:
+    """(min, max, max |mod - target|) of each row of a table of moduli."""
+    return np.column_stack((mods.min(1), mods.max(1), np.abs(mods - target).max(1)))
+
+
+def field_report(
+    fieldctx: FieldCtx, tol: float = 1e-10, ortho_tol: float = 1e-12, pairs: bool = True
+) -> MubReport:
+    """The report of `verify_mub(build_mub_set(fieldctx))`, from one table of
+    Gauss sums and with no basis matrix.
+
+    Row alpha of S = Z F is G(alpha, .) / q (see the module docstring), each
+    factor gathered from the p scaled roots by the exact trace tables.  Since
+    trace(a*x^2) and trace(b*x) are additive in a and b, the pair (V_a, V_c)
+    has the moduli of row c - a, the digitwise difference mod p of the two
+    labels; a pair with the computational basis has the moduli of the p
+    scaled roots, bit for bit those of the basis entries; and V_a* V_a - I is
+    row 0 minus a unit vector, while the identity basis contributes 0.  The
+    floats differ from verify_mub's only in rounding.  `pairs=False` leaves
+    out the per-pair rows, which only the pair-by-pair formats print.
+    """
+    tr_ax2, tr_bx = _trace_tables(fieldctx)
+    p, r, q = fieldctx.p, fieldctx.r, fieldctx.size
+    roots = (1.0 / np.sqrt(q)) * roots_of_unity(p)
+    table = roots.take(tr_ax2.T) @ roots.take(tr_bx)
+    report = MubReport(dim=q, target=q**-0.5, tol=tol, ortho_tol=ortho_tol)
+    report.ortho_deviation = float(np.abs(table[0] - np.eye(1, q)).max())  # |S[0, b] - delta_b|
+    mods = np.abs(table)
+    # the q rows of S, then the computational basis as row q
+    rows = np.vstack((_row_stats(mods, report.target),
+                      _row_stats(np.abs(roots)[None], report.target)))
+    report.max_deviation = float(np.max(rows[1:, 2]))
+    report.passed = report.max_deviation <= tol and report.ortho_deviation <= ortho_tol
+    if pairs:
+        digits = np.arange(q)[:, None] // p ** np.arange(r) % p
+        rows_of = np.full((q + 1, q + 1), q)
+        rows_of[:q, :q] = (digits[None] - digits[:, None]) % p @ p ** np.arange(r)
+        first, second = np.triu_indices(q + 1, 1)  # the order of combinations(range(q + 1), 2)
+        stats = rows[rows_of[first, second]].tolist()
+        labels = [f"a={a}" for a in fieldctx.elements()] + ["inf"]
+        report.pairs = [
+            PairStat(i, j, (labels[i], labels[j]), *s)
+            for i, j, s in zip(first.tolist(), second.tolist(), stats)
+        ]
     return report

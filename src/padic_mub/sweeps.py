@@ -16,14 +16,15 @@ from .errors import CapError
 from .gauss import (
     DEFAULT_TERM_CAP,
     NEG_INF,
-    _integral_reduction,
-    simplified_norm,
-    integral_norm_closed,
+    _ring_reduction,
+    _shifted_valuations,
+    _simplified,
+    _table_norm,
+    _threshold,
     ring_sum_norm_closed_table,
     ring_sum_normsq_table,
     ring_sum_numeric,
     ring_sum_numeric_table,
-    threshold_t,
 )
 from .mub_padic import (
     StateVector,
@@ -101,27 +102,31 @@ def sweep_thresholds(p: int = 3, tol: float = 1e-9, term_cap: int = DEFAULT_TERM
     above the threshold; and that the table is flagged uncertified (never
     asserted) at or below it.  Also verifies the threshold is not vacuous.
 
-    The numeric norm is integral_numeric's value, p^(r-k) times a ring sum;
-    many (r, a, b) reduce to the same ring sum (k, l, A, B), so each ring
-    sum is taken once per call.  One over the term cap is skipped on every
-    check that reduces to it.
+    The numeric norm is integral_numeric's value, p^(r-l) times one period
+    of a ring sum; many (r, a, b) reduce to the same ring sum (l, A, B), so
+    each ring sum is taken once per call.  One over the term cap is skipped
+    on every check that reduces to it.  The valuations v(a), v(b) are read
+    once per pair; the closed norm, the reduction and the simplified table
+    of each r read them shifted.
     """
     checks = failures = skipped = 0
-    ring_sums: dict[tuple[int, int, int, int], complex] = {}
+    ring_sums: dict[tuple[int, int, int], complex] = {}
     max_dev = 0.0
     mismatch_below_threshold = 0
     for a in threshold_grid_coefficients(p):
         for b in threshold_grid_coefficients(p):
-            t = threshold_t(p, a, b)
+            af, bf, va, vb = _shifted_valuations(p, 0, a, b)  # at r = 0: v(a), v(b)
+            t = _threshold(va, vb)
             r_values = set(range(-2, 4))
             if t != NEG_INF:
                 r_values |= {int(t) + 1, int(t) + 2, int(t) + 3}
             for r in sorted(r_values):
-                closed, _case = integral_norm_closed(p, r, a, b)
-                key, scale = _integral_reduction(p, r, a, b)
+                dx, dy = va - 2 * r, vb - r
+                closed, _case = _table_norm(p, dx, dy, 2 * r)
+                key, scale = _ring_reduction(p, r, af, bf, dx, dy)
                 if key not in ring_sums:
                     try:
-                        ring_sums[key] = ring_sum_numeric(p, *key, term_cap)
+                        ring_sums[key] = ring_sum_numeric(p, key[0], *key, term_cap)  # k = l
                     except CapError:
                         skipped += 1
                         continue
@@ -131,7 +136,7 @@ def sweep_thresholds(p: int = 3, tol: float = 1e-9, term_cap: int = DEFAULT_TERM
                 max_dev = max(max_dev, dev)
                 if dev > tol:
                     failures += 1
-                simplified, _sc, certified = simplified_norm(p, r, a, b)
+                simplified, _sc, certified = _simplified(p, r, va, vb)
                 if certified != (r > t):
                     failures += 1
                 if certified and simplified.normsq != closed.normsq:

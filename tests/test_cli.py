@@ -103,6 +103,30 @@ def test_mub_finite_pass_and_reject(capsys):
     assert code == 2
 
 
+def test_mub_finite_over_its_caps_is_exit_2(capsys):
+    code, out, err = run(capsys, "mub-finite", "-p", "19", "-r", "2")
+    assert (code, out, err) == (2, "", "error: dimension 361 exceeds cap 343\n")
+    code, out, err = run(capsys, "mub-finite", "-p", "7", "-r", "4")
+    assert (code, out, err) == (2, "", "error: field size 2401 exceeds cap 625\n")
+
+
+def test_mub_finite_builds_no_basis_matrix(capsys, monkeypatch):
+    import padic_mub.mub_finite as mub_finite
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the CLI built or verified basis matrices")
+
+    for name in ("build_mub_set", "verify_mub", "_phase_matrix"):
+        monkeypatch.setattr(mub_finite, name, refused)
+    code, out, _ = run(capsys, "mub-finite", "-p", "3", "-r", "2")
+    assert code == 0 and out.startswith("10 bases in C^9") and out.endswith("PASS\n")
+    code, out, _ = run(capsys, "mub-finite", "-p", "3", "-r", "2", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["passed"] is True and len(payload["pairs"]) == 45
+    code, out, _ = run(capsys, "mub-finite", "-p", "3", "-r", "2", "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 1 + 45
+
+
 def test_mub_padic_table_and_raise(capsys):
     code, out, _ = run(capsys, "mub-padic", "-p", "3", "-r", "1")
     assert code == 0
@@ -122,6 +146,19 @@ def test_fourier_ball_and_eigen(capsys):
     code, out, _ = run(capsys, "eigen-check", "-p", "3", "-a", "1", "-b", "0",
                        "-c", "1/3")
     assert code == 0 and "8/3^2" in out
+
+
+@pytest.mark.parametrize("z", [
+    "1 *3^-3",  # 3^-3 known modulo 3^-2
+    "0 0 *3^-3",  # 0 known modulo 3^-1
+])
+def test_fourier_ball_refuses_z_known_below_the_ball(capsys, z):
+    # the ball z + 3Z_3 needs z modulo 3^1
+    code, out, err = run(capsys, "fourier-ball", "-p", "3", "-r", "1", "-z", z)
+    assert code == 2 and out == ""
+    assert err.startswith("error: coefficient known only modulo 3^") and err.endswith("need 3^1\n")
+    code, out, _ = run(capsys, "fourier-ball", "-p", "3", "-r", "1", "-z", z.replace("*", "0 0 0 *"))
+    assert code == 0 and out.endswith("PASS\n")
 
 
 def test_sweep_operators_and_unknown_suite(capsys):

@@ -679,17 +679,31 @@ def _old_reduction_exponents(r, va, vb):
     return l, max(k_bounds + [l])
 
 
+def _old_shifted_reduction_exponents(dx, dy):
+    """Oracle: the former (l, k) body, k the bound for constancy on cosets of p^k."""
+    l = max(1, -dx, -dy)
+    return l, l if dx == INF else max(l, -(dx // 2))
+
+
 def test_reduction_exponents_read_the_shifted_valuations():
     vals = [*range(-8, 9), INF]
     cases = 0
     for r in range(-6, 9):
         for va in vals:
             for vb in vals:
-                got = _reduction_exponents(va - 2 * r, vb - r)
-                assert got == _old_reduction_exponents(r, va, vb), (r, va, vb)
-                assert all(type(e) is int for e in got)
+                dx, dy = va - 2 * r, vb - r
+                got = _reduction_exponents(dx, dy)
+                assert type(got) is int
+                # the k bound never binds: every reduction is one period, k = l
+                assert (got, got) == _old_reduction_exponents(r, va, vb), (r, va, vb)
+                assert (got, got) == _old_shifted_reduction_exponents(dx, dy), (r, va, vb)
                 cases += 1
     assert cases == 4860
+    for dx in [*range(-60, 61), INF]:
+        for dy in [*range(-60, 61), INF]:
+            if dx != INF or dy != INF:
+                l, k = _old_shifted_reduction_exponents(dx, dy)
+                assert k == l == _reduction_exponents(dx, dy), (dx, dy)
 
 
 def test_closed_forms_refuse_p2_from_the_table():
@@ -821,9 +835,9 @@ def _old_sweep_thresholds(p=3, tol=1e-9, term_cap=DEFAULT_TERM_CAP):
 
 
 def _old_integral_numeric(p, r, a, b, term_cap=DEFAULT_TERM_CAP):
-    """Oracle: the former integral_numeric body, reduction inlined."""
+    """Oracle: the former integral_numeric body, reduction inlined with its k."""
     af, bf, dx, dy = _shifted_valuations(p, r, a, b)
-    l, k = _reduction_exponents(dx, dy)
+    l, k = _old_shifted_reduction_exponents(dx, dy)
     mod = p**l
     a_int = rational_mod(af * Fraction(p) ** (l - 2 * r), mod)
     b_int = rational_mod(bf * Fraction(p) ** (l - r), mod)
@@ -847,10 +861,24 @@ def test_threshold_sweep_sums_each_reduction_once(monkeypatch, term_cap):
     monkeypatch.setattr(sweeps, "ring_sum_numeric", counted)
     got = sweep_thresholds(term_cap=term_cap)
     assert got == want
-    assert sorted(calls) == sorted((3, *key) for key in kept)
+    assert sorted(calls) == sorted((3, key[0], *key) for key in kept)  # one period, k = l
     if term_cap == DEFAULT_TERM_CAP:
         assert (got["checks"], got["skipped_over_cap"]) == (1542, 20)
         assert (len(keys), len(kept)) == (299, 283)  # of 1562 checks
+
+
+def test_threshold_sweep_reads_each_valuation_once_per_pair(monkeypatch):
+    reads = []
+
+    def counted(x, p):
+        reads.append(x)
+        return frac_valuation(x, p)
+
+    monkeypatch.setattr(gauss, "frac_valuation", counted)
+    got = sweep_thresholds()
+    coeffs = threshold_grid_coefficients(3)
+    assert len(reads) == 2 * len(coeffs) ** 2  # v(a) and v(b), once per (a, b)
+    assert (got["checks"], got["failures"], got["skipped_over_cap"]) == (1542, 0, 20)
 
 
 def test_integral_numeric_is_the_scaled_ring_sum_bit_for_bit():
@@ -860,6 +888,6 @@ def test_integral_numeric_is_the_scaled_ring_sum_bit_for_bit():
         if 3 ** key[0] > DEFAULT_TERM_CAP:
             continue
         got = integral_numeric(3, r, a, b)
-        assert got == scale * ring_sum_numeric(3, *key) == _old_integral_numeric(3, r, a, b)
+        assert got == scale * ring_sum_numeric(3, key[0], *key) == _old_integral_numeric(3, r, a, b)
         compared += 1
     assert compared == 1542

@@ -1,13 +1,22 @@
 """Construction and verification of the p^r + 1 bases of C^(p^r)."""
 
 import json
+from itertools import islice
 
 import numpy as np
 import pytest
 
-from padic_mub import build_field, build_mub_set, field_sum_numeric, mub_finite, verify_mub
+from padic_mub import (
+    build_field,
+    build_mub_set,
+    field_report,
+    field_sum_numeric,
+    mub_finite,
+    verify_mub,
+)
 from padic_mub.errors import CapError
-from padic_mub.finite_field import FieldCtx
+from padic_mub.finite_field import FieldCtx, irreducible_polynomials
+from padic_mub.padic import is_prime
 from padic_mub.gauss import roots_of_unity
 from padic_mub.mub_finite import DEFAULT_DIM_CAP, BasisMatrix, MubReport, PairStat
 
@@ -15,6 +24,7 @@ ORACLE_FIELDS = [
     (3, 1, None), (5, 1, None), (7, 1, None), (3, 2, None), (3, 2, (2, 1, 1)),
     (5, 2, None), (3, 3, None),
 ]
+EPS = np.finfo(float).eps
 
 
 def verify_all_pairs(bases, tol=1e-10, ortho_tol=1e-12):
@@ -449,3 +459,87 @@ def test_int64_guard_refuses_before_building(monkeypatch):
         build_mub_set(build_field(2097169, 1, size_cap=10**7), dim_cap=10**7)
     with pytest.raises(AssertionError, match="was built"):
         build_mub_set(build_field(2097143, 1, size_cap=10**7), dim_cap=10**7)
+
+
+def _odd_fields(max_q):
+    """Every odd (p, r) with p^r <= max_q, under its default and its second modulus."""
+    for p in range(3, max_q + 1, 2):
+        if not is_prime(p):
+            continue
+        for r in range(1, max_q.bit_length()):
+            if p**r <= max_q:
+                for modulus in islice(irreducible_polynomials(p, r), 2):
+                    yield pytest.param(p, r, modulus, id=f"{p}^{r}-{''.join(map(str, modulus))}")
+
+
+def _pair_floats(report):
+    return np.array([(s.min_mod, s.max_mod, s.max_dev) for s in report.pairs])
+
+
+@pytest.mark.parametrize("p,r,modulus", list(_odd_fields(125)))
+def test_field_report_agrees_with_verify_mub(p, r, modulus):
+    field = build_field(p, r, modulus=modulus)
+    got, want = field_report(field), verify_mub(build_mub_set(field))
+    assert got.passed is want.passed is True
+    assert (got.dim, got.target, got.tol, got.ortho_tol) == (
+        want.dim, want.target, want.tol, want.ortho_tol)
+    assert [(s.i, s.j, s.labels) for s in got.pairs] == [(s.i, s.j, s.labels) for s in want.pairs]
+    assert np.abs(_pair_floats(got) - _pair_floats(want)).max() <= 8 * EPS
+    assert abs(got.max_deviation - want.max_deviation) <= 8 * EPS
+    assert abs(got.ortho_deviation - want.ortho_deviation) <= 8 * EPS
+
+
+@pytest.mark.parametrize("p,r", [(3, 2), (5, 3), (7, 3)])
+def test_field_report_without_pairs_keeps_the_summary(p, r):
+    field = build_field(p, r)
+    full, summary = field_report(field), field_report(field, pairs=False)
+    assert summary.pairs == [] and len(full.pairs) == (p**r + 1) * p**r // 2
+    assert vars(summary) == {**vars(full), "pairs": []}
+
+
+def test_field_report_computational_pairs_are_the_root_moduli():
+    field = build_field(3, 3)
+    rep = field_report(field)
+    bases = build_mub_set(field)
+    eye = np.eye(field.size)
+    for s in rep.pairs:
+        if s.labels[1] == "inf":
+            mods = mub_finite._pair_moduli(bases[s.i].matrix, eye, False, True)
+            assert (s.min_mod, s.max_mod) == (mods.min(), mods.max())
+            assert s.max_dev == np.abs(mods - rep.target).max()
+
+
+@pytest.mark.parametrize("p,r", [(3, 2), (3, 3), (7, 2)])
+def test_trace_tables_are_additive(p, r):
+    """The reduction of every pair to one row of Gauss sums rests on this alone."""
+    q = p**r
+    digits = np.arange(q)[:, None] // p ** np.arange(r) % p
+    minus = (digits[None] - digits[:, None]) % p @ p ** np.arange(r)  # label of a_j - a_i
+    for table in mub_finite._trace_tables(build_field(p, r)):
+        assert table.dtype == np.int64 and table.min() >= 0 and table.max() < p
+        # table[x, a_j - a_i] = table[x, a_j] - table[x, a_i] mod p
+        assert np.array_equal(table[:, minus], (table[:, None, :] - table[:, :, None]) % p)
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["tr_ax2", "tr_bx"])
+def test_a_wrong_trace_entry_fails_the_field_report(monkeypatch, which):
+    field = build_field(3, 2)
+    real = mub_finite._trace_tables
+    assert field_report(field).passed
+    for entry in np.ndindex(field.size, field.size):
+        def corrupted(*args):
+            tables = [t.copy() for t in real(*args)]
+            tables[which][entry] = (tables[which][entry] + 1) % field.p
+            return tuple(tables)
+
+        monkeypatch.setattr(mub_finite, "_trace_tables", corrupted)
+        assert not field_report(field, pairs=False).passed, entry
+
+
+def test_field_report_refuses_past_the_dimension_cap_before_building(monkeypatch):
+    def built(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(mub_finite, "_structure_tensor", built)
+    with pytest.raises(CapError, match="dimension 361 exceeds cap 343"):
+        field_report(build_field(19, 2))
