@@ -128,12 +128,12 @@ def cmd_mub_finite(args):
     if args.p == 2:
         raise OddPrimeError("certifying unbiasedness of the quadratic-phase bases")
     field = build_field(args.p, args.r)
+    bases = mub_finite.field_mub_set(field)
     # the per-pair rows are built only for the formats that print them
-    report = mub_finite.field_report(field, tol=args.tol, ortho_tol=args.ortho_tol,
-                                     pairs=args.format != "table")
-    bases = field.size + 1
+    report = mub_finite.verify_mub(bases, tol=args.tol, ortho_tol=args.ortho_tol,
+                                   pairs=args.format != "table")
     table = (
-        f"{bases} bases in C^{field.size} (modulus {field.modulus})\n"
+        f"{len(bases)} bases in C^{field.size} (modulus {field.modulus})\n"
         f"target modulus {_fmt(report.target)}  max deviation {_fmt(report.max_deviation)}\n"
         f"orthonormality deviation {_fmt(report.ortho_deviation)}\n"
         f"{'PASS' if report.passed else 'FAIL'}\n"
@@ -142,7 +142,7 @@ def cmd_mub_finite(args):
         d = {"passed": report.passed}
     else:
         d = report.to_json_dict()
-        d["bases"] = bases
+        d["bases"] = len(bases)
     csv_text = None
     if args.format == "csv":
         csv_lines = ["i,j,label_i,label_j,min_mod,max_mod,max_dev"]

@@ -13,8 +13,10 @@ F[x, beta] = zeta_p^trace(beta*x) / sqrt(q), holds every number the report
 reads: row a_j - a_i for a pair of quadratic bases, row 0 for the
 orthonormality of each V_a, and the moduli of the p scaled roots for a pair
 with the computational basis.  `field_report` reads the report of a field's
-set off that table, one complex product in all; `verify_mub` checks any list
-of basis matrices pair by pair and is its oracle.
+set off that table, one complex product in all.  `verify_mub` takes either
+that set named but not built (`field_mub_set`), which it hands to
+`field_report`, or any list of basis matrices, which it checks pair by pair;
+the matrix path is the oracle of the table.
 """
 
 from __future__ import annotations
@@ -62,17 +64,23 @@ def _phase_matrix(phases: np.ndarray, p: int) -> np.ndarray:
     return np.concatenate((roots, roots)).take(phases)
 
 
+def _check_caps(ctx: FieldCtx, dim_cap: int) -> None:
+    """Raise CapError for a field whose set `_trace_tables` may not build."""
+    p, r, q = ctx.p, ctx.r, ctx.size
+    if q > dim_cap:
+        raise CapError(f"dimension {q} exceeds cap {dim_cap}")
+    # the widest int64 sum of the tables is the squares': r^2 products of three residues
+    if r * r * (p - 1) ** 3 > INT64_MAX:
+        raise CapError(f"F_{p}^{r} products of three residues overflow int64")
+
+
 def _trace_tables(
     ctx: FieldCtx, dim_cap: int = DEFAULT_DIM_CAP
 ) -> tuple[np.ndarray, np.ndarray]:
     """The int64 tables (trace(a*x^2), trace(b*x)) of the field's elements, in
     label order; every entry is a residue in [0, p)."""
+    _check_caps(ctx, dim_cap)
     p, r, q = ctx.p, ctx.r, ctx.size
-    if q > dim_cap:
-        raise CapError(f"dimension {q} exceeds cap {dim_cap}")
-    # the widest int64 sum below is the squares': r^2 products of three residues
-    if r * r * (p - 1) ** 3 > INT64_MAX:
-        raise CapError(f"F_{p}^{r} products of three residues overflow int64")
     mult = _structure_tensor(ctx)
     # trace(x^k) is the trace of multiplication by x^k; gram[s, t] = trace(x^s * x^t)
     gram = np.einsum("stk,k->st", mult, np.einsum("ktt->k", mult) % p) % p
@@ -97,6 +105,26 @@ def build_mub_set(fieldctx: FieldCtx, dim_cap: int = DEFAULT_DIM_CAP) -> list[Ba
     ]
     bases.append(BasisMatrix(label="inf", a=None, matrix=np.eye(q, dtype=complex)))
     return bases
+
+
+@dataclass(frozen=True)
+class FieldMubSet:
+    """The bases of `build_mub_set(ctx, dim_cap)`, named but not built: V_a
+    for each a in label order, then the computational basis."""
+
+    ctx: FieldCtx
+    dim_cap: int = DEFAULT_DIM_CAP
+
+    def __len__(self) -> int:
+        return self.ctx.size + 1
+
+
+def field_mub_set(fieldctx: FieldCtx, dim_cap: int = DEFAULT_DIM_CAP) -> FieldMubSet:
+    """The set `build_mub_set` builds, without its matrices; `verify_mub`
+    reads its report off one table of Gauss sums.  Refuses the fields that
+    `build_mub_set` refuses, before any table is built."""
+    _check_caps(fieldctx, dim_cap)
+    return FieldMubSet(fieldctx, dim_cap)
 
 
 @dataclass
@@ -186,12 +214,18 @@ def _difference_keys(bases: list[BasisMatrix]) -> tuple[int, np.ndarray]:
 
 
 def verify_mub(
-    bases: list[BasisMatrix], tol: float = 1e-10, ortho_tol: float = 1e-12
+    bases: list[BasisMatrix] | FieldMubSet,
+    tol: float = 1e-10,
+    ortho_tol: float = 1e-12,
+    pairs: bool = True,
 ) -> MubReport:
     """Check every unordered pair of bases for unbiasedness at modulus d^(-1/2).
 
     Also checks each basis for orthonormality (Gram = identity).  Pairs are
-    scanned in index order, so reports are deterministic.
+    scanned in index order, so reports are deterministic.  A `FieldMubSet`
+    is checked by `field_report`, from one table of Gauss sums and with no
+    basis matrix; the rest of this docstring is about a list of matrices.
+    `pairs=False` leaves out the per-pair rows and keeps the summary.
 
     A pair with a basis whose matrix equals the identity bit for bit takes
     its moduli entry by entry from the other basis (`_pair_moduli`), with no
@@ -204,6 +238,8 @@ def verify_mub(
     p^r + 1 bases of F_q that is q - 1 pair products plus q entrywise moduli,
     instead of q(q + 1)/2 products.
     """
+    if isinstance(bases, FieldMubSet):
+        return field_report(bases.ctx, tol, ortho_tol, pairs, bases.dim_cap)
     dims = {b.matrix.shape for b in bases}
     if len(dims) != 1:
         raise ValueError(f"bases of mixed dimensions: {sorted(dims)}")
@@ -237,11 +273,12 @@ def verify_mub(
                 if key is not None:
                     seen[key] = stats[row]
             row += 1
-    labels = [b.label for b in bases]
-    report.pairs = [
-        PairStat(i, j, (labels[i], labels[j]), *s)
-        for (i, j), s in zip(combinations(range(n), 2), stats.tolist())
-    ]
+    if pairs:
+        labels = [b.label for b in bases]
+        report.pairs = [
+            PairStat(i, j, (labels[i], labels[j]), *s)
+            for (i, j), s in zip(combinations(range(n), 2), stats.tolist())
+        ]
     report.max_deviation = float(np.max(stats[:, 2], initial=0.0))
     report.passed = (
         report.max_deviation <= tol and report.ortho_deviation <= ortho_tol
@@ -255,7 +292,11 @@ def _row_stats(mods: np.ndarray, target: float) -> np.ndarray:
 
 
 def field_report(
-    fieldctx: FieldCtx, tol: float = 1e-10, ortho_tol: float = 1e-12, pairs: bool = True
+    fieldctx: FieldCtx,
+    tol: float = 1e-10,
+    ortho_tol: float = 1e-12,
+    pairs: bool = True,
+    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> MubReport:
     """The report of `verify_mub(build_mub_set(fieldctx))`, from one table of
     Gauss sums and with no basis matrix.
@@ -270,7 +311,7 @@ def field_report(
     floats differ from verify_mub's only in rounding.  `pairs=False` leaves
     out the per-pair rows, which only the pair-by-pair formats print.
     """
-    tr_ax2, tr_bx = _trace_tables(fieldctx)
+    tr_ax2, tr_bx = _trace_tables(fieldctx, dim_cap)
     p, r, q = fieldctx.p, fieldctx.r, fieldctx.size
     roots = (1.0 / np.sqrt(q)) * roots_of_unity(p)
     table = roots.take(tr_ax2.T) @ roots.take(tr_bx)

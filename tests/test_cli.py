@@ -116,8 +116,16 @@ def test_mub_finite_builds_no_basis_matrix(capsys, monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("the CLI built or verified basis matrices")
 
-    for name in ("build_mub_set", "verify_mub", "_phase_matrix"):
+    for name in ("build_mub_set", "_phase_matrix", "_difference_keys", "_pair_moduli"):
         monkeypatch.setattr(mub_finite, name, refused)
+    verified = []
+    real_verify = mub_finite.verify_mub
+
+    def verify(bases, **kwargs):
+        verified.append(bases)
+        return real_verify(bases, **kwargs)
+
+    monkeypatch.setattr(mub_finite, "verify_mub", verify)
     code, out, _ = run(capsys, "mub-finite", "-p", "3", "-r", "2")
     assert code == 0 and out.startswith("10 bases in C^9") and out.endswith("PASS\n")
     code, out, _ = run(capsys, "mub-finite", "-p", "3", "-r", "2", "--format", "json")
@@ -125,6 +133,7 @@ def test_mub_finite_builds_no_basis_matrix(capsys, monkeypatch):
     assert code == 0 and payload["passed"] is True and len(payload["pairs"]) == 45
     code, out, _ = run(capsys, "mub-finite", "-p", "3", "-r", "2", "--format", "csv")
     assert code == 0 and len(out.splitlines()) == 1 + 45
+    assert verified == [mub_finite.FieldMubSet(build_field(3, 2))] * 3
 
 
 def test_mub_padic_table_and_raise(capsys):

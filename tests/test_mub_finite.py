@@ -9,6 +9,7 @@ import pytest
 from padic_mub import (
     build_field,
     build_mub_set,
+    field_mub_set,
     field_report,
     field_sum_numeric,
     mub_finite,
@@ -543,3 +544,37 @@ def test_field_report_refuses_past_the_dimension_cap_before_building(monkeypatch
     monkeypatch.setattr(mub_finite, "_structure_tensor", built)
     with pytest.raises(CapError, match="dimension 361 exceeds cap 343"):
         field_report(build_field(19, 2))
+
+
+@pytest.mark.parametrize("p,r", [(3, 1), (3, 2), (5, 2), (3, 3)])
+def test_verify_mub_reads_a_field_set_off_the_table(p, r):
+    field = build_field(p, r)
+    bases = field_mub_set(field)
+    assert len(bases) == len(build_mub_set(field)) == p**r + 1
+    for pairs in (True, False):
+        got = verify_mub(bases, tol=1e-9, ortho_tol=1e-11, pairs=pairs)
+        want = field_report(field, tol=1e-9, ortho_tol=1e-11, pairs=pairs)
+        assert vars(got) == vars(want)
+
+
+def test_verify_mub_without_pairs_keeps_the_matrix_summary():
+    bases = build_mub_set(build_field(3, 2))
+    full, summary = verify_mub(bases), verify_mub(bases, pairs=False)
+    assert summary.pairs == [] and len(full.pairs) == 45
+    assert vars(summary) == {**vars(full), "pairs": []}
+
+
+def test_field_mub_set_refuses_past_its_cap_before_building(monkeypatch):
+    def built(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(mub_finite, "_structure_tensor", built)
+    with pytest.raises(CapError, match="dimension 361 exceeds cap 343"):
+        field_mub_set(build_field(19, 2))
+    with pytest.raises(CapError, match="dimension 9 exceeds cap 8"):
+        field_mub_set(build_field(3, 2), dim_cap=8)
+    monkeypatch.undo()
+    # the set's own cap, not the default, bounds its report
+    bases = field_mub_set(build_field(3, 2), dim_cap=9)
+    monkeypatch.setattr(mub_finite, "_check_caps", lambda ctx, cap: cap == 9 or built())
+    assert verify_mub(bases).passed
