@@ -128,7 +128,7 @@ def cmd_mub_finite(args):
     if args.p == 2:
         raise OddPrimeError("certifying unbiasedness of the quadratic-phase bases")
     field = build_field(args.p, args.r)
-    bases = mub_finite.field_mub_set(field)
+    bases = mub_finite.FieldMubSet.from_field(field)
     # the per-pair rows are built only for the formats that print them
     report = mub_finite.verify_mub(bases, tol=args.tol, ortho_tol=args.ortho_tol,
                                    pairs=args.format != "table")

@@ -442,6 +442,17 @@ def _simplified(p: int, r: int, va: int | float, vb: int | float) -> tuple[Exact
     return (*_table_norm(p, va - 2 * big_r, vb - big_r, 2 * big_r), r > t)
 
 
+def _ball_checks(
+    p: int, r: int, af: Fraction, bf: Fraction, va: int | float, vb: int | float
+) -> tuple[tuple, tuple, tuple]:
+    """(integral_norm_closed, _integral_reduction, simplified_norm) at r, from
+    a, b as rationals and their valuations v(a), v(b), which a caller that
+    tries many r reads once."""
+    dx, dy = va - 2 * r, vb - r
+    return (_table_norm(p, dx, dy, 2 * r), _ring_reduction(p, r, af, bf, dx, dy),
+            _simplified(p, r, va, vb))
+
+
 # ---------------------------------------------------------------------------
 # comparison reports
 # ---------------------------------------------------------------------------

@@ -12,11 +12,10 @@ S = Z F, Z[alpha, x] = zeta_p^trace(alpha*x^2) / sqrt(q) and
 F[x, beta] = zeta_p^trace(beta*x) / sqrt(q), holds every number the report
 reads: row a_j - a_i for a pair of quadratic bases, row 0 for the
 orthonormality of each V_a, and the moduli of the p scaled roots for a pair
-with the computational basis.  `field_report` reads the report of a field's
-set off that table, one complex product in all.  `verify_mub` takes either
-that set named but not built (`field_mub_set`), which it hands to
-`field_report`, or any list of basis matrices, which it checks pair by pair;
-the matrix path is the oracle of the table.
+with the computational basis.  `verify_mub` takes either a field's set as
+its two integer trace tables (`FieldMubSet`), whose report it reads off that
+table, one complex product in all, or any list of basis matrices, which it
+checks pair by pair; the matrix path is the oracle of the table.
 """
 
 from __future__ import annotations
@@ -64,23 +63,17 @@ def _phase_matrix(phases: np.ndarray, p: int) -> np.ndarray:
     return np.concatenate((roots, roots)).take(phases)
 
 
-def _check_caps(ctx: FieldCtx, dim_cap: int) -> None:
-    """Raise CapError for a field whose set `_trace_tables` may not build."""
-    p, r, q = ctx.p, ctx.r, ctx.size
-    if q > dim_cap:
-        raise CapError(f"dimension {q} exceeds cap {dim_cap}")
-    # the widest int64 sum of the tables is the squares': r^2 products of three residues
-    if r * r * (p - 1) ** 3 > INT64_MAX:
-        raise CapError(f"F_{p}^{r} products of three residues overflow int64")
-
-
 def _trace_tables(
     ctx: FieldCtx, dim_cap: int = DEFAULT_DIM_CAP
 ) -> tuple[np.ndarray, np.ndarray]:
     """The int64 tables (trace(a*x^2), trace(b*x)) of the field's elements, in
     label order; every entry is a residue in [0, p)."""
-    _check_caps(ctx, dim_cap)
     p, r, q = ctx.p, ctx.r, ctx.size
+    if q > dim_cap:
+        raise CapError(f"dimension {q} exceeds cap {dim_cap}")
+    # the widest int64 sum below is the squares': r^2 products of three residues
+    if r * r * (p - 1) ** 3 > INT64_MAX:
+        raise CapError(f"F_{p}^{r} products of three residues overflow int64")
     mult = _structure_tensor(ctx)
     # trace(x^k) is the trace of multiplication by x^k; gram[s, t] = trace(x^s * x^t)
     gram = np.einsum("stk,k->st", mult, np.einsum("ktt->k", mult) % p) % p
@@ -105,26 +98,6 @@ def build_mub_set(fieldctx: FieldCtx, dim_cap: int = DEFAULT_DIM_CAP) -> list[Ba
     ]
     bases.append(BasisMatrix(label="inf", a=None, matrix=np.eye(q, dtype=complex)))
     return bases
-
-
-@dataclass(frozen=True)
-class FieldMubSet:
-    """The bases of `build_mub_set(ctx, dim_cap)`, named but not built: V_a
-    for each a in label order, then the computational basis."""
-
-    ctx: FieldCtx
-    dim_cap: int = DEFAULT_DIM_CAP
-
-    def __len__(self) -> int:
-        return self.ctx.size + 1
-
-
-def field_mub_set(fieldctx: FieldCtx, dim_cap: int = DEFAULT_DIM_CAP) -> FieldMubSet:
-    """The set `build_mub_set` builds, without its matrices; `verify_mub`
-    reads its report off one table of Gauss sums.  Refuses the fields that
-    `build_mub_set` refuses, before any table is built."""
-    _check_caps(fieldctx, dim_cap)
-    return FieldMubSet(fieldctx, dim_cap)
 
 
 @dataclass
@@ -223,8 +196,8 @@ def verify_mub(
 
     Also checks each basis for orthonormality (Gram = identity).  Pairs are
     scanned in index order, so reports are deterministic.  A `FieldMubSet`
-    is checked by `field_report`, from one table of Gauss sums and with no
-    basis matrix; the rest of this docstring is about a list of matrices.
+    is checked from one table of Gauss sums, with no basis matrix
+    (`_field_report`); the rest of this docstring is about a list of matrices.
     `pairs=False` leaves out the per-pair rows and keeps the summary.
 
     A pair with a basis whose matrix equals the identity bit for bit takes
@@ -239,7 +212,7 @@ def verify_mub(
     instead of q(q + 1)/2 products.
     """
     if isinstance(bases, FieldMubSet):
-        return field_report(bases.ctx, tol, ortho_tol, pairs, bases.dim_cap)
+        return _field_report(bases, tol, ortho_tol, pairs)
     dims = {b.matrix.shape for b in bases}
     if len(dims) != 1:
         raise ValueError(f"bases of mixed dimensions: {sorted(dims)}")
@@ -291,15 +264,29 @@ def _row_stats(mods: np.ndarray, target: float) -> np.ndarray:
     return np.column_stack((mods.min(1), mods.max(1), np.abs(mods - target).max(1)))
 
 
-def field_report(
-    fieldctx: FieldCtx,
-    tol: float = 1e-10,
-    ortho_tol: float = 1e-12,
-    pairs: bool = True,
-    dim_cap: int = DEFAULT_DIM_CAP,
-) -> MubReport:
-    """The report of `verify_mub(build_mub_set(fieldctx))`, from one table of
-    Gauss sums and with no basis matrix.
+@dataclass(frozen=True, eq=False)
+class FieldMubSet:
+    """The bases of `build_mub_set(ctx)` as the field's two trace tables, with
+    no basis matrix: V_a for each a in label order, then the computational
+    basis.  `verify_mub` reads its report off one table of Gauss sums."""
+
+    ctx: FieldCtx
+    tr_ax2: np.ndarray  # trace(a*x^2) at [x, a]
+    tr_bx: np.ndarray  # trace(b*x) at [x, b]
+
+    @classmethod
+    def from_field(cls, ctx: FieldCtx) -> FieldMubSet:
+        """The set of the field; refuses the fields `build_mub_set` refuses
+        at its default cap, before any table is built."""
+        return cls(ctx, *_trace_tables(ctx))
+
+    def __len__(self) -> int:
+        return self.ctx.size + 1
+
+
+def _field_report(bases: FieldMubSet, tol: float, ortho_tol: float, pairs: bool) -> MubReport:
+    """`verify_mub` of a `FieldMubSet`: the report of the matrices of
+    `build_mub_set`, from one table of Gauss sums.
 
     Row alpha of S = Z F is G(alpha, .) / q (see the module docstring), each
     factor gathered from the p scaled roots by the exact trace tables.  Since
@@ -308,13 +295,12 @@ def field_report(
     labels; a pair with the computational basis has the moduli of the p
     scaled roots, bit for bit those of the basis entries; and V_a* V_a - I is
     row 0 minus a unit vector, while the identity basis contributes 0.  The
-    floats differ from verify_mub's only in rounding.  `pairs=False` leaves
-    out the per-pair rows, which only the pair-by-pair formats print.
+    floats differ from the matrix path's only in rounding.
     """
-    tr_ax2, tr_bx = _trace_tables(fieldctx, dim_cap)
-    p, r, q = fieldctx.p, fieldctx.r, fieldctx.size
+    ctx = bases.ctx
+    p, r, q = ctx.p, ctx.r, ctx.size
     roots = (1.0 / np.sqrt(q)) * roots_of_unity(p)
-    table = roots.take(tr_ax2.T) @ roots.take(tr_bx)
+    table = roots.take(bases.tr_ax2.T) @ roots.take(bases.tr_bx)
     report = MubReport(dim=q, target=q**-0.5, tol=tol, ortho_tol=ortho_tol)
     report.ortho_deviation = float(np.abs(table[0] - np.eye(1, q)).max())  # |S[0, b] - delta_b|
     mods = np.abs(table)
@@ -329,7 +315,7 @@ def field_report(
         rows_of[:q, :q] = (digits[None] - digits[:, None]) % p @ p ** np.arange(r)
         first, second = np.triu_indices(q + 1, 1)  # the order of combinations(range(q + 1), 2)
         stats = rows[rows_of[first, second]].tolist()
-        labels = [f"a={a}" for a in fieldctx.elements()] + ["inf"]
+        labels = [f"a={a}" for a in ctx.elements()] + ["inf"]
         report.pairs = [
             PairStat(i, j, (labels[i], labels[j]), *s)
             for i, j, s in zip(first.tolist(), second.tolist(), stats)

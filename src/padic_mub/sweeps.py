@@ -16,10 +16,8 @@ from .errors import CapError
 from .gauss import (
     DEFAULT_TERM_CAP,
     NEG_INF,
-    _ring_reduction,
+    _ball_checks,
     _shifted_valuations,
-    _simplified,
-    _table_norm,
     _threshold,
     ring_sum_norm_closed_table,
     ring_sum_normsq_table,
@@ -106,8 +104,7 @@ def sweep_thresholds(p: int = 3, tol: float = 1e-9, term_cap: int = DEFAULT_TERM
     of a ring sum; many (r, a, b) reduce to the same ring sum (l, A, B), so
     each ring sum is taken once per call.  One over the term cap is skipped
     on every check that reduces to it.  The valuations v(a), v(b) are read
-    once per pair; the closed norm, the reduction and the simplified table
-    of each r read them shifted.
+    once per pair, and `_ball_checks` shifts them for each r.
     """
     checks = failures = skipped = 0
     ring_sums: dict[tuple[int, int, int], complex] = {}
@@ -121,9 +118,7 @@ def sweep_thresholds(p: int = 3, tol: float = 1e-9, term_cap: int = DEFAULT_TERM
             if t != NEG_INF:
                 r_values |= {int(t) + 1, int(t) + 2, int(t) + 3}
             for r in sorted(r_values):
-                dx, dy = va - 2 * r, vb - r
-                closed, _case = _table_norm(p, dx, dy, 2 * r)
-                key, scale = _ring_reduction(p, r, af, bf, dx, dy)
+                (closed, _case), (key, scale), simplified = _ball_checks(p, r, af, bf, va, vb)
                 if key not in ring_sums:
                     try:
                         ring_sums[key] = ring_sum_numeric(p, key[0], *key, term_cap)  # k = l
@@ -136,7 +131,7 @@ def sweep_thresholds(p: int = 3, tol: float = 1e-9, term_cap: int = DEFAULT_TERM
                 max_dev = max(max_dev, dev)
                 if dev > tol:
                     failures += 1
-                simplified, _sc, certified = _simplified(p, r, va, vb)
+                simplified, _sc, certified = simplified
                 if certified != (r > t):
                     failures += 1
                 if certified and simplified.normsq != closed.normsq:

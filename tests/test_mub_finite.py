@@ -9,8 +9,6 @@ import pytest
 from padic_mub import (
     build_field,
     build_mub_set,
-    field_mub_set,
-    field_report,
     field_sum_numeric,
     mub_finite,
     verify_mub,
@@ -19,7 +17,7 @@ from padic_mub.errors import CapError
 from padic_mub.finite_field import FieldCtx, irreducible_polynomials
 from padic_mub.padic import is_prime
 from padic_mub.gauss import roots_of_unity
-from padic_mub.mub_finite import DEFAULT_DIM_CAP, BasisMatrix, MubReport, PairStat
+from padic_mub.mub_finite import DEFAULT_DIM_CAP, BasisMatrix, FieldMubSet, MubReport, PairStat
 
 ORACLE_FIELDS = [
     (3, 1, None), (5, 1, None), (7, 1, None), (3, 2, None), (3, 2, (2, 1, 1)),
@@ -478,9 +476,9 @@ def _pair_floats(report):
 
 
 @pytest.mark.parametrize("p,r,modulus", list(_odd_fields(125)))
-def test_field_report_agrees_with_verify_mub(p, r, modulus):
+def test_field_set_report_agrees_with_the_matrix_path(p, r, modulus):
     field = build_field(p, r, modulus=modulus)
-    got, want = field_report(field), verify_mub(build_mub_set(field))
+    got, want = verify_mub(FieldMubSet.from_field(field)), verify_mub(build_mub_set(field))
     assert got.passed is want.passed is True
     assert (got.dim, got.target, got.tol, got.ortho_tol) == (
         want.dim, want.target, want.tol, want.ortho_tol)
@@ -490,17 +488,20 @@ def test_field_report_agrees_with_verify_mub(p, r, modulus):
     assert abs(got.ortho_deviation - want.ortho_deviation) <= 8 * EPS
 
 
-@pytest.mark.parametrize("p,r", [(3, 2), (5, 3), (7, 3)])
-def test_field_report_without_pairs_keeps_the_summary(p, r):
-    field = build_field(p, r)
-    full, summary = field_report(field), field_report(field, pairs=False)
+@pytest.mark.parametrize("p,r", [(3, 1), (3, 2), (5, 3), (7, 3)])
+def test_field_set_report_without_pairs_keeps_the_summary(p, r):
+    bases = FieldMubSet.from_field(build_field(p, r))
+    assert len(bases) == p**r + 1
+    full = verify_mub(bases, tol=1e-9, ortho_tol=1e-11)
+    summary = verify_mub(bases, tol=1e-9, ortho_tol=1e-11, pairs=False)
     assert summary.pairs == [] and len(full.pairs) == (p**r + 1) * p**r // 2
     assert vars(summary) == {**vars(full), "pairs": []}
+    assert (full.tol, full.ortho_tol) == (1e-9, 1e-11)
 
 
-def test_field_report_computational_pairs_are_the_root_moduli():
+def test_field_set_computational_pairs_are_the_root_moduli():
     field = build_field(3, 3)
-    rep = field_report(field)
+    rep = verify_mub(FieldMubSet.from_field(field))
     bases = build_mub_set(field)
     eye = np.eye(field.size)
     for s in rep.pairs:
@@ -523,38 +524,23 @@ def test_trace_tables_are_additive(p, r):
 
 
 @pytest.mark.parametrize("which", [0, 1], ids=["tr_ax2", "tr_bx"])
-def test_a_wrong_trace_entry_fails_the_field_report(monkeypatch, which):
+def test_a_wrong_trace_entry_fails_the_field_set_report(which):
     field = build_field(3, 2)
-    real = mub_finite._trace_tables
-    assert field_report(field).passed
+    tables = mub_finite._trace_tables(field)
+    assert verify_mub(FieldMubSet(field, *tables)).passed
     for entry in np.ndindex(field.size, field.size):
-        def corrupted(*args):
-            tables = [t.copy() for t in real(*args)]
-            tables[which][entry] = (tables[which][entry] + 1) % field.p
-            return tuple(tables)
-
-        monkeypatch.setattr(mub_finite, "_trace_tables", corrupted)
-        assert not field_report(field, pairs=False).passed, entry
+        wrong = [t.copy() for t in tables]
+        wrong[which][entry] = (wrong[which][entry] + 1) % field.p
+        assert not verify_mub(FieldMubSet(field, *wrong), pairs=False).passed, entry
 
 
-def test_field_report_refuses_past_the_dimension_cap_before_building(monkeypatch):
+def test_field_set_refuses_past_the_dimension_cap_before_building(monkeypatch):
     def built(*args):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(mub_finite, "_structure_tensor", built)
     with pytest.raises(CapError, match="dimension 361 exceeds cap 343"):
-        field_report(build_field(19, 2))
-
-
-@pytest.mark.parametrize("p,r", [(3, 1), (3, 2), (5, 2), (3, 3)])
-def test_verify_mub_reads_a_field_set_off_the_table(p, r):
-    field = build_field(p, r)
-    bases = field_mub_set(field)
-    assert len(bases) == len(build_mub_set(field)) == p**r + 1
-    for pairs in (True, False):
-        got = verify_mub(bases, tol=1e-9, ortho_tol=1e-11, pairs=pairs)
-        want = field_report(field, tol=1e-9, ortho_tol=1e-11, pairs=pairs)
-        assert vars(got) == vars(want)
+        FieldMubSet.from_field(build_field(19, 2))
 
 
 def test_verify_mub_without_pairs_keeps_the_matrix_summary():
@@ -562,19 +548,3 @@ def test_verify_mub_without_pairs_keeps_the_matrix_summary():
     full, summary = verify_mub(bases), verify_mub(bases, pairs=False)
     assert summary.pairs == [] and len(full.pairs) == 45
     assert vars(summary) == {**vars(full), "pairs": []}
-
-
-def test_field_mub_set_refuses_past_its_cap_before_building(monkeypatch):
-    def built(*args):
-        raise AssertionError("a table was built")
-
-    monkeypatch.setattr(mub_finite, "_structure_tensor", built)
-    with pytest.raises(CapError, match="dimension 361 exceeds cap 343"):
-        field_mub_set(build_field(19, 2))
-    with pytest.raises(CapError, match="dimension 9 exceeds cap 8"):
-        field_mub_set(build_field(3, 2), dim_cap=8)
-    monkeypatch.undo()
-    # the set's own cap, not the default, bounds its report
-    bases = field_mub_set(build_field(3, 2), dim_cap=9)
-    monkeypatch.setattr(mub_finite, "_check_caps", lambda ctx, cap: cap == 9 or built())
-    assert verify_mub(bases).passed
