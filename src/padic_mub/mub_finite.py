@@ -15,7 +15,8 @@ orthonormality of each V_a, and the moduli of the p scaled roots for a pair
 with the computational basis.  `verify_mub` takes either a field's set as
 its two integer trace tables (`FieldMubSet`), whose report it reads off that
 table, one complex product in all, or any list of basis matrices, which it
-checks pair by pair; the matrix path is the oracle of the table.
+checks with one plain product per pair; the tests hold the table against
+the matrices of `build_mub_set`.
 """
 
 from __future__ import annotations
@@ -127,65 +128,6 @@ class MubReport:
         return {"schema": 1, **vars(self), "pairs": [vars(s).copy() for s in self.pairs]}
 
 
-def _abs_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Entrywise |u* v|: the one dense product behind every pair statistic."""
-    return np.abs(u.conj().T @ v)
-
-
-def _pair_moduli(u: np.ndarray, v: np.ndarray, u_unit: bool, v_unit: bool) -> np.ndarray:
-    """|u* v|, read off entry by entry when u or v is the identity.
-
-    In IEEE arithmetic conj(u)^T I = conj(u)^T and I v = v exactly, every
-    other term being a product with 0, so the moduli equal the dense
-    product's bit for bit; an inf or nan entry would make some of those
-    terms nan, so such a basis is multiplied after all.
-    """
-    if u_unit or v_unit:
-        mods = np.abs(v) if u_unit else np.abs(u).T
-        if np.isfinite(mods.max()):
-            return mods
-    return _abs_product(u, v)
-
-
-def _angle_phases(z: np.ndarray, p: int) -> np.ndarray:
-    """The integer m mod p nearest to angle(z) * p / 2pi, entry by entry."""
-    return np.rint(np.angle(z) * (p / (2 * np.pi))).astype(np.int64) % p
-
-
-def _difference_keys(bases: list[BasisMatrix]) -> tuple[int, np.ndarray]:
-    """Exact row phases of each quadratic-phase basis against a reference.
-
-    The reference is the first basis with `a` set whose matrix is, bit for
-    bit, W = zeta_p^m_ref / sqrt(d) for the integer phases
-    m_ref = rint(angle * p / 2pi) mod p of all its entries.  A later basis
-    with `a` in the same field reads t = m_0 - m_ref[:, 0] mod p from the
-    phases m_0 of its column 0 alone, and certifies when its matrix is, bit
-    for bit, zeta_p^((m_ref + t) mod p) / sqrt(d) = diag(zeta_p^t) W.  Then
-    V_i* V_j = W* diag(zeta_p^(t_j - t_i)) W depends on t_j - t_i mod p
-    alone.  This accepts exactly the bases whose full-matrix phases m equal
-    zeta_p^m / sqrt(d) bit for bit with m - m_ref constant along each row.
-    Returns (p of the reference, keys), one key t per row of `keys` (zero
-    for the reference); bases of another field, the computational basis and
-    any basis failing the check keep the row -1.
-    """
-    ref_ctx, ref_phases = None, None
-    keys = np.full((len(bases), bases[0].matrix.shape[0]), -1, dtype=np.int64)
-    for key, b in zip(keys, bases):
-        if b.a is None or (ref_ctx is not None and b.a.ctx != ref_ctx):
-            continue
-        p = b.a.ctx.p
-        if ref_phases is None:
-            phases = _angle_phases(b.matrix, p)
-            if np.array_equal(b.matrix, _phase_matrix(phases, p)):
-                ref_ctx, ref_phases = b.a.ctx, phases
-                key[:] = 0
-        else:
-            t = (_angle_phases(b.matrix[:, 0], p) - ref_phases[:, 0]) % p
-            if np.array_equal(b.matrix, _phase_matrix(ref_phases + t[:, None], p)):
-                key[:] = t
-    return (0 if ref_ctx is None else ref_ctx.p), keys
-
-
 def verify_mub(
     bases: list[BasisMatrix] | FieldMubSet,
     tol: float = 1e-10,
@@ -197,55 +139,27 @@ def verify_mub(
     Also checks each basis for orthonormality (Gram = identity).  Pairs are
     scanned in index order, so reports are deterministic.  A `FieldMubSet`
     is checked from one table of Gauss sums, with no basis matrix
-    (`_field_report`); the rest of this docstring is about a list of matrices.
+    (`_field_report`).  A list of basis matrices, which must all share one
+    square shape, takes one Gram per basis and one product |u* v| per pair.
     `pairs=False` leaves out the per-pair rows and keeps the summary.
-
-    A pair with a basis whose matrix equals the identity bit for bit takes
-    its moduli entry by entry from the other basis (`_pair_moduli`), with no
-    product and no rounding.  A pair of quadratic-phase bases whose exact
-    phase certificate holds (see `_difference_keys`) reuses the statistics
-    of the first pair with the same phase difference t_j - t_i mod p, whose
-    product is equal entry for entry in exact arithmetic; the reused floats
-    differ from a direct product only in rounding.  Every other pair, the
-    first of each difference class included, is computed directly.  For the
-    p^r + 1 bases of F_q that is q - 1 pair products plus q entrywise moduli,
-    instead of q(q + 1)/2 products.
     """
     if isinstance(bases, FieldMubSet):
         return _field_report(bases, tol, ortho_tol, pairs)
-    dims = {b.matrix.shape for b in bases}
-    if len(dims) != 1:
-        raise ValueError(f"bases of mixed dimensions: {sorted(dims)}")
-    d = bases[0].matrix.shape[0]
+    shapes = sorted({b.matrix.shape for b in bases})
+    d = shapes[0][0] if shapes and shapes[0] else 0
+    if d < 1 or shapes != [(d, d)]:
+        raise ValueError(f"need one or more bases of one square shape, got shapes {shapes}")
     report = MubReport(dim=d, target=d**-0.5, tol=tol, ortho_tol=ortho_tol)
     eye = np.eye(d)
     # np.max keeps a nan, so a non-finite basis fails the report
     report.ortho_deviation = float(
         np.max([np.abs(b.matrix.conj().T @ b.matrix - eye).max() for b in bases])
     )
-    p, keys = _difference_keys(bases)
-    certified = keys[:, 0] >= 0
-    unit = [b.matrix[0, 0] == 1 and np.array_equal(b.matrix, eye) for b in bases]
-    n, width = len(bases), keys.shape[1] * keys.itemsize
-    stats = np.empty((n * (n - 1) // 2, 3))  # min_mod, max_mod, max_dev per pair
-    seen: dict[bytes, np.ndarray] = {}
-    row = 0
-    for i in range(n):
-        # the difference keys of row i against every later basis, as one blob
-        blob = ((keys[i + 1:] - keys[i]) % p).tobytes() if certified[i] else None
-        for j in range(i + 1, n):
-            key = None
-            if blob is not None and certified[j]:
-                key = blob[(j - i - 1) * width:(j - i) * width]
-            reused = seen.get(key)
-            if reused is not None:
-                stats[row] = reused
-            else:
-                mods = _pair_moduli(bases[i].matrix, bases[j].matrix, unit[i], unit[j])
-                stats[row] = mods.min(), mods.max(), np.abs(mods - report.target).max()
-                if key is not None:
-                    seen[key] = stats[row]
-            row += 1
+    n = len(bases)
+    stats = np.zeros((n * (n - 1) // 2, 3))  # min_mod, max_mod, max_dev per pair
+    for row, (i, j) in enumerate(combinations(range(n), 2)):
+        mods = np.abs(bases[i].matrix.conj().T @ bases[j].matrix)
+        stats[row] = mods.min(), mods.max(), np.abs(mods - report.target).max()
     if pairs:
         labels = [b.label for b in bases]
         report.pairs = [

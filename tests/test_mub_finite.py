@@ -1,7 +1,8 @@
 """Construction and verification of the p^r + 1 bases of C^(p^r)."""
 
 import json
-from itertools import islice
+import re
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -26,8 +27,14 @@ ORACLE_FIELDS = [
 EPS = np.finfo(float).eps
 
 
+def _pair_row(u, v, target):
+    """(min, max, max |mod - target|) of the moduli of one direct product u* v."""
+    mods = np.abs(u.conj().T @ v)
+    return float(mods.min()), float(mods.max()), float(np.abs(mods - target).max())
+
+
 def verify_all_pairs(bases, tol=1e-10, ortho_tol=1e-12):
-    """The oracle: one dense product per pair, with no difference classes."""
+    """The oracle: one dense product per pair, with a running max."""
     d = bases[0].matrix.shape[0]
     report = MubReport(dim=d, target=d**-0.5, tol=tol, ortho_tol=ortho_tol)
     for b in bases:
@@ -35,14 +42,9 @@ def verify_all_pairs(bases, tol=1e-10, ortho_tol=1e-12):
         report.ortho_deviation = max(report.ortho_deviation, float(dev))
     for i in range(len(bases)):
         for j in range(i + 1, len(bases)):
-            mods = np.abs(bases[i].matrix.conj().T @ bases[j].matrix)
             stat = PairStat(
-                i=i,
-                j=j,
-                labels=(bases[i].label, bases[j].label),
-                min_mod=float(mods.min()),
-                max_mod=float(mods.max()),
-                max_dev=float(np.abs(mods - report.target).max()),
+                i, j, (bases[i].label, bases[j].label),
+                *_pair_row(bases[i].matrix, bases[j].matrix, report.target),
             )
             report.pairs.append(stat)
             report.max_deviation = max(report.max_deviation, stat.max_dev)
@@ -50,29 +52,16 @@ def verify_all_pairs(bases, tol=1e-10, ortho_tol=1e-12):
     return report
 
 
-def assert_agrees_with_all_pairs(bases):
+def assert_same_report(bases):
     got, want = verify_mub(bases), verify_all_pairs(bases)
-    assert [(s.i, s.j, s.labels) for s in got.pairs] == [(s.i, s.j, s.labels) for s in want.pairs]
-    assert (got.passed, got.ortho_deviation) == (want.passed, want.ortho_deviation)
-    for g, w in zip(got.pairs, want.pairs):
-        for name in ("min_mod", "max_mod", "max_dev"):
-            assert abs(getattr(g, name) - getattr(w, name)) <= 1e-15, (g, w)
-    assert abs(got.max_deviation - want.max_deviation) <= 1e-15
+    assert got.to_json_dict() == want.to_json_dict()
     return got
 
 
-@pytest.fixture
-def products(monkeypatch):
-    """The operand pairs of every direct pair product verify_mub forms."""
-    calls = []
-    real = mub_finite._abs_product
-
-    def counting(u, v):
-        calls.append((u, v))
-        return real(u, v)
-
-    monkeypatch.setattr(mub_finite, "_abs_product", counting)
-    return calls
+def _label_differences(p, r):
+    """[i, j] = the label index of a_j - a_i, the digitwise difference mod p."""
+    digits = np.arange(p**r)[:, None] // p ** np.arange(r) % p
+    return (digits[None] - digits[:, None]) % p @ p ** np.arange(r)
 
 
 def test_four_bases_for_p3_r1():
@@ -152,8 +141,18 @@ def test_dimension_cap():
 def test_mixed_dimensions_rejected():
     b3 = build_mub_set(build_field(3, 1))
     b5 = build_mub_set(build_field(5, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"one square shape, got shapes \[\(3, 3\), \(5, 5\)\]"):
         verify_mub([b3[0], b5[0]])
+
+
+@pytest.mark.parametrize("shapes", [[], [(3, 2)], [(3, 3), (3, 2)], [(3,)], [(0, 0)]],
+                         ids=["empty", "3x2", "square-and-3x2", "vector", "0x0"])
+def test_bases_of_no_one_square_shape_are_rejected(shapes):
+    bases = [BasisMatrix(f"b{n}", None, np.ones(shape, dtype=complex))
+             for n, shape in enumerate(shapes)]
+    message = f"one square shape, got shapes {sorted(shapes)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_mub(bases)
 
 
 def test_exports():
@@ -170,137 +169,34 @@ def test_report_is_deterministic():
 
 @pytest.mark.parametrize("p,r,modulus", ORACLE_FIELDS)
 def test_difference_classes_agree_with_all_pairs(p, r, modulus):
-    rep = assert_agrees_with_all_pairs(build_mub_set(build_field(p, r, modulus=modulus)))
+    """Each pair (V_a, V_c) of the plain scan has the moduli of (V_0, V_(c - a)),
+    up to rounding: the row of the Gauss-sum table the field path reads for it."""
+    field = build_field(p, r, modulus=modulus)
+    rep = assert_same_report(build_mub_set(field))
     assert rep.passed
-
-
-@pytest.mark.parametrize("p,r", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)])
-def test_field_set_forms_one_product_per_class_and_computational_pair(products, p, r):
-    q = p**r
-    rep = verify_mub(build_mub_set(build_field(p, r)))
-    assert rep.passed and len(rep.pairs) == q * (q + 1) // 2
-    assert len(products) == q - 1  # the q computational pairs form no product
+    q, minus = field.size, _label_differences(p, r)
+    first = {s.j: _pair_floats([s]) for s in rep.pairs if s.i == 0}
+    for s in rep.pairs:
+        if s.j < q:  # both bases quadratic
+            assert np.abs(_pair_floats([s]) - first[minus[s.i, s.j]]).max() <= 8 * EPS, s
 
 
 @pytest.mark.parametrize("k", [0, 4, 8])
-def test_perturbed_entry_breaks_the_certificate(products, k):
+def test_perturbed_entry_breaks_the_certificate(k):
     q = 9
-    bases = build_mub_set(build_field(3, 2))
-    bad = bases[k].matrix.copy()
-    bad[1, 2] *= 1 + 1e-6
-    bases[k] = BasisMatrix(bases[k].label, bases[k].a, bad)
-    rep = assert_agrees_with_all_pairs(bases)
+    rep = assert_same_report(_perturbed(k))
     assert not rep.passed and rep.max_deviation > rep.tol
-    # every pair of the perturbed basis is a direct product, none reused,
-    # except its pair with the computational basis, read off entry by entry
-    assert sum(u is bad or v is bad for u, v in products) == q - 1
-    assert len(products) == (q - 1) + (q - 1)
     failing = {(s.i, s.j) for s in rep.pairs if s.max_dev > rep.tol}
     assert failing == {tuple(sorted((k, j))) for j in range(q + 1) if j != k}
 
 
-def test_repeated_basis_keeps_its_verdict(products):
-    b0 = build_mub_set(build_field(3, 1))[0]
-    rep = assert_agrees_with_all_pairs([b0, b0])
-    assert not rep.passed and len(products) == 1
-    rep = assert_agrees_with_all_pairs([b0, b0, b0])
-    assert len(products) == 1 + 1  # every pair of copies is the zero class
-    assert not rep.passed and all(s.max_mod == pytest.approx(1.0) for s in rep.pairs)
-
-
-def test_computational_basis_first_keeps_its_verdict(products):
-    bases = build_mub_set(build_field(5, 1))
-    rep = assert_agrees_with_all_pairs([bases[-1], *bases[:-1]])
-    assert rep.passed and len(products) == 5 - 1
-
-
-def test_bases_of_another_field_are_multiplied_directly(products):
-    bases = build_mub_set(build_field(3, 2))
-    other = build_mub_set(build_field(3, 2, modulus=(2, 1, 1)))[3]
-    mixed = [*bases, other]
-    assert_agrees_with_all_pairs(mixed)
-    assert sum(v is other.matrix for _, v in products) == len(bases) - 1  # all but I
-
-
-def test_exact_phases_off_the_reference_rows_are_multiplied_directly(products):
-    # swapping two rows keeps every entry an exact root of unity over sqrt(q),
-    # but no diagonal phase maps the reference basis onto the result
-    bases = build_mub_set(build_field(3, 2))
-    swapped = bases[0].matrix[[0, 2, 1, *range(3, 9)]]
-    fake = BasisMatrix("swapped", bases[0].a, swapped)
-    rep = assert_agrees_with_all_pairs([bases[0], fake, fake])
-    assert not rep.passed
-    assert len(products) == 3
-
-
-def test_phases_of_another_prime_are_multiplied_directly(products):
-    # fifth roots of unity laid out with V_1's row phases over V_0: the same
-    # integer keys as (V_0, V_1), but not the same product
-    v0, v1 = build_mub_set(build_field(3, 2))[:2]
-    m0, m1 = (np.rint(np.angle(v.matrix) * 3 / (2 * np.pi)).astype(np.int64) % 3 for v in (v0, v1))
-    t1 = (m1 - m0)[:, :1] % 3
-    fake = BasisMatrix("p=5", build_field(5, 1).element(1),
-                       mub_finite._phase_matrix((m0 + t1) % 5, 5))
-    assert_agrees_with_all_pairs([v0, v1, fake])
-    assert len(products) == 3
-
-
 # ---------------------------------------------------------------------------
-# The previous verifier and construction, kept as oracles
+# The previous construction, kept as an oracle, and bases off the field's set
 # ---------------------------------------------------------------------------
 
 
 def _old_phase_matrix(phases, p):
     return ((1.0 / np.sqrt(phases.shape[0])) * roots_of_unity(p))[phases]
-
-
-def _old_difference_keys(bases):
-    """The full-matrix certificate: every entry's angle, then a row check."""
-    ref_ctx, ref_phases = None, None
-    keys = np.full((len(bases), bases[0].matrix.shape[0]), -1, dtype=np.int64)
-    for key, b in zip(keys, bases):
-        if b.a is not None and (ref_ctx is None or b.a.ctx == ref_ctx):
-            p = b.a.ctx.p
-            phases = np.rint(np.angle(b.matrix) * (p / (2 * np.pi))).astype(np.int64) % p
-            if np.array_equal(b.matrix, _old_phase_matrix(phases, p)):
-                if ref_phases is None:
-                    ref_ctx, ref_phases = b.a.ctx, phases
-                diff = (phases - ref_phases) % p
-                if (diff == diff[:, :1]).all():
-                    key[:] = diff[:, 0]
-    return (0 if ref_ctx is None else ref_ctx.p), keys
-
-
-def verify_by_classes(bases, tol=1e-10, ortho_tol=1e-12):
-    """The previous verifier: difference classes, every other pair multiplied."""
-    d = bases[0].matrix.shape[0]
-    report = MubReport(dim=d, target=d**-0.5, tol=tol, ortho_tol=ortho_tol)
-    eye = np.eye(d)
-    for b in bases:
-        dev = np.abs(b.matrix.conj().T @ b.matrix - eye).max()
-        report.ortho_deviation = max(report.ortho_deviation, float(dev))
-    p, keys = _old_difference_keys(bases)
-    seen = {}
-    certified = keys[:, 0] >= 0
-    for i in range(len(bases)):
-        diffs = (keys - keys[i]) % p if certified[i] else None
-        for j in range(i + 1, len(bases)):
-            key = diffs[j].tobytes() if diffs is not None and certified[j] else None
-            stats = seen.get(key)
-            if stats is None:
-                mods = np.abs(bases[i].matrix.conj().T @ bases[j].matrix)
-                stats = (
-                    float(mods.min()),
-                    float(mods.max()),
-                    float(np.abs(mods - report.target).max()),
-                )
-                if key is not None:
-                    seen[key] = stats
-            stat = PairStat(i, j, (bases[i].label, bases[j].label), *stats)
-            report.pairs.append(stat)
-            report.max_deviation = max(report.max_deviation, stat.max_dev)
-    report.passed = report.max_deviation <= tol and report.ortho_deviation <= ortho_tol
-    return report
 
 
 def _old_trace_gram(ctx):
@@ -328,29 +224,36 @@ def build_by_elements(fieldctx):
     return bases
 
 
-def assert_same_report(bases):
-    got, want = verify_mub(bases), verify_by_classes(bases)
-    assert got.to_json_dict() == want.to_json_dict()
-    return got
-
-
 @pytest.mark.parametrize("p,r,modulus", [*ORACLE_FIELDS, (7, 2, None), (3, 4, None)])
 def test_report_matches_the_previous_verifier(p, r, modulus):
     assert assert_same_report(build_mub_set(build_field(p, r, modulus=modulus))).passed
 
 
 def _swapped_rows():
+    # every entry an exact root of unity over sqrt(q), but no diagonal phase
+    # maps V_0 onto the result
     bases = build_mub_set(build_field(3, 2))
     fake = BasisMatrix("swapped", bases[0].a, bases[0].matrix[[0, 2, 1, *range(3, 9)]])
     return [bases[0], fake, fake, *bases[1:]]
 
 
 def _other_prime():
+    # fifth roots of unity laid out with V_1's row phases over V_0
     v0, v1, *rest = build_mub_set(build_field(3, 2))
     m0, m1 = (np.rint(np.angle(v.matrix) * 3 / (2 * np.pi)).astype(np.int64) % 3 for v in (v0, v1))
     fake = BasisMatrix("p=5", build_field(5, 1).element(1),
                        _old_phase_matrix((m0 + (m1 - m0)[:, :1] % 3) % 5, 5))
     return [v0, v1, fake, *rest]
+
+
+def _other_modulus():
+    other = build_mub_set(build_field(3, 2, modulus=(2, 1, 1)))[3]
+    return [*build_mub_set(build_field(3, 2)), other]
+
+
+def _repeated_basis():
+    b0 = build_mub_set(build_field(3, 1))[0]
+    return [b0, b0, b0]
 
 
 def _perturbed(k):
@@ -362,8 +265,11 @@ def _perturbed(k):
 
 
 @pytest.mark.parametrize(
-    "make", [_swapped_rows, _other_prime, *(lambda k=k: _perturbed(k) for k in (0, 4, 8))],
-    ids=["swapped-rows", "other-prime", "perturbed-0", "perturbed-4", "perturbed-8"],
+    "make",
+    [_swapped_rows, _other_prime, *(lambda k=k: _perturbed(k) for k in (0, 4, 8)),
+     _other_modulus, _repeated_basis],
+    ids=["swapped-rows", "other-prime", "perturbed-0", "perturbed-4", "perturbed-8",
+         "other-modulus", "repeated-basis"],
 )
 def test_report_matches_the_previous_verifier_off_the_field(make):
     assert not assert_same_report(make()).passed
@@ -371,52 +277,39 @@ def test_report_matches_the_previous_verifier_off_the_field(make):
 
 @pytest.mark.parametrize("p,r", [(3, 1), (3, 2), (5, 2), (7, 2)])
 def test_identity_pairs_equal_the_dense_product(p, r):
+    # conj(V)^T I = conj(V)^T exactly in IEEE arithmetic, every other term a
+    # product with 0: each pair with the identity has the moduli of V's entries,
+    # with the computational basis last or first
     bases = build_mub_set(build_field(p, r))
-    eye = bases[-1].matrix
-    for v in (b.matrix for b in bases):
-        assert np.array_equal(mub_finite._pair_moduli(v, eye, False, True),
-                              np.abs(v.conj().T @ eye))
-        assert np.array_equal(mub_finite._pair_moduli(eye, v, True, False),
-                              np.abs(eye.conj().T @ v))
-    # and in the report, with the identity last and first
     for order in (bases, [bases[-1], *bases[:-1]]):
-        got, want = verify_mub(order), verify_all_pairs(order)
-        unit = order.index(bases[-1])
-        pick = [(s.min_mod, s.max_mod, s.max_dev) for s in got.pairs if unit in (s.i, s.j)]
-        assert pick == [(s.min_mod, s.max_mod, s.max_dev) for s in want.pairs if unit in (s.i, s.j)]
+        unit = 0 if order[0] is bases[-1] else len(order) - 1
+        rep = verify_mub(order)
+        assert rep.passed
+        for s in rep.pairs:
+            if unit in (s.i, s.j):
+                mods = np.abs(order[s.i + s.j - unit].matrix)
+                assert (s.min_mod, s.max_mod, s.max_dev) == (
+                    mods.min(), mods.max(), np.abs(mods - rep.target).max())
 
 
-def test_identity_nudged_by_one_ulp_is_multiplied_directly(products):
-    q = 9
-    bases = build_mub_set(build_field(3, 2))
-    nudged = np.eye(q, dtype=complex)
-    nudged[4, 4] = np.nextafter(1.0, 2.0)
-    bases[-1] = BasisMatrix("inf", None, nudged)
-    rep = assert_same_report(bases)
-    assert sum(u is nudged or v is nudged for u, v in products) == q
-    assert len(products) == (q - 1) + q
-    assert rep.passed  # one ulp is far inside both tolerances
-
-
-def test_non_finite_basis_against_the_identity_is_multiplied_directly(products):
-    # conj(V)^T I holds inf * 0 = nan where |V| holds inf, so no shortcut
+def test_non_finite_basis_against_the_identity_is_multiplied_directly():
+    # conj(V)^T I holds inf * 0 = nan where |V| holds inf
     eye = np.eye(3, dtype=complex)
     for bad in (np.inf, np.nan):
         v = build_mub_set(build_field(3, 1))[1].matrix.copy()
         v[0, 1] = bad
         bases = [BasisMatrix("inf", None, eye), BasisMatrix("bad", None, v)]
-        products.clear()
         with np.errstate(invalid="ignore"):
-            got, want = verify_mub(bases), verify_by_classes(bases)
+            got, want = verify_mub(bases), verify_all_pairs(bases)
+        # the running max of verify_all_pairs drops a nan, so compare the rows
         assert json.dumps(got.to_json_dict()["pairs"]) == json.dumps(want.to_json_dict()["pairs"])
         assert got.passed is False
-        assert len(products) == 1
 
 
 def test_nan_entry_fails_the_report():
     # a running max from 0.0 never takes a nan, which once let this set PASS
     bases = build_mub_set(build_field(3, 2))
-    bases[1].matrix[0, 1] = np.nan
+    bases[4].matrix[0, 1] = np.nan  # not in the first pair, so a running max would miss it
     with np.errstate(invalid="ignore"):
         rep = verify_mub(bases)
     assert rep.passed is False
@@ -471,21 +364,58 @@ def _odd_fields(max_q):
                     yield pytest.param(p, r, modulus, id=f"{p}^{r}-{''.join(map(str, modulus))}")
 
 
-def _pair_floats(report):
-    return np.array([(s.min_mod, s.max_mod, s.max_dev) for s in report.pairs])
+def _pair_floats(pairs):
+    return np.array([(s.min_mod, s.max_mod, s.max_dev) for s in pairs])
+
+
+def _assert_trace_tables_additive(field):
+    p, minus = field.p, _label_differences(field.p, field.r)
+    for table in mub_finite._trace_tables(field):
+        assert table.dtype == np.int64 and table.min() >= 0 and table.max() < p
+        # table[x, a_j - a_i] = table[x, a_j] - table[x, a_i] mod p
+        assert np.array_equal(table[:, minus], (table[:, None, :] - table[:, :, None]) % p)
 
 
 @pytest.mark.parametrize("p,r,modulus", list(_odd_fields(125)))
 def test_field_set_report_agrees_with_the_matrix_path(p, r, modulus):
     field = build_field(p, r, modulus=modulus)
-    got, want = verify_mub(FieldMubSet.from_field(field)), verify_mub(build_mub_set(field))
-    assert got.passed is want.passed is True
-    assert (got.dim, got.target, got.tol, got.ortho_tol) == (
-        want.dim, want.target, want.tol, want.ortho_tol)
-    assert [(s.i, s.j, s.labels) for s in got.pairs] == [(s.i, s.j, s.labels) for s in want.pairs]
-    assert np.abs(_pair_floats(got) - _pair_floats(want)).max() <= 8 * EPS
-    assert abs(got.max_deviation - want.max_deviation) <= 8 * EPS
-    assert abs(got.ortho_deviation - want.ortho_deviation) <= 8 * EPS
+    got = verify_mub(FieldMubSet.from_field(field))
+    if r == 1 and field.modulus != build_field(p, 1).modulus:
+        # F_p under x + c is F_p under x (test_every_linear_modulus_gives_one_prime_field)
+        default = verify_mub(FieldMubSet.from_field(build_field(p, 1)))
+        assert got.to_json_dict() == default.to_json_dict()
+        return
+    q, bases = field.size, build_mub_set(field)
+    assert got.passed is True and (got.dim, got.target) == (q, q**-0.5)
+    assert [(s.i, s.j, s.labels) for s in got.pairs] == [
+        (i, j, (bases[i].label, bases[j].label)) for i, j in combinations(range(q + 1), 2)]
+    if q <= 81:
+        want = verify_mub(bases)
+        picked, rows, ortho = got.pairs, _pair_floats(want.pairs), want.ortho_deviation
+    else:
+        # the pairs (V_0, V_c) and (V_a, computational) read each row of the
+        # table once; additivity of the trace tables carries them to the rest
+        picked = [s for s in got.pairs if s.i == 0 or s.j == q]
+        rows = np.array([_pair_row(bases[s.i].matrix, bases[s.j].matrix, got.target)
+                         for s in picked])
+        ortho = max(np.abs(b.matrix.conj().T @ b.matrix - np.eye(q)).max() for b in bases)
+        _assert_trace_tables_additive(field)
+    assert np.abs(_pair_floats(picked) - rows).max() <= 8 * EPS
+    assert abs(got.max_deviation - rows[:, 2].max()) <= 8 * EPS
+    assert abs(got.ortho_deviation - ortho) <= 8 * EPS
+
+
+@pytest.mark.parametrize("p", [3, 5, 53, 113])
+def test_every_linear_modulus_gives_one_prime_field(p):
+    """For r = 1 the modulus x + c leaves F_p, its tables and its labels as they are."""
+    want = build_field(p, 1)
+    tables, labels = mub_finite._trace_tables(want), [str(a) for a in want.elements()]
+    moduli = list(irreducible_polynomials(p, 1))
+    assert len(moduli) == p
+    for modulus in moduli:
+        field = build_field(p, 1, modulus=modulus)
+        assert all(np.array_equal(g, w) for g, w in zip(mub_finite._trace_tables(field), tables))
+        assert [str(a) for a in field.elements()] == labels
 
 
 @pytest.mark.parametrize("p,r", [(3, 1), (3, 2), (5, 3), (7, 3)])
@@ -506,7 +436,7 @@ def test_field_set_computational_pairs_are_the_root_moduli():
     eye = np.eye(field.size)
     for s in rep.pairs:
         if s.labels[1] == "inf":
-            mods = mub_finite._pair_moduli(bases[s.i].matrix, eye, False, True)
+            mods = np.abs(bases[s.i].matrix.conj().T @ eye)
             assert (s.min_mod, s.max_mod) == (mods.min(), mods.max())
             assert s.max_dev == np.abs(mods - rep.target).max()
 
@@ -514,13 +444,7 @@ def test_field_set_computational_pairs_are_the_root_moduli():
 @pytest.mark.parametrize("p,r", [(3, 2), (3, 3), (7, 2)])
 def test_trace_tables_are_additive(p, r):
     """The reduction of every pair to one row of Gauss sums rests on this alone."""
-    q = p**r
-    digits = np.arange(q)[:, None] // p ** np.arange(r) % p
-    minus = (digits[None] - digits[:, None]) % p @ p ** np.arange(r)  # label of a_j - a_i
-    for table in mub_finite._trace_tables(build_field(p, r)):
-        assert table.dtype == np.int64 and table.min() >= 0 and table.max() < p
-        # table[x, a_j - a_i] = table[x, a_j] - table[x, a_i] mod p
-        assert np.array_equal(table[:, minus], (table[:, None, :] - table[:, :, None]) % p)
+    _assert_trace_tables_additive(build_field(p, r))
 
 
 @pytest.mark.parametrize("which", [0, 1], ids=["tr_ax2", "tr_bx"])
