@@ -40,9 +40,6 @@ class UnitPhase:
     def conjugate(self) -> "UnitPhase":
         return UnitPhase.of(-self.phase.value, self.phase.prime)
 
-    def to_complex(self) -> complex:
-        return phase_to_complex(self)
-
     def __str__(self) -> str:
         return str(self.phase)
 

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -33,20 +32,10 @@ def _round_floats(obj):
     """Normalize every float to 12 significant digits for stable output."""
     if isinstance(obj, float):
         return float(f"{obj:.{FLOAT_DIGITS}g}") if math.isfinite(obj) else str(obj)
-    if isinstance(obj, (np.floating,)):
-        return _round_floats(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, complex):
-        return [_round_floats(obj.real), _round_floats(obj.imag)]
-    if isinstance(obj, Fraction):
-        return str(obj)
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _round_floats(obj.tolist())
     return obj
 
 

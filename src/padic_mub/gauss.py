@@ -222,10 +222,12 @@ def ring_sum_normsq_exact(p: int, k: int, l: int, a: int, b: int) -> int:
     """Exact |sum|^2 by counting solutions of a*y + b = 0 mod p^l.
 
     |sum|^2 = p^(2(k-l)) * p^l * #solutions.  This counts directly, with no
-    case analysis, so it is an independent oracle for the closed form.
+    case analysis, so it is an independent oracle for the closed form.  The
+    identity rests on 2 being a unit mod p^l, so p = 2 raises OddPrimeError.
     """
     if not 1 <= l <= k:
         raise ValueError("need k >= l >= 1")
+    _norm_table(p, 0, 0)  # odd p only
     mod = p**l
     y = _residues(mod)
     count = int((((a % mod) * y + b % mod) % mod == 0).sum())
@@ -287,7 +289,9 @@ def ring_sum_numeric_table(
 
 
 def ring_sum_normsq_table(p: int, k: int, l: int) -> np.ndarray:
-    """Exact counting |sum|^2 for every (a, b) in [0, p^l)^2 (int64 array)."""
+    """Exact counting |sum|^2 for every (a, b) in [0, p^l)^2 (int64 array);
+    odd p only, as ring_sum_normsq_exact."""
+    _norm_table(p, 0, 0)  # odd p only
     mod = p**l
     y = _residues(mod)
     a = y[:, None]
@@ -348,40 +352,25 @@ def integral_norm_closed(
     return _table_norm(p, dx, dy, 2 * r)
 
 
-def _reduction_exponents(dx: int | float, dy: int | float) -> int:
-    """The exponent l that turns the ball integral into one period of a ring
-    sum, from the shifted valuations dx = v(a) - 2r, dy = v(b) - r.
-
-    l = max(1, -dx, -dy) makes A = a*p^(l-2r) and B = b*p^(l-r) integral.  A
-    zero coefficient (dx or dy inf) drops out.
-    """
-    return max(1, -dx, -dy)
-
-
-def _ring_reduction(
+def _integral_reduction(
     p: int, r: int, af: Fraction, bf: Fraction, dx: int | float, dy: int | float
 ) -> tuple[tuple[int, int, int], float]:
-    """`_integral_reduction` from a, b as rationals and their shifted valuations."""
-    _norm_table(p, dx, dy)  # odd p only, as the table it checks
-    l = _reduction_exponents(dx, dy)
-    mod = p**l
-    a_int = rational_mod(af * Fraction(p) ** (l - 2 * r), mod)
-    b_int = rational_mod(bf * Fraction(p) ** (l - r), mod)
-    return (l, a_int, b_int), _float_power(p, r - l, "norm scale")
+    """The ring sum behind the ball integral: ((l, A, B), p^(r-l)), from a, b
+    as rationals and their shifted valuations dx = v(a) - 2r, dy = v(b) - r.
 
-
-def _integral_reduction(
-    p: int, r: int, a: Coefficient, b: Coefficient
-) -> tuple[tuple[int, int, int], float]:
-    """The ring sum behind the ball integral: ((l, A, B), p^(r-l)).
-
-    With x = p^(-r)*y the integrand e(a*x^2 + b*x) is zeta_{p^l}^(A*y^2 + B*y)
-    for the integers A, B mod p^l of `_reduction_exponents`, so it depends on
+    l = max(1, -dx, -dy) makes A = a*p^(l-2r) and B = b*p^(l-r) integral; a
+    zero coefficient (dx or dy inf) drops out.  With x = p^(-r)*y the
+    integrand e(a*x^2 + b*x) is zeta_{p^l}^(A*y^2 + B*y), so it depends on
     y mod p^l alone: the ball p^(-r)Z_p splits into p^l cosets of measure
     p^(r-l), on each of which it is constant.  The integral is therefore
     p^(r-l) times one full period, the ring sum of A, B at k = l.
     """
-    return _ring_reduction(p, r, *_shifted_valuations(p, r, a, b))
+    _norm_table(p, dx, dy)  # odd p only, as the table it checks
+    l = max(1, -dx, -dy)
+    mod = p**l
+    a_int = rational_mod(af * Fraction(p) ** (l - 2 * r), mod)
+    b_int = rational_mod(bf * Fraction(p) ** (l - r), mod)
+    return (l, a_int, b_int), _float_power(p, r - l, "norm scale")
 
 
 def integral_numeric(
@@ -389,7 +378,7 @@ def integral_numeric(
 ) -> complex:
     """Brute-force value of the Gauss integral, via its finite-ring
     reduction `_integral_reduction`: p^(r-l) times one period of a ring sum."""
-    (l, a_int, b_int), scale = _integral_reduction(p, r, a, b)
+    (l, a_int, b_int), scale = _integral_reduction(p, r, *_shifted_valuations(p, r, a, b))
     return scale * ring_sum_numeric(p, l, l, a_int, b_int, term_cap)
 
 
@@ -449,7 +438,7 @@ def _ball_checks(
     a, b as rationals and their valuations v(a), v(b), which a caller that
     tries many r reads once."""
     dx, dy = va - 2 * r, vb - r
-    return (_table_norm(p, dx, dy, 2 * r), _ring_reduction(p, r, af, bf, dx, dy),
+    return (_table_norm(p, dx, dy, 2 * r), _integral_reduction(p, r, af, bf, dx, dy),
             _simplified(p, r, va, vb))
 
 
@@ -464,7 +453,7 @@ class NormReport:
 
     kind: str
     case: str
-    closed: ExactNorm | None
+    closed: ExactNorm
     numeric: float | None
     deviation: float | None
     tol: float
@@ -475,8 +464,7 @@ class NormReport:
     def to_json_dict(self) -> dict:
         d = {"schema": 1, **vars(self), **self.extras}
         del d["extras"]
-        closed = d.pop("closed")
-        d["closed_exact"] = "unavailable" if closed is None else str(closed)
+        d["closed_exact"] = str(d.pop("closed"))
         return d
 
 
@@ -500,31 +488,23 @@ def ring_report(
 ) -> NormReport:
     """Closed form for the ring sum; with oracle=True also both brute forces.
 
-    The oracle passes when |closed - numeric| <= tol * max(closed, 1).  For
-    p = 2 the closed form is unavailable and only the brute forces run.
+    The oracle passes when the counting |sum|^2 equals the closed norm's
+    square exactly and |closed - numeric| <= tol * max(closed, 1).  Like the
+    closed form and the counting identity, it refuses p = 2 with
+    OddPrimeError; ring_sum_numeric alone sums at p = 2.
     """
     check_ring_params(p, k, l)
-    if p == 2:
-        closed, case = None, "unavailable (p = 2)"
-    else:
-        closed, case = ring_sum_norm_closed(p, k, l, a, b)
+    closed, case = ring_sum_norm_closed(p, k, l, a, b)
     numeric = deviation = None
-    passed = closed is not None
+    passed = True
     extras: dict = {}
     if oracle:
-        value = ring_sum_numeric(p, k, l, a, b, term_cap)
+        numeric = abs(ring_sum_numeric(p, k, l, a, b, term_cap))
         normsq = ring_sum_normsq_exact(p, k, l, a, b)
-        numeric = abs(value)
-        extras["normsq_exact"] = normsq
-        if closed is not None:
-            deviation = abs(closed.value - numeric)
-            exact_match = closed.normsq == normsq
-            rel = deviation / max(closed.value, 1.0)
-            passed = exact_match and rel <= tol
-            extras["counting_matches_closed"] = exact_match
-        else:
-            deviation = abs(math.sqrt(normsq) - numeric)
-            passed = deviation <= tol * max(math.sqrt(normsq), 1.0)
+        deviation = abs(closed.value - numeric)
+        exact_match = closed.normsq == normsq
+        passed = exact_match and deviation / max(closed.value, 1.0) <= tol
+        extras = {"normsq_exact": normsq, "counting_matches_closed": exact_match}
     return NormReport(
         kind="ring",
         case=case,
@@ -549,8 +529,11 @@ def integral_report(
 ) -> NormReport:
     """Closed form for the ball integral; with oracle=True also brute force.
 
-    The brute force is p^(r-l) times a ring sum of p^l unit terms, and the
-    oracle judges that sum as ring_report does: it passes when
+    a and b are read once.  Their shifted valuations give the closed norm,
+    the threshold and, under oracle only, the reduction `_integral_reduction`,
+    whose scale p^(r-l) can overflow a double.  The brute force is p^(r-l)
+    times a ring sum of p^l unit terms, and the oracle judges that sum as
+    ring_report does: it passes when
     |closed - numeric| <= tol * max(closed, p^(r-l), 1).  An absolute
     tolerance would ask for more than double precision once p^r is large,
     even for a zero norm.  The reported deviation stays absolute.
@@ -558,18 +541,18 @@ def integral_report(
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     a, b, dx, dy = _shifted_valuations(p, r, a, b)
-    closed, case = integral_norm_closed(p, r, a, b)
-    t = threshold_t(p, a, b)
+    closed, case = _table_norm(p, dx, dy, 2 * r)
+    t = _threshold(dx + 2 * r, dy + r)
     extras = {"threshold": None if t == NEG_INF else t, "simplified_certified": r > t}
     numeric = deviation = None
     passed = True
     if oracle:
+        (l, a_int, b_int), scale = _integral_reduction(p, r, a, b, dx, dy)
         # reduction_k is one period, k = l; the field stays for report readers
-        l = _reduction_exponents(dx, dy)
         extras.update({"reduction_l": l, "reduction_k": l})
-        numeric = abs(integral_numeric(p, r, a, b, term_cap))
+        numeric = abs(scale * ring_sum_numeric(p, l, l, a_int, b_int, term_cap))
         deviation = abs(closed.value - numeric)
-        passed = deviation / max(closed.value, float(p) ** (r - l), 1.0) <= tol
+        passed = deviation / max(closed.value, scale, 1.0) <= tol
     return NormReport(
         kind="integral",
         case=case,

@@ -112,21 +112,16 @@ def inner(u: StateVector, w: StateVector) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def required_resolution(
-    a: Coefficient, b: Coefficient, r: int, p: int, c: Coefficient | None = None
-) -> int:
+def required_resolution(a: Coefficient, b: Coefficient, r: int, p: int) -> int:
     """Smallest k making e(a*x^2 + b*x) constant on every cell of Grid(p, r, k).
 
     It reads the shifted valuations dx = v(a) - 2r, dy = v(b) - r of the
     Gauss norm table: k >= 2r - v(a), r - v(a), ceil(-v(a)/2), r - v(b) and
-    -v(b), where a zero coefficient's terms drop out.  With a recentering
-    shift c, the integrand on x + c has the same quadratic coefficient and
-    linear coefficient 2ac + b, so the same rule applies to that pair.
+    -v(b), where a zero coefficient's terms drop out.  The integrand
+    recentred at c, on x + c, has linear coefficient 2ac + b: pass that as b.
     """
     af = as_fraction(a, p)
     bf = as_fraction(b, p)
-    if c is not None:
-        bf = 2 * af * as_fraction(c, p) + bf
     dx, dy = frac_valuation(af, p) - 2 * r, frac_valuation(bf, p) - r
     low = min(r, 0)
     return max(0, -dx - low, -dy - low, NEG_INF if dx == INF else -r - dx // 2)
@@ -347,24 +342,17 @@ def eigen_check(
     a: Coefficient,
     b: Coefficient,
     c: Coefficient,
-    grid: Grid | None = None,
     *,
-    p: int | None = None,
+    p: int,
     tol: float = 1e-9,
-    cell_cap: int = DEFAULT_CELL_CAP,
 ) -> EigenReport:
     """Apply X_c Z_{2ac} to the (a, b) state and compare with e(-bc-ac^2) times it."""
-    if grid is not None:
-        p = grid.p
-    elif p is None:
-        raise ValueError("pass a grid or a prime to build one from")
     af, bf, cf = (as_fraction(x, p) for x in (a, b, c))
-    if grid is None:
-        vc = frac_valuation(cf, p)
-        r = max(1, -int(vc) if vc != INF else 0)
-        k_mod = required_resolution(0, 2 * af * cf, r, p)
-        k = max(required_resolution(af, bf, r, p), k_mod, 1 - r)
-        grid = make_grid(p, r, k, cell_cap)
+    vc = frac_valuation(cf, p)
+    r = max(1, -int(vc) if vc != INF else 0)
+    k_mod = required_resolution(0, 2 * af * cf, r, p)
+    k = max(required_resolution(af, bf, r, p), k_mod, 1 - r)
+    grid = make_grid(p, r, k)
     state = vector_v(af, bf, grid)
     moved = op_X(op_Z(state, 2 * af * cf), cf)
     phase = frac_part(-(bf * cf + af * cf * cf), p)

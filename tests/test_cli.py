@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from padic_mub import sweeps
 from padic_mub import (
     build_field,
     build_mub_set,
@@ -15,6 +16,7 @@ from padic_mub import (
     ring_report,
     verify_mub,
 )
+from padic_mub.gauss import DEFAULT_TERM_CAP
 from padic_mub.cli import main
 
 
@@ -264,17 +266,31 @@ def test_zero_digit_string_below_its_precision_is_exit_2(capsys):
     assert code == 0 and "PASS" in out
 
 
+def _plain_json_types(obj) -> bool:
+    """Only str-keyed dicts, lists, tuples and builtin scalars: what
+    cli._round_floats passes through to json.dumps unchanged."""
+    if isinstance(obj, dict):
+        return all(type(k) is str and _plain_json_types(v) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return all(_plain_json_types(v) for v in obj)
+    return obj is None or type(obj) in (str, int, float, bool)
+
+
 @pytest.mark.parametrize("report", [
-    pytest.param(lambda: ring_report(3, 1, 1, 1, 0, oracle=True), id="ring"),
-    pytest.param(lambda: integral_report(3, 1, Fraction(1), Fraction(0), oracle=True),
-                 id="integral"),
-    pytest.param(lambda: verify_mub(build_mub_set(build_field(3, 1))), id="mub"),
-    pytest.param(lambda: gram_report(canonical_family_params(3), r=1, p=3), id="gram"),
-    pytest.param(lambda: eigen_check(1, 0, Fraction(1, 3), p=3), id="eigen"),
+    pytest.param(lambda: ring_report(3, 1, 1, 1, 0, oracle=True).to_json_dict(), id="ring"),
+    pytest.param(lambda: integral_report(3, 1, Fraction(1), Fraction(0),
+                                         oracle=True).to_json_dict(), id="integral"),
+    pytest.param(lambda: verify_mub(build_mub_set(build_field(3, 1))).to_json_dict(), id="mub"),
+    pytest.param(lambda: gram_report(canonical_family_params(3), r=1, p=3).to_json_dict(),
+                 id="gram"),
+    pytest.param(lambda: eigen_check(1, 0, Fraction(1, 3), p=3).to_json_dict(), id="eigen"),
+    *(pytest.param(lambda suite=suite: sweeps.SUITES[suite](0, DEFAULT_TERM_CAP),
+                   id=f"sweep-{suite}") for suite in sorted(sweeps.SUITES)),
 ])
 def test_report_json_dicts_serialize(report):
-    d = report().to_json_dict()
+    d = report()
     assert d["schema"] == 1
+    assert _plain_json_types(d)
     assert json.loads(json.dumps(d))["passed"] is True
 
 

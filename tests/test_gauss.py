@@ -38,7 +38,6 @@ from padic_mub.gauss import (
     _float_power,
     _integral_reduction,
     _phase_sum,
-    _reduction_exponents,
     _shifted_valuations,
     ring_sum_norm_closed_table,
     ring_sum_normsq_table,
@@ -153,6 +152,15 @@ def test_ring_closed_examples():
 def test_ring_closed_rejects_p2():
     with pytest.raises(OddPrimeError):
         ring_sum_norm_closed(2, 1, 1, 1, 0)
+
+
+def test_counting_identities_refuse_p2():
+    # at p = 2 the count of a*y + b = 0 is not |S|^2: here it gives 8, not 16
+    assert abs(ring_sum_numeric(2, 2, 1, 1, 1)) == 4  # x^2 + x is even: four terms of 1
+    with pytest.raises(OddPrimeError):
+        ring_sum_normsq_exact(2, 2, 1, 1, 1)
+    with pytest.raises(OddPrimeError):
+        ring_sum_normsq_table(2, 2, 1)  # [[16, 0], [8, 8]] where |S|^2 is [[16, 0], [0, 16]]
 
 
 def test_ring_numeric_accepts_p2():
@@ -475,11 +483,25 @@ def test_ring_report_roundtrip():
     assert d["counting_matches_closed"] is True
 
 
-def test_ring_report_p2_marks_closed_unavailable():
-    rep = ring_report(2, 2, 1, 1, 1, oracle=True)
-    assert rep.closed is None
-    assert rep.to_json_dict()["closed_exact"] == "unavailable"
-    assert rep.numeric is not None  # brute force still runs for exploration
+def test_ring_report_refuses_p2():
+    # the closed form and the counting oracle both need an odd prime
+    for oracle in (False, True):
+        with pytest.raises(OddPrimeError):
+            ring_report(2, 2, 1, 1, 1, oracle=oracle)
+
+
+def test_integral_report_reads_each_valuation_once(monkeypatch):
+    reads = []
+
+    def counted(x, p):
+        reads.append(x)
+        return frac_valuation(x, p)
+
+    monkeypatch.setattr(gauss, "frac_valuation", counted)
+    for oracle in (False, True):
+        reads.clear()
+        assert integral_report(3, 1, Fraction(1, 3), Fraction(2), oracle=oracle).passed
+        assert reads == [Fraction(1, 3), Fraction(2)], oracle
 
 
 def test_integral_report_flags_uncertified():
@@ -685,6 +707,12 @@ def _old_shifted_reduction_exponents(dx, dy):
     return l, l if dx == INF else max(l, -(dx // 2))
 
 
+def _reduction_l(dx, dy):
+    """The l of `_integral_reduction` at r = 0, where dx, dy are v(a), v(b)."""
+    a, b = (0 if v == INF else Fraction(3) ** v for v in (dx, dy))
+    return _integral_reduction(3, 0, a, b, dx, dy)[0][0]
+
+
 def test_reduction_exponents_read_the_shifted_valuations():
     vals = [*range(-8, 9), INF]
     cases = 0
@@ -692,7 +720,7 @@ def test_reduction_exponents_read_the_shifted_valuations():
         for va in vals:
             for vb in vals:
                 dx, dy = va - 2 * r, vb - r
-                got = _reduction_exponents(dx, dy)
+                got = _reduction_l(dx, dy)
                 assert type(got) is int
                 # the k bound never binds: every reduction is one period, k = l
                 assert (got, got) == _old_reduction_exponents(r, va, vb), (r, va, vb)
@@ -703,7 +731,7 @@ def test_reduction_exponents_read_the_shifted_valuations():
         for dy in [*range(-60, 61), INF]:
             if dx != INF or dy != INF:
                 l, k = _old_shifted_reduction_exponents(dx, dy)
-                assert k == l == _reduction_exponents(dx, dy), (dx, dy)
+                assert k == l == _reduction_l(dx, dy), (dx, dy)
 
 
 def test_closed_forms_refuse_p2_from_the_table():
@@ -847,7 +875,8 @@ def _old_integral_numeric(p, r, a, b, term_cap=DEFAULT_TERM_CAP):
 
 @pytest.mark.parametrize("term_cap", [DEFAULT_TERM_CAP, 3**5])
 def test_threshold_sweep_sums_each_reduction_once(monkeypatch, term_cap):
-    keys = {_integral_reduction(3, r, a, b)[0] for r, a, b in _threshold_cases()}
+    keys = {_integral_reduction(3, r, *_shifted_valuations(3, r, a, b))[0]
+            for r, a, b in _threshold_cases()}
     kept = {key for key in keys if 3 ** key[0] <= term_cap}
     assert len(kept) < len(keys)  # some reductions are over either cap
     want = _old_sweep_thresholds(term_cap=term_cap)
@@ -884,7 +913,7 @@ def test_threshold_sweep_reads_each_valuation_once_per_pair(monkeypatch):
 def test_integral_numeric_is_the_scaled_ring_sum_bit_for_bit():
     compared = 0
     for r, a, b in _threshold_cases():
-        key, scale = _integral_reduction(3, r, a, b)
+        key, scale = _integral_reduction(3, r, *_shifted_valuations(3, r, a, b))
         if 3 ** key[0] > DEFAULT_TERM_CAP:
             continue
         got = integral_numeric(3, r, a, b)

@@ -77,17 +77,11 @@ def test_required_resolution_examples():
     assert required_resolution(1, 0, 1, 3) == 2
     assert required_resolution(0, 0, 5, 3) == 0
     assert required_resolution(Fraction(1, 9), 0, 1, 3) == 4
-    # recentering: the shift c only changes the linear coefficient to 2ac+b
-    assert required_resolution(1, 0, 1, 3, c=Fraction(1, 3)) == required_resolution(
-        1, Fraction(2, 3), 1, 3
-    )
 
 
-def _old_required_resolution(a, b, r, p, c=None):
+def _old_required_resolution(a, b, r, p):
     af = as_fraction(a, p)
     bf = as_fraction(b, p)
-    if c is not None:
-        bf = 2 * af * as_fraction(c, p) + bf
     bounds = [0]
     va, vb = frac_valuation(af, p), frac_valuation(bf, p)
     if va != math.inf:
@@ -108,9 +102,6 @@ def test_required_resolution_reads_the_shifted_valuations():
                 assert got == _old_required_resolution(a, b, r, p), (r, a, b)
                 assert type(got) is int
                 cases += 1
-        for a, b, c in ((1, 0, Fraction(1, 3)), (Fraction(1, 9), 2, 3), (0, 5, Fraction(1, 27))):
-            want = _old_required_resolution(a, b, r, p, c)
-            assert required_resolution(a, b, r, p, c=c) == want, (r, a, b, c)
     assert cases == 4860
 
 
