@@ -162,7 +162,9 @@ def cmd_mub_padic(args):
         f"family ranks {report.family_ranks}\n"
         f"{'PASS' if report.passed else 'FAIL'}\n"
     )
-    return report.to_json_dict(), table, report.to_csv()
+    # the per-pair rows are built only for the format that prints them
+    d = report.to_json_dict() if args.format == "json" else {"passed": report.passed}
+    return d, table, report.to_csv() if args.format == "csv" else None
 
 
 def cmd_fourier_ball(args):

@@ -389,23 +389,69 @@ def _normalize_family(a: FamilyLabel):
     return a
 
 
-def _difference_valuations(values: list[Fraction], p: int) -> tuple[list[int], list[list]]:
-    """Each value's index among the distinct values, and the table of
-    v(x - y) over the distinct values x, y (inf on the diagonal)."""
+def _difference_valuations(values: list[Fraction], p: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """The distinct values, each value's index among them, and the float
+    table of v(x - y) over the distinct values x, y (inf on the diagonal)."""
     distinct = list(dict.fromkeys(values))
-    table = [[INF] * len(distinct) for _ in distinct]
+    table = np.full((len(distinct), len(distinct)), INF)
     for m, x in enumerate(distinct):
         for n in range(m):
-            table[m][n] = table[n][m] = frac_valuation(x - distinct[n], p)
+            table[m, n] = table[n, m] = frac_valuation(x - distinct[n], p)
     index = {x: m for m, x in enumerate(distinct)}
-    return [index[x] for x in values], table
+    return distinct, np.array([index[x] for x in values], dtype=np.int64), table
 
 
-def _pair_min_r(p: int, va: int | float, a: Fraction, b: Fraction, b_delta: Fraction):
-    """Smallest r certifying |<v_inf(b_delta)|v(a, b)>| = 1, from v(a) and
-    the linear coefficient b - 2a*b_delta of the chirp seen from -b_delta."""
-    half = NEG_INF if va == INF else -(va // 2)
-    return max(half, -frac_valuation(b - 2 * a * b_delta, p))
+def _linear_valuations(p: int, a: list[Fraction], b: list[Fraction], ia, ib, ic) -> np.ndarray:
+    """v(b[ib] - 2*a[ia]*b[ic]) elementwise and exactly: the numerators over
+    the common denominator d^2 as Python ints in an object array."""
+    d = math.lcm(*(x.denominator for x in (*a, *b)))
+    an, bn = (np.array([int(x * d) for x in xs], dtype=object) for xs in (a, b))
+    num = bn[ib] * d - 2 * an[ia] * bn[ic]
+    v = np.where(num == 0, INF, -2.0 * frac_valuation(d, p))
+    live = num != 0
+    while (live := live & (num % p == 0)).any():  # once per power of p dividing one
+        num[live] //= p
+        v[live] += 1
+    return v
+
+
+def _state_stack(states: list[tuple[FamilyLabel, Coefficient]], grid: Grid) -> np.ndarray:
+    """One row per state (a, b), equal to vector_v_inf(b, grid) for a = None
+    and to vector_v(a, b, grid) otherwise, checked in the same order.
+
+    required_resolution(a, b) and the phase depth of e(a*x^2 + b*x) are the
+    larger of their a and their b parts, so a chirp's index row is the
+    quadratic row of its a plus the linear row of its b, each built once
+    per label and lifted to the state's own depth M; one np.exp then covers
+    the whole stack, each entry evaluated as vector_v evaluates it.
+    """
+    p, r, quad, lin, deltas, chirps = grid.p, grid.r, {}, {}, {}, []
+    for s, (a, b) in enumerate(states):
+        if a is None:
+            deltas[s] = vector_v_inf(b, grid).amplitudes
+            continue
+        for x, degree, seen in ((a, 2, quad), (b, 1, lin)):
+            if x not in seen:  # (row, needed k, depth, coefficients) per label
+                xf = as_fraction(x, p, need_abs_precision=degree * r)
+                ab = (xf, 0) if degree == 2 else (0, xf)
+                seen[x] = (len(seen), required_resolution(*ab, r, p),
+                           _phase_term(grid, xf, degree)[0], ab)
+        (ia, ka, ma, _), (ib, kb, mb, _) = quad[a], lin[b]
+        if grid.k < max(ka, kb) or p ** max(ma, mb) > MAX_INT64_RESIDUE:
+            _cell_phase_indices(a, b, grid)  # raises this state's own error
+        chirps.append((s, ia, ib, ma, mb))
+    # allocated once every state has passed its checks
+    stack = np.empty((len(states), grid.n), dtype=complex)
+    for s, row in deltas.items():
+        stack[s] = row
+    if chirps:
+        s, ia, ib, ma, mb = np.array(chirps).T
+        qa, lb = (np.array([_quad_phase_indices(grid, *t[3])[0] for t in seen.values()])
+                  for seen in (quad, lin))
+        mod = p ** np.maximum(ma, mb)[:, None]
+        idx = (qa[ia] * (mod // p ** ma[:, None]) + lb[ib] * (mod // p ** mb[:, None])) % mod
+        stack[s] = np.exp(2j * np.pi * idx / mod)
+    return stack
 
 
 @dataclass
@@ -420,7 +466,9 @@ class GramEntry:
 
 @dataclass
 class GramReport:
-    """Cross table of |<v_i|v_j>| against the closed three-case values."""
+    """Cross table of |<v_i|v_j>| against the closed three-case values, with
+    columns `closed`, `certified` and `deviation` over the pairs i <= j in
+    np.triu_indices order."""
 
     p: int
     r_requested: int
@@ -428,27 +476,33 @@ class GramReport:
     k_used: int
     labels: list[str]
     moduli: np.ndarray
-    entries: list[GramEntry]
+    closed: np.ndarray
+    certified: np.ndarray
+    deviation: np.ndarray
     family_ranks: dict[str, int]
     tol: float
     max_certified_deviation: float
     uncertified_pairs: int
     passed: bool
 
+    def _rows(self):
+        i, j = np.triu_indices(len(self.labels))
+        cols = (i, j, self.moduli[i, j], self.closed, self.certified, self.deviation)
+        return zip(*(c.tolist() for c in cols))
+
+    @property
+    def entries(self) -> list[GramEntry]:
+        return [GramEntry(*row) for row in self._rows()]
+
     def to_json_dict(self) -> dict:
-        # shallow on purpose: dataclasses.asdict would deep-copy every entry
-        d = {"schema": 1, "kind": "gram", **vars(self)}
-        del d["moduli"]
-        d["entries"] = [vars(e).copy() for e in self.entries]
+        d = {k: v for k, v in vars(self).items() if not isinstance(v, np.ndarray)}
+        d.update(schema=1, kind="gram", entries=[vars(e) for e in self.entries])
         return d
 
     def to_csv(self) -> str:
         lines = ["i,j,label_i,label_j,numeric,closed_exact,certified,deviation"]
-        for e in self.entries:
-            lines.append(
-                f"{e.i},{e.j},{self.labels[e.i]},{self.labels[e.j]},"
-                f"{e.numeric!r},{e.closed!r},{int(e.certified)},{e.deviation!r}"
-            )
+        lines += [f"{i},{j},{self.labels[i]},{self.labels[j]},{x!r},{c!r},{int(ok)},{dev!r}"
+                  for i, j, x, c, ok, dev in self._rows()]
         return "\n".join(lines) + "\n"
 
 
@@ -468,82 +522,66 @@ def gram_report(
     pair's closed value is certified, otherwise under-threshold pairs are
     computed but flagged uncertified and excluded from the pass criterion.
     """
-    raw = [(_normalize_family(a), a, b) for a, b in params]
+    raw = [(_normalize_family(a), b) for a, b in params]
     # representatives are enough for thresholds and grid sizing (they only
     # need valuations); the state constructors re-check precision themselves
-    ab = [(None if lab is None else as_fraction(a, p), as_fraction(b, p)) for lab, a, b in raw]
-    # a pair reads v(a_i - a_j) and v(b_i - b_j) from tables over the
-    # distinct labels, a delta's a read as 0; one pass over i <= j serves
-    # the grid sizing and the certified flags
-    a_of, va = _difference_valuations([0 if a is None else a for a, _ in ab], p)
-    b_of, vb = _difference_valuations([b for _, b in ab], p)
-    keys = {}  # (i, j) -> (v(a_i - a_j), v(b_i - b_j)), None for a delta and a chirp
-    min_r = {}
-    for i, (ai, bi) in enumerate(ab):
-        for j, (aj, bj) in enumerate(ab[i:], i):
-            v = va[a_of[i]][a_of[j]]
-            if (ai is None) == (aj is None):
-                keys[i, j] = (v, vb[b_of[i]][b_of[j]])
-            else:
-                a, b, b_delta = (aj, bj, bi) if ai is None else (ai, bi, bj)
-                keys[i, j], min_r[i, j] = None, _pair_min_r(p, v, a, b, b_delta)
-    # each distinct valuation pair's threshold once, then r_used, then its
-    # closed modulus once: the table read at R = max(r_used, t + 1), as
-    # gauss.simplified_norm reads it
-    thresholds = {key: _threshold(*key) for key in set(keys.values()) - {None}}
-    min_r.update((ij, thresholds[key] + 1) for ij, key in keys.items() if key is not None)
+    ab = [(None if lab is None else as_fraction(lab, p), as_fraction(b, p)) for lab, b in raw]
+    # the pair columns, i <= j: v(a_i - a_j) and v(b_i - b_j) read from
+    # tables over the distinct labels, a delta's a read as 0
+    a_vals, a_of, va = _difference_valuations([0 if a is None else a for a, _ in ab], p)
+    b_vals, b_of, vb = _difference_valuations([b for _, b in ab], p)
+    i, j = np.triu_indices(len(ab))
+    dva, dvb = va[a_of[i], a_of[j]], vb[b_of[i], b_of[j]]
+    delta = np.array([a is None for a, _ in ab])
+    mixed = delta[i] != delta[j]
+    # a delta and a chirp (a, b): r certifies modulus 1 from v(a) and the
+    # linear coefficient b - 2a*b_delta of the chirp seen from -b_delta
+    chirp, at = np.where(delta[i], j, i)[mixed], np.where(delta[i], i, j)[mixed]
+    lin = _linear_valuations(p, a_vals, b_vals, a_of[chirp], b_of[chirp], b_of[at])
+    min_r = np.empty(len(i))
+    min_r[mixed] = np.maximum(np.ceil(-dva[mixed] / 2), -lin)
+    # any other pair: each distinct key (v(Δa), v(Δb)) gets its threshold
+    # once, then r_used, then its closed modulus once: the table read at
+    # R = max(r_used, t + 1), as gauss.simplified_norm reads it
+    (av, ac), (bv, bc) = (np.unique(v[~mixed], return_inverse=True) for v in (dva, dvb))
+    codes, key_of = np.unique(ac * len(bv) + bc, return_inverse=True)
+    keys = [tuple(v if v == INF else int(v) for v in key)
+            for key in zip(av[codes // len(bv)].tolist(), bv[codes % len(bv)].tolist())]
+    thresholds = [_threshold(*key) for key in keys]
+    min_r[~mixed] = np.array(thresholds)[key_of] + 1
     r_used = r
     if auto_raise:
-        needed = [int(m) for m in min_r.values() if m != NEG_INF]
         # a delta state's center -b must lie in the domain p^(-r)Z_p
         centers = {b for a, b in ab if a is None and b}
-        r_used = max([r, *needed, *(-frac_valuation(b, p) for b in centers)])
+        r_used = max([int(min_r.max(initial=r)), *(-frac_valuation(b, p) for b in centers)])
     # every bound of required_resolution falls as the valuation rises, and
     # v(x - y) >= min(v(x), v(y)), so no difference (ai - aj, bi - bj) needs
     # a finer grid than the states themselves; a delta state needs k >= r
     k = max([1 - r_used, *(r_used if a is None else required_resolution(a, b, r_used, p)
                            for a, b in ab)])
     grid = make_grid(p, r_used, k, cell_cap)
-    stack = np.stack([
-        (vector_v_inf(b, grid) if lab is None else vector_v(a, b, grid)).amplitudes
-        for lab, a, b in raw
-    ])
+    stack = _state_stack(raw, grid)
     labels = [f"a={'inf' if a is None else a} b={b}" for a, b in ab]
     gram = stack.conj() @ stack.T * float(grid.measure)
     moduli = np.abs(gram)
-    closed_of = {None: 1.0}  # a delta and a chirp overlap with modulus 1
-    for (dva, dvb), t in thresholds.items():
-        big_r = max(r_used, t + 1)
-        closed_of[dva, dvb] = _table_norm(p, dva - 2 * big_r, dvb - big_r, 2 * big_r)[0].value
-    entries, max_dev, uncert = [], 0.0, 0
-    for (i, j), key in keys.items():
-        certified = r_used >= min_r[i, j]
-        dev = float(abs(moduli[i, j] - closed_of[key]))
-        entries.append(GramEntry(i, j, float(moduli[i, j]), closed_of[key], certified, dev))
-        if certified:
-            max_dev = max(max_dev, dev)
-        else:
-            uncert += 1
+    big_r = [max(r_used, t + 1) for t in thresholds]
+    closed_of = [_table_norm(p, x - 2*R, y - R, 2*R)[0].value for (x, y), R in zip(keys, big_r)]
+    closed = np.ones(len(i))  # a delta and a chirp overlap with modulus 1
+    closed[~mixed] = np.array(closed_of)[key_of]
+    certified = r_used >= min_r
+    deviation = np.abs(moduli[i, j] - closed)
+    max_dev = float(deviation[certified].max(initial=0.0))
+    uncert = int(np.count_nonzero(~certified))
     # each family sample should stay linearly independent on its grid
-    families = ["inf" if lab is None else str(lab) for lab, _, _ in raw]
-    family_ranks: dict[str, int] = {}
-    for fam in sorted(set(families)):
-        idxs = [i for i, f in enumerate(families) if f == fam]
-        family_ranks[fam] = int(np.linalg.matrix_rank(gram[np.ix_(idxs, idxs)]))
-    passed = max_dev <= tol and (uncert == 0 or not auto_raise)
+    fams, fam_of = np.unique(["inf" if lab is None else str(lab) for lab, _ in raw],
+                             return_inverse=True)
+    family_ranks = {fam: int(np.linalg.matrix_rank(gram[np.ix_(fam_of == f, fam_of == f)]))
+                    for f, fam in enumerate(fams.tolist())}
     return GramReport(
-        p=p,
-        r_requested=r,
-        r_used=r_used,
-        k_used=k,
-        labels=labels,
-        moduli=moduli,
-        entries=entries,
-        family_ranks=family_ranks,
-        tol=tol,
-        max_certified_deviation=max_dev,
-        uncertified_pairs=uncert,
-        passed=passed,
+        p=p, r_requested=r, r_used=r_used, k_used=k, labels=labels, moduli=moduli,
+        closed=closed, certified=certified, deviation=deviation,
+        family_ranks=family_ranks, tol=tol, max_certified_deviation=max_dev,
+        uncertified_pairs=uncert, passed=max_dev <= tol and (uncert == 0 or not auto_raise),
     )
 
 

@@ -151,6 +151,18 @@ def test_mub_padic_p5(capsys):
     assert code == 0 and "6 families" in out
 
 
+def test_mub_padic_table_builds_no_rows(capsys, monkeypatch):
+    import padic_mub.mub_padic as mub_padic
+
+    def refused(self):
+        raise AssertionError("a table run serialized the per-pair rows")
+
+    for name in ("to_csv", "to_json_dict"):
+        monkeypatch.setattr(mub_padic.GramReport, name, refused)
+    code, out, _ = run(capsys, "mub-padic", "-p", "5", "-r", "1", "--format", "table")
+    assert code == 0 and out.endswith("PASS\n")
+
+
 def test_fourier_ball_and_eigen(capsys):
     code, out, _ = run(capsys, "fourier-ball", "-p", "3", "-r", "1", "-z", "1/3")
     assert code == 0 and "PASS" in out

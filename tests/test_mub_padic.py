@@ -37,8 +37,16 @@ from padic_mub import (
     vector_v_inf,
 )
 from padic_mub.errors import CapError, PrecisionError
-from padic_mub.gauss import MAX_INT64_RESIDUE, NEG_INF, roots_of_unity, threshold_t
-from padic_mub.padic import PFraction, as_fraction, frac_part, frac_valuation
+from padic_mub.gauss import (
+    MAX_INT64_RESIDUE,
+    NEG_INF,
+    _table_norm,
+    _threshold,
+    roots_of_unity,
+    threshold_t,
+)
+from padic_mub.mub_padic import GramEntry
+from padic_mub.padic import INF, PFraction, as_fraction, frac_part, frac_valuation
 
 W3 = complex(-0.5, np.sqrt(3) / 2)  # e^(2*pi*i/3)
 
@@ -748,11 +756,10 @@ def _stub_states(mp):
     """Replace the states of gram_report by three-cell placeholders.  Its
     sizing, closed values and certified flags read only the labels, so with
     an unbounded cell cap they can be checked on grids too large to build."""
-    def stub(*args):
-        return StateVector(Grid(3, 1, 0), np.ones(3))
+    def stub(states, grid):
+        return np.ones((len(states), 3), dtype=complex)
 
-    mp.setattr(mub_padic, "vector_v", stub)
-    mp.setattr(mub_padic, "vector_v_inf", stub)
+    mp.setattr(mub_padic, "_state_stack", stub)
 
 
 def _pair_oracle_check(p, params, r, auto_raise):
@@ -785,6 +792,198 @@ def test_pair_closed_forms_match_the_old_ones():
                 for auto_raise in (True, False):
                     entries += _pair_oracle_check(p, params, r, auto_raise)
     assert entries > 10000
+
+
+def _pair_min_r(p, va, a, b, b_delta):
+    """Smallest r certifying |<v_inf(b_delta)|v(a, b)>| = 1, from v(a) and
+    the linear coefficient b - 2a*b_delta of the chirp seen from -b_delta."""
+    half = NEG_INF if va == INF else -(va // 2)
+    return max(half, -frac_valuation(b - 2 * a * b_delta, p))
+
+
+def _gram_entries_loop(params, r, p, auto_raise, moduli):
+    """gram_report's pair pass as one Python loop over the pairs i <= j, as
+    it was before the pair columns: r_used and the GramEntry list, read off
+    the given moduli."""
+    ab = [
+        (None if mub_padic._normalize_family(a) is None else as_fraction(a, p),
+         as_fraction(b, p))
+        for a, b in params
+    ]
+    keys = {}  # (i, j) -> (v(a_i - a_j), v(b_i - b_j)), None for a delta and a chirp
+    min_r = {}
+    for i, (ai, bi) in enumerate(ab):
+        for j, (aj, bj) in enumerate(ab[i:], i):
+            v = frac_valuation((0 if ai is None else ai) - (0 if aj is None else aj), p)
+            if (ai is None) == (aj is None):
+                keys[i, j] = (v, frac_valuation(bi - bj, p))
+            else:
+                a, b, b_delta = (aj, bj, bi) if ai is None else (ai, bi, bj)
+                keys[i, j], min_r[i, j] = None, _pair_min_r(p, v, a, b, b_delta)
+    thresholds = {key: _threshold(*key) for key in set(keys.values()) - {None}}
+    min_r.update((ij, thresholds[key] + 1) for ij, key in keys.items() if key is not None)
+    r_used = r
+    if auto_raise:
+        needed = [int(m) for m in min_r.values() if m != NEG_INF]
+        centers = {b for a, b in ab if a is None and b}
+        r_used = max([r, *needed, *(-frac_valuation(b, p) for b in centers)])
+    closed_of = {None: 1.0}
+    for (dva, dvb), t in thresholds.items():
+        big_r = max(r_used, t + 1)
+        closed_of[dva, dvb] = _table_norm(p, dva - 2 * big_r, dvb - big_r, 2 * big_r)[0].value
+    entries = []
+    for (i, j), key in keys.items():
+        dev = float(abs(moduli[i, j] - closed_of[key]))
+        entries.append(GramEntry(i, j, float(moduli[i, j]), closed_of[key],
+                                 r_used >= min_r[i, j], dev))
+    return r_used, entries
+
+
+def _gram_sets():
+    yield from ((p, canonical_family_params(p)) for p in (3, 5, 7, 11))
+    yield from ((p, params) for p, params, _ in _mixed_param_sets())
+    # linear phases deeper than the quadratic ones: v(b) < v(a) - r
+    yield 3, [(3, Fraction(1, 3)), (1, Fraction(1, 9)), (Fraction(1, 3), Fraction(2, 27)), (None, 0)]
+    yield 5, [(5, Fraction(1, 5)), (1, Fraction(2, 25)), (None, 1), (2, 1)]
+
+
+def test_gram_columns_match_the_pair_loop():
+    """certified, closed and deviation bit for bit (repr tells 0.0 from -0.0
+    and a numpy bool from a Python one); grids past the cell cap are sized
+    and flagged from the labels alone, with stubbed states."""
+    checked = 0
+    for p, params in _gram_sets():
+        for r in (-1, 0, 1, 2):
+            for auto_raise in (True, False):
+                try:
+                    rep = gram_report(params, r=r, p=p, auto_raise=auto_raise)
+                except CapError:
+                    with pytest.MonkeyPatch.context() as mp:
+                        _stub_states(mp)
+                        rep = gram_report(params, r=r, p=p, auto_raise=auto_raise,
+                                          cell_cap=math.inf)
+                except ValueError as exc:  # a delta center outside p^(-r)Z_p
+                    assert not auto_raise and "lies outside" in str(exc)
+                    continue
+                r_used, entries = _gram_entries_loop(params, r, p, auto_raise, rep.moduli)
+                assert rep.r_used == r_used
+                assert repr(rep.entries) == repr(entries), (p, r, auto_raise)
+                certified = [e for e in entries if e.certified]
+                assert rep.max_certified_deviation == max([0.0, *(e.deviation for e in certified)])
+                assert rep.uncertified_pairs == len(entries) - len(certified)
+                checked += 1
+    assert checked >= 60
+
+
+def test_state_stack_rows_are_the_state_vectors():
+    checked = 0
+    for p, params in _gram_sets():
+        states = [(mub_padic._normalize_family(a), b) for a, b in params]
+        for r in (-1, 0, 1, 2):
+            for auto_raise in (True, False):
+                try:
+                    rep = gram_report(params, r=r, p=p, auto_raise=auto_raise)
+                except (CapError, ValueError):
+                    continue
+                grid = Grid(p, rep.r_used, rep.k_used)
+                stack = mub_padic._state_stack(states, grid)
+                for row, (a, b) in zip(stack, states):
+                    want = vector_v_inf(b, grid) if a is None else vector_v(a, b, grid)
+                    assert np.array_equal(row, want.amplitudes), (p, grid, a, b)
+                    assert row.tobytes() == want.amplitudes.tobytes()
+                checked += 1
+    assert checked >= 40
+
+
+def test_gram_serializations_match_the_pair_loop():
+    for p in (3, 5, 7):
+        params = canonical_family_params(p)
+        rep = gram_report(params, r=1, p=p)
+        r_used, entries = _gram_entries_loop(params, 1, p, True, rep.moduli)
+        assert rep.entries == entries
+        max_dev = max([0.0, *(e.deviation for e in entries if e.certified)])
+        uncert = sum(not e.certified for e in entries)
+        old = {
+            "schema": 1, "kind": "gram", "p": p, "r_requested": 1, "r_used": r_used,
+            "k_used": rep.k_used, "labels": rep.labels, "family_ranks": rep.family_ranks,
+            "tol": rep.tol, "max_certified_deviation": max_dev, "uncertified_pairs": uncert,
+            "passed": max_dev <= rep.tol and uncert == 0,
+            "entries": [vars(e).copy() for e in entries],
+        }
+        d = rep.to_json_dict()
+        assert d == old and list(map(type, d.values())) == list(map(type, (old[k] for k in d)))
+        assert json.dumps(d, sort_keys=True) == json.dumps(old, sort_keys=True)
+        lab = rep.labels
+        lines = ["i,j,label_i,label_j,numeric,closed_exact,certified,deviation"]
+        for e in entries:
+            lines.append(
+                f"{e.i},{e.j},{lab[e.i]},{lab[e.j]},"
+                f"{e.numeric!r},{e.closed!r},{int(e.certified)},{e.deviation!r}"
+            )
+        assert rep.to_csv() == "\n".join(lines) + "\n"
+
+
+def test_linear_valuations_match_the_fraction_valuation():
+    rng = np.random.default_rng(5)
+    for p in (3, 5, 7):
+        a = sorted({
+            Fraction(int(u), int(w)) * Fraction(p) ** int(e)
+            for u, w, e in zip(rng.integers(-60, 60, 40), rng.integers(1, 30, 40),
+                               rng.integers(-4, 5, 40))
+        } | {Fraction(0), Fraction(1, 2), Fraction(p**9 + 1, p)})
+        n = len(a)
+        # b = a, then 2*a*c for sampled a and c, so some coefficients are exactly 0
+        xs, zs = rng.integers(0, n, 30), rng.integers(0, n, 30)
+        b = a + [2 * a[x] * a[z] for x, z in zip(xs.tolist(), zs.tolist())]
+        ia = np.concatenate([rng.integers(0, n, 400), xs])
+        ib = np.concatenate([rng.integers(0, len(b), 400), n + np.arange(30)])
+        ic = np.concatenate([rng.integers(0, len(b), 400), zs])
+        got = mub_padic._linear_valuations(p, a, b, ia, ib, ic)
+        want = [frac_valuation(b[y] - 2 * a[x] * b[z], p)
+                for x, y, z in zip(ia.tolist(), ib.tolist(), ic.tolist())]
+        assert got.tolist() == want and want.count(INF) >= 30
+
+
+def _old_stack_error(states, grid):
+    """The error the per-state constructors raise first, in params order."""
+    try:
+        for a, b in states:
+            vector_v_inf(b, grid) if a is None else vector_v(a, b, grid)
+    except (ValueError, CapError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_state_stack_raises_the_first_failing_states_error():
+    g = make_grid(3, 1, 2)
+    coarse = from_rational(1, 1, 3, 1)  # known only mod 3
+    fine_a = parse_coefficient("1 2 *3^0", 3)  # known mod 3^2, as 2r needs
+    cases = [
+        [(0, 0), (coarse, 0)],  # a known below 3^(2r)
+        [(fine_a, 0), (1, coarse), (None, 0)],  # b passes at 3^1: r = 1
+        [(1, 0), (Fraction(1, 27), 0), (coarse, 0)],  # resolution first
+        [(1, 0), (None, Fraction(1, 9)), (Fraction(1, 27), 0)],  # delta center first
+        [(None, coarse), (coarse, 0)],  # the delta's b needs 3^k
+        [(1, 1), (1, Fraction(1, 27)), (Fraction(1, 27), 0)],
+        [(2, 1), (2, 2), (1, 1)],
+    ]
+    for states in cases:
+        old = _old_stack_error(states, g)
+        if old is None:
+            mub_padic._state_stack(states, g)
+            continue
+        with pytest.raises(old[0]) as exc:
+            mub_padic._state_stack(states, g)
+        assert (type(exc.value), str(exc.value)) == old, states
+    assert sum(_old_stack_error(s, g) is not None for s in cases) == 5
+    # a phase modulus past int64 residues on a grid that resolves it: the
+    # checks run before any row of its 3^23 cells is allocated
+    huge, states = Grid(3, 1, 22), [(Fraction(1, 3**20), 0), (0, 0)]
+    old = _old_stack_error(states, huge)
+    assert old[0] is CapError and "3^22 exceeds" in old[1]
+    with pytest.raises(CapError) as exc:
+        mub_padic._state_stack(states, huge)
+    assert str(exc.value) == old[1]
 
 
 def _labels(p):
