@@ -422,8 +422,9 @@ def _state_stack(states: list[tuple[FamilyLabel, Coefficient]], grid: Grid) -> n
     required_resolution(a, b) and the phase depth of e(a*x^2 + b*x) are the
     larger of their a and their b parts, so a chirp's index row is the
     quadratic row of its a plus the linear row of its b, each built once
-    per label and lifted to the state's own depth M; one np.exp then covers
-    the whole stack, each entry evaluated as vector_v evaluates it.
+    per label and lifted to the state's own depth M.  Its entries are
+    gathered from one np.exp over the p^M <= grid.n roots of each depth M in
+    use, each root evaluated as vector_v evaluates it.
     """
     p, r, quad, lin, deltas, chirps = grid.p, grid.r, {}, {}, {}, []
     for s, (a, b) in enumerate(states):
@@ -448,9 +449,12 @@ def _state_stack(states: list[tuple[FamilyLabel, Coefficient]], grid: Grid) -> n
         s, ia, ib, ma, mb = np.array(chirps).T
         qa, lb = (np.array([_quad_phase_indices(grid, *t[3])[0] for t in seen.values()])
                   for seen in (quad, lin))
-        mod = p ** np.maximum(ma, mb)[:, None]
+        depth = np.maximum(ma, mb)
+        mod = p ** depth[:, None]
         idx = (qa[ia] * (mod // p ** ma[:, None]) + lb[ib] * (mod // p ** mb[:, None])) % mod
-        stack[s] = np.exp(2j * np.pi * idx / mod)
+        for m in np.unique(depth).tolist():
+            at = depth == m
+            stack[s[at]] = np.exp(2j * np.pi * np.arange(p**m) / p**m)[idx[at]]
     return stack
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import UnitPhase, phase_mul, phase_to_complex
+from .characters import phase_to_complex
 from .errors import CapError
 from .gauss import (
     DEFAULT_TERM_CAP,
@@ -26,11 +26,12 @@ from .gauss import (
 )
 from .mub_padic import (
     StateVector,
+    _cell_phase_indices,
+    _quad_phase_indices,
     eigen_check,
     make_grid,
     op_X,
     op_Z,
-    quadratic_phase_profile,
     required_resolution,
 )
 from .padic import frac_part, frac_valuation
@@ -158,16 +159,38 @@ def _random_coefficient(rng: np.random.Generator, p: int, vmin=-2, vmax=2) -> Fr
     return Fraction(unit) * Fraction(p) ** int(rng.integers(vmin, vmax + 1))
 
 
+def _commutation_exact(grid, c: Fraction, d: Fraction) -> bool:
+    """Z_d X_c = e(cd) X_c Z_d on every cell: op_Z's row {y*d} = idx/p^M, rolled
+    by op_X's shift index_of(c), equals idx + {cd} mod p^M, {cd} from frac_part."""
+    p = grid.p
+    idx, m = _quad_phase_indices(grid, 0, d)
+    cd = frac_part(c * d, p)
+    if cd.exp > m:
+        return False
+    shifted = (idx + cd.num * p ** (m - cd.exp)) % p**m
+    return bool(np.array_equal(np.roll(idx, -grid.index_of(c)), shifted))
+
+
+def _chirp_exact(grid, a: Fraction, d: Fraction, b: Fraction) -> bool:
+    """P_d takes the (a, b) state to (a + d, b) on every cell: {ay^2 + by} + {dy^2}
+    = {(a+d)y^2 + by} on the three index rows, lifted to their largest depth M."""
+    rows = [_cell_phase_indices(x, y, grid) for x, y in ((a, b), (d, 0), (a + d, b))]
+    m = max(depth for _, depth in rows)
+    ab, dd, apd = (idx * grid.p ** (m - depth) for idx, depth in rows)
+    return bool(np.array_equal((ab + dd) % grid.p**m, apd))
+
+
 def sweep_operators(
     seed: int = 0, p: int = 3, n_commutation: int = 50, n_eigen: int = 25, tol: float = 1e-9
 ) -> dict:
     """Randomized operator-algebra checks with a fixed seed.
 
     Commutation: modulation-after-shift differs from shift-after-modulation
-    by the exact global phase e(c*d), checked both as exact fractions on
-    every cell and numerically on a random state.  Eigenrelation: the shift
-    and modulation composite fixes each quadratic state up to e(-bc-ac^2).
-    Chirp: relabels quadratic states with exact phase equality.
+    by the exact global phase e(c*d), checked both exactly on integer
+    phase-index rows, on every cell, and numerically on a random state.
+    Eigenrelation: the shift and modulation composite fixes each quadratic
+    state up to e(-bc-ac^2).  Chirp: relabels quadratic states, checked
+    exactly on integer phase-index rows, on every cell.
     """
     rng = np.random.default_rng(seed)
     failures = 0
@@ -179,23 +202,12 @@ def sweep_operators(
         r = max(1, -vc)
         k = max(1, -vd, 1 - r)
         grid = make_grid(p, r, k)
-        # exact phase identity on every cell: {yd}+{cd} = {(y+c)d} mod 1
-        cd = frac_part(c * d, p)
-        ok = all(
-            phase_mul(
-                UnitPhase(frac_part(grid.rep(i) * d, p)), UnitPhase(cd)
-            ).phase
-            == frac_part((grid.rep(i) + c) * d, p)
-            for i in range(grid.n)
-        )
-        if not ok:
-            failures += 1
+        failures += not _commutation_exact(grid, c, d)
         state = _random_state(rng, grid)
         lhs = op_Z(op_X(state, c), d)
         rhs = op_X(op_Z(state, d), c)
-        dev = float(
-            np.abs(lhs.amplitudes - phase_to_complex(cd) * rhs.amplitudes).max()
-        )
+        cd = phase_to_complex(frac_part(c * d, p))
+        dev = float(np.abs(lhs.amplitudes - cd * rhs.amplitudes).max())
         worst = max(worst, dev)
         if dev > tol:
             failures += 1
@@ -208,7 +220,6 @@ def sweep_operators(
         eigen_worst = max(eigen_worst, rep.residual)
         if not rep.passed:
             failures += 1
-    chirp_failures = 0
     for _ in range(10):
         a = _random_coefficient(rng, p, -1, 1)
         d = _random_coefficient(rng, p, -1, 1)
@@ -219,16 +230,7 @@ def sweep_operators(
             required_resolution(d, 0, r, p),
             required_resolution(a + d, b, r, p),
         )
-        grid = make_grid(p, r, k)
-        combined = [
-            phase_mul(UnitPhase(x), UnitPhase(y)).phase
-            for x, y in zip(
-                quadratic_phase_profile(a, b, grid), quadratic_phase_profile(d, 0, grid)
-            )
-        ]
-        if combined != list(quadratic_phase_profile(a + d, b, grid)):
-            chirp_failures += 1
-    failures += chirp_failures
+        failures += not _chirp_exact(make_grid(p, r, k), a, d, b)
     return {
         "schema": 1,
         "suite": "operators",

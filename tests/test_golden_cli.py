@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from padic_mub import characters, mub_padic, sweeps
 from padic_mub.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
@@ -82,6 +83,22 @@ def test_cli_output_matches_golden(key, argv):
     golden = _load()
     expected = golden["cases"][key]
     assert _run(argv) == expected, f"captured with {golden['header']}, running with {_host()}"
+
+
+def test_sweep_operators_makes_no_per_cell_fraction_work(monkeypatch):
+    """The exact checks of `sweep operators` read integer phase-index rows:
+    no cell representative, PFraction sum or phase profile is built."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-cell Fraction work in sweep operators")
+
+    monkeypatch.setattr(mub_padic.Grid, "rep", refuse)
+    monkeypatch.setattr(characters, "phase_mul", refuse)
+    monkeypatch.setattr(mub_padic, "quadratic_phase_profile", refuse)
+    for name in ("phase_mul", "quadratic_phase_profile"):  # names bound at import
+        monkeypatch.setattr(sweeps, name, refuse, raising=False)
+    expected = _load()["cases"]["sweep-operators.json"]
+    assert _run(expected["argv"])["stdout"] == expected["stdout"]
 
 
 def test_golden_file_covers_every_invocation():

@@ -1,5 +1,6 @@
 """Grid models of L^2(Q_p): states, Fourier transform, unitaries, Gram tables."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -33,6 +34,7 @@ from padic_mub import (
     phase_to_complex,
     quadratic_phase_profile,
     required_resolution,
+    sweeps,
     vector_v,
     vector_v_inf,
 )
@@ -1029,3 +1031,105 @@ def test_quadratic_phase_profile_matches_the_per_cell_loop():
     cases += [(Fraction(1, 25), Fraction(3, 5), make_grid(5, 1, 4)), (0, 0, make_grid(7, -1, 3))]
     for a, b, grid in cases:
         assert quadratic_phase_profile(a, b, grid) == _profile_loop(a, b, grid), (a, b, grid)
+
+
+def _commutation_cells_loop(grid, c, d):
+    """The exact commutation check as one Fraction, PFraction and UnitPhase
+    per cell: {y*d} + {cd} = {(y + c)*d} at every representative y."""
+    p = grid.p
+    cd = frac_part(c * d, p)
+    return all(
+        phase_mul(UnitPhase(frac_part(grid.rep(i) * d, p)), UnitPhase(cd)).phase
+        == frac_part((grid.rep(i) + c) * d, p)
+        for i in range(grid.n)
+    )
+
+
+def _chirp_cells_loop(grid, a, d, b):
+    """The exact chirp check as one PFraction sum per cell."""
+    combined = [
+        phase_mul(UnitPhase(x), UnitPhase(y)).phase
+        for x, y in zip(quadratic_phase_profile(a, b, grid), quadratic_phase_profile(d, 0, grid))
+    ]
+    return combined == list(quadratic_phase_profile(a + d, b, grid))
+
+
+def _commutation_draws(p, n, seed):
+    """(grid, c, d) drawn and sized as sweep_operators draws and sizes them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        c, d = sweeps._random_coefficient(rng, p), sweeps._random_coefficient(rng, p)
+        r = max(1, -int(frac_valuation(c, p)))
+        yield make_grid(p, r, max(1, -int(frac_valuation(d, p)), 1 - r)), c, d
+
+
+def _chirp_draws(p, n, seed):
+    """(grid, a, d, b) drawn and sized as sweep_operators draws and sizes them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        a, d, b = (sweeps._random_coefficient(rng, p, -1, 1) for _ in range(3))
+        k = max(required_resolution(x, y, 1, p) for x, y in ((a, b), (d, 0), (a + d, b)))
+        yield make_grid(p, 1, k), a, d, b
+
+
+@pytest.mark.parametrize("p,n", [(3, 340), (5, 120), (7, 40)])  # 500 draws of each
+def test_exact_operator_checks_match_the_cell_loops(p, n):
+    for grid, c, d in _commutation_draws(p, n, seed=p):
+        assert sweeps._commutation_exact(grid, c, d) is _commutation_cells_loop(grid, c, d) is True
+    for grid, a, d, b in _chirp_draws(p, n, seed=p):
+        assert sweeps._chirp_exact(grid, a, d, b) is _chirp_cells_loop(grid, a, d, b) is True
+
+
+def _one_wrong_cell(bad_call, cell, cell_phase_indices=mub_padic._cell_phase_indices):
+    """_cell_phase_indices whose calls number bad_call, bad_call + 3, ...
+    (from 0), row bad_call of each chirp check, move one cell's phase by 1/p^M."""
+    calls = itertools.count()
+
+    def patched(x, y, grid):
+        idx, depth = cell_phase_indices(x, y, grid)
+        if next(calls) % 3 == bad_call:
+            idx = idx.copy()
+            idx[cell % grid.n] = (idx[cell % grid.n] + 1) % grid.p**depth
+        return idx, depth
+
+    return patched
+
+
+def test_exact_operator_checks_fail_on_injected_faults():
+    commutation = rolls = chirps = 0
+    index_of = Grid.index_of
+    for p in (3, 5, 7):
+        for grid, c, d in _commutation_draws(p, 40, seed=10 + p):
+            m = mub_padic._quad_phase_indices(grid, 0, d)[1]
+            off = Fraction(1, p ** max(m, 1))  # past the depth when op_Z is trivial
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sweeps, "frac_part", lambda q, p, off=off: frac_part(q + off, p))
+                assert not sweeps._commutation_exact(grid, c, d), (grid, c, d)
+            commutation += 1
+            if m:  # a trivial op_Z commutes with any roll
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(Grid, "index_of", lambda g, x: index_of(g, x) + 1)
+                    assert not sweeps._commutation_exact(grid, c, d), (grid, c, d)
+                rolls += 1
+        rng = np.random.default_rng(p)
+        for grid, a, d, b in _chirp_draws(p, 15, seed=10 + p):
+            for bad in range(3):
+                cell = int(rng.integers(grid.n))
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(sweeps, "_cell_phase_indices", _one_wrong_cell(bad, cell))
+                    mp.setattr(mub_padic, "_cell_phase_indices", _one_wrong_cell(bad, cell))
+                    new, old = sweeps._chirp_exact(grid, a, d, b), _chirp_cells_loop(grid, a, d, b)
+                depth = mub_padic._cell_phase_indices(*((a, b), (d, 0), (a + d, b))[bad], grid)[1]
+                assert new is old is (depth == 0), (grid, a, d, b, bad, cell)
+                chirps += depth > 0
+    assert (commutation, rolls, chirps) == (120, 78, 133)
+    # the whole sweep: {cd} moved by 1/27 fails each exact and each numeric check
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweeps, "frac_part", lambda q, p: frac_part(q + Fraction(1, 27), p))
+        rep = sweeps.sweep_operators(seed=0)
+    assert rep["failures"] == 100 and rep["passed"] is False
+    # and one wrong cell in each (d, 0) row, of depth 2 - v(d) >= 1, fails each chirp check
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweeps, "_cell_phase_indices", _one_wrong_cell(1, 1))
+        rep = sweeps.sweep_operators(seed=0)
+    assert rep["failures"] == 10 and rep["passed"] is False
