@@ -235,16 +235,7 @@ def _add_common(sub, *, oracle=False, term_cap=False) -> None:
                          help="also run the brute-force oracles and compare")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="padic-mub",
-        description="Verification pipelines for quadratic Gauss sums and "
-        "mutually unbiased bases over finite fields and Q_p.  Coefficients "
-        "accept rationals 'num/den' or digit strings 'd0 d1 ... *p^v'.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("gauss-ring", help="norm of a quadratic Gauss sum over Z/p^k")
+def _gauss_ring_args(s):
     s.add_argument("-p", type=int, required=True)
     s.add_argument("-k", type=int, required=True)
     s.add_argument("-l", type=int, required=True)
@@ -252,9 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-b", type=int, required=True)
     s.add_argument("--tol", type=float, default=1e-6, help=REL_TOL_HELP)
     _add_common(s, oracle=True, term_cap=True)
-    s.set_defaults(func=cmd_gauss_ring)
+    return cmd_gauss_ring
 
-    s = sub.add_parser("gauss-integral", help="norm of a Gauss integral over p^(-r)Z_p")
+
+def _gauss_integral_args(s):
     s.add_argument("-p", type=int, required=True)
     s.add_argument("-r", type=int, required=True)
     s.add_argument("-a", required=True)
@@ -262,9 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tol", type=float, default=1e-9,
                    help=REL_TOL_HELP + ", or to p^(r-l) if larger (l: the reported reduction_l)")
     _add_common(s, oracle=True, term_cap=True)
-    s.set_defaults(func=cmd_gauss_integral)
+    return cmd_gauss_integral
 
-    s = sub.add_parser("mub-finite", help="build and verify the p^r+1 bases of C^(p^r)")
+
+def _mub_finite_args(s):
     s.add_argument("-p", type=int, required=True)
     s.add_argument("-r", type=int, required=True)
     s.add_argument("--tol", type=float, default=1e-10,
@@ -272,9 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ortho-tol", type=float, default=1e-12, dest="ortho_tol",
                    help="absolute bound on the entries of V*V - I per basis")
     _add_common(s)
-    s.set_defaults(func=cmd_mub_finite)
+    return cmd_mub_finite
 
-    s = sub.add_parser("mub-padic", help="Gram table of the p+1 families on a grid")
+
+def _mub_padic_args(s):
     s.add_argument("-p", type=int, required=True)
     s.add_argument("-r", type=int, required=True)
     s.add_argument("--bs", help="comma-separated b sample (default 0..p-1)")
@@ -284,9 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tol", type=float, default=1e-9,
                    help="absolute bound on each certified Gram deviation")
     _add_common(s)
-    s.set_defaults(func=cmd_mub_padic)
+    return cmd_mub_padic
 
-    s = sub.add_parser("fourier-ball", help="transform of a ball indicator vs closed form")
+
+def _fourier_ball_args(s):
     s.add_argument("-p", type=int, required=True)
     s.add_argument("-r", type=int, required=True, help="ball exponent: z + p^r Z_p")
     s.add_argument("-z", default="0")
@@ -294,9 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tol", type=float, default=1e-10,
                    help="absolute bound on the pointwise and the norm deviation")
     _add_common(s)
-    s.set_defaults(func=cmd_fourier_ball)
+    return cmd_fourier_ball
 
-    s = sub.add_parser("eigen-check", help="eigenrelation of the shift/modulation composite")
+
+def _eigen_check_args(s):
     s.add_argument("-p", type=int, required=True)
     s.add_argument("-a", required=True)
     s.add_argument("-b", required=True)
@@ -304,19 +300,55 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tol", type=float, default=1e-9,
                    help="absolute bound on the residual |X Z v - e v| / |v|")
     _add_common(s)
-    s.set_defaults(func=cmd_eigen_check)
+    return cmd_eigen_check
 
-    s = sub.add_parser("sweep", help="run a whole verification suite")
+
+def _sweep_args(s):
     s.add_argument("suite", choices=sorted(sweeps.SUITES))
     s.add_argument("--seed", type=int, default=0)
     _add_common(s, term_cap=True)
-    s.set_defaults(func=cmd_sweep)
+    return cmd_sweep
 
+
+# name: (help, the function that adds its arguments and returns its handler)
+_SUBCOMMANDS = {
+    "gauss-ring": ("norm of a quadratic Gauss sum over Z/p^k", _gauss_ring_args),
+    "gauss-integral": ("norm of a Gauss integral over p^(-r)Z_p", _gauss_integral_args),
+    "mub-finite": ("build and verify the p^r+1 bases of C^(p^r)", _mub_finite_args),
+    "mub-padic": ("Gram table of the p+1 families on a grid", _mub_padic_args),
+    "fourier-ball": ("transform of a ball indicator vs closed form", _fourier_ball_args),
+    "eigen-check": ("eigenrelation of the shift/modulation composite", _eigen_check_args),
+    "sweep": ("run a whole verification suite", _sweep_args),
+}
+COMMANDS = tuple(_SUBCOMMANDS)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser.  For one of COMMANDS it holds only that subcommand's
+    parser; for anything else (None, -h, an unknown word) all of them, so
+    help and "invalid choice" come from the full parser."""
+    parser = argparse.ArgumentParser(
+        prog="padic-mub",
+        description="Verification pipelines for quadratic Gauss sums and "
+        "mutually unbiased bases over finite fields and Q_p.  Coefficients "
+        "accept rationals 'num/den' or digit strings 'd0 d1 ... *p^v'.",
+    )
+    one = command in _SUBCOMMANDS
+    # the usage line lists every command either way, so "unrecognized
+    # arguments" errors print the full parser's bytes
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if one else None)
+    for name in (command,) if one else COMMANDS:
+        help_text, add_args = _SUBCOMMANDS[name]
+        s = sub.add_parser(name, help=help_text)
+        s.set_defaults(func=add_args(s))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         report, table, csv_text = args.func(args)
         report["config"] = _options(args)

@@ -560,9 +560,13 @@ def gram_report(
         r_used = max([int(min_r.max(initial=r)), *(-frac_valuation(b, p) for b in centers)])
     # every bound of required_resolution falls as the valuation rises, and
     # v(x - y) >= min(v(x), v(y)), so no difference (ai - aj, bi - bj) needs
-    # a finer grid than the states themselves; a delta state needs k >= r
-    k = max([1 - r_used, *(r_used if a is None else required_resolution(a, b, r_used, p)
-                           for a, b in ab)])
+    # a finer grid than the states themselves; a delta state needs k >= r,
+    # and a chirp's bound is the larger of its a part and its b part, so
+    # each distinct label is sized once
+    chirp_a, chirp_b = {a for a, _ in ab if a is not None}, {b for a, b in ab if a is not None}
+    k = max([1 - r_used, *(r_used for a, _ in ab if a is None),
+             *(required_resolution(a, 0, r_used, p) for a in chirp_a),
+             *(required_resolution(0, b, r_used, p) for b in chirp_b)])
     grid = make_grid(p, r_used, k, cell_cap)
     stack = _state_stack(raw, grid)
     labels = [f"a={'inf' if a is None else a} b={b}" for a, b in ab]

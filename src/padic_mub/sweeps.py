@@ -28,13 +28,12 @@ from .mub_padic import (
     StateVector,
     _cell_phase_indices,
     _quad_phase_indices,
+    _times_phase,
     eigen_check,
     make_grid,
-    op_X,
-    op_Z,
     required_resolution,
 )
-from .padic import frac_part, frac_valuation
+from .padic import PFraction, frac_part, frac_valuation
 
 GAUSS_GRID_PRIMES = (3, 5, 7)
 GAUSS_GRID_MAX_EXP = 3
@@ -159,16 +158,28 @@ def _random_coefficient(rng: np.random.Generator, p: int, vmin=-2, vmax=2) -> Fr
     return Fraction(unit) * Fraction(p) ** int(rng.integers(vmin, vmax + 1))
 
 
-def _commutation_exact(grid, c: Fraction, d: Fraction) -> bool:
+def _commutation_parts(grid, c: Fraction, d: Fraction):
+    """{cd} from frac_part, op_X's shift index_of(c) and op_Z's phase row
+    (idx, M) for d: what both commutation checks read, each built once."""
+    return frac_part(c * d, grid.p), grid.index_of(c), _quad_phase_indices(grid, 0, d)
+
+
+def _commutation_exact(p: int, cd: PFraction, shift: int, row) -> bool:
     """Z_d X_c = e(cd) X_c Z_d on every cell: op_Z's row {y*d} = idx/p^M, rolled
-    by op_X's shift index_of(c), equals idx + {cd} mod p^M, {cd} from frac_part."""
-    p = grid.p
-    idx, m = _quad_phase_indices(grid, 0, d)
-    cd = frac_part(c * d, p)
+    by op_X's shift index_of(c), equals idx + {cd} mod p^M."""
+    idx, m = row
     if cd.exp > m:
         return False
     shifted = (idx + cd.num * p ** (m - cd.exp)) % p**m
-    return bool(np.array_equal(np.roll(idx, -grid.index_of(c)), shifted))
+    return bool(np.array_equal(np.roll(idx, -shift), shifted))
+
+
+def _commutation_deviation(state: StateVector, cd: PFraction, shift: int, row) -> float:
+    """max |Z_d X_c psi - e(cd) X_c Z_d psi|, with op_X's shift and op_Z's row
+    applied as op_X and op_Z apply them, so the floats are theirs bit for bit."""
+    lhs = _times_phase(StateVector(state.grid, np.roll(state.amplitudes, shift)), *row)
+    rhs = np.roll(_times_phase(state, *row).amplitudes, shift)
+    return float(np.abs(lhs.amplitudes - phase_to_complex(cd) * rhs).max())
 
 
 def _chirp_exact(grid, a: Fraction, d: Fraction, b: Fraction) -> bool:
@@ -202,12 +213,9 @@ def sweep_operators(
         r = max(1, -vc)
         k = max(1, -vd, 1 - r)
         grid = make_grid(p, r, k)
-        failures += not _commutation_exact(grid, c, d)
-        state = _random_state(rng, grid)
-        lhs = op_Z(op_X(state, c), d)
-        rhs = op_X(op_Z(state, d), c)
-        cd = phase_to_complex(frac_part(c * d, p))
-        dev = float(np.abs(lhs.amplitudes - cd * rhs.amplitudes).max())
+        parts = _commutation_parts(grid, c, d)
+        failures += not _commutation_exact(p, *parts)
+        dev = _commutation_deviation(_random_state(rng, grid), *parts)
         worst = max(worst, dev)
         if dev > tol:
             failures += 1

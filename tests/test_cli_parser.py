@@ -1,0 +1,138 @@
+"""The argparse surface of the CLI: help texts, usage errors and exit codes.
+
+`main` builds only the subparser that its first word names, and the full
+parser for anything else.  The corpus below pins what argparse prints,
+byte for byte, as recorded from the full parser with COLUMNS=80.  Rewrite
+the file only when an output change is intended:
+
+    PYTHONPATH=src python tests/test_cli_parser.py --write
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import platform
+import sys
+from pathlib import Path
+
+import pytest
+
+from padic_mub import cli
+
+RECORDED = Path(__file__).parent / "golden" / "argparse.json"
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli.json"
+NAMES = ("gauss-ring", "gauss-integral", "mub-finite", "mub-padic", "fourier-ball",
+         "eigen-check", "sweep")
+
+CORPUS = {
+    "no-arguments": [],
+    "help": ["-h"],
+    "help-long": ["--help"],
+    "unknown-command": ["bogus"],
+    **{f"{name}-help": [name, "-h"] for name in NAMES},
+    "sweep-unknown-suite": ["sweep", "not-a-suite"],
+    "sweep-no-suite": ["sweep"],
+    "missing-required-option": ["mub-finite", "-p", "3"],
+    "bad-int-value": ["gauss-ring", "-p", "3", "-k", "one", "-l", "1", "-a", "1", "-b", "0"],
+    "bad-float-value": ["mub-padic", "-p", "3", "-r", "1", "--tol", "tiny"],
+    "bad-format-choice": ["fourier-ball", "-p", "3", "-r", "1", "--format", "xml"],
+    "option-missing-its-value": ["sweep", "operators", "--seed"],
+    "term-cap-where-absent": ["mub-finite", "-p", "3", "-r", "2", "--term-cap", "10"],
+    "stray-positional": ["eigen-check", "-p", "3", "-a", "1", "-b", "0", "-c", "1", "extra"],
+}
+
+
+def _capture(call, argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _full_parse(argv: list[str]):
+    return cli.build_parser().parse_args(argv)
+
+
+def _load() -> dict:
+    return json.loads(RECORDED.read_text())
+
+
+@pytest.fixture
+def columns_80(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_main_prints_what_the_full_parser_prints(name, columns_80):
+    argv = CORPUS[name]
+    got = _capture(cli.main, argv)
+    assert got == _capture(_full_parse, argv)
+    assert got["exit"] in (0, 2) and (got["stdout"] or got["stderr"])
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_argparse_output_matches_the_recording(name, columns_80):
+    recorded = _load()
+    if platform.python_version_tuple()[:2] != tuple(recorded["python"].split(".")[:2]):
+        pytest.skip(f"argparse wording varies by Python; recorded on {recorded['python']}")
+    assert _capture(cli.main, CORPUS[name]) == recorded["cases"][name]
+
+
+def test_recording_covers_the_corpus():
+    assert sorted(_load()["cases"]) == sorted(CORPUS)
+
+
+def test_one_command_parser_reads_every_golden_argv_as_the_full_parser():
+    argvs = [case["argv"] for case in json.loads(GOLDEN_CLI.read_text())["cases"].values()]
+    assert {argv[0] for argv in argvs} == set(cli.COMMANDS)
+    for argv in argvs:
+        assert vars(cli.build_parser(argv[0]).parse_args(argv)) == vars(_full_parse(argv))
+
+
+def _subcommands(parser) -> list[str]:
+    (action,) = (a for a in parser._actions if a.dest == "command")
+    return list(action.choices)
+
+
+def test_commands_are_the_full_parsers_subcommands():
+    assert cli.COMMANDS == tuple(_subcommands(cli.build_parser())) == NAMES
+    for name in cli.COMMANDS:
+        assert _subcommands(cli.build_parser(name)) == [name]
+    for other in (None, "-h", "bogus", "--format"):
+        assert _subcommands(cli.build_parser(other)) == list(cli.COMMANDS)
+
+
+def test_main_builds_the_parser_of_its_first_word(monkeypatch, capsys):
+    seen = []
+    build_parser = cli.build_parser
+
+    def spy(command=None):
+        seen.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert cli.main(["mub-finite", "-p", "3", "-r", "1"]) == 0
+    # with no argv list, main reads the process arguments
+    monkeypatch.setattr(sys, "argv", ["padic-mub", "eigen-check", "-p", "3", "-a", "1",
+                                      "-b", "0", "-c", "1/3"])
+    assert cli.main() == 0
+    with pytest.raises(SystemExit):
+        cli.main([])
+    assert seen == ["mub-finite", "eigen-check", None]
+    assert capsys.readouterr().out.count("PASS") == 2
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    os.environ["COLUMNS"] = "80"
+    cases = {name: _capture(cli.main, argv) for name, argv in CORPUS.items()}
+    RECORDED.write_text(json.dumps({"python": platform.python_version(), "cases": cases},
+                                   indent=1) + "\n")
+    print(f"wrote {len(cases)} cases to {RECORDED}")

@@ -315,22 +315,29 @@ def test_operator_preconditions():
         op_P(psi, 1)  # chirp needs k >= 2
 
 
-def test_commutation_phase_exact():
+def test_commutation_checks_fail_on_a_shift_one_cell_off():
+    """Z_d X_c = e(cd) X_c Z_d numerically through op_X and op_Z, whose floats
+    the sweep's check repeats bit for bit; an index_of one cell off fails both
+    the exact and the numeric check of the sweep."""
     g = make_grid(3, 1, 2)
     rng = np.random.default_rng(3)
     psi = StateVector(g, rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
-    for c, d in ((Fraction(1, 3), Fraction(1, 3)), (2, Fraction(1, 9)), (Fraction(2, 3), 1)):
+    index_of = Grid.index_of
+    for c, d in ((Fraction(1, 3), Fraction(1, 3)), (Fraction(2), Fraction(1, 9)),
+                 (Fraction(2, 3), Fraction(1))):
         lhs = op_Z(op_X(psi, c), d)
         rhs = op_X(op_Z(psi, d), c)
         factor = phase_to_complex(frac_part(c * d, 3))
-        assert np.abs(lhs.amplitudes - factor * rhs.amplitudes).max() < 1e-12
-        # and the phase identity itself is exact on every cell
-        cd = frac_part(c * d, 3)
-        for i in range(g.n):
-            y = g.rep(i)
-            lhs_phase = frac_part(y * d + c * d, 3)
-            rhs_phase = phase_mul(UnitPhase(frac_part(y * d, 3)), UnitPhase(cd)).phase
-            assert lhs_phase == rhs_phase
+        dev = np.abs(lhs.amplitudes - factor * rhs.amplitudes).max()
+        assert dev < 1e-12
+        parts = sweeps._commutation_parts(g, c, d)
+        assert sweeps._commutation_exact(3, *parts)
+        assert sweeps._commutation_deviation(psi, *parts) == dev
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Grid, "index_of", lambda grid, x: (index_of(grid, x) + 1) % grid.n)
+            parts = sweeps._commutation_parts(g, c, d)
+            assert not sweeps._commutation_exact(3, *parts), (c, d)
+            assert sweeps._commutation_deviation(psi, *parts) > 1e-9, (c, d)
 
 
 def test_eigen_check_examples():
@@ -777,6 +784,9 @@ def _pair_oracle_check(p, params, r, auto_raise):
          as_fraction(b, p))
         for a, b in params
     ]
+    # the k sizing as one required_resolution call per state
+    assert rep.k_used == max([1 - r_used, *(r_used if a is None else required_resolution(
+        a, b, r_used, p) for a, b in ab)])
     for e in rep.entries:
         want = _old_pair_closed(p, r_used, *ab[e.i], *ab[e.j])
         assert e.closed == want, (p, r, ab[e.i], ab[e.j])  # bit for bit
@@ -1045,6 +1055,11 @@ def _commutation_cells_loop(grid, c, d):
     )
 
 
+def _commutation_exact(grid, c, d):
+    """sweeps._commutation_exact on the parts that sweep_operators builds."""
+    return sweeps._commutation_exact(grid.p, *sweeps._commutation_parts(grid, c, d))
+
+
 def _chirp_cells_loop(grid, a, d, b):
     """The exact chirp check as one PFraction sum per cell."""
     combined = [
@@ -1075,7 +1090,7 @@ def _chirp_draws(p, n, seed):
 @pytest.mark.parametrize("p,n", [(3, 340), (5, 120), (7, 40)])  # 500 draws of each
 def test_exact_operator_checks_match_the_cell_loops(p, n):
     for grid, c, d in _commutation_draws(p, n, seed=p):
-        assert sweeps._commutation_exact(grid, c, d) is _commutation_cells_loop(grid, c, d) is True
+        assert _commutation_exact(grid, c, d) is _commutation_cells_loop(grid, c, d) is True
     for grid, a, d, b in _chirp_draws(p, n, seed=p):
         assert sweeps._chirp_exact(grid, a, d, b) is _chirp_cells_loop(grid, a, d, b) is True
 
@@ -1104,12 +1119,12 @@ def test_exact_operator_checks_fail_on_injected_faults():
             off = Fraction(1, p ** max(m, 1))  # past the depth when op_Z is trivial
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(sweeps, "frac_part", lambda q, p, off=off: frac_part(q + off, p))
-                assert not sweeps._commutation_exact(grid, c, d), (grid, c, d)
+                assert not _commutation_exact(grid, c, d), (grid, c, d)
             commutation += 1
             if m:  # a trivial op_Z commutes with any roll
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(Grid, "index_of", lambda g, x: index_of(g, x) + 1)
-                    assert not sweeps._commutation_exact(grid, c, d), (grid, c, d)
+                    assert not _commutation_exact(grid, c, d), (grid, c, d)
                 rolls += 1
         rng = np.random.default_rng(p)
         for grid, a, d, b in _chirp_draws(p, 15, seed=10 + p):
