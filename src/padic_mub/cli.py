@@ -43,14 +43,16 @@ def _fmt(x: float) -> str:
     return f"{x:.{FLOAT_DIGITS}g}"
 
 
-def _emit(report: dict, args, table: str | None, csv_text: str | None) -> None:
-    fmt = args.format
-    if fmt == "json":
-        text = json.dumps(_round_floats(report), sort_keys=True, indent=2) + "\n"
-    elif fmt == "csv":
-        if csv_text is None:
+def _emit(report, args, table: str | None) -> None:
+    """Print the one format asked for, with the resolved invocation in JSON."""
+    if args.format == "json":
+        d = report if isinstance(report, dict) else report.to_json_dict()
+        d["config"] = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+        text = json.dumps(_round_floats(d), sort_keys=True, indent=2) + "\n"
+    elif args.format == "csv":
+        if not hasattr(report, "to_csv"):
             raise ValueError("this command has no CSV form; use json or table")
-        text = csv_text
+        text = report.to_csv()
     else:
         text = table if table is not None else _default_table(report)
     if args.out:
@@ -65,9 +67,10 @@ def _emit(report: dict, args, table: str | None, csv_text: str | None) -> None:
 
 
 def _default_table(report: dict) -> str:
+    """A sweep's summary, one line per field; the gauss-grid combos are left out."""
     lines = []
     for key, value in report.items():
-        if key in {"config", "entries", "pairs", "combos"}:
+        if key == "combos":
             continue
         if isinstance(value, float):
             value = _fmt(value)
@@ -76,7 +79,8 @@ def _default_table(report: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (report dict, table text or None, CSV text or None)
+# subcommands: each returns (report, table text or None), a report being a
+# JSON dict or an object with `passed`, `to_json_dict` and maybe `to_csv`
 # ---------------------------------------------------------------------------
 
 
@@ -86,14 +90,13 @@ def cmd_gauss_ring(args):
         raise OddPrimeError("the ring Gauss-sum norm table")
     report = ring_report(args.p, args.k, args.l, args.a, args.b,
                          oracle=args.oracle, tol=args.tol, term_cap=args.term_cap)
-    d = report.to_json_dict()
     numeric = "" if report.numeric is None else f"  numeric {_fmt(report.numeric)}"
     table = (
         f"ring Gauss sum p={args.p} k={args.k} l={args.l} a={args.a} b={args.b}\n"
-        f"closed {d['closed_exact']} ({report.case}){numeric}\n"
+        f"closed {report.closed} ({report.case}){numeric}\n"
         f"{'PASS' if report.passed else 'FAIL'}\n"
     )
-    return d, table, None
+    return report, table
 
 
 def cmd_gauss_integral(args):
@@ -103,14 +106,13 @@ def cmd_gauss_integral(args):
     b = parse_coefficient(args.b, args.p)
     report = integral_report(args.p, args.r, a, b,
                              oracle=args.oracle, tol=args.tol, term_cap=args.term_cap)
-    d = report.to_json_dict()
     numeric = "" if report.numeric is None else f"  numeric {_fmt(report.numeric)}"
     table = (
-        f"Gauss integral p={args.p} r={args.r} a={d['params']['a']} b={d['params']['b']}\n"
-        f"closed {d['closed_exact']} ({report.case}){numeric}\n"
+        f"Gauss integral p={args.p} r={args.r} a={report.params['a']} b={report.params['b']}\n"
+        f"closed {report.closed} ({report.case}){numeric}\n"
         f"{'PASS' if report.passed else 'FAIL'}\n"
     )
-    return d, table, None
+    return report, table
 
 
 def cmd_mub_finite(args):
@@ -118,29 +120,14 @@ def cmd_mub_finite(args):
         raise OddPrimeError("certifying unbiasedness of the quadratic-phase bases")
     field = build_field(args.p, args.r)
     bases = mub_finite.FieldMubSet.from_field(field)
-    # the per-pair rows are built only for the formats that print them
-    report = mub_finite.verify_mub(bases, tol=args.tol, ortho_tol=args.ortho_tol,
-                                   pairs=args.format != "table")
+    report = mub_finite.verify_mub(bases, tol=args.tol, ortho_tol=args.ortho_tol)
     table = (
-        f"{len(bases)} bases in C^{field.size} (modulus {field.modulus})\n"
+        f"{report.bases} bases in C^{field.size} (modulus {field.modulus})\n"
         f"target modulus {_fmt(report.target)}  max deviation {_fmt(report.max_deviation)}\n"
         f"orthonormality deviation {_fmt(report.ortho_deviation)}\n"
         f"{'PASS' if report.passed else 'FAIL'}\n"
     )
-    if args.format != "json":
-        d = {"passed": report.passed}
-    else:
-        d = report.to_json_dict()
-        d["bases"] = len(bases)
-    csv_text = None
-    if args.format == "csv":
-        csv_lines = ["i,j,label_i,label_j,min_mod,max_mod,max_dev"]
-        csv_lines += [
-            f"{s.i},{s.j},{s.labels[0]},{s.labels[1]},{s.min_mod!r},{s.max_mod!r},{s.max_dev!r}"
-            for s in report.pairs
-        ]
-        csv_text = "\n".join(csv_lines) + "\n"
-    return d, table, csv_text
+    return report, table
 
 
 def cmd_mub_padic(args):
@@ -162,9 +149,7 @@ def cmd_mub_padic(args):
         f"family ranks {report.family_ranks}\n"
         f"{'PASS' if report.passed else 'FAIL'}\n"
     )
-    # the per-pair rows are built only for the format that prints them
-    d = report.to_json_dict() if args.format == "json" else {"passed": report.passed}
-    return d, table, report.to_csv() if args.format == "csv" else None
+    return report, table
 
 
 def cmd_fourier_ball(args):
@@ -196,7 +181,7 @@ def cmd_fourier_ball(args):
         f"max pointwise deviation {_fmt(deviation)}  norm deviation {_fmt(norm_dev)}\n"
         f"{'PASS' if passed else 'FAIL'}\n"
     )
-    return d, table, None
+    return d, table
 
 
 def cmd_eigen_check(args):
@@ -207,16 +192,11 @@ def cmd_eigen_check(args):
         f"expected phase {report.expected_phase}  residual {_fmt(report.residual)}\n"
         f"{'PASS' if report.passed else 'FAIL'}\n"
     )
-    return report.to_json_dict(), table, None
+    return report, table
 
 
 def cmd_sweep(args):
-    return sweeps.SUITES[args.suite](args.seed, args.term_cap), None, None
-
-
-def _options(args) -> dict:
-    """The resolved invocation, `command` included, embedded in every report."""
-    return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    return sweeps.SUITES[args.suite](args.seed, args.term_cap), None
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +330,13 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        report, table, csv_text = args.func(args)
-        report["config"] = _options(args)
-        _emit(report, args, table, csv_text)
+        report, table = args.func(args)
+        _emit(report, args, table)
     except (ValueError, CapError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0 if report["passed"] else 1
+    passed = report["passed"] if isinstance(report, dict) else report.passed
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -21,3 +21,15 @@ class OddPrimeError(ValueError):
             f"{context} requires an odd prime: the case analysis relies on "
             "2 being invertible, so p = 2 is outside its hypothesis"
         )
+
+
+def check_power_cap(p: int, e: int, cap: float, message: str) -> None:
+    """Raise CapError(message.format(size="p^e", cap=cap)) if p^e > cap, for
+    p, e >= 0; no power past p * cap is formed, so a huge e costs no time."""
+    size = 1
+    for _ in range(e):
+        size *= p
+        if size > cap or size < 2:  # over the cap, or p^e = size for p < 2
+            break
+    if size > cap:
+        raise CapError(message.format(size=f"{p}^{e}", cap=cap))

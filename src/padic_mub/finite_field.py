@@ -13,7 +13,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .characters import UnitPhase
-from .errors import CapError
+from .errors import check_power_cap
 from .padic import PFraction, is_prime
 
 DEFAULT_FIELD_CAP = 625
@@ -122,8 +122,7 @@ def build_field(
         raise ValueError(f"{p} is not prime")
     if r < 1:
         raise ValueError("extension degree must be positive")
-    if p**r > size_cap:
-        raise CapError(f"field size {p**r} exceeds cap {size_cap}")
+    check_power_cap(p, r, size_cap, "field size {size} exceeds cap {cap}")
     if modulus is None:
         modulus = next(irreducible_polynomials(p, r))
     return FieldCtx(p, r, tuple(int(c) % p for c in modulus))

@@ -53,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapError, OddPrimeError, PrecisionError
+from .errors import CapError, OddPrimeError, PrecisionError, check_power_cap
 from .finite_field import FieldElem
 from .padic import INF, PadicNumber, as_fraction, frac_valuation, is_prime, rational_mod
 from .padic import int_valuation
@@ -197,9 +197,8 @@ def ring_sum_numeric(
     """
     if not 1 <= l <= k:
         raise ValueError("need k >= l >= 1")
+    check_power_cap(p, k, term_cap, "{size} terms exceed the cap {cap}")
     terms = p**k
-    if terms > term_cap:
-        raise CapError(f"{terms} terms exceed the cap {term_cap}")
     if terms > INT64_MAX:
         raise CapError(f"{terms} terms overflow the int64 counts")
     mod = p**l
@@ -278,8 +277,7 @@ def ring_sum_numeric_table(
     2.4 * eps * p^k of ring_sum_numeric(p, k, l, a, b) and of a per-a
     gather of the p^l roots.
     """
-    if p**k > term_cap:
-        raise CapError(f"{p**k} terms exceed the cap {term_cap}")
+    check_power_cap(p, k, term_cap, "{size} terms exceed the cap {cap}")
     mod = p**l
     scale = p ** (k - l)  # each residue class mod p^l is hit p^(k-l) times
     x = _residues(mod)
@@ -353,7 +351,8 @@ def integral_norm_closed(
 
 
 def _integral_reduction(
-    p: int, r: int, af: Fraction, bf: Fraction, dx: int | float, dy: int | float
+    p: int, r: int, af: Fraction, bf: Fraction, dx: int | float, dy: int | float,
+    term_cap: float = math.inf,
 ) -> tuple[tuple[int, int, int], float]:
     """The ring sum behind the ball integral: ((l, A, B), p^(r-l)), from a, b
     as rationals and their shifted valuations dx = v(a) - 2r, dy = v(b) - r.
@@ -363,14 +362,17 @@ def _integral_reduction(
     integrand e(a*x^2 + b*x) is zeta_{p^l}^(A*y^2 + B*y), so it depends on
     y mod p^l alone: the ball p^(-r)Z_p splits into p^l cosets of measure
     p^(r-l), on each of which it is constant.  The integral is therefore
-    p^(r-l) times one full period, the ring sum of A, B at k = l.
+    p^(r-l) times one full period, the ring sum of A, B at k = l, which is
+    refused over term_cap terms before p^l is formed.
     """
     _norm_table(p, dx, dy)  # odd p only, as the table it checks
     l = max(1, -dx, -dy)
+    scale = _float_power(p, r - l, "norm scale")
+    check_power_cap(p, l, term_cap, "{size} terms exceed the cap {cap}")
     mod = p**l
     a_int = rational_mod(af * Fraction(p) ** (l - 2 * r), mod)
     b_int = rational_mod(bf * Fraction(p) ** (l - r), mod)
-    return (l, a_int, b_int), _float_power(p, r - l, "norm scale")
+    return (l, a_int, b_int), scale
 
 
 def integral_numeric(
@@ -378,7 +380,8 @@ def integral_numeric(
 ) -> complex:
     """Brute-force value of the Gauss integral, via its finite-ring
     reduction `_integral_reduction`: p^(r-l) times one period of a ring sum."""
-    (l, a_int, b_int), scale = _integral_reduction(p, r, *_shifted_valuations(p, r, a, b))
+    (l, a_int, b_int), scale = _integral_reduction(p, r, *_shifted_valuations(p, r, a, b),
+                                                   term_cap)
     return scale * ring_sum_numeric(p, l, l, a_int, b_int, term_cap)
 
 
@@ -547,7 +550,7 @@ def integral_report(
     numeric = deviation = None
     passed = True
     if oracle:
-        (l, a_int, b_int), scale = _integral_reduction(p, r, a, b, dx, dy)
+        (l, a_int, b_int), scale = _integral_reduction(p, r, a, b, dx, dy, term_cap)
         # reduction_k is one period, k = l; the field stays for report readers
         extras.update({"reduction_l": l, "reduction_k": l})
         numeric = abs(scale * ring_sum_numeric(p, l, l, a_int, b_int, term_cap))

@@ -21,6 +21,7 @@ the matrices of `build_mub_set`.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -113,27 +114,44 @@ class PairStat:
 
 @dataclass
 class MubReport:
-    """Pairwise unbiasedness and per-basis orthonormality, against p^(-r/2)."""
+    """Pairwise unbiasedness and per-basis orthonormality, against p^(-r/2).
+
+    `pair_columns()` gives the basis labels and one row (min_mod, max_mod,
+    max_dev) per pair in `combinations` order; `pairs`, `to_json_dict` and
+    `to_csv` call it, so reading only the summary builds no pair row."""
 
     dim: int
+    bases: int
     target: float
     tol: float
     ortho_tol: float
-    pairs: list[PairStat] = field(default_factory=list)
-    max_deviation: float = 0.0
-    ortho_deviation: float = 0.0
-    passed: bool = False
+    max_deviation: float
+    ortho_deviation: float
+    passed: bool
+    pair_columns: Callable[[], tuple[list[str], np.ndarray]] = field(repr=False, compare=False)
+
+    def _rows(self):
+        labels, stats = self.pair_columns()
+        for (i, j), s in zip(combinations(range(len(labels)), 2), stats.tolist()):
+            yield i, j, labels[i], labels[j], *s
+
+    @property
+    def pairs(self) -> list[PairStat]:
+        return [PairStat(i, j, (li, lj), *s) for i, j, li, lj, *s in self._rows()]
 
     def to_json_dict(self) -> dict:
-        return {"schema": 1, **vars(self), "pairs": [vars(s).copy() for s in self.pairs]}
+        d = {k: v for k, v in vars(self).items() if k != "pair_columns"}
+        return {"schema": 1, **d, "pairs": [vars(s) for s in self.pairs]}
+
+    def to_csv(self) -> str:
+        lines = ["i,j,label_i,label_j,min_mod,max_mod,max_dev"]
+        lines += [f"{i},{j},{li},{lj},{mn!r},{mx!r},{dev!r}"
+                  for i, j, li, lj, mn, mx, dev in self._rows()]
+        return "\n".join(lines) + "\n"
 
 
-def verify_mub(
-    bases: list[BasisMatrix] | FieldMubSet,
-    tol: float = 1e-10,
-    ortho_tol: float = 1e-12,
-    pairs: bool = True,
-) -> MubReport:
+def verify_mub(bases: list[BasisMatrix] | FieldMubSet, tol: float = 1e-10,
+               ortho_tol: float = 1e-12) -> MubReport:
     """Check every unordered pair of bases for unbiasedness at modulus d^(-1/2).
 
     Also checks each basis for orthonormality (Gram = identity).  Pairs are
@@ -141,36 +159,25 @@ def verify_mub(
     is checked from one table of Gauss sums, with no basis matrix
     (`_field_report`).  A list of basis matrices, which must all share one
     square shape, takes one Gram per basis and one product |u* v| per pair.
-    `pairs=False` leaves out the per-pair rows and keeps the summary.
     """
     if isinstance(bases, FieldMubSet):
-        return _field_report(bases, tol, ortho_tol, pairs)
+        return _field_report(bases, tol, ortho_tol)
     shapes = sorted({b.matrix.shape for b in bases})
     d = shapes[0][0] if shapes and shapes[0] else 0
     if d < 1 or shapes != [(d, d)]:
         raise ValueError(f"need one or more bases of one square shape, got shapes {shapes}")
-    report = MubReport(dim=d, target=d**-0.5, tol=tol, ortho_tol=ortho_tol)
-    eye = np.eye(d)
+    target, eye = d**-0.5, np.eye(d)
     # np.max keeps a nan, so a non-finite basis fails the report
-    report.ortho_deviation = float(
-        np.max([np.abs(b.matrix.conj().T @ b.matrix - eye).max() for b in bases])
-    )
+    ortho = float(np.max([np.abs(b.matrix.conj().T @ b.matrix - eye).max() for b in bases]))
     n = len(bases)
     stats = np.zeros((n * (n - 1) // 2, 3))  # min_mod, max_mod, max_dev per pair
     for row, (i, j) in enumerate(combinations(range(n), 2)):
         mods = np.abs(bases[i].matrix.conj().T @ bases[j].matrix)
-        stats[row] = mods.min(), mods.max(), np.abs(mods - report.target).max()
-    if pairs:
-        labels = [b.label for b in bases]
-        report.pairs = [
-            PairStat(i, j, (labels[i], labels[j]), *s)
-            for (i, j), s in zip(combinations(range(n), 2), stats.tolist())
-        ]
-    report.max_deviation = float(np.max(stats[:, 2], initial=0.0))
-    report.passed = (
-        report.max_deviation <= tol and report.ortho_deviation <= ortho_tol
-    )
-    return report
+        stats[row] = mods.min(), mods.max(), np.abs(mods - target).max()
+    labels = [b.label for b in bases]
+    max_dev = float(np.max(stats[:, 2], initial=0.0))
+    return MubReport(d, n, target, tol, ortho_tol, max_dev, ortho,
+                     max_dev <= tol and ortho <= ortho_tol, lambda: (labels, stats))
 
 
 def _row_stats(mods: np.ndarray, target: float) -> np.ndarray:
@@ -198,7 +205,7 @@ class FieldMubSet:
         return self.ctx.size + 1
 
 
-def _field_report(bases: FieldMubSet, tol: float, ortho_tol: float, pairs: bool) -> MubReport:
+def _field_report(bases: FieldMubSet, tol: float, ortho_tol: float) -> MubReport:
     """`verify_mub` of a `FieldMubSet`: the report of the matrices of
     `build_mub_set`, from one table of Gauss sums.
 
@@ -209,29 +216,25 @@ def _field_report(bases: FieldMubSet, tol: float, ortho_tol: float, pairs: bool)
     labels; a pair with the computational basis has the moduli of the p
     scaled roots, bit for bit those of the basis entries; and V_a* V_a - I is
     row 0 minus a unit vector, while the identity basis contributes 0.  The
-    floats differ from the matrix path's only in rounding.
+    floats differ from the matrix path's only in rounding.  The labels and
+    the pair rows are gathered only when the report's pair columns are read.
     """
     ctx = bases.ctx
     p, r, q = ctx.p, ctx.r, ctx.size
+    target = q**-0.5
     roots = (1.0 / np.sqrt(q)) * roots_of_unity(p)
     table = roots.take(bases.tr_ax2.T) @ roots.take(bases.tr_bx)
-    report = MubReport(dim=q, target=q**-0.5, tol=tol, ortho_tol=ortho_tol)
-    report.ortho_deviation = float(np.abs(table[0] - np.eye(1, q)).max())  # |S[0, b] - delta_b|
-    mods = np.abs(table)
+    ortho = float(np.abs(table[0] - np.eye(1, q)).max())  # |S[0, b] - delta_b|
     # the q rows of S, then the computational basis as row q
-    rows = np.vstack((_row_stats(mods, report.target),
-                      _row_stats(np.abs(roots)[None], report.target)))
-    report.max_deviation = float(np.max(rows[1:, 2]))
-    report.passed = report.max_deviation <= tol and report.ortho_deviation <= ortho_tol
-    if pairs:
+    rows = np.vstack((_row_stats(np.abs(table), target), _row_stats(np.abs(roots)[None], target)))
+    max_dev = float(np.max(rows[1:, 2]))
+
+    def pair_columns():
         digits = np.arange(q)[:, None] // p ** np.arange(r) % p
         rows_of = np.full((q + 1, q + 1), q)
         rows_of[:q, :q] = (digits[None] - digits[:, None]) % p @ p ** np.arange(r)
         first, second = np.triu_indices(q + 1, 1)  # the order of combinations(range(q + 1), 2)
-        stats = rows[rows_of[first, second]].tolist()
-        labels = [f"a={a}" for a in ctx.elements()] + ["inf"]
-        report.pairs = [
-            PairStat(i, j, (labels[i], labels[j]), *s)
-            for i, j, s in zip(first.tolist(), second.tolist(), stats)
-        ]
-    return report
+        return [f"a={a}" for a in ctx.elements()] + ["inf"], rows[rows_of[first, second]]
+
+    return MubReport(q, q + 1, target, tol, ortho_tol, max_dev, ortho,
+                     max_dev <= tol and ortho <= ortho_tol, pair_columns)

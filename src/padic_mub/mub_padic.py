@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import phase_to_complex
-from .errors import CapError, ResolutionError
+from .errors import CapError, ResolutionError, check_power_cap
 from .gauss import MAX_INT64_RESIDUE, NEG_INF, _table_norm, _threshold
 from .padic import (
     INF,
@@ -74,8 +74,7 @@ class Grid:
 
 def make_grid(p: int, r: int, k: int, cell_cap: int = DEFAULT_CELL_CAP) -> Grid:
     grid = Grid(p, r, k)
-    if grid.n > cell_cap:
-        raise CapError(f"{grid.n} cells exceed the cap {cell_cap}")
+    check_power_cap(p, r + k, cell_cap, "{size} cells exceed the cap {cap}")
     return grid
 
 
@@ -392,13 +391,14 @@ def _normalize_family(a: FamilyLabel):
 def _difference_valuations(values: list[Fraction], p: int) -> tuple[list, np.ndarray, np.ndarray]:
     """The distinct values, each value's index among them, and the float
     table of v(x - y) over the distinct values x, y (inf on the diagonal)."""
-    distinct = list(dict.fromkeys(values))
+    index: dict = {}
+    codes = np.array([index.setdefault(x, len(index)) for x in values], dtype=np.int64)
+    distinct = list(index)
     table = np.full((len(distinct), len(distinct)), INF)
     for m, x in enumerate(distinct):
         for n in range(m):
             table[m, n] = table[n, m] = frac_valuation(x - distinct[n], p)
-    index = {x: m for m, x in enumerate(distinct)}
-    return distinct, np.array([index[x] for x in values], dtype=np.int64), table
+    return distinct, codes, table
 
 
 def _linear_valuations(p: int, a: list[Fraction], b: list[Fraction], ia, ib, ic) -> np.ndarray:

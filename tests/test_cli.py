@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, report schemas, determinism."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from padic_mub import (
     ring_report,
     verify_mub,
 )
+from padic_mub.finite_field import FieldCtx
 from padic_mub.gauss import DEFAULT_TERM_CAP
 from padic_mub.cli import main
 
@@ -109,7 +111,22 @@ def test_mub_finite_over_its_caps_is_exit_2(capsys):
     code, out, err = run(capsys, "mub-finite", "-p", "19", "-r", "2")
     assert (code, out, err) == (2, "", "error: dimension 361 exceeds cap 343\n")
     code, out, err = run(capsys, "mub-finite", "-p", "7", "-r", "4")
-    assert (code, out, err) == (2, "", "error: field size 2401 exceeds cap 625\n")
+    assert (code, out, err) == (2, "", "error: field size 7^4 exceeds cap 625\n")
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["mub-padic", "-p", "3", "-r", "30000000"], "3^90000000 cells exceed the cap 100000"),
+    (["mub-finite", "-p", "3", "-r", "30000000"], "field size 3^30000000 exceeds cap 625"),
+    (["fourier-ball", "-p", "3", "-r", "30000000"], "3^30000000 cells exceed the cap 100000"),
+    (["gauss-ring", "-p", "3", "-k", "30000000", "-l", "1", "-a", "1", "-b", "0", "--oracle"],
+     "3^30000000 terms exceed the cap 1000000"),
+    (["gauss-integral", "-p", "3", "-r", "30000000", "-a", "1", "-b", "0", "--oracle"],
+     "3^60000000 terms exceed the cap 1000000"),
+], ids=["mub-padic", "mub-finite", "fourier-ball", "gauss-ring", "gauss-integral"])
+def test_a_size_far_over_its_cap_is_named_as_a_power(capsys, argv, err):
+    # each size is refused before p^e is formed: forming it took seconds, and
+    # printing it passed Python's limit on int-to-str digits
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
 
 
 def test_mub_finite_builds_no_basis_matrix(capsys, monkeypatch):
@@ -151,15 +168,26 @@ def test_mub_padic_p5(capsys):
     assert code == 0 and "6 families" in out
 
 
-def test_mub_padic_table_builds_no_rows(capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ["mub-padic", "-p", "5", "-r", "1"],
+    ["mub-finite", "-p", "5", "-r", "2"],
+], ids=["mub-padic", "mub-finite"])
+def test_table_run_builds_no_rows(capsys, monkeypatch, argv):
+    import padic_mub.mub_finite as mub_finite
     import padic_mub.mub_padic as mub_padic
 
-    def refused(self):
-        raise AssertionError("a table run serialized the per-pair rows")
+    def refused(*args):
+        raise AssertionError("a table run built or serialized the per-pair rows")
 
-    for name in ("to_csv", "to_json_dict"):
-        monkeypatch.setattr(mub_padic.GramReport, name, refused)
-    code, out, _ = run(capsys, "mub-padic", "-p", "5", "-r", "1", "--format", "table")
+    for report in (mub_padic.GramReport, mub_finite.MubReport):
+        for name in ("to_csv", "to_json_dict"):
+            monkeypatch.setattr(report, name, refused)
+    # a mub-finite report's pair columns: its source, and the labels it reads
+    real_verify = mub_finite.verify_mub
+    monkeypatch.setattr(mub_finite, "verify_mub", lambda *args, **kwargs: dataclasses.replace(
+        real_verify(*args, **kwargs), pair_columns=refused))
+    monkeypatch.setattr(FieldCtx, "elements", refused)
+    code, out, _ = run(capsys, *argv, "--format", "table")
     assert code == 0 and out.endswith("PASS\n")
 
 

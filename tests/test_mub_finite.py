@@ -18,7 +18,7 @@ from padic_mub.errors import CapError
 from padic_mub.finite_field import FieldCtx, irreducible_polynomials
 from padic_mub.padic import is_prime
 from padic_mub.gauss import roots_of_unity
-from padic_mub.mub_finite import DEFAULT_DIM_CAP, BasisMatrix, FieldMubSet, MubReport, PairStat
+from padic_mub.mub_finite import DEFAULT_DIM_CAP, BasisMatrix, FieldMubSet, MubReport
 
 ORACLE_FIELDS = [
     (3, 1, None), (5, 1, None), (7, 1, None), (3, 2, None), (3, 2, (2, 1, 1)),
@@ -36,20 +36,32 @@ def _pair_row(u, v, target):
 def verify_all_pairs(bases, tol=1e-10, ortho_tol=1e-12):
     """The oracle: one dense product per pair, with a running max."""
     d = bases[0].matrix.shape[0]
-    report = MubReport(dim=d, target=d**-0.5, tol=tol, ortho_tol=ortho_tol)
+    target, ortho, max_dev, rows = d**-0.5, 0.0, 0.0, []
     for b in bases:
-        dev = np.abs(b.matrix.conj().T @ b.matrix - np.eye(d)).max()
-        report.ortho_deviation = max(report.ortho_deviation, float(dev))
+        ortho = max(ortho, float(np.abs(b.matrix.conj().T @ b.matrix - np.eye(d)).max()))
     for i in range(len(bases)):
         for j in range(i + 1, len(bases)):
-            stat = PairStat(
-                i, j, (bases[i].label, bases[j].label),
-                *_pair_row(bases[i].matrix, bases[j].matrix, report.target),
-            )
-            report.pairs.append(stat)
-            report.max_deviation = max(report.max_deviation, stat.max_dev)
-    report.passed = report.max_deviation <= tol and report.ortho_deviation <= ortho_tol
-    return report
+            rows.append(_pair_row(bases[i].matrix, bases[j].matrix, target))
+            max_dev = max(max_dev, rows[-1][2])
+    labels = [b.label for b in bases]
+    return MubReport(d, len(bases), target, tol, ortho_tol, max_dev, ortho,
+                     max_dev <= tol and ortho <= ortho_tol,
+                     lambda: (labels, np.array(rows).reshape(-1, 3)))
+
+
+def _summary(report):
+    return {k: v for k, v in vars(report).items() if k != "pair_columns"}
+
+
+def assert_pairs_leave_the_summary(make, n):
+    """A report's summary fields are the same whether or not its pair rows
+    are read, in any form; the JSON dict is that summary plus the rows."""
+    unread, read = make(), make()
+    pairs = read.pairs
+    assert len(pairs) == n * (n - 1) // 2 == len(read.to_csv().splitlines()) - 1
+    assert read.to_json_dict() == {"schema": 1, **_summary(unread), "pairs": [vars(s) for s in pairs]}
+    assert _summary(read) == _summary(unread)
+    return unread
 
 
 def assert_same_report(bases):
@@ -422,11 +434,9 @@ def test_every_linear_modulus_gives_one_prime_field(p):
 def test_field_set_report_without_pairs_keeps_the_summary(p, r):
     bases = FieldMubSet.from_field(build_field(p, r))
     assert len(bases) == p**r + 1
-    full = verify_mub(bases, tol=1e-9, ortho_tol=1e-11)
-    summary = verify_mub(bases, tol=1e-9, ortho_tol=1e-11, pairs=False)
-    assert summary.pairs == [] and len(full.pairs) == (p**r + 1) * p**r // 2
-    assert vars(summary) == {**vars(full), "pairs": []}
-    assert (full.tol, full.ortho_tol) == (1e-9, 1e-11)
+    report = assert_pairs_leave_the_summary(
+        lambda: verify_mub(bases, tol=1e-9, ortho_tol=1e-11), p**r + 1)
+    assert (report.bases, report.tol, report.ortho_tol) == (p**r + 1, 1e-9, 1e-11)
 
 
 def test_field_set_computational_pairs_are_the_root_moduli():
@@ -455,7 +465,7 @@ def test_a_wrong_trace_entry_fails_the_field_set_report(which):
     for entry in np.ndindex(field.size, field.size):
         wrong = [t.copy() for t in tables]
         wrong[which][entry] = (wrong[which][entry] + 1) % field.p
-        assert not verify_mub(FieldMubSet(field, *wrong), pairs=False).passed, entry
+        assert not verify_mub(FieldMubSet(field, *wrong)).passed, entry
 
 
 def test_field_set_refuses_past_the_dimension_cap_before_building(monkeypatch):
@@ -469,6 +479,4 @@ def test_field_set_refuses_past_the_dimension_cap_before_building(monkeypatch):
 
 def test_verify_mub_without_pairs_keeps_the_matrix_summary():
     bases = build_mub_set(build_field(3, 2))
-    full, summary = verify_mub(bases), verify_mub(bases, pairs=False)
-    assert summary.pairs == [] and len(full.pairs) == 45
-    assert vars(summary) == {**vars(full), "pairs": []}
+    assert assert_pairs_leave_the_summary(lambda: verify_mub(bases), 10).bases == 10
