@@ -24,7 +24,13 @@ dy term dropped for a zero coefficient.
 A numeric sum over N terms is a sum of roots of unity zeta_n^e with exact
 integer exponents e, n = p^l.  It is first reduced to an exact int64
 histogram c of the exponents mod n (for a ring sum, one period of x only,
-scaled by the exact number of periods).  Since Phi_{p^l}(x) = Phi_p(x^(n/p)),
+scaled by the exact number of periods).  A ring sum visits every x of the
+period: written x = u + s*v with s = p^ceil(l/2), s^2 = 0 mod p^l gives the
+exponent a*x^2 + b*x = f(u) + s*v*c(u) mod p^l, with f(u) = a*u^2 + b*u
+and c(u) = 2a*u + b, so one broadcast multiply-add of the exact integers
+f and c over all (u, v) and one reduction mod p^l produce every exponent.
+That is plain algebra on each term, not a Gauss-sum identity: the histogram
+is the defining sum's, bin for bin.  Since Phi_{p^l}(x) = Phi_p(x^(n/p)),
 the p roots of each coset {r + j*n/p} sum to 0, so subtracting from c its
 minimum on each coset leaves the sum unchanged in Z[zeta_n]; the result c'
 is the canonical representative with a zero in every coset, and the sum is
@@ -74,14 +80,24 @@ def roots_of_unity(n: int) -> np.ndarray:
 
 INT64_MAX = 2**63 - 1
 MAX_INT64_RESIDUE = math.isqrt(INT64_MAX)  # 3037000499
+# ring_sum_numeric splits a period of at least this many terms into two
+# digit blocks.  Below it the split's few extra numpy calls cost more than
+# they save: the two ways broke even near 2000 terms with numpy 2.4 on a
+# 2-CPU Xeon.
+SPLIT_MIN_TERMS = 2048
 
 
-def _residues(mod: int) -> np.ndarray:
-    """The residues 0..mod-1 as int64, for moduli whose squares fit int64."""
+def _check_modulus(mod: int) -> None:
+    """Refuse a modulus whose residue products could overflow int64."""
     if mod > MAX_INT64_RESIDUE:
         raise CapError(
             f"modulus {mod} exceeds {MAX_INT64_RESIDUE}: residue products overflow int64"
         )
+
+
+def _residues(mod: int) -> np.ndarray:
+    """The residues 0..mod-1 as int64, for moduli whose squares fit int64."""
+    _check_modulus(mod)
     return np.arange(mod, dtype=np.int64)
 
 
@@ -97,7 +113,7 @@ def _phase_sum(counts: np.ndarray, mod: int, p: int) -> complex:
     """
     cosets = counts.reshape(p, mod // p)  # column r is the coset {r + j*mod/p}
     reduced = (cosets - cosets.min(axis=0)).ravel()
-    m = np.flatnonzero(reduced)
+    m = np.flatnonzero(reduced != 0)  # a bool mask takes numpy's fast scan
     c = reduced[m]
     w = np.exp(2j * np.pi * m / mod)
     # fsum reads the doubles through a memoryview, without a list of floats
@@ -188,7 +204,13 @@ def ring_sum_numeric(
 
     The exponent mod p^l has period p^l in x, so its histogram over the
     p^k terms is exactly p^(k-l) times the histogram over one period
-    x in [0, p^l).  `_phase_sum` reduces that exact histogram by its
+    x in [0, p^l).  The period's exponents come from a digit split
+    x = u + s*v, s = p^ceil(l/2) (s = p^l, one row, below SPLIT_MIN_TERMS
+    terms): as s^2 = 0 mod p^l, the exponent of x is f(u) + s*v*c(u) mod p^l
+    with f(u) = a*u^2 + b*u and c(u) = 2a*u + b, one multiply-add over the
+    (v, u) block.  Every x is still visited and its exponent is exact, so
+    the histogram is that of the defining sum, bin for bin; no Gauss-sum
+    identity enters.  `_phase_sum` reduces that exact histogram by its
     minimum on each coset of p^(l-1)Z/p^l Z, which changes the sum by an
     exact 0, and fsums the weighted roots of the at most p^l - p^(l-1)
     surviving bins: within (1 + eps) * eps * p^k of the same sum over the
@@ -202,19 +224,37 @@ def ring_sum_numeric(
     if terms > INT64_MAX:
         raise CapError(f"{terms} terms overflow the int64 counts")
     mod = p**l
-    x = _residues(mod)
-    expo = x * x
-    expo %= mod
-    expo *= a % mod
-    x *= b % mod
-    x %= mod  # keeps the sum below mod^2 + mod, inside int64
-    expo += x
-    del x
-    expo %= mod
-    counts = np.bincount(expo, minlength=mod)
-    del expo
+    counts = _ring_histogram(p, l, a, b)
     counts *= p ** (k - l)
     return _phase_sum(counts, mod, p)
+
+
+def _ring_histogram(p: int, l: int, a: int, b: int) -> np.ndarray:
+    """How many x in [0, p^l) have each exponent a*x^2 + b*x mod p^l, by the
+    digit split of `ring_sum_numeric` (int64, p^l bins)."""
+    mod = p**l
+    _check_modulus(mod)
+    s = mod if mod < SPLIT_MIN_TERMS else p ** ((l + 1) // 2)
+    n = mod // s
+    u = np.arange(s, dtype=np.int64)
+    # s*v*c(u) mod p^l needs c(u) mod n only, as s*n = p^l.  Every
+    # intermediate stays below p^(2l) <= INT64_MAX (`_check_modulus`).
+    f = u * (a % mod)
+    f += b % mod  # at most (p^l - 1)*s < p^(2l)
+    f %= mod
+    f *= u  # below p^l*s
+    f %= mod
+    expo = f
+    if n > 1:
+        c = u * (2 * a % n)
+        c += b % n  # at most (n - 1)*s < p^l
+        c %= n
+        # row v, column u holds the exponent of x = u + s*v, from
+        # s*v*c(u) + f(u) <= (p^l - s)*(n - 1) + p^l - 1 < p^l*n
+        expo = np.multiply.outer(np.arange(0, mod, s, dtype=np.int64), c)
+        expo += f
+        expo %= mod
+    return np.bincount(expo.ravel(), minlength=mod)
 
 
 def ring_sum_normsq_exact(p: int, k: int, l: int, a: int, b: int) -> int:
@@ -229,7 +269,10 @@ def ring_sum_normsq_exact(p: int, k: int, l: int, a: int, b: int) -> int:
     _norm_table(p, 0, 0)  # odd p only
     mod = p**l
     y = _residues(mod)
-    count = int((((a % mod) * y + b % mod) % mod == 0).sum())
+    y *= a % mod
+    y += b % mod  # below (mod - 1)^2 + mod <= INT64_MAX
+    y %= mod
+    count = mod - int(np.count_nonzero(y))
     return p ** (2 * (k - l)) * mod * count
 
 

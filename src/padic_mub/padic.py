@@ -44,10 +44,19 @@ def int_valuation(n: int, p: int) -> int | float:
         raise ValueError(f"{p} is not prime")
     if n == 0:
         return INF
+    if n % p:
+        return 0
+    # p^(2^j) for j = 0.. until one does not divide n, then back down: each
+    # step halves the bits of v left to find, so v costs O(log v) divisions
+    powers = [p, p * p]
+    while n % powers[-1] == 0:
+        powers.append(powers[-1] ** 2)
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    for j in range(len(powers) - 2, -1, -1):
+        q, rem = divmod(n, powers[j])
+        if rem == 0:
+            n = q
+            v += 1 << j
     return v
 
 

@@ -129,6 +129,13 @@ def test_a_size_far_over_its_cap_is_named_as_a_power(capsys, argv, err):
     assert run(capsys, *argv) == (2, "", f"error: {err}\n")
 
 
+def test_a_coefficient_of_large_valuation_reaches_the_cap(capsys):
+    # v(a) = -10^5 is read in O(log v) divisions; stripping one factor of p
+    # per step took seconds before the cap was reached
+    argv = ["eigen-check", "-p", "3", "-a", "1 *3^-100000", "-b", "0", "-c", "1"]
+    assert run(capsys, *argv) == (2, "", "error: 3^100003 cells exceed the cap 100000\n")
+
+
 def test_mub_finite_builds_no_basis_matrix(capsys, monkeypatch):
     import padic_mub.mub_finite as mub_finite
 

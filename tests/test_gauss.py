@@ -201,6 +201,79 @@ def test_int64_guard_raises_cap_error():
         ring_sum_numeric(3, 40, 1, 1, 0, term_cap=10**30)
 
 
+def _old_ring_histogram(p, l, a, b):
+    """Oracle: the exponent histogram of one period, from the exponent of
+    every x by three full-size passes of % (the kernel before the split)."""
+    mod = p**l
+    x = np.arange(mod, dtype=np.int64)
+    expo = x * x
+    expo %= mod
+    expo *= a % mod
+    x *= b % mod
+    x %= mod
+    expo += x
+    expo %= mod
+    return np.bincount(expo, minlength=mod)
+
+
+def _old_ring_sum_numeric(p, k, l, a, b):
+    return _phase_sum(_old_ring_histogram(p, l, a, b) * p ** (k - l), p**l, p)
+
+
+def _old_normsq_exact(p, k, l, a, b):
+    mod = p**l
+    y = np.arange(mod, dtype=np.int64)
+    count = int((((a % mod) * y + b % mod) % mod == 0).sum())
+    return p ** (2 * (k - l)) * mod * count
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def _assert_ring_kernels_match_the_old_ones(p, k, l, a, b):
+    got = gauss._ring_histogram(p, l, a, b)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _old_ring_histogram(p, l, a, b)), (p, l, a, b)
+    value = ring_sum_numeric(p, k, l, a, b, term_cap=p**k)
+    assert _bits(value) == _bits(_old_ring_sum_numeric(p, k, l, a, b)), (p, k, l, a, b)
+    if p != 2:
+        normsq = ring_sum_normsq_exact(p, k, l, a, b)
+        assert type(normsq) is int  # a numpy int would change the JSON reports
+        assert normsq == _old_normsq_exact(p, k, l, a, b), (p, k, l, a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    p=st.sampled_from([2, 3, 5, 7, 11]),
+    l=st.integers(1, 6),
+    extra=st.integers(0, 1),
+    split_min=st.sampled_from([1, gauss.SPLIT_MIN_TERMS, 2**62]),
+)
+def test_digit_split_histogram_matches_the_old_histogram(data, p, l, extra, split_min):
+    # split_min 1 splits even the shortest period, 2**62 splits none
+    mod = p**l
+    coefficient = st.one_of(
+        st.just(0),
+        st.integers(-3 * mod, 3 * mod),
+        st.builds(lambda j, u: p**j * (u * p + 1), st.integers(1, l + 1), st.integers(-mod, mod)),
+    )
+    a, b = data.draw(coefficient), data.draw(coefficient)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gauss, "SPLIT_MIN_TERMS", split_min)
+        _assert_ring_kernels_match_the_old_ones(p, l + extra, l, a, b)
+
+
+@pytest.mark.parametrize("p, l", [(3, 12), (5, 8), (7, 7), (997, 2), (2053, 1)])
+def test_ring_kernels_match_the_old_ones_at_the_benchmark_moduli(p, l):
+    # the four largest ring moduli of the benchmark, and one prime past
+    # SPLIT_MIN_TERMS, whose single digit block is one row
+    mod = p**l
+    for a, b in [(1, 0), (p, 1), (mod - 1, p ** (l // 2) + 2), (123456789 % mod, 0)]:
+        _assert_ring_kernels_match_the_old_ones(p, l, l, a, b)
+
+
 def test_scale_invariance_exact_at_phase_level():
     # the exponent histogram at (k, l) is exactly p^(k-l) copies of (l, l)
     for p, k, l in ((3, 3, 1), (3, 3, 2), (5, 2, 1)):

@@ -240,6 +240,33 @@ def test_valuation_refuses_p_below_2():
             int_valuation(5, p)
 
 
+def _stripped_valuation(n, p):
+    """Oracle: strip one factor of p at a time."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 6, 7, 10, 97]),
+    v=st.integers(0, 300),
+    q=st.integers(-10**6, 10**6),
+    r=st.integers(1, 96),
+)
+def test_valuation_by_squaring_matches_stripping(p, v, q, r):
+    n = (q * p + r % (p - 1) + 1) * p**v  # the cofactor is prime to p
+    assert int_valuation(n, p) == _stripped_valuation(n, p) == v
+
+
+def test_valuation_of_a_large_power():
+    assert int_valuation(3**100000, 3) == 100000
+    assert int_valuation(-2 * 3**100001, 3) == 100001
+    assert int_valuation(0, 3) == INF
+
+
 def test_zero_digit_string_is_known_to_its_digits_only():
     x = parse_coefficient("0 0 *3^1", 3)
     assert x.is_zero and x.abs_precision == 3 and str(x) == "O(3^3)"
