@@ -4,14 +4,24 @@ Every run emits a machine-readable report embedding the resolved
 configuration; identical configurations (including seeds) produce
 byte-identical JSON.  Exit codes: 0 = pass, 1 = a verification failed
 numerically, 2 = invalid input.
+
+A call whose first word is a command is parsed by that command's standalone
+parser (`command_parser`), which prints the same help and errors as the full
+parser's subparser.  The full parser (`build_parser`) reads every other
+call, and any call whose arguments the command's parser leaves over, so
+"invalid choice" and "unrecognized arguments" print its usage line.  Each
+parser reads the terminal width once, not once per argument.  Nothing is
+cached across calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -22,7 +32,7 @@ from .errors import CapError, OddPrimeError
 from .finite_field import build_field
 from .gauss import DEFAULT_TERM_CAP, check_ring_params, integral_report, ring_report
 from .mub_padic import ball_fourier_closed, ball_state, fourier, make_grid
-from .padic import as_fraction, frac_valuation, parse_coefficient
+from .padic import INF, as_fraction, coefficient_valuation, parse_coefficient
 
 FLOAT_DIGITS = 12
 REL_TOL_HELP = "oracle tolerance on |closed - numeric|, relative to max(closed norm, 1)"
@@ -153,12 +163,14 @@ def cmd_mub_padic(args):
 
 
 def cmd_fourier_ball(args):
-    # the ball z + p^r Z_p needs z known modulo p^r
-    zf = as_fraction(parse_coefficient(args.z, args.p), args.p, need_abs_precision=args.r)
-    vz = frac_valuation(zf, args.p)
-    r0 = max(0, -int(vz) if zf != 0 else 0, -args.r)
+    # the ball z + p^r Z_p needs z known modulo p^r; the grid is sized from
+    # v(z) and its cap checked before z becomes a Fraction
+    z = parse_coefficient(args.z, args.p)
+    vz = coefficient_valuation(z, args.p, need_abs_precision=args.r)
+    r0 = max(0, -int(vz) if vz != INF else 0, -args.r)
     k = max(args.r, 1 - r0) if args.k is None else args.k
     grid = make_grid(args.p, r0, k)
+    zf = as_fraction(z, args.p)
     psi = ball_state(zf, args.r, grid)
     phat = fourier(psi)
     closed = ball_fourier_closed(zf, args.r, phat.grid)
@@ -303,32 +315,55 @@ _SUBCOMMANDS = {
 COMMANDS = tuple(_SUBCOMMANDS)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser.  For one of COMMANDS it holds only that subcommand's
-    parser; for anything else (None, -h, an unknown word) all of them, so
-    help and "invalid choice" come from the full parser."""
+def _formatter_class():
+    """argparse's help formatter at its own default width, with the terminal
+    read once per parser instead of once per `add_argument`."""
+    return functools.partial(argparse.HelpFormatter,
+                             width=shutil.get_terminal_size().columns - 2)
+
+
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    parser.set_defaults(command=name, func=_SUBCOMMANDS[name][1](parser))
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full CLI parser: every subcommand, their help and "invalid choice"."""
+    formatter_class = _formatter_class()
     parser = argparse.ArgumentParser(
         prog="padic-mub",
         description="Verification pipelines for quadratic Gauss sums and "
         "mutually unbiased bases over finite fields and Q_p.  Coefficients "
         "accept rationals 'num/den' or digit strings 'd0 d1 ... *p^v'.",
+        formatter_class=formatter_class,
     )
-    one = command in _SUBCOMMANDS
-    # the usage line lists every command either way, so "unrecognized
-    # arguments" errors print the full parser's bytes
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(COMMANDS) + "}" if one else None)
-    for name in (command,) if one else COMMANDS:
-        help_text, add_args = _SUBCOMMANDS[name]
-        s = sub.add_parser(name, help=help_text)
-        s.set_defaults(func=add_args(s))
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _) in _SUBCOMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text, formatter_class=formatter_class),
+                     name)
     return parser
 
 
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The standalone parser of one command: the full parser's subparser for
+    it, which prints the same help and errors, with `command` as a default."""
+    return _add_command(argparse.ArgumentParser(prog=f"padic-mub {name}",
+                                                formatter_class=_formatter_class()), name)
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """A known command's own parser reads its arguments.  Anything that is
+    not a command, and any argument that parser leaves over, goes to the
+    full parser, whose "unrecognized arguments" usage lists every command."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        args, extra = command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         report, table = args.func(args)
         _emit(report, args, table)

@@ -4,11 +4,17 @@ Elements are polynomials over F_p reduced modulo a fixed monic irreducible
 modulus of degree r.  The default modulus is the lexicographically smallest
 irreducible (coefficients compared low degree first), so field construction
 is reproducible with no external polynomial tables.
+
+A product is the schoolbook product of the two coefficient vectors, reduced
+once with the field's `high_powers` (x^r, ..., x^(2r-2) modulo the modulus,
+computed once per `FieldCtx`; `mub_finite` reads the same rows for its
+structure tensor).  The absolute trace sums x, x^p, ..., x^(p^(r-1)) with
+r - 1 Frobenius powers, so a trace on F_p multiplies nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -60,13 +66,31 @@ def irreducible_polynomials(p: int, r: int) -> Iterator[tuple[int, ...]]:
             yield cand
 
 
+def _high_powers(modulus: Sequence[int], p: int) -> tuple[tuple[int, ...], ...]:
+    """The coefficients of x^r, ..., x^(2r-2) modulo a monic modulus of degree r."""
+    r = len(modulus) - 1
+    low = [-c % p for c in modulus[:r]]  # x^r = low[0] + ... + low[r-1] x^(r-1)
+    powers = [tuple(int(k == n) for k in range(r)) for n in range(r)]
+    for _ in range(r - 1):  # x^r .. x^(2r-2), each x times the last
+        top = powers[-1]
+        powers.append(tuple(((top[k - 1] if k else 0) + top[-1] * low[k]) % p
+                            for k in range(r)))
+    return tuple(powers[r:])
+
+
 @dataclass(frozen=True)
 class FieldCtx:
-    """The field F_{p^r} presented as F_p[x] modulo a monic irreducible."""
+    """The field F_{p^r} presented as F_p[x] modulo a monic irreducible.
+
+    `high_powers` holds x^r, ..., x^(2r-2) reduced modulo the modulus: a
+    product of two elements is reduced by adding its top coefficients times
+    these rows.
+    """
 
     p: int
     r: int
     modulus: tuple[int, ...]
+    high_powers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -77,6 +101,7 @@ class FieldCtx:
             raise ValueError("modulus must be monic of degree r")
         if self.r > 1 and not _is_irreducible(self.modulus, self.p):
             raise ValueError(f"modulus {self.modulus} is reducible over F_{self.p}")
+        object.__setattr__(self, "high_powers", _high_powers(self.modulus, self.p))
 
     @property
     def size(self) -> int:
@@ -136,7 +161,7 @@ class FieldElem:
     def __post_init__(self):
         if len(self.coeffs) != self.ctx.r:
             raise ValueError("coefficient vector has wrong length")
-        if any(not 0 <= c < self.ctx.p for c in self.coeffs):
+        if min(self.coeffs) < 0 or max(self.coeffs) >= self.ctx.p:
             raise ValueError("coefficients must be reduced mod p")
 
     @property
@@ -152,7 +177,7 @@ class FieldElem:
     def _same_field(self, other: "FieldElem") -> None:
         if not isinstance(other, FieldElem):
             raise TypeError(f"expected a field element, got {type(other).__name__}")
-        if other.ctx != self.ctx:
+        if other.ctx is not self.ctx and other.ctx != self.ctx:
             raise ValueError("elements from different field contexts")
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
@@ -169,14 +194,19 @@ class FieldElem:
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
         self._same_field(other)
-        p, r = self.ctx.p, self.ctx.r
-        prod = [0] * (2 * r - 1)
+        ctx = self.ctx
+        r = ctx.r
+        prod = [0] * (2 * r - 1)  # schoolbook, reduced once at the end
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
-                    prod[i + j] = (prod[i + j] + a * b) % p
-        rem = _poly_mod(prod, self.ctx.modulus, p)
-        return FieldElem(self.ctx, rem + (0,) * (r - len(rem)))
+                    prod[i + j] += a * b
+        low = prod[:r]
+        for c, row in zip(prod[r:], ctx.high_powers):
+            if c:
+                for k, h in enumerate(row):
+                    low[k] += c * h
+        return FieldElem(ctx, tuple(c % ctx.p for c in low))
 
     def __pow__(self, n: int) -> "FieldElem":
         if n < 0:
@@ -198,11 +228,12 @@ class FieldElem:
         return self * other.inv()
 
     def trace(self) -> int:
-        """Absolute trace x + x^p + ... + x^(p^(r-1)), returned in {0,...,p-1}."""
-        acc, frob = self.ctx.zero, self
-        for _ in range(self.ctx.r):
-            acc = acc + frob
+        """Absolute trace x + x^p + ... + x^(p^(r-1)), returned in {0,...,p-1}:
+        r - 1 Frobenius powers, none for r = 1."""
+        acc = frob = self
+        for _ in range(self.ctx.r - 1):
             frob = frob**self.ctx.p
+            acc = acc + frob
         if any(acc.coeffs[1:]):
             raise AssertionError("trace landed outside the prime subfield")
         return acc.coeffs[0]

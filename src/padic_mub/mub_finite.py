@@ -46,12 +46,8 @@ class BasisMatrix:
 def _structure_tensor(ctx: FieldCtx) -> np.ndarray:
     """T[s, t] = the coefficients of x^s * x^t mod the field modulus, so that
     u * v = sum_{s,t} u_s v_t T[s, t] over the power basis."""
-    p, r = ctx.p, ctx.r
-    low = [-c % p for c in ctx.modulus[:r]]  # x^r = low[0] + ... + low[r-1] x^(r-1)
-    powers = [[int(k == n) for k in range(r)] for n in range(r)]
-    for _ in range(r - 1):  # x^r .. x^(2r-2), each x times the last
-        top = powers[-1]
-        powers.append([((top[k - 1] if k else 0) + top[-1] * low[k]) % p for k in range(r)])
+    r = ctx.r
+    powers = [tuple(int(k == n) for k in range(r)) for n in range(r)] + list(ctx.high_powers)
     return np.array([[powers[s + t] for t in range(r)] for s in range(r)], dtype=np.int64)
 
 

@@ -25,8 +25,10 @@ from .padic import (
     PadicNumber,
     PFraction,
     as_fraction,
+    coefficient_valuation,
     frac_part,
     frac_valuation,
+    int_valuation,
     is_prime,
     rational_mod,
 )
@@ -119,9 +121,12 @@ def required_resolution(a: Coefficient, b: Coefficient, r: int, p: int) -> int:
     -v(b), where a zero coefficient's terms drop out.  The integrand
     recentred at c, on x + c, has linear coefficient 2ac + b: pass that as b.
     """
-    af = as_fraction(a, p)
-    bf = as_fraction(b, p)
-    dx, dy = frac_valuation(af, p) - 2 * r, frac_valuation(bf, p) - r
+    return _resolution_of_valuations(coefficient_valuation(a, p), coefficient_valuation(b, p), r)
+
+
+def _resolution_of_valuations(va: int | float, vb: int | float, r: int) -> int:
+    """required_resolution of any a, b with v(a) = va and v(b) = vb."""
+    dx, dy = va - 2 * r, vb - r
     low = min(r, 0)
     return max(0, -dx - low, -dy - low, NEG_INF if dx == INF else -r - dx // 2)
 
@@ -346,12 +351,14 @@ def eigen_check(
     tol: float = 1e-9,
 ) -> EigenReport:
     """Apply X_c Z_{2ac} to the (a, b) state and compare with e(-bc-ac^2) times it."""
-    af, bf, cf = (as_fraction(x, p) for x in (a, b, c))
-    vc = frac_valuation(cf, p)
+    # the grid is sized, and its cap checked, from the valuations alone,
+    # before any coefficient becomes a Fraction
+    va, vb, vc = (coefficient_valuation(x, p) for x in (a, b, c))
     r = max(1, -int(vc) if vc != INF else 0)
-    k_mod = required_resolution(0, 2 * af * cf, r, p)
-    k = max(required_resolution(af, bf, r, p), k_mod, 1 - r)
+    k_mod = _resolution_of_valuations(INF, int_valuation(2, p) + va + vc, r)  # b = 2ac
+    k = max(_resolution_of_valuations(va, vb, r), k_mod, 1 - r)
     grid = make_grid(p, r, k)
+    af, bf, cf = (as_fraction(x, p) for x in (a, b, c))
     state = vector_v(af, bf, grid)
     moved = op_X(op_Z(state, 2 * af * cf), cf)
     phase = frac_part(-(bf * cf + af * cf * cf), p)

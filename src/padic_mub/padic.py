@@ -341,15 +341,31 @@ def as_fraction(
     consumer was going to ignore anyway.
     """
     if isinstance(x, PadicNumber):
-        if x.prime != p:
-            raise ValueError(f"coefficient lives in Q_{x.prime}, expected Q_{p}")
-        if need_abs_precision is not None and x.abs_precision < need_abs_precision:
-            raise PrecisionError(
-                f"coefficient known only modulo {p}^{x.abs_precision}, "
-                f"need {p}^{need_abs_precision}"
-            )
+        _check_window(x, p, need_abs_precision)
         return x.to_fraction()
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def coefficient_valuation(
+    x: "PadicNumber | Fraction | int", p: int, need_abs_precision: int | None = None
+) -> int | float:
+    """v_p(as_fraction(x, p, need_abs_precision)), raising what that raises,
+    but a digit string's valuation is read off it with no Fraction built:
+    +inf for any zero, which as_fraction reads as 0."""
+    if isinstance(x, PadicNumber):
+        _check_window(x, p, need_abs_precision)
+        return INF if x.is_zero else x.valuation
+    return frac_valuation(as_fraction(x, p), p)
+
+
+def _check_window(x: PadicNumber, p: int, need_abs_precision: int | None) -> None:
+    if x.prime != p:
+        raise ValueError(f"coefficient lives in Q_{x.prime}, expected Q_{p}")
+    if need_abs_precision is not None and x.abs_precision < need_abs_precision:
+        raise PrecisionError(
+            f"coefficient known only modulo {p}^{x.abs_precision}, "
+            f"need {p}^{need_abs_precision}"
+        )
 
 
 def parse_coefficient(text: str, p: int) -> Fraction | PadicNumber:

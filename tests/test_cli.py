@@ -18,6 +18,7 @@ from padic_mub import (
     verify_mub,
 )
 from padic_mub.finite_field import FieldCtx
+from padic_mub.padic import PadicNumber
 from padic_mub.gauss import DEFAULT_TERM_CAP
 from padic_mub.cli import main
 
@@ -134,6 +135,22 @@ def test_a_coefficient_of_large_valuation_reaches_the_cap(capsys):
     # per step took seconds before the cap was reached
     argv = ["eigen-check", "-p", "3", "-a", "1 *3^-100000", "-b", "0", "-c", "1"]
     assert run(capsys, *argv) == (2, "", "error: 3^100003 cells exceed the cap 100000\n")
+
+
+@pytest.mark.parametrize("argv,size", [
+    (["eigen-check", "-p", "3", "-a", "1 *3^-3000000", "-b", "0", "-c", "1"], "3^3000003"),
+    (["eigen-check", "-p", "3", "-a", "1", "-b", "0", "-c", "1 *3^-3000000"], "3^9000000"),
+    (["fourier-ball", "-p", "3", "-r", "-3000000", "-k", "5", "-z", "1 *3^-3000000"],
+     "3^3000005"),
+])
+def test_a_coefficient_past_the_cap_is_never_a_fraction(capsys, monkeypatch, argv, size):
+    # the grid is sized from the valuation the digit string carries; the
+    # Fraction, with its 4.75 M-bit denominator, took 86 s to reach the cap
+    def refused(self):
+        raise AssertionError("a coefficient became a Fraction before the cap")
+
+    monkeypatch.setattr(PadicNumber, "to_fraction", refused)
+    assert run(capsys, *argv) == (2, "", f"error: {size} cells exceed the cap 100000\n")
 
 
 def test_mub_finite_builds_no_basis_matrix(capsys, monkeypatch):

@@ -1,9 +1,10 @@
 """The argparse surface of the CLI: help texts, usage errors and exit codes.
 
-`main` builds only the subparser that its first word names, and the full
-parser for anything else.  The corpus below pins what argparse prints,
-byte for byte, as recorded from the full parser with COLUMNS=80.  Rewrite
-the file only when an output change is intended:
+`main` parses a known command with that command's standalone parser, and
+hands anything else, or any argument that parser leaves over, to the full
+parser.  The corpus below pins what argparse prints, byte for byte, as
+recorded from the full parser with COLUMNS=80.  Rewrite the file only when
+an output change is intended:
 
     PYTHONPATH=src python tests/test_cli_parser.py --write
 """
@@ -15,6 +16,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import sys
 from pathlib import Path
 
@@ -42,6 +44,11 @@ CORPUS = {
     "option-missing-its-value": ["sweep", "operators", "--seed"],
     "term-cap-where-absent": ["mub-finite", "-p", "3", "-r", "2", "--term-cap", "10"],
     "stray-positional": ["eigen-check", "-p", "3", "-a", "1", "-b", "0", "-c", "1", "extra"],
+    # arguments a command's own parser leaves over go to the full parser
+    "unknown-option-after-command": ["mub-finite", "-p", "3", "-r", "1", "--bogus"],
+    "abbreviated-long-option": ["mub-finite", "-p", "3", "-r", "1", "--form", "json", "--bogus"],
+    "double-dash-before-options": ["eigen-check", "--", "-p", "3"],
+    "option-given-twice": ["mub-finite", "-p", "3", "-r", "1", "-r", "2", "3"],
 }
 
 
@@ -92,40 +99,86 @@ def test_one_command_parser_reads_every_golden_argv_as_the_full_parser():
     argvs = [case["argv"] for case in json.loads(GOLDEN_CLI.read_text())["cases"].values()]
     assert {argv[0] for argv in argvs} == set(cli.COMMANDS)
     for argv in argvs:
-        assert vars(cli.build_parser(argv[0]).parse_args(argv)) == vars(_full_parse(argv))
+        args, extra = cli.command_parser(argv[0]).parse_known_args(argv[1:])
+        assert extra == []
+        assert vars(args) == vars(_full_parse(argv))  # `command` and `func` included
+        assert vars(cli.parse_args(argv)) == vars(args)
 
 
-def _subcommands(parser) -> list[str]:
+def _subcommands(parser) -> dict:
     (action,) = (a for a in parser._actions if a.dest == "command")
-    return list(action.choices)
+    return action.choices
+
+
+def _surface(parser) -> tuple:
+    """What a parser reads and prints: its prog, defaults and every action."""
+    return parser.prog, parser._defaults, [
+        (type(a), a.option_strings, a.dest, a.nargs, a.const, a.default, a.type, a.choices,
+         a.required, a.help, a.metavar) for a in parser._actions]
 
 
 def test_commands_are_the_full_parsers_subcommands():
-    assert cli.COMMANDS == tuple(_subcommands(cli.build_parser())) == NAMES
+    full = _subcommands(cli.build_parser())
+    assert cli.COMMANDS == tuple(full) == NAMES
     for name in cli.COMMANDS:
-        assert _subcommands(cli.build_parser(name)) == [name]
-    for other in (None, "-h", "bogus", "--format"):
-        assert _subcommands(cli.build_parser(other)) == list(cli.COMMANDS)
+        one = cli.command_parser(name)
+        assert _surface(one) == _surface(full[name])
+        assert one.get_default("command") == name
 
 
 def test_main_builds_the_parser_of_its_first_word(monkeypatch, capsys):
     seen = []
-    build_parser = cli.build_parser
+    build_parser, command_parser = cli.build_parser, cli.command_parser
 
-    def spy(command=None):
-        seen.append(command)
-        return build_parser(command)
+    def spy_full():
+        seen.append("full")
+        return build_parser()
 
-    monkeypatch.setattr(cli, "build_parser", spy)
+    def spy_one(name):
+        seen.append(name)
+        return command_parser(name)
+
+    monkeypatch.setattr(cli, "build_parser", spy_full)
+    monkeypatch.setattr(cli, "command_parser", spy_one)
     assert cli.main(["mub-finite", "-p", "3", "-r", "1"]) == 0
     # with no argv list, main reads the process arguments
     monkeypatch.setattr(sys, "argv", ["padic-mub", "eigen-check", "-p", "3", "-a", "1",
                                       "-b", "0", "-c", "1/3"])
     assert cli.main() == 0
-    with pytest.raises(SystemExit):
-        cli.main([])
-    assert seen == ["mub-finite", "eigen-check", None]
     assert capsys.readouterr().out.count("PASS") == 2
+    assert seen == ["mub-finite", "eigen-check"]
+    # the full parser reads only leftovers and what is not a command
+    seen.clear()
+    for argv in ([], ["-h"], ["bogus"], ["--format", "json"],
+                 ["mub-finite", "-p", "3", "-r", "1", "--bogus"],
+                 ["eigen-check", "-p", "3", "-a", "1", "-b", "0", "-c", "1", "--", "-p", "3"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+    assert seen == ["full", "full", "full", "full", "mub-finite", "full", "eigen-check", "full"]
+    # an error the command's own parser raises never reaches the full parser
+    seen.clear()
+    for argv in (["mub-finite", "-p", "3"], ["eigen-check", "--", "-p", "3"],
+                 ["sweep", "operators", "--seed"], ["gauss-ring", "-h"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+    assert seen == ["mub-finite", "eigen-check", "sweep", "gauss-ring"]
+
+
+def test_a_command_reads_the_terminal_width_once(monkeypatch):
+    reads = []
+    get_terminal_size = shutil.get_terminal_size
+
+    def counted(*args, **kwargs):
+        reads.append(1)
+        return get_terminal_size(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    assert cli.main(["mub-finite", "-p", "3", "-r", "1"]) == 0
+    assert len(reads) == 1
+    reads.clear()
+    with pytest.raises(SystemExit):
+        cli.main(["mub-finite", "-p", "3", "-r", "1", "--bogus"])
+    assert len(reads) == 2  # the command's parser, then the full one
 
 
 if __name__ == "__main__":

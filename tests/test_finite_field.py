@@ -3,11 +3,81 @@
 import pytest
 
 from padic_mub import CapError, build_field, ff_char, phase_to_complex, trace
-from padic_mub.finite_field import irreducible_polynomials
+from padic_mub.finite_field import FieldElem, _poly_mod, irreducible_polynomials
 
 
 def _poly_eval(coeffs, x, p):
     return sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p
+
+
+def oracle_mul(x, y) -> tuple[int, ...]:
+    """The coefficients of x * y by the schoolbook product and a generic
+    polynomial division by the modulus (the product as it used to be)."""
+    p, r = x.ctx.p, x.ctx.r
+    prod = [0] * (2 * r - 1)
+    for i, a in enumerate(x.coeffs):
+        if a:
+            for j, b in enumerate(y.coeffs):
+                prod[i + j] = (prod[i + j] + a * b) % p
+    rem = _poly_mod(prod, x.ctx.modulus, p)
+    return rem + (0,) * (r - len(rem))
+
+
+def oracle_trace(x) -> int:
+    """x + x^p + ... + x^(p^(r-1)) from oracle_mul alone."""
+    ctx = x.ctx
+    acc, frob = [0] * ctx.r, x
+    for _ in range(ctx.r):
+        acc = [(s + c) % ctx.p for s, c in zip(acc, frob.coeffs)]
+        power = ctx.one
+        for _ in range(ctx.p):
+            power = ctx.element(oracle_mul(power, frob))
+        frob = power
+    assert not any(acc[1:])
+    return acc[0]
+
+
+@pytest.mark.parametrize("p,r,modulus", [
+    (3, 1, None), (7, 1, None), (3, 2, None), (5, 2, None), (3, 3, None), (3, 3, (1, 2, 0, 1)),
+    (3, 4, None), (5, 3, None),
+])
+def test_product_matches_the_division_oracle_on_every_pair(p, r, modulus):
+    f = build_field(p, r, modulus=modulus)
+    elems = list(f.elements())
+    for x in elems:
+        for y in elems:
+            assert (x * y).coeffs == oracle_mul(x, y)
+
+
+@pytest.mark.parametrize("p,r,modulus", [(3, 2, None), (3, 3, (1, 2, 0, 1)), (5, 3, None)])
+def test_trace_matches_the_oracle(p, r, modulus):
+    f = build_field(p, r, modulus=modulus)
+    for x in f.elements():
+        assert x.trace() == oracle_trace(x)
+
+
+@pytest.mark.parametrize("p,r", [(3, 1), (7, 1), (3, 2), (3, 3), (3, 4), (5, 3)])
+def test_trace_takes_r_minus_one_frobenius_powers(p, r, monkeypatch):
+    f = build_field(p, r)
+    calls = {"mul": 0, "pow": 0}
+    mul, power = FieldElem.__mul__, FieldElem.__pow__
+
+    def counted_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    def counted_pow(self, n):
+        calls["pow"] += 1
+        return power(self, n)
+
+    monkeypatch.setattr(FieldElem, "__mul__", counted_mul)
+    monkeypatch.setattr(FieldElem, "__pow__", counted_pow)
+    for x in list(f.elements())[:10]:
+        calls.update(mul=0, pow=0)
+        trace(x)
+        assert calls["pow"] == r - 1
+        if r == 1:
+            assert calls["mul"] == 0
 
 
 def test_build_field_degree_one_modulus_is_x():

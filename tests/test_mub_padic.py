@@ -354,6 +354,35 @@ def test_eigen_check_examples():
     assert abs(rep.measured_value - rep.expected_value) < 1e-12
 
 
+class _Sized(Exception):
+    pass
+
+
+def test_eigen_check_sizes_its_grid_as_from_the_fractions(monkeypatch):
+    def sized(p, r, k, *rest):
+        raise _Sized(r, k)
+
+    monkeypatch.setattr(mub_padic, "make_grid", sized)
+    cases = 0
+    for p in (2, 3, 5):
+        digits = [parse_coefficient(t, p) for t in (f"1 1 *{p}^-3", f"1 0 1 *{p}^2", f"0 0 *{p}^1")]
+        coeffs = [0, 1, Fraction(2, p), Fraction(p * p, 7), Fraction(-3, p**4), *digits]
+        for a, b, c in itertools.product(coeffs, repeat=3):
+            # the sizing as it reads the coefficients' Fractions
+            af, bf, cf = (as_fraction(x, p) for x in (a, b, c))
+            vc = frac_valuation(cf, p)
+            r = max(1, -int(vc) if vc != INF else 0)
+            k = max(required_resolution(af, bf, r, p), required_resolution(0, 2 * af * cf, r, p),
+                    1 - r)
+            with pytest.raises(_Sized) as sized_as:
+                eigen_check(a, b, c, p=p)
+            assert sized_as.value.args == (r, k), (p, a, b, c)
+            cases += 1
+    assert cases == 3 * 8**3
+    with pytest.raises(ValueError, match="lives in Q_5"):
+        eigen_check(1, parse_coefficient("1 *5^0", 5), 1, p=3)
+
+
 def test_chirp_relabels_quadratic_states():
     p, r = 3, 1
     for a, d, b in ((1, 2, 1), (Fraction(1, 3), 1, 0), (2, Fraction(2, 3), Fraction(1, 3))):
