@@ -30,7 +30,7 @@ import numpy as np
 from . import mub_finite, mub_padic, sweeps
 from .errors import CapError, OddPrimeError
 from .finite_field import build_field
-from .gauss import DEFAULT_TERM_CAP, check_ring_params, integral_report, ring_report
+from .gauss import DEFAULT_TERM_CAP, _float_power, check_ring_params, integral_report, ring_report
 from .mub_padic import ball_fourier_closed, ball_state, fourier, make_grid
 from .padic import INF, as_fraction, coefficient_valuation, parse_coefficient
 
@@ -164,19 +164,23 @@ def cmd_mub_padic(args):
 
 def cmd_fourier_ball(args):
     # the ball z + p^r Z_p needs z known modulo p^r; the grid is sized from
-    # v(z) and its cap checked before z becomes a Fraction
+    # v(z), and its cap and the transform's scale p^r0 (`fourier`) checked,
+    # before z becomes a Fraction
     z = parse_coefficient(args.z, args.p)
     vz = coefficient_valuation(z, args.p, need_abs_precision=args.r)
     r0 = max(0, -int(vz) if vz != INF else 0, -args.r)
     k = max(args.r, 1 - r0) if args.k is None else args.k
     grid = make_grid(args.p, r0, k)
+    _float_power(args.p, r0, "Fourier transform scale")
     zf = as_fraction(z, args.p)
     psi = ball_state(zf, args.r, grid)
     phat = fourier(psi)
     closed = ball_fourier_closed(zf, args.r, phat.grid)
     deviation = float(np.abs(phat.amplitudes - closed).max())
     norm_dev = abs(phat.norm_sq() - psi.norm_sq())
-    passed = deviation <= args.tol and norm_dev <= args.tol
+    # relative to the closed transform's peak p^(-r/2), below p^r0
+    peak = float(args.p) ** (-args.r / 2.0)
+    passed = deviation <= args.tol * max(1.0, peak) and norm_dev <= args.tol
     d = {
         "schema": 1,
         "kind": "fourier-ball",
@@ -279,7 +283,8 @@ def _fourier_ball_args(s):
     s.add_argument("-z", default="0")
     s.add_argument("-k", type=int, default=None, help="override the grid resolution")
     s.add_argument("--tol", type=float, default=1e-10,
-                   help="absolute bound on the pointwise and the norm deviation")
+                   help="bound on the pointwise deviation, relative to max(1, p^(-r/2)), "
+                        "and on the absolute norm deviation")
     _add_common(s)
     return cmd_fourier_ball
 

@@ -26,15 +26,21 @@ integer exponents e, n = p^l.  It is first reduced to an exact int64
 histogram c of the exponents mod n (for a ring sum, one period of x only,
 scaled by the exact number of periods).  A ring sum visits every x of the
 period: written x = u + s*v with s = p^ceil(l/2), s^2 = 0 mod p^l gives the
-exponent a*x^2 + b*x = f(u) + s*v*c(u) mod p^l, with f(u) = a*u^2 + b*u
-and c(u) = 2a*u + b, so one broadcast multiply-add of the exact integers
-f and c over all (u, v) and one reduction mod p^l produce every exponent.
-That is plain algebra on each term, not a Gauss-sum identity: the histogram
-is the defining sum's, bin for bin.  Since Phi_{p^l}(x) = Phi_p(x^(n/p)),
-the p roots of each coset {r + j*n/p} sum to 0, so subtracting from c its
-minimum on each coset leaves the sum unchanged in Z[zeta_n]; the result c'
-is the canonical representative with a zero in every coset, and the sum is
-0 exactly when c' is.  Only then does it convert to doubles: fsum of the
+exponent a*x^2 + b*x = f(u) + v*s*c(u) mod p^l, with f(u) = a*u^2 + b*u
+and c(u) = 2a*u + b, so row v of the (v, u) block is an arithmetic
+progression in v.  `_progression_rows` builds it from the exact integers
+f and s*c: its first rows by one broadcast multiply-add and one reduction
+mod p^l, every entry below p^(2l) <= INT64_MAX; then by doubling, rows
+[m, 2m) being rows [0, m) plus m*s*c mod p^l, each sum below 2p^l and
+reduced by one conditional subtraction of p^l, so the block takes no
+full-size %.  The counting oracle builds the rows a*u + b + v*(a*s) mod p^l
+of the same split the same way.  That is plain algebra on each term, not a
+Gauss-sum identity: the histogram is the defining sum's, bin for bin.
+Since Phi_{p^l}(x) = Phi_p(x^(n/p)), the p roots of each coset
+{r + j*n/p} sum to 0, so subtracting from c its minimum on each coset
+leaves the sum unchanged in Z[zeta_n]; the result c' is the canonical
+representative with a zero in every coset, and the sum is 0 exactly when
+c' is.  Only then does it convert to doubles: fsum of the
 weighted roots c'[m] * w[m] over the nonzero bins of c', in ascending
 residue order, for the real and the imaginary part.  Each weighted root is
 rounded once and fsum rounds once (Shewchuk 1997), so each part lies within
@@ -61,7 +67,7 @@ import numpy as np
 
 from .errors import CapError, OddPrimeError, PrecisionError, check_power_cap
 from .finite_field import FieldElem
-from .padic import INF, PadicNumber, as_fraction, frac_valuation, is_prime, rational_mod
+from .padic import INF, PadicNumber, as_fraction, frac_valuation, is_prime
 from .padic import int_valuation
 
 DEFAULT_TERM_CAP = 10**6
@@ -80,11 +86,18 @@ def roots_of_unity(n: int) -> np.ndarray:
 
 INT64_MAX = 2**63 - 1
 MAX_INT64_RESIDUE = math.isqrt(INT64_MAX)  # 3037000499
-# ring_sum_numeric splits a period of at least this many terms into two
-# digit blocks.  Below it the split's few extra numpy calls cost more than
-# they save: the two ways broke even near 2000 terms with numpy 2.4 on a
-# 2-CPU Xeon.
-SPLIT_MIN_TERMS = 2048
+# The ring sum splits a period of at least SPLIT_MIN_TERMS terms into digit
+# blocks, and the counting oracle, whose unsplit form takes one full-size %
+# where the sum's takes two, one of at least twice as many;
+# `_progression_rows` computes the first SEED_ROWS rows of a block by one %
+# before it doubles.  Below these sizes the extra numpy calls (about 1.7 us
+# each) cost more than the % they save (about 4.4 ns an entry): on a 2-CPU
+# Xeon with numpy 2.4 the split sum broke even with the unsplit one near
+# 4000 terms and the split count near 9000, and 32 seed rows were as fast
+# as 16 from 3^9 to 997^2 terms without slowing 17^3 and 19^3, whose 17
+# and 19 rows 16 seed rows would double once.
+SPLIT_MIN_TERMS = 4096
+SEED_ROWS = 32
 
 
 def _check_modulus(mod: int) -> None:
@@ -106,15 +119,16 @@ def _phase_sum(counts: np.ndarray, mod: int, p: int) -> complex:
 
     The counts are first reduced by their minimum on each coset of
     (mod/p)Z/mod Z, which changes the sum by an exact 0; only the nonzero
-    bins of the result enter, in ascending residue order.  Their roots
-    exp(2*pi*i*m/mod) are those of `roots_of_unity(mod)`, bit for bit,
-    without a table of all mod roots.  See the module docstring for the
-    error bound.
+    bins of the result enter, in ascending residue order, and only they are
+    gathered and reduced.  Their roots exp(2*pi*i*m/mod) are those of
+    `roots_of_unity(mod)`, bit for bit, without a table of all mod roots.
+    See the module docstring for the error bound.
     """
-    cosets = counts.reshape(p, mod // p)  # column r is the coset {r + j*mod/p}
-    reduced = (cosets - cosets.min(axis=0)).ravel()
-    m = np.flatnonzero(reduced != 0)  # a bool mask takes numpy's fast scan
-    c = reduced[m]
+    step = mod // p
+    cosets = counts.reshape(p, step)  # column r is the coset {r + j*mod/p}
+    low = cosets.min(axis=0)
+    m = np.flatnonzero(cosets != low)  # the nonzero bins of counts - low
+    c = counts[m] - low[m % step]
     w = np.exp(2j * np.pi * m / mod)
     # fsum reads the doubles through a memoryview, without a list of floats
     real = math.fsum(memoryview(c * w.real))
@@ -131,7 +145,7 @@ def _float_power(p: int, exponent: float, what: str = "norm") -> float:
     try:
         return float(p) ** exponent
     except OverflowError:
-        raise ValueError(f"{what} {p}^{exponent:g} exceeds the double range") from None
+        raise ValueError(f"{what} {p}^{exponent:.15g} exceeds the double range") from None
 
 
 @dataclass(frozen=True)
@@ -206,12 +220,15 @@ def ring_sum_numeric(
     p^k terms is exactly p^(k-l) times the histogram over one period
     x in [0, p^l).  The period's exponents come from a digit split
     x = u + s*v, s = p^ceil(l/2) (s = p^l, one row, below SPLIT_MIN_TERMS
-    terms): as s^2 = 0 mod p^l, the exponent of x is f(u) + s*v*c(u) mod p^l
-    with f(u) = a*u^2 + b*u and c(u) = 2a*u + b, one multiply-add over the
-    (v, u) block.  Every x is still visited and its exponent is exact, so
-    the histogram is that of the defining sum, bin for bin; no Gauss-sum
-    identity enters.  `_phase_sum` reduces that exact histogram by its
-    minimum on each coset of p^(l-1)Z/p^l Z, which changes the sum by an
+    terms): as s^2 = 0 mod p^l, the exponent of x is f(u) + v*s*c(u) mod p^l
+    with f(u) = a*u^2 + b*u and c(u) = 2a*u + b.  `_progression_rows` fills
+    the (v, u) block from f and s*c, both in [0, p^l): SEED_ROWS rows by one
+    multiply-add and one % (entries below p^(2l) <= INT64_MAX), the rest by
+    doubling, each new row an old row plus a shift in [0, p^l), below 2p^l
+    and wrapped back below p^l.  Every x is still visited and its exponent is
+    exact, so the histogram is that of the defining sum, bin for bin; no
+    Gauss-sum identity enters.  `_phase_sum` reduces that exact histogram by
+    its minimum on each coset of p^(l-1)Z/p^l Z, which changes the sum by an
     exact 0, and fsums the weighted roots of the at most p^l - p^(l-1)
     surviving bins: within (1 + eps) * eps * p^k of the same sum over the
     rounded roots, in each of the real and imaginary parts.  A sum that is
@@ -225,8 +242,46 @@ def ring_sum_numeric(
         raise CapError(f"{terms} terms overflow the int64 counts")
     mod = p**l
     counts = _ring_histogram(p, l, a, b)
-    counts *= p ** (k - l)
+    if k > l:
+        counts *= p ** (k - l)
     return _phase_sum(counts, mod, p)
+
+
+def _split_base(p: int, l: int, min_terms: int) -> int:
+    """The digit base s of the period split x = u + s*v: p^ceil(l/2), or p^l
+    (a single row) for a period of fewer than min_terms terms."""
+    mod = p**l
+    return mod if mod < min_terms else p ** ((l + 1) // 2)
+
+
+def _progression_rows(first: np.ndarray, step: np.ndarray | int, n: int, mod: int) -> np.ndarray:
+    """The (n, s) int64 block whose row v is first + v*step mod `mod`, from
+    entries (step an int64 s-vector or one int) in [0, mod), mod^2 <= INT64_MAX.
+
+    The first m = min(n, SEED_ROWS) rows take one broadcast multiply-add and
+    one %, every entry below m*mod <= mod^2 before it (n <= mod).  After that
+    the block doubles: rows [m, 2m) are rows [0, m) plus the shift
+    m*step mod `mod`, each sum below 2*mod, brought back below mod by one
+    wrap-round (as uint64, min(x, x - mod) is x - mod exactly when x >= mod),
+    so no full-size % is taken.
+    """
+    if n == 1:
+        return first[np.newaxis]
+    rows = np.empty((n, first.size), dtype=np.uint64)
+    if isinstance(step, np.ndarray):
+        step = step.view(np.uint64)  # one int stays a Python int: no numpy scalar
+    m = min(n, SEED_ROWS)
+    seed = rows[:m]
+    np.multiply(np.arange(m, dtype=np.uint64)[:, np.newaxis], step, out=seed)
+    seed += first.view(np.uint64)  # below (m - 1)*mod + mod
+    seed %= mod
+    while m < n:
+        j = min(m, n - m)
+        block = rows[m : m + j]
+        np.add(rows[:j], m * step % mod, out=block)  # m*step < n*mod <= mod^2
+        np.minimum(block, block - mod, out=block)
+        m += j
+    return rows.view(np.int64)
 
 
 def _ring_histogram(p: int, l: int, a: int, b: int) -> np.ndarray:
@@ -234,7 +289,7 @@ def _ring_histogram(p: int, l: int, a: int, b: int) -> np.ndarray:
     digit split of `ring_sum_numeric` (int64, p^l bins)."""
     mod = p**l
     _check_modulus(mod)
-    s = mod if mod < SPLIT_MIN_TERMS else p ** ((l + 1) // 2)
+    s = _split_base(p, l, SPLIT_MIN_TERMS)
     n = mod // s
     u = np.arange(s, dtype=np.int64)
     # s*v*c(u) mod p^l needs c(u) mod n only, as s*n = p^l.  Every
@@ -244,17 +299,14 @@ def _ring_histogram(p: int, l: int, a: int, b: int) -> np.ndarray:
     f %= mod
     f *= u  # below p^l*s
     f %= mod
-    expo = f
+    step = 0
     if n > 1:
-        c = u * (2 * a % n)
-        c += b % n  # at most (n - 1)*s < p^l
-        c %= n
-        # row v, column u holds the exponent of x = u + s*v, from
-        # s*v*c(u) + f(u) <= (p^l - s)*(n - 1) + p^l - 1 < p^l*n
-        expo = np.multiply.outer(np.arange(0, mod, s, dtype=np.int64), c)
-        expo += f
-        expo %= mod
-    return np.bincount(expo.ravel(), minlength=mod)
+        step = u * (2 * a % n)
+        step += b % n  # at most (n - 1)*s < p^l
+        step %= n
+        step *= s  # s*c(u) <= s*(n - 1) < p^l
+    # row v, column u holds the exponent f(u) + v*s*c(u) of x = u + s*v
+    return np.bincount(_progression_rows(f, step, n, mod).ravel(), minlength=mod)
 
 
 def ring_sum_normsq_exact(p: int, k: int, l: int, a: int, b: int) -> int:
@@ -263,16 +315,23 @@ def ring_sum_normsq_exact(p: int, k: int, l: int, a: int, b: int) -> int:
     |sum|^2 = p^(2(k-l)) * p^l * #solutions.  This counts directly, with no
     case analysis, so it is an independent oracle for the closed form.  The
     identity rests on 2 being a unit mod p^l, so p = 2 raises OddPrimeError.
+    Every y in [0, p^l) is visited: with the digit split y = u + s*v of
+    `ring_sum_numeric` (from 2*SPLIT_MIN_TERMS terms), row v of the block
+    holds a*u + b + v*(a*s) mod p^l, built by `_progression_rows` from row 0
+    and the step a*s mod p^l, every intermediate below p^(2l) <= INT64_MAX.
     """
     if not 1 <= l <= k:
         raise ValueError("need k >= l >= 1")
     _norm_table(p, 0, 0)  # odd p only
     mod = p**l
-    y = _residues(mod)
-    y *= a % mod
-    y += b % mod  # below (mod - 1)^2 + mod <= INT64_MAX
-    y %= mod
-    count = mod - int(np.count_nonzero(y))
+    _check_modulus(mod)
+    s = _split_base(p, l, 2 * SPLIT_MIN_TERMS)
+    first = np.arange(s, dtype=np.int64)
+    first *= a % mod
+    first += b % mod  # below (mod - 1)*s + mod <= mod^2
+    first %= mod
+    rows = _progression_rows(first, a * s % mod, mod // s, mod)
+    count = mod - int(np.count_nonzero(rows))
     return p ** (2 * (k - l)) * mod * count
 
 
@@ -401,21 +460,36 @@ def _integral_reduction(
     as rationals and their shifted valuations dx = v(a) - 2r, dy = v(b) - r.
 
     l = max(1, -dx, -dy) makes A = a*p^(l-2r) and B = b*p^(l-r) integral; a
-    zero coefficient (dx or dy inf) drops out.  With x = p^(-r)*y the
-    integrand e(a*x^2 + b*x) is zeta_{p^l}^(A*y^2 + B*y), so it depends on
-    y mod p^l alone: the ball p^(-r)Z_p splits into p^l cosets of measure
-    p^(r-l), on each of which it is constant.  The integral is therefore
-    p^(r-l) times one full period, the ring sum of A, B at k = l, which is
-    refused over term_cap terms before p^l is formed.
+    zero coefficient (dx or dy inf) drops out.  A mod p^l is p^(l+dx) times
+    the unit part of a, and B likewise, both taken in integers
+    (`_scaled_residue`).  With x = p^(-r)*y the integrand e(a*x^2 + b*x) is
+    zeta_{p^l}^(A*y^2 + B*y), so it depends on y mod p^l alone: the ball
+    p^(-r)Z_p splits into p^l cosets of measure p^(r-l), on each of which it
+    is constant.  The integral is therefore p^(r-l) times one full period,
+    the ring sum of A, B at k = l, which is refused over term_cap terms
+    before p^l is formed.
     """
     _norm_table(p, dx, dy)  # odd p only, as the table it checks
     l = max(1, -dx, -dy)
     scale = _float_power(p, r - l, "norm scale")
     check_power_cap(p, l, term_cap, "{size} terms exceed the cap {cap}")
-    mod = p**l
-    a_int = rational_mod(af * Fraction(p) ** (l - 2 * r), mod)
-    b_int = rational_mod(bf * Fraction(p) ** (l - r), mod)
+    a_int = _scaled_residue(p, l, af, dx + 2 * r, l + dx)
+    b_int = _scaled_residue(p, l, bf, dy + r, l + dy)
     return (l, a_int, b_int), scale
+
+
+def _scaled_residue(p: int, l: int, x: Fraction, v: int | float, e: int | float) -> int:
+    """x * p^(e - v) mod p^l for x of valuation v: p^e times the unit part of
+    x, in integers.  It is 0 for e >= l, which covers x = 0 (v and e inf)."""
+    if e >= l:
+        return 0
+    num, den = x.numerator, x.denominator
+    if v > 0:
+        num //= p**v
+    elif v < 0:
+        den //= p**-v
+    mod = p**l
+    return p**e * num * pow(den, -1, mod) % mod
 
 
 def integral_numeric(

@@ -134,9 +134,10 @@ def sweep_thresholds(p: int = 3, tol: float = 1e-9, term_cap: int = DEFAULT_TERM
                 simplified, _sc, certified = simplified
                 if certified != (r > t):
                     failures += 1
-                if certified and simplified.normsq != closed.normsq:
+                # norms of one p are equal exactly when their normsq are
+                if certified and simplified != closed:
                     failures += 1
-                if not certified and simplified.normsq != closed.normsq:
+                if not certified and simplified != closed:
                     mismatch_below_threshold += 1
     return {
         "schema": 1,

@@ -236,6 +236,38 @@ def test_fourier_ball_refuses_z_known_below_the_ball(capsys, z):
     assert code == 0 and out.endswith("PASS\n")
 
 
+@pytest.mark.parametrize("r, z", [(-40, "0"), (-34, "1 *3^-34")])
+def test_fourier_ball_of_a_large_ball_passes(capsys, r, z):
+    # the amplitudes reach 3^(-r/2) ~ 3^20, whose double rounding alone is
+    # ~1e-7: the pointwise bound is relative to that peak
+    code, out, _ = run(capsys, "fourier-ball", "-p", "3", "-r", str(r), "-z", z,
+                       "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["passed"]
+    assert 1e-10 < report["max_pointwise_deviation"] <= 1e-10 * 3 ** (-r / 2)
+
+
+def test_fourier_ball_fails_a_transform_off_by_one_part_in_a_million(capsys, monkeypatch):
+    import padic_mub.cli as cli
+
+    closed = cli.ball_fourier_closed
+    monkeypatch.setattr(cli, "ball_fourier_closed", lambda *args: closed(*args) * (1 + 1e-6))
+    code, out, _ = run(capsys, "fourier-ball", "-p", "3", "-r", "-40", "-z", "0")
+    assert code == 1 and out.endswith("FAIL\n")
+
+
+@pytest.mark.parametrize("r", [-700, -3000000])
+def test_fourier_ball_past_the_double_range_is_exit_2(capsys, monkeypatch, r):
+    # the transform scales by 3^-r; z stays a digit string until that is checked
+    def refused(self):
+        raise AssertionError("z became a Fraction before the scale was checked")
+
+    monkeypatch.setattr(PadicNumber, "to_fraction", refused)
+    code, out, err = run(capsys, "fourier-ball", "-p", "3", "-r", str(r), "-z", f"1 *3^{r}")
+    assert (code, out) == (2, "")
+    assert err == f"error: Fourier transform scale 3^{-r} exceeds the double range\n"
+
+
 def test_sweep_operators_and_unknown_suite(capsys):
     code, out, _ = run(capsys, "sweep", "operators", "--seed", "7")
     assert code == 0 and "passed: True" in out

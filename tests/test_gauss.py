@@ -250,9 +250,11 @@ def _assert_ring_kernels_match_the_old_ones(p, k, l, a, b):
     l=st.integers(1, 6),
     extra=st.integers(0, 1),
     split_min=st.sampled_from([1, gauss.SPLIT_MIN_TERMS, 2**62]),
+    seed_rows=st.sampled_from([1, gauss.SEED_ROWS]),
 )
-def test_digit_split_histogram_matches_the_old_histogram(data, p, l, extra, split_min):
-    # split_min 1 splits even the shortest period, 2**62 splits none
+def test_digit_split_histogram_matches_the_old_histogram(data, p, l, extra, split_min, seed_rows):
+    # split_min 1 splits even the shortest period, 2**62 splits none; one
+    # seed row makes every block of 2 rows or more double
     mod = p**l
     coefficient = st.one_of(
         st.just(0),
@@ -262,16 +264,47 @@ def test_digit_split_histogram_matches_the_old_histogram(data, p, l, extra, spli
     a, b = data.draw(coefficient), data.draw(coefficient)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gauss, "SPLIT_MIN_TERMS", split_min)
+        patch.setattr(gauss, "SEED_ROWS", seed_rows)
         _assert_ring_kernels_match_the_old_ones(p, l + extra, l, a, b)
 
 
-@pytest.mark.parametrize("p, l", [(3, 12), (5, 8), (7, 7), (997, 2), (2053, 1)])
+@pytest.mark.parametrize("p, l", [(3, 12), (3, 11), (5, 8), (7, 7), (29, 4), (31, 4), (997, 2),
+                                  (2053, 1), (4099, 1)])
 def test_ring_kernels_match_the_old_ones_at_the_benchmark_moduli(p, l):
-    # the four largest ring moduli of the benchmark, and one prime past
-    # SPLIT_MIN_TERMS, whose single digit block is one row
+    # the largest ring moduli of the benchmark, and one prime below and one
+    # past SPLIT_MIN_TERMS, whose single digit block is one row
     mod = p**l
-    for a, b in [(1, 0), (p, 1), (mod - 1, p ** (l // 2) + 2), (123456789 % mod, 0)]:
+    pairs = [(1, 0), (p, 1), (mod - 1, p ** (l // 2) + 2), (123456789 % mod, 0),
+             (2 * p ** (l - 1), 1)]  # the last a is 0 mod p^(l-1)
+    for a, b in pairs:
         _assert_ring_kernels_match_the_old_ones(p, l, l, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    mod=st.one_of(st.integers(2, 10**4), st.integers(gauss.MAX_INT64_RESIDUE - 10**3,
+                                                    gauss.MAX_INT64_RESIDUE)),
+    n=st.integers(1, 70),
+    s=st.integers(1, 9),
+    vector_step=st.booleans(),
+    seed_rows=st.sampled_from([1, 2, 3, gauss.SEED_ROWS]),
+)
+def test_progression_rows_are_first_plus_v_times_step(data, mod, n, s, vector_step, seed_rows):
+    # moduli up to isqrt(2^63 - 1), where a wrap-round past 2^63 would show
+    residue = st.integers(0, mod - 1)
+    first = np.array(data.draw(st.lists(residue, min_size=s, max_size=s)), dtype=np.int64)
+    if vector_step:
+        step = np.array(data.draw(st.lists(residue, min_size=s, max_size=s)), dtype=np.int64)
+    else:
+        step = data.draw(residue)
+    want = [[(int(f) + v * int(c)) % mod for f, c in zip(first, np.broadcast_to(step, s))]
+            for v in range(n)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gauss, "SEED_ROWS", seed_rows)
+        got = gauss._progression_rows(first, step, n, mod)
+    assert got.dtype == np.int64 and got.shape == (n, s)
+    assert got.tolist() == want
 
 
 def test_scale_invariance_exact_at_phase_level():
@@ -933,6 +966,54 @@ def _old_sweep_thresholds(p=3, tol=1e-9, term_cap=DEFAULT_TERM_CAP):
         "tol": tol,
         "passed": failures == 0 and mismatch_below_threshold > 0,
     }
+
+
+def _old_integral_reduction(p, r, af, bf, dx, dy):
+    """Oracle: the reduction key and scale by Fraction arithmetic, as before
+    the integer residues."""
+    l = max(1, -dx, -dy)
+    mod = p**l
+    a_int = rational_mod(af * Fraction(p) ** (l - 2 * r), mod)
+    b_int = rational_mod(bf * Fraction(p) ** (l - r), mod)
+    return (l, a_int, b_int), _float_power(p, r - l, "norm scale")
+
+
+def _assert_reduction_matches_the_old_one(p, r, a, b):
+    args = _shifted_valuations(p, r, a, b)
+    assert _integral_reduction(p, r, *args) == _old_integral_reduction(p, r, *args), (p, r, a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    p=st.sampled_from([3, 5, 7, 11]),
+    r=st.integers(-3, 6),
+)
+def test_integral_reduction_matches_the_fraction_formula(data, p, r):
+    # a unit with any denominator prime to p, times p^v; or the exact zero
+    prime_to_p = st.integers(1, 500).filter(lambda n: n % p)
+    unit = st.builds(lambda sign, num, den: Fraction(sign * num, den),
+                     st.sampled_from([1, -1]), prime_to_p, prime_to_p)
+    coefficient = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(lambda u, v: u * Fraction(p) ** v, unit, st.integers(-6, 6)),
+    )
+    _assert_reduction_matches_the_old_one(p, r, data.draw(coefficient), data.draw(coefficient))
+
+
+@pytest.mark.parametrize("p, r, a, b", [
+    (3, 1, Fraction(7, 45), Fraction(0)),  # unit 7/5, v = -2
+    (3, 2, Fraction(-7, 45), Fraction(11, 10)),
+    (5, 0, Fraction(0), Fraction(0)),  # the exact zero: l = 1, A = B = 0
+    (5, -1, Fraction(3, 7), Fraction(0)),
+    (3, 0, Fraction(3**6), Fraction(1, 9)),  # v(a) - 2r >= 0: A = 0 at l = 2
+    (7, 1, Fraction(2, 7**5), Fraction(7**9, 13)),  # v(b) - r >= 0: B = 0 at l = 7
+    (3, 1, parse_coefficient("2 2 0 0 *3^-1", 3), Fraction(0)),
+    (3, 2, parse_coefficient("1 2 0 1 2 0 0 0 *3^-2", 3), parse_coefficient("2 1 1 *3^1", 3)),
+    (5, 1, parse_coefficient("4 0 3 1 2 *5^-3", 5), parse_coefficient("0 0 0 *5^0", 5)),
+])
+def test_integral_reduction_matches_the_fraction_formula_at_edges(p, r, a, b):
+    _assert_reduction_matches_the_old_one(p, r, a, b)
 
 
 def _old_integral_numeric(p, r, a, b, term_cap=DEFAULT_TERM_CAP):
