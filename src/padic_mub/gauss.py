@@ -59,6 +59,7 @@ Accuracy and Stability of Numerical Algorithms, ch. 24); see
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -141,11 +142,16 @@ def _phase_sum(counts: np.ndarray, mod: int, p: int) -> complex:
 
 
 def _float_power(p: int, exponent: float, what: str = "norm") -> float:
-    """p ** exponent as a float, or a ValueError past the double range."""
+    """p ** exponent as a float, or a ValueError past the double range: past
+    its largest value, or below its smallest normal one, where the power
+    would keep fewer than 53 bits, or none at all."""
     try:
-        return float(p) ** exponent
+        value = float(p) ** exponent
     except OverflowError:
-        raise ValueError(f"{what} {p}^{exponent:.15g} exceeds the double range") from None
+        value = math.inf
+    if not sys.float_info.min <= value < math.inf:
+        raise ValueError(f"{what} {p}^{exponent:.15g} exceeds the double range")
+    return value
 
 
 @dataclass(frozen=True)
@@ -467,12 +473,12 @@ def _integral_reduction(
     p^(-r)Z_p splits into p^l cosets of measure p^(r-l), on each of which it
     is constant.  The integral is therefore p^(r-l) times one full period,
     the ring sum of A, B at k = l, which is refused over term_cap terms
-    before p^l is formed.
+    before p^l or the scale p^(r-l) is formed.
     """
     _norm_table(p, dx, dy)  # odd p only, as the table it checks
     l = max(1, -dx, -dy)
-    scale = _float_power(p, r - l, "norm scale")
     check_power_cap(p, l, term_cap, "{size} terms exceed the cap {cap}")
+    scale = _float_power(p, r - l, "norm scale")
     a_int = _scaled_residue(p, l, af, dx + 2 * r, l + dx)
     b_int = _scaled_residue(p, l, bf, dy + r, l + dy)
     return (l, a_int, b_int), scale

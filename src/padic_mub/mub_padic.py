@@ -19,7 +19,14 @@ import numpy as np
 
 from .characters import phase_to_complex
 from .errors import CapError, ResolutionError, check_power_cap
-from .gauss import MAX_INT64_RESIDUE, NEG_INF, _table_norm, _threshold
+from .gauss import (
+    MAX_INT64_RESIDUE,
+    NEG_INF,
+    _float_power,
+    _scaled_residue,
+    _table_norm,
+    _threshold,
+)
 from .padic import (
     INF,
     PadicNumber,
@@ -30,7 +37,6 @@ from .padic import (
     frac_valuation,
     int_valuation,
     is_prime,
-    rational_mod,
 )
 
 DEFAULT_CELL_CAP = 100_000
@@ -69,9 +75,10 @@ class Grid:
     def index_of(self, x: Coefficient) -> int:
         """Cell index of a point of the domain (v_p(x) >= -r required)."""
         xf = as_fraction(x, self.p, need_abs_precision=self.k)
-        if frac_valuation(xf, self.p) < -self.r:
+        v = frac_valuation(xf, self.p)
+        if v < -self.r:
             raise ValueError(f"{xf} lies outside p^({-self.r})Z_p")
-        return rational_mod(xf * Fraction(self.p) ** self.r, self.n)
+        return _scaled_residue(self.p, self.r + self.k, xf, v, v + self.r)  # x*p^r mod n
 
 
 def make_grid(p: int, r: int, k: int, cell_cap: int = DEFAULT_CELL_CAP) -> Grid:
@@ -131,17 +138,14 @@ def _resolution_of_valuations(va: int | float, vb: int | float, r: int) -> int:
     return max(0, -dx - low, -dy - low, NEG_INF if dx == INF else -r - dx // 2)
 
 
-def _phase_term(grid: Grid, coeff: Fraction, degree: int) -> tuple[int, int]:
-    """(M, c) with {coeff * rep(i)^degree} = ((i^degree mod p^M)*c mod p^M)/p^M."""
-    p = grid.p
-    if coeff == 0:
-        return 0, 0
-    v = int(frac_valuation(coeff, p))
-    depth = degree * grid.r - v
+def _phase_term(p: int, r: int, x: Fraction, v: int | float, degree: int) -> tuple[int, int]:
+    """(M, c) with {x * rep(i)^degree} = ((i^degree mod p^M)*c mod p^M)/p^M on
+    a grid of radius r, for x of valuation v: M = degree*r - v, and c the
+    unit part of x mod p^M, taken in integers.  (0, 0) when M <= 0, x = 0 too."""
+    depth = degree * r - v
     if depth <= 0:
         return 0, 0
-    unit = coeff * Fraction(p) ** (-v)
-    return depth, rational_mod(unit, p**depth)
+    return depth, _scaled_residue(p, depth, x, v, 0)
 
 
 def _quad_phase_indices(grid: Grid, a: Fraction, b: Fraction) -> tuple[np.ndarray, int]:
@@ -150,9 +154,9 @@ def _quad_phase_indices(grid: Grid, a: Fraction, b: Fraction) -> tuple[np.ndarra
     The one source of exact cell phases.  Raises CapError when p^M exceeds
     gauss.MAX_INT64_RESIDUE, where the int64 residue products would wrap.
     """
-    p = grid.p
-    ma, ca = _phase_term(grid, a, 2)
-    mb, cb = _phase_term(grid, b, 1)
+    p, r = grid.p, grid.r
+    ma, ca = _phase_term(p, r, a, frac_valuation(a, p), 2)
+    mb, cb = _phase_term(p, r, b, frac_valuation(b, p), 1)
     depth = max(ma, mb)
     if p**depth > MAX_INT64_RESIDUE:
         raise CapError(f"phase modulus {p}^{depth} exceeds {MAX_INT64_RESIDUE}: int64 overflow")
@@ -165,6 +169,12 @@ def _quad_phase_indices(grid: Grid, a: Fraction, b: Fraction) -> tuple[np.ndarra
         mod = p**mb
         idx += (i % mod) * cb % mod * p ** (depth - mb)
     return (idx % p**depth if depth else idx), depth
+
+
+def _cell_roots(idx: np.ndarray, depth: int, p: int) -> np.ndarray:
+    """The roots of unity with exact phases idx / p^depth, each evaluated at
+    its cell as `gauss._phase_sum` evaluates its roots."""
+    return np.exp(2j * np.pi * idx / p**depth)
 
 
 def _cell_phase_indices(a: Coefficient, b: Coefficient, grid: Grid) -> tuple[np.ndarray, int]:
@@ -208,7 +218,7 @@ def quadratic_phase_profile(
 def vector_v(a: Coefficient, b: Coefficient, grid: Grid) -> StateVector:
     """The quadratic-character state with amplitude e(a*x^2 + b*x) per cell."""
     idx, depth = _cell_phase_indices(a, b, grid)
-    return StateVector(grid, np.exp(2j * np.pi * idx / grid.p**depth))
+    return StateVector(grid, _cell_roots(idx, depth, grid.p))
 
 
 def _ball_indicator(grid: Grid, i0: int, e: int, value: float) -> StateVector:
@@ -251,14 +261,16 @@ def fourier(psi: StateVector) -> StateVector:
     """
     g = psi.grid
     dual = Grid(g.p, g.k, g.r)
-    return StateVector(dual, float(g.p) ** g.r * np.fft.ifft(psi.amplitudes))
+    scale = _float_power(g.p, g.r, "Fourier transform scale")
+    return StateVector(dual, scale * np.fft.ifft(psi.amplitudes))
 
 
 def inverse_fourier(phi: StateVector) -> StateVector:
     """Inverse transform with the conjugate kernel e(-x*y)."""
     g = phi.grid
     dual = Grid(g.p, g.k, g.r)
-    return StateVector(dual, float(g.p) ** (-g.k) * np.fft.fft(phi.amplitudes))
+    scale = _float_power(g.p, -g.k, "inverse Fourier transform scale")
+    return StateVector(dual, scale * np.fft.fft(phi.amplitudes))
 
 
 def ball_fourier_closed(z: Coefficient, scale: int, dual: Grid) -> np.ndarray:
@@ -290,11 +302,10 @@ def op_X(psi: StateVector, c: Coefficient) -> StateVector:
 
 
 def _times_phase(psi: StateVector, idx: np.ndarray, depth: int) -> StateVector:
-    """psi times the roots of unity with exact phases idx / p^depth, each
-    evaluated at its cell as `gauss._phase_sum` evaluates its roots."""
+    """psi times the roots of unity with exact phases idx / p^depth."""
     if depth == 0:
         return StateVector(psi.grid, psi.amplitudes.copy())
-    return StateVector(psi.grid, psi.amplitudes * np.exp(2j * np.pi * idx / psi.grid.p**depth))
+    return StateVector(psi.grid, psi.amplitudes * _cell_roots(idx, depth, psi.grid.p))
 
 
 def op_Z(psi: StateVector, d: Coefficient) -> StateVector:
@@ -395,73 +406,134 @@ def _normalize_family(a: FamilyLabel):
     return a
 
 
-def _difference_valuations(values: list[Fraction], p: int) -> tuple[list, np.ndarray, np.ndarray]:
-    """The distinct values, each value's index among them, and the float
-    table of v(x - y) over the distinct values x, y (inf on the diagonal)."""
-    index: dict = {}
-    codes = np.array([index.setdefault(x, len(index)) for x in values], dtype=np.int64)
-    distinct = list(index)
-    table = np.full((len(distinct), len(distinct)), INF)
-    for m, x in enumerate(distinct):
-        for n in range(m):
-            table[m, n] = table[n, m] = frac_valuation(x - distinct[n], p)
-    return distinct, codes, table
+def _numerators(values: list[Fraction]) -> tuple[np.ndarray, int]:
+    """The values over their least common denominator d: their numerators,
+    as Python ints in an object array, and d."""
+    d = math.lcm(*(x.denominator for x in values))
+    return np.array([x.numerator * (d // x.denominator) for x in values], dtype=object), d
 
 
-def _linear_valuations(p: int, a: list[Fraction], b: list[Fraction], ia, ib, ic) -> np.ndarray:
-    """v(b[ib] - 2*a[ia]*b[ic]) elementwise and exactly: the numerators over
-    the common denominator d^2 as Python ints in an object array."""
-    d = math.lcm(*(x.denominator for x in (*a, *b)))
-    an, bn = (np.array([int(x * d) for x in xs], dtype=object) for xs in (a, b))
-    num = bn[ib] * d - 2 * an[ia] * bn[ic]
-    v = np.where(num == 0, INF, -2.0 * frac_valuation(d, p))
-    live = num != 0
-    while (live := live & (num % p == 0)).any():  # once per power of p dividing one
-        num[live] //= p
+_int_valuation = np.frompyfunc(int_valuation, 2, 1)
+
+
+def _valuations(num: np.ndarray, p: int) -> np.ndarray:
+    """v_p of each Python int of an object array, as floats, inf at 0.
+
+    When every entry fits in int64 they are divided by p together, at most
+    63 times; otherwise each takes int_valuation's repeated squaring, so a
+    huge power of p costs O(log v) divisions, not one per power."""
+    try:
+        n = num.astype(np.int64)
+    except OverflowError:
+        return _int_valuation(num, p).astype(float)
+    v = np.where(n == 0, INF, 0.0)
+    live = n != 0
+    while (live := live & (n % p == 0)).any():  # |n| < 2^63: at most 63 times
+        n[live] //= p
         v[live] += 1
     return v
 
 
-def _state_stack(states: list[tuple[FamilyLabel, Coefficient]], grid: Grid) -> np.ndarray:
-    """One row per state (a, b), equal to vector_v_inf(b, grid) for a = None
-    and to vector_v(a, b, grid) otherwise, checked in the same order.
+def _difference_valuations(num: np.ndarray, d: int, p: int) -> np.ndarray:
+    """The float table of v(x - y) over the values x = num/d (inf wherever
+    x = y), from the numerators: each unordered pair's difference once."""
+    m, n = np.triu_indices(len(num), 1)
+    table = np.full((len(num), len(num)), INF)
+    table[m, n] = table[n, m] = _valuations(num[m] - num[n], p) - int_valuation(d, p)
+    return table
 
-    required_resolution(a, b) and the phase depth of e(a*x^2 + b*x) are the
-    larger of their a and their b parts, so a chirp's index row is the
-    quadratic row of its a plus the linear row of its b, each built once
-    per label and lifted to the state's own depth M.  Its entries are
-    gathered from one np.exp over the p^M <= grid.n roots of each depth M in
-    use, each root evaluated as vector_v evaluates it.
+
+def _linear_valuations(num: np.ndarray, d: int, p: int, ia, ib, ic) -> np.ndarray:
+    """v(y - 2*x*z) elementwise and exactly, for x, y, z the values num[ia]/d,
+    num[ib]/d and num[ic]/d: the numerators over d^2, in integers."""
+    return _valuations(num[ib] * d - 2 * num[ia] * num[ic], p) - 2 * int_valuation(d, p)
+
+
+def _index_labels(states: list[tuple[FamilyLabel, Coefficient]]) -> tuple[list, np.ndarray]:
+    """The distinct labels of the states, a delta's None among them, in the
+    order the states use them, and each state's codes (a, b) into them."""
+    index: dict = {}
+    codes = [index.setdefault(x, len(index)) for ab in states for x in ab]
+    return list(index), np.array(codes, dtype=np.int64).reshape(-1, 2)
+
+
+def _state_stack(labels: list, reads: list, codes: np.ndarray, grid: Grid) -> np.ndarray:
+    """One row per state (labels[a], labels[b]) of codes, equal to
+    vector_v_inf(b, grid) for a = None and to vector_v(a, b, grid) otherwise,
+    checked in the same order.
+
+    reads[c] holds the exact value and valuation of labels[c], as gram_report
+    read them; a digit string's window is still checked against the grid.
+    Each distinct label is read once per role, in integers: a chirp's a or b
+    gives its phase term (M, c) and its resolution bound, a delta's b its
+    cell.  required_resolution(a, b) and the phase depth of e(a*x^2 + b*x)
+    are the larger of their a and b parts, so a chirp's index row is the
+    quadratic row of its a plus the linear row of its b.  All label rows
+    come from one broadcast of (i mod p^T)^2 and of i mod p^T over the
+    cells, at the deepest depth T in use, and the delta rows from one
+    scatter.  A state of depth M reads its row divided by p^(T - M), which
+    is the row vector_v builds, from one np.exp over the p^M roots of its
+    depth, each root evaluated as vector_v evaluates it: every float is
+    vector_v's or vector_v_inf's.
     """
-    p, r, quad, lin, deltas, chirps = grid.p, grid.r, {}, {}, {}, []
-    for s, (a, b) in enumerate(states):
-        if a is None:
-            deltas[s] = vector_v_inf(b, grid).amplitudes
+    p, r, n = grid.p, grid.r, grid.n
+    # code -> (M, c, fits) of a chirp's a, and of its b: fits says the grid
+    # resolves that part and p^M stays within int64 residues
+    quad: dict = {}
+    lin: dict = {}
+    cells: dict = {}  # code -> the cell of -b, for a delta's b
+    chirps, deltas = [], []
+    for s, (a, b) in enumerate(codes.tolist()):
+        if labels[a] is None:
+            if grid.k < r:
+                raise ResolutionError(f"need k >= r = {r} to resolve the ball p^{r}Z_p")
+            if b not in cells:
+                cells[b] = -grid.index_of(labels[b]) % n  # the ball -b + p^r Z_p
+            deltas.append((s, cells[b]))
             continue
-        for x, degree, seen in ((a, 2, quad), (b, 1, lin)):
-            if x not in seen:  # (row, needed k, depth, coefficients) per label
-                xf = as_fraction(x, p, need_abs_precision=degree * r)
-                ab = (xf, 0) if degree == 2 else (0, xf)
-                seen[x] = (len(seen), required_resolution(*ab, r, p),
-                           _phase_term(grid, xf, degree)[0], ab)
-        (ia, ka, ma, _), (ib, kb, mb, _) = quad[a], lin[b]
-        if grid.k < max(ka, kb) or p ** max(ma, mb) > MAX_INT64_RESIDUE:
-            _cell_phase_indices(a, b, grid)  # raises this state's own error
-        chirps.append((s, ia, ib, ma, mb))
+        for c, degree, seen in ((a, 2, quad), (b, 1, lin)):
+            if c not in seen:
+                (xf, v), x = reads[c], labels[c]
+                if isinstance(x, PadicNumber):  # raises what as_fraction(x, p, need) raises
+                    coefficient_valuation(x, p, need_abs_precision=degree * r)
+                m, coef = _phase_term(p, r, xf, v, degree)
+                needed = _resolution_of_valuations(*((v, INF) if degree == 2 else (INF, v)), r)
+                seen[c] = m, coef, grid.k >= needed and p**m <= MAX_INT64_RESIDUE
+        if not (quad[a][2] and lin[b][2]):
+            _cell_phase_indices(labels[a], labels[b], grid)  # raises this state's own error
+        chirps.append((s, a, b, max(quad[a][0], lin[b][0])))
     # allocated once every state has passed its checks
-    stack = np.empty((len(states), grid.n), dtype=complex)
-    for s, row in deltas.items():
-        stack[s] = row
+    stack = np.empty((len(codes), n), dtype=complex)
+    if deltas:
+        s, cell = np.array(deltas, dtype=np.int64).T
+        stack[s] = 0
+        # the ball's cells are cell + j*p^(2r), as _ball_indicator finds them
+        step = p ** max(2 * r, 0)
+        stack[s[:, None], (cell[:, None] + np.arange(0, n, step)) % n] = float(p) ** r
     if chirps:
-        s, ia, ib, ma, mb = np.array(chirps).T
-        qa, lb = (np.array([_quad_phase_indices(grid, *t[3])[0] for t in seen.values()])
-                  for seen in (quad, lin))
-        depth = np.maximum(ma, mb)
-        mod = p ** depth[:, None]
-        idx = (qa[ia] * (mod // p ** ma[:, None]) + lb[ib] * (mod // p ** mb[:, None])) % mod
-        for m in np.unique(depth).tolist():
-            at = depth == m
-            stack[s[at]] = np.exp(2j * np.pi * np.arange(p**m) / p**m)[idx[at]]
+        s, a, b, depth = np.array(chirps, dtype=np.int64).T
+        top = int(depth.max())
+        mod = p**top
+        # every label's quadratic and linear row at the deepest M in use: a
+        # term c of depth M lifted to c*p^(top - M) < p^top, times j^2 mod
+        # p^top or j (a product of two residues below p^top <=
+        # MAX_INT64_RESIDUE stays below 2^63)
+        lift = np.zeros((2, len(labels)), dtype=np.int64)
+        for row, seen in enumerate((quad, lin)):
+            for c, (m, coef, _) in seen.items():
+                lift[row, c] = coef * p ** (top - m)
+        j = np.arange(n, dtype=np.int64) % mod
+        rows = np.concatenate((j**2 % mod * lift[0][:, None] % mod, j * lift[1][:, None] % mod))
+        # a state of depth m reads its root at its lifted index // p^(top - m):
+        # per depth, a block of 2p^top entries holds its p^m roots, each
+        # repeated p^(top - m) times, twice over, as the index stays below 2p^top
+        depths, block = np.unique(depth, return_inverse=True)
+        table = np.concatenate([np.tile(np.repeat(_cell_roots(np.arange(p**m), m, p),
+                                                  p ** (top - m)), 2) for m in depths.tolist()])
+        idx = rows[a]
+        idx += rows[len(labels) + b]
+        idx += 2 * mod * block[:, None]
+        stack[s] = table[idx]
     return stack
 
 
@@ -532,51 +604,73 @@ def gram_report(
     auto-sized; with auto_raise the truncation exponent is raised until every
     pair's closed value is certified, otherwise under-threshold pairs are
     computed but flagged uncertified and excluded from the pass criterion.
+
+    The table is built in one pass per table, not one call per state.  Each
+    distinct label is read once: its valuation first, with no Fraction built
+    for a digit string, so that a grid past the cell cap is refused before
+    any big-int work, then its exact value.  The pair valuations come from
+    integer numerators over one common denominator, and _state_stack reuses
+    the reads.  The Gram product, its root tables and every float expression
+    are those of the per-state constructors, so the report's bytes do not
+    depend on how the labels were read.
     """
     raw = [(_normalize_family(a), b) for a, b in params]
-    # representatives are enough for thresholds and grid sizing (they only
-    # need valuations); the state constructors re-check precision themselves
-    ab = [(None if lab is None else as_fraction(lab, p), as_fraction(b, p)) for lab, b in raw]
-    # the pair columns, i <= j: v(a_i - a_j) and v(b_i - b_j) read from
-    # tables over the distinct labels, a delta's a read as 0
-    a_vals, a_of, va = _difference_valuations([0 if a is None else a for a, _ in ab], p)
-    b_vals, b_of, vb = _difference_valuations([b for _, b in ab], p)
-    i, j = np.triu_indices(len(ab))
-    dva, dvb = va[a_of[i], a_of[j]], vb[b_of[i], b_of[j]]
-    delta = np.array([a is None for a, _ in ab])
+    labels, codes = _index_labels(raw)
+    vals = [INF if x is None else coefficient_valuation(x, p) for x in labels]
+    delta = np.array([a is None for a, _ in raw], dtype=bool)
+    has_delta = bool(delta.any())
+    va_min, vb_min = (min((vals[c] for c in codes[~delta, col].tolist()), default=INF)
+                      for col in (0, 1))
+
+    def resolution(r_grid: int) -> int:
+        """k: a delta state needs k >= r, a chirp required_resolution, the
+        larger of its a and b parts.  Every bound falls as the valuation
+        rises, so the smallest chirp valuations size every chirp, and as
+        v(x - y) >= min(v(x), v(y)), no pair difference needs a finer grid."""
+        return max([1 - r_grid, *([r_grid] if has_delta else []),
+                    _resolution_of_valuations(va_min, vb_min, r_grid)])
+
+    # r_used is at least r, and with auto_raise at least -v(b) for a delta
+    # centre b, which must lie in p^(-r)Z_p; r + k only grows with r (every
+    # bound of required_resolution does), so the cap is checked at that
+    # least r, from the valuations alone
+    r_low = r
+    if auto_raise:
+        r_low = max([r, *(-vals[c] for c in codes[delta, 1].tolist() if vals[c] != INF)])
+    check_power_cap(p, r_low + resolution(r_low), cell_cap, "{size} cells exceed the cap {cap}")
+    reads = [(Fraction(0) if x is None else as_fraction(x, p), v)  # a delta's a read as 0
+             for x, v in zip(labels, vals)]
+    num, d = _numerators([xf for xf, _ in reads])
+    table = _difference_valuations(num, d, p)
+    # the pair columns, i <= j: v(a_i - a_j) and v(b_i - b_j)
+    i, j = np.triu_indices(len(raw))
+    a_of, b_of = codes.T
+    dva, dvb = table[a_of[i], a_of[j]], table[b_of[i], b_of[j]]
     mixed = delta[i] != delta[j]
     # a delta and a chirp (a, b): r certifies modulus 1 from v(a) and the
-    # linear coefficient b - 2a*b_delta of the chirp seen from -b_delta
+    # linear coefficient b - 2a*b_delta of the chirp seen from -b_delta,
+    # whose numerator over d^2 is taken in integers
     chirp, at = np.where(delta[i], j, i)[mixed], np.where(delta[i], i, j)[mixed]
-    lin = _linear_valuations(p, a_vals, b_vals, a_of[chirp], b_of[chirp], b_of[at])
+    lin = _linear_valuations(num, d, p, a_of[chirp], b_of[chirp], b_of[at])
     min_r = np.empty(len(i))
     min_r[mixed] = np.maximum(np.ceil(-dva[mixed] / 2), -lin)
     # any other pair: each distinct key (v(Δa), v(Δb)) gets its threshold
     # once, then r_used, then its closed modulus once: the table read at
-    # R = max(r_used, t + 1), as gauss.simplified_norm reads it
-    (av, ac), (bv, bc) = (np.unique(v[~mixed], return_inverse=True) for v in (dva, dvb))
-    codes, key_of = np.unique(ac * len(bv) + bc, return_inverse=True)
-    keys = [tuple(v if v == INF else int(v) for v in key)
-            for key in zip(av[codes // len(bv)].tolist(), bv[codes % len(bv)].tolist())]
+    # R = max(r_used, t + 1), as gauss.simplified_norm reads it.  The keys
+    # are found as complex numbers v(Δa) + v(Δb)i, set part by part (inf*1j
+    # would be nan)
+    pairs = np.empty(np.count_nonzero(~mixed), dtype=complex)
+    pairs.real, pairs.imag = dva[~mixed], dvb[~mixed]
+    distinct, key_of = np.unique(pairs, return_inverse=True)
+    keys = [tuple(v if v == INF else int(v) for v in (key.real, key.imag))
+            for key in distinct.tolist()]
     thresholds = [_threshold(*key) for key in keys]
     min_r[~mixed] = np.array(thresholds)[key_of] + 1
-    r_used = r
-    if auto_raise:
-        # a delta state's center -b must lie in the domain p^(-r)Z_p
-        centers = {b for a, b in ab if a is None and b}
-        r_used = max([int(min_r.max(initial=r)), *(-frac_valuation(b, p) for b in centers)])
-    # every bound of required_resolution falls as the valuation rises, and
-    # v(x - y) >= min(v(x), v(y)), so no difference (ai - aj, bi - bj) needs
-    # a finer grid than the states themselves; a delta state needs k >= r,
-    # and a chirp's bound is the larger of its a part and its b part, so
-    # each distinct label is sized once
-    chirp_a, chirp_b = {a for a, _ in ab if a is not None}, {b for a, b in ab if a is not None}
-    k = max([1 - r_used, *(r_used for a, _ in ab if a is None),
-             *(required_resolution(a, 0, r_used, p) for a in chirp_a),
-             *(required_resolution(0, b, r_used, p) for b in chirp_b)])
+    r_used = max(int(min_r.max(initial=r)), r_low) if auto_raise else r
+    k = resolution(r_used)
     grid = make_grid(p, r_used, k, cell_cap)
-    stack = _state_stack(raw, grid)
-    labels = [f"a={'inf' if a is None else a} b={b}" for a, b in ab]
+    stack = _state_stack(labels, reads, codes, grid)
+    text = ["inf" if x is None else str(xf) for x, (xf, _) in zip(labels, reads)]
     gram = stack.conj() @ stack.T * float(grid.measure)
     moduli = np.abs(gram)
     big_r = [max(r_used, t + 1) for t in thresholds]
@@ -587,17 +681,30 @@ def gram_report(
     deviation = np.abs(moduli[i, j] - closed)
     max_dev = float(deviation[certified].max(initial=0.0))
     uncert = int(np.count_nonzero(~certified))
-    # each family sample should stay linearly independent on its grid
-    fams, fam_of = np.unique(["inf" if lab is None else str(lab) for lab, _ in raw],
-                             return_inverse=True)
-    family_ranks = {fam: int(np.linalg.matrix_rank(gram[np.ix_(fam_of == f, fam_of == f)]))
-                    for f, fam in enumerate(fams.tolist())}
     return GramReport(
-        p=p, r_requested=r, r_used=r_used, k_used=k, labels=labels, moduli=moduli,
+        p=p, r_requested=r, r_used=r_used, k_used=k,
+        labels=[f"a={text[a]} b={text[b]}" for a, b in codes.tolist()], moduli=moduli,
         closed=closed, certified=certified, deviation=deviation,
-        family_ranks=family_ranks, tol=tol, max_certified_deviation=max_dev,
+        family_ranks=_family_ranks(gram, raw), tol=tol, max_certified_deviation=max_dev,
         uncertified_pairs=uncert, passed=max_dev <= tol and (uncert == 0 or not auto_raise),
     )
+
+
+def _family_ranks(gram: np.ndarray, states: list[tuple[FamilyLabel, Coefficient]]) -> dict:
+    """The rank of each family's block of the Gram matrix: each family sample
+    should stay linearly independent on its grid.  Blocks of one size go
+    through one stacked np.linalg.matrix_rank, which runs the SVD of each
+    block as a lone call does."""
+    fams, fam_of = np.unique(["inf" if a is None else str(a) for a, _ in states],
+                             return_inverse=True)
+    sizes = np.bincount(fam_of, minlength=len(fams))
+    if sizes.size and sizes.min() == sizes.max():
+        rows = np.argsort(fam_of, kind="stable").reshape(len(fams), -1)
+        ranks = np.linalg.matrix_rank(gram[rows[:, :, None], rows[:, None, :]]).tolist()
+    else:
+        ranks = [int(np.linalg.matrix_rank(gram[np.ix_(fam_of == f, fam_of == f)]))
+                 for f in range(len(fams))]
+    return dict(zip(fams.tolist(), ranks))
 
 
 def canonical_family_params(

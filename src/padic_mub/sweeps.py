@@ -27,8 +27,8 @@ from .gauss import (
 from .mub_padic import (
     StateVector,
     _cell_phase_indices,
+    _cell_roots,
     _quad_phase_indices,
-    _times_phase,
     eigen_check,
     make_grid,
     required_resolution,
@@ -177,10 +177,14 @@ def _commutation_exact(p: int, cd: PFraction, shift: int, row) -> bool:
 
 def _commutation_deviation(state: StateVector, cd: PFraction, shift: int, row) -> float:
     """max |Z_d X_c psi - e(cd) X_c Z_d psi|, with op_X's shift and op_Z's row
-    applied as op_X and op_Z apply them, so the floats are theirs bit for bit."""
-    lhs = _times_phase(StateVector(state.grid, np.roll(state.amplitudes, shift)), *row)
-    rhs = np.roll(_times_phase(state, *row).amplitudes, shift)
-    return float(np.abs(lhs.amplitudes - phase_to_complex(cd) * rhs).max())
+    applied as op_X and op_Z apply them, so the floats are theirs bit for bit;
+    op_Z's roots are evaluated once, for both sides."""
+    idx, depth = row
+    lhs, rhs = np.roll(state.amplitudes, shift), state.amplitudes
+    if depth:  # at depth 0 op_Z copies psi and multiplies nothing
+        roots = _cell_roots(idx, depth, state.grid.p)
+        lhs, rhs = lhs * roots, rhs * roots
+    return float(np.abs(lhs - phase_to_complex(cd) * np.roll(rhs, shift)).max())
 
 
 def _chirp_exact(grid, a: Fraction, d: Fraction, b: Fraction) -> bool:

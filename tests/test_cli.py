@@ -117,13 +117,17 @@ def test_mub_finite_over_its_caps_is_exit_2(capsys):
 
 @pytest.mark.parametrize("argv,err", [
     (["mub-padic", "-p", "3", "-r", "30000000"], "3^90000000 cells exceed the cap 100000"),
+    # a delta centre of valuation -3*10^6 raises r_used to 3*10^6
+    (["mub-padic", "-p", "3", "-r", "1", "--bs", "1 *3^-3000000"],
+     "3^9000000 cells exceed the cap 100000"),
     (["mub-finite", "-p", "3", "-r", "30000000"], "field size 3^30000000 exceeds cap 625"),
     (["fourier-ball", "-p", "3", "-r", "30000000"], "3^30000000 cells exceed the cap 100000"),
     (["gauss-ring", "-p", "3", "-k", "30000000", "-l", "1", "-a", "1", "-b", "0", "--oracle"],
      "3^30000000 terms exceed the cap 1000000"),
     (["gauss-integral", "-p", "3", "-r", "30000000", "-a", "1", "-b", "0", "--oracle"],
      "3^60000000 terms exceed the cap 1000000"),
-], ids=["mub-padic", "mub-finite", "fourier-ball", "gauss-ring", "gauss-integral"])
+], ids=["mub-padic", "mub-padic-centre", "mub-finite", "fourier-ball", "gauss-ring",
+        "gauss-integral"])
 def test_a_size_far_over_its_cap_is_named_as_a_power(capsys, argv, err):
     # each size is refused before p^e is formed: forming it took seconds, and
     # printing it passed Python's limit on int-to-str digits

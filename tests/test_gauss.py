@@ -575,6 +575,10 @@ def test_float_value_past_the_double_range_is_a_value_error():
     assert ExactNorm(599, 200).value == pytest.approx(599.0**100)
     with pytest.raises(ValueError, match="exceeds the double range"):
         ExactNorm(599, 400).value
+    # below the smallest normal double too: 599^-200 would round to 0.0
+    assert ExactNorm(599, -200).value == pytest.approx(599.0**-100)
+    with pytest.raises(ValueError, match="exceeds the double range"):
+        ExactNorm(599, -400).value
     with pytest.raises(ValueError, match="exceeds the double range"):
         integral_numeric(599, 200, 0, 0)
 

@@ -1,8 +1,10 @@
 """Grid models of L^2(Q_p): states, Fourier transform, unitaries, Gram tables."""
 
+import collections
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -48,7 +50,16 @@ from padic_mub.gauss import (
     threshold_t,
 )
 from padic_mub.mub_padic import GramEntry
-from padic_mub.padic import INF, PFraction, as_fraction, frac_part, frac_valuation
+from padic_mub.padic import (
+    INF,
+    PadicNumber,
+    PFraction,
+    as_fraction,
+    coefficient_valuation,
+    frac_part,
+    frac_valuation,
+    rational_mod,
+)
 
 W3 = complex(-0.5, np.sqrt(3) / 2)  # e^(2*pi*i/3)
 
@@ -263,6 +274,24 @@ def test_fourier_of_fractional_character_is_delta_cell():
     expect = np.zeros(dual.n, dtype=complex)
     expect[dual.index_of(-b)] = 3.0
     assert np.abs(fv.amplitudes - expect).max() < 1e-10
+
+
+def test_fourier_scales_past_the_double_range_name_the_scale():
+    # p^r past the largest double: fourier raised a bare OverflowError
+    psi = ball_state(0, -700, make_grid(3, 700, -699))
+    with pytest.raises(ValueError,
+                       match=r"^Fourier transform scale 3\^700 exceeds the double range$"):
+        fourier(psi)
+    # p^-k below the smallest normal double: inverse_fourier returned zeros
+    phi = StateVector(Grid(3, -699, 700), np.ones(3))
+    with pytest.raises(ValueError,
+                       match=r"^inverse Fourier transform scale 3\^-700 exceeds the double range$"):
+        inverse_fourier(phi)
+    # within the range both transforms scale as before
+    phi = StateVector(Grid(3, -600, 601), np.ones(3))
+    assert np.array_equal(inverse_fourier(phi).amplitudes, 3.0**-601 * np.fft.fft(np.ones(3)))
+    psi = ball_state(0, -600, make_grid(3, 600, -599))
+    assert np.array_equal(fourier(psi).amplitudes, 3.0**600 * np.fft.ifft(psi.amplitudes))
 
 
 def test_plancherel_random_states():
@@ -532,9 +561,44 @@ def test_ball_fourier_closed_matches_the_cell_loop(p):
                 assert np.array_equal(got, _ball_fourier_loop(z, scale, dual)), (r, k, z, scale)
 
 
+def _phase_term_old(grid, coeff, degree):
+    """mub_padic._phase_term as it was, in Fractions: the unit part
+    coeff * p^(-v) as a residue mod p^M."""
+    p = grid.p
+    if coeff == 0:
+        return 0, 0
+    v = int(frac_valuation(coeff, p))
+    depth = degree * grid.r - v
+    if depth <= 0:
+        return 0, 0
+    return depth, rational_mod(coeff * Fraction(p) ** (-v), p**depth)
+
+
+def test_integer_phase_terms_and_cells_match_the_fraction_forms():
+    """_phase_term and Grid.index_of in integers, against the Fraction forms
+    they replaced: the unit part's residue and rational_mod(x * p^r, n)."""
+    checked = 0
+    for p in (3, 5, 7):
+        coeffs = {Fraction(0), *(Fraction(u, w) * Fraction(p) ** e
+                                 for u in (1, -2, p + 1, 7 * p - 3)
+                                 for w in (1, 2, 11) for e in range(-4, 5))}
+        for r in range(-2, 4):
+            for k in range(max(1 - r, 0), 5 - r):
+                g = Grid(p, r, k)
+                for x in coeffs:
+                    v = frac_valuation(x, p)
+                    for degree in (1, 2):
+                        got = mub_padic._phase_term(p, r, x, v, degree)
+                        assert got == _phase_term_old(g, x, degree), (p, r, x, degree)
+                    if v >= -r:
+                        assert g.index_of(x) == rational_mod(x * Fraction(p) ** r, g.n), (g, x)
+                        checked += 1
+    assert checked > 2000
+
+
 def _op_Z_old(psi, d):
     g = psi.grid
-    depth, cu = mub_padic._phase_term(g, Fraction(d), 1)
+    depth, cu = _phase_term_old(g, Fraction(d), 1)
     if depth == 0:
         return psi.amplitudes.copy()
     i = np.arange(g.n, dtype=np.int64)
@@ -544,7 +608,7 @@ def _op_Z_old(psi, d):
 
 def _op_P_old(psi, d):
     g = psi.grid
-    depth, cu = mub_padic._phase_term(g, Fraction(d), 2)
+    depth, cu = _phase_term_old(g, Fraction(d), 2)
     if depth == 0:
         return psi.amplitudes.copy()
     i = np.arange(g.n, dtype=np.int64)
@@ -651,6 +715,26 @@ def test_gram_report_pairs_match_the_ordered_pair_sizing():
     assert cases >= 32
 
 
+def test_gram_report_checks_the_cap_before_any_label_becomes_a_fraction(monkeypatch):
+    """A delta centre of valuation -3*10^6 forces r >= 3*10^6 and k >= r:
+    the cap is checked on that lower bound, from the digit string's
+    valuation, with no Fraction of 3^-3000000 and no big-int valuation."""
+    def refused(self):
+        raise AssertionError("a label became a Fraction before the cap was checked")
+
+    monkeypatch.setattr(PadicNumber, "to_fraction", refused)
+    params = canonical_family_params(3, [parse_coefficient("1 *3^-3000000", 3)])
+    with pytest.raises(CapError, match=r"^3\^9000000 cells exceed the cap 100000$"):
+        gram_report(params, r=1, p=3)
+    # without auto_raise r stays 1, and the lower bound is the exact size
+    with pytest.raises(CapError, match=r"^3\^3000002 cells exceed the cap 100000$"):
+        gram_report(params, r=1, p=3, auto_raise=False)
+    # the centre alone: the delta state's k >= r doubles r + k
+    params = [(0, 0), (None, parse_coefficient("1 *3^-3000000", 3))]
+    with pytest.raises(CapError, match=r"^3\^6000000 cells exceed the cap 100000$"):
+        gram_report(params, r=1, p=3)
+
+
 def test_pair_differences_need_no_finer_grid_than_their_states():
     p = 3
     coeffs = [0, 1, 2, 3, 9, 10, Fraction(1, 3), Fraction(4, 3), Fraction(2, 9), Fraction(1, 27)]
@@ -664,42 +748,31 @@ def test_pair_differences_need_no_finer_grid_than_their_states():
 
 
 def test_gram_report_sizes_each_unordered_pair_once(monkeypatch):
-    """The pair pass takes its valuations from tables over the distinct
-    labels: at most |A|^2 + |B|^2 frac_valuation calls for the tables, plus
-    one per delta-chirp pair for its linear coefficient.  The states and
-    their grid sizing read their own valuations and are not counted."""
-    calls = []
-    paused = [0]  # depth of the uncounted calls in progress
-    frac_valuation = mub_padic.frac_valuation
+    """The pair pass takes its valuations from integer numerators over the
+    distinct labels: one per unordered pair of them for the table, plus one
+    per delta-chirp pair for its linear coefficient, within the
+    |A|^2 + |B|^2 + mixed of the two tables the Fraction pass once built."""
+    taken = []
+    valuations = mub_padic._valuations
 
-    def counted(q, p):
-        if not paused[0]:
-            calls.append(q)
-        return frac_valuation(q, p)
+    def counted(num, p):
+        taken.append(num.size)
+        return valuations(num, p)
 
-    def uncounted(fn):
-        def call(*args):
-            paused[0] += 1
-            try:
-                return fn(*args)
-            finally:
-                paused[0] -= 1
-        return call
-
-    monkeypatch.setattr(mub_padic, "frac_valuation", counted)
-    for name in ("vector_v", "vector_v_inf", "required_resolution"):
-        monkeypatch.setattr(mub_padic, name, uncounted(getattr(mub_padic, name)))
+    monkeypatch.setattr(mub_padic, "_valuations", counted)
     for p, params in ((3, canonical_family_params(3)),
                       (5, canonical_family_params(5, [0, 1, Fraction(1, 5)]))):
-        calls.clear()
+        taken.clear()
         rep = gram_report(params, r=1, p=p)
         assert len(rep.entries) == len(params) * (len(params) + 1) // 2
         a_labels = {Fraction(0) if mub_padic._normalize_family(a) is None else Fraction(a)
                     for a, _ in params}
         b_labels = {Fraction(b) for _, b in params}
+        labels = {mub_padic._normalize_family(a) for a, _ in params} | {b for _, b in params}
         deltas = sum(mub_padic._normalize_family(a) is None for a, _ in params)
         mixed = deltas * (len(params) - deltas)
-        assert 0 < len(calls) <= len(a_labels) ** 2 + len(b_labels) ** 2 + mixed, p
+        assert sum(taken) == len(labels) * (len(labels) - 1) // 2 + mixed, p
+        assert sum(taken) <= len(a_labels) ** 2 + len(b_labels) ** 2 + mixed, p
 
 
 def test_quadratic_phase_profile_checks_resolution():
@@ -794,8 +867,8 @@ def _stub_states(mp):
     """Replace the states of gram_report by three-cell placeholders.  Its
     sizing, closed values and certified flags read only the labels, so with
     an unbounded cell cap they can be checked on grids too large to build."""
-    def stub(states, grid):
-        return np.ones((len(states), 3), dtype=complex)
+    def stub(labels, reads, codes, grid):
+        return np.ones((len(codes), 3), dtype=complex)
 
     mp.setattr(mub_padic, "_state_stack", stub)
 
@@ -916,6 +989,51 @@ def test_gram_columns_match_the_pair_loop():
     assert checked >= 60
 
 
+def _stack(states, grid):
+    """mub_padic._state_stack of the states, their labels read as gram_report
+    reads them."""
+    labels, codes = mub_padic._index_labels(states)
+    reads = [(Fraction(0), INF) if x is None
+             else (as_fraction(x, grid.p), coefficient_valuation(x, grid.p)) for x in labels]
+    return mub_padic._state_stack(labels, reads, codes, grid)
+
+
+def _state_stack_old(states, grid):
+    """The per-label state stack gram_report used before the per-table one:
+    one _quad_phase_indices call per label, each label's resolution bound
+    from required_resolution, the rows lifted to their depth by one % over
+    the whole stack, and each delta row from its own vector_v_inf."""
+    p, r, quad, lin, deltas, chirps = grid.p, grid.r, {}, {}, {}, []
+    for s, (a, b) in enumerate(states):
+        if a is None:
+            deltas[s] = vector_v_inf(b, grid).amplitudes
+            continue
+        for x, degree, seen in ((a, 2, quad), (b, 1, lin)):
+            if x not in seen:  # (row, needed k, depth, coefficients) per label
+                xf = as_fraction(x, p, need_abs_precision=degree * r)
+                ab = (xf, 0) if degree == 2 else (0, xf)
+                seen[x] = (len(seen), required_resolution(*ab, r, p),
+                           _phase_term_old(grid, xf, degree)[0], ab)
+        (ia, ka, ma, _), (ib, kb, mb, _) = quad[a], lin[b]
+        if grid.k < max(ka, kb) or p ** max(ma, mb) > MAX_INT64_RESIDUE:
+            mub_padic._cell_phase_indices(a, b, grid)  # raises this state's own error
+        chirps.append((s, ia, ib, ma, mb))
+    stack = np.empty((len(states), grid.n), dtype=complex)
+    for s, row in deltas.items():
+        stack[s] = row
+    if chirps:
+        s, ia, ib, ma, mb = np.array(chirps).T
+        qa, lb = (np.array([mub_padic._quad_phase_indices(grid, *t[3])[0] for t in seen.values()])
+                  for seen in (quad, lin))
+        depth = np.maximum(ma, mb)
+        mod = p ** depth[:, None]
+        idx = (qa[ia] * (mod // p ** ma[:, None]) + lb[ib] * (mod // p ** mb[:, None])) % mod
+        for m in np.unique(depth).tolist():
+            at = depth == m
+            stack[s[at]] = np.exp(2j * np.pi * np.arange(p**m) / p**m)[idx[at]]
+    return stack
+
+
 def test_state_stack_rows_are_the_state_vectors():
     checked = 0
     for p, params in _gram_sets():
@@ -927,7 +1045,8 @@ def test_state_stack_rows_are_the_state_vectors():
                 except (CapError, ValueError):
                     continue
                 grid = Grid(p, rep.r_used, rep.k_used)
-                stack = mub_padic._state_stack(states, grid)
+                stack = _stack(states, grid)
+                assert stack.tobytes() == _state_stack_old(states, grid).tobytes()
                 for row, (a, b) in zip(stack, states):
                     want = vector_v_inf(b, grid) if a is None else vector_v(a, b, grid)
                     assert np.array_equal(row, want.amplitudes), (p, grid, a, b)
@@ -965,13 +1084,17 @@ def test_gram_serializations_match_the_pair_loop():
 
 
 def test_linear_valuations_match_the_fraction_valuation():
+    """Small denominators keep the numerators within int64; many of them,
+    and values of valuation 200 and 201, take int_valuation's squaring."""
     rng = np.random.default_rng(5)
-    for p in (3, 5, 7):
+    for p, huge in itertools.product((3, 5, 7), (False, True)):
+        dens, vals = (rng.integers(1, 30, 40), rng.integers(-4, 5, 40)) if huge else (
+            rng.choice([1, 2, 4], 40), rng.integers(-2, 3, 40))
         a = sorted({
             Fraction(int(u), int(w)) * Fraction(p) ** int(e)
-            for u, w, e in zip(rng.integers(-60, 60, 40), rng.integers(1, 30, 40),
-                               rng.integers(-4, 5, 40))
-        } | {Fraction(0), Fraction(1, 2), Fraction(p**9 + 1, p)})
+            for u, w, e in zip(rng.integers(-60, 60, 40), dens, vals)
+        } | {Fraction(0), Fraction(1, 2)}
+          | ({Fraction(p**9 + 1, p), Fraction(2 * p**200), Fraction(p**201)} if huge else set()))
         n = len(a)
         # b = a, then 2*a*c for sampled a and c, so some coefficients are exactly 0
         xs, zs = rng.integers(0, n, 30), rng.integers(0, n, 30)
@@ -979,10 +1102,17 @@ def test_linear_valuations_match_the_fraction_valuation():
         ia = np.concatenate([rng.integers(0, n, 400), xs])
         ib = np.concatenate([rng.integers(0, len(b), 400), n + np.arange(30)])
         ic = np.concatenate([rng.integers(0, len(b), 400), zs])
-        got = mub_padic._linear_valuations(p, a, b, ia, ib, ic)
+        num, d = mub_padic._numerators(a + b)
+        got = mub_padic._linear_valuations(num, d, p, ia, n + ib, n + ic)
         want = [frac_valuation(b[y] - 2 * a[x] * b[z], p)
                 for x, y, z in zip(ia.tolist(), ib.tolist(), ic.tolist())]
         assert got.tolist() == want and want.count(INF) >= 30
+        lin = num[n + ib] * d - 2 * num[ia] * num[n + ic]
+        assert (max(map(abs, lin.tolist())) >= 2**63) is huge
+        table = mub_padic._difference_valuations(num, d, p)
+        assert table.tolist() == [[frac_valuation(x - y, p) for y in a + b] for x in a + b]
+    big = np.array([2 * 3**5000, 0, -7, -(3**40)], dtype=object)
+    assert mub_padic._valuations(big, 3).tolist() == [5000, INF, 0, 40]
 
 
 def _old_stack_error(states, grid):
@@ -1011,10 +1141,10 @@ def test_state_stack_raises_the_first_failing_states_error():
     for states in cases:
         old = _old_stack_error(states, g)
         if old is None:
-            mub_padic._state_stack(states, g)
+            _stack(states, g)
             continue
         with pytest.raises(old[0]) as exc:
-            mub_padic._state_stack(states, g)
+            _stack(states, g)
         assert (type(exc.value), str(exc.value)) == old, states
     assert sum(_old_stack_error(s, g) is not None for s in cases) == 5
     # a phase modulus past int64 residues on a grid that resolves it: the
@@ -1023,7 +1153,7 @@ def test_state_stack_raises_the_first_failing_states_error():
     old = _old_stack_error(states, huge)
     assert old[0] is CapError and "3^22 exceeds" in old[1]
     with pytest.raises(CapError) as exc:
-        mub_padic._state_stack(states, huge)
+        _stack(states, huge)
     assert str(exc.value) == old[1]
 
 
@@ -1050,6 +1180,157 @@ def test_gram_pairs_match_the_old_pair_forms(data, p, r, auto_raise):
     with pytest.MonkeyPatch.context() as mp:
         _stub_states(mp)
         _pair_oracle_check(p, params, r, auto_raise)
+
+
+def _difference_valuations_old(values, p):
+    """The distinct values, each value's index among them, and the float
+    table of v(x - y) over them: one Fraction difference per pair."""
+    index: dict = {}
+    codes = np.array([index.setdefault(x, len(index)) for x in values], dtype=np.int64)
+    distinct = list(index)
+    table = np.full((len(distinct), len(distinct)), INF)
+    for m, x in enumerate(distinct):
+        for n in range(m):
+            table[m, n] = table[n, m] = frac_valuation(x - distinct[n], p)
+    return distinct, codes, table
+
+
+def _family_ranks_old(gram, states):
+    """One np.linalg.matrix_rank per family block."""
+    fams, fam_of = np.unique(["inf" if a is None else str(a) for a, _ in states],
+                             return_inverse=True)
+    return {fam: int(np.linalg.matrix_rank(gram[np.ix_(fam_of == f, fam_of == f)]))
+            for f, fam in enumerate(fams.tolist())}
+
+
+def _gram_report_old(params, r, p, auto_raise, cell_cap=mub_padic.DEFAULT_CELL_CAP):
+    """gram_report as it was before the per-table pass: every label a
+    Fraction up front, Fraction difference tables over the a and the b
+    labels, one Fraction valuation per delta-chirp pair, k from one
+    required_resolution per distinct label, the per-label state stack and
+    one rank per family."""
+    raw = [(mub_padic._normalize_family(a), b) for a, b in params]
+    ab = [(None if lab is None else as_fraction(lab, p), as_fraction(b, p)) for lab, b in raw]
+    a_vals, a_of, va = _difference_valuations_old([0 if a is None else a for a, _ in ab], p)
+    b_vals, b_of, vb = _difference_valuations_old([b for _, b in ab], p)
+    i, j = np.triu_indices(len(ab))
+    dva, dvb = va[a_of[i], a_of[j]], vb[b_of[i], b_of[j]]
+    delta = np.array([a is None for a, _ in ab])
+    mixed = delta[i] != delta[j]
+    chirp, at = np.where(delta[i], j, i)[mixed], np.where(delta[i], i, j)[mixed]
+    lin = np.array([frac_valuation(b_vals[b_of[c]] - 2 * a_vals[a_of[c]] * b_vals[b_of[d]], p)
+                    for c, d in zip(chirp.tolist(), at.tolist())], dtype=float)
+    min_r = np.empty(len(i))
+    min_r[mixed] = np.maximum(np.ceil(-dva[mixed] / 2), -lin)
+    (av, ac), (bv, bc) = (np.unique(v[~mixed], return_inverse=True) for v in (dva, dvb))
+    codes, key_of = np.unique(ac * len(bv) + bc, return_inverse=True)
+    keys = [tuple(v if v == INF else int(v) for v in key)
+            for key in zip(av[codes // len(bv)].tolist(), bv[codes % len(bv)].tolist())]
+    thresholds = [_threshold(*key) for key in keys]
+    min_r[~mixed] = np.array(thresholds)[key_of] + 1
+    r_used = r
+    if auto_raise:
+        centers = {b for a, b in ab if a is None and b}
+        r_used = max([int(min_r.max(initial=r)), *(-frac_valuation(b, p) for b in centers)])
+    chirp_a, chirp_b = {a for a, _ in ab if a is not None}, {b for a, b in ab if a is not None}
+    k = max([1 - r_used, *(r_used for a, _ in ab if a is None),
+             *(required_resolution(a, 0, r_used, p) for a in chirp_a),
+             *(required_resolution(0, b, r_used, p) for b in chirp_b)])
+    grid = make_grid(p, r_used, k, cell_cap)
+    stack = _state_stack_old(raw, grid)
+    gram = stack.conj() @ stack.T * float(grid.measure)
+    moduli = np.abs(gram)
+    big_r = [max(r_used, t + 1) for t in thresholds]
+    closed_of = [_table_norm(p, x - 2*R, y - R, 2*R)[0].value for (x, y), R in zip(keys, big_r)]
+    closed = np.ones(len(i))
+    closed[~mixed] = np.array(closed_of)[key_of]
+    certified = r_used >= min_r
+    deviation = np.abs(moduli[i, j] - closed)
+    max_dev = float(deviation[certified].max(initial=0.0))
+    uncert = int(np.count_nonzero(~certified))
+    return mub_padic.GramReport(
+        p=p, r_requested=r, r_used=r_used, k_used=k,
+        labels=[f"a={'inf' if a is None else a} b={b}" for a, b in ab], moduli=moduli,
+        closed=closed, certified=certified, deviation=deviation,
+        family_ranks=_family_ranks_old(gram, raw), tol=1e-9, max_certified_deviation=max_dev,
+        uncertified_pairs=uncert, passed=max_dev <= 1e-9 and (uncert == 0 or not auto_raise),
+    )
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's report, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, CapError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_report(new, old):
+    """Every GramReport field byte for byte: the arrays by dtype, shape and
+    tobytes, everything else by type and repr (repr tells 0.0 from -0.0).
+    A grid past the cell cap may be refused from a lower bound of its size,
+    before the exact r_used is known."""
+    if isinstance(old, tuple):
+        if old[0] is CapError and new[0] is CapError:
+            size = re.compile(r"\^(\d+) cells exceed the cap")
+            assert int(size.search(new[1])[1]) <= int(size.search(old[1])[1]), (new, old)
+        else:
+            assert new == old
+        return
+    assert isinstance(new, mub_padic.GramReport), new
+    for name, want in vars(old).items():
+        got = getattr(new, name)
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes()), name
+        else:
+            assert (type(got), repr(got)) == (type(want), repr(want)), name
+
+
+def _gram_params(p):
+    """States of the p+1 families: a family sample crossed with a b sample
+    (equal family sizes), or states drawn one by one (mostly unequal).
+    Labels are ints, Fractions with denominators prime to p or divisible by
+    p, and digit strings; deltas come in both spellings."""
+    coeff = (
+        st.integers(-3 * p, 3 * p)
+        | st.builds(lambda u, w, e: Fraction(u, w) * Fraction(p) ** e, st.integers(-30, 30),
+                    st.integers(1, 12).filter(lambda w: w % p), st.integers(-2, 2))
+        | st.builds(lambda ds, e: parse_coefficient(" ".join(map(str, ds)) + f" *{p}^{e}", p),
+                    st.lists(st.integers(0, p - 1), min_size=1, max_size=6), st.integers(-2, 2))
+    )
+    family = st.none() | st.just("inf") | coeff
+    crossed = st.builds(lambda fams, bs: [(a, b) for a in fams for b in bs],
+                        st.lists(family, min_size=1, max_size=4), st.lists(coeff, min_size=1,
+                                                                           max_size=3))
+    return crossed | st.lists(st.tuples(family, coeff), min_size=1, max_size=8)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), p=st.sampled_from([3, 5, 7, 11, 13]), r=st.integers(0, 2),
+       auto_raise=st.booleans())
+def test_gram_report_matches_the_per_label_path(data, p, r, auto_raise):
+    params = data.draw(_gram_params(p))
+    _assert_same_report(_outcome(gram_report, params, r=r, p=p, auto_raise=auto_raise),
+                        _outcome(_gram_report_old, params, r, p, auto_raise))
+
+
+def test_gram_report_matches_the_per_label_path_on_fixed_sets():
+    """The canonical sets the benchmark and the CLI run, and the mixed sets,
+    each through both paths; the canonical ones reach the stacked ranks."""
+    sets = [(p, canonical_family_params(p)) for p in (3, 5, 7, 11)]
+    sets += [(p, params) for p, params in _gram_sets()]
+    # families of one size and unequal ranks: 2, 1 (a repeated state) and 1
+    sets += [(3, [(0, 0), (0, 1), (1, 2), (1, 2), (None, 0), ("inf", 0)])]
+    stacked = 0
+    for p, params in sets:
+        for r in (0, 1, 2):
+            for auto_raise in (True, False):
+                new = _outcome(gram_report, params, r=r, p=p, auto_raise=auto_raise)
+                _assert_same_report(new, _outcome(_gram_report_old, params, r, p, auto_raise))
+                sizes = collections.Counter(str(mub_padic._normalize_family(a)) for a, _ in params)
+                stacked += not isinstance(new, tuple) and len(set(sizes.values())) == 1
+    assert stacked >= 15
 
 
 def _profile_loop(a, b, grid):
