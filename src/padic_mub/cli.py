@@ -10,8 +10,15 @@ parser (`command_parser`), which prints the same help and errors as the full
 parser's subparser.  The full parser (`build_parser`) reads every other
 call, and any call whose arguments the command's parser leaves over, so
 "invalid choice" and "unrecognized arguments" print its usage line.  Each
-parser reads the terminal width once, not once per argument.  Nothing is
-cached across calls.
+call reads the terminal width once per parser it asks for, and each parser
+is built once per process and width, then shared by later calls.
+
+`--format json` writes what `json.dumps(d, sort_keys=True, indent=2)` writes
+for the report's dict d with floats rounded to 12 significant digits
+(`_round_floats`).  A report with per-pair rows gives them as columns
+(`json_columns`), and `_json_text` writes each row from one template,
+formatting each distinct value of a column once, where json's pure-Python
+indenting encoder would walk one dict per pair.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import math
 import os
 import shutil
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -53,12 +61,63 @@ def _fmt(x: float) -> str:
     return f"{x:.{FLOAT_DIGITS}g}"
 
 
+def _json_value(x) -> str:
+    """A float, str, bool or int as json.dumps(_round_floats(x)) writes it."""
+    if isinstance(x, float):
+        return repr(float(_fmt(x))) if math.isfinite(x) else f'"{x}"'
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return int.__repr__(x)
+
+
+def _json_rows(columns: dict) -> str:
+    """A list of rows, given as columns, as json.dumps(_round_floats(rows),
+    sort_keys=True, indent=2) writes it at the top level of a dict.
+
+    A column is (values, index): row n holds values[index[n]], or values[n]
+    for index None, and each value is formatted once.  A list of columns
+    gives each row a list of their entries."""
+    parts, texts = [], []
+    for name in sorted(columns):
+        column = columns[name]
+        nested = isinstance(column, list)
+        for values, index in column if nested else [column]:
+            formatted = [_json_value(x) for x in values]
+            texts.append(formatted if index is None else [formatted[k] for k in index])
+        value = ("[\n" + ",\n".join(["        %s"] * len(column)) + "\n      ]"
+                 if nested else "%s")
+        parts.append(f"      {encode_basestring_ascii(name)}: {value}")
+    template = "    {\n" + ",\n".join(parts) + "\n    }"
+    rows = [template % row for row in zip(*texts)]
+    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+
+
+def _json_text(report, config: dict) -> str:
+    """json.dumps(_round_floats(d), sort_keys=True, indent=2) of the report's
+    JSON dict d with `config` attached, byte for byte.  json.dumps writes all
+    but the per-pair rows of a report with `json_columns`, which
+    `_json_rows` writes from their columns."""
+    if isinstance(report, dict) or not hasattr(report, "json_columns"):
+        d = report if isinstance(report, dict) else report.to_json_dict()
+        d["config"] = config
+        return json.dumps(_round_floats(d), sort_keys=True, indent=2)
+    d, key, columns = report.json_columns()
+    d["config"], d[key] = config, None
+    # a string holds no raw newline, and a nested key sits deeper: the
+    # marker is the one top-level `key: null`
+    marker = f"\n  {encode_basestring_ascii(key)}: "
+    head, _, tail = json.dumps(_round_floats(d), sort_keys=True, indent=2).partition(
+        marker + "null")
+    return head + marker + _json_rows(columns) + tail
+
+
 def _emit(report, args, table: str | None) -> None:
     """Print the one format asked for, with the resolved invocation in JSON."""
     if args.format == "json":
-        d = report if isinstance(report, dict) else report.to_json_dict()
-        d["config"] = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-        text = json.dumps(_round_floats(d), sort_keys=True, indent=2) + "\n"
+        config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+        text = _json_text(report, config) + "\n"
     elif args.format == "csv":
         if not hasattr(report, "to_csv"):
             raise ValueError("this command has no CSV form; use json or table")
@@ -320,11 +379,10 @@ _SUBCOMMANDS = {
 COMMANDS = tuple(_SUBCOMMANDS)
 
 
-def _formatter_class():
-    """argparse's help formatter at its own default width, with the terminal
-    read once per parser instead of once per `add_argument`."""
-    return functools.partial(argparse.HelpFormatter,
-                             width=shutil.get_terminal_size().columns - 2)
+def _help_width() -> int:
+    """argparse's own default help width, read once per call instead of once
+    per `add_argument`."""
+    return shutil.get_terminal_size().columns - 2
 
 
 def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
@@ -332,9 +390,16 @@ def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.Argumen
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The full CLI parser: every subcommand, their help and "invalid choice"."""
-    formatter_class = _formatter_class()
+# A parser is built once per (command, help width) in a process and shared
+# by every call: parsing leaves it unchanged, and help and usage text wrap at
+# the width it was built with.  The cache keeps every parser of eight widths.
+@functools.lru_cache(maxsize=8 * (len(_SUBCOMMANDS) + 1))
+def _parser(name: str | None, width: int) -> argparse.ArgumentParser:
+    """`name`'s standalone parser, or with name None the full parser."""
+    formatter_class = functools.partial(argparse.HelpFormatter, width=width)
+    if name is not None:
+        return _add_command(argparse.ArgumentParser(prog=f"padic-mub {name}",
+                                                    formatter_class=formatter_class), name)
     parser = argparse.ArgumentParser(
         prog="padic-mub",
         description="Verification pipelines for quadratic Gauss sums and "
@@ -343,17 +408,22 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=formatter_class,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in _SUBCOMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_text, formatter_class=formatter_class),
-                     name)
+    for cmd, (help_text, _) in _SUBCOMMANDS.items():
+        _add_command(sub.add_parser(cmd, help=help_text, formatter_class=formatter_class), cmd)
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full CLI parser: every subcommand, their help and "invalid choice".
+    Cached per terminal width and shared: callers must not change it."""
+    return _parser(None, _help_width())
 
 
 def command_parser(name: str) -> argparse.ArgumentParser:
     """The standalone parser of one command: the full parser's subparser for
-    it, which prints the same help and errors, with `command` as a default."""
-    return _add_command(argparse.ArgumentParser(prog=f"padic-mub {name}",
-                                                formatter_class=_formatter_class()), name)
+    it, which prints the same help and errors, with `command` as a default.
+    Cached per terminal width and shared: callers must not change it."""
+    return _parser(name, _help_width())
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:

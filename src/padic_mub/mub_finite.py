@@ -112,9 +112,11 @@ class PairStat:
 class MubReport:
     """Pairwise unbiasedness and per-basis orthonormality, against p^(-r/2).
 
-    `pair_columns()` gives the basis labels and one row (min_mod, max_mod,
-    max_dev) per pair in `combinations` order; `pairs`, `to_json_dict` and
-    `to_csv` call it, so reading only the summary builds no pair row."""
+    `pair_columns()` gives the basis labels, a table of (min_mod, max_mod,
+    max_dev) rows and each pair's row of it, pairs in `combinations` order:
+    a field's set has only q + 1 distinct rows.  `pairs`, `to_json_dict`,
+    `json_columns` and `to_csv` call it, so reading only the summary builds
+    no pair row."""
 
     dim: int
     bases: int
@@ -124,20 +126,38 @@ class MubReport:
     max_deviation: float
     ortho_deviation: float
     passed: bool
-    pair_columns: Callable[[], tuple[list[str], np.ndarray]] = field(repr=False, compare=False)
+    pair_columns: Callable[[], tuple[list[str], np.ndarray, np.ndarray]] = field(
+        repr=False, compare=False)
 
     def _rows(self):
-        labels, stats = self.pair_columns()
-        for (i, j), s in zip(combinations(range(len(labels)), 2), stats.tolist()):
-            yield i, j, labels[i], labels[j], *s
+        labels, stats, row_of = self.pair_columns()
+        stats = stats.tolist()
+        for (i, j), k in zip(combinations(range(len(labels)), 2), row_of.tolist()):
+            yield i, j, labels[i], labels[j], *stats[k]
 
     @property
     def pairs(self) -> list[PairStat]:
         return [PairStat(i, j, (li, lj), *s) for i, j, li, lj, *s in self._rows()]
 
+    def _summary(self) -> dict:
+        return {"schema": 1, **{k: v for k, v in vars(self).items() if k != "pair_columns"}}
+
     def to_json_dict(self) -> dict:
-        d = {k: v for k, v in vars(self).items() if k != "pair_columns"}
-        return {"schema": 1, **d, "pairs": [vars(s) for s in self.pairs]}
+        return {**self._summary(), "pairs": [vars(s) for s in self.pairs]}
+
+    def json_columns(self) -> tuple[dict, str, dict]:
+        """`to_json_dict()` as its summary, the key "pairs" and the pair rows
+        as columns (see cli._json_rows), each stat column as a distinct row's
+        value and each pair's row index."""
+        labels, stats, row_of = self.pair_columns()
+        i, j = (c.tolist() for c in np.triu_indices(len(labels), 1))  # combinations order
+        index, row_of = list(range(len(labels))), row_of.tolist()
+        min_mod, max_mod, max_dev = stats.T.tolist()
+        return self._summary(), "pairs", {
+            "i": (index, i), "j": (index, j), "labels": [(labels, i), (labels, j)],
+            "min_mod": (min_mod, row_of), "max_mod": (max_mod, row_of),
+            "max_dev": (max_dev, row_of),
+        }
 
     def to_csv(self) -> str:
         lines = ["i,j,label_i,label_j,min_mod,max_mod,max_dev"]
@@ -173,7 +193,8 @@ def verify_mub(bases: list[BasisMatrix] | FieldMubSet, tol: float = 1e-10,
     labels = [b.label for b in bases]
     max_dev = float(np.max(stats[:, 2], initial=0.0))
     return MubReport(d, n, target, tol, ortho_tol, max_dev, ortho,
-                     max_dev <= tol and ortho <= ortho_tol, lambda: (labels, stats))
+                     max_dev <= tol and ortho <= ortho_tol,
+                     lambda: (labels, stats, np.arange(len(stats))))
 
 
 def _row_stats(mods: np.ndarray, target: float) -> np.ndarray:
@@ -213,7 +234,8 @@ def _field_report(bases: FieldMubSet, tol: float, ortho_tol: float) -> MubReport
     scaled roots, bit for bit those of the basis entries; and V_a* V_a - I is
     row 0 minus a unit vector, while the identity basis contributes 0.  The
     floats differ from the matrix path's only in rounding.  The labels and
-    the pair rows are gathered only when the report's pair columns are read.
+    each pair's row index are found only when the report's pair columns are
+    read; the q + 1 rows are never gathered per pair.
     """
     ctx = bases.ctx
     p, r, q = ctx.p, ctx.r, ctx.size
@@ -230,7 +252,7 @@ def _field_report(bases: FieldMubSet, tol: float, ortho_tol: float) -> MubReport
         rows_of = np.full((q + 1, q + 1), q)
         rows_of[:q, :q] = (digits[None] - digits[:, None]) % p @ p ** np.arange(r)
         first, second = np.triu_indices(q + 1, 1)  # the order of combinations(range(q + 1), 2)
-        return [f"a={a}" for a in ctx.elements()] + ["inf"], rows[rows_of[first, second]]
+        return [f"a={a}" for a in ctx.elements()] + ["inf"], rows, rows_of[first, second]
 
     return MubReport(q, q + 1, target, tol, ortho_tol, max_dev, ortho,
                      max_dev <= tol and ortho <= ortho_tol, pair_columns)

@@ -568,19 +568,32 @@ class GramReport:
     uncertified_pairs: int
     passed: bool
 
-    def _rows(self):
+    def _columns(self) -> dict:
+        """The entry columns, named and ordered as GramEntry's fields."""
         i, j = np.triu_indices(len(self.labels))
-        cols = (i, j, self.moduli[i, j], self.closed, self.certified, self.deviation)
-        return zip(*(c.tolist() for c in cols))
+        return {"i": i, "j": j, "numeric": self.moduli[i, j], "closed": self.closed,
+                "certified": self.certified, "deviation": self.deviation}
+
+    def _rows(self):
+        return zip(*(c.tolist() for c in self._columns().values()))
 
     @property
     def entries(self) -> list[GramEntry]:
         return [GramEntry(*row) for row in self._rows()]
 
-    def to_json_dict(self) -> dict:
+    def _summary(self) -> dict:
         d = {k: v for k, v in vars(self).items() if not isinstance(v, np.ndarray)}
-        d.update(schema=1, kind="gram", entries=[vars(e) for e in self.entries])
+        d.update(schema=1, kind="gram")
         return d
+
+    def to_json_dict(self) -> dict:
+        return {**self._summary(), "entries": [vars(e) for e in self.entries]}
+
+    def json_columns(self) -> tuple[dict, str, dict]:
+        """`to_json_dict()` as its summary, the key "entries" and the entry
+        rows as columns (see cli._json_rows)."""
+        return self._summary(), "entries", {
+            name: (c.tolist(), None) for name, c in self._columns().items()}
 
     def to_csv(self) -> str:
         lines = ["i,j,label_i,label_j,numeric,closed_exact,certified,deviation"]

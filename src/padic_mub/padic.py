@@ -330,6 +330,12 @@ def fractional_part(x: PadicNumber) -> PFraction:
     return x.fractional_part()
 
 
+# A digit string becomes a Fraction only while p^|v| stays below 2^8192, about
+# 2466 decimal digits: forming it stays cheap, and its text leaves room for
+# the digits it carries under Python's 4300-digit limit on int-to-str.
+MAX_VALUATION_BITS = 8192
+
+
 def as_fraction(
     x: "PadicNumber | Fraction | int", p: int, need_abs_precision: int | None = None
 ) -> Fraction:
@@ -338,10 +344,15 @@ def as_fraction(
     Rationals pass through unchanged.  A truncated p-adic value is replaced by
     its canonical representative, but only if its retained window reaches
     `need_abs_precision`: beyond that level the two differ by something the
-    consumer was going to ignore anyway.
+    consumer was going to ignore anyway.  A nonzero digit string with
+    |v| > MAX_VALUATION_BITS // p.bit_length() is refused.
     """
     if isinstance(x, PadicNumber):
         _check_window(x, p, need_abs_precision)
+        limit = MAX_VALUATION_BITS // p.bit_length()
+        if not x.is_zero and abs(x.valuation) > limit:
+            raise ValueError(f"coefficient valuation {x.valuation} exceeds the limit "
+                             f"|v| <= {limit} at p = {p}")
         return x.to_fraction()
     return x if isinstance(x, Fraction) else Fraction(x)
 

@@ -157,6 +157,29 @@ def test_a_coefficient_past_the_cap_is_never_a_fraction(capsys, monkeypatch, arg
     assert run(capsys, *argv) == (2, "", f"error: {size} cells exceed the cap 100000\n")
 
 
+@pytest.mark.parametrize("v", [4097, 30000, 3000000])
+def test_a_coefficient_of_huge_positive_valuation_is_refused_on_every_command(
+        capsys, monkeypatch, v):
+    # no cap stops a large positive valuation: 3^30000 passed Python's limit
+    # on int-to-str digits in the label text, and 3^3000000 took past 10 s
+    def refused(self):
+        raise AssertionError("a coefficient past the valuation limit became a Fraction")
+
+    monkeypatch.setattr(PadicNumber, "to_fraction", refused)
+    coeff = f"1 *3^{v}"
+    err = f"error: coefficient valuation {v} exceeds the limit |v| <= 4096 at p = 3\n"
+    for argv in (["mub-padic", "-p", "3", "-r", "1", "--bs", coeff],
+                 ["gauss-integral", "-p", "3", "-r", "1", "-a", "1", "-b", coeff],
+                 ["eigen-check", "-p", "3", "-a", "1", "-b", "0", "-c", coeff],
+                 ["fourier-ball", "-p", "3", "-r", "1", "-z", coeff]):
+        assert run(capsys, *argv) == (2, "", err)
+    monkeypatch.undo()
+    # at the limit the value is still read
+    code, out, _ = run(capsys, "gauss-integral", "-p", "3", "-r", "1", "-a", "1", "-b",
+                       "1 *3^4096")
+    assert code == 0 and out.endswith("PASS\n")
+
+
 def test_mub_finite_builds_no_basis_matrix(capsys, monkeypatch):
     import padic_mub.mub_finite as mub_finite
 

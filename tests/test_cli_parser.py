@@ -181,6 +181,45 @@ def test_a_command_reads_the_terminal_width_once(monkeypatch):
     assert len(reads) == 2  # the command's parser, then the full one
 
 
+def _uncached(call, argv: list[str]):
+    """call(argv) with every parser built afresh, past the cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_parser", cli._parser.__wrapped__)
+        return call(argv)
+
+
+def _without_func(args) -> dict:
+    return {k: v for k, v in vars(args).items() if k != "func"}
+
+
+def test_cached_parsers_read_every_golden_argv_as_fresh_parsers(columns_80):
+    argvs = [case["argv"] for case in json.loads(GOLDEN_CLI.read_text())["cases"].values()]
+    errors = [argv for name, argv in CORPUS.items() if "help" not in name]
+    cli._parser.cache_clear()
+    for _ in range(2):  # every other argv, and a usage error, parsed in between
+        for n, argv in enumerate(argvs):
+            got = _without_func(cli.parse_args(argv))
+            assert got == _without_func(_uncached(cli.parse_args, argv))
+            with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit):
+                cli.parse_args(errors[n % len(errors)])
+    # each command's parser and the full parser, built once
+    assert cli._parser.cache_info().misses == len(cli.COMMANDS) + 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["mub-padic", "-h"], ["mub-finite", "-p", "3"],
+                                  ["mub-finite", "-p", "3", "-r", "1", "--bogus"]],
+                         ids=["help", "command-help", "command-error", "full-parser-error"])
+def test_cached_parsers_print_fresh_parsers_bytes_at_each_width(monkeypatch, argv):
+    printed = {}
+    for columns in (60, 100, 60):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        got = _capture(cli.main, argv)
+        assert got == _uncached(lambda argv: _capture(cli.main, argv), argv)
+        assert printed.setdefault(columns, got) == got
+    if argv[-1] == "-h":  # help text wraps at the width it was built with
+        assert printed[60] != printed[100]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)

@@ -48,7 +48,7 @@ def verify_all_pairs(bases, tol=1e-10, ortho_tol=1e-12):
     labels = [b.label for b in bases]
     return MubReport(d, len(bases), target, tol, ortho_tol, max_dev, ortho,
                      max_dev <= tol and ortho <= ortho_tol,
-                     lambda: (labels, np.array(rows).reshape(-1, 3)))
+                     lambda: (labels, np.array(rows).reshape(-1, 3), np.arange(len(rows))))
 
 
 def _summary(report):
