@@ -3,6 +3,11 @@
 Phases stay exact fractions (elements of Q/Z with p-power denominator)
 through all algebra; conversion to a complex double happens once, at the
 outermost summation, so the only numeric error is final rounding.
+
+A phase is a reduced PFraction m/p**e held as the integers (p, m, e).
+char_e reduces the unit of its argument modulo p**(-v) once; phase_mul adds
+two numerators over the larger exponent and divides out factors of p, so
+neither builds a Fraction.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import PadicNumber, PFraction, frac_part
+from .padic import PadicNumber, PFraction, _pfraction, frac_part
 
 _TWO_PI = 2.0 * math.pi
 
@@ -55,11 +60,23 @@ def char_of_rational(q: Fraction | int, p: int) -> UnitPhase:
 
 
 def phase_mul(q1: UnitPhase, q2: UnitPhase) -> UnitPhase:
-    """Exact product of two roots of unity: phases add modulo 1."""
-    p = q1.phase.prime
-    if q2.phase.prime != p:
-        raise ValueError(f"mixed primes {p} and {q2.phase.prime}")
-    return UnitPhase(PFraction.from_fraction(q1.phase.value + q2.phase.value, p))
+    """Exact product of two roots of unity: phases add modulo 1.
+
+    The numerators are added over the larger exponent e, modulo p**e; only
+    when both exponents are e can the sum gain factors of p to divide out.
+    """
+    x, y = q1.phase, q2.phase
+    p = x.prime
+    if y.prime != p:
+        raise ValueError(f"mixed primes {p} and {y.prime}")
+    e = max(x.exp, y.exp)
+    m = (x.num * p ** (e - x.exp) + y.num * p ** (e - y.exp)) % p**e
+    if not m:
+        return UnitPhase(_pfraction(p, 0, 0))
+    while not m % p:
+        m //= p
+        e -= 1
+    return UnitPhase(_pfraction(p, m, e))
 
 
 def phase_to_complex(q: UnitPhase | PFraction) -> complex:

@@ -5,11 +5,17 @@ modulus of degree r.  The default modulus is the lexicographically smallest
 irreducible (coefficients compared low degree first), so field construction
 is reproducible with no external polynomial tables.
 
-A product is the schoolbook product of the two coefficient vectors, reduced
-once with the field's `high_powers` (x^r, ..., x^(2r-2) modulo the modulus,
+An element holds its context and its r coefficients, each in [0, p).  Costs:
+a sum or a negation is r additions mod p; a product is the schoolbook
+product of the two coefficient vectors (r^2 multiplications), reduced once
+with the field's `high_powers` (x^r, ..., x^(2r-2) modulo the modulus,
 computed once per `FieldCtx`; `mub_finite` reads the same rows for its
-structure tensor).  The absolute trace sums x, x^p, ..., x^(p^(r-1)) with
-r - 1 Frobenius powers, so a trace on F_p multiplies nothing.
+structure tensor); x**n is square and multiply on the coefficient tuples,
+about 2 log2(n) products.  The operations build their results without
+re-checking the coefficients they have just reduced.  The absolute trace
+sums x, x^p, ..., x^(p^(r-1)) with r - 1 Frobenius powers, so a trace on F_p
+multiplies nothing; it stays this direct sum because it is the independent
+oracle for the linear trace tables of `mub_finite`.
 """
 
 from __future__ import annotations
@@ -183,41 +189,33 @@ class FieldElem:
     def __add__(self, other: "FieldElem") -> "FieldElem":
         self._same_field(other)
         p = self.ctx.p
-        return FieldElem(self.ctx, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return _elem(self.ctx, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "FieldElem":
         p = self.ctx.p
-        return FieldElem(self.ctx, tuple(-c % p for c in self.coeffs))
+        return _elem(self.ctx, tuple(-c % p for c in self.coeffs))
 
     def __sub__(self, other: "FieldElem") -> "FieldElem":
         return self + (-other)
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
         self._same_field(other)
-        ctx = self.ctx
-        r = ctx.r
-        prod = [0] * (2 * r - 1)  # schoolbook, reduced once at the end
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] += a * b
-        low = prod[:r]
-        for c, row in zip(prod[r:], ctx.high_powers):
-            if c:
-                for k, h in enumerate(row):
-                    low[k] += c * h
-        return FieldElem(ctx, tuple(c % ctx.p for c in low))
+        return _elem(self.ctx, _mul(self.ctx, self.coeffs, other.coeffs))
 
     def __pow__(self, n: int) -> "FieldElem":
+        """Square and multiply on the coefficient tuples, through `_mul`."""
         if n < 0:
             return self.inv() ** (-n)
-        out, base = self.ctx.one, self
-        while n:
+        if n == 0:
+            return self.ctx.one
+        ctx, base, out = self.ctx, self.coeffs, None
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else _mul(ctx, out, base)
             n >>= 1
-        return out
+            if not n:
+                return _elem(ctx, out)
+            base = _mul(ctx, base, base)
 
     def inv(self) -> "FieldElem":
         if self.is_zero:
@@ -240,6 +238,33 @@ class FieldElem:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
+
+
+def _mul(ctx: FieldCtx, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """The coefficients of x * y: the schoolbook product, reduced once with
+    the field's high_powers rows and then mod p."""
+    r = ctx.r
+    prod = [0] * (2 * r - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                prod[i + j] += a * b
+    low = prod[:r]
+    for c, row in zip(prod[r:], ctx.high_powers):
+        if c:
+            for k, h in enumerate(row):
+                low[k] += c * h
+    p = ctx.p
+    return tuple(c % p for c in low)
+
+
+def _elem(ctx: FieldCtx, coeffs: tuple[int, ...]) -> FieldElem:
+    """An element whose r coefficients an operation has already reduced mod p,
+    built without __post_init__'s checks."""
+    x = object.__new__(FieldElem)
+    object.__setattr__(x, "ctx", ctx)
+    object.__setattr__(x, "coeffs", coeffs)
+    return x
 
 
 def trace(x: FieldElem) -> int:

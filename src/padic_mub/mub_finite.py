@@ -160,9 +160,13 @@ class MubReport:
         }
 
     def to_csv(self) -> str:
+        """One line per pair: i, j, the labels, then its stat row's three
+        floats as `repr`, each distinct row formatted once."""
+        labels, stats, row_of = self.pair_columns()
+        text = [f"{mn!r},{mx!r},{dev!r}" for mn, mx, dev in stats.tolist()]
         lines = ["i,j,label_i,label_j,min_mod,max_mod,max_dev"]
-        lines += [f"{i},{j},{li},{lj},{mn!r},{mx!r},{dev!r}"
-                  for i, j, li, lj, mn, mx, dev in self._rows()]
+        lines += [f"{i},{j},{labels[i]},{labels[j]},{text[k]}"
+                  for (i, j), k in zip(combinations(range(len(labels)), 2), row_of.tolist())]
         return "\n".join(lines) + "\n"
 
 

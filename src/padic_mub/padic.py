@@ -1,21 +1,29 @@
 """Exact truncated-precision arithmetic for the field Q_p of p-adic numbers.
 
-A nonzero value is a unit digit expansion scaled by a power of the prime,
+A nonzero value is a unit scaled by a power of the prime,
 
-    x = p**v * (d0 + d1*p + ... + d_{N-1}*p**(N-1)),   d0 != 0,
+    x = p**v * u,   u = d0 + d1*p + ... + d_{N-1}*p**(N-1),   d0 != 0,
 
-so x is known exactly modulo p**(v + N).  The digit count N is chosen by the
-caller per computation; arithmetic propagates min(N_x, N_y) significant
-digits (additive cancellation shrinks the count further) and operations that
-would need digits outside the retained window raise PrecisionError instead
-of silently padding zeros.  An all-zero digit string or a full cancellation
-is not the exact zero but O(p**N): no digits, known only modulo p**N.
+so x is known exactly modulo p**(v + N).  A PadicNumber holds the four
+integers (p, v, u, N), with u reduced modulo p**N.  The digit count N is
+chosen by the caller per computation; arithmetic propagates min(N_x, N_y)
+significant digits (additive cancellation shrinks the count further) and
+operations that would need digits outside the retained window raise
+PrecisionError instead of silently padding zeros.  An all-zero digit string
+or a full cancellation is not the exact zero but O(p**N): no digits, known
+only modulo p**N.
+
+Cost: +, -, * and inv are a few big-integer operations on numbers below
+p**N (inv is one modular inverse), plus a valuation search after a sum
+whose leading digits cancel; the fractional part is one reduction modulo
+p**(-v).  None of them forms a digit: `digits` and `str` cost one divmod per
+digit and are built only when read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 from .errors import PrecisionError
@@ -126,6 +134,15 @@ class PFraction:
         return f"{self.num}/{self.prime}^{self.exp}"
 
 
+def _pfraction(p: int, num: int, exp: int) -> PFraction:
+    """A p-fraction that an operation has already reduced, built unchecked."""
+    x = object.__new__(PFraction)
+    object.__setattr__(x, "prime", p)
+    object.__setattr__(x, "num", num)
+    object.__setattr__(x, "exp", exp)
+    return x
+
+
 def frac_part(q: Fraction | int, p: int) -> PFraction:
     """Fractional part {q} of an exactly-known rational, viewed in Q_p.
 
@@ -143,67 +160,97 @@ def frac_part(q: Fraction | int, p: int) -> PFraction:
     return PFraction(p, c, n)
 
 
-@dataclass(frozen=True)
 class PadicNumber:
-    """A truncated p-adic expansion: digits[j] is the coefficient of p**(valuation+j).
+    """A truncated p-adic value x = p**valuation * unit, the unit known modulo
+    p**precision.
 
-    A zero has an empty digit tuple: the exact zero has valuation +inf, the
-    zero O(p**N) known only modulo p**N has valuation N.  Any other value has
-    a nonzero leading digit.  Instances are immutable.
+    A nonzero value has precision >= 1 significant digits and a unit in
+    [1, p**precision) prime to p, so x is known exactly modulo
+    p**abs_precision = p**(valuation + precision).  A zero has precision 0
+    and unit 0: the exact zero has valuation +inf, the zero O(p**N) known only
+    modulo p**N has valuation N.
+
+    The public constructor takes the digit form, PadicNumber(p, v, digits)
+    with digits[j] the coefficient of p**(v + j), and checks it in full.
+    Arithmetic works on the four integers.  `digits` (one divmod per digit)
+    and `str` are built only when read; `==`, `hash` and `repr` are those of
+    the digit form.  Instances are immutable.
     """
 
-    prime: int
-    valuation: int | float
-    digits: tuple[int, ...]
+    __slots__ = ("prime", "valuation", "unit", "precision", "_digits")
 
-    def __post_init__(self):
-        p = self.prime
+    def __init__(self, prime: int, valuation: int | float, digits: tuple[int, ...]):
+        p = prime
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if not self.digits:
-            return
-        if self.valuation == INF:
-            raise ValueError("the exact zero must carry an empty digit tuple")
-        if self.digits[0] == 0:
-            raise ValueError("leading digit must be nonzero")
-        if any(not 0 <= d < p for d in self.digits):
-            raise ValueError(f"digits must lie in [0, {p})")
+        u = 0
+        if digits:
+            if valuation == INF:
+                raise ValueError("the exact zero must carry an empty digit tuple")
+            if digits[0] == 0:
+                raise ValueError("leading digit must be nonzero")
+            if any(not 0 <= d < p for d in digits):
+                raise ValueError(f"digits must lie in [0, {p})")
+            for d in reversed(digits):
+                u = u * p + d
+        _fill(self, p, valuation, u, len(digits), tuple(digits))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle through the checking constructor
+        return PadicNumber, (self.prime, self.valuation, self.digits)
 
     # -- structure ---------------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        """Zero as far as it is known: the exact zero or some O(p**N)."""
-        return not self.digits
+    def digits(self) -> tuple[int, ...]:
+        """digits[j] is the coefficient of p**(valuation + j); () for a zero."""
+        if self._digits is None:
+            p, u, digits = self.prime, self.unit, []
+            for _ in range(self.precision):
+                u, d = divmod(u, p)
+                digits.append(d)
+            _set_digits(self, tuple(digits))
+        return self._digits
 
     @property
-    def precision(self) -> int:
-        """Count of significant digits retained (0 for a zero)."""
-        return len(self.digits)
+    def is_zero(self) -> bool:
+        """Zero as far as it is known: the exact zero or some O(p**N)."""
+        return not self.precision
 
     @property
     def abs_precision(self) -> int | float:
         """The value is known exactly modulo p**abs_precision."""
-        return self.valuation + len(self.digits)
-
-    def unit(self) -> int:
-        """The digit expansion evaluated as an integer (x = unit * p**valuation)."""
-        u = 0
-        for d in reversed(self.digits):
-            u = u * self.prime + d
-        return u
+        return self.valuation + self.precision
 
     def to_fraction(self) -> Fraction:
         """Canonical rational representative: the truncated series itself."""
         if self.is_zero:
             return Fraction(0)
-        return Fraction(self.unit()) * Fraction(self.prime) ** self.valuation
+        v = self.valuation
+        if v >= 0:
+            return Fraction(self.unit * self.prime**v)
+        return Fraction(self.unit, self.prime**-v)  # in lowest terms: p does not divide u
 
     def norm(self) -> Fraction:
         """The p-adic norm p**(-valuation), exactly; 0 for the zero element."""
         if self.is_zero:
             return Fraction(0)
-        return Fraction(self.prime) ** (-self.valuation)
+        v = self.valuation
+        return Fraction(1, self.prime**v) if v >= 0 else Fraction(self.prime**-v)
+
+    def __eq__(self, other):
+        if other.__class__ is not PadicNumber:
+            return NotImplemented
+        return (self.prime == other.prime and self.valuation == other.valuation
+                and self.precision == other.precision and self.unit == other.unit)
+
+    def __hash__(self) -> int:
+        return hash((self.prime, self.valuation, self.digits))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -224,40 +271,37 @@ class PadicNumber:
         v = min(self.valuation, other.valuation)
         abs_prec = min(self.abs_precision, other.abs_precision)
         window = abs_prec - v  # digits determined at level v
-        mod = p**window
         total = (
-            self.unit() * p ** (self.valuation - v)
-            + other.unit() * p ** (other.valuation - v)
-        ) % mod
+            self.unit * p ** (self.valuation - v) + other.unit * p ** (other.valuation - v)
+        ) % p**window
         if total == 0:
-            return PadicNumber(p, abs_prec, ())
+            return _zero(p, abs_prec)
         shift = int_valuation(total, p)
-        return _from_unit(p, v + shift, total // p**shift, window - shift)
+        return _padic(p, v + shift, total // p**shift, window - shift)
 
     def __neg__(self) -> "PadicNumber":
         if self.is_zero:
             return self
-        mod = self.prime ** len(self.digits)
-        return _from_unit(self.prime, self.valuation, mod - self.unit(), len(self.digits))
+        n = self.precision
+        return _padic(self.prime, self.valuation, self.prime**n - self.unit, n)
 
     def __sub__(self, other: "PadicNumber") -> "PadicNumber":
         return self + (-other)
 
     def __mul__(self, other: "PadicNumber") -> "PadicNumber":
         self._check_same_field(other)
+        v = self.valuation + other.valuation
         if self.is_zero or other.is_zero:  # O(p**N) * x is known modulo p**(N + v(x))
-            return PadicNumber(self.prime, self.valuation + other.valuation, ())
-        n = min(len(self.digits), len(other.digits))
-        u = self.unit() * other.unit() % self.prime**n
-        return _from_unit(self.prime, self.valuation + other.valuation, u, n)
+            return _zero(self.prime, v)
+        n = min(self.precision, other.precision)
+        return _padic(self.prime, v, self.unit * other.unit % self.prime**n, n)
 
     def inv(self) -> "PadicNumber":
         """Multiplicative inverse at the same digit count."""
         if self.is_zero:
             raise ZeroDivisionError("the zero element has no inverse")
-        n = len(self.digits)
-        u = pow(self.unit(), -1, self.prime**n)
-        return _from_unit(self.prime, -self.valuation, u, n)
+        n = self.precision
+        return _padic(self.prime, -self.valuation, pow(self.unit, -1, self.prime**n), n)
 
     def fractional_part(self) -> PFraction:
         """Sum of the negative-power digits, as an exact reduced fraction.
@@ -268,15 +312,19 @@ class PadicNumber:
         """
         p = self.prime
         if self.valuation >= 0:
-            return PFraction.zero(p)
+            return _pfraction(p, 0, 0)
         depth = -self.valuation
-        if len(self.digits) < depth:
+        if self.precision < depth:
             raise PrecisionError(
-                f"need {depth} digits to read the fractional part, have {len(self.digits)}"
+                f"need {depth} digits to read the fractional part, have {self.precision}"
             )
-        return PFraction(p, self.unit() % p**depth, depth)
+        return _pfraction(p, self.unit % p**depth, depth)
 
     # -- text forms ----------------------------------------------------------
+
+    def __repr__(self) -> str:
+        return (f"PadicNumber(prime={self.prime!r}, valuation={self.valuation!r}, "
+                f"digits={self.digits!r})")
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -285,16 +333,36 @@ class PadicNumber:
         return f"{body} *{self.prime}^{self.valuation}"
 
 
-def _from_unit(p: int, v: int, u: int, n: int) -> PadicNumber:
-    """Build from a unit integer (u % p != 0) known modulo p**n."""
+# Operations build their results through these, past the frozen __setattr__
+# and the digit checks of the public constructor.
+_new = object.__new__
+_set_prime, _set_valuation, _set_unit, _set_precision, _set_digits = (
+    getattr(PadicNumber, name).__set__ for name in PadicNumber.__slots__)
+
+
+def _fill(x: PadicNumber, p: int, v: int | float, u: int, n: int,
+          digits: tuple[int, ...] | None) -> PadicNumber:
+    _set_prime(x, p)
+    _set_valuation(x, v)
+    _set_unit(x, u)
+    _set_precision(x, n)
+    _set_digits(x, digits)
+    return x
+
+
+def _padic(p: int, v: int, u: int, n: int) -> PadicNumber:
+    """p**v * u for a unit u in [1, p**n) known modulo p**n, checking only what
+    an operation can break: a digit left (n >= 1) and a unit (u % p != 0)."""
     if n < 1:
         raise PrecisionError("no significant digits survive this operation")
-    u %= p**n
-    digits = []
-    for _ in range(n):
-        u, d = divmod(u, p)
-        digits.append(d)
-    return PadicNumber(p, v, tuple(digits))
+    if not u % p:
+        raise ValueError("leading digit must be nonzero")
+    return _fill(_new(PadicNumber), p, v, u, n, None)
+
+
+def _zero(p: int, v: int | float) -> PadicNumber:
+    """The zero O(p**v), or the exact zero for v = +inf."""
+    return _fill(_new(PadicNumber), p, v, 0, 0, ())
 
 
 def zero(p: int) -> PadicNumber:
@@ -310,11 +378,11 @@ def from_rational(num: int, den: int, p: int, precision: int) -> PadicNumber:
     if precision < 1:
         raise ValueError("precision must be at least 1")
     if num == 0:
-        return zero(p)
+        return _zero(p, INF)
     vn, vd = int_valuation(num, p), int_valuation(den, p)
     mod = p**precision
     u = (num // p**vn) * pow(den // p**vd, -1, mod) % mod
-    return _from_unit(p, vn - vd, u, precision)
+    return _padic(p, vn - vd, u, precision)
 
 
 def valuation(x: PadicNumber) -> int | float:

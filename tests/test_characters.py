@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padic_mub import UnitPhase, char_e, char_of_rational, from_rational, phase_mul, phase_to_complex
-from padic_mub.padic import frac_part
+from padic_mub.padic import PFraction, frac_part
 
 
 def test_trivial_on_padic_integers():
@@ -111,3 +111,38 @@ def test_phase_prints_as_exact_fraction():
     assert str(UnitPhase.of(Fraction(1, 3), 3)) == "1/3"
     assert str(UnitPhase.trivial(3)) == "0"
     assert str(frac_part(Fraction(-1, 9), 3)) == "8/3^2"
+
+
+def phase_mul_by_fraction(q1: UnitPhase, q2: UnitPhase) -> UnitPhase:
+    """phase_mul as it was: a Fraction sum, reduced by PFraction.from_fraction."""
+    p = q1.phase.prime
+    if q2.phase.prime != p:
+        raise ValueError(f"mixed primes {p} and {q2.phase.prime}")
+    return UnitPhase(PFraction.from_fraction(q1.phase.value + q2.phase.value, p))
+
+
+@st.composite
+def phases(draw, p):
+    """A reduced m/p^e, e from 0 to 5; the numerators that share e with
+    another draw often sum to a multiple of p."""
+    e = draw(st.integers(0, 5))
+    if e == 0:
+        return UnitPhase.trivial(p)
+    m = draw(st.integers(1, p**e - 1).filter(lambda m: m % p))
+    return UnitPhase(PFraction(p, m, e))
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]))
+def test_phase_mul_matches_the_fraction_sum(data, p):
+    q1, q2 = data.draw(phases(p)), data.draw(phases(p))
+    got, want = phase_mul(q1, q2), phase_mul_by_fraction(q1, q2)
+    assert got == want and str(got) == str(want)
+    # a sum at one exponent that p divides, and one that cancels in full
+    x = q1.phase
+    near = UnitPhase(PFraction(p, (p - x.num) % p**x.exp, x.exp)) if x.exp > 1 else q1
+    for other in (near, q1.conjugate()):
+        assert phase_mul(q1, other) == phase_mul_by_fraction(q1, other)
+    p_other = {2: 3, 3: 5, 5: 7, 7: 2}[p]
+    with pytest.raises(ValueError, match=f"mixed primes {p} and {p_other}"):
+        phase_mul(q1, UnitPhase.of(Fraction(1, p_other), p_other))

@@ -1,6 +1,8 @@
 """F_{p^r} arithmetic, modulus selection, and the absolute trace."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padic_mub import CapError, build_field, ff_char, phase_to_complex, trace
 from padic_mub.finite_field import FieldElem, _poly_mod, irreducible_polynomials
@@ -200,3 +202,85 @@ def test_mixed_context_rejected():
     f2 = build_field(3, 2, modulus=(2, 1, 1))
     with pytest.raises(ValueError):
         f1.one + f2.one
+
+
+
+def old_mul(self, other):
+    """FieldElem.__mul__ as it was: results through the checking constructor."""
+    self._same_field(other)
+    ctx = self.ctx
+    r = ctx.r
+    prod = [0] * (2 * r - 1)  # schoolbook, reduced once at the end
+    for i, a in enumerate(self.coeffs):
+        if a:
+            for j, b in enumerate(other.coeffs):
+                prod[i + j] += a * b
+    low = prod[:r]
+    for c, row in zip(prod[r:], ctx.high_powers):
+        if c:
+            for k, h in enumerate(row):
+                low[k] += c * h
+    return FieldElem(ctx, tuple(c % ctx.p for c in low))
+
+
+def old_pow(self, n):
+    """FieldElem.__pow__ as it was, from ctx.one, each product by old_mul."""
+    if n < 0:
+        return old_pow(self.inv(), -n)
+    out, base = self.ctx.one, self
+    while n:
+        if n & 1:
+            out = old_mul(out, base)
+        base = old_mul(base, base)
+        n >>= 1
+    return out
+
+
+FIELDS = [(2, 1), (2, 3), (3, 1), (3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (11, 1)]
+
+
+def _agree(new, old):
+    """new() and old() give one element, reduced and checked, or one error."""
+    try:
+        want = old()
+    except Exception as exc:
+        with pytest.raises(Exception) as got:
+            new()
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    got = new()
+    assert got == want and FieldElem(got.ctx, got.coeffs) == got
+    assert all(type(c) is int for c in got.coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_operations_match_the_old_multiply_and_power(data):
+    f = build_field(*data.draw(st.sampled_from(FIELDS)))
+    x, y = (f.element(data.draw(st.integers(0, f.size - 1))) for _ in range(2))
+    n = data.draw(st.integers(-3, 3 * f.size))
+    neg_y = FieldElem(f, tuple(-c % f.p for c in y.coeffs))
+    _agree(lambda: x * y, lambda: old_mul(x, y))
+    _agree(lambda: x**n, lambda: old_pow(x, n))
+    _agree(lambda: x**f.p, lambda: old_pow(x, f.p))
+    _agree(lambda: -y, lambda: neg_y)
+    _agree(lambda: (x + y) * (-y), lambda: old_mul(
+        FieldElem(f, tuple((a + b) % f.p for a, b in zip(x.coeffs, y.coeffs))), neg_y))
+    _agree(lambda: x - y, lambda: FieldElem(
+        f, tuple((a - b) % f.p for a, b in zip(x.coeffs, y.coeffs))))
+    if x.is_zero:
+        with pytest.raises(ZeroDivisionError, match="zero has no inverse in a field"):
+            x.inv()
+    else:
+        _agree(x.inv, lambda: old_pow(x, f.size - 2))
+    assert x.trace() == oracle_trace(x)
+
+
+def test_power_makes_no_call_to_the_public_multiply(monkeypatch):
+    f = build_field(5, 3)
+    calls = []
+    mul = FieldElem.__mul__
+    monkeypatch.setattr(FieldElem, "__mul__", lambda self, other: calls.append(1) or mul(self, other))
+    x = f.element(70)
+    assert (x ** 124).coeffs == f.one.coeffs and (x ** 0).coeffs == f.one.coeffs
+    assert calls == []
