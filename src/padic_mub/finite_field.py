@@ -16,11 +16,17 @@ re-checking the coefficients they have just reduced.  The absolute trace
 sums x, x^p, ..., x^(p^(r-1)) with r - 1 Frobenius powers, so a trace on F_p
 multiplies nothing; it stays this direct sum because it is the independent
 oracle for the linear trace tables of `mub_finite`.
+
+A field is built once per (p, r) and process: `build_field` with the default
+modulus hands every caller the same frozen `FieldCtx`, so the modulus search
+and the irreducibility check run once per field, while the checks on p, r
+and the size cap run on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -29,6 +35,12 @@ from .errors import check_power_cap
 from .padic import PFraction, is_prime
 
 DEFAULT_FIELD_CAP = 625
+# room for one shared context per field under the default cap: the 136 prime
+# powers p^r <= 625
+FIELD_CACHE_SIZE = sum(
+    1 for p in range(2, DEFAULT_FIELD_CAP + 1) if is_prime(p)
+    for r in range(1, DEFAULT_FIELD_CAP.bit_length()) if p**r <= DEFAULT_FIELD_CAP
+)
 
 
 def _poly_trim(coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -148,15 +160,26 @@ class FieldCtx:
 def build_field(
     p: int, r: int, modulus: Sequence[int] | None = None, size_cap: int = DEFAULT_FIELD_CAP
 ) -> FieldCtx:
-    """Construct F_{p^r}; the default modulus is the lex-smallest irreducible."""
+    """Construct F_{p^r}; the default modulus is the lex-smallest irreducible.
+
+    The checks on p, r and the size cap run on every call.  With the default
+    modulus the context is then shared: one per (p, r) and process, so the
+    modulus search and its irreducibility check run once per field.  An
+    explicit modulus builds and validates a context of its own.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if r < 1:
         raise ValueError("extension degree must be positive")
     check_power_cap(p, r, size_cap, "field size {size} exceeds cap {cap}")
     if modulus is None:
-        modulus = next(irreducible_polynomials(p, r))
+        return _default_field(p, r)
     return FieldCtx(p, r, tuple(int(c) % p for c in modulus))
+
+
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
+def _default_field(p: int, r: int) -> FieldCtx:
+    return FieldCtx(p, r, next(irreducible_polynomials(p, r)))
 
 
 @dataclass(frozen=True)

@@ -17,18 +17,25 @@ its two integer trace tables (`FieldMubSet`), whose report it reads off that
 table, one complex product in all, or any list of basis matrices, which it
 checks with one plain product per pair; the tests hold the table against
 the matrices of `build_mub_set`.
+
+What depends on the field alone is built once per field and shared:
+`_trace_rows` holds the structure tensor's products as two read-only integer
+arrays.  Each call checks its caps, then forms the two q x q trace tables as
+one product of those rows, the table of Gauss sums and every report float
+afresh.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .errors import CapError
-from .finite_field import FieldCtx, FieldElem
+from .finite_field import FIELD_CACHE_SIZE, FieldCtx, FieldElem
 from .gauss import INT64_MAX, roots_of_unity
 
 DEFAULT_DIM_CAP = 343
@@ -65,21 +72,34 @@ def _trace_tables(
     ctx: FieldCtx, dim_cap: int = DEFAULT_DIM_CAP
 ) -> tuple[np.ndarray, np.ndarray]:
     """The int64 tables (trace(a*x^2), trace(b*x)) of the field's elements, in
-    label order; every entry is a residue in [0, p)."""
+    label order; every entry is a residue in [0, p).  Both are one product of
+    the field's `_trace_rows`, made afresh for each call."""
     p, r, q = ctx.p, ctx.r, ctx.size
     if q > dim_cap:
         raise CapError(f"dimension {q} exceeds cap {dim_cap}")
-    # the widest int64 sum below is the squares': r^2 products of three residues
+    # the widest int64 sum in _trace_rows is the squares': r^2 products of three residues
     if r * r * (p - 1) ** 3 > INT64_MAX:
         raise CapError(f"F_{p}^{r} products of three residues overflow int64")
+    left, right = _trace_rows(ctx)
+    tables = left @ right % p
+    return tables[:q], tables[q:]
+
+
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
+def _trace_rows(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """The field's rows behind `_trace_tables`, built once per field and
+    shared, so read-only: the digit rows of x^2 and then of x, each times
+    the trace form, shape (2q, r), and the digit rows transposed, (r, q)."""
+    p, r, q = ctx.p, ctx.r, ctx.size
     mult = _structure_tensor(ctx)
     # trace(x^k) is the trace of multiplication by x^k; gram[s, t] = trace(x^s * x^t)
     gram = np.einsum("stk,k->st", mult, np.einsum("ktt->k", mult) % p) % p
     coeff = np.arange(q)[:, None] // p ** np.arange(r) % p  # [x, i], in label order
     sq_coeff = np.einsum("xi,xj,ijk->xk", coeff, coeff, mult) % p  # x^2
-    tr_bx = (coeff @ gram % p) @ coeff.T % p  # trace(b*x) at [x, b]
-    tr_ax2 = (sq_coeff @ gram % p) @ coeff.T % p  # trace(a*x^2) at [x, a]
-    return tr_ax2, tr_bx
+    left = np.vstack((sq_coeff, coeff)) @ gram % p
+    right = coeff.T.copy()
+    left.flags.writeable = right.flags.writeable = False
+    return left, right
 
 
 def build_mub_set(fieldctx: FieldCtx, dim_cap: int = DEFAULT_DIM_CAP) -> list[BasisMatrix]:

@@ -148,8 +148,11 @@ def _phase_term(p: int, r: int, x: Fraction, v: int | float, degree: int) -> tup
     return depth, _scaled_residue(p, depth, x, v, 0)
 
 
-def _quad_phase_indices(grid: Grid, a: Fraction, b: Fraction) -> tuple[np.ndarray, int]:
-    """Exact phase numerators of e(a*x^2 + b*x) per cell, over denominator p^M.
+def _quad_phase_indices(
+    grid: Grid, a: Fraction, b: Fraction, cells: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
+    """Exact phase numerators of e(a*x^2 + b*x) per cell, over denominator p^M:
+    at every cell, or only at the int64 cell indices `cells`, in their order.
 
     The one source of exact cell phases.  Raises CapError when p^M exceeds
     gauss.MAX_INT64_RESIDUE, where the int64 residue products would wrap.
@@ -160,8 +163,8 @@ def _quad_phase_indices(grid: Grid, a: Fraction, b: Fraction) -> tuple[np.ndarra
     depth = max(ma, mb)
     if p**depth > MAX_INT64_RESIDUE:
         raise CapError(f"phase modulus {p}^{depth} exceeds {MAX_INT64_RESIDUE}: int64 overflow")
-    i = np.arange(grid.n, dtype=np.int64)
-    idx = np.zeros(grid.n, dtype=np.int64)
+    i = np.arange(grid.n, dtype=np.int64) if cells is None else cells
+    idx = np.zeros(len(i), dtype=np.int64)
     if ma:
         mod = p**ma
         idx += ((i % mod) ** 2 % mod) * ca % mod * p ** (depth - ma)
@@ -278,12 +281,13 @@ def ball_fourier_closed(z: Coefficient, scale: int, dual: Grid) -> np.ndarray:
     on p^(-scale)Z_p and 0 outside, evaluated on the dual grid's cells.
 
     v(rep(j)) >= -scale exactly when p^max(dual.r - scale, 0) divides j; the
-    phases m/p^M of those cells are evaluated as phase_to_complex does.
+    exact phases m/p^M are found only at those cells, and evaluated as
+    phase_to_complex does.
     """
     p = dual.p
-    idx, depth = _quad_phase_indices(dual, 0, as_fraction(z, p))
     keep = np.arange(0, dual.n, p ** min(max(dual.r - scale, 0), dual.r + dual.k))
-    t = 2.0 * math.pi * (idx[keep] / p**depth)
+    idx, depth = _quad_phase_indices(dual, 0, as_fraction(z, p), keep)
+    t = 2.0 * math.pi * (idx / p**depth)
     amp = float(p) ** (-scale / 2.0)
     out = np.zeros(dual.n, dtype=complex)
     out.real[keep] = amp * np.cos(t)

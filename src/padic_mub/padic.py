@@ -23,6 +23,7 @@ digit and are built only when read.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
@@ -447,19 +448,34 @@ def _check_window(x: PadicNumber, p: int, need_abs_precision: int | None) -> Non
         )
 
 
+_INTEGER = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")  # the text int() reads, digit limit aside
+
+
 def parse_coefficient(text: str, p: int) -> Fraction | PadicNumber:
     """Parse an exact rational `num/den` or integer, or a digit string `d0 d1 ... *p^v`.
 
     Rationals stay exact; only a digit string carries a truncated precision.
+    Text of none of these forms, a zero denominator among them, raises one
+    ValueError that quotes it.
     """
+
+    def unreadable() -> ValueError:
+        return ValueError(f"cannot read the coefficient {text!r}: expected an integer, "
+                          f"num/den with den != 0, or digits 'd0 d1 ... *p^v'")
+
+    def integer(part: str) -> int:
+        if not _INTEGER.fullmatch(part):
+            raise unreadable()
+        return int(part)
+
     text = text.strip()
     if "*" in text:
         body, _, tail = text.partition("*")
-        digits = tuple(int(t) for t in body.split())
+        digits = tuple(integer(t) for t in body.split())
         base, _, exp = tail.partition("^")
-        if int(base) != p:
+        if integer(base) != p:
             raise ValueError(f"digit string is base {base}, expected {p}")
-        v = int(exp) if exp else 0
+        v = integer(exp) if exp else 0
         if not any(digits):  # known to be 0 modulo p^(v + n) only
             return PadicNumber(p, v + len(digits), ())
         # leading zeros only shift the valuation; trailing zeros stay significant
@@ -467,8 +483,11 @@ def parse_coefficient(text: str, p: int) -> Fraction | PadicNumber:
         return PadicNumber(p, v + shift, digits[shift:])
     if "/" in text:
         num, _, den = text.partition("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+        num, den = integer(num), integer(den)
+        if den == 0:
+            raise unreadable()
+        return Fraction(num, den)
+    return Fraction(integer(text))
 
 
 def parse_padic(text: str, p: int, precision: int = 12) -> PadicNumber:

@@ -365,6 +365,19 @@ def test_invalid_coefficient_is_exit_2(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("argv,text", [
+    (["fourier-ball", "-p", "3", "-r", "1", "-z", "1/0"], "1/0"),
+    (["mub-padic", "-p", "3", "-r", "1", "--bs", ","], ""),
+    (["eigen-check", "-p", "3", "-a", "1", "-b", "x", "-c", "1"], "x"),
+    (["gauss-integral", "-p", "3", "-r", "1", "-a", "1 2 *3^", "-b", "1/"], "1/"),
+])
+def test_an_unreadable_coefficient_is_named_in_one_message(capsys, argv, text):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot read the coefficient {text!r}: expected an integer, "
+                   "num/den with den != 0, or digits 'd0 d1 ... *p^v'\n")
+
+
 @pytest.mark.parametrize("argv", [
     # p = 1 looped forever in the valuation, p = 0 divided by zero
     ["eigen-check", "-p", "1", "-a", "1", "-b", "1", "-c", "1"],

@@ -5,7 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padic_mub import CapError, build_field, ff_char, phase_to_complex, trace
-from padic_mub.finite_field import FieldElem, _poly_mod, irreducible_polynomials
+from padic_mub.finite_field import (
+    DEFAULT_FIELD_CAP,
+    FIELD_CACHE_SIZE,
+    FieldElem,
+    _default_field,
+    _poly_mod,
+    irreducible_polynomials,
+)
+from padic_mub.padic import is_prime
 
 
 def _poly_eval(coeffs, x, p):
@@ -191,10 +199,46 @@ def test_element_str_and_labels():
 
 
 def test_explicit_modulus_validation():
+    default = build_field(3, 2)  # the shared context is built; an explicit modulus is not it
     with pytest.raises(ValueError):
         build_field(3, 2, modulus=(0, 0, 1))  # x^2 is reducible
+    with pytest.raises(ValueError, match="reducible"):
+        build_field(3, 2, modulus=(2, 0, 1))  # x^2 - 1
     f = build_field(3, 2, modulus=(2, 1, 1))
     assert f.modulus == (2, 1, 1)
+    same = build_field(3, 2, modulus=default.modulus)
+    assert same == default and same is not default
+
+
+def test_default_field_is_one_context_per_p_and_r():
+    seen = {}
+    for p, r in [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (2, 4), (7, 2)]:
+        f = build_field(p, r)
+        assert (f.p, f.r) == (p, r) and build_field(p, r) is f
+        seen[p, r] = f
+    assert len({id(f) for f in seen.values()}) == len(seen)
+    assert build_field(3, 2, size_cap=9) is seen[3, 2]
+
+
+def test_every_field_under_the_default_cap_stays_shared():
+    fields = [(p, r) for p in range(2, DEFAULT_FIELD_CAP + 1) if is_prime(p)
+              for r in range(1, 10) if p**r <= DEFAULT_FIELD_CAP]
+    assert len(fields) == FIELD_CACHE_SIZE == 136
+    _default_field.cache_clear()
+    first = [build_field(p, r) for p, r in fields]
+    assert all(build_field(p, r) is f for (p, r), f in zip(fields, first))
+
+
+def test_checks_run_before_the_shared_context_is_read():
+    build_field(5, 4)
+    with pytest.raises(CapError, match="field size 5\\^4 exceeds cap 624"):
+        build_field(5, 4, size_cap=624)
+    build_field(2, 1)
+    with pytest.raises(ValueError, match="extension degree"):
+        build_field(2, 0)
+    for p in (1, 4, 9):
+        with pytest.raises(ValueError, match="not prime"):
+            build_field(p, 1)
 
 
 def test_mixed_context_rejected():

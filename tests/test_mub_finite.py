@@ -11,6 +11,7 @@ from padic_mub import (
     build_field,
     build_mub_set,
     field_sum_numeric,
+    finite_field,
     mub_finite,
     verify_mub,
 )
@@ -357,15 +358,45 @@ def test_structure_tensor_and_traces_match_field_arithmetic(p, r, modulus):
 
 def test_int64_guard_refuses_before_building(monkeypatch):
     def built(*args):
-        raise AssertionError("an element or array was built")
+        raise AssertionError("an element or array was built or read")
 
-    monkeypatch.setattr(mub_finite, "_structure_tensor", built)
+    # _trace_rows both builds a field's arrays and reads them from its cache
+    monkeypatch.setattr(mub_finite, "_trace_rows", built)
     monkeypatch.setattr(FieldCtx, "elements", built)
     # (p - 1)^3 passes 2^63 - 1 between these two primes
     with pytest.raises(CapError, match="int64"):
         build_mub_set(build_field(2097169, 1, size_cap=10**7), dim_cap=10**7)
     with pytest.raises(AssertionError, match="was built"):
         build_mub_set(build_field(2097143, 1, size_cap=10**7), dim_cap=10**7)
+
+
+def _trace_tables_old(ctx):
+    """mub_finite._trace_tables as it was, every array built on each call."""
+    p, r, q = ctx.p, ctx.r, ctx.size
+    mult = mub_finite._structure_tensor(ctx)
+    gram = np.einsum("stk,k->st", mult, np.einsum("ktt->k", mult) % p) % p
+    coeff = np.arange(q)[:, None] // p ** np.arange(r) % p
+    sq_coeff = np.einsum("xi,xj,ijk->xk", coeff, coeff, mult) % p
+    tr_bx = (coeff @ gram % p) @ coeff.T % p
+    tr_ax2 = (sq_coeff @ gram % p) @ coeff.T % p
+    return tr_ax2, tr_bx
+
+
+def _assert_old_tables(field):
+    for got, want in zip(mub_finite._trace_tables(field), _trace_tables_old(field), strict=True):
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_int64_guard_refuses_a_field_whose_rows_are_cached(monkeypatch):
+    field = build_field(3, 2)
+    rows = mub_finite._trace_rows(field)
+    # r^2 (p - 1)^3 is 32 on F_9: a bound of 32 passes it, 31 refuses it
+    monkeypatch.setattr(mub_finite, "INT64_MAX", 32)
+    _assert_old_tables(field)
+    monkeypatch.setattr(mub_finite, "INT64_MAX", 31)
+    with pytest.raises(CapError, match="int64"):
+        mub_finite._trace_tables(field)
+    assert mub_finite._trace_rows(field) is rows
 
 
 def _odd_fields(max_q):
@@ -473,11 +504,35 @@ def test_a_wrong_trace_entry_fails_the_field_set_report(which):
 
 def test_field_set_refuses_past_the_dimension_cap_before_building(monkeypatch):
     def built(*args):
-        raise AssertionError("a table was built")
+        raise AssertionError("a table was built or read")
 
-    monkeypatch.setattr(mub_finite, "_structure_tensor", built)
+    field = build_field(19, 2)
+    mub_finite._trace_rows(field)  # with the field's rows cached the cap still refuses
+    monkeypatch.setattr(mub_finite, "_trace_rows", built)
     with pytest.raises(CapError, match="dimension 361 exceeds cap 343"):
-        FieldMubSet.from_field(build_field(19, 2))
+        FieldMubSet.from_field(field)
+    with pytest.raises(AssertionError, match="was built"):  # the patch is live
+        mub_finite._trace_tables(field, dim_cap=361)
+
+
+@pytest.mark.parametrize("p,r,modulus", list(_odd_fields(343)))
+def test_trace_tables_are_the_old_tables(p, r, modulus):
+    _assert_old_tables(build_field(p, r, modulus=modulus))
+
+
+def test_trace_rows_are_shared_and_read_only_and_the_tables_are_not():
+    field = build_field(5, 2)
+    left, right = mub_finite._trace_rows(field)
+    assert mub_finite._trace_rows(build_field(5, 2, modulus=field.modulus))[0] is left
+    assert (left.shape, right.shape) == ((50, 2), (2, 25))
+    for rows in (left, right):
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 1
+    tables = mub_finite._trace_tables(field)
+    for table in tables:
+        table += 1
+    _assert_old_tables(field)
+    assert mub_finite._trace_rows.cache_info().maxsize == finite_field.FIELD_CACHE_SIZE
 
 
 def test_verify_mub_without_pairs_keeps_the_matrix_summary():

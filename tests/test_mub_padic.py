@@ -561,6 +561,44 @@ def test_ball_fourier_closed_matches_the_cell_loop(p):
                 assert np.array_equal(got, _ball_fourier_loop(z, scale, dual)), (r, k, z, scale)
 
 
+def _ball_fourier_all_cells(z, scale, dual):
+    """ball_fourier_closed as it was: exact phases at every cell of the dual
+    grid, of which only the cells it keeps are read."""
+    p = dual.p
+    idx, depth = mub_padic._quad_phase_indices(dual, 0, Fraction(z))
+    keep = np.arange(0, dual.n, p ** min(max(dual.r - scale, 0), dual.r + dual.k))
+    t = 2.0 * math.pi * (idx[keep] / p**depth)
+    amp = float(p) ** (-scale / 2.0)
+    out = np.zeros(dual.n, dtype=complex)
+    out.real[keep] = amp * np.cos(t)
+    out.imag[keep] = amp * np.sin(t)
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_ball_fourier_closed_matches_the_all_cells_form(p):
+    """Every grid (r0, k) of fourier-ball up to 3^10 cells, every ball exponent
+    in [-r0, k]: the same bytes as the phases taken at every cell."""
+    top = 10 if p == 3 else 6 if p == 5 else 5  # p^top <= 3^10
+    for r0 in range(top + 2):
+        for k in range(1 - r0, top + 1 - r0):
+            dual = Grid(p, k, r0)  # fourier's grid for Grid(p, r0, k)
+            for z in (0, Fraction(2, p**r0) + 1, Fraction(-7, p ** (r0 + 1))):
+                for scale in range(-r0, k + 1):
+                    got = ball_fourier_closed(z, scale, dual)
+                    want = _ball_fourier_all_cells(z, scale, dual)
+                    assert got.tobytes() == want.tobytes(), (r0, k, z, scale)
+
+
+def test_quad_phase_indices_at_chosen_cells_are_the_all_cells_entries():
+    grid = Grid(5, 2, 3)
+    cells = np.array([3124, 0, 7, 7, 625], dtype=np.int64)
+    for a, b in ((0, Fraction(3, 25)), (Fraction(2, 5), 0), (Fraction(1, 125), Fraction(4, 5))):
+        every, depth = mub_padic._quad_phase_indices(grid, a, b)
+        got, got_depth = mub_padic._quad_phase_indices(grid, a, b, cells)
+        assert got_depth == depth and np.array_equal(got, every[cells])
+
+
 def _phase_term_old(grid, coeff, degree):
     """mub_padic._phase_term as it was, in Fractions: the unit part
     coeff * p^(-v) as a residue mod p^M."""

@@ -219,10 +219,34 @@ def test_parse_coefficient_keeps_rationals_exact():
     assert isinstance(parse_coefficient("1/3", 3), Fraction)
     assert parse_coefficient(" -45 ", 3) == Fraction(-45)
     assert parse_coefficient("2 2 0 0 *3^-1", 3) == parse_padic("2 2 0 0 *3^-1", 3)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError, match="cannot read the coefficient '5/0'"):
         parse_coefficient("5/0", 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^digit string is base 5, expected 3$"):
         parse_coefficient("1 *5^0", 3)  # base mismatch
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", " 1/0 ", "-3/00", "1/", "/2", "1/2/3", "1.5", "abc", "0x10", "1__0", "2 x *3^0",
+    "1 2 *", "1 2 *3^x", "1 2 *^1", "1 2 *3^1^2",
+])
+def test_unreadable_coefficient_raises_one_error_quoting_its_text(text):
+    with pytest.raises(ValueError) as info:
+        parse_coefficient(text, 3)
+    assert str(info.value) == (f"cannot read the coefficient {text.strip()!r}: expected an integer, "
+                               "num/den with den != 0, or digits 'd0 d1 ... *p^v'")
+
+
+@pytest.mark.parametrize("text,want", [
+    (" +7 ", Fraction(7)), ("1_000", Fraction(1000)), ("-2/ 4", Fraction(-1, 2)),
+    ("1 2 * 3^ -1", PadicNumber(3, -1, (1, 2))),
+])
+def test_parse_coefficient_reads_what_int_reads(text, want):
+    assert parse_coefficient(text, 3) == want
+
+
+def test_a_number_past_the_digit_limit_keeps_its_own_message():
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        parse_coefficient("9" * 5000, 3)
 
 
 def test_direct_construction_validates():
