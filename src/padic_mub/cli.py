@@ -40,7 +40,7 @@ from .errors import CapError, OddPrimeError
 from .finite_field import build_field
 from .gauss import DEFAULT_TERM_CAP, _float_power, check_ring_params, integral_report, ring_report
 from .mub_padic import ball_fourier_closed, ball_state, fourier, make_grid
-from .padic import INF, as_fraction, coefficient_valuation, parse_coefficient
+from .padic import parse_coefficient, read_coefficient
 
 FLOAT_DIGITS = 12
 REL_TOL_HELP = "oracle tolerance on |closed - numeric|, relative to max(closed norm, 1)"
@@ -225,13 +225,12 @@ def cmd_fourier_ball(args):
     # the ball z + p^r Z_p needs z known modulo p^r; the grid is sized from
     # v(z), and its cap and the transform's scale p^r0 (`fourier`) checked,
     # before z becomes a Fraction
-    z = parse_coefficient(args.z, args.p)
-    vz = coefficient_valuation(z, args.p, need_abs_precision=args.r)
-    r0 = max(0, -int(vz) if vz != INF else 0, -args.r)
+    z = read_coefficient(parse_coefficient(args.z, args.p), args.p).need(args.r)
+    r0 = max(0, -z.valuation, -args.r)
     k = max(args.r, 1 - r0) if args.k is None else args.k
     grid = make_grid(args.p, r0, k)
     _float_power(args.p, r0, "Fourier transform scale")
-    zf = as_fraction(z, args.p)
+    zf = z.value
     psi = ball_state(zf, args.r, grid)
     phat = fourier(psi)
     closed = ball_fourier_closed(zf, args.r, phat.grid)

@@ -15,6 +15,10 @@ truncated at l) with measure p^k; a field sum over F_{p^r} at dx, dy = -r
 or 0 as the coefficient is nonzero or zero.  `simplified_norm` is the table
 read at R = max(r, threshold_t + 1), certified for r > threshold_t, and the
 Gram pairs of `mub_padic` read it too.  The table alone refuses p = 2.
+The integral forms read a and b once each (`padic.read_coefficient`), a to
+the window p^(2r) and b to p^r, and form their Fractions last;
+`threshold_t` and `simplified_norm` read valuations alone and refuse a zero
+O(p^N), whose valuation is only known to be >= N.
 The bounds read the same (dx, dy): the reduction of a ball integral to a
 ring sum takes one full period, p^l terms with l = max(1, -dx, -dy), and
 `mub_padic.required_resolution` resolves e(a*x^2 + b*x) at
@@ -66,10 +70,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapError, OddPrimeError, PrecisionError, check_power_cap
+from .errors import CapError, OddPrimeError, check_power_cap
 from .finite_field import FieldElem
-from .padic import INF, PadicNumber, as_fraction, frac_valuation, is_prime
-from .padic import int_valuation
+from .padic import INF, Coefficient, int_valuation, is_prime, read_coefficient
 
 DEFAULT_TERM_CAP = 10**6
 
@@ -434,17 +437,6 @@ def field_sum_norm_closed(alpha: FieldElem, beta: FieldElem) -> tuple[ExactNorm,
 # ---------------------------------------------------------------------------
 
 
-Coefficient = PadicNumber | Fraction | int
-
-
-def _shifted_valuations(p: int, r: int, a: Coefficient, b: Coefficient):
-    """a and b as rationals known to p^(2r) and p^r, and their shifted
-    valuations dx = v(a) - 2r, dy = v(b) - r over the ball p^(-r)Z_p."""
-    af = as_fraction(a, p, need_abs_precision=2 * r)
-    bf = as_fraction(b, p, need_abs_precision=r)
-    return af, bf, frac_valuation(af, p) - 2 * r, frac_valuation(bf, p) - r
-
-
 def integral_norm_closed(
     p: int, r: int, a: Coefficient, b: Coefficient
 ) -> tuple[ExactNorm, str]:
@@ -454,7 +446,8 @@ def integral_norm_closed(
     case2: v(b) < r  and v(a) >  v(b) + r  ->  0
     case3: v(a) >= 2r and v(b) >= r        ->  p^r   (the whole ball's measure)
     """
-    _, _, dx, dy = _shifted_valuations(p, r, a, b)
+    dx = read_coefficient(a, p).need(2 * r).valuation - 2 * r
+    dy = read_coefficient(b, p).need(r).valuation - r
     return _table_norm(p, dx, dy, 2 * r)
 
 
@@ -503,8 +496,9 @@ def integral_numeric(
 ) -> complex:
     """Brute-force value of the Gauss integral, via its finite-ring
     reduction `_integral_reduction`: p^(r-l) times one period of a ring sum."""
-    (l, a_int, b_int), scale = _integral_reduction(p, r, *_shifted_valuations(p, r, a, b),
-                                                   term_cap)
+    a, b = read_coefficient(a, p).need(2 * r), read_coefficient(b, p).need(r)
+    (l, a_int, b_int), scale = _integral_reduction(
+        p, r, a.value, b.value, a.valuation - 2 * r, b.valuation - r, term_cap)
     return scale * ring_sum_numeric(p, l, l, a_int, b_int, term_cap)
 
 
@@ -516,16 +510,8 @@ def threshold_t(p: int, a: Coefficient, b: Coefficient) -> int | float:
     t = floor(max(v(a)/2, v(a) - v(b))).  A zero O(p^N), whose valuation is
     only known to be >= N, raises PrecisionError.
     """
-    return _threshold(_known_valuation(a, p), _known_valuation(b, p))
-
-
-def _known_valuation(x: Coefficient, p: int) -> int | float:
-    """v(x), refusing a zero O(p^N): its valuation is known only to be >= N."""
-    if isinstance(x, PadicNumber) and x.is_zero and x.valuation != INF:
-        raise PrecisionError(
-            f"coefficient known only as 0 modulo {p}^{x.valuation}: its valuation is unknown"
-        )
-    return frac_valuation(as_fraction(x, p), p)
+    return _threshold(read_coefficient(a, p).known_valuation,
+                      read_coefficient(b, p).known_valuation)
 
 
 def _threshold(va: int | float, vb: int | float) -> int | float:
@@ -547,25 +533,16 @@ def simplified_norm(
     must treat the norm as informational only.  A zero O(p^N) raises
     PrecisionError, as threshold_t does.
     """
-    return _simplified(p, r, _known_valuation(a, p), _known_valuation(b, p))
+    return _simplified(p, r, read_coefficient(a, p).known_valuation,
+                       read_coefficient(b, p).known_valuation)
 
 
 def _simplified(p: int, r: int, va: int | float, vb: int | float) -> tuple[ExactNorm, str, bool]:
-    """simplified_norm from the valuations v(a), v(b)."""
+    """simplified_norm from the valuations v(a), v(b), for callers that
+    have read them once and try many r."""
     t = _threshold(va, vb)
     big_r = max(r, t + 1)
     return (*_table_norm(p, va - 2 * big_r, vb - big_r, 2 * big_r), r > t)
-
-
-def _ball_checks(
-    p: int, r: int, af: Fraction, bf: Fraction, va: int | float, vb: int | float
-) -> tuple[tuple, tuple, tuple]:
-    """(integral_norm_closed, _integral_reduction, simplified_norm) at r, from
-    a, b as rationals and their valuations v(a), v(b), which a caller that
-    tries many r reads once."""
-    dx, dy = va - 2 * r, vb - r
-    return (_table_norm(p, dx, dy, 2 * r), _integral_reduction(p, r, af, bf, dx, dy),
-            _simplified(p, r, va, vb))
 
 
 # ---------------------------------------------------------------------------
@@ -666,14 +643,15 @@ def integral_report(
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    a, b, dx, dy = _shifted_valuations(p, r, a, b)
+    a, b = read_coefficient(a, p).need(2 * r), read_coefficient(b, p).need(r)
+    af, bf, dx, dy = a.value, b.value, a.valuation - 2 * r, b.valuation - r
     closed, case = _table_norm(p, dx, dy, 2 * r)
-    t = _threshold(dx + 2 * r, dy + r)
+    t = _threshold(a.valuation, b.valuation)
     extras = {"threshold": None if t == NEG_INF else t, "simplified_certified": r > t}
     numeric = deviation = None
     passed = True
     if oracle:
-        (l, a_int, b_int), scale = _integral_reduction(p, r, a, b, dx, dy, term_cap)
+        (l, a_int, b_int), scale = _integral_reduction(p, r, af, bf, dx, dy, term_cap)
         # reduction_k is one period, k = l; the field stays for report readers
         extras.update({"reduction_l": l, "reduction_k": l})
         numeric = abs(scale * ring_sum_numeric(p, l, l, a_int, b_int, term_cap))
@@ -687,6 +665,6 @@ def integral_report(
         deviation=deviation,
         tol=tol,
         passed=passed,
-        params={"p": p, "r": r, "a": str(a), "b": str(b)},
+        params={"p": p, "r": r, "a": str(af), "b": str(bf)},
         extras=extras,
     )

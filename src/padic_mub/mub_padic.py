@@ -7,6 +7,11 @@ order) and Haar measure p^(-k).  Everything the continuum statements assert
 checks here: quadratic-character vectors, scaled ball indicators, the
 Fourier transform (which swaps r and k), and the shift/modulation/chirp
 unitaries, all with exact rational phase bookkeeping.
+
+Every function reads each coefficient once, by `padic.read_coefficient`,
+and passes the reading on: valuations size the grid and meet its caps, each
+window is checked against the digits the grid resolves, and only then is an
+exact Fraction formed.
 """
 
 from __future__ import annotations
@@ -24,24 +29,22 @@ from .gauss import (
     NEG_INF,
     _float_power,
     _scaled_residue,
-    _table_norm,
+    _simplified,
     _threshold,
 )
 from .padic import (
     INF,
-    PadicNumber,
+    Coefficient,
     PFraction,
-    as_fraction,
-    coefficient_valuation,
+    Reading,
     frac_part,
-    frac_valuation,
     int_valuation,
     is_prime,
+    read_coefficient,
 )
 
 DEFAULT_CELL_CAP = 100_000
 
-Coefficient = PadicNumber | Fraction | int
 FamilyLabel = Coefficient | None  # None labels the delta-function family
 
 
@@ -74,8 +77,11 @@ class Grid:
 
     def index_of(self, x: Coefficient) -> int:
         """Cell index of a point of the domain (v_p(x) >= -r required)."""
-        xf = as_fraction(x, self.p, need_abs_precision=self.k)
-        v = frac_valuation(xf, self.p)
+        return self._index(read_coefficient(x, self.p))
+
+    def _index(self, x: Reading) -> int:
+        """index_of a coefficient already read."""
+        xf, v = x.need(self.k).value, x.valuation
         if v < -self.r:
             raise ValueError(f"{xf} lies outside p^({-self.r})Z_p")
         return _scaled_residue(self.p, self.r + self.k, xf, v, v + self.r)  # x*p^r mod n
@@ -128,7 +134,8 @@ def required_resolution(a: Coefficient, b: Coefficient, r: int, p: int) -> int:
     -v(b), where a zero coefficient's terms drop out.  The integrand
     recentred at c, on x + c, has linear coefficient 2ac + b: pass that as b.
     """
-    return _resolution_of_valuations(coefficient_valuation(a, p), coefficient_valuation(b, p), r)
+    return _resolution_of_valuations(read_coefficient(a, p).valuation,
+                                     read_coefficient(b, p).valuation, r)
 
 
 def _resolution_of_valuations(va: int | float, vb: int | float, r: int) -> int:
@@ -138,28 +145,29 @@ def _resolution_of_valuations(va: int | float, vb: int | float, r: int) -> int:
     return max(0, -dx - low, -dy - low, NEG_INF if dx == INF else -r - dx // 2)
 
 
-def _phase_term(p: int, r: int, x: Fraction, v: int | float, degree: int) -> tuple[int, int]:
+def _phase_term(p: int, r: int, x: Reading, degree: int) -> tuple[int, int]:
     """(M, c) with {x * rep(i)^degree} = ((i^degree mod p^M)*c mod p^M)/p^M on
-    a grid of radius r, for x of valuation v: M = degree*r - v, and c the
-    unit part of x mod p^M, taken in integers.  (0, 0) when M <= 0, x = 0 too."""
-    depth = degree * r - v
+    a grid of radius r: M = degree*r - v(x), and c the unit part of x mod
+    p^M, taken in integers.  (0, 0) when M <= 0, x = 0 too, with no Fraction."""
+    depth = degree * r - x.valuation
     if depth <= 0:
         return 0, 0
-    return depth, _scaled_residue(p, depth, x, v, 0)
+    return depth, _scaled_residue(p, depth, x.value, x.valuation, 0)
 
 
 def _quad_phase_indices(
-    grid: Grid, a: Fraction, b: Fraction, cells: np.ndarray | None = None
+    grid: Grid, a: Reading | None, b: Reading | None, cells: np.ndarray | None = None
 ) -> tuple[np.ndarray, int]:
     """Exact phase numerators of e(a*x^2 + b*x) per cell, over denominator p^M:
     at every cell, or only at the int64 cell indices `cells`, in their order.
+    a or b None is a term left out.
 
     The one source of exact cell phases.  Raises CapError when p^M exceeds
     gauss.MAX_INT64_RESIDUE, where the int64 residue products would wrap.
     """
     p, r = grid.p, grid.r
-    ma, ca = _phase_term(p, r, a, frac_valuation(a, p), 2)
-    mb, cb = _phase_term(p, r, b, frac_valuation(b, p), 1)
+    ma, ca = (0, 0) if a is None else _phase_term(p, r, a, 2)
+    mb, cb = (0, 0) if b is None else _phase_term(p, r, b, 1)
     depth = max(ma, mb)
     if p**depth > MAX_INT64_RESIDUE:
         raise CapError(f"phase modulus {p}^{depth} exceeds {MAX_INT64_RESIDUE}: int64 overflow")
@@ -181,17 +189,16 @@ def _cell_roots(idx: np.ndarray, depth: int, p: int) -> np.ndarray:
 
 
 def _cell_phase_indices(a: Coefficient, b: Coefficient, grid: Grid) -> tuple[np.ndarray, int]:
-    """_quad_phase_indices once a and b are known well enough and the grid
-    resolves e(a*x^2 + b*x) (k >= required_resolution)."""
-    p = grid.p
-    af = as_fraction(a, p, need_abs_precision=2 * grid.r)
-    bf = as_fraction(b, p, need_abs_precision=grid.r)
-    needed = required_resolution(af, bf, grid.r, p)
+    """_quad_phase_indices once a and b, each read once, are known well
+    enough and the grid resolves e(a*x^2 + b*x) (k >= required_resolution)."""
+    p, r = grid.p, grid.r
+    a, b = read_coefficient(a, p).need(2 * r), read_coefficient(b, p).need(r)
+    needed = _resolution_of_valuations(a.valuation, b.valuation, r)
     if grid.k < needed:
         raise ResolutionError(
             f"e(a*x^2+b*x) is not cell-constant at k={grid.k}; need k >= {needed}"
         )
-    return _quad_phase_indices(grid, af, bf)
+    return _quad_phase_indices(grid, a, b)
 
 
 def quadratic_phase_profile(
@@ -282,11 +289,13 @@ def ball_fourier_closed(z: Coefficient, scale: int, dual: Grid) -> np.ndarray:
 
     v(rep(j)) >= -scale exactly when p^max(dual.r - scale, 0) divides j; the
     exact phases m/p^M are found only at those cells, and evaluated as
-    phase_to_complex does.
+    phase_to_complex does.  z need only be known modulo p^scale, as the
+    ball z + p^scale Z_p.
     """
     p = dual.p
     keep = np.arange(0, dual.n, p ** min(max(dual.r - scale, 0), dual.r + dual.k))
-    idx, depth = _quad_phase_indices(dual, 0, as_fraction(z, p), keep)
+    z = read_coefficient(z, p).need(scale)
+    idx, depth = _quad_phase_indices(dual, None, z, keep)
     t = 2.0 * math.pi * (idx / p**depth)
     amp = float(p) ** (-scale / 2.0)
     out = np.zeros(dual.n, dtype=complex)
@@ -315,20 +324,20 @@ def _times_phase(psi: StateVector, idx: np.ndarray, depth: int) -> StateVector:
 def op_Z(psi: StateVector, d: Coefficient) -> StateVector:
     """Modulation |y> -> e(y*d)|y>; needs v(d) >= -k so the phase is cell-constant."""
     g = psi.grid
-    df = as_fraction(d, g.p, need_abs_precision=g.r)
-    if df != 0 and frac_valuation(df, g.p) < -g.k:
+    d = read_coefficient(d, g.p).need(g.r)
+    if d.valuation < -g.k:
         raise ResolutionError(f"modulation e(y*d) with v(d) < {-g.k} is not cell-constant")
-    return _times_phase(psi, *_quad_phase_indices(g, 0, df))
+    return _times_phase(psi, *_quad_phase_indices(g, None, d))
 
 
 def op_P(psi: StateVector, d: Coefficient) -> StateVector:
     """Chirp |x> -> e(d*x^2)|x>; shifts the quadratic family label by d."""
     g = psi.grid
-    df = as_fraction(d, g.p, need_abs_precision=2 * g.r)
-    needed = required_resolution(df, 0, g.r, g.p)
+    d = read_coefficient(d, g.p).need(2 * g.r)
+    needed = _resolution_of_valuations(d.valuation, INF, g.r)
     if g.k < needed:
         raise ResolutionError(f"chirp e(d*x^2) needs k >= {needed}, grid has {g.k}")
-    return _times_phase(psi, *_quad_phase_indices(g, df, 0))
+    return _times_phase(psi, *_quad_phase_indices(g, d, None))
 
 
 @dataclass
@@ -365,15 +374,24 @@ def eigen_check(
     p: int,
     tol: float = 1e-9,
 ) -> EigenReport:
-    """Apply X_c Z_{2ac} to the (a, b) state and compare with e(-bc-ac^2) times it."""
-    # the grid is sized, and its cap checked, from the valuations alone,
-    # before any coefficient becomes a Fraction
-    va, vb, vc = (coefficient_valuation(x, p) for x in (a, b, c))
-    r = max(1, -int(vc) if vc != INF else 0)
+    """Apply X_c Z_{2ac} to the (a, b) state and compare with e(-bc-ac^2) times it.
+
+    The grid is sized, and its cap checked, from the valuations alone.  Then
+    each coefficient must carry the digits that fix the phase {-(bc + ac^2)}:
+    N_a >= -2v(c), N_b >= -v(c) and N_c >= max(-v(b), -v(a) - v(c),
+    ceil(-v(a)/2)) for x known modulo p^(N_x), a zero's terms dropping out;
+    else PrecisionError.  Only then does each become a Fraction.
+    """
+    a, b, c = (read_coefficient(x, p) for x in (a, b, c))
+    va, vb, vc = a.valuation, b.valuation, c.valuation
+    r = max(1, -vc)
     k_mod = _resolution_of_valuations(INF, int_valuation(2, p) + va + vc, r)  # b = 2ac
     k = max(_resolution_of_valuations(va, vb, r), k_mod, 1 - r)
     grid = make_grid(p, r, k)
-    af, bf, cf = (as_fraction(x, p) for x in (a, b, c))
+    a.need(-2 * vc)
+    b.need(-vc)
+    c.need(max(-vb, -va - vc, NEG_INF if va == INF else -(va // 2)))
+    af, bf, cf = a.value, b.value, c.value
     state = vector_v(af, bf, grid)
     moved = op_X(op_Z(state, 2 * af * cf), cf)
     phase = frac_part(-(bf * cf + af * cf * cf), p)
@@ -461,14 +479,13 @@ def _index_labels(states: list[tuple[FamilyLabel, Coefficient]]) -> tuple[list, 
     return list(index), np.array(codes, dtype=np.int64).reshape(-1, 2)
 
 
-def _state_stack(labels: list, reads: list, codes: np.ndarray, grid: Grid) -> np.ndarray:
-    """One row per state (labels[a], labels[b]) of codes, equal to
-    vector_v_inf(b, grid) for a = None and to vector_v(a, b, grid) otherwise,
-    checked in the same order.
+def _state_stack(reads: list, codes: np.ndarray, grid: Grid) -> np.ndarray:
+    """One row per state (a, b) of codes, equal to vector_v_inf(b, grid) for
+    a = None and to vector_v(a, b, grid) otherwise, checked in the same order.
 
-    reads[c] holds the exact value and valuation of labels[c], as gram_report
-    read them; a digit string's window is still checked against the grid.
-    Each distinct label is read once per role, in integers: a chirp's a or b
+    reads[c] is gram_report's reading of label c, None for the delta family's
+    a; each label's window is checked against the grid here, from it.
+    Each distinct label is used once per role, in integers: a chirp's a or b
     gives its phase term (M, c) and its resolution bound, a delta's b its
     cell.  required_resolution(a, b) and the phase depth of e(a*x^2 + b*x)
     are the larger of their a and b parts, so a chirp's index row is the
@@ -488,23 +505,22 @@ def _state_stack(labels: list, reads: list, codes: np.ndarray, grid: Grid) -> np
     cells: dict = {}  # code -> the cell of -b, for a delta's b
     chirps, deltas = [], []
     for s, (a, b) in enumerate(codes.tolist()):
-        if labels[a] is None:
+        if reads[a] is None:
             if grid.k < r:
                 raise ResolutionError(f"need k >= r = {r} to resolve the ball p^{r}Z_p")
             if b not in cells:
-                cells[b] = -grid.index_of(labels[b]) % n  # the ball -b + p^r Z_p
+                cells[b] = -grid._index(reads[b]) % n  # the ball -b + p^r Z_p
             deltas.append((s, cells[b]))
             continue
         for c, degree, seen in ((a, 2, quad), (b, 1, lin)):
             if c not in seen:
-                (xf, v), x = reads[c], labels[c]
-                if isinstance(x, PadicNumber):  # raises what as_fraction(x, p, need) raises
-                    coefficient_valuation(x, p, need_abs_precision=degree * r)
-                m, coef = _phase_term(p, r, xf, v, degree)
+                x, v = reads[c].need(degree * r), reads[c].valuation
+                m, coef = _phase_term(p, r, x, degree)
                 needed = _resolution_of_valuations(*((v, INF) if degree == 2 else (INF, v)), r)
                 seen[c] = m, coef, grid.k >= needed and p**m <= MAX_INT64_RESIDUE
         if not (quad[a][2] and lin[b][2]):
-            _cell_phase_indices(labels[a], labels[b], grid)  # raises this state's own error
+            # raises this state's own error
+            _cell_phase_indices(reads[a].source, reads[b].source, grid)
         chirps.append((s, a, b, max(quad[a][0], lin[b][0])))
     # allocated once every state has passed its checks
     stack = np.empty((len(codes), n), dtype=complex)
@@ -522,7 +538,7 @@ def _state_stack(labels: list, reads: list, codes: np.ndarray, grid: Grid) -> np
         # term c of depth M lifted to c*p^(top - M) < p^top, times j^2 mod
         # p^top or j (a product of two residues below p^top <=
         # MAX_INT64_RESIDUE stays below 2^63)
-        lift = np.zeros((2, len(labels)), dtype=np.int64)
+        lift = np.zeros((2, len(reads)), dtype=np.int64)
         for row, seen in enumerate((quad, lin)):
             for c, (m, coef, _) in seen.items():
                 lift[row, c] = coef * p ** (top - m)
@@ -535,7 +551,7 @@ def _state_stack(labels: list, reads: list, codes: np.ndarray, grid: Grid) -> np
         table = np.concatenate([np.tile(np.repeat(_cell_roots(np.arange(p**m), m, p),
                                                   p ** (top - m)), 2) for m in depths.tolist()])
         idx = rows[a]
-        idx += rows[len(labels) + b]
+        idx += rows[len(reads) + b]
         idx += 2 * mod * block[:, None]
         stack[s] = table[idx]
     return stack
@@ -623,17 +639,19 @@ def gram_report(
     computed but flagged uncertified and excluded from the pass criterion.
 
     The table is built in one pass per table, not one call per state.  Each
-    distinct label is read once: its valuation first, with no Fraction built
-    for a digit string, so that a grid past the cell cap is refused before
-    any big-int work, then its exact value.  The pair valuations come from
-    integer numerators over one common denominator, and _state_stack reuses
-    the reads.  The Gram product, its root tables and every float expression
-    are those of the per-state constructors, so the report's bytes do not
-    depend on how the labels were read.
+    distinct label is read once (`read_coefficient`): its valuation first,
+    with no Fraction built for a digit string, so that a grid past the cell
+    cap is refused before any big-int work, then its exact value.  The pair
+    valuations come from integer numerators over one common denominator, and
+    _state_stack checks each label's window on the same reading.  The Gram
+    product, its root tables and every float expression are those of the
+    per-state constructors, so the report's bytes do not depend on how the
+    labels were read.
     """
     raw = [(_normalize_family(a), b) for a, b in params]
     labels, codes = _index_labels(raw)
-    vals = [INF if x is None else coefficient_valuation(x, p) for x in labels]
+    reads = [None if x is None else read_coefficient(x, p) for x in labels]
+    vals = [INF if x is None else x.valuation for x in reads]
     delta = np.array([a is None for a, _ in raw], dtype=bool)
     has_delta = bool(delta.any())
     va_min, vb_min = (min((vals[c] for c in codes[~delta, col].tolist()), default=INF)
@@ -655,9 +673,8 @@ def gram_report(
     if auto_raise:
         r_low = max([r, *(-vals[c] for c in codes[delta, 1].tolist() if vals[c] != INF)])
     check_power_cap(p, r_low + resolution(r_low), cell_cap, "{size} cells exceed the cap {cap}")
-    reads = [(Fraction(0) if x is None else as_fraction(x, p), v)  # a delta's a read as 0
-             for x, v in zip(labels, vals)]
-    num, d = _numerators([xf for xf, _ in reads])
+    values = [Fraction(0) if x is None else x.value for x in reads]  # a delta's a read as 0
+    num, d = _numerators(values)
     table = _difference_valuations(num, d, p)
     # the pair columns, i <= j: v(a_i - a_j) and v(b_i - b_j)
     i, j = np.triu_indices(len(raw))
@@ -686,12 +703,11 @@ def gram_report(
     r_used = max(int(min_r.max(initial=r)), r_low) if auto_raise else r
     k = resolution(r_used)
     grid = make_grid(p, r_used, k, cell_cap)
-    stack = _state_stack(labels, reads, codes, grid)
-    text = ["inf" if x is None else str(xf) for x, (xf, _) in zip(labels, reads)]
+    stack = _state_stack(reads, codes, grid)
+    text = ["inf" if x is None else str(xf) for x, xf in zip(reads, values)]
     gram = stack.conj() @ stack.T * float(grid.measure)
     moduli = np.abs(gram)
-    big_r = [max(r_used, t + 1) for t in thresholds]
-    closed_of = [_table_norm(p, x - 2*R, y - R, 2*R)[0].value for (x, y), R in zip(keys, big_r)]
+    closed_of = [_simplified(p, r_used, *key)[0].value for key in keys]
     closed = np.ones(len(i))  # a delta and a chirp overlap with modulus 1
     closed[~mixed] = np.array(closed_of)[key_of]
     certified = r_used >= min_r

@@ -18,6 +18,15 @@ p**N (inv is one modular inverse), plus a valuation search after a sum
 whose leading digits cancel; the fractional part is one reduction modulo
 p**(-v).  None of them forms a digit: `digits` and `str` cost one divmod per
 digit and are built only when read.
+
+A coefficient of the toolkit (a `Coefficient`: an exact rational or a digit
+string) is read in one place, `read_coefficient`, once per call, and its
+`Reading` is passed on.  The reading checks the prime and carries the
+valuation (+inf for any zero) and the absolute precision (+inf for a
+rational).  A consumer reads the valuation first, for its caps; only then
+does it check the window it needs (`Reading.need`) and read the exact
+`value`, the only step that forms a Fraction, refused past the valuation
+limit.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ import math
 import re
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import PrecisionError
 
@@ -67,12 +77,6 @@ def int_valuation(n: int, p: int) -> int | float:
             n = q
             v += 1 << j
     return v
-
-
-def frac_valuation(q: Fraction | int, p: int) -> int | float:
-    if q == 0:
-        return INF
-    return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
 
 
 def rational_mod(q: Fraction | int, modulus: int) -> int:
@@ -399,53 +403,64 @@ def fractional_part(x: PadicNumber) -> PFraction:
     return x.fractional_part()
 
 
+Coefficient = PadicNumber | Fraction | int
+
 # A digit string becomes a Fraction only while p^|v| stays below 2^8192, about
 # 2466 decimal digits: forming it stays cheap, and its text leaves room for
 # the digits it carries under Python's 4300-digit limit on int-to-str.
 MAX_VALUATION_BITS = 8192
 
 
-def as_fraction(
-    x: "PadicNumber | Fraction | int", p: int, need_abs_precision: int | None = None
-) -> Fraction:
-    """Coerce a coefficient to an exact rational.
+class Reading(NamedTuple):
+    """A coefficient x as read in Q_p by `read_coefficient`: v_p(x), +inf for
+    any zero, and the absolute precision, x being known modulo
+    p**precision: +inf for a rational and the exact zero, N for O(p**N)."""
 
-    Rationals pass through unchanged.  A truncated p-adic value is replaced by
-    its canonical representative, but only if its retained window reaches
-    `need_abs_precision`: beyond that level the two differ by something the
-    consumer was going to ignore anyway.  A nonzero digit string with
-    |v| > MAX_VALUATION_BITS // p.bit_length() is refused.
-    """
-    if isinstance(x, PadicNumber):
-        _check_window(x, p, need_abs_precision)
-        limit = MAX_VALUATION_BITS // p.bit_length()
-        if not x.is_zero and abs(x.valuation) > limit:
-            raise ValueError(f"coefficient valuation {x.valuation} exceeds the limit "
-                             f"|v| <= {limit} at p = {p}")
+    prime: int
+    valuation: int | float
+    precision: int | float
+    source: Fraction | PadicNumber
+
+    def need(self, window: int | float) -> "Reading":
+        """This reading, once x is known modulo p**window; else PrecisionError."""
+        if self.precision < window:
+            raise PrecisionError(f"coefficient known only modulo {self.prime}^"
+                                 f"{self.precision}, need {self.prime}^{window}")
+        return self
+
+    @property
+    def known_valuation(self) -> int | float:
+        """The valuation, refusing a zero O(p**N): it is known only to be >= N."""
+        if self.valuation == INF and self.precision != INF:
+            raise PrecisionError(f"coefficient known only as 0 modulo {self.prime}^"
+                                 f"{self.precision}: its valuation is unknown")
+        return self.valuation
+
+    @property
+    def value(self) -> Fraction:
+        """The exact rational: a rational itself, or a digit string's canonical
+        representative (0 for a zero O(p**N)).  A nonzero digit string with
+        |v| > MAX_VALUATION_BITS // p.bit_length() is refused."""
+        x = self.source
+        if x.__class__ is not PadicNumber:
+            return x
+        limit = MAX_VALUATION_BITS // self.prime.bit_length()
+        if self.valuation != INF and abs(self.valuation) > limit:
+            raise ValueError(f"coefficient valuation {self.valuation} exceeds the limit "
+                             f"|v| <= {limit} at p = {self.prime}")
         return x.to_fraction()
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def coefficient_valuation(
-    x: "PadicNumber | Fraction | int", p: int, need_abs_precision: int | None = None
-) -> int | float:
-    """v_p(as_fraction(x, p, need_abs_precision)), raising what that raises,
-    but a digit string's valuation is read off it with no Fraction built:
-    +inf for any zero, which as_fraction reads as 0."""
+def read_coefficient(x: Coefficient, p: int) -> Reading:
+    """Read a coefficient in Q_p: its valuation and precision, with no
+    Fraction formed for a digit string, whose prime must be p."""
     if isinstance(x, PadicNumber):
-        _check_window(x, p, need_abs_precision)
-        return INF if x.is_zero else x.valuation
-    return frac_valuation(as_fraction(x, p), p)
-
-
-def _check_window(x: PadicNumber, p: int, need_abs_precision: int | None) -> None:
-    if x.prime != p:
-        raise ValueError(f"coefficient lives in Q_{x.prime}, expected Q_{p}")
-    if need_abs_precision is not None and x.abs_precision < need_abs_precision:
-        raise PrecisionError(
-            f"coefficient known only modulo {p}^{x.abs_precision}, "
-            f"need {p}^{need_abs_precision}"
-        )
+        if x.prime != p:
+            raise ValueError(f"coefficient lives in Q_{x.prime}, expected Q_{p}")
+        return Reading(p, INF if x.is_zero else x.valuation, x.abs_precision, x)
+    q = x if isinstance(x, Fraction) else Fraction(x)
+    v = int_valuation(q.numerator, p) - int_valuation(q.denominator, p) if q else INF
+    return Reading(p, v, INF, q)
 
 
 _INTEGER = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")  # the text int() reads, digit limit aside

@@ -16,8 +16,9 @@ from .errors import CapError
 from .gauss import (
     DEFAULT_TERM_CAP,
     NEG_INF,
-    _ball_checks,
-    _shifted_valuations,
+    _integral_reduction,
+    _simplified,
+    _table_norm,
     _threshold,
     ring_sum_norm_closed_table,
     ring_sum_normsq_table,
@@ -33,7 +34,7 @@ from .mub_padic import (
     make_grid,
     required_resolution,
 )
-from .padic import PFraction, frac_part, frac_valuation
+from .padic import PFraction, frac_part, read_coefficient
 
 GAUSS_GRID_PRIMES = (3, 5, 7)
 GAUSS_GRID_MAX_EXP = 3
@@ -103,8 +104,8 @@ def sweep_thresholds(p: int = 3, tol: float = 1e-9, term_cap: int = DEFAULT_TERM
     The numeric norm is integral_numeric's value, p^(r-l) times one period
     of a ring sum; many (r, a, b) reduce to the same ring sum (l, A, B), so
     each ring sum is taken once per call.  One over the term cap is skipped
-    on every check that reduces to it.  The valuations v(a), v(b) are read
-    once per pair, and `_ball_checks` shifts them for each r.
+    on every check that reduces to it.  a and b are read once per pair, and
+    each r shifts their valuations v(a), v(b).
     """
     checks = failures = skipped = 0
     ring_sums: dict[tuple[int, int, int], complex] = {}
@@ -112,13 +113,16 @@ def sweep_thresholds(p: int = 3, tol: float = 1e-9, term_cap: int = DEFAULT_TERM
     mismatch_below_threshold = 0
     for a in threshold_grid_coefficients(p):
         for b in threshold_grid_coefficients(p):
-            af, bf, va, vb = _shifted_valuations(p, 0, a, b)  # at r = 0: v(a), v(b)
+            ra, rb = read_coefficient(a, p), read_coefficient(b, p)
+            af, bf, va, vb = ra.value, rb.value, ra.valuation, rb.valuation
             t = _threshold(va, vb)
             r_values = set(range(-2, 4))
             if t != NEG_INF:
                 r_values |= {int(t) + 1, int(t) + 2, int(t) + 3}
             for r in sorted(r_values):
-                (closed, _case), (key, scale), simplified = _ball_checks(p, r, af, bf, va, vb)
+                dx, dy = va - 2 * r, vb - r
+                closed, _case = _table_norm(p, dx, dy, 2 * r)
+                key, scale = _integral_reduction(p, r, af, bf, dx, dy)
                 if key not in ring_sums:
                     try:
                         ring_sums[key] = ring_sum_numeric(p, key[0], *key, term_cap)  # k = l
@@ -131,7 +135,7 @@ def sweep_thresholds(p: int = 3, tol: float = 1e-9, term_cap: int = DEFAULT_TERM
                 max_dev = max(max_dev, dev)
                 if dev > tol:
                     failures += 1
-                simplified, _sc, certified = simplified
+                simplified, _sc, certified = _simplified(p, r, va, vb)
                 if certified != (r > t):
                     failures += 1
                 # norms of one p are equal exactly when their normsq are
@@ -162,7 +166,8 @@ def _random_coefficient(rng: np.random.Generator, p: int, vmin=-2, vmax=2) -> Fr
 def _commutation_parts(grid, c: Fraction, d: Fraction):
     """{cd} from frac_part, op_X's shift index_of(c) and op_Z's phase row
     (idx, M) for d: what both commutation checks read, each built once."""
-    return frac_part(c * d, grid.p), grid.index_of(c), _quad_phase_indices(grid, 0, d)
+    row = _quad_phase_indices(grid, None, read_coefficient(d, grid.p))
+    return frac_part(c * d, grid.p), grid.index_of(c), row
 
 
 def _commutation_exact(p: int, cd: PFraction, shift: int, row) -> bool:
@@ -214,7 +219,7 @@ def sweep_operators(
     for _ in range(n_commutation):
         c = _random_coefficient(rng, p)
         d = _random_coefficient(rng, p)
-        vc, vd = int(frac_valuation(c, p)), int(frac_valuation(d, p))
+        vc, vd = int(read_coefficient(c, p).valuation), int(read_coefficient(d, p).valuation)
         r = max(1, -vc)
         k = max(1, -vd, 1 - r)
         grid = make_grid(p, r, k)

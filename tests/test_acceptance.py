@@ -25,8 +25,9 @@ from padic_mub import (
     trace,
     verify_mub,
 )
-from padic_mub.padic import frac_valuation
 from padic_mub.sweeps import sweep_gauss_grid, sweep_operators, sweep_thresholds
+
+from oracles import frac_valuation
 
 
 def _report(n, name, ok):

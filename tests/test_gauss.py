@@ -38,13 +38,12 @@ from padic_mub.gauss import (
     _float_power,
     _integral_reduction,
     _phase_sum,
-    _shifted_valuations,
     ring_sum_norm_closed_table,
     ring_sum_normsq_table,
     ring_sum_numeric_table,
     roots_of_unity,
 )
-from padic_mub.padic import PadicNumber, as_fraction, frac_valuation, parse_coefficient
+from padic_mub.padic import PadicNumber, parse_coefficient
 from padic_mub.padic import rational_mod
 from padic_mub.padic import zero as padic_zero
 from padic_mub.sweeps import (
@@ -53,6 +52,10 @@ from padic_mub.sweeps import (
     sweep_thresholds,
     threshold_grid_coefficients,
 )
+
+from oracles import as_fraction, frac_valuation
+from oracles import shifted_valuations as _shifted_valuations
+from test_reading import count_reads
 
 EPS = np.finfo(float).eps
 
@@ -601,13 +604,7 @@ def test_ring_report_refuses_p2():
 
 
 def test_integral_report_reads_each_valuation_once(monkeypatch):
-    reads = []
-
-    def counted(x, p):
-        reads.append(x)
-        return frac_valuation(x, p)
-
-    monkeypatch.setattr(gauss, "frac_valuation", counted)
+    reads = count_reads(monkeypatch)
     for oracle in (False, True):
         reads.clear()
         assert integral_report(3, 1, Fraction(1, 3), Fraction(2), oracle=oracle).passed
@@ -1055,13 +1052,7 @@ def test_threshold_sweep_sums_each_reduction_once(monkeypatch, term_cap):
 
 
 def test_threshold_sweep_reads_each_valuation_once_per_pair(monkeypatch):
-    reads = []
-
-    def counted(x, p):
-        reads.append(x)
-        return frac_valuation(x, p)
-
-    monkeypatch.setattr(gauss, "frac_valuation", counted)
+    reads = count_reads(monkeypatch)
     got = sweep_thresholds()
     coeffs = threshold_grid_coefficients(3)
     assert len(reads) == 2 * len(coeffs) ** 2  # v(a) and v(b), once per (a, b)

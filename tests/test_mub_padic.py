@@ -54,14 +54,20 @@ from padic_mub.padic import (
     INF,
     PadicNumber,
     PFraction,
-    as_fraction,
-    coefficient_valuation,
     frac_part,
-    frac_valuation,
     rational_mod,
+    read_coefficient,
 )
 
+from oracles import as_fraction, frac_valuation
+
 W3 = complex(-0.5, np.sqrt(3) / 2)  # e^(2*pi*i/3)
+
+
+def _quad_phase_indices(grid, a, b, cells=None):
+    """mub_padic._quad_phase_indices of the coefficients a and b, read."""
+    a, b = (read_coefficient(x, grid.p) for x in (a, b))
+    return mub_padic._quad_phase_indices(grid, a, b, cells)
 
 
 def test_grid_cells_and_measure():
@@ -565,7 +571,7 @@ def _ball_fourier_all_cells(z, scale, dual):
     """ball_fourier_closed as it was: exact phases at every cell of the dual
     grid, of which only the cells it keeps are read."""
     p = dual.p
-    idx, depth = mub_padic._quad_phase_indices(dual, 0, Fraction(z))
+    idx, depth = _quad_phase_indices(dual, 0, Fraction(z))
     keep = np.arange(0, dual.n, p ** min(max(dual.r - scale, 0), dual.r + dual.k))
     t = 2.0 * math.pi * (idx[keep] / p**depth)
     amp = float(p) ** (-scale / 2.0)
@@ -594,8 +600,8 @@ def test_quad_phase_indices_at_chosen_cells_are_the_all_cells_entries():
     grid = Grid(5, 2, 3)
     cells = np.array([3124, 0, 7, 7, 625], dtype=np.int64)
     for a, b in ((0, Fraction(3, 25)), (Fraction(2, 5), 0), (Fraction(1, 125), Fraction(4, 5))):
-        every, depth = mub_padic._quad_phase_indices(grid, a, b)
-        got, got_depth = mub_padic._quad_phase_indices(grid, a, b, cells)
+        every, depth = _quad_phase_indices(grid, a, b)
+        got, got_depth = _quad_phase_indices(grid, a, b, cells)
         assert got_depth == depth and np.array_equal(got, every[cells])
 
 
@@ -626,7 +632,7 @@ def test_integer_phase_terms_and_cells_match_the_fraction_forms():
                 for x in coeffs:
                     v = frac_valuation(x, p)
                     for degree in (1, 2):
-                        got = mub_padic._phase_term(p, r, x, v, degree)
+                        got = mub_padic._phase_term(p, r, read_coefficient(x, p), degree)
                         assert got == _phase_term_old(g, x, degree), (p, r, x, degree)
                     if v >= -r:
                         assert g.index_of(x) == rational_mod(x * Fraction(p) ** r, g.n), (g, x)
@@ -834,14 +840,14 @@ def test_quad_phase_indices_refuses_moduli_past_int64_residues():
     g = Grid(3, 1, 1)
     assert 3**19 <= MAX_INT64_RESIDUE < 3**20
     a = Fraction(1, 3**17)  # depth 2r - v(a) = 19
-    idx, depth = mub_padic._quad_phase_indices(g, a, Fraction(0))
+    idx, depth = _quad_phase_indices(g, a, Fraction(0))
     assert depth == 19
     assert [Fraction(int(m), 3**19) for m in idx] == [
         frac_part(a * g.rep(i) ** 2, 3).value for i in range(g.n)
     ]
     for a, b in ((Fraction(1, 3**18), 0), (0, Fraction(1, 3**19))):  # depth 20
         with pytest.raises(CapError):
-            mub_padic._quad_phase_indices(g, Fraction(a), Fraction(b))
+            _quad_phase_indices(g, Fraction(a), Fraction(b))
 
 
 def test_cell_lookups_keep_the_index_of_checks():
@@ -905,7 +911,7 @@ def _stub_states(mp):
     """Replace the states of gram_report by three-cell placeholders.  Its
     sizing, closed values and certified flags read only the labels, so with
     an unbounded cell cap they can be checked on grids too large to build."""
-    def stub(labels, reads, codes, grid):
+    def stub(reads, codes, grid):
         return np.ones((len(codes), 3), dtype=complex)
 
     mp.setattr(mub_padic, "_state_stack", stub)
@@ -1031,9 +1037,8 @@ def _stack(states, grid):
     """mub_padic._state_stack of the states, their labels read as gram_report
     reads them."""
     labels, codes = mub_padic._index_labels(states)
-    reads = [(Fraction(0), INF) if x is None
-             else (as_fraction(x, grid.p), coefficient_valuation(x, grid.p)) for x in labels]
-    return mub_padic._state_stack(labels, reads, codes, grid)
+    reads = [None if x is None else read_coefficient(x, grid.p) for x in labels]
+    return mub_padic._state_stack(reads, codes, grid)
 
 
 def _state_stack_old(states, grid):
@@ -1061,7 +1066,7 @@ def _state_stack_old(states, grid):
         stack[s] = row
     if chirps:
         s, ia, ib, ma, mb = np.array(chirps).T
-        qa, lb = (np.array([mub_padic._quad_phase_indices(grid, *t[3])[0] for t in seen.values()])
+        qa, lb = (np.array([_quad_phase_indices(grid, *t[3])[0] for t in seen.values()])
                   for seen in (quad, lin))
         depth = np.maximum(ma, mb)
         mod = p ** depth[:, None]
@@ -1463,7 +1468,7 @@ def test_exact_operator_checks_fail_on_injected_faults():
     index_of = Grid.index_of
     for p in (3, 5, 7):
         for grid, c, d in _commutation_draws(p, 40, seed=10 + p):
-            m = mub_padic._quad_phase_indices(grid, 0, d)[1]
+            m = _quad_phase_indices(grid, 0, d)[1]
             off = Fraction(1, p ** max(m, 1))  # past the depth when op_Z is trivial
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(sweeps, "frac_part", lambda q, p, off=off: frac_part(q + off, p))

@@ -1,0 +1,44 @@
+"""tools/src_lines.py: each src/ line falls in exactly one of four kinds."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")
+src_lines = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(src_lines)
+
+SAMPLE = '''"""Module docstring,
+
+two lines apart."""
+
+# a comment
+x = 1  # code with a comment
+
+def f():
+    """One line."""
+    return """a string
+that is code"""
+'''
+
+
+def test_each_kind_is_counted_once_per_line():
+    assert src_lines.count(SAMPLE) == {"code": 4, "docstring": 4, "comment": 1, "blank": 2}
+
+
+def test_the_four_counts_add_up_to_each_module():
+    modules = sorted((ROOT / "src" / "padic_mub").glob("*.py"))
+    assert modules
+    for path in modules:
+        text = path.read_text()
+        counts = src_lines.count(text)
+        assert sum(counts.values()) == len(text.splitlines()), path.name
+        assert min(counts.values()) >= 0, path.name
+
+
+def test_the_table_prints_a_total(capsys):
+    assert src_lines.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["module", *src_lines.KINDS, "lines"]
+    total = lines[-1].split()
+    assert total[0] == "total" and int(total[-1]) == sum(map(int, total[1:5]))

@@ -1,0 +1,68 @@
+"""Print the code, docstring, comment and blank lines of each src/ module.
+
+    python3 tools/src_lines.py [DIR]
+
+DIR (default: src/padic_mub of the repository) holds the modules.  Each
+line falls in one kind, read from its tokens (`tokenize`): code if any
+token on it is code; else docstring if a string that stands alone as a
+statement covers it; else comment if a comment sits on it; else blank.  A
+blank line inside a docstring is docstring, one inside any other string is
+code.
+"""
+
+from __future__ import annotations
+
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+KINDS = ("code", "docstring", "comment", "blank")
+_LAYOUT = {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT,
+           tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def count(text: str) -> dict[str, int]:
+    """How many lines of the source text are of each kind."""
+    tokens = list(tokenize.generate_tokens(io.StringIO(text).readline))
+    rows: dict[str, set[int]] = {kind: set() for kind in KINDS[:3]}
+    at_start = True  # the next token begins a statement
+    for n, tok in enumerate(tokens):
+        if tok.type in _LAYOUT:
+            at_start = at_start or tok.type == tokenize.NEWLINE
+            continue
+        span = range(tok.start[0], tok.end[0] + 1)
+        if tok.type == tokenize.COMMENT:
+            rows["comment"].update(span)
+            continue
+        kind = "code"
+        if tok.type == tokenize.STRING and at_start:
+            rest = (t.type for t in tokens[n + 1:] if t.type not in (tokenize.NL, tokenize.COMMENT))
+            if next(rest, tokenize.ENDMARKER) in (tokenize.NEWLINE, tokenize.ENDMARKER):
+                kind = "docstring"
+        rows[kind].update(span)
+        at_start = False
+    code = rows["code"]
+    doc = rows["docstring"] - code
+    comment = rows["comment"] - code - doc
+    blank = len(text.splitlines()) - len(code | doc | comment)
+    return {"code": len(code), "docstring": len(doc), "comment": len(comment), "blank": blank}
+
+
+def main(argv: list[str]) -> int:
+    directory = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "padic_mub"
+    totals = dict.fromkeys(KINDS, 0)
+    print(f"{'module':<16}" + "".join(f"{kind:>11}" for kind in (*KINDS, "lines")))
+    for path in sorted(directory.glob("*.py")):
+        counts = count(path.read_text())
+        for kind in KINDS:
+            totals[kind] += counts[kind]
+        cells = [counts[kind] for kind in KINDS]
+        print(f"{path.name:<16}" + "".join(f"{c:>11}" for c in (*cells, sum(cells))))
+    cells = [totals[kind] for kind in KINDS]
+    print(f"{'total':<16}" + "".join(f"{c:>11}" for c in (*cells, sum(cells))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
