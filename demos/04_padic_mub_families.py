@@ -56,7 +56,7 @@ print(f"{len(rep5.labels)} vectors, max certified deviation {rep5.max_certified_
 print()
 print("== below the truncation threshold nothing is asserted ==")
 low = gram_report([(0, 0), (9, 0)], r=1, p=3, auto_raise=False)
-print(f"pair (a=0) vs (a=9) at r=1: certified = {low.entries[1].certified} "
+print(f"pair (a=0) vs (a=9) at r=1: certified = {low.certified[1]} "
       f"(v(a-a')=2 needs r >= 2)")
 raised = gram_report([(0, 0), (9, 0)], r=1, p=3, auto_raise=True)
 print(f"with auto-raise the report recomputes at r = {raised.r_used}: passed = {raised.passed}")

@@ -39,9 +39,6 @@ class UnitPhase:
     def is_trivial(self) -> bool:
         return not self.phase
 
-    def __mul__(self, other: "UnitPhase") -> "UnitPhase":
-        return phase_mul(self, other)
-
     def conjugate(self) -> "UnitPhase":
         return UnitPhase.of(-self.phase.value, self.phase.prime)
 

@@ -149,7 +149,8 @@ def _default_table(report: dict) -> str:
 
 # ---------------------------------------------------------------------------
 # subcommands: each returns (report, table text or None), a report being a
-# JSON dict or an object with `passed`, `to_json_dict` and maybe `to_csv`
+# JSON dict or an object with `passed`, `to_json_dict` or `json_columns`,
+# and maybe `to_csv`
 # ---------------------------------------------------------------------------
 
 

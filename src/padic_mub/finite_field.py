@@ -153,9 +153,6 @@ class FieldCtx:
         for n in range(self.size):
             yield self.element(n)
 
-    def __str__(self) -> str:
-        return f"F_{self.p}^{self.r} mod {self.modulus}"
-
 
 def build_field(
     p: int, r: int, modulus: Sequence[int] | None = None, size_cap: int = DEFAULT_FIELD_CAP

@@ -72,7 +72,7 @@ import numpy as np
 
 from .errors import CapError, OddPrimeError, check_power_cap
 from .finite_field import FieldElem
-from .padic import INF, Coefficient, int_valuation, is_prime, read_coefficient
+from .padic import INF, Coefficient, _scaled_residue, int_valuation, is_prime, read_coefficient
 
 DEFAULT_TERM_CAP = 10**6
 
@@ -475,20 +475,6 @@ def _integral_reduction(
     a_int = _scaled_residue(p, l, af, dx + 2 * r, l + dx)
     b_int = _scaled_residue(p, l, bf, dy + r, l + dy)
     return (l, a_int, b_int), scale
-
-
-def _scaled_residue(p: int, l: int, x: Fraction, v: int | float, e: int | float) -> int:
-    """x * p^(e - v) mod p^l for x of valuation v: p^e times the unit part of
-    x, in integers.  It is 0 for e >= l, which covers x = 0 (v and e inf)."""
-    if e >= l:
-        return 0
-    num, den = x.numerator, x.denominator
-    if v > 0:
-        num //= p**v
-    elif v < 0:
-        den //= p**-v
-    mod = p**l
-    return p**e * num * pow(den, -1, mod) % mod
 
 
 def integral_numeric(

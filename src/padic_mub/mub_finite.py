@@ -2,8 +2,8 @@
 
 For each a in F_{p^r} the basis V_a has columns indexed by b with entries
 exp(2*pi*i*trace(a*x^2 + b*x)/p) / sqrt(p^r); the computational basis joins
-them as the (p^r+1)-st member.  Rows/columns follow the lexicographic field
-element enumeration, so matrices are byte-reproducible.
+them as the (p^r+1)-st member.  Bases, rows and columns follow the
+lexicographic field element enumeration, so reports are byte-reproducible.
 
 Every inner product of the set is a Gauss sum over the field:
 (V_a* V_c)[b, b'] = G(c - a, b' - b) / q, with q = p^r and
@@ -12,11 +12,10 @@ S = Z F, Z[alpha, x] = zeta_p^trace(alpha*x^2) / sqrt(q) and
 F[x, beta] = zeta_p^trace(beta*x) / sqrt(q), holds every number the report
 reads: row a_j - a_i for a pair of quadratic bases, row 0 for the
 orthonormality of each V_a, and the moduli of the p scaled roots for a pair
-with the computational basis.  `verify_mub` takes either a field's set as
-its two integer trace tables (`FieldMubSet`), whose report it reads off that
-table, one complex product in all, or any list of basis matrices, which it
-checks with one plain product per pair; the tests hold the table against
-the matrices of `build_mub_set`.
+with the computational basis.  `verify_mub` takes a field's set as its two
+integer trace tables (`FieldMubSet`) and reads its report off that table,
+one complex product in all, with no basis matrix; the tests hold the table
+against the basis matrices, built and multiplied pair by pair.
 
 What depends on the field alone is built once per field and shared:
 `_trace_rows` holds the structure tensor's products as two read-only integer
@@ -35,19 +34,10 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CapError
-from .finite_field import FIELD_CACHE_SIZE, FieldCtx, FieldElem
+from .finite_field import FIELD_CACHE_SIZE, FieldCtx
 from .gauss import INT64_MAX, roots_of_unity
 
 DEFAULT_DIM_CAP = 343
-
-
-@dataclass
-class BasisMatrix:
-    """One orthonormal basis: columns are the basis vectors."""
-
-    label: str
-    a: FieldElem | None  # None labels the computational basis
-    matrix: np.ndarray
 
 
 def _structure_tensor(ctx: FieldCtx) -> np.ndarray:
@@ -56,16 +46,6 @@ def _structure_tensor(ctx: FieldCtx) -> np.ndarray:
     r = ctx.r
     powers = [tuple(int(k == n) for k in range(r)) for n in range(r)] + list(ctx.high_powers)
     return np.array([[powers[s + t] for t in range(r)] for s in range(r)], dtype=np.int64)
-
-
-def _phase_matrix(phases: np.ndarray, p: int) -> np.ndarray:
-    """Entries zeta_p^phases / sqrt(d) for a d x d array of integer phases.
-
-    The phases may run over [0, 2p): the table holds two periods of the
-    scaled roots, so m and m + p give the same entry bit for bit.
-    """
-    roots = (1.0 / np.sqrt(phases.shape[0])) * roots_of_unity(p)
-    return np.concatenate((roots, roots)).take(phases)
 
 
 def _trace_tables(
@@ -102,41 +82,14 @@ def _trace_rows(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-def build_mub_set(fieldctx: FieldCtx, dim_cap: int = DEFAULT_DIM_CAP) -> list[BasisMatrix]:
-    """All p^r bases V_a plus the computational basis, deterministically ordered.
-
-    The construction itself is prime-agnostic; only the closed-form
-    certification of unbiasedness is restricted to odd p elsewhere.
-    """
-    tr_ax2, tr_bx = _trace_tables(fieldctx, dim_cap)
-    p, q = fieldctx.p, fieldctx.size
-    bases = [
-        BasisMatrix(label=f"a={a}", a=a, matrix=_phase_matrix(tr_ax2[:, [n]] + tr_bx, p))
-        for n, a in enumerate(fieldctx.elements())
-    ]
-    bases.append(BasisMatrix(label="inf", a=None, matrix=np.eye(q, dtype=complex)))
-    return bases
-
-
-@dataclass
-class PairStat:
-    i: int
-    j: int
-    labels: tuple[str, str]
-    min_mod: float
-    max_mod: float
-    max_dev: float
-
-
 @dataclass
 class MubReport:
     """Pairwise unbiasedness and per-basis orthonormality, against p^(-r/2).
 
     `pair_columns()` gives the basis labels, a table of (min_mod, max_mod,
     max_dev) rows and each pair's row of it, pairs in `combinations` order:
-    a field's set has only q + 1 distinct rows.  `pairs`, `to_json_dict`,
-    `json_columns` and `to_csv` call it, so reading only the summary builds
-    no pair row."""
+    a field's set has only q + 1 distinct rows.  `json_columns` and `to_csv`
+    call it, so reading only the summary builds no pair row."""
 
     dim: int
     bases: int
@@ -149,24 +102,11 @@ class MubReport:
     pair_columns: Callable[[], tuple[list[str], np.ndarray, np.ndarray]] = field(
         repr=False, compare=False)
 
-    def _rows(self):
-        labels, stats, row_of = self.pair_columns()
-        stats = stats.tolist()
-        for (i, j), k in zip(combinations(range(len(labels)), 2), row_of.tolist()):
-            yield i, j, labels[i], labels[j], *stats[k]
-
-    @property
-    def pairs(self) -> list[PairStat]:
-        return [PairStat(i, j, (li, lj), *s) for i, j, li, lj, *s in self._rows()]
-
     def _summary(self) -> dict:
         return {"schema": 1, **{k: v for k, v in vars(self).items() if k != "pair_columns"}}
 
-    def to_json_dict(self) -> dict:
-        return {**self._summary(), "pairs": [vars(s) for s in self.pairs]}
-
     def json_columns(self) -> tuple[dict, str, dict]:
-        """`to_json_dict()` as its summary, the key "pairs" and the pair rows
+        """The JSON report as its summary, the key "pairs" and the pair rows
         as columns (see cli._json_rows), each stat column as a distinct row's
         value and each pair's row index."""
         labels, stats, row_of = self.pair_columns()
@@ -190,47 +130,11 @@ class MubReport:
         return "\n".join(lines) + "\n"
 
 
-def verify_mub(bases: list[BasisMatrix] | FieldMubSet, tol: float = 1e-10,
-               ortho_tol: float = 1e-12) -> MubReport:
-    """Check every unordered pair of bases for unbiasedness at modulus d^(-1/2).
-
-    Also checks each basis for orthonormality (Gram = identity).  Pairs are
-    scanned in index order, so reports are deterministic.  A `FieldMubSet`
-    is checked from one table of Gauss sums, with no basis matrix
-    (`_field_report`).  A list of basis matrices, which must all share one
-    square shape, takes one Gram per basis and one product |u* v| per pair.
-    """
-    if isinstance(bases, FieldMubSet):
-        return _field_report(bases, tol, ortho_tol)
-    shapes = sorted({b.matrix.shape for b in bases})
-    d = shapes[0][0] if shapes and shapes[0] else 0
-    if d < 1 or shapes != [(d, d)]:
-        raise ValueError(f"need one or more bases of one square shape, got shapes {shapes}")
-    target, eye = d**-0.5, np.eye(d)
-    # np.max keeps a nan, so a non-finite basis fails the report
-    ortho = float(np.max([np.abs(b.matrix.conj().T @ b.matrix - eye).max() for b in bases]))
-    n = len(bases)
-    stats = np.zeros((n * (n - 1) // 2, 3))  # min_mod, max_mod, max_dev per pair
-    for row, (i, j) in enumerate(combinations(range(n), 2)):
-        mods = np.abs(bases[i].matrix.conj().T @ bases[j].matrix)
-        stats[row] = mods.min(), mods.max(), np.abs(mods - target).max()
-    labels = [b.label for b in bases]
-    max_dev = float(np.max(stats[:, 2], initial=0.0))
-    return MubReport(d, n, target, tol, ortho_tol, max_dev, ortho,
-                     max_dev <= tol and ortho <= ortho_tol,
-                     lambda: (labels, stats, np.arange(len(stats))))
-
-
-def _row_stats(mods: np.ndarray, target: float) -> np.ndarray:
-    """(min, max, max |mod - target|) of each row of a table of moduli."""
-    return np.column_stack((mods.min(1), mods.max(1), np.abs(mods - target).max(1)))
-
-
 @dataclass(frozen=True, eq=False)
 class FieldMubSet:
-    """The bases of `build_mub_set(ctx)` as the field's two trace tables, with
-    no basis matrix: V_a for each a in label order, then the computational
-    basis.  `verify_mub` reads its report off one table of Gauss sums."""
+    """The p^r + 1 bases of a field as its two trace tables, with no basis
+    matrix: V_a for each a in label order, then the computational basis.
+    `verify_mub` reads its report off one table of Gauss sums."""
 
     ctx: FieldCtx
     tr_ax2: np.ndarray  # trace(a*x^2) at [x, a]
@@ -238,17 +142,24 @@ class FieldMubSet:
 
     @classmethod
     def from_field(cls, ctx: FieldCtx) -> FieldMubSet:
-        """The set of the field; refuses the fields `build_mub_set` refuses
-        at its default cap, before any table is built."""
+        """The set of the field; refuses a field past the default dimension
+        cap, or one whose trace sums would overflow int64, before any table
+        is built."""
         return cls(ctx, *_trace_tables(ctx))
 
     def __len__(self) -> int:
         return self.ctx.size + 1
 
 
-def _field_report(bases: FieldMubSet, tol: float, ortho_tol: float) -> MubReport:
-    """`verify_mub` of a `FieldMubSet`: the report of the matrices of
-    `build_mub_set`, from one table of Gauss sums.
+def _row_stats(mods: np.ndarray, target: float) -> np.ndarray:
+    """(min, max, max |mod - target|) of each row of a table of moduli."""
+    return np.column_stack((mods.min(1), mods.max(1), np.abs(mods - target).max(1)))
+
+
+def verify_mub(bases: FieldMubSet, tol: float = 1e-10, ortho_tol: float = 1e-12) -> MubReport:
+    """Check every unordered pair of the field's bases for unbiasedness at
+    modulus q^(-1/2), and each basis for orthonormality, from one table of
+    Gauss sums.
 
     Row alpha of S = Z F is G(alpha, .) / q (see the module docstring), each
     factor gathered from the p scaled roots by the exact trace tables.  Since
@@ -257,9 +168,10 @@ def _field_report(bases: FieldMubSet, tol: float, ortho_tol: float) -> MubReport
     labels; a pair with the computational basis has the moduli of the p
     scaled roots, bit for bit those of the basis entries; and V_a* V_a - I is
     row 0 minus a unit vector, while the identity basis contributes 0.  The
-    floats differ from the matrix path's only in rounding.  The labels and
-    each pair's row index are found only when the report's pair columns are
-    read; the q + 1 rows are never gathered per pair.
+    floats differ from those of the basis matrices' products only in
+    rounding.  The labels and each pair's row index are found only when the
+    report's pair columns are read, pairs in index order; the q + 1 rows are
+    never gathered per pair.
     """
     ctx = bases.ctx
     p, r, q = ctx.p, ctx.r, ctx.size

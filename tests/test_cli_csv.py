@@ -10,14 +10,15 @@ from hypothesis import given, settings
 from padic_mub import cli
 from padic_mub.mub_finite import MubReport
 
+from oracles import pair_stats
 from test_cli_json import mub_reports
 from test_golden_cli import CASES
 
 
 def _oracle(report: MubReport) -> str:
     lines = ["i,j,label_i,label_j,min_mod,max_mod,max_dev"]
-    lines += [f"{i},{j},{li},{lj},{mn!r},{mx!r},{dev!r}"
-              for i, j, li, lj, mn, mx, dev in report._rows()]
+    lines += [f"{s.i},{s.j},{s.labels[0]},{s.labels[1]},{s.min_mod!r},{s.max_mod!r},{s.max_dev!r}"
+              for s in pair_stats(report)]
     return "\n".join(lines) + "\n"
 
 

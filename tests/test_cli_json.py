@@ -1,6 +1,7 @@
 """`--format json` against its oracle: the writer's bytes equal
 json.dumps(_round_floats(d), sort_keys=True, indent=2), d being the report's
-`to_json_dict()` with `config` attached as `cli._emit` attaches it."""
+JSON dict (`to_json_dict()`, or `oracles.report_dict` for a report with pair
+rows) with `config` attached as `cli._emit` attaches it."""
 
 from __future__ import annotations
 
@@ -16,11 +17,17 @@ from padic_mub.errors import CapError
 from padic_mub.mub_finite import MubReport
 from padic_mub.mub_padic import GramReport
 
+from oracles import report_dict
 from test_golden_cli import CASES
 
 
 def _oracle(report, config: dict) -> str:
-    d = report if isinstance(report, dict) else report.to_json_dict()
+    if isinstance(report, dict):
+        d = report
+    elif isinstance(report, (MubReport, GramReport)):
+        d = report_dict(report)
+    else:
+        d = report.to_json_dict()
     d["config"] = config
     return json.dumps(cli._round_floats(d), sort_keys=True, indent=2)
 

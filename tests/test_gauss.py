@@ -44,7 +44,6 @@ from padic_mub.gauss import (
     roots_of_unity,
 )
 from padic_mub.padic import PadicNumber, parse_coefficient
-from padic_mub.padic import rational_mod
 from padic_mub.padic import zero as padic_zero
 from padic_mub.sweeps import (
     gauss_grid_combos,
@@ -53,7 +52,7 @@ from padic_mub.sweeps import (
     threshold_grid_coefficients,
 )
 
-from oracles import as_fraction, frac_valuation
+from oracles import as_fraction, frac_valuation, rational_mod
 from oracles import shifted_valuations as _shifted_valuations
 from test_reading import count_reads
 

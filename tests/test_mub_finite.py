@@ -7,20 +7,15 @@ from itertools import combinations, islice
 import numpy as np
 import pytest
 
-from padic_mub import (
-    build_field,
-    build_mub_set,
-    field_sum_numeric,
-    finite_field,
-    mub_finite,
-    verify_mub,
-)
+import padic_mub
+from padic_mub import build_field, field_sum_numeric, finite_field, mub_finite, verify_mub
 from padic_mub.errors import CapError
 from padic_mub.finite_field import FieldCtx, irreducible_polynomials
 from padic_mub.padic import is_prime
 from padic_mub.gauss import roots_of_unity
-from padic_mub.mub_finite import DEFAULT_DIM_CAP, BasisMatrix, FieldMubSet, MubReport
+from padic_mub.mub_finite import DEFAULT_DIM_CAP, FieldMubSet, MubReport
 
+from oracles import BasisMatrix, build_mub_set, pair_stats, report_dict, verify_matrices
 from test_finite_field import oracle_mul, oracle_trace
 
 ORACLE_FIELDS = [
@@ -60,16 +55,17 @@ def assert_pairs_leave_the_summary(make, n):
     """A report's summary fields are the same whether or not its pair rows
     are read, in any form; the JSON dict is that summary plus the rows."""
     unread, read = make(), make()
-    pairs = read.pairs
-    assert len(pairs) == n * (n - 1) // 2 == len(read.to_csv().splitlines()) - 1
-    assert read.to_json_dict() == {"schema": 1, **_summary(unread), "pairs": [vars(s) for s in pairs]}
+    rows = pair_stats(read)
+    assert len(rows) == n * (n - 1) // 2 == len(read.to_csv().splitlines()) - 1
+    assert read.json_columns()[0] == {"schema": 1, **_summary(unread)}
+    assert report_dict(read) == {"schema": 1, **_summary(unread), "pairs": [vars(s) for s in rows]}
     assert _summary(read) == _summary(unread)
     return unread
 
 
 def assert_same_report(bases):
-    got, want = verify_mub(bases), verify_all_pairs(bases)
-    assert got.to_json_dict() == want.to_json_dict()
+    got, want = verify_matrices(bases), verify_all_pairs(bases)
+    assert report_dict(got) == report_dict(want)
     return got
 
 
@@ -83,7 +79,7 @@ def test_four_bases_for_p3_r1():
     bases = build_mub_set(build_field(3, 1))
     assert len(bases) == 4
     assert all(b.matrix.shape == (3, 3) for b in bases)
-    rep = verify_mub(bases)
+    rep = verify_matrices(bases)
     assert rep.passed
     assert rep.max_deviation < 1e-12
     assert abs(rep.target - 1 / np.sqrt(3)) < 1e-15
@@ -92,19 +88,19 @@ def test_four_bases_for_p3_r1():
 def test_ten_bases_for_p3_r2():
     bases = build_mub_set(build_field(3, 2))
     assert len(bases) == 10
-    rep = verify_mub(bases)
+    rep = verify_matrices(bases)
     assert rep.passed
     assert rep.target == pytest.approx(1 / 3)
-    assert len(rep.pairs) == 45  # exhaustive 10*9/2 pair check
+    assert len(pair_stats(rep)) == 45  # exhaustive 10*9/2 pair check
 
 
 def test_identical_bases_are_not_unbiased():
     bases = build_mub_set(build_field(3, 1))
-    rep = verify_mub([bases[0], bases[0]])
+    rep = verify_matrices([bases[0], bases[0]])
     assert not rep.passed
     # intra-pair moduli are 0/1, nowhere near 1/sqrt(d)
-    assert rep.pairs[0].min_mod == pytest.approx(0.0, abs=1e-12)
-    assert rep.pairs[0].max_mod == pytest.approx(1.0, abs=1e-12)
+    assert pair_stats(rep)[0].min_mod == pytest.approx(0.0, abs=1e-12)
+    assert pair_stats(rep)[0].max_mod == pytest.approx(1.0, abs=1e-12)
 
 
 def test_p2_construction_emits_matrices_for_exploration():
@@ -129,7 +125,7 @@ def test_flat_amplitudes_for_finite_labels():
 
 def test_modulus_independence():
     f2 = build_field(3, 2, modulus=(2, 1, 1))
-    rep = verify_mub(build_mub_set(f2))
+    rep = verify_matrices(build_mub_set(f2))
     assert rep.passed
 
 
@@ -157,7 +153,7 @@ def test_mixed_dimensions_rejected():
     b3 = build_mub_set(build_field(3, 1))
     b5 = build_mub_set(build_field(5, 1))
     with pytest.raises(ValueError, match=r"one square shape, got shapes \[\(3, 3\), \(5, 5\)\]"):
-        verify_mub([b3[0], b5[0]])
+        verify_matrices([b3[0], b5[0]])
 
 
 @pytest.mark.parametrize("shapes", [[], [(3, 2)], [(3, 3), (3, 2)], [(3,)], [(0, 0)]],
@@ -167,19 +163,22 @@ def test_bases_of_no_one_square_shape_are_rejected(shapes):
              for n, shape in enumerate(shapes)]
     message = f"one square shape, got shapes {sorted(shapes)}"
     with pytest.raises(ValueError, match=re.escape(message)):
-        verify_mub(bases)
+        verify_matrices(bases)
 
 
 def test_exports():
-    bases = build_mub_set(build_field(3, 1))
-    rep = verify_mub(bases)
-    assert rep.to_json_dict()["schema"] == 1
+    assert {"FieldMubSet", "MubReport", "verify_mub"} <= set(padic_mub.__all__)
+    assert not {"BasisMatrix", "build_mub_set"} & set(padic_mub.__all__)
+    rep = verify_mub(FieldMubSet.from_field(build_field(3, 1)))
+    assert rep.json_columns()[0]["schema"] == 1
 
 
 def test_report_is_deterministic():
-    r1 = json.dumps(verify_mub(build_mub_set(build_field(3, 2))).to_json_dict(), sort_keys=True)
-    r2 = json.dumps(verify_mub(build_mub_set(build_field(3, 2))).to_json_dict(), sort_keys=True)
-    assert r1 == r2
+    for verify in (lambda: verify_matrices(build_mub_set(build_field(3, 2))),
+                   lambda: verify_mub(FieldMubSet.from_field(build_field(3, 2)))):
+        r1 = json.dumps(report_dict(verify()), sort_keys=True)
+        r2 = json.dumps(report_dict(verify()), sort_keys=True)
+        assert r1 == r2 and verify().to_csv() == verify().to_csv()
 
 
 @pytest.mark.parametrize("p,r,modulus", ORACLE_FIELDS)
@@ -187,11 +186,11 @@ def test_difference_classes_agree_with_all_pairs(p, r, modulus):
     """Each pair (V_a, V_c) of the plain scan has the moduli of (V_0, V_(c - a)),
     up to rounding: the row of the Gauss-sum table the field path reads for it."""
     field = build_field(p, r, modulus=modulus)
-    rep = verify_mub(build_mub_set(field))
+    rep = verify_matrices(build_mub_set(field))
     assert rep.passed
     q, minus = field.size, _label_differences(p, r)
-    first = {s.j: _pair_floats([s]) for s in rep.pairs if s.i == 0}
-    for s in rep.pairs:
+    first = {s.j: _pair_floats([s]) for s in pair_stats(rep) if s.i == 0}
+    for s in pair_stats(rep):
         if s.j < q:  # both bases quadratic
             assert np.abs(_pair_floats([s]) - first[minus[s.i, s.j]]).max() <= 8 * EPS, s
 
@@ -201,7 +200,7 @@ def test_perturbed_entry_breaks_the_certificate(k):
     q = 9
     rep = assert_same_report(_perturbed(k))
     assert not rep.passed and rep.max_deviation > rep.tol
-    failing = {(s.i, s.j) for s in rep.pairs if s.max_dev > rep.tol}
+    failing = {(s.i, s.j) for s in pair_stats(rep) if s.max_dev > rep.tol}
     assert failing == {tuple(sorted((k, j))) for j in range(q + 1) if j != k}
 
 
@@ -298,9 +297,9 @@ def test_identity_pairs_equal_the_dense_product(p, r):
     bases = build_mub_set(build_field(p, r))
     for order in (bases, [bases[-1], *bases[:-1]]):
         unit = 0 if order[0] is bases[-1] else len(order) - 1
-        rep = verify_mub(order)
+        rep = verify_matrices(order)
         assert rep.passed
-        for s in rep.pairs:
+        for s in pair_stats(rep):
             if unit in (s.i, s.j):
                 mods = np.abs(order[s.i + s.j - unit].matrix)
                 assert (s.min_mod, s.max_mod, s.max_dev) == (
@@ -315,9 +314,9 @@ def test_non_finite_basis_against_the_identity_is_multiplied_directly():
         v[0, 1] = bad
         bases = [BasisMatrix("inf", None, eye), BasisMatrix("bad", None, v)]
         with np.errstate(invalid="ignore"):
-            got, want = verify_mub(bases), verify_all_pairs(bases)
+            got, want = verify_matrices(bases), verify_all_pairs(bases)
         # the running max of verify_all_pairs drops a nan, so compare the rows
-        assert json.dumps(got.to_json_dict()["pairs"]) == json.dumps(want.to_json_dict()["pairs"])
+        assert json.dumps(report_dict(got)["pairs"]) == json.dumps(report_dict(want)["pairs"])
         assert got.passed is False
 
 
@@ -326,7 +325,7 @@ def test_nan_entry_fails_the_report():
     bases = build_mub_set(build_field(3, 2))
     bases[4].matrix[0, 1] = np.nan  # not in the first pair, so a running max would miss it
     with np.errstate(invalid="ignore"):
-        rep = verify_mub(bases)
+        rep = verify_matrices(bases)
     assert rep.passed is False
     assert np.isnan(rep.max_deviation) and np.isnan(rep.ortho_deviation)
 
@@ -410,8 +409,8 @@ def _odd_fields(max_q):
                     yield pytest.param(p, r, modulus, id=f"{p}^{r}-{''.join(map(str, modulus))}")
 
 
-def _pair_floats(pairs):
-    return np.array([(s.min_mod, s.max_mod, s.max_dev) for s in pairs])
+def _pair_floats(rows):
+    return np.array([(s.min_mod, s.max_mod, s.max_dev) for s in rows])
 
 
 def _assert_trace_tables_additive(field):
@@ -429,19 +428,19 @@ def test_field_set_report_agrees_with_the_matrix_path(p, r, modulus):
     if r == 1 and field.modulus != build_field(p, 1).modulus:
         # F_p under x + c is F_p under x (test_every_linear_modulus_gives_one_prime_field)
         default = verify_mub(FieldMubSet.from_field(build_field(p, 1)))
-        assert got.to_json_dict() == default.to_json_dict()
+        assert report_dict(got) == report_dict(default)
         return
     q, bases = field.size, build_mub_set(field)
     assert got.passed is True and (got.dim, got.target) == (q, q**-0.5)
-    assert [(s.i, s.j, s.labels) for s in got.pairs] == [
+    assert [(s.i, s.j, s.labels) for s in pair_stats(got)] == [
         (i, j, (bases[i].label, bases[j].label)) for i, j in combinations(range(q + 1), 2)]
     if q <= 81:
-        want = verify_mub(bases)
-        picked, rows, ortho = got.pairs, _pair_floats(want.pairs), want.ortho_deviation
+        want = verify_matrices(bases)
+        picked, rows, ortho = pair_stats(got), _pair_floats(pair_stats(want)), want.ortho_deviation
     else:
         # the pairs (V_0, V_c) and (V_a, computational) read each row of the
         # table once; additivity of the trace tables carries them to the rest
-        picked = [s for s in got.pairs if s.i == 0 or s.j == q]
+        picked = [s for s in pair_stats(got) if s.i == 0 or s.j == q]
         rows = np.array([_pair_row(bases[s.i].matrix, bases[s.j].matrix, got.target)
                          for s in picked])
         ortho = max(np.abs(b.matrix.conj().T @ b.matrix - np.eye(q)).max() for b in bases)
@@ -478,7 +477,7 @@ def test_field_set_computational_pairs_are_the_root_moduli():
     rep = verify_mub(FieldMubSet.from_field(field))
     bases = build_mub_set(field)
     eye = np.eye(field.size)
-    for s in rep.pairs:
+    for s in pair_stats(rep):
         if s.labels[1] == "inf":
             mods = np.abs(bases[s.i].matrix.conj().T @ eye)
             assert (s.min_mod, s.max_mod) == (mods.min(), mods.max())
@@ -537,4 +536,4 @@ def test_trace_rows_are_shared_and_read_only_and_the_tables_are_not():
 
 def test_verify_mub_without_pairs_keeps_the_matrix_summary():
     bases = build_mub_set(build_field(3, 2))
-    assert assert_pairs_leave_the_summary(lambda: verify_mub(bases), 10).bases == 10
+    assert assert_pairs_leave_the_summary(lambda: verify_matrices(bases), 10).bases == 10

@@ -20,6 +20,7 @@ from padic_mub import (
     ball_fourier_closed,
     ball_state,
     canonical_family_params,
+    cli,
     eigen_check,
     fourier,
     from_rational,
@@ -49,17 +50,22 @@ from padic_mub.gauss import (
     roots_of_unity,
     threshold_t,
 )
-from padic_mub.mub_padic import GramEntry
 from padic_mub.padic import (
     INF,
     PadicNumber,
     PFraction,
     frac_part,
-    rational_mod,
     read_coefficient,
 )
 
-from oracles import as_fraction, frac_valuation
+from oracles import (
+    GramEntry,
+    as_fraction,
+    frac_valuation,
+    gram_entries,
+    rational_mod,
+    report_dict,
+)
 
 W3 = complex(-0.5, np.sqrt(3) / 2)  # e^(2*pi*i/3)
 
@@ -445,7 +451,7 @@ def test_gram_report_p3_canonical():
     assert rep.passed and rep.r_used == 1
     assert rep.max_certified_deviation < 1e-9
     n = 3
-    for e in rep.entries:
+    for e in gram_entries(rep):
         fam_i, fam_j = e.i // n, e.j // n
         if fam_i != fam_j:
             assert e.closed == 1.0
@@ -481,7 +487,7 @@ def test_grid_inner_products_equal_ball_integrals():
 def test_gram_report_flags_cross_family_below_threshold():
     # v(a - a') = 2 puts the threshold at 1, so r = 1 is not certified
     rep = gram_report([(0, 0), (9, 0)], r=1, p=3, auto_raise=False)
-    cross = [e for e in rep.entries if e.i != e.j]
+    cross = [e for e in gram_entries(rep) if e.i != e.j]
     assert cross and all(not e.certified for e in cross)
     raised = gram_report([(0, 0), (9, 0)], r=1, p=3, auto_raise=True)
     assert raised.r_used == 2 and raised.passed
@@ -490,7 +496,7 @@ def test_gram_report_flags_cross_family_below_threshold():
 def test_gram_report_flags_uncertified_below_threshold():
     params = [(1, 0), (1, 9)]  # same family, v(b-b') = 2 needs r > 2
     rep = gram_report(params, r=1, p=3, auto_raise=False)
-    off = [e for e in rep.entries if e.i != e.j]
+    off = [e for e in gram_entries(rep) if e.i != e.j]
     assert all(not e.certified for e in off)
     assert rep.uncertified_pairs == len(off)
     raised = gram_report(params, r=1, p=3, auto_raise=True)
@@ -522,10 +528,10 @@ def test_gram_csv_and_json():
     rep = gram_report(canonical_family_params(3), r=1, p=3)
     header = rep.to_csv().splitlines()[0]
     assert header == "i,j,label_i,label_j,numeric,closed_exact,certified,deviation"
-    d = rep.to_json_dict()
+    d = report_dict(rep)
     assert d["schema"] == 1 and d["passed"] is True
     again = gram_report(canonical_family_params(3), r=1, p=3)
-    assert json.dumps(d, sort_keys=True) == json.dumps(again.to_json_dict(), sort_keys=True)
+    assert json.dumps(d, sort_keys=True) == json.dumps(report_dict(again), sort_keys=True)
 
 
 def test_statevector_json_schema():
@@ -753,7 +759,7 @@ def test_gram_report_pairs_match_the_ordered_pair_sizing():
                     continue
                 rep = gram_report(params, r=r, p=p, auto_raise=auto_raise)
                 assert (rep.r_used, rep.k_used) == (r_used, k)
-                assert [e.certified for e in rep.entries] == certified
+                assert [e.certified for e in gram_entries(rep)] == certified
                 assert rep.uncertified_pairs == certified.count(False)
                 cases += 1
     assert cases >= 32
@@ -808,7 +814,7 @@ def test_gram_report_sizes_each_unordered_pair_once(monkeypatch):
                       (5, canonical_family_params(5, [0, 1, Fraction(1, 5)]))):
         taken.clear()
         rep = gram_report(params, r=1, p=p)
-        assert len(rep.entries) == len(params) * (len(params) + 1) // 2
+        assert len(gram_entries(rep)) == len(params) * (len(params) + 1) // 2
         a_labels = {Fraction(0) if mub_padic._normalize_family(a) is None else Fraction(a)
                     for a, _ in params}
         b_labels = {Fraction(b) for _, b in params}
@@ -923,7 +929,7 @@ def _pair_oracle_check(p, params, r, auto_raise):
     r_used, k, certified = _gram_sizing_ordered(params, r, p, auto_raise)
     rep = gram_report(params, r=r, p=p, auto_raise=auto_raise, cell_cap=math.inf)
     assert (rep.r_used, rep.k_used) == (r_used, k)
-    assert [e.certified for e in rep.entries] == certified
+    assert [e.certified for e in gram_entries(rep)] == certified
     assert rep.uncertified_pairs == certified.count(False)
     ab = [
         (None if mub_padic._normalize_family(a) is None else as_fraction(a, p),
@@ -933,10 +939,10 @@ def _pair_oracle_check(p, params, r, auto_raise):
     # the k sizing as one required_resolution call per state
     assert rep.k_used == max([1 - r_used, *(r_used if a is None else required_resolution(
         a, b, r_used, p) for a, b in ab)])
-    for e in rep.entries:
+    for e in gram_entries(rep):
         want = _old_pair_closed(p, r_used, *ab[e.i], *ab[e.j])
         assert e.closed == want, (p, r, ab[e.i], ab[e.j])  # bit for bit
-    return len(rep.entries)
+    return len(gram_entries(rep))
 
 
 def test_pair_closed_forms_match_the_old_ones():
@@ -1025,7 +1031,7 @@ def test_gram_columns_match_the_pair_loop():
                     continue
                 r_used, entries = _gram_entries_loop(params, r, p, auto_raise, rep.moduli)
                 assert rep.r_used == r_used
-                assert repr(rep.entries) == repr(entries), (p, r, auto_raise)
+                assert repr(gram_entries(rep)) == repr(entries), (p, r, auto_raise)
                 certified = [e for e in entries if e.certified]
                 assert rep.max_certified_deviation == max([0.0, *(e.deviation for e in certified)])
                 assert rep.uncertified_pairs == len(entries) - len(certified)
@@ -1103,7 +1109,7 @@ def test_gram_serializations_match_the_pair_loop():
         params = canonical_family_params(p)
         rep = gram_report(params, r=1, p=p)
         r_used, entries = _gram_entries_loop(params, 1, p, True, rep.moduli)
-        assert rep.entries == entries
+        assert gram_entries(rep) == entries
         max_dev = max([0.0, *(e.deviation for e in entries if e.certified)])
         uncert = sum(not e.certified for e in entries)
         old = {
@@ -1113,9 +1119,12 @@ def test_gram_serializations_match_the_pair_loop():
             "passed": max_dev <= rep.tol and uncert == 0,
             "entries": [vars(e).copy() for e in entries],
         }
-        d = rep.to_json_dict()
+        d = report_dict(rep)
         assert d == old and list(map(type, d.values())) == list(map(type, (old[k] for k in d)))
         assert json.dumps(d, sort_keys=True) == json.dumps(old, sort_keys=True)
+        # the CLI writes the same JSON from the report's columns
+        assert cli._json_text(rep, {}) == json.dumps(
+            cli._round_floats({**old, "config": {}}), sort_keys=True, indent=2)
         lab = rep.labels
         lines = ["i,j,label_i,label_j,numeric,closed_exact,certified,deviation"]
         for e in entries:

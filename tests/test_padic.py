@@ -10,6 +10,7 @@ from padic_mub import INF, PrecisionError, from_rational, norm_p, valuation, zer
 from padic_mub.padic import (
     PadicNumber,
     PFraction,
+    _scaled_residue,
     frac_part,
     int_valuation,
     parse_coefficient,
@@ -17,7 +18,7 @@ from padic_mub.padic import (
     read_coefficient,
 )
 
-from oracles import frac_valuation
+from oracles import frac_valuation, rational_mod
 
 primes = st.sampled_from([3, 5, 7])
 
@@ -139,6 +140,23 @@ def test_frac_part_difference_is_integral():
         for den in (1, 2, 3, 9, 27):
             q = Fraction(num, den)
             assert frac_valuation(q - frac_part(q, 3).value, 3) >= 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 11, 13]), num=st.integers(-10**6, 10**6),
+       den=st.integers(1, 10**6), v=st.integers(-8, 8), l=st.integers(0, 9),
+       e=st.integers(0, 12))
+def test_scaled_residue_is_the_fraction_residue(p, num, den, v, l, e):
+    """p^e times the unit part of x mod p^l, for x of valuation v of either
+    sign, e - v of either sign and e >= l too, is the residue of the Fraction
+    x * p^(e - v); frac_part reads its digits through the same helper."""
+    num, den = num * p + 1, den * p + 1  # units: x = num/den * p^v has valuation v
+    x = Fraction(num, den) * Fraction(p) ** v
+    assert _scaled_residue(p, l, x, v, e) == rational_mod(x * Fraction(p) ** (e - v), p**l)
+    part = frac_part(x, p)
+    assert part.exp == max(0, -v) and 0 <= part.value < 1
+    assert frac_valuation(x - part.value, p) >= 0
+    assert _scaled_residue(p, l, Fraction(0), INF, INF) == 0
 
 
 def test_norm_is_multiplicative_exhaustive():

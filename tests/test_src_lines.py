@@ -22,8 +22,55 @@ that is code"""
 '''
 
 
+PUBLIC_SAMPLE = """
+class Shown:
+    def method(self):
+        def nested():
+            pass
+
+    @property
+    def prop(self):
+        pass
+
+    def _private(self):
+        pass
+
+    def __mul__(self, other):
+        pass
+
+
+class _Hidden:
+    def method(self):
+        pass
+
+
+def f():
+    pass
+
+
+async def g():
+    pass
+
+
+def _h():
+    pass
+
+
+lam = lambda: 0
+if True:
+    def conditional():
+        pass
+"""
+
+
 def test_each_kind_is_counted_once_per_line():
     assert src_lines.count(SAMPLE) == {"code": 4, "docstring": 4, "comment": 1, "blank": 2}
+
+
+def test_public_counts_top_level_defs_and_their_public_methods():
+    # Shown, Shown.method, Shown.prop, f and g
+    assert src_lines.public(PUBLIC_SAMPLE) == 5
+    assert src_lines.public(SAMPLE) == 1
 
 
 def test_the_four_counts_add_up_to_each_module():
@@ -39,6 +86,8 @@ def test_the_four_counts_add_up_to_each_module():
 def test_the_table_prints_a_total(capsys):
     assert src_lines.main([]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["module", *src_lines.KINDS, "lines"]
-    total = lines[-1].split()
-    assert total[0] == "total" and int(total[-1]) == sum(map(int, total[1:5]))
+    assert lines[0].split() == ["module", *src_lines.KINDS, "lines", "public"]
+    rows = [line.split() for line in lines[1:]]
+    total = rows.pop()
+    assert total[0] == "total" and int(total[5]) == sum(map(int, total[1:5]))
+    assert int(total[6]) == sum(int(row[6]) for row in rows) > 0

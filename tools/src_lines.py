@@ -1,4 +1,5 @@
-"""Print the code, docstring, comment and blank lines of each src/ module.
+"""Print the code, docstring, comment and blank lines of each src/ module,
+and its public surface.
 
     python3 tools/src_lines.py [DIR]
 
@@ -7,11 +8,15 @@ line falls in one kind, read from its tokens (`tokenize`): code if any
 token on it is code; else docstring if a string that stands alone as a
 statement covers it; else comment if a comment sits on it; else blank.  A
 blank line inside a docstring is docstring, one inside any other string is
-code.
+code.  The `public` column counts the module's public top-level functions
+and classes and the public methods of those classes, read from its syntax
+tree (`ast`); a name is public when it does not start with an underscore,
+so dunders are not counted.
 """
 
 from __future__ import annotations
 
+import ast
 import io
 import sys
 import tokenize
@@ -49,18 +54,34 @@ def count(text: str) -> dict[str, int]:
     return {"code": len(code), "docstring": len(doc), "comment": len(comment), "blank": blank}
 
 
+def public(text: str) -> int:
+    """How many public top-level functions and classes, and public methods
+    of those classes, the source text defines."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    n = 0
+    for node in ast.parse(text).body:
+        if isinstance(node, (*defs, ast.ClassDef)) and not node.name.startswith("_"):
+            n += 1
+            if isinstance(node, ast.ClassDef):
+                n += sum(isinstance(m, defs) and not m.name.startswith("_") for m in node.body)
+    return n
+
+
 def main(argv: list[str]) -> int:
     directory = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "padic_mub"
     totals = dict.fromkeys(KINDS, 0)
-    print(f"{'module':<16}" + "".join(f"{kind:>11}" for kind in (*KINDS, "lines")))
+    total_public = 0
+    print(f"{'module':<16}" + "".join(f"{kind:>11}" for kind in (*KINDS, "lines", "public")))
     for path in sorted(directory.glob("*.py")):
-        counts = count(path.read_text())
+        text = path.read_text()
+        counts, n_public = count(text), public(text)
         for kind in KINDS:
             totals[kind] += counts[kind]
+        total_public += n_public
         cells = [counts[kind] for kind in KINDS]
-        print(f"{path.name:<16}" + "".join(f"{c:>11}" for c in (*cells, sum(cells))))
+        print(f"{path.name:<16}" + "".join(f"{c:>11}" for c in (*cells, sum(cells), n_public)))
     cells = [totals[kind] for kind in KINDS]
-    print(f"{'total':<16}" + "".join(f"{c:>11}" for c in (*cells, sum(cells))))
+    print(f"{'total':<16}" + "".join(f"{c:>11}" for c in (*cells, sum(cells), total_public)))
     return 0
 
 
