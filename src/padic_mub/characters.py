@@ -31,16 +31,12 @@ class UnitPhase:
     def trivial(cls, p: int) -> "UnitPhase":
         return cls(PFraction.zero(p))
 
-    @classmethod
-    def of(cls, q: Fraction | int, p: int) -> "UnitPhase":
-        return cls(PFraction.from_fraction(q, p))
-
     @property
     def is_trivial(self) -> bool:
         return not self.phase
 
     def conjugate(self) -> "UnitPhase":
-        return UnitPhase.of(-self.phase.value, self.phase.prime)
+        return UnitPhase(frac_part(-self.phase.value, self.phase.prime))
 
     def __str__(self) -> str:
         return str(self.phase)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import os
@@ -36,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mub_finite, mub_padic, sweeps
-from .errors import CapError, OddPrimeError
+from .errors import CapError, check_odd_prime
 from .finite_field import build_field
 from .gauss import DEFAULT_TERM_CAP, _float_power, check_ring_params, integral_report, ring_report
 from .mub_padic import ball_fourier_closed, ball_state, fourier, make_grid
@@ -156,8 +157,7 @@ def _default_table(report: dict) -> str:
 
 def cmd_gauss_ring(args):
     check_ring_params(args.p, args.k, args.l)  # these errors take precedence over p = 2
-    if args.p == 2:
-        raise OddPrimeError("the ring Gauss-sum norm table")
+    check_odd_prime(args.p, "the ring Gauss-sum norm table")
     report = ring_report(args.p, args.k, args.l, args.a, args.b,
                          oracle=args.oracle, tol=args.tol, term_cap=args.term_cap)
     numeric = "" if report.numeric is None else f"  numeric {_fmt(report.numeric)}"
@@ -170,8 +170,7 @@ def cmd_gauss_ring(args):
 
 
 def cmd_gauss_integral(args):
-    if args.p == 2:
-        raise OddPrimeError("the Gauss-integral norm table")
+    check_odd_prime(args.p, "the Gauss-integral norm table")
     a = parse_coefficient(args.a, args.p)
     b = parse_coefficient(args.b, args.p)
     report = integral_report(args.p, args.r, a, b,
@@ -186,8 +185,7 @@ def cmd_gauss_integral(args):
 
 
 def cmd_mub_finite(args):
-    if args.p == 2:
-        raise OddPrimeError("certifying unbiasedness of the quadratic-phase bases")
+    check_odd_prime(args.p, "certifying unbiasedness of the quadratic-phase bases")
     field = build_field(args.p, args.r)
     bases = mub_finite.FieldMubSet.from_field(field)
     report = mub_finite.verify_mub(bases, tol=args.tol, ortho_tol=args.ortho_tol)
@@ -201,8 +199,7 @@ def cmd_mub_finite(args):
 
 
 def cmd_mub_padic(args):
-    if args.p == 2:
-        raise OddPrimeError("the closed norm table behind the p+1 families")
+    check_odd_prime(args.p, "the closed norm table behind the p+1 families")
     b_samples = (
         [parse_coefficient(t, args.p) for t in args.bs.split(",")] if args.bs else None
     )
@@ -271,7 +268,18 @@ def cmd_eigen_check(args):
 
 
 def cmd_sweep(args):
-    return sweeps.SUITES[args.suite](args.seed, args.term_cap), None
+    """The suite run with each option it reads, as given or else at the
+    suite's default (which the config then records); an option given to a
+    suite that does not read it is refused."""
+    # looked up on the module at call time, so that a wrapped sweep is the one run
+    suite = getattr(sweeps, sweeps.SUITES[args.suite].__name__)
+    params = inspect.signature(suite).parameters  # the options the suite reads
+    for name in ("seed", "term_cap"):
+        if name not in params and getattr(args, name) is not None:
+            raise ValueError(f"sweep {args.suite} does not read --{name.replace('_', '-')}")
+        if name in params and getattr(args, name) is None:
+            setattr(args, name, params[name].default)
+    return suite(**{name: getattr(args, name) for name in params}), None
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +369,9 @@ def _eigen_check_args(s):
 
 def _sweep_args(s):
     s.add_argument("suite", choices=sorted(sweeps.SUITES))
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int)
     _add_common(s, term_cap=True)
+    s.set_defaults(term_cap=None)  # cmd_sweep fills in the suite's own default
     return cmd_sweep
 
 

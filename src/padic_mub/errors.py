@@ -14,13 +14,22 @@ class CapError(RuntimeError):
 
 
 class OddPrimeError(ValueError):
-    """Raised where a closed-form norm formula requires p != 2."""
+    """Raised where a closed-form norm formula requires p != 2
+    (`check_odd_prime`)."""
 
     def __init__(self, context: str = "closed-form quadratic Gauss norm"):
         super().__init__(
             f"{context} requires an odd prime: the case analysis relies on "
             "2 being invertible, so p = 2 is outside its hypothesis"
         )
+
+
+def check_odd_prime(p: int, *context: str) -> None:
+    """Raise OddPrimeError(*context) for p = 2, the one prime outside the
+    hypothesis of the closed norm table and the p + 1 families: the only
+    place in the package that compares p with 2."""
+    if p == 2:
+        raise OddPrimeError(*context)
 
 
 def check_power_cap(p: int, e: int, cap: float, message: str) -> None:

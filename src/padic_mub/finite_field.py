@@ -154,21 +154,20 @@ class FieldCtx:
             yield self.element(n)
 
 
-def build_field(
-    p: int, r: int, modulus: Sequence[int] | None = None, size_cap: int = DEFAULT_FIELD_CAP
-) -> FieldCtx:
+def build_field(p: int, r: int, modulus: Sequence[int] | None = None) -> FieldCtx:
     """Construct F_{p^r}; the default modulus is the lex-smallest irreducible.
 
-    The checks on p, r and the size cap run on every call.  With the default
-    modulus the context is then shared: one per (p, r) and process, so the
-    modulus search and its irreducibility check run once per field.  An
-    explicit modulus builds and validates a context of its own.
+    The checks on p, r and the size cap DEFAULT_FIELD_CAP run on every
+    call.  With the default modulus the context is then shared: one per
+    (p, r) and process, so the modulus search and its irreducibility check
+    run once per field.  An explicit modulus builds and validates a context
+    of its own.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if r < 1:
         raise ValueError("extension degree must be positive")
-    check_power_cap(p, r, size_cap, "field size {size} exceeds cap {cap}")
+    check_power_cap(p, r, DEFAULT_FIELD_CAP, "field size {size} exceeds cap {cap}")
     if modulus is None:
         return _default_field(p, r)
     return FieldCtx(p, r, tuple(int(c) % p for c in modulus))

@@ -14,7 +14,9 @@ ring sum over Z/p^k Z mod p^l reads it at dx, dy = v_l - l (valuations
 truncated at l) with measure p^k; a field sum over F_{p^r} at dx, dy = -r
 or 0 as the coefficient is nonzero or zero.  `simplified_norm` is the table
 read at R = max(r, threshold_t + 1), certified for r > threshold_t, and the
-Gram pairs of `mub_padic` read it too.  The table alone refuses p = 2.
+Gram pairs of `mub_padic` read it too.  The table, the counting oracles
+and the ring reduction of an integral, whose identities all need 2 to be
+a unit, refuse p = 2 through `errors.check_odd_prime`.
 The integral forms read a and b once each (`padic.read_coefficient`), a to
 the window p^(2r) and b to p^r, and form their Fractions last;
 `threshold_t` and `simplified_norm` read valuations alone and refuse a zero
@@ -70,7 +72,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapError, OddPrimeError, check_power_cap
+from .errors import CapError, check_odd_prime, check_power_cap
 from .finite_field import FieldElem
 from .padic import INF, Coefficient, _scaled_residue, int_valuation, is_prime, read_coefficient
 
@@ -79,11 +81,17 @@ DEFAULT_TERM_CAP = 10**6
 NEG_INF = -math.inf
 
 
+def _roots(m: np.ndarray, n: int) -> np.ndarray:
+    """The roots of unity exp(2*pi*i*m/n) of the integer array m: the one
+    place a root is evaluated, so each root is the same double everywhere."""
+    return np.exp(2j * np.pi * m / n)
+
+
 @lru_cache(maxsize=64)
 def roots_of_unity(n: int) -> np.ndarray:
     """The n-th roots of unity exp(2*pi*i*m/n), m = 0..n-1 (read-only).
     Cached, so only for the p-entry tables of F_p phases."""
-    w = np.exp(2j * np.pi * np.arange(n) / n)
+    w = _roots(np.arange(n), n)
     w.setflags(write=False)
     return w
 
@@ -124,7 +132,7 @@ def _phase_sum(counts: np.ndarray, mod: int, p: int) -> complex:
     The counts are first reduced by their minimum on each coset of
     (mod/p)Z/mod Z, which changes the sum by an exact 0; only the nonzero
     bins of the result enter, in ascending residue order, and only they are
-    gathered and reduced.  Their roots exp(2*pi*i*m/mod) are those of
+    gathered and reduced.  Their roots `_roots(m, mod)` are those of
     `roots_of_unity(mod)`, bit for bit, without a table of all mod roots.
     See the module docstring for the error bound.
     """
@@ -133,7 +141,7 @@ def _phase_sum(counts: np.ndarray, mod: int, p: int) -> complex:
     low = cosets.min(axis=0)
     m = np.flatnonzero(cosets != low)  # the nonzero bins of counts - low
     c = counts[m] - low[m % step]
-    w = np.exp(2j * np.pi * m / mod)
+    w = _roots(m, mod)
     # fsum reads the doubles through a memoryview, without a list of floats
     real = math.fsum(memoryview(c * w.real))
     return complex(real, math.fsum(memoryview(c * w.imag)))
@@ -199,8 +207,7 @@ _CASES = ("case1", "case2", "case3")
 def _norm_table(p: int, dx, dy):
     """Case index 0, 1 or 2 (case1..case3, see the module docstring) of the
     shifted valuations dx, dy, given as ints, math.inf or int arrays."""
-    if p == 2:
-        raise OddPrimeError()
+    check_odd_prime(p)
     # plain operators, so that scalars stay Python numbers and arrays numpy
     case1 = (dx < 0) & (dx <= dy)
     case2 = (dy < 0) & (case1 == 0)
@@ -331,7 +338,7 @@ def ring_sum_normsq_exact(p: int, k: int, l: int, a: int, b: int) -> int:
     """
     if not 1 <= l <= k:
         raise ValueError("need k >= l >= 1")
-    _norm_table(p, 0, 0)  # odd p only
+    check_odd_prime(p)
     mod = p**l
     _check_modulus(mod)
     s = _split_base(p, l, 2 * SPLIT_MIN_TERMS)
@@ -392,7 +399,7 @@ def ring_sum_numeric_table(
     mod = p**l
     scale = p ** (k - l)  # each residue class mod p^l is hit p^(k-l) times
     x = _residues(mod)
-    w = np.exp(2j * np.pi * x / mod)  # its own table, not the cached one
+    w = _roots(x, mod)  # its own table, not the cached one
     chirp = w[np.outer(x, x * x % mod) % mod]  # chirp[a, x] = zeta^(a*x^2)
     return scale * mod * np.fft.ifft(chirp, axis=1)
 
@@ -400,7 +407,7 @@ def ring_sum_numeric_table(
 def ring_sum_normsq_table(p: int, k: int, l: int) -> np.ndarray:
     """Exact counting |sum|^2 for every (a, b) in [0, p^l)^2 (int64 array);
     odd p only, as ring_sum_normsq_exact."""
-    _norm_table(p, 0, 0)  # odd p only
+    check_odd_prime(p)
     mod = p**l
     y = _residues(mod)
     a = y[:, None]
@@ -468,7 +475,7 @@ def _integral_reduction(
     the ring sum of A, B at k = l, which is refused over term_cap terms
     before p^l or the scale p^(r-l) is formed.
     """
-    _norm_table(p, dx, dy)  # odd p only, as the table it checks
+    check_odd_prime(p)  # as the table it checks
     l = max(1, -dx, -dy)
     check_power_cap(p, l, term_cap, "{size} terms exceed the cap {cap}")
     scale = _float_power(p, r - l, "norm scale")

@@ -48,15 +48,14 @@ def _structure_tensor(ctx: FieldCtx) -> np.ndarray:
     return np.array([[powers[s + t] for t in range(r)] for s in range(r)], dtype=np.int64)
 
 
-def _trace_tables(
-    ctx: FieldCtx, dim_cap: int = DEFAULT_DIM_CAP
-) -> tuple[np.ndarray, np.ndarray]:
+def _trace_tables(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
     """The int64 tables (trace(a*x^2), trace(b*x)) of the field's elements, in
     label order; every entry is a residue in [0, p).  Both are one product of
-    the field's `_trace_rows`, made afresh for each call."""
+    the field's `_trace_rows`, made afresh for each call, for a field of at
+    most DEFAULT_DIM_CAP elements."""
     p, r, q = ctx.p, ctx.r, ctx.size
-    if q > dim_cap:
-        raise CapError(f"dimension {q} exceeds cap {dim_cap}")
+    if q > DEFAULT_DIM_CAP:
+        raise CapError(f"dimension {q} exceeds cap {DEFAULT_DIM_CAP}")
     # the widest int64 sum in _trace_rows is the squares': r^2 products of three residues
     if r * r * (p - 1) ** 3 > INT64_MAX:
         raise CapError(f"F_{p}^{r} products of three residues overflow int64")

@@ -23,11 +23,12 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import phase_to_complex
-from .errors import CapError, ResolutionError, check_power_cap
+from .errors import CapError, ResolutionError, check_odd_prime, check_power_cap
 from .gauss import (
     MAX_INT64_RESIDUE,
     NEG_INF,
     _float_power,
+    _roots,
     _simplified,
     _threshold,
 )
@@ -87,9 +88,10 @@ class Grid:
         return _scaled_residue(self.p, self.r + self.k, xf, v, v + self.r)  # x*p^r mod n
 
 
-def make_grid(p: int, r: int, k: int, cell_cap: int = DEFAULT_CELL_CAP) -> Grid:
+def make_grid(p: int, r: int, k: int) -> Grid:
+    """Grid(p, r, k), refused past DEFAULT_CELL_CAP cells."""
     grid = Grid(p, r, k)
-    check_power_cap(p, r + k, cell_cap, "{size} cells exceed the cap {cap}")
+    check_power_cap(p, r + k, DEFAULT_CELL_CAP, "{size} cells exceed the cap {cap}")
     return grid
 
 
@@ -179,12 +181,6 @@ def _quad_phase_indices(
     return (idx % p**depth if depth else idx), depth
 
 
-def _cell_roots(idx: np.ndarray, depth: int, p: int) -> np.ndarray:
-    """The roots of unity with exact phases idx / p^depth, each evaluated at
-    its cell as `gauss._phase_sum` evaluates its roots."""
-    return np.exp(2j * np.pi * idx / p**depth)
-
-
 def _cell_phase_indices(a: Coefficient, b: Coefficient, grid: Grid) -> tuple[np.ndarray, int]:
     """_quad_phase_indices once a and b, each read once, are known well
     enough and the grid resolves e(a*x^2 + b*x) (k >= required_resolution)."""
@@ -225,7 +221,7 @@ def quadratic_phase_profile(
 def vector_v(a: Coefficient, b: Coefficient, grid: Grid) -> StateVector:
     """The quadratic-character state with amplitude e(a*x^2 + b*x) per cell."""
     idx, depth = _cell_phase_indices(a, b, grid)
-    return StateVector(grid, _cell_roots(idx, depth, grid.p))
+    return StateVector(grid, _roots(idx, grid.p**depth))
 
 
 def _ball_indicator(grid: Grid, i0: int, e: int, value: float) -> StateVector:
@@ -315,7 +311,7 @@ def _times_phase(psi: StateVector, idx: np.ndarray, depth: int) -> StateVector:
     """psi times the roots of unity with exact phases idx / p^depth."""
     if depth == 0:
         return StateVector(psi.grid, psi.amplitudes.copy())
-    return StateVector(psi.grid, psi.amplitudes * _cell_roots(idx, depth, psi.grid.p))
+    return StateVector(psi.grid, psi.amplitudes * _roots(idx, psi.grid.p**depth))
 
 
 def op_Z(psi: StateVector, d: Coefficient) -> StateVector:
@@ -490,9 +486,9 @@ def _state_stack(reads: list, codes: np.ndarray, grid: Grid) -> np.ndarray:
     come from one broadcast of (i mod p^T)^2 and of i mod p^T over the
     cells, at the deepest depth T in use, and the delta rows from one
     scatter.  A state of depth M reads its row divided by p^(T - M), which
-    is the row vector_v builds, from one np.exp over the p^M roots of its
-    depth, each root evaluated as vector_v evaluates it: every float is
-    vector_v's or vector_v_inf's.
+    is the row vector_v builds, from the p^M roots of its depth, each one
+    `gauss._roots` at n = p^M as in vector_v: every float is vector_v's or
+    vector_v_inf's.
     """
     p, r, n = grid.p, grid.r, grid.n
     # code -> (M, c, fits) of a chirp's a, and of its b: fits says the grid
@@ -545,7 +541,7 @@ def _state_stack(reads: list, codes: np.ndarray, grid: Grid) -> np.ndarray:
         # per depth, a block of 2p^top entries holds its p^m roots, each
         # repeated p^(top - m) times, twice over, as the index stays below 2p^top
         depths, block = np.unique(depth, return_inverse=True)
-        table = np.concatenate([np.tile(np.repeat(_cell_roots(np.arange(p**m), m, p),
+        table = np.concatenate([np.tile(np.repeat(_roots(np.arange(p**m), p**m),
                                                   p ** (top - m)), 2) for m in depths.tolist()])
         idx = rows[a]
         idx += rows[len(reads) + b]
@@ -607,7 +603,6 @@ def gram_report(
     *,
     auto_raise: bool = True,
     tol: float = 1e-9,
-    cell_cap: int = DEFAULT_CELL_CAP,
 ) -> GramReport:
     """Verify the full cross table of a finite sample of the basis families.
 
@@ -615,6 +610,7 @@ def gram_report(
     auto-sized; with auto_raise the truncation exponent is raised until every
     pair's closed value is certified, otherwise under-threshold pairs are
     computed but flagged uncertified and excluded from the pass criterion.
+    p = 2 is refused (OddPrimeError) before any label is read.
 
     The table is built in one pass per table, not one call per state.  Each
     distinct label is read once (`read_coefficient`): its valuation first,
@@ -626,6 +622,7 @@ def gram_report(
     per-state constructors, so the report's bytes do not depend on how the
     labels were read.
     """
+    check_odd_prime(p)
     raw = [(_normalize_family(a), b) for a, b in params]
     labels, codes = _index_labels(raw)
     reads = [None if x is None else read_coefficient(x, p) for x in labels]
@@ -650,7 +647,8 @@ def gram_report(
     r_low = r
     if auto_raise:
         r_low = max([r, *(-vals[c] for c in codes[delta, 1].tolist() if vals[c] != INF)])
-    check_power_cap(p, r_low + resolution(r_low), cell_cap, "{size} cells exceed the cap {cap}")
+    check_power_cap(p, r_low + resolution(r_low), DEFAULT_CELL_CAP,
+                    "{size} cells exceed the cap {cap}")
     values = [Fraction(0) if x is None else x.value for x in reads]  # a delta's a read as 0
     num, d = _numerators(values)
     table = _difference_valuations(num, d, p)
@@ -680,7 +678,7 @@ def gram_report(
     min_r[~mixed] = np.array(thresholds)[key_of] + 1
     r_used = max(int(min_r.max(initial=r)), r_low) if auto_raise else r
     k = resolution(r_used)
-    grid = make_grid(p, r_used, k, cell_cap)
+    grid = make_grid(p, r_used, k)
     stack = _state_stack(reads, codes, grid)
     text = ["inf" if x is None else str(xf) for x, xf in zip(reads, values)]
     gram = stack.conj() @ stack.T * float(grid.measure)

@@ -82,9 +82,11 @@ def int_valuation(n: int, p: int) -> int | float:
 def _scaled_residue(p: int, l: int, x: Fraction, v: int | float, e: int | float) -> int:
     """x * p^(e - v) mod p^l for x of valuation v and e >= 0: p^e times the
     unit part of x, in integers.  It is 0 for e >= l, which covers x = 0 (v
-    and e inf)."""
+    and e inf).  For e < 0, x * p^(e - v) is not p-integral: ValueError."""
     if e >= l:
         return 0
+    if e < 0:
+        raise ValueError(f"{x} * {p}^{e - v} is not {p}-integral: no residue modulo {p}^{l}")
     num, den = x.numerator, x.denominator
     if v > 0:
         num //= p**v
@@ -116,18 +118,6 @@ class PFraction:
     @classmethod
     def zero(cls, p: int) -> "PFraction":
         return cls(p, 0, 0)
-
-    @classmethod
-    def from_fraction(cls, q: Fraction | int, p: int) -> "PFraction":
-        """Reduce a rational with p-power denominator into [0, 1)."""
-        q = Fraction(q) % 1
-        den, n = q.denominator, 0
-        while den % p == 0:
-            den //= p
-            n += 1
-        if den != 1:
-            raise ValueError(f"denominator of {q} is not a power of {p}")
-        return cls(p, q.numerator, n) if q else cls(p, 0, 0)
 
     @property
     def value(self) -> Fraction:

@@ -1,8 +1,10 @@
 """Exhaustive and randomized verification sweeps over the module contracts.
 
-Each sweep drives one family of oracle-equivalence checks across a full
-parameter grid and returns an aggregate, JSON-ready summary.  The CLI's
-`sweep` command and the acceptance suite both run these.
+Each sweep drives one family of oracle-equivalence checks across a fixed
+parameter grid, with fixed tolerances, and returns an aggregate, JSON-ready
+summary.  The CLI's `sweep` command and the acceptance suite both run these.
+A sweep's parameters are the options it reads: `term_cap` for gauss-grid
+and thresholds, `seed` for operators (`SUITES`).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .gauss import (
     DEFAULT_TERM_CAP,
     NEG_INF,
     _integral_reduction,
+    _roots,
     _simplified,
     _table_norm,
     _threshold,
@@ -28,7 +31,6 @@ from .gauss import (
 from .mub_padic import (
     StateVector,
     _cell_phase_indices,
-    _cell_roots,
     _quad_phase_indices,
     eigen_check,
     make_grid,
@@ -39,6 +41,7 @@ from .padic import PFraction, frac_part, read_coefficient
 GAUSS_GRID_PRIMES = (3, 5, 7)
 GAUSS_GRID_MAX_EXP = 3
 GAUSS_GRID_TERM_BOUND = 400
+THRESHOLDS_PRIME = 3
 
 
 def gauss_grid_combos():
@@ -50,13 +53,14 @@ def gauss_grid_combos():
                 yield p, k, l
 
 
-def sweep_gauss_grid(tol_rel: float = 1e-6, term_cap: int = DEFAULT_TERM_CAP) -> dict:
+def sweep_gauss_grid(term_cap: int = DEFAULT_TERM_CAP) -> dict:
     """Ring-sum oracle equivalence over every (a, b) of every grid combo.
 
     For each combo the closed-form norm must equal the square root of the
     exact counting norm^2 *exactly*, and the brute-force numeric norm must
-    agree within tol_rel (relative to max(norm, 1)).
+    agree within tol_rel = 1e-6 (relative to max(norm, 1)).
     """
+    tol_rel = 1e-6
     checks = failures = 0
     max_rel = 0.0
     combos = []
@@ -84,22 +88,24 @@ def sweep_gauss_grid(tol_rel: float = 1e-6, term_cap: int = DEFAULT_TERM_CAP) ->
     }
 
 
-def threshold_grid_coefficients(p: int = 3, units=(1, 2)):
-    """Coefficients with every valuation in [-3, 3] plus the zero, per unit."""
+def threshold_grid_coefficients():
+    """The zero and u * p^v for the units u = 1, 2 and every valuation v in
+    [-3, 3], at p = THRESHOLDS_PRIME."""
     vals: list[Fraction] = [Fraction(0)]
     for v in range(-3, 4):
-        for u in units:
-            vals.append(Fraction(u) * Fraction(p) ** v)
+        for u in (1, 2):
+            vals.append(Fraction(u) * Fraction(THRESHOLDS_PRIME) ** v)
     return vals
 
 
-def sweep_thresholds(p: int = 3, tol: float = 1e-9, term_cap: int = DEFAULT_TERM_CAP) -> dict:
+def sweep_thresholds(term_cap: int = DEFAULT_TERM_CAP) -> dict:
     """Gauss-integral oracle equivalence and threshold behaviour on a grid.
 
-    Checks, for every coefficient pair: numeric vs closed norm within tol at
-    each r in [-2, 3]; the simplified three-case table at every tested r
-    above the threshold; and that the table is flagged uncertified (never
-    asserted) at or below it.  Also verifies the threshold is not vacuous.
+    Checks, for every coefficient pair at p = THRESHOLDS_PRIME: numeric vs
+    closed norm within tol = 1e-9 at each r in [-2, 3]; the simplified
+    three-case table at every tested r above the threshold; and that the
+    table is flagged uncertified (never asserted) at or below it.  Also
+    verifies the threshold is not vacuous.
 
     The numeric norm is integral_numeric's value, p^(r-l) times one period
     of a ring sum; many (r, a, b) reduce to the same ring sum (l, A, B), so
@@ -107,12 +113,13 @@ def sweep_thresholds(p: int = 3, tol: float = 1e-9, term_cap: int = DEFAULT_TERM
     on every check that reduces to it.  a and b are read once per pair, and
     each r shifts their valuations v(a), v(b).
     """
+    p, tol = THRESHOLDS_PRIME, 1e-9
     checks = failures = skipped = 0
     ring_sums: dict[tuple[int, int, int], complex] = {}
     max_dev = 0.0
     mismatch_below_threshold = 0
-    for a in threshold_grid_coefficients(p):
-        for b in threshold_grid_coefficients(p):
+    for a in threshold_grid_coefficients():
+        for b in threshold_grid_coefficients():
             ra, rb = read_coefficient(a, p), read_coefficient(b, p)
             af, bf, va, vb = ra.value, rb.value, ra.valuation, rb.valuation
             t = _threshold(va, vb)
@@ -187,7 +194,7 @@ def _commutation_deviation(state: StateVector, cd: PFraction, shift: int, row) -
     idx, depth = row
     lhs, rhs = np.roll(state.amplitudes, shift), state.amplitudes
     if depth:  # at depth 0 op_Z copies psi and multiplies nothing
-        roots = _cell_roots(idx, depth, state.grid.p)
+        roots = _roots(idx, state.grid.p**depth)
         lhs, rhs = lhs * roots, rhs * roots
     return float(np.abs(lhs - phase_to_complex(cd) * np.roll(rhs, shift)).max())
 
@@ -201,10 +208,9 @@ def _chirp_exact(grid, a: Fraction, d: Fraction, b: Fraction) -> bool:
     return bool(np.array_equal((ab + dd) % grid.p**m, apd))
 
 
-def sweep_operators(
-    seed: int = 0, p: int = 3, n_commutation: int = 50, n_eigen: int = 25, tol: float = 1e-9
-) -> dict:
-    """Randomized operator-algebra checks with a fixed seed.
+def sweep_operators(seed: int = 0) -> dict:
+    """Randomized operator-algebra checks with a fixed seed, at p = 3: 50
+    commutations and 25 eigenrelations, each within tol = 1e-9, and 10 chirps.
 
     Commutation: modulation-after-shift differs from shift-after-modulation
     by the exact global phase e(c*d), checked both exactly on integer
@@ -213,6 +219,7 @@ def sweep_operators(
     state up to e(-bc-ac^2).  Chirp: relabels quadratic states, checked
     exactly on integer phase-index rows, on every cell.
     """
+    p, n_commutation, n_eigen, tol = 3, 50, 25, 1e-9
     rng = np.random.default_rng(seed)
     failures = 0
     worst = 0.0
@@ -270,7 +277,7 @@ def _random_state(rng: np.random.Generator, grid) -> StateVector:
 
 
 SUITES = {
-    "gauss-grid": lambda seed, term_cap: sweep_gauss_grid(term_cap=term_cap),
-    "thresholds": lambda seed, term_cap: sweep_thresholds(term_cap=term_cap),
-    "operators": lambda seed, term_cap: sweep_operators(seed=seed),
+    "gauss-grid": sweep_gauss_grid,
+    "thresholds": sweep_thresholds,
+    "operators": sweep_operators,
 }

@@ -7,6 +7,9 @@ the package to.
   `known_valuation` (gauss._known_valuation) and `shifted_valuations`
   (gauss._shifted_valuations).
 * `rational_mod`, the Fraction residue that `padic._scaled_residue` replaced.
+* `pfraction_of`, the former `PFraction.from_fraction` behind the former
+  `UnitPhase.of`: a second route from a rational to a phase, now taken only
+  by `padic.frac_part`.
 * The basis-matrix path of `mub_finite`: `BasisMatrix`, `build_mub_set` and
   `verify_matrices`, one Gram per basis and one product |u* v| per pair.
 * The per-pair row objects of the two row reports (`PairStat` from
@@ -25,9 +28,9 @@ import numpy as np
 from padic_mub.errors import PrecisionError
 from padic_mub.finite_field import FieldCtx, FieldElem
 from padic_mub.gauss import roots_of_unity
-from padic_mub.mub_finite import DEFAULT_DIM_CAP, MubReport, _trace_tables
+from padic_mub.mub_finite import MubReport, _trace_tables
 from padic_mub.mub_padic import GramReport
-from padic_mub.padic import INF, MAX_VALUATION_BITS, PadicNumber, int_valuation
+from padic_mub.padic import INF, MAX_VALUATION_BITS, PadicNumber, PFraction, int_valuation
 
 
 def frac_valuation(q, p):
@@ -101,6 +104,20 @@ def rational_mod(q, modulus):
     return q.numerator * pow(q.denominator, -1, modulus) % modulus
 
 
+def pfraction_of(q, p):
+    """Reduce a rational with p-power denominator into [0, 1), stripping its
+    denominator's factors of p one at a time; ValueError for any other
+    denominator."""
+    q = Fraction(q) % 1
+    den, n = q.denominator, 0
+    while den % p == 0:
+        den //= p
+        n += 1
+    if den != 1:
+        raise ValueError(f"denominator of {q} is not a power of {p}")
+    return PFraction(p, q.numerator, n) if q else PFraction(p, 0, 0)
+
+
 @dataclass
 class BasisMatrix:
     """One orthonormal basis: columns are the basis vectors."""
@@ -120,11 +137,12 @@ def _phase_matrix(phases, p):
     return np.concatenate((roots, roots)).take(phases)
 
 
-def build_mub_set(fieldctx: FieldCtx, dim_cap: int = DEFAULT_DIM_CAP) -> list[BasisMatrix]:
+def build_mub_set(fieldctx: FieldCtx) -> list[BasisMatrix]:
     """All p^r bases V_a plus the computational basis, deterministically
-    ordered, from the field's trace tables.  The construction is
+    ordered, from the field's trace tables, refused past
+    `mub_finite.DEFAULT_DIM_CAP` elements.  The construction is
     prime-agnostic: p = 2 builds too."""
-    tr_ax2, tr_bx = _trace_tables(fieldctx, dim_cap)
+    tr_ax2, tr_bx = _trace_tables(fieldctx)
     p, q = fieldctx.p, fieldctx.size
     bases = [
         BasisMatrix(label=f"a={a}", a=a, matrix=_phase_matrix(tr_ax2[:, [n]] + tr_bx, p))

@@ -52,9 +52,10 @@ def test_criterion_1_finite_field_mubs():
 
 def test_criterion_2_ring_sum_oracle_equivalence():
     t0 = time.monotonic()
-    result = sweep_gauss_grid(tol_rel=1e-6)
+    result = sweep_gauss_grid()
     elapsed = time.monotonic() - t0
-    ok = result["passed"] and result["failures"] == 0 and elapsed < 60.0
+    ok = result["passed"] and result["failures"] == 0 and result["tol_rel"] == 1e-6
+    ok = ok and elapsed < 60.0
     # the sweep compares closed-form norm^2 with the exact count *exactly*
     # and the numeric norm within 1e-6 relative for every (a, b)
     expected_pairs = sum(c["pairs"] for c in result["combos"])
@@ -64,9 +65,10 @@ def test_criterion_2_ring_sum_oracle_equivalence():
 
 
 def test_criterion_3_integral_oracle_and_thresholds():
-    result = sweep_thresholds(p=3, tol=1e-9)
+    result = sweep_thresholds()
     ok = (
-        result["passed"]
+        (result["p"], result["tol"]) == (3, 1e-9)
+        and result["passed"]
         and result["failures"] == 0
         and result["max_deviation"] <= 1e-9
         and result["threshold_not_vacuous"]
@@ -115,9 +117,10 @@ def test_criterion_5_fourier_ball_and_plancherel():
 
 
 def test_criterion_6_operator_algebra():
-    result = sweep_operators(seed=2024, p=3, n_commutation=50, n_eigen=25, tol=1e-9)
+    result = sweep_operators(seed=2024)
     ok = (
-        result["passed"]
+        [result[key] for key in ("p", "n_commutation", "n_eigen", "tol")] == [3, 50, 25, 1e-9]
+        and result["passed"]
         and result["failures"] == 0
         and result["max_eigen_residual"] < 1e-9
     )

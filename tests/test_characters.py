@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from padic_mub import UnitPhase, char_e, char_of_rational, from_rational, phase_mul, phase_to_complex
 from padic_mub.padic import PFraction, frac_part
 
+from oracles import pfraction_of
+
 
 def test_trivial_on_padic_integers():
     for num in (1, 2, 7, -5, 45, -1):
@@ -33,10 +35,10 @@ def test_char_minus_one_ninth():
 
 
 def test_phase_mul_examples():
-    p13 = UnitPhase.of(Fraction(1, 3), 3)
-    p23 = UnitPhase.of(Fraction(2, 3), 3)
-    p19 = UnitPhase.of(Fraction(1, 9), 3)
-    p89 = UnitPhase.of(Fraction(8, 9), 3)
+    p13 = char_of_rational(Fraction(1, 3), 3)
+    p23 = char_of_rational(Fraction(2, 3), 3)
+    p19 = char_of_rational(Fraction(1, 9), 3)
+    p89 = char_of_rational(Fraction(8, 9), 3)
     assert phase_mul(p13, p23).is_trivial
     assert phase_mul(p19, p13).phase.value == Fraction(4, 9)
     assert phase_mul(p89, p89).phase.value == Fraction(7, 9)
@@ -44,19 +46,19 @@ def test_phase_mul_examples():
 
 def test_phase_mul_rejects_mixed_primes():
     with pytest.raises(ValueError):
-        phase_mul(UnitPhase.of(Fraction(1, 3), 3), UnitPhase.of(Fraction(1, 5), 5))
+        phase_mul(char_of_rational(Fraction(1, 3), 3), char_of_rational(Fraction(1, 5), 5))
 
 
 def test_phase_to_complex_values():
     assert phase_to_complex(UnitPhase.trivial(3)) == 1 + 0j
-    assert abs(phase_to_complex(UnitPhase.of(Fraction(1, 2), 2)) - (-1)) < 1e-15
-    w = phase_to_complex(UnitPhase.of(Fraction(1, 3), 3))
+    assert abs(phase_to_complex(char_of_rational(Fraction(1, 2), 2)) - (-1)) < 1e-15
+    w = phase_to_complex(char_of_rational(Fraction(1, 3), 3))
     assert abs(w - complex(-0.5, 0.8660254037844387)) < 1e-15
 
 
 def test_phase_to_complex_unit_modulus():
     for m in range(27):
-        q = UnitPhase.of(Fraction(m, 27), 3)
+        q = char_of_rational(Fraction(m, 27), 3)
         assert abs(abs(phase_to_complex(q)) - 1.0) < 1e-15
         assert abs(phase_to_complex(q) - cmath.exp(2j * cmath.pi * m / 27)) < 1e-14
 
@@ -94,7 +96,7 @@ def test_only_fractional_part_of_alpha_matters_on_integers():
 
 
 def test_conjugate_inverts():
-    q = UnitPhase.of(Fraction(5, 27), 3)
+    q = char_of_rational(Fraction(5, 27), 3)
     assert phase_mul(q, q.conjugate()).is_trivial
 
 
@@ -107,18 +109,19 @@ def test_char_of_rational_agrees_with_digit_route():
 
 
 def test_phase_prints_as_exact_fraction():
-    assert str(UnitPhase.of(Fraction(8, 9), 3)) == "8/3^2"
-    assert str(UnitPhase.of(Fraction(1, 3), 3)) == "1/3"
+    assert str(char_of_rational(Fraction(8, 9), 3)) == "8/3^2"
+    assert str(char_of_rational(Fraction(1, 3), 3)) == "1/3"
     assert str(UnitPhase.trivial(3)) == "0"
     assert str(frac_part(Fraction(-1, 9), 3)) == "8/3^2"
 
 
 def phase_mul_by_fraction(q1: UnitPhase, q2: UnitPhase) -> UnitPhase:
-    """phase_mul as it was: a Fraction sum, reduced by PFraction.from_fraction."""
+    """phase_mul as it was: a Fraction sum, reduced by the former
+    PFraction.from_fraction (`oracles.pfraction_of`)."""
     p = q1.phase.prime
     if q2.phase.prime != p:
         raise ValueError(f"mixed primes {p} and {q2.phase.prime}")
-    return UnitPhase(PFraction.from_fraction(q1.phase.value + q2.phase.value, p))
+    return UnitPhase(pfraction_of(q1.phase.value + q2.phase.value, p))
 
 
 @st.composite
@@ -145,4 +148,16 @@ def test_phase_mul_matches_the_fraction_sum(data, p):
         assert phase_mul(q1, other) == phase_mul_by_fraction(q1, other)
     p_other = {2: 3, 3: 5, 5: 7, 7: 2}[p]
     with pytest.raises(ValueError, match=f"mixed primes {p} and {p_other}"):
-        phase_mul(q1, UnitPhase.of(Fraction(1, p_other), p_other))
+        phase_mul(q1, char_of_rational(Fraction(1, p_other), p_other))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 11]), m=st.integers(-10**4, 10**4), n=st.integers(0, 6))
+def test_char_of_rational_is_the_old_reduction_on_p_power_denominators(p, m, n):
+    """char_of_rational, the one route from a rational to a phase, is the
+    former UnitPhase.of (`oracles.pfraction_of`) wherever that was defined,
+    and conjugate takes the same route."""
+    q = Fraction(m, p**n)
+    phase = char_of_rational(q, p)
+    assert phase == UnitPhase(pfraction_of(q, p))
+    assert phase.conjugate() == UnitPhase(pfraction_of(-q, p))

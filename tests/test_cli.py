@@ -1,8 +1,10 @@
 """Command-line contract: exit codes, report schemas, determinism."""
 
+import ast
 import dataclasses
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,10 +21,12 @@ from padic_mub import (
 )
 from padic_mub.finite_field import FieldCtx
 from padic_mub.padic import PadicNumber
-from padic_mub.gauss import DEFAULT_TERM_CAP
 from padic_mub.cli import main
 
 from oracles import gram_entries, report_dict
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "padic_mub"
 
 
 def run(capsys, *argv):
@@ -56,9 +60,47 @@ ODD_PRIME_INTEGRAL = ("error: the Gauss-integral norm table requires an odd prim
      "error: need k >= l >= 1\n"),
     # the odd-prime rule comes before the coefficient is read
     (["gauss-integral", "-p", "2", "-r", "1", "-a", "5/0", "-b", "0"], ODD_PRIME_INTEGRAL),
-], ids=["ring-k-l-first", "integral-before-coefficient"])
+    # each command names what needs the odd prime
+    (["mub-finite", "-p", "2", "-r", "1"],
+     "error: certifying unbiasedness of the quadratic-phase bases requires an odd prime: the "
+     "case analysis relies on 2 being invertible, so p = 2 is outside its hypothesis\n"),
+    (["mub-padic", "-p", "2", "-r", "1"],
+     "error: the closed norm table behind the p+1 families requires an odd prime: the case "
+     "analysis relies on 2 being invertible, so p = 2 is outside its hypothesis\n"),
+], ids=["ring-k-l-first", "integral-before-coefficient", "mub-finite", "mub-padic"])
 def test_p2_refusals_keep_their_order(capsys, argv, err):
     assert run(capsys, *argv) == (2, "", err)
+
+
+def _operand(x):
+    """2 for the constant 2, "p" for a name or attribute p or prime."""
+    if isinstance(x, ast.Constant) and x.value == 2:
+        return 2
+    return "p" if getattr(x, "id", getattr(x, "attr", None)) in ("p", "prime") else None
+
+
+def _compares_p_with_two(node) -> bool:
+    """node is p == 2 or p != 2, either way round."""
+    if not isinstance(node, ast.Compare):
+        return False
+    sides = [node.left, *node.comparators]
+    return any(isinstance(op, (ast.Eq, ast.NotEq)) and {_operand(x), _operand(y)} == {"p", 2}
+               for op, x, y in zip(node.ops, sides, sides[1:]))
+
+
+def test_only_errors_compares_p_with_two():
+    """The odd-prime rule is written once, in errors.check_odd_prime."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [path.name for node in ast.walk(tree) if _compares_p_with_two(node)]
+        if path.name == "errors.py":
+            gate = next(fn for fn in tree.body if getattr(fn, "name", "") == "check_odd_prime")
+            assert any(_compares_p_with_two(node) for node in ast.walk(gate))
+    assert found == ["errors.py"]
+    assert _compares_p_with_two(ast.parse("args.p == 2").body[0].value)
+    assert _compares_p_with_two(ast.parse("2 != ctx.prime").body[0].value)
+    assert not _compares_p_with_two(ast.parse("n % 2 == 0").body[0].value)
 
 
 def test_gauss_ring_case2(capsys):
@@ -328,6 +370,22 @@ def test_term_cap_is_rejected_where_nothing_reads_it(capsys, argv):
     assert "unrecognized arguments: --term-cap 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite, option", [
+    ("gauss-grid", "--seed"), ("thresholds", "--seed"), ("operators", "--term-cap"),
+])
+def test_sweep_refuses_an_option_its_suite_does_not_read(capsys, suite, option):
+    argv = ["sweep", suite, option, "5"]
+    assert run(capsys, *argv) == (2, "", f"error: sweep {suite} does not read {option}\n")
+
+
+def test_sweep_passes_an_option_its_suite_reads_and_records_the_rest(capsys):
+    code, out, err = run(capsys, "sweep", "gauss-grid", "--term-cap", "5")
+    assert (code, out, err) == (2, "", "error: 3^2 terms exceed the cap 5\n")
+    code, out, _ = run(capsys, "sweep", "operators", "--format", "json")
+    config = json.loads(out)["config"]
+    assert code == 0 and (config["seed"], config["term_cap"]) == (0, None)
+
+
 def test_json_reports_are_deterministic(capsys):
     argv = ["mub-padic", "-p", "3", "-r", "1", "--format", "json"]
     code1, out1, _ = run(capsys, *argv)
@@ -433,7 +491,7 @@ def _plain_json_types(obj) -> bool:
     pytest.param(lambda: report_dict(gram_report(canonical_family_params(3), r=1, p=3)),
                  id="gram"),
     pytest.param(lambda: eigen_check(1, 0, Fraction(1, 3), p=3).to_json_dict(), id="eigen"),
-    *(pytest.param(lambda suite=suite: sweeps.SUITES[suite](0, DEFAULT_TERM_CAP),
+    *(pytest.param(lambda suite=suite: sweeps.SUITES[suite](),
                    id=f"sweep-{suite}") for suite in sorted(sweeps.SUITES)),
 ])
 def test_report_json_dicts_serialize(report):

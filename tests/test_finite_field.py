@@ -210,14 +210,15 @@ def test_explicit_modulus_validation():
     assert same == default and same is not default
 
 
-def test_default_field_is_one_context_per_p_and_r():
+def test_default_field_is_one_context_per_p_and_r(monkeypatch):
     seen = {}
     for p, r in [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (2, 4), (7, 2)]:
         f = build_field(p, r)
         assert (f.p, f.r) == (p, r) and build_field(p, r) is f
         seen[p, r] = f
     assert len({id(f) for f in seen.values()}) == len(seen)
-    assert build_field(3, 2, size_cap=9) is seen[3, 2]
+    monkeypatch.setattr("padic_mub.finite_field.DEFAULT_FIELD_CAP", 9)
+    assert build_field(3, 2) is seen[3, 2]
 
 
 def test_every_field_under_the_default_cap_stays_shared():
@@ -229,10 +230,11 @@ def test_every_field_under_the_default_cap_stays_shared():
     assert all(build_field(p, r) is f for (p, r), f in zip(fields, first))
 
 
-def test_checks_run_before_the_shared_context_is_read():
+def test_checks_run_before_the_shared_context_is_read(monkeypatch):
     build_field(5, 4)
+    monkeypatch.setattr("padic_mub.finite_field.DEFAULT_FIELD_CAP", 624)
     with pytest.raises(CapError, match="field size 5\\^4 exceeds cap 624"):
-        build_field(5, 4, size_cap=624)
+        build_field(5, 4)
     build_field(2, 1)
     with pytest.raises(ValueError, match="extension degree"):
         build_field(2, 0)

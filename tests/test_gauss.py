@@ -913,8 +913,8 @@ def test_an_inexact_zero_has_no_valuation():
 
 def _threshold_cases(p=3):
     """Every (r, a, b) that sweep_thresholds checks, in its order."""
-    for a in threshold_grid_coefficients(p):
-        for b in threshold_grid_coefficients(p):
+    for a in threshold_grid_coefficients():
+        for b in threshold_grid_coefficients():
             t = threshold_t(p, a, b)
             r_values = set(range(-2, 4))
             if t != NEG_INF:
@@ -928,8 +928,8 @@ def _old_sweep_thresholds(p=3, tol=1e-9, term_cap=DEFAULT_TERM_CAP):
     checks = failures = skipped = 0
     max_dev = 0.0
     mismatch_below_threshold = 0
-    for a in threshold_grid_coefficients(p):
-        for b in threshold_grid_coefficients(p):
+    for a in threshold_grid_coefficients():
+        for b in threshold_grid_coefficients():
             t = threshold_t(p, a, b)
             r_values = set(range(-2, 4))
             if t != NEG_INF:
@@ -1053,7 +1053,7 @@ def test_threshold_sweep_sums_each_reduction_once(monkeypatch, term_cap):
 def test_threshold_sweep_reads_each_valuation_once_per_pair(monkeypatch):
     reads = count_reads(monkeypatch)
     got = sweep_thresholds()
-    coeffs = threshold_grid_coefficients(3)
+    coeffs = threshold_grid_coefficients()
     assert len(reads) == 2 * len(coeffs) ** 2  # v(a) and v(b), once per (a, b)
     assert (got["checks"], got["failures"], got["skipped_over_cap"]) == (1542, 0, 20)
 

@@ -143,10 +143,11 @@ def test_inner_products_reduce_to_field_gauss_sums():
                     assert abs(cross[ib, jb] - want) < 1e-12
 
 
-def test_dimension_cap():
-    f = build_field(5, 4, size_cap=1000)
-    with pytest.raises(CapError):
-        build_mub_set(f, dim_cap=DEFAULT_DIM_CAP)
+def test_dimension_cap(monkeypatch):
+    monkeypatch.setattr("padic_mub.finite_field.DEFAULT_FIELD_CAP", 1000)
+    f = build_field(5, 4)
+    with pytest.raises(CapError, match=f"dimension 625 exceeds cap {DEFAULT_DIM_CAP}"):
+        build_mub_set(f)
 
 
 def test_mixed_dimensions_rejected():
@@ -362,11 +363,13 @@ def test_int64_guard_refuses_before_building(monkeypatch):
     # _trace_rows both builds a field's arrays and reads them from its cache
     monkeypatch.setattr(mub_finite, "_trace_rows", built)
     monkeypatch.setattr(FieldCtx, "elements", built)
+    monkeypatch.setattr("padic_mub.finite_field.DEFAULT_FIELD_CAP", 10**7)
+    monkeypatch.setattr(mub_finite, "DEFAULT_DIM_CAP", 10**7)
     # (p - 1)^3 passes 2^63 - 1 between these two primes
     with pytest.raises(CapError, match="int64"):
-        build_mub_set(build_field(2097169, 1, size_cap=10**7), dim_cap=10**7)
+        build_mub_set(build_field(2097169, 1))
     with pytest.raises(AssertionError, match="was built"):
-        build_mub_set(build_field(2097143, 1, size_cap=10**7), dim_cap=10**7)
+        build_mub_set(build_field(2097143, 1))
 
 
 def _trace_tables_old(ctx):
@@ -510,8 +513,9 @@ def test_field_set_refuses_past_the_dimension_cap_before_building(monkeypatch):
     monkeypatch.setattr(mub_finite, "_trace_rows", built)
     with pytest.raises(CapError, match="dimension 361 exceeds cap 343"):
         FieldMubSet.from_field(field)
+    monkeypatch.setattr(mub_finite, "DEFAULT_DIM_CAP", 361)
     with pytest.raises(AssertionError, match="was built"):  # the patch is live
-        mub_finite._trace_tables(field, dim_cap=361)
+        mub_finite._trace_tables(field)
 
 
 @pytest.mark.parametrize("p,r,modulus", list(_odd_fields(343)))

@@ -41,7 +41,7 @@ from padic_mub import (
     vector_v,
     vector_v_inf,
 )
-from padic_mub.errors import CapError, PrecisionError
+from padic_mub.errors import CapError, OddPrimeError, PrecisionError
 from padic_mub.gauss import (
     MAX_INT64_RESIDUE,
     NEG_INF,
@@ -63,6 +63,7 @@ from oracles import (
     as_fraction,
     frac_valuation,
     gram_entries,
+    pfraction_of,
     rational_mod,
     report_dict,
 )
@@ -87,13 +88,17 @@ def test_grid_cells_and_measure():
     assert g3.n * g3.measure == 3  # total measure of the r=1 ball
 
 
-def test_grid_validation_and_cap():
+def test_grid_validation_and_cap(monkeypatch):
     with pytest.raises(ValueError):
         Grid(3, 0, 0)
     with pytest.raises(ValueError):
         Grid(4, 1, 1)
-    with pytest.raises(CapError):
-        make_grid(3, 6, 6, cell_cap=10**4)
+    with pytest.raises(CapError, match="3\\^12 cells exceed the cap 100000"):
+        make_grid(3, 6, 6)
+    make_grid(3, 5, 5)
+    monkeypatch.setattr(mub_padic, "DEFAULT_CELL_CAP", 10**4)
+    with pytest.raises(CapError, match="3\\^10 cells exceed the cap 10000"):
+        make_grid(3, 5, 5)
 
 
 def test_index_of_roundtrip():
@@ -921,13 +926,14 @@ def _stub_states(mp):
         return np.ones((len(codes), 3), dtype=complex)
 
     mp.setattr(mub_padic, "_state_stack", stub)
+    mp.setattr(mub_padic, "DEFAULT_CELL_CAP", math.inf)
 
 
 def _pair_oracle_check(p, params, r, auto_raise):
     """gram_report with stubbed states against the ordered-pair sizing and
     the old pair forms; returns the number of entries checked."""
     r_used, k, certified = _gram_sizing_ordered(params, r, p, auto_raise)
-    rep = gram_report(params, r=r, p=p, auto_raise=auto_raise, cell_cap=math.inf)
+    rep = gram_report(params, r=r, p=p, auto_raise=auto_raise)
     assert (rep.r_used, rep.k_used) == (r_used, k)
     assert [e.certified for e in gram_entries(rep)] == certified
     assert rep.uncertified_pairs == certified.count(False)
@@ -1024,8 +1030,7 @@ def test_gram_columns_match_the_pair_loop():
                 except CapError:
                     with pytest.MonkeyPatch.context() as mp:
                         _stub_states(mp)
-                        rep = gram_report(params, r=r, p=p, auto_raise=auto_raise,
-                                          cell_cap=math.inf)
+                        rep = gram_report(params, r=r, p=p, auto_raise=auto_raise)
                 except ValueError as exc:  # a delta center outside p^(-r)Z_p
                     assert not auto_raise and "lies outside" in str(exc)
                     continue
@@ -1255,7 +1260,7 @@ def _family_ranks_old(gram, states):
             for f, fam in enumerate(fams.tolist())}
 
 
-def _gram_report_old(params, r, p, auto_raise, cell_cap=mub_padic.DEFAULT_CELL_CAP):
+def _gram_report_old(params, r, p, auto_raise):
     """gram_report as it was before the per-table pass: every label a
     Fraction up front, Fraction difference tables over the a and the b
     labels, one Fraction valuation per delta-chirp pair, k from one
@@ -1288,7 +1293,7 @@ def _gram_report_old(params, r, p, auto_raise, cell_cap=mub_padic.DEFAULT_CELL_C
     k = max([1 - r_used, *(r_used for a, _ in ab if a is None),
              *(required_resolution(a, 0, r_used, p) for a in chirp_a),
              *(required_resolution(0, b, r_used, p) for b in chirp_b)])
-    grid = make_grid(p, r_used, k, cell_cap)
+    grid = make_grid(p, r_used, k)
     stack = _state_stack_old(raw, grid)
     gram = stack.conj() @ stack.T * float(grid.measure)
     moduli = np.abs(gram)
@@ -1385,11 +1390,29 @@ def test_gram_report_matches_the_per_label_path_on_fixed_sets():
     assert stacked >= 15
 
 
+def test_gram_report_refuses_p2_before_it_reads_a_label(monkeypatch):
+    """The odd-prime gate comes first: no label is read and no grid, state
+    stack or Gram product is built for p = 2."""
+    calls = []
+
+    def spy(name):
+        def refuse(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return refuse
+
+    for name in ("read_coefficient", "make_grid", "_state_stack"):
+        monkeypatch.setattr(mub_padic, name, spy(name))
+    with pytest.raises(OddPrimeError, match="requires an odd prime"):
+        gram_report(canonical_family_params(2), r=1, p=2)
+    assert calls == []
+
+
 def _profile_loop(a, b, grid):
     """quadratic_phase_profile as one Fraction and one PFraction per cell."""
     idx, depth = mub_padic._cell_phase_indices(a, b, grid)
     den = grid.p**depth
-    return tuple(PFraction.from_fraction(Fraction(int(m), den), grid.p) for m in idx)
+    return tuple(pfraction_of(Fraction(int(m), den), grid.p) for m in idx)
 
 
 def test_quadratic_phase_profile_matches_the_per_cell_loop():

@@ -145,14 +145,24 @@ def test_frac_part_difference_is_integral():
 @settings(max_examples=300, deadline=None)
 @given(p=st.sampled_from([2, 3, 5, 7, 11, 13]), num=st.integers(-10**6, 10**6),
        den=st.integers(1, 10**6), v=st.integers(-8, 8), l=st.integers(0, 9),
-       e=st.integers(0, 12))
+       e=st.integers(-6, 12))
 def test_scaled_residue_is_the_fraction_residue(p, num, den, v, l, e):
     """p^e times the unit part of x mod p^l, for x of valuation v of either
     sign, e - v of either sign and e >= l too, is the residue of the Fraction
-    x * p^(e - v); frac_part reads its digits through the same helper."""
+    x * p^(e - v).  For e < 0 that is not p-integral: the helper refuses it,
+    as the oracle does modulo every p^l > 1.  frac_part reads its digits
+    through the same helper."""
     num, den = num * p + 1, den * p + 1  # units: x = num/den * p^v has valuation v
     x = Fraction(num, den) * Fraction(p) ** v
-    assert _scaled_residue(p, l, x, v, e) == rational_mod(x * Fraction(p) ** (e - v), p**l)
+    y = x * Fraction(p) ** (e - v)
+    if e < 0:
+        with pytest.raises(ValueError, match="is not .*-integral"):
+            _scaled_residue(p, l, x, v, e)
+        if l:  # modulo p^0 = 1 the oracle reads every rational as 0
+            with pytest.raises(ValueError, match="has no residue"):
+                rational_mod(y, p**l)
+    else:
+        assert _scaled_residue(p, l, x, v, e) == rational_mod(y, p**l)
     part = frac_part(x, p)
     assert part.exp == max(0, -v) and 0 <= part.value < 1
     assert frac_valuation(x - part.value, p) >= 0
@@ -211,9 +221,9 @@ def test_pfraction_validation():
         PFraction(3, 3, 2)  # 3/9 is not reduced
     with pytest.raises(ValueError):
         PFraction(3, 9, 2)  # outside [0, 1)
-    assert PFraction.from_fraction(Fraction(4, 3), 3).value == Fraction(1, 3)
-    with pytest.raises(ValueError):
-        PFraction.from_fraction(Fraction(1, 2), 3)
+    assert frac_part(Fraction(4, 3), 3) == PFraction(3, 1, 1)
+    assert frac_part(Fraction(1, 2), 3) == PFraction.zero(3)  # 1/2 lies in Z_3
+    assert frac_part(Fraction(1, 6), 3) == PFraction(3, 2, 1)  # 1/6 - 2/3 = -1/2
 
 
 def test_parse_and_print_roundtrip():

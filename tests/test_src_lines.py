@@ -63,6 +63,22 @@ if True:
 """
 
 
+DEFAULTS_SAMPLE = """
+def f(a, b=1, *args, c, d=2, **kw):
+    def inner(x=0):
+        pass
+    return lambda y=1, *, z=2: y
+
+
+class C:
+    def method(self, e=None, *, f):
+        pass
+
+    async def later(self, g=3):
+        pass
+"""
+
+
 def test_each_kind_is_counted_once_per_line():
     assert src_lines.count(SAMPLE) == {"code": 4, "docstring": 4, "comment": 1, "blank": 2}
 
@@ -71,6 +87,12 @@ def test_public_counts_top_level_defs_and_their_public_methods():
     # Shown, Shown.method, Shown.prop, f and g
     assert src_lines.public(PUBLIC_SAMPLE) == 5
     assert src_lines.public(SAMPLE) == 1
+
+
+def test_defaults_counts_every_parameter_with_a_default():
+    # b, d, inner's x, the lambda's y and z, method's e and later's g
+    assert src_lines.defaults(DEFAULTS_SAMPLE) == 7
+    assert src_lines.defaults(SAMPLE) == src_lines.defaults(PUBLIC_SAMPLE) == 0
 
 
 def test_the_four_counts_add_up_to_each_module():
@@ -86,8 +108,9 @@ def test_the_four_counts_add_up_to_each_module():
 def test_the_table_prints_a_total(capsys):
     assert src_lines.main([]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["module", *src_lines.KINDS, "lines", "public"]
+    assert lines[0].split() == ["module", *src_lines.KINDS, "lines", "public", "defaults"]
     rows = [line.split() for line in lines[1:]]
     total = rows.pop()
     assert total[0] == "total" and int(total[5]) == sum(map(int, total[1:5]))
-    assert int(total[6]) == sum(int(row[6]) for row in rows) > 0
+    for column in (6, 7):
+        assert int(total[column]) == sum(int(row[column]) for row in rows) > 0

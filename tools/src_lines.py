@@ -1,5 +1,5 @@
 """Print the code, docstring, comment and blank lines of each src/ module,
-and its public surface.
+its public surface and its settings.
 
     python3 tools/src_lines.py [DIR]
 
@@ -11,7 +11,9 @@ blank line inside a docstring is docstring, one inside any other string is
 code.  The `public` column counts the module's public top-level functions
 and classes and the public methods of those classes, read from its syntax
 tree (`ast`); a name is public when it does not start with an underscore,
-so dunders are not counted.
+so dunders are not counted.  The `defaults` column counts the parameters
+with a default value, positional or keyword-only, over every function and
+method of the module, nested ones and lambdas included.
 """
 
 from __future__ import annotations
@@ -67,21 +69,27 @@ def public(text: str) -> int:
     return n
 
 
+def defaults(text: str) -> int:
+    """How many parameters with a default value the source text's functions,
+    methods and lambdas declare."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    return sum(len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+               for node in ast.walk(ast.parse(text)) if isinstance(node, funcs))
+
+
 def main(argv: list[str]) -> int:
     directory = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "padic_mub"
-    totals = dict.fromkeys(KINDS, 0)
-    total_public = 0
-    print(f"{'module':<16}" + "".join(f"{kind:>11}" for kind in (*KINDS, "lines", "public")))
+    columns = (*KINDS, "lines", "public", "defaults")
+    totals = [0] * len(columns)
+    print(f"{'module':<16}" + "".join(f"{name:>11}" for name in columns))
     for path in sorted(directory.glob("*.py")):
         text = path.read_text()
-        counts, n_public = count(text), public(text)
-        for kind in KINDS:
-            totals[kind] += counts[kind]
-        total_public += n_public
-        cells = [counts[kind] for kind in KINDS]
-        print(f"{path.name:<16}" + "".join(f"{c:>11}" for c in (*cells, sum(cells), n_public)))
-    cells = [totals[kind] for kind in KINDS]
-    print(f"{'total':<16}" + "".join(f"{c:>11}" for c in (*cells, sum(cells), total_public)))
+        counts = count(text)
+        cells = [*(counts[kind] for kind in KINDS), len(text.splitlines()), public(text),
+                 defaults(text)]
+        totals = [t + c for t, c in zip(totals, cells)]
+        print(f"{path.name:<16}" + "".join(f"{c:>11}" for c in cells))
+    print(f"{'total':<16}" + "".join(f"{c:>11}" for c in totals))
     return 0
 
 
