@@ -126,12 +126,19 @@ def inner(u: StateVector, w: StateVector) -> complex:
 
 
 def required_resolution(a: Coefficient, b: Coefficient, r: int, p: int) -> int:
-    """Smallest k making e(a*x^2 + b*x) constant on every cell of Grid(p, r, k).
+    """The k of Grid(p, r, k) that vector_v checks for e(a*x^2 + b*x), and
+    that eigen_check and gram_report size their reported grids by.
 
     It reads the shifted valuations dx = v(a) - 2r, dy = v(b) - r of the
     Gauss norm table: k >= 2r - v(a), r - v(a), ceil(-v(a)/2), r - v(b) and
     -v(b), where a zero coefficient's terms drop out.  The integrand
     recentred at c, on x + c, has linear coefficient 2ac + b: pass that as b.
+
+    For r <= 0 this is the smallest k making e(a*x^2 + b*x) constant on
+    every cell.  For r >= 1 its terms 2r - v(a) and r - v(b) ask r more
+    than cell constancy, which needs only k >= r - v(a), ceil(-v(a)/2) and
+    -v(b): that least k is `_cell_resolution`'s, on whose grid gram_report
+    evaluates its states.
     """
     return _resolution_of_valuations(read_coefficient(a, p).valuation,
                                      read_coefficient(b, p).valuation, r)
@@ -142,6 +149,19 @@ def _resolution_of_valuations(va: int | float, vb: int | float, r: int) -> int:
     dx, dy = va - 2 * r, vb - r
     low = min(r, 0)
     return max(0, -dx - low, -dy - low, NEG_INF if dx == INF else -r - dx // 2)
+
+
+def _cell_resolution(va: int | float, vb: int | float, r: int, delta: bool) -> int:
+    """The least k >= 0 with r + k >= 1 on which e(a*x^2 + b*x) is constant
+    on every cell of Grid(p, r, k), for every a, b with v(a) >= va and
+    v(b) >= vb, and, with delta, every ball -b + p^r Z_p is a union of cells.
+
+    On x + h, h in p^k Z_p, the phase moves by 2axh + a*h^2 + b*h, which is
+    in Z_p for every x in p^(-r)Z_p exactly when k >= r - v(a),
+    ceil(-v(a)/2) and -v(b); a delta state adds k >= r.
+    """
+    return max([0, 1 - r, *([r] if delta else []), r - va, -vb,
+                NEG_INF if va == INF else -(va // 2)])
 
 
 def _phase_term(p: int, r: int, x: Reading, degree: int) -> tuple[int, int]:
@@ -472,12 +492,18 @@ def _index_labels(states: list[tuple[FamilyLabel, Coefficient]]) -> tuple[list, 
     return list(index), np.array(codes, dtype=np.int64).reshape(-1, 2)
 
 
-def _state_stack(reads: list, codes: np.ndarray, grid: Grid) -> np.ndarray:
-    """One row per state (a, b) of codes, equal to vector_v_inf(b, grid) for
-    a = None and to vector_v(a, b, grid) otherwise, checked in the same order.
+def _state_stack(reads: list, codes: np.ndarray, grid: Grid, coarse: Grid) -> np.ndarray:
+    """One row per state (a, b) of codes, checked as vector_v_inf(b, grid)
+    checks a = None and vector_v(a, b, grid) any other a, in the same
+    order, but built on `coarse`: a Grid(p, grid.r, k), k <= grid.k, on
+    which every state is cell-constant (k at least _cell_resolution of its
+    labels).  Each row is the state vector_v_inf or vector_v builds on
+    `coarse` once its resolution check is passed.
 
     reads[c] is gram_report's reading of label c, None for the delta family's
-    a; each label's window is checked against the grid here, from it.
+    a; each label's window is checked against `grid` here, from it: a
+    delta's b is read to p^grid.k, and only then is its cell on `coarse`
+    taken, the residue mod p^(r + coarse.k) of its cell on `grid`.
     Each distinct label is used once per role, in integers: a chirp's a or b
     gives its phase term (M, c) and its resolution bound, a delta's b its
     cell.  required_resolution(a, b) and the phase depth of e(a*x^2 + b*x)
@@ -490,7 +516,7 @@ def _state_stack(reads: list, codes: np.ndarray, grid: Grid) -> np.ndarray:
     `gauss._roots` at n = p^M as in vector_v: every float is vector_v's or
     vector_v_inf's.
     """
-    p, r, n = grid.p, grid.r, grid.n
+    p, r, n = grid.p, grid.r, coarse.n
     # code -> (M, c, fits) of a chirp's a, and of its b: fits says the grid
     # resolves that part and p^M stays within int64 residues
     quad: dict = {}
@@ -617,10 +643,18 @@ def gram_report(
     with no Fraction built for a digit string, so that a grid past the cell
     cap is refused before any big-int work, then its exact value.  The pair
     valuations come from integer numerators over one common denominator, and
-    _state_stack checks each label's window on the same reading.  The Gram
-    product, its root tables and every float expression are those of the
-    per-state constructors, so the report's bytes do not depend on how the
-    labels were read.
+    _state_stack checks each label's window on the same reading.
+
+    Grid(p, r_used, k_used) is the grid that is reported, capped and
+    checked: every window and resolution check is made against it.  The
+    state stack and the Gram product run on the coarsest grid that resolves
+    the states, Grid(p, r_used, k_cell) with k_cell from _cell_resolution:
+    each of its cells holds p^(k_used - k_cell) cells of the reported grid,
+    on which every state is constant, and its measure is larger by that
+    factor, so the Gram entries are the reported grid's in exact arithmetic
+    and only their rounding differs.  On that grid the root tables and
+    every float expression are those of the per-state constructors, so the
+    report's bytes do not depend on how the labels were read.
     """
     check_odd_prime(p)
     raw = [(_normalize_family(a), b) for a, b in params]
@@ -679,9 +713,10 @@ def gram_report(
     r_used = max(int(min_r.max(initial=r)), r_low) if auto_raise else r
     k = resolution(r_used)
     grid = make_grid(p, r_used, k)
-    stack = _state_stack(reads, codes, grid)
+    coarse = Grid(p, r_used, _cell_resolution(va_min, vb_min, r_used, has_delta))
+    stack = _state_stack(reads, codes, grid, coarse)
     text = ["inf" if x is None else str(xf) for x, xf in zip(reads, values)]
-    gram = stack.conj() @ stack.T * float(grid.measure)
+    gram = stack.conj() @ stack.T * float(coarse.measure)
     moduli = np.abs(gram)
     closed_of = [_simplified(p, r_used, *key)[0].value for key in keys]
     closed = np.ones(len(i))  # a delta and a chirp overlap with modulus 1

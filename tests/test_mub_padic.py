@@ -143,6 +143,42 @@ def test_required_resolution_reads_the_shifted_valuations():
     assert cases == 4860
 
 
+def _cell_moves(p, r, k, a, b, center):
+    """Whether e(a*x^2 + b*x), or with a center c the indicator of the ball
+    c + p^r Z_p, differs between rep(i) and rep(i) + t*p^k, t = 1..3, at
+    some cell i of Grid(p, r, k), in exact Fractions: e(y) = e(z) exactly
+    when p does not divide the denominator of y - z."""
+    n, unit = p ** (r + k), Fraction(p) ** -r
+    xs = [i * unit for i in range(4 * n)]  # rep(i) + t*p^k = rep(i + t*n)
+    phases = [(a * x + b) * x for x in xs]
+    ball = [center is not None and ((x - center) * unit).denominator % p != 0 for x in xs]
+    return any((phases[i + t * n] - phases[i]).denominator % p == 0
+               or ball[i + t * n] != ball[i] for t in (1, 2, 3) for i in range(n))
+
+
+def test_cell_resolution_is_the_least_cell_constant_grid():
+    """At k = _cell_resolution every chirp of the valuations, and a delta's
+    ball, is constant on each cell; at k - 1, where the grid's floor allows
+    it, one of them is not.  Grids past 81 cells are left out of the cell
+    loop; every case meets k_cell <= the reported grid's k."""
+    checked = 0
+    units = [(v, u) for v in range(-3, 4) for u in (1, 2)] + [(INF, 0)]
+    for p, r, delta in itertools.product((3, 5, 7), range(-2, 4), (False, True)):
+        for (va, ua), (vb, ub) in itertools.product(units, repeat=2):
+            k = mub_padic._cell_resolution(va, vb, r, delta)
+            floor = max(0, 1 - r, r if delta else 0)
+            assert type(k) is int and floor <= k <= max(
+                floor, mub_padic._resolution_of_valuations(va, vb, r))
+            if p ** (r + k) > 81:
+                continue
+            a, b = (0 if v == INF else u * Fraction(p) ** v for v, u in ((va, ua), (vb, ub)))
+            center = Fraction(p) ** -r if delta else None
+            assert not _cell_moves(p, r, k, a, b, center), (p, r, va, vb, delta)
+            assert k == floor or _cell_moves(p, r, k - 1, a, b, center), (p, r, va, vb, delta)
+            checked += 1
+    assert checked == 4991
+
+
 def test_vector_v_constant_function():
     g = make_grid(3, 1, 1)
     v = vector_v(0, 0, g)
@@ -922,7 +958,7 @@ def _stub_states(mp):
     """Replace the states of gram_report by three-cell placeholders.  Its
     sizing, closed values and certified flags read only the labels, so with
     an unbounded cell cap they can be checked on grids too large to build."""
-    def stub(reads, codes, grid):
+    def stub(reads, codes, grid, coarse):
         return np.ones((len(codes), 3), dtype=complex)
 
     mp.setattr(mub_padic, "_state_stack", stub)
@@ -1044,23 +1080,42 @@ def test_gram_columns_match_the_pair_loop():
     assert checked >= 60
 
 
-def _stack(states, grid):
+def _stack(states, grid, coarse=None):
     """mub_padic._state_stack of the states, their labels read as gram_report
-    reads them."""
+    reads them, checked on grid and built on coarse (grid by default)."""
     labels, codes = mub_padic._index_labels(states)
     reads = [None if x is None else read_coefficient(x, grid.p) for x in labels]
-    return mub_padic._state_stack(reads, codes, grid)
+    return mub_padic._state_stack(reads, codes, grid, grid if coarse is None else coarse)
 
 
-def _state_stack_old(states, grid):
+def _cell_k(states, r, p):
+    """The k of the coarse grid gram_report builds on, from the Fraction
+    labels: k >= 0, r + k >= 1, k >= r for a delta state, and for each chirp
+    (a, b) k >= r - v(a), ceil(-v(a)/2) and -v(b)."""
+    ks = [0, 1 - r]
+    for a, b in states:
+        if a is None:
+            ks.append(r)
+            continue
+        va, vb = (frac_valuation(as_fraction(x, p), p) for x in (a, b))
+        ks += [] if va == INF else [r - va, math.ceil(Fraction(-va, 2))]
+        ks += [] if vb == INF else [-vb]
+    return max(ks)
+
+
+def _state_stack_old(states, grid, coarse=None):
     """The per-label state stack gram_report used before the per-table one:
     one _quad_phase_indices call per label, each label's resolution bound
     from required_resolution, the rows lifted to their depth by one % over
-    the whole stack, and each delta row from its own vector_v_inf."""
+    the whole stack, and each delta row from its own vector_v_inf.  Every
+    check is made on grid and the rows are built on coarse (grid by
+    default), as _state_stack does."""
+    coarse = grid if coarse is None else coarse
     p, r, quad, lin, deltas, chirps = grid.p, grid.r, {}, {}, {}, []
     for s, (a, b) in enumerate(states):
         if a is None:
-            deltas[s] = vector_v_inf(b, grid).amplitudes
+            vector_v_inf(b, grid)  # the checks, on the reported grid
+            deltas[s] = vector_v_inf(b, coarse).amplitudes
             continue
         for x, degree, seen in ((a, 2, quad), (b, 1, lin)):
             if x not in seen:  # (row, needed k, depth, coefficients) per label
@@ -1072,12 +1127,12 @@ def _state_stack_old(states, grid):
         if grid.k < max(ka, kb) or p ** max(ma, mb) > MAX_INT64_RESIDUE:
             mub_padic._cell_phase_indices(a, b, grid)  # raises this state's own error
         chirps.append((s, ia, ib, ma, mb))
-    stack = np.empty((len(states), grid.n), dtype=complex)
+    stack = np.empty((len(states), coarse.n), dtype=complex)
     for s, row in deltas.items():
         stack[s] = row
     if chirps:
         s, ia, ib, ma, mb = np.array(chirps).T
-        qa, lb = (np.array([_quad_phase_indices(grid, *t[3])[0] for t in seen.values()])
+        qa, lb = (np.array([_quad_phase_indices(coarse, *t[3])[0] for t in seen.values()])
                   for seen in (quad, lin))
         depth = np.maximum(ma, mb)
         mod = p ** depth[:, None]
@@ -1088,23 +1143,47 @@ def _state_stack_old(states, grid):
     return stack
 
 
+def _cell_rule(va, vb, r):
+    """Cell constancy of one chirp, in place of vector_v's resolution check."""
+    return mub_padic._cell_resolution(va, vb, r, False)
+
+
 def test_state_stack_rows_are_the_state_vectors():
+    """gram_report builds its stack on Grid(p, r_used, k_cell); on it and on
+    the reported grid each row is bit for bit the state vector_v or
+    vector_v_inf builds there, with cell constancy as vector_v's
+    resolution check."""
     checked = 0
+    stacks = []
+    state_stack = mub_padic._state_stack
+
+    def spy(reads, codes, grid, coarse):
+        stacks.append((grid, coarse))
+        return state_stack(reads, codes, grid, coarse)
+
     for p, params in _gram_sets():
         states = [(mub_padic._normalize_family(a), b) for a, b in params]
         for r in (-1, 0, 1, 2):
             for auto_raise in (True, False):
-                try:
-                    rep = gram_report(params, r=r, p=p, auto_raise=auto_raise)
-                except (CapError, ValueError):
-                    continue
+                stacks.clear()
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(mub_padic, "_state_stack", spy)
+                    try:
+                        rep = gram_report(params, r=r, p=p, auto_raise=auto_raise)
+                    except (CapError, ValueError):
+                        continue
                 grid = Grid(p, rep.r_used, rep.k_used)
-                stack = _stack(states, grid)
-                assert stack.tobytes() == _state_stack_old(states, grid).tobytes()
-                for row, (a, b) in zip(stack, states):
-                    want = vector_v_inf(b, grid) if a is None else vector_v(a, b, grid)
-                    assert np.array_equal(row, want.amplitudes), (p, grid, a, b)
-                    assert row.tobytes() == want.amplitudes.tobytes()
+                coarse = Grid(p, rep.r_used, _cell_k(states, rep.r_used, p))
+                assert stacks == [(grid, coarse)]
+                for on in (grid, coarse):
+                    stack = _stack(states, grid, on)
+                    assert stack.tobytes() == _state_stack_old(states, grid, on).tobytes()
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(mub_padic, "_resolution_of_valuations", _cell_rule)
+                        for row, (a, b) in zip(stack, states):
+                            want = vector_v_inf(b, on) if a is None else vector_v(a, b, on)
+                            assert np.array_equal(row, want.amplitudes), (p, on, a, b)
+                            assert row.tobytes() == want.amplitudes.tobytes()
                 checked += 1
     assert checked >= 40
 
@@ -1260,12 +1339,14 @@ def _family_ranks_old(gram, states):
             for f, fam in enumerate(fams.tolist())}
 
 
-def _gram_report_old(params, r, p, auto_raise):
+def _gram_report_old(params, r, p, auto_raise, coarse=False):
     """gram_report as it was before the per-table pass: every label a
     Fraction up front, Fraction difference tables over the a and the b
     labels, one Fraction valuation per delta-chirp pair, k from one
     required_resolution per distinct label, the per-label state stack and
-    one rank per family."""
+    one rank per family.  With coarse, the states and the Gram product are
+    built on Grid(p, r_used, _cell_k), the grid of k_used still being the
+    one reported and checked."""
     raw = [(mub_padic._normalize_family(a), b) for a, b in params]
     ab = [(None if lab is None else as_fraction(lab, p), as_fraction(b, p)) for lab, b in raw]
     a_vals, a_of, va = _difference_valuations_old([0 if a is None else a for a, _ in ab], p)
@@ -1294,8 +1375,9 @@ def _gram_report_old(params, r, p, auto_raise):
              *(required_resolution(a, 0, r_used, p) for a in chirp_a),
              *(required_resolution(0, b, r_used, p) for b in chirp_b)])
     grid = make_grid(p, r_used, k)
-    stack = _state_stack_old(raw, grid)
-    gram = stack.conj() @ stack.T * float(grid.measure)
+    on = Grid(p, r_used, _cell_k(raw, r_used, p)) if coarse else grid
+    stack = _state_stack_old(raw, grid, on)
+    gram = stack.conj() @ stack.T * float(on.measure)
     moduli = np.abs(gram)
     big_r = [max(r_used, t + 1) for t in thresholds]
     closed_of = [_table_norm(p, x - 2*R, y - R, 2*R)[0].value for (x, y), R in zip(keys, big_r)]
@@ -1322,11 +1404,11 @@ def _outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
-def _assert_same_report(new, old):
-    """Every GramReport field byte for byte: the arrays by dtype, shape and
-    tobytes, everything else by type and repr (repr tells 0.0 from -0.0).
-    A grid past the cell cap may be refused from a lower bound of its size,
-    before the exact r_used is known."""
+def _assert_same_report(new, old, skip=()):
+    """Every GramReport field but those named in skip byte for byte: the
+    arrays by dtype, shape and tobytes, everything else by type and repr
+    (repr tells 0.0 from -0.0).  A grid past the cell cap may be refused
+    from a lower bound of its size, before the exact r_used is known."""
     if isinstance(old, tuple):
         if old[0] is CapError and new[0] is CapError:
             size = re.compile(r"\^(\d+) cells exceed the cap")
@@ -1336,12 +1418,36 @@ def _assert_same_report(new, old):
         return
     assert isinstance(new, mub_padic.GramReport), new
     for name, want in vars(old).items():
+        if name in skip:
+            continue
         got = getattr(new, name)
         if isinstance(want, np.ndarray):
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
                                                              want.tobytes()), name
         else:
             assert (type(got), repr(got)) == (type(want), repr(want)), name
+
+
+FLOAT_FIELDS = ("moduli", "deviation", "max_certified_deviation")
+
+
+def _assert_near_report(new, old):
+    """new against old built on a finer grid: every field but the floats
+    of FLOAT_FIELDS as _assert_same_report checks it, and each modulus
+    within 4*n*eps*max(1, closed) of old's, n = p^(r_used + k_used) the
+    cells old summed over; a deviation and the largest certified one move
+    by no more than their modulus."""
+    _assert_same_report(new, old, skip=FLOAT_FIELDS)
+    if isinstance(old, tuple):
+        return
+    i, j = np.triu_indices(len(old.labels))
+    scale = np.maximum(1.0, old.closed)
+    bound = 4 * float(old.p) ** (old.r_used + old.k_used) * np.finfo(float).eps * scale
+    gap = np.abs(new.moduli[i, j] - old.moduli[i, j])
+    assert np.all(gap <= bound) and np.all(np.abs(new.moduli[j, i] - old.moduli[j, i]) <= bound)
+    assert np.all(np.abs(new.deviation - old.deviation) <= bound)
+    assert abs(new.max_certified_deviation - old.max_certified_deviation) <= bound[
+        old.certified].max(initial=0.0)
 
 
 def _gram_params(p):
@@ -1367,14 +1473,18 @@ def _gram_params(p):
 @given(data=st.data(), p=st.sampled_from([3, 5, 7, 11, 13]), r=st.integers(0, 2),
        auto_raise=st.booleans())
 def test_gram_report_matches_the_per_label_path(data, p, r, auto_raise):
+    """Bit for bit the per-label path built on the same coarse grid, and
+    within rounding the per-label path on the reported grid."""
     params = data.draw(_gram_params(p))
-    _assert_same_report(_outcome(gram_report, params, r=r, p=p, auto_raise=auto_raise),
-                        _outcome(_gram_report_old, params, r, p, auto_raise))
+    new = _outcome(gram_report, params, r=r, p=p, auto_raise=auto_raise)
+    _assert_same_report(new, _outcome(_gram_report_old, params, r, p, auto_raise, coarse=True))
+    _assert_near_report(new, _outcome(_gram_report_old, params, r, p, auto_raise))
 
 
 def test_gram_report_matches_the_per_label_path_on_fixed_sets():
     """The canonical sets the benchmark and the CLI run, and the mixed sets,
-    each through both paths; the canonical ones reach the stacked ranks."""
+    each through both paths, as test_gram_report_matches_the_per_label_path
+    checks them; the canonical ones reach the stacked ranks."""
     sets = [(p, canonical_family_params(p)) for p in (3, 5, 7, 11)]
     sets += [(p, params) for p, params in _gram_sets()]
     # families of one size and unequal ranks: 2, 1 (a repeated state) and 1
@@ -1384,7 +1494,9 @@ def test_gram_report_matches_the_per_label_path_on_fixed_sets():
         for r in (0, 1, 2):
             for auto_raise in (True, False):
                 new = _outcome(gram_report, params, r=r, p=p, auto_raise=auto_raise)
-                _assert_same_report(new, _outcome(_gram_report_old, params, r, p, auto_raise))
+                _assert_same_report(new, _outcome(_gram_report_old, params, r, p, auto_raise,
+                                                  coarse=True))
+                _assert_near_report(new, _outcome(_gram_report_old, params, r, p, auto_raise))
                 sizes = collections.Counter(str(mub_padic._normalize_family(a)) for a, _ in params)
                 stacked += not isinstance(new, tuple) and len(set(sizes.values())) == 1
     assert stacked >= 15
