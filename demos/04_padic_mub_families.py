@@ -22,6 +22,8 @@ print(f"first representatives: {[str(g.rep(i)) for i in range(5)]}")
 
 print()
 print("== the quadratic-character states e(a x^2 + b x) ==")
+# the least k on which e(x^2) is constant on every cell of p^(-1)Z_p: the
+# phase moves by 2xh + h^2, a p-adic integer for h in p^k Z_p once k >= 1
 print(f"resolution needed for (a=1, b=0) at r=1: k = {required_resolution(1, 0, 1, 3)}")
 v10 = vector_v(1, 0, g)
 v00 = vector_v(0, 0, g)
@@ -39,7 +41,9 @@ print(f"|<v_inf(0)|v(1,0)>| = {abs(inner(vinf, v10)):.6f}")
 print()
 print("== full Gram table, p = 3: families a in {0, 1, 2, inf}, b in {0, 1, 2} ==")
 rep = gram_report(canonical_family_params(3), r=1, p=3)
-print(f"r used: {rep.r_used}, grid resolution k = {rep.k_used}")
+# the reported grid is sized by the Gauss norm table's rule (k >= 2r - v(a));
+# the states and their Gram product are built at the least cell-constant k
+print(f"r used: {rep.r_used}, reported grid k = {rep.k_used}")
 print(f"max certified deviation from the closed table: {rep.max_certified_deviation:.3e}")
 print(f"family Gram ranks on this grid: {rep.family_ranks}")
 print(f"verdict: {'PASS' if rep.passed else 'FAIL'}")

@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 
 from .characters import UnitPhase
 from .errors import check_power_cap
-from .padic import PFraction, is_prime
+from .padic import PFraction, _check_prime, is_prime
 
 DEFAULT_FIELD_CAP = 625
 # room for one shared context per field under the default cap: the 136 prime
@@ -111,8 +111,7 @@ class FieldCtx:
     high_powers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+        _check_prime(self.p)
         if self.r < 1:
             raise ValueError("extension degree must be positive")
         if len(self.modulus) != self.r + 1 or self.modulus[-1] != 1:
@@ -163,8 +162,7 @@ def build_field(p: int, r: int, modulus: Sequence[int] | None = None) -> FieldCt
     run once per field.  An explicit modulus builds and validates a context
     of its own.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
     if r < 1:
         raise ValueError("extension degree must be positive")
     check_power_cap(p, r, DEFAULT_FIELD_CAP, "field size {size} exceeds cap {cap}")

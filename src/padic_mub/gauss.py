@@ -21,11 +21,10 @@ The integral forms read a and b once each (`padic.read_coefficient`), a to
 the window p^(2r) and b to p^r, and form their Fractions last;
 `threshold_t` and `simplified_norm` read valuations alone and refuse a zero
 O(p^N), whose valuation is only known to be >= N.
-The bounds read the same (dx, dy): the reduction of a ball integral to a
-ring sum takes one full period, p^l terms with l = max(1, -dx, -dy), and
-`mub_padic.required_resolution` resolves e(a*x^2 + b*x) at
-k = max(0, -dx - min(r, 0), -dy - min(r, 0), -r - (dx // 2)), each dx or
-dy term dropped for a zero coefficient.
+The reduction of a ball integral to a ring sum reads the same (dx, dy): it
+takes one full period, p^l terms with l = max(1, -dx, -dy).  Whether a grid
+resolves e(a*x^2 + b*x) is cell constancy, `mub_padic.required_resolution`,
+which reads v(a) and v(b) themselves.
 
 A numeric sum over N terms is a sum of roots of unity zeta_n^e with exact
 integer exponents e, n = p^l.  It is first reduced to an exact int64
@@ -74,7 +73,7 @@ import numpy as np
 
 from .errors import CapError, check_odd_prime, check_power_cap
 from .finite_field import FieldElem
-from .padic import INF, Coefficient, _scaled_residue, int_valuation, is_prime, read_coefficient
+from .padic import INF, Coefficient, _check_prime, _scaled_residue, int_valuation, read_coefficient
 
 DEFAULT_TERM_CAP = 10**6
 
@@ -250,8 +249,7 @@ def ring_sum_numeric(
     rounded roots, in each of the real and imaginary parts.  A sum that is
     0 in Z[zeta_{p^l}], such as every case2 sum, comes out exactly 0j.
     """
-    if not 1 <= l <= k:
-        raise ValueError("need k >= l >= 1")
+    check_ring_params(p, k, l)
     check_power_cap(p, k, term_cap, "{size} terms exceed the cap {cap}")
     terms = p**k
     if terms > INT64_MAX:
@@ -336,8 +334,7 @@ def ring_sum_normsq_exact(p: int, k: int, l: int, a: int, b: int) -> int:
     holds a*u + b + v*(a*s) mod p^l, built by `_progression_rows` from row 0
     and the step a*s mod p^l, every intermediate below p^(2l) <= INT64_MAX.
     """
-    if not 1 <= l <= k:
-        raise ValueError("need k >= l >= 1")
+    check_ring_params(p, k, l)
     check_odd_prime(p)
     mod = p**l
     _check_modulus(mod)
@@ -358,8 +355,7 @@ def ring_sum_norm_closed(p: int, k: int, l: int, a: int, b: int) -> tuple[ExactN
     case2: b != 0 mod p^l and v(a) >  v(b)  ->  0
     case3: a  = b = 0 mod p^l               ->  p^k
     """
-    if not 1 <= l <= k:
-        raise ValueError("need k >= l >= 1")
+    check_ring_params(p, k, l)
     dx, dy = (min(int_valuation(x % p**l, p), l) - l for x in (a, b))
     return _table_norm(p, dx, dy, 2 * k)
 
@@ -367,6 +363,7 @@ def ring_sum_norm_closed(p: int, k: int, l: int, a: int, b: int) -> tuple[ExactN
 def ring_sum_norm_closed_table(p: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     """The case table's (case, half-power) arrays for every (a, b) in
     [0, p^l)^2, indexed [a, b]: ring_sum_norm_closed for all pairs at once."""
+    check_ring_params(p, k, l)
     x = _residues(p**l)
     shift = sum((x % p**j == 0).astype(np.int64) for j in range(1, l + 1)) - l
     dx = shift[:, None]
@@ -395,6 +392,7 @@ def ring_sum_numeric_table(
     2.4 * eps * p^k of ring_sum_numeric(p, k, l, a, b) and of a per-a
     gather of the p^l roots.
     """
+    check_ring_params(p, k, l)
     check_power_cap(p, k, term_cap, "{size} terms exceed the cap {cap}")
     mod = p**l
     scale = p ** (k - l)  # each residue class mod p^l is hit p^(k-l) times
@@ -407,6 +405,7 @@ def ring_sum_numeric_table(
 def ring_sum_normsq_table(p: int, k: int, l: int) -> np.ndarray:
     """Exact counting |sum|^2 for every (a, b) in [0, p^l)^2 (int64 array);
     odd p only, as ring_sum_normsq_exact."""
+    check_ring_params(p, k, l)
     check_odd_prime(p)
     mod = p**l
     y = _residues(mod)
@@ -453,6 +452,7 @@ def integral_norm_closed(
     case2: v(b) < r  and v(a) >  v(b) + r  ->  0
     case3: v(a) >= 2r and v(b) >= r        ->  p^r   (the whole ball's measure)
     """
+    _check_prime(p)
     dx = read_coefficient(a, p).need(2 * r).valuation - 2 * r
     dy = read_coefficient(b, p).need(r).valuation - r
     return _table_norm(p, dx, dy, 2 * r)
@@ -503,6 +503,7 @@ def threshold_t(p: int, a: Coefficient, b: Coefficient) -> int | float:
     t = floor(max(v(a)/2, v(a) - v(b))).  A zero O(p^N), whose valuation is
     only known to be >= N, raises PrecisionError.
     """
+    _check_prime(p)
     return _threshold(read_coefficient(a, p).known_valuation,
                       read_coefficient(b, p).known_valuation)
 
@@ -526,6 +527,7 @@ def simplified_norm(
     must treat the norm as informational only.  A zero O(p^N) raises
     PrecisionError, as threshold_t does.
     """
+    _check_prime(p)
     return _simplified(p, r, read_coefficient(a, p).known_valuation,
                        read_coefficient(b, p).known_valuation)
 
@@ -565,9 +567,9 @@ class NormReport:
 
 
 def check_ring_params(p: int, k: int, l: int) -> None:
-    """Reject a composite p, or exponents outside 1 <= l <= k."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    """Reject a composite p, or exponents outside 1 <= l <= k: the one check
+    on the parameters of every ring function."""
+    _check_prime(p)
     if not 1 <= l <= k:
         raise ValueError("need k >= l >= 1")
 
@@ -589,7 +591,6 @@ def ring_report(
     closed form and the counting identity, it refuses p = 2 with
     OddPrimeError; ring_sum_numeric alone sums at p = 2.
     """
-    check_ring_params(p, k, l)
     closed, case = ring_sum_norm_closed(p, k, l, a, b)
     numeric = deviation = None
     passed = True
@@ -634,8 +635,7 @@ def integral_report(
     tolerance would ask for more than double precision once p^r is large,
     even for a zero norm.  The reported deviation stays absolute.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
     a, b = read_coefficient(a, p).need(2 * r), read_coefficient(b, p).need(r)
     af, bf, dx, dy = a.value, b.value, a.valuation - 2 * r, b.valuation - r
     closed, case = _table_norm(p, dx, dy, 2 * r)

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import phase_to_complex
-from .errors import CapError, ResolutionError, check_odd_prime, check_power_cap
+from .errors import ResolutionError, check_odd_prime, check_power_cap
 from .gauss import (
     MAX_INT64_RESIDUE,
     NEG_INF,
@@ -37,10 +37,10 @@ from .padic import (
     Coefficient,
     PFraction,
     Reading,
+    _check_prime,
     _scaled_residue,
     frac_part,
     int_valuation,
-    is_prime,
     read_coefficient,
 )
 
@@ -58,8 +58,7 @@ class Grid:
     k: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+        _check_prime(self.p)
         if self.r + self.k < 1:
             raise ValueError("need r + k >= 1 for a nontrivial grid")
 
@@ -126,26 +125,24 @@ def inner(u: StateVector, w: StateVector) -> complex:
 
 
 def required_resolution(a: Coefficient, b: Coefficient, r: int, p: int) -> int:
-    """The k of Grid(p, r, k) that vector_v checks for e(a*x^2 + b*x), and
-    that eigen_check and gram_report size their reported grids by.
+    """The least k of Grid(p, r, k) on which e(a*x^2 + b*x) is constant on
+    every cell: the k that vector_v and quadratic_phase_profile check.
 
-    It reads the shifted valuations dx = v(a) - 2r, dy = v(b) - r of the
-    Gauss norm table: k >= 2r - v(a), r - v(a), ceil(-v(a)/2), r - v(b) and
-    -v(b), where a zero coefficient's terms drop out.  The integrand
-    recentred at c, on x + c, has linear coefficient 2ac + b: pass that as b.
-
-    For r <= 0 this is the smallest k making e(a*x^2 + b*x) constant on
-    every cell.  For r >= 1 its terms 2r - v(a) and r - v(b) ask r more
-    than cell constancy, which needs only k >= r - v(a), ceil(-v(a)/2) and
-    -v(b): that least k is `_cell_resolution`'s, on whose grid gram_report
-    evaluates its states.
+    It is `_cell_resolution` of v(a) and v(b): k >= r - v(a), ceil(-v(a)/2)
+    and -v(b), a zero coefficient's terms dropping out, and the grid's floor
+    r + k >= 1.  The integrand recentred at c, on x + c, has linear
+    coefficient 2ac + b: pass that as b.
     """
-    return _resolution_of_valuations(read_coefficient(a, p).valuation,
-                                     read_coefficient(b, p).valuation, r)
+    return _cell_resolution(read_coefficient(a, p).valuation,
+                            read_coefficient(b, p).valuation, r, False)
 
 
 def _resolution_of_valuations(va: int | float, vb: int | float, r: int) -> int:
-    """required_resolution of any a, b with v(a) = va and v(b) = vb."""
+    """The k by which eigen_check and gram_report size their reported grids,
+    from v(a) = va and v(b) = vb: over the shifted valuations dx = va - 2r
+    and dy = vb - r of the Gauss norm table, k >= 2r - v(a), r - v(a),
+    ceil(-v(a)/2), r - v(b) and -v(b), a zero's terms dropping out.  For
+    r <= 0 it is required_resolution's k; for r >= 1 it asks up to r more."""
     dx, dy = va - 2 * r, vb - r
     low = min(r, 0)
     return max(0, -dx - low, -dy - low, NEG_INF if dx == INF else -r - dx // 2)
@@ -174,6 +171,13 @@ def _phase_term(p: int, r: int, x: Reading, degree: int) -> tuple[int, int]:
     return depth, _scaled_residue(p, depth, x.value, x.valuation, 0)
 
 
+def _check_phase_depth(p: int, depth: int) -> None:
+    """CapError when p^depth exceeds gauss.MAX_INT64_RESIDUE, where the int64
+    residue products of a phase row would wrap."""
+    check_power_cap(p, depth, MAX_INT64_RESIDUE,
+                    "phase modulus {size} exceeds {cap}: int64 overflow")
+
+
 def _quad_phase_indices(
     grid: Grid, a: Reading | None, b: Reading | None, cells: np.ndarray | None = None
 ) -> tuple[np.ndarray, int]:
@@ -181,15 +185,13 @@ def _quad_phase_indices(
     at every cell, or only at the int64 cell indices `cells`, in their order.
     a or b None is a term left out.
 
-    The one source of exact cell phases.  Raises CapError when p^M exceeds
-    gauss.MAX_INT64_RESIDUE, where the int64 residue products would wrap.
+    The one source of exact cell phases; p^M must pass _check_phase_depth.
     """
     p, r = grid.p, grid.r
     ma, ca = (0, 0) if a is None else _phase_term(p, r, a, 2)
     mb, cb = (0, 0) if b is None else _phase_term(p, r, b, 1)
     depth = max(ma, mb)
-    if p**depth > MAX_INT64_RESIDUE:
-        raise CapError(f"phase modulus {p}^{depth} exceeds {MAX_INT64_RESIDUE}: int64 overflow")
+    _check_phase_depth(p, depth)
     i = np.arange(grid.n, dtype=np.int64) if cells is None else cells
     idx = np.zeros(len(i), dtype=np.int64)
     if ma:
@@ -206,7 +208,7 @@ def _cell_phase_indices(a: Coefficient, b: Coefficient, grid: Grid) -> tuple[np.
     enough and the grid resolves e(a*x^2 + b*x) (k >= required_resolution)."""
     p, r = grid.p, grid.r
     a, b = read_coefficient(a, p).need(2 * r), read_coefficient(b, p).need(r)
-    needed = _resolution_of_valuations(a.valuation, b.valuation, r)
+    needed = _cell_resolution(a.valuation, b.valuation, r, False)
     if grid.k < needed:
         raise ResolutionError(
             f"e(a*x^2+b*x) is not cell-constant at k={grid.k}; need k >= {needed}"
@@ -347,7 +349,7 @@ def op_P(psi: StateVector, d: Coefficient) -> StateVector:
     """Chirp |x> -> e(d*x^2)|x>; shifts the quadratic family label by d."""
     g = psi.grid
     d = read_coefficient(d, g.p).need(2 * g.r)
-    needed = _resolution_of_valuations(d.valuation, INF, g.r)
+    needed = _cell_resolution(d.valuation, INF, g.r, False)
     if g.k < needed:
         raise ResolutionError(f"chirp e(d*x^2) needs k >= {needed}, grid has {g.k}")
     return _times_phase(psi, *_quad_phase_indices(g, d, None))
@@ -492,55 +494,47 @@ def _index_labels(states: list[tuple[FamilyLabel, Coefficient]]) -> tuple[list, 
     return list(index), np.array(codes, dtype=np.int64).reshape(-1, 2)
 
 
-def _state_stack(reads: list, codes: np.ndarray, grid: Grid, coarse: Grid) -> np.ndarray:
-    """One row per state (a, b) of codes, checked as vector_v_inf(b, grid)
-    checks a = None and vector_v(a, b, grid) any other a, in the same
-    order, but built on `coarse`: a Grid(p, grid.r, k), k <= grid.k, on
-    which every state is cell-constant (k at least _cell_resolution of its
-    labels).  Each row is the state vector_v_inf or vector_v builds on
-    `coarse` once its resolution check is passed.
+def _state_stack(reads: list, codes: np.ndarray, grid: Grid, window: int) -> np.ndarray:
+    """One row per state (a, b) of codes, on a grid that resolves every state
+    (k at least _cell_resolution of its labels): the row vector_v_inf(b, grid)
+    builds for a = None and vector_v(a, b, grid) for any other a, with their
+    window and int64-cap errors, in the order of the states.  A delta's b is
+    read to p^window, the k of the grid gram_report reports, before its
+    cell is taken.
 
     reads[c] is gram_report's reading of label c, None for the delta family's
-    a; each label's window is checked against `grid` here, from it: a
-    delta's b is read to p^grid.k, and only then is its cell on `coarse`
-    taken, the residue mod p^(r + coarse.k) of its cell on `grid`.
-    Each distinct label is used once per role, in integers: a chirp's a or b
-    gives its phase term (M, c) and its resolution bound, a delta's b its
-    cell.  required_resolution(a, b) and the phase depth of e(a*x^2 + b*x)
-    are the larger of their a and b parts, so a chirp's index row is the
-    quadratic row of its a plus the linear row of its b.  All label rows
-    come from one broadcast of (i mod p^T)^2 and of i mod p^T over the
-    cells, at the deepest depth T in use, and the delta rows from one
+    a.  Each distinct label is used once per role, in integers: a chirp's a
+    or b gives its phase term (M, c), a delta's b its cell.  The phase depth
+    of e(a*x^2 + b*x) is the larger of its a and b parts, so a chirp's index
+    row is the quadratic row of its a plus the linear row of its b.  All
+    label rows come from one broadcast of (i mod p^T)^2 and of i mod p^T over
+    the cells, at the deepest depth T in use, and the delta rows from one
     scatter.  A state of depth M reads its row divided by p^(T - M), which
     is the row vector_v builds, from the p^M roots of its depth, each one
     `gauss._roots` at n = p^M as in vector_v: every float is vector_v's or
     vector_v_inf's.
     """
-    p, r, n = grid.p, grid.r, coarse.n
-    # code -> (M, c, fits) of a chirp's a, and of its b: fits says the grid
-    # resolves that part and p^M stays within int64 residues
-    quad: dict = {}
-    lin: dict = {}
+    p, r, n = grid.p, grid.r, grid.n
+    quad: dict = {}  # code -> the phase term (M, c) of a chirp's a
+    lin: dict = {}  # and of a chirp's b
     cells: dict = {}  # code -> the cell of -b, for a delta's b
     chirps, deltas = [], []
+    top = 0  # the deepest phase depth met so far, its p^top within int64
     for s, (a, b) in enumerate(codes.tolist()):
         if reads[a] is None:
-            if grid.k < r:
-                raise ResolutionError(f"need k >= r = {r} to resolve the ball p^{r}Z_p")
             if b not in cells:
-                cells[b] = -grid._index(reads[b]) % n  # the ball -b + p^r Z_p
+                # the ball -b + p^r Z_p
+                cells[b] = -grid._index(reads[b].need(window)) % n
             deltas.append((s, cells[b]))
             continue
         for c, degree, seen in ((a, 2, quad), (b, 1, lin)):
             if c not in seen:
-                x, v = reads[c].need(degree * r), reads[c].valuation
-                m, coef = _phase_term(p, r, x, degree)
-                needed = _resolution_of_valuations(*((v, INF) if degree == 2 else (INF, v)), r)
-                seen[c] = m, coef, grid.k >= needed and p**m <= MAX_INT64_RESIDUE
-        if not (quad[a][2] and lin[b][2]):
-            # raises this state's own error
-            _cell_phase_indices(reads[a].source, reads[b].source, grid)
-        chirps.append((s, a, b, max(quad[a][0], lin[b][0])))
+                seen[c] = _phase_term(p, r, reads[c].need(degree * r), degree)
+        depth = max(quad[a][0], lin[b][0])
+        if depth > top:
+            _check_phase_depth(p, depth)
+            top = depth
+        chirps.append((s, a, b, depth))
     # allocated once every state has passed its checks
     stack = np.empty((len(codes), n), dtype=complex)
     if deltas:
@@ -551,7 +545,6 @@ def _state_stack(reads: list, codes: np.ndarray, grid: Grid, coarse: Grid) -> np
         stack[s[:, None], (cell[:, None] + np.arange(0, n, step)) % n] = float(p) ** r
     if chirps:
         s, a, b, depth = np.array(chirps, dtype=np.int64).T
-        top = int(depth.max())
         mod = p**top
         # every label's quadratic and linear row at the deepest M in use: a
         # term c of depth M lifted to c*p^(top - M) < p^top, times j^2 mod
@@ -559,7 +552,7 @@ def _state_stack(reads: list, codes: np.ndarray, grid: Grid, coarse: Grid) -> np
         # MAX_INT64_RESIDUE stays below 2^63)
         lift = np.zeros((2, len(reads)), dtype=np.int64)
         for row, seen in enumerate((quad, lin)):
-            for c, (m, coef, _) in seen.items():
+            for c, (m, coef) in seen.items():
                 lift[row, c] = coef * p ** (top - m)
         j = np.arange(n, dtype=np.int64) % mod
         rows = np.concatenate((j**2 % mod * lift[0][:, None] % mod, j * lift[1][:, None] % mod))
@@ -645,16 +638,14 @@ def gram_report(
     valuations come from integer numerators over one common denominator, and
     _state_stack checks each label's window on the same reading.
 
-    Grid(p, r_used, k_used) is the grid that is reported, capped and
-    checked: every window and resolution check is made against it.  The
-    state stack and the Gram product run on the coarsest grid that resolves
-    the states, Grid(p, r_used, k_cell) with k_cell from _cell_resolution:
-    each of its cells holds p^(k_used - k_cell) cells of the reported grid,
-    on which every state is constant, and its measure is larger by that
-    factor, so the Gram entries are the reported grid's in exact arithmetic
-    and only their rounding differs.  On that grid the root tables and
-    every float expression are those of the per-state constructors, so the
-    report's bytes do not depend on how the labels were read.
+    Grid(p, r_used, k_used) is the grid that is reported and capped, sized
+    by _resolution_of_valuations, and a delta's centre is read to its window
+    p^k_used.  The states are checked and built, and the Gram product run,
+    on Grid(p, r_used, k_cell), the least grid that resolves every state
+    (k_cell from _cell_resolution, required_resolution's rule).  On it the
+    root tables and every float expression are those of the per-state
+    constructors, so the report's bytes do not depend on how the labels
+    were read.
     """
     check_odd_prime(p)
     raw = [(_normalize_family(a), b) for a, b in params]
@@ -667,16 +658,17 @@ def gram_report(
                       for col in (0, 1))
 
     def resolution(r_grid: int) -> int:
-        """k: a delta state needs k >= r, a chirp required_resolution, the
-        larger of its a and b parts.  Every bound falls as the valuation
-        rises, so the smallest chirp valuations size every chirp, and as
-        v(x - y) >= min(v(x), v(y)), no pair difference needs a finer grid."""
+        """k_used: a delta state needs k >= r, a chirp
+        _resolution_of_valuations, the larger of its a and b parts.  Every
+        bound falls as the valuation rises, so the smallest chirp valuations
+        size every chirp, and as v(x - y) >= min(v(x), v(y)), no pair
+        difference needs a finer grid."""
         return max([1 - r_grid, *([r_grid] if has_delta else []),
                     _resolution_of_valuations(va_min, vb_min, r_grid)])
 
     # r_used is at least r, and with auto_raise at least -v(b) for a delta
     # centre b, which must lie in p^(-r)Z_p; r + k only grows with r (every
-    # bound of required_resolution does), so the cap is checked at that
+    # bound of _resolution_of_valuations does), so the cap is checked at that
     # least r, from the valuations alone
     r_low = r
     if auto_raise:
@@ -712,11 +704,11 @@ def gram_report(
     min_r[~mixed] = np.array(thresholds)[key_of] + 1
     r_used = max(int(min_r.max(initial=r)), r_low) if auto_raise else r
     k = resolution(r_used)
-    grid = make_grid(p, r_used, k)
-    coarse = Grid(p, r_used, _cell_resolution(va_min, vb_min, r_used, has_delta))
-    stack = _state_stack(reads, codes, grid, coarse)
+    make_grid(p, r_used, k)  # the reported grid, within the cap
+    grid = Grid(p, r_used, _cell_resolution(va_min, vb_min, r_used, has_delta))
+    stack = _state_stack(reads, codes, grid, k)
     text = ["inf" if x is None else str(xf) for x, xf in zip(reads, values)]
-    gram = stack.conj() @ stack.T * float(coarse.measure)
+    gram = stack.conj() @ stack.T * float(grid.measure)
     moduli = np.abs(gram)
     closed_of = [_simplified(p, r_used, *key)[0].value for key in keys]
     closed = np.ones(len(i))  # a delta and a chirp overlap with modulus 1

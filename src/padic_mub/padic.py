@@ -57,6 +57,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_prime(p: int) -> None:
+    """Raise ValueError unless p is prime."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 def int_valuation(n: int, p: int) -> int | float:
     """Exponent of the largest power of p dividing n; +inf for n = 0."""
     if p < 2:
@@ -176,8 +182,7 @@ class PadicNumber:
 
     def __init__(self, prime: int, valuation: int | float, digits: tuple[int, ...]):
         p = prime
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        _check_prime(p)
         u = 0
         if digits:
             if valuation == INF:
@@ -368,8 +373,7 @@ def from_rational(num: int, den: int, p: int, precision: int) -> PadicNumber:
     """The p-adic expansion of num/den truncated to `precision` digits."""
     if den == 0:
         raise ZeroDivisionError("denominator must be nonzero")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
     if precision < 1:
         raise ValueError("precision must be at least 1")
     if num == 0:

@@ -7,6 +7,10 @@ the package to.
   `known_valuation` (gauss._known_valuation) and `shifted_valuations`
   (gauss._shifted_valuations).
 * `rational_mod`, the Fraction residue that `padic._scaled_residue` replaced.
+* `reported_resolution`, the former `required_resolution` from Fractions:
+  the k by which `eigen_check` and `gram_report` still size the grids they
+  report (`mub_padic._resolution_of_valuations`), now that
+  `required_resolution` is the least cell-constant k.
 * `pfraction_of`, the former `PFraction.from_fraction` behind the former
   `UnitPhase.of`: a second route from a rational to a phase, now taken only
   by `padic.frac_part`.
@@ -92,6 +96,18 @@ def shifted_valuations(p, r, a, b):
     af = as_fraction(a, p, need_abs_precision=2 * r)
     bf = as_fraction(b, p, need_abs_precision=r)
     return af, bf, frac_valuation(af, p) - 2 * r, frac_valuation(bf, p) - r
+
+
+def reported_resolution(a, b, r, p):
+    """k >= 2r - v(a), r - v(a), ceil(-v(a)/2), r - v(b) and -v(b), and 0, a
+    zero coefficient's terms dropped, from the Fractions of a and b."""
+    bounds = [0]
+    va, vb = (frac_valuation(as_fraction(x, p), p) for x in (a, b))
+    if va != INF:
+        bounds += [2 * r - int(va), r - int(va), math.ceil(Fraction(-int(va), 2))]
+    if vb != INF:
+        bounds += [r - int(vb), -int(vb)]
+    return max(bounds)
 
 
 def rational_mod(q, modulus):

@@ -43,7 +43,7 @@ from padic_mub.gauss import (
     ring_sum_numeric_table,
     roots_of_unity,
 )
-from padic_mub.padic import PadicNumber, parse_coefficient
+from padic_mub.padic import PadicNumber, _check_prime, parse_coefficient
 from padic_mub.padic import zero as padic_zero
 from padic_mub.sweeps import (
     gauss_grid_combos,
@@ -169,6 +169,44 @@ def test_ring_numeric_accepts_p2():
     # brute force stays available for exploration at p = 2
     s = ring_sum_numeric(2, 1, 1, 1, 1)
     assert abs(s - _hand_ring_sum(2, 1, 1, 1, 1)) < 1e-12
+
+
+_RING_FUNCTIONS = {
+    "ring_sum_numeric": lambda p, k, l: ring_sum_numeric(p, k, l, 1, 0),
+    "ring_sum_normsq_exact": lambda p, k, l: ring_sum_normsq_exact(p, k, l, 1, 0),
+    "ring_sum_norm_closed": lambda p, k, l: ring_sum_norm_closed(p, k, l, 1, 0),
+    "ring_sum_norm_closed_table": ring_sum_norm_closed_table,
+    "ring_sum_numeric_table": ring_sum_numeric_table,
+    "ring_sum_normsq_table": ring_sum_normsq_table,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RING_FUNCTIONS))
+@pytest.mark.parametrize("p, k, l, message", [
+    (3, 1, 2, "need k >= l >= 1"),  # normsq_table once gave p^(-2)-scaled floats
+    (3, 1, 0, "need k >= l >= 1"),  # numeric_table once gave a 1x1 table
+    (3, 0, 0, "need k >= l >= 1"),
+    (9, 1, 1, "9 is not prime"),
+    (1, 1, 1, "1 is not prime"),
+])
+def test_ring_functions_check_their_parameters(name, p, k, l, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _RING_FUNCTIONS[name](p, k, l)
+
+
+@pytest.mark.parametrize("function, args", [
+    pytest.param(function, args, id=f"{function.__name__}{args}") for function, args in (
+        (integral_norm_closed, (9, 1, 1, 0)),
+        (simplified_norm, (9, 1, 1, 0)),
+        (threshold_t, (9, 1, 0)),
+        (integral_report, (9, 1, 1, 0)),
+        (gauss.check_ring_params, (15, 2, 1)),
+        (_check_prime, (0,)),
+        (_check_prime, (-3,)),
+    )])
+def test_closed_forms_refuse_a_composite_p(function, args):
+    with pytest.raises(ValueError, match=f"^{args[0]} is not prime$"):
+        function(*args)
 
 
 def test_ring_term_cap():

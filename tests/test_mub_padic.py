@@ -1,9 +1,11 @@
 """Grid models of L^2(Q_p): states, Fourier transform, unitaries, Gram tables."""
 
+import ast
 import collections
 import itertools
 import json
 import math
+import pathlib
 import re
 from fractions import Fraction
 
@@ -66,6 +68,7 @@ from oracles import (
     pfraction_of,
     rational_mod,
     report_dict,
+    reported_resolution,
 )
 
 W3 = complex(-0.5, np.sqrt(3) / 2)  # e^(2*pi*i/3)
@@ -112,24 +115,19 @@ def test_index_of_roundtrip():
 
 
 def test_required_resolution_examples():
-    assert required_resolution(1, 0, 1, 3) == 2
+    # the unit chirp at r = 1 is cell-constant from k = 1 (the sizing asks 2)
+    assert required_resolution(1, 0, 1, 3) == 1
+    assert reported_resolution(1, 0, 1, 3) == 2
     assert required_resolution(0, 0, 5, 3) == 0
-    assert required_resolution(Fraction(1, 9), 0, 1, 3) == 4
-
-
-def _old_required_resolution(a, b, r, p):
-    af = as_fraction(a, p)
-    bf = as_fraction(b, p)
-    bounds = [0]
-    va, vb = frac_valuation(af, p), frac_valuation(bf, p)
-    if va != math.inf:
-        bounds += [2 * r - int(va), r - int(va), math.ceil(Fraction(-int(va), 2))]
-    if vb != math.inf:
-        bounds += [r - int(vb), -int(vb)]
-    return max(bounds)
+    assert required_resolution(0, 0, -2, 3) == 3  # the floor r + k >= 1
+    assert required_resolution(Fraction(1, 9), 0, 1, 3) == 3
+    assert reported_resolution(Fraction(1, 9), 0, 1, 3) == 4
 
 
 def test_required_resolution_reads_the_shifted_valuations():
+    """required_resolution is the cell rule from the Fractions (_cell_k);
+    the sizing of the reported grids, _resolution_of_valuations, reads the
+    shifted valuations as the former required_resolution did."""
     p = 3
     coeffs = [Fraction(0)] + [Fraction(2) ** (v % 2) * Fraction(p) ** v for v in range(-8, 9)]
     cases = 0
@@ -137,8 +135,12 @@ def test_required_resolution_reads_the_shifted_valuations():
         for a in coeffs:
             for b in coeffs:
                 got = required_resolution(a, b, r, p)
-                assert got == _old_required_resolution(a, b, r, p), (r, a, b)
-                assert type(got) is int
+                assert got == _cell_k([(a, b)], r, p), (r, a, b)
+                va, vb = (read_coefficient(x, p).valuation for x in (a, b))
+                sized = mub_padic._resolution_of_valuations(va, vb, r)
+                assert sized == reported_resolution(a, b, r, p), (r, a, b)
+                assert max(sized, 1 - r) >= got
+                assert type(got) is int and type(sized) is int
                 cases += 1
     assert cases == 4860
 
@@ -179,6 +181,77 @@ def test_cell_resolution_is_the_least_cell_constant_grid():
     assert checked == 4991
 
 
+def test_states_are_built_exactly_on_the_cell_constant_grids():
+    """For p <= 7, r in -2..3 and v(a), v(b) in -3..3 or a zero, on every
+    grid of at most 81 cells above the floor r + k >= 1: e(a*x^2 + b*x) is
+    constant on each cell in exact Fractions (the phase at rep(i) and at
+    rep(i) + t*p^k, t = 1..3, differ by a p-adic integer) exactly when
+    k >= required_resolution.  There vector_v and quadratic_phase_profile
+    succeed, the profile on the least such grid being the phase at each
+    representative; below it both raise ResolutionError."""
+    built = refused = 0
+    valuations = [*range(-3, 4), INF]
+    for p, r in itertools.product((3, 5, 7), range(-2, 4)):
+        floor = max(0, 1 - r)
+        # rep(i) = i*p^(-r) on every grid of radius r, and rep(i) + t*p^k = rep(i + t*n)
+        top = max(p**e for e in range(5) if p**e <= 81)
+        xs = [i * Fraction(p) ** -r for i in range(4 * top)]
+        for va, vb in itertools.product(valuations, repeat=2):
+            a, b = (0 if v == INF else u * Fraction(p) ** v for v, u in ((va, 1), (vb, 2)))
+            phases = [(a * x + b) * x for x in xs]
+            need = required_resolution(a, b, r, p)
+            for k in itertools.takewhile(lambda k: p ** (r + k) <= 81, itertools.count(floor)):
+                grid, n = make_grid(p, r, k), p ** (r + k)
+                constant = all((phases[i + t * n] - phases[i]).denominator % p
+                               for t in (1, 2, 3) for i in range(n))
+                assert constant == (k >= need), (p, r, k, a, b)
+                if not constant:
+                    for build in (vector_v, quadratic_phase_profile):
+                        with pytest.raises(ResolutionError, match=f"need k >= {need}$"):
+                            build(a, b, grid)
+                    refused += 1
+                    continue
+                vector_v(a, b, grid)
+                if k == max(need, floor):
+                    profile = quadratic_phase_profile(a, b, grid)
+                    assert profile == tuple(frac_part(x, p) for x in phases[:n])
+                built += 1
+    assert (built, refused) == (1763, 733)
+
+
+def _names_in(node):
+    """The names a syntax tree reads: its Name ids, attributes and imports."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def test_one_resolution_rule_checks_and_one_sizes():
+    """Only eigen_check and gram_report, which size the grids they report,
+    name _resolution_of_valuations in src/ (gram_report through its nested
+    `resolution`); every check reads the cell rule.  _state_stack checks no
+    resolution: it names no rule and no _cell_phase_indices, as the grid it
+    is given resolves every state."""
+    users = set()
+    for path in pathlib.Path(mub_padic.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            name = getattr(node, "name", "<module>")
+            methods = node.body if isinstance(node, ast.ClassDef) else [node]
+            for part in methods:
+                if "_resolution_of_valuations" in _names_in(part) and not (
+                        isinstance(part, ast.FunctionDef)
+                        and part.name == "_resolution_of_valuations"):
+                    users.add((path.name, name))
+            if name == "_state_stack":
+                assert not {"_resolution_of_valuations", "_cell_resolution", "required_resolution",
+                            "_cell_phase_indices", "ResolutionError"} & set(_names_in(node))
+    assert users == {("mub_padic.py", "eigen_check"), ("mub_padic.py", "gram_report")}
+
+
 def test_vector_v_constant_function():
     g = make_grid(3, 1, 1)
     v = vector_v(0, 0, g)
@@ -203,8 +276,13 @@ def test_vector_v_norm_is_ball_measure():
 
 
 def test_vector_v_resolution_enforced():
-    with pytest.raises(ResolutionError):
-        vector_v(1, 0, make_grid(3, 1, 1))
+    # the unit chirp is cell-constant on Grid(3, 1, 1), not on Grid(3, 2, 1)
+    unit = vector_v(1, 0, make_grid(3, 1, 1)).amplitudes
+    assert np.allclose(unit, np.exp(2j * np.pi * np.arange(9) ** 2 / 9))  # e(rep(i)^2)
+    with pytest.raises(ResolutionError, match="need k >= 2"):
+        vector_v(1, 0, make_grid(3, 2, 1))
+    with pytest.raises(ResolutionError, match="need k >= 2"):
+        quadratic_phase_profile(Fraction(1, 3), 0, make_grid(3, 1, 1))
 
 
 def test_vector_v_accepts_padic_coefficients():
@@ -393,8 +471,10 @@ def test_operator_preconditions():
         op_X(psi, Fraction(1, 9))  # outside the domain
     with pytest.raises(ResolutionError):
         op_Z(psi, Fraction(1, 9))  # phase not cell-constant
-    with pytest.raises(ResolutionError):
-        op_P(psi, 1)  # chirp needs k >= 2
+    # the unit chirp is cell-constant at k = 1; a chirp of v(d) = -1 needs k >= 2
+    assert np.allclose(op_P(psi, 1).amplitudes, vector_v(1, 0, g).amplitudes)
+    with pytest.raises(ResolutionError, match="needs k >= 2"):
+        op_P(psi, Fraction(1, 3))
 
 
 def test_commutation_checks_fail_on_a_shift_one_cell_off():
@@ -454,7 +534,7 @@ def test_eigen_check_sizes_its_grid_as_from_the_fractions(monkeypatch):
             af, bf, cf = (as_fraction(x, p) for x in (a, b, c))
             vc = frac_valuation(cf, p)
             r = max(1, -int(vc) if vc != INF else 0)
-            k = max(required_resolution(af, bf, r, p), required_resolution(0, 2 * af * cf, r, p),
+            k = max(reported_resolution(af, bf, r, p), reported_resolution(0, 2 * af * cf, r, p),
                     1 - r)
             with pytest.raises(_Sized) as sized_as:
                 eigen_check(a, b, c, p=p)
@@ -763,10 +843,10 @@ def _gram_sizing_ordered(params, r, p, auto_raise):
         k = max(k, r_used)
     for ai, bi in ab:
         if ai is not None:
-            k = max(k, required_resolution(ai, bi, r_used, p))
+            k = max(k, reported_resolution(ai, bi, r_used, p))
         for aj, bj in ab:
             if ai is not None and aj is not None:
-                k = max(k, required_resolution(ai - aj, bi - bj, r_used, p))
+                k = max(k, reported_resolution(ai - aj, bi - bj, r_used, p))
     n = len(ab)
     return r_used, k, [r_used >= min_r[i, j] for i in range(n) for j in range(i, n)]
 
@@ -978,8 +1058,8 @@ def _pair_oracle_check(p, params, r, auto_raise):
          as_fraction(b, p))
         for a, b in params
     ]
-    # the k sizing as one required_resolution call per state
-    assert rep.k_used == max([1 - r_used, *(r_used if a is None else required_resolution(
+    # the k sizing as one reported_resolution call per state
+    assert rep.k_used == max([1 - r_used, *(r_used if a is None else reported_resolution(
         a, b, r_used, p) for a, b in ab)])
     for e in gram_entries(rep):
         want = _old_pair_closed(p, r_used, *ab[e.i], *ab[e.j])
@@ -1080,12 +1160,13 @@ def test_gram_columns_match_the_pair_loop():
     assert checked >= 60
 
 
-def _stack(states, grid, coarse=None):
+def _stack(states, grid, window=None):
     """mub_padic._state_stack of the states, their labels read as gram_report
-    reads them, checked on grid and built on coarse (grid by default)."""
+    reads them, on grid, a delta's centre read to p^window (p^grid.k by
+    default)."""
     labels, codes = mub_padic._index_labels(states)
     reads = [None if x is None else read_coefficient(x, grid.p) for x in labels]
-    return mub_padic._state_stack(reads, codes, grid, grid if coarse is None else coarse)
+    return mub_padic._state_stack(reads, codes, grid, grid.k if window is None else window)
 
 
 def _cell_k(states, r, p):
@@ -1106,7 +1187,7 @@ def _cell_k(states, r, p):
 def _state_stack_old(states, grid, coarse=None):
     """The per-label state stack gram_report used before the per-table one:
     one _quad_phase_indices call per label, each label's resolution bound
-    from required_resolution, the rows lifted to their depth by one % over
+    from reported_resolution, the rows lifted to their depth by one % over
     the whole stack, and each delta row from its own vector_v_inf.  Every
     check is made on grid and the rows are built on coarse (grid by
     default), as _state_stack does."""
@@ -1121,7 +1202,7 @@ def _state_stack_old(states, grid, coarse=None):
             if x not in seen:  # (row, needed k, depth, coefficients) per label
                 xf = as_fraction(x, p, need_abs_precision=degree * r)
                 ab = (xf, 0) if degree == 2 else (0, xf)
-                seen[x] = (len(seen), required_resolution(*ab, r, p),
+                seen[x] = (len(seen), reported_resolution(*ab, r, p),
                            _phase_term_old(grid, xf, degree)[0], ab)
         (ia, ka, ma, _), (ib, kb, mb, _) = quad[a], lin[b]
         if grid.k < max(ka, kb) or p ** max(ma, mb) > MAX_INT64_RESIDUE:
@@ -1143,23 +1224,18 @@ def _state_stack_old(states, grid, coarse=None):
     return stack
 
 
-def _cell_rule(va, vb, r):
-    """Cell constancy of one chirp, in place of vector_v's resolution check."""
-    return mub_padic._cell_resolution(va, vb, r, False)
-
-
 def test_state_stack_rows_are_the_state_vectors():
-    """gram_report builds its stack on Grid(p, r_used, k_cell); on it and on
-    the reported grid each row is bit for bit the state vector_v or
-    vector_v_inf builds there, with cell constancy as vector_v's
-    resolution check."""
+    """gram_report builds its stack on Grid(p, r_used, k_cell), a delta's
+    centre read to p^k_used; on it and on the reported grid each row is bit
+    for bit the state vector_v or vector_v_inf builds there, and the
+    per-label path's row, checked on the reported grid."""
     checked = 0
     stacks = []
     state_stack = mub_padic._state_stack
 
-    def spy(reads, codes, grid, coarse):
-        stacks.append((grid, coarse))
-        return state_stack(reads, codes, grid, coarse)
+    def spy(reads, codes, grid, window):
+        stacks.append((grid, window))
+        return state_stack(reads, codes, grid, window)
 
     for p, params in _gram_sets():
         states = [(mub_padic._normalize_family(a), b) for a, b in params]
@@ -1174,16 +1250,14 @@ def test_state_stack_rows_are_the_state_vectors():
                         continue
                 grid = Grid(p, rep.r_used, rep.k_used)
                 coarse = Grid(p, rep.r_used, _cell_k(states, rep.r_used, p))
-                assert stacks == [(grid, coarse)]
+                assert stacks == [(coarse, rep.k_used)]
                 for on in (grid, coarse):
-                    stack = _stack(states, grid, on)
+                    stack = _stack(states, on, grid.k)
                     assert stack.tobytes() == _state_stack_old(states, grid, on).tobytes()
-                    with pytest.MonkeyPatch.context() as mp:
-                        mp.setattr(mub_padic, "_resolution_of_valuations", _cell_rule)
-                        for row, (a, b) in zip(stack, states):
-                            want = vector_v_inf(b, on) if a is None else vector_v(a, b, on)
-                            assert np.array_equal(row, want.amplitudes), (p, on, a, b)
-                            assert row.tobytes() == want.amplitudes.tobytes()
+                    for row, (a, b) in zip(stack, states):
+                        want = vector_v_inf(b, on) if a is None else vector_v(a, b, on)
+                        assert np.array_equal(row, want.amplitudes), (p, on, a, b)
+                        assert row.tobytes() == want.amplitudes.tobytes()
                 checked += 1
     assert checked >= 40
 
@@ -1262,34 +1336,42 @@ def _old_stack_error(states, grid):
 
 
 def test_state_stack_raises_the_first_failing_states_error():
-    g = make_grid(3, 1, 2)
+    """The stack is built on Grid(3, 1, k_cell), which resolves every state,
+    a delta's centre read to the window p^k of the reported
+    Grid(3, 1, max(2, k_cell)); it raises what the per-state constructors
+    raise first on the reported grid."""
     coarse = from_rational(1, 1, 3, 1)  # known only mod 3
     fine_a = parse_coefficient("1 2 *3^0", 3)  # known mod 3^2, as 2r needs
     cases = [
         [(0, 0), (coarse, 0)],  # a known below 3^(2r)
         [(fine_a, 0), (1, coarse), (None, 0)],  # b passes at 3^1: r = 1
-        [(1, 0), (Fraction(1, 27), 0), (coarse, 0)],  # resolution first
+        [(1, 0), (Fraction(1, 27), 0), (coarse, 0)],  # a finer chirp first
         [(1, 0), (None, Fraction(1, 9)), (Fraction(1, 27), 0)],  # delta center first
-        [(None, coarse), (coarse, 0)],  # the delta's b needs 3^k
+        [(None, coarse), (0, 0)],  # the delta's b needs 3^2, k_cell being 1
         [(1, 1), (1, Fraction(1, 27)), (Fraction(1, 27), 0)],
         [(2, 1), (2, 2), (1, 1)],
     ]
+    failing = 0
     for states in cases:
-        old = _old_stack_error(states, g)
+        k = _cell_k(states, 1, 3)
+        reported = Grid(3, 1, max(2, k))
+        old = _old_stack_error(states, reported)
         if old is None:
-            _stack(states, g)
+            _stack(states, Grid(3, 1, k), reported.k)
             continue
         with pytest.raises(old[0]) as exc:
-            _stack(states, g)
+            _stack(states, Grid(3, 1, k), reported.k)
         assert (type(exc.value), str(exc.value)) == old, states
-    assert sum(_old_stack_error(s, g) is not None for s in cases) == 5
+        failing += 1
+    assert failing == 4
     # a phase modulus past int64 residues on a grid that resolves it: the
-    # checks run before any row of its 3^23 cells is allocated
-    huge, states = Grid(3, 1, 22), [(Fraction(1, 3**20), 0), (0, 0)]
+    # checks run before any row of its 3^22 cells is allocated, and before
+    # a later state's window
+    huge, states = Grid(3, 1, 22), [(Fraction(1, 3**20), 0), (0, 0), (coarse, 0)]
     old = _old_stack_error(states, huge)
     assert old[0] is CapError and "3^22 exceeds" in old[1]
     with pytest.raises(CapError) as exc:
-        _stack(states, huge)
+        _stack(states, Grid(3, 1, _cell_k(states, 1, 3)), huge.k)
     assert str(exc.value) == old[1]
 
 
@@ -1343,7 +1425,7 @@ def _gram_report_old(params, r, p, auto_raise, coarse=False):
     """gram_report as it was before the per-table pass: every label a
     Fraction up front, Fraction difference tables over the a and the b
     labels, one Fraction valuation per delta-chirp pair, k from one
-    required_resolution per distinct label, the per-label state stack and
+    reported_resolution per distinct label, the per-label state stack and
     one rank per family.  With coarse, the states and the Gram product are
     built on Grid(p, r_used, _cell_k), the grid of k_used still being the
     one reported and checked."""
@@ -1372,8 +1454,8 @@ def _gram_report_old(params, r, p, auto_raise, coarse=False):
         r_used = max([int(min_r.max(initial=r)), *(-frac_valuation(b, p) for b in centers)])
     chirp_a, chirp_b = {a for a, _ in ab if a is not None}, {b for a, b in ab if a is not None}
     k = max([1 - r_used, *(r_used for a, _ in ab if a is None),
-             *(required_resolution(a, 0, r_used, p) for a in chirp_a),
-             *(required_resolution(0, b, r_used, p) for b in chirp_b)])
+             *(reported_resolution(a, 0, r_used, p) for a in chirp_a),
+             *(reported_resolution(0, b, r_used, p) for b in chirp_b)])
     grid = make_grid(p, r_used, k)
     on = Grid(p, r_used, _cell_k(raw, r_used, p)) if coarse else grid
     stack = _state_stack_old(raw, grid, on)

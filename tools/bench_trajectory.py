@@ -5,7 +5,10 @@
 DIR (default: the repository root) holds the files written by
 `perfbench/run.py --workload all --seed 11 --out BENCH_<n>.json`, n being the
 number of the change that recorded it.  One table per workload, one row per
-file (with its seed), one column per end-to-end metric.
+file (with its seed), one column per end-to-end metric, then the median of
+the run's speed kernel (`kernel_ms`, its `end_to_end.record.kernel_ms`
+quartiles[1]; `-` for a file with no record), which shows a change of host
+next to the times it scales.
 """
 
 from __future__ import annotations
@@ -30,16 +33,19 @@ def tables(runs: list[tuple[int, dict]]) -> str:
     workloads = sorted({w for _, bench in runs for w in bench["workloads"]})
     out = []
     for workload in workloads:
-        rows = [(n, bench["seed"], bench["workloads"][workload]["end_to_end"]["result"])
+        rows = [(n, bench["seed"], bench["workloads"][workload]["end_to_end"])
                 for n, bench in runs if workload in bench["workloads"]]
-        names = list(dict.fromkeys(m for *_, result in rows for m in result["metrics"]))
+        names = list(dict.fromkeys(m for *_, run in rows for m in run["result"]["metrics"]))
         out.append(workload)
-        out.append("  ".join(["BENCH", "seed", *(f"{m:>12}" for m in names), "correct"]))
-        for n, seed, result in rows:
-            metrics = result["metrics"]
+        out.append("  ".join(["BENCH", "seed", *(f"{m:>12}" for m in [*names, "kernel_ms"]),
+                              "correct"]))
+        for n, seed, run in rows:
+            metrics = run["result"]["metrics"]
             cells = [f"{metrics[m]['value']:12.4g}" if m in metrics else f"{'-':>12}"
                      for m in names]
-            out.append("  ".join([f"{n:>5}", f"{seed:>4}", *cells, str(result["correct"])]))
+            kernel = run.get("record", {}).get("kernel_ms")
+            cells.append(f"{kernel['quartiles'][1]:12.4g}" if kernel else f"{'-':>12}")
+            out.append("  ".join([f"{n:>5}", f"{seed:>4}", *cells, str(run["result"]["correct"])]))
         out.append("")
     return "\n".join(out)
 
