@@ -128,24 +128,13 @@ def required_resolution(a: Coefficient, b: Coefficient, r: int, p: int) -> int:
     """The least k of Grid(p, r, k) on which e(a*x^2 + b*x) is constant on
     every cell: the k that vector_v and quadratic_phase_profile check.
 
-    It is `_cell_resolution` of v(a) and v(b): k >= r - v(a), ceil(-v(a)/2)
-    and -v(b), a zero coefficient's terms dropping out, and the grid's floor
-    r + k >= 1.  The integrand recentred at c, on x + c, has linear
-    coefficient 2ac + b: pass that as b.
+    It is `_cell_resolution` of v(a) and v(b): k >= r - v(a) and -v(b), a
+    zero coefficient's terms dropping out, and the grid's floor r + k >= 1.
+    The integrand recentred at c, on x + c, has linear coefficient 2ac + b:
+    pass that as b.
     """
     return _cell_resolution(read_coefficient(a, p).valuation,
                             read_coefficient(b, p).valuation, r, False)
-
-
-def _resolution_of_valuations(va: int | float, vb: int | float, r: int) -> int:
-    """The k by which eigen_check and gram_report size their reported grids,
-    from v(a) = va and v(b) = vb: over the shifted valuations dx = va - 2r
-    and dy = vb - r of the Gauss norm table, k >= 2r - v(a), r - v(a),
-    ceil(-v(a)/2), r - v(b) and -v(b), a zero's terms dropping out.  For
-    r <= 0 it is required_resolution's k; for r >= 1 it asks up to r more."""
-    dx, dy = va - 2 * r, vb - r
-    low = min(r, 0)
-    return max(0, -dx - low, -dy - low, NEG_INF if dx == INF else -r - dx // 2)
 
 
 def _cell_resolution(va: int | float, vb: int | float, r: int, delta: bool) -> int:
@@ -154,11 +143,11 @@ def _cell_resolution(va: int | float, vb: int | float, r: int, delta: bool) -> i
     v(b) >= vb, and, with delta, every ball -b + p^r Z_p is a union of cells.
 
     On x + h, h in p^k Z_p, the phase moves by 2axh + a*h^2 + b*h, which is
-    in Z_p for every x in p^(-r)Z_p exactly when k >= r - v(a),
-    ceil(-v(a)/2) and -v(b); a delta state adds k >= r.
+    in Z_p for every x in p^(-r)Z_p exactly when k >= r - v(a) and -v(b):
+    with the floor these give 2k >= 1 - v(a), so a*h^2 is in Z_p too.  A
+    delta state adds k >= r.
     """
-    return max([0, 1 - r, *([r] if delta else []), r - va, -vb,
-                NEG_INF if va == INF else -(va // 2)])
+    return max([0, 1 - r, *([r] if delta else []), r - va, -vb])
 
 
 def _phase_term(p: int, r: int, x: Reading, degree: int) -> tuple[int, int]:
@@ -193,14 +182,17 @@ def _quad_phase_indices(
     depth = max(ma, mb)
     _check_phase_depth(p, depth)
     i = np.arange(grid.n, dtype=np.int64) if cells is None else cells
-    idx = np.zeros(len(i), dtype=np.int64)
-    if ma:
-        mod = p**ma
-        idx += ((i % mod) ** 2 % mod) * ca % mod * p ** (depth - ma)
-    if mb:
-        mod = p**mb
-        idx += (i % mod) * cb % mod * p ** (depth - mb)
-    return (idx % p**depth if depth else idx), depth
+    return _phase_rows(i, ca * p ** (depth - ma), cb * p ** (depth - mb), p**depth), depth
+
+
+def _phase_rows(i: np.ndarray, ca, cb, mod: int) -> np.ndarray:
+    """(ca*i^2 + cb*i) mod `mod` over the int64 cell indices i: the phase
+    numerators of a chirp whose terms (M, c) are lifted to c*p^(M' - M) at
+    the depth M' of mod = p^M'.  ca and cb are ints or int64 columns, one
+    row per column entry; every product is of residues below mod <=
+    MAX_INT64_RESIDUE, so none passes 2^63."""
+    j = i % mod
+    return (j * j % mod * ca % mod + j * cb % mod) % mod
 
 
 def _cell_phase_indices(a: Coefficient, b: Coefficient, grid: Grid) -> tuple[np.ndarray, int]:
@@ -400,8 +392,8 @@ def eigen_check(
     a, b, c = (read_coefficient(x, p) for x in (a, b, c))
     va, vb, vc = a.valuation, b.valuation, c.valuation
     r = max(1, -vc)
-    k_mod = _resolution_of_valuations(INF, int_valuation(2, p) + va + vc, r)  # b = 2ac
-    k = max(_resolution_of_valuations(va, vb, r), k_mod, 1 - r)
+    # the state's and the modulation's (b = 2ac) cell rule, r digits finer
+    k = _cell_resolution(va - r, min(vb, int_valuation(2, p) + va + vc) - r, r, False)
     grid = make_grid(p, r, k)
     a.need(-2 * vc)
     b.need(-vc)
@@ -504,22 +496,16 @@ def _state_stack(reads: list, codes: np.ndarray, grid: Grid, window: int) -> np.
 
     reads[c] is gram_report's reading of label c, None for the delta family's
     a.  Each distinct label is used once per role, in integers: a chirp's a
-    or b gives its phase term (M, c), a delta's b its cell.  The phase depth
-    of e(a*x^2 + b*x) is the larger of its a and b parts, so a chirp's index
-    row is the quadratic row of its a plus the linear row of its b.  All
-    label rows come from one broadcast of (i mod p^T)^2 and of i mod p^T over
-    the cells, at the deepest depth T in use, and the delta rows from one
-    scatter.  A state of depth M reads its row divided by p^(T - M), which
-    is the row vector_v builds, from the p^M roots of its depth, each one
-    `gauss._roots` at n = p^M as in vector_v: every float is vector_v's or
-    vector_v_inf's.
+    or b gives its phase term (M, c), a delta's b its cell.  A chirp's depth
+    is the larger of its a and b parts, and its rows are vector_v's: per
+    depth M, one _phase_rows of the terms lifted to M and one `gauss._roots`
+    at n = p^M.  The delta rows come from one scatter.
     """
     p, r, n = grid.p, grid.r, grid.n
     quad: dict = {}  # code -> the phase term (M, c) of a chirp's a
     lin: dict = {}  # and of a chirp's b
     cells: dict = {}  # code -> the cell of -b, for a delta's b
     chirps, deltas = [], []
-    top = 0  # the deepest phase depth met so far, its p^top within int64
     for s, (a, b) in enumerate(codes.tolist()):
         if reads[a] is None:
             if b not in cells:
@@ -530,11 +516,10 @@ def _state_stack(reads: list, codes: np.ndarray, grid: Grid, window: int) -> np.
         for c, degree, seen in ((a, 2, quad), (b, 1, lin)):
             if c not in seen:
                 seen[c] = _phase_term(p, r, reads[c].need(degree * r), degree)
-        depth = max(quad[a][0], lin[b][0])
-        if depth > top:
-            _check_phase_depth(p, depth)
-            top = depth
-        chirps.append((s, a, b, depth))
+        (ma, ca), (mb, cb) = quad[a], lin[b]
+        depth = max(ma, mb)
+        _check_phase_depth(p, depth)
+        chirps.append((s, ca * p ** (depth - ma), cb * p ** (depth - mb), depth))
     # allocated once every state has passed its checks
     stack = np.empty((len(codes), n), dtype=complex)
     if deltas:
@@ -544,28 +529,11 @@ def _state_stack(reads: list, codes: np.ndarray, grid: Grid, window: int) -> np.
         step = p ** max(2 * r, 0)
         stack[s[:, None], (cell[:, None] + np.arange(0, n, step)) % n] = float(p) ** r
     if chirps:
-        s, a, b, depth = np.array(chirps, dtype=np.int64).T
-        mod = p**top
-        # every label's quadratic and linear row at the deepest M in use: a
-        # term c of depth M lifted to c*p^(top - M) < p^top, times j^2 mod
-        # p^top or j (a product of two residues below p^top <=
-        # MAX_INT64_RESIDUE stays below 2^63)
-        lift = np.zeros((2, len(reads)), dtype=np.int64)
-        for row, seen in enumerate((quad, lin)):
-            for c, (m, coef) in seen.items():
-                lift[row, c] = coef * p ** (top - m)
-        j = np.arange(n, dtype=np.int64) % mod
-        rows = np.concatenate((j**2 % mod * lift[0][:, None] % mod, j * lift[1][:, None] % mod))
-        # a state of depth m reads its root at its lifted index // p^(top - m):
-        # per depth, a block of 2p^top entries holds its p^m roots, each
-        # repeated p^(top - m) times, twice over, as the index stays below 2p^top
-        depths, block = np.unique(depth, return_inverse=True)
-        table = np.concatenate([np.tile(np.repeat(_roots(np.arange(p**m), p**m),
-                                                  p ** (top - m)), 2) for m in depths.tolist()])
-        idx = rows[a]
-        idx += rows[len(reads) + b]
-        idx += 2 * mod * block[:, None]
-        stack[s] = table[idx]
+        s, ca, cb, depth = np.array(chirps, dtype=np.int64).T
+        i = np.arange(n, dtype=np.int64)
+        for m in np.unique(depth).tolist():
+            at = depth == m
+            stack[s[at]] = _roots(_phase_rows(i, ca[at, None], cb[at, None], p**m), p**m)
     return stack
 
 
@@ -629,7 +597,8 @@ def gram_report(
     auto-sized; with auto_raise the truncation exponent is raised until every
     pair's closed value is certified, otherwise under-threshold pairs are
     computed but flagged uncertified and excluded from the pass criterion.
-    p = 2 is refused (OddPrimeError) before any label is read.
+    p = 2 is refused (OddPrimeError), and any p not prime (ValueError),
+    before any label is read.
 
     The table is built in one pass per table, not one call per state.  Each
     distinct label is read once (`read_coefficient`): its valuation first,
@@ -638,16 +607,18 @@ def gram_report(
     valuations come from integer numerators over one common denominator, and
     _state_stack checks each label's window on the same reading.
 
-    Grid(p, r_used, k_used) is the grid that is reported and capped, sized
-    by _resolution_of_valuations, and a delta's centre is read to its window
-    p^k_used.  The states are checked and built, and the Gram product run,
-    on Grid(p, r_used, k_cell), the least grid that resolves every state
-    (k_cell from _cell_resolution, required_resolution's rule).  On it the
-    root tables and every float expression are those of the per-state
+    Grid(p, r_used, k_used) is the grid that is reported and capped: the
+    state grid resolved max(r_used, 0) digits finer, _cell_resolution at
+    the valuations shifted by that much.  A delta's centre is read to its
+    window p^k_used.  The states are checked and built, and the Gram
+    product run, on Grid(p, r_used, k_cell), the least grid that resolves
+    every state (k_cell from _cell_resolution, required_resolution's rule).
+    On it every root and float expression is that of the per-state
     constructors, so the report's bytes do not depend on how the labels
     were read.
     """
     check_odd_prime(p)
+    _check_prime(p)
     raw = [(_normalize_family(a), b) for a, b in params]
     labels, codes = _index_labels(raw)
     reads = [None if x is None else read_coefficient(x, p) for x in labels]
@@ -658,18 +629,17 @@ def gram_report(
                       for col in (0, 1))
 
     def resolution(r_grid: int) -> int:
-        """k_used: a delta state needs k >= r, a chirp
-        _resolution_of_valuations, the larger of its a and b parts.  Every
-        bound falls as the valuation rises, so the smallest chirp valuations
-        size every chirp, and as v(x - y) >= min(v(x), v(y)), no pair
-        difference needs a finer grid."""
-        return max([1 - r_grid, *([r_grid] if has_delta else []),
-                    _resolution_of_valuations(va_min, vb_min, r_grid)])
+        """k_used: _cell_resolution at the valuations shifted by max(r, 0).
+        Every bound falls as the valuation rises, so the smallest chirp
+        valuations size every chirp, and as v(x - y) >= min(v(x), v(y)), no
+        pair difference needs a finer grid."""
+        shift = max(r_grid, 0)
+        return _cell_resolution(va_min - shift, vb_min - shift, r_grid, has_delta)
 
     # r_used is at least r, and with auto_raise at least -v(b) for a delta
     # centre b, which must lie in p^(-r)Z_p; r + k only grows with r (every
-    # bound of _resolution_of_valuations does), so the cap is checked at that
-    # least r, from the valuations alone
+    # bound of resolution does), so the cap is checked at that least r, from
+    # the valuations alone
     r_low = r
     if auto_raise:
         r_low = max([r, *(-vals[c] for c in codes[delta, 1].tolist() if vals[c] != INF)])

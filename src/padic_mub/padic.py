@@ -21,12 +21,13 @@ digit and are built only when read.
 
 A coefficient of the toolkit (a `Coefficient`: an exact rational or a digit
 string) is read in one place, `read_coefficient`, once per call, and its
-`Reading` is passed on.  The reading checks the prime and carries the
-valuation (+inf for any zero) and the absolute precision (+inf for a
-rational).  A consumer reads the valuation first, for its caps; only then
-does it check the window it needs (`Reading.need`) and read the exact
-`value`, the only step that forms a Fraction, refused past the valuation
-limit.
+`Reading` is passed on.  The reading checks that a digit string's prime
+is p, not that p is prime: the consumers check that, by `_check_prime`.
+It carries the valuation (+inf for any zero) and the absolute precision
+(+inf for a rational).  A consumer reads the valuation first, for its
+caps; only then does it check the window it needs (`Reading.need`) and
+read the exact `value`, the only step that forms a Fraction, refused past
+the valuation limit.
 """
 
 from __future__ import annotations

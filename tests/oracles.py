@@ -8,9 +8,10 @@ the package to.
   (gauss._shifted_valuations).
 * `rational_mod`, the Fraction residue that `padic._scaled_residue` replaced.
 * `reported_resolution`, the former `required_resolution` from Fractions:
-  the k by which `eigen_check` and `gram_report` still size the grids they
-  report (`mub_padic._resolution_of_valuations`), now that
-  `required_resolution` is the least cell-constant k.
+  with the floor r + k >= 1, the k by which `eigen_check` and `gram_report`
+  size the grids they report.  `mub_padic` computes it as
+  `_cell_resolution`, the least cell-constant k, at valuations shifted by
+  max(r, 0); the former `_resolution_of_valuations` read it directly.
 * `pfraction_of`, the former `PFraction.from_fraction` behind the former
   `UnitPhase.of`: a second route from a rational to a phase, now taken only
   by `padic.frac_part`.

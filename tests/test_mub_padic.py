@@ -126,8 +126,9 @@ def test_required_resolution_examples():
 
 def test_required_resolution_reads_the_shifted_valuations():
     """required_resolution is the cell rule from the Fractions (_cell_k);
-    the sizing of the reported grids, _resolution_of_valuations, reads the
-    shifted valuations as the former required_resolution did."""
+    the sizing of the reported grids, reported_resolution with the floor
+    r + k >= 1, reads the shifted valuations as the former
+    required_resolution did, and is the cell rule max(r, 0) digits finer."""
     p = 3
     coeffs = [Fraction(0)] + [Fraction(2) ** (v % 2) * Fraction(p) ** v for v in range(-8, 9)]
     cases = 0
@@ -137,9 +138,10 @@ def test_required_resolution_reads_the_shifted_valuations():
                 got = required_resolution(a, b, r, p)
                 assert got == _cell_k([(a, b)], r, p), (r, a, b)
                 va, vb = (read_coefficient(x, p).valuation for x in (a, b))
-                sized = mub_padic._resolution_of_valuations(va, vb, r)
-                assert sized == reported_resolution(a, b, r, p), (r, a, b)
-                assert max(sized, 1 - r) >= got
+                sized = max(reported_resolution(a, b, r, p), 1 - r)
+                shift = max(r, 0)
+                assert sized == mub_padic._cell_resolution(va - shift, vb - shift, r, False)
+                assert sized >= got
                 assert type(got) is int and type(sized) is int
                 cases += 1
     assert cases == 4860
@@ -169,16 +171,41 @@ def test_cell_resolution_is_the_least_cell_constant_grid():
         for (va, ua), (vb, ub) in itertools.product(units, repeat=2):
             k = mub_padic._cell_resolution(va, vb, r, delta)
             floor = max(0, 1 - r, r if delta else 0)
-            assert type(k) is int and floor <= k <= max(
-                floor, mub_padic._resolution_of_valuations(va, vb, r))
+            a, b = (0 if v == INF else u * Fraction(p) ** v for v, u in ((va, ua), (vb, ub)))
+            assert type(k) is int and floor <= k <= max(floor, reported_resolution(a, b, r, p))
             if p ** (r + k) > 81:
                 continue
-            a, b = (0 if v == INF else u * Fraction(p) ** v for v, u in ((va, ua), (vb, ub)))
             center = Fraction(p) ** -r if delta else None
             assert not _cell_moves(p, r, k, a, b, center), (p, r, va, vb, delta)
             assert k == floor or _cell_moves(p, r, k - 1, a, b, center), (p, r, va, vb, delta)
             checked += 1
     assert checked == 4991
+
+
+def test_reported_grids_are_the_cell_rule_at_shifted_valuations():
+    """The reported grids are the cell rule at valuations shifted by
+    max(r, 0), the former sizing (reported_resolution with the floor
+    r + k >= 1) exactly: gram_report's over v(a), v(b) in -9..9 or a zero,
+    r in -6..7, with and without a delta state, and eigen_check's, whose
+    linear coefficient is also 2ac and whose r = max(1, -v(c)) >= 1."""
+    vals = [*range(-9, 10), INF]
+    coeff = {(p, v): Fraction(0) if v == INF else Fraction(p) ** v
+             for p in (3, 5) for v in vals}
+    cases = 0
+    for va, vb, r in itertools.product(vals, vals, range(-6, 8)):
+        old = max(1 - r, reported_resolution(coeff[3, va], coeff[3, vb], r, 3))
+        shift = max(r, 0)
+        for delta in (False, True):
+            new = mub_padic._cell_resolution(va - shift, vb - shift, r, delta)
+            assert new == max(old, r if delta else 0), (va, vb, r, delta)
+            cases += 1
+    for p, va, vb, vc in itertools.product((3, 5), vals, vals, range(-9, 10)):
+        a, b, c, r = coeff[p, va], coeff[p, vb], coeff[p, vc], max(1, -vc)
+        old = max(reported_resolution(a, b, r, p), reported_resolution(0, 2 * a * c, r, p), 1 - r)
+        vlin = min(vb, frac_valuation(2 * a * c, p))
+        assert mub_padic._cell_resolution(va - r, vlin - r, r, False) == old, (p, va, vb, vc)
+        cases += 1
+    assert cases == 26400
 
 
 def test_states_are_built_exactly_on_the_cell_constant_grids():
@@ -231,25 +258,30 @@ def _names_in(node):
 
 
 def test_one_resolution_rule_checks_and_one_sizes():
-    """Only eigen_check and gram_report, which size the grids they report,
-    name _resolution_of_valuations in src/ (gram_report through its nested
-    `resolution`); every check reads the cell rule.  _state_stack checks no
-    resolution: it names no rule and no _cell_phase_indices, as the grid it
-    is given resolves every state."""
-    users = set()
+    """_cell_resolution is the one resolution rule in src/: every other
+    function named for a resolution (required_resolution, gram_report's
+    nested `resolution`) reads it, and no other rule is named.  _state_stack
+    checks no resolution: it names no rule and no _cell_phase_indices, as
+    the grid it is given resolves every state.  It and _quad_phase_indices
+    build their phase rows through _phase_rows, the one row kernel."""
+    rules, names, defs = {}, set(), {}
     for path in pathlib.Path(mub_padic.__file__).parent.glob("*.py"):
-        for node in ast.parse(path.read_text()).body:
-            name = getattr(node, "name", "<module>")
-            methods = node.body if isinstance(node, ast.ClassDef) else [node]
-            for part in methods:
-                if "_resolution_of_valuations" in _names_in(part) and not (
-                        isinstance(part, ast.FunctionDef)
-                        and part.name == "_resolution_of_valuations"):
-                    users.add((path.name, name))
-            if name == "_state_stack":
-                assert not {"_resolution_of_valuations", "_cell_resolution", "required_resolution",
-                            "_cell_phase_indices", "ResolutionError"} & set(_names_in(node))
-    assert users == {("mub_padic.py", "eigen_check"), ("mub_padic.py", "gram_report")}
+        tree = ast.parse(path.read_text())
+        names |= set(_names_in(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                defs[(path.name, node.name)] = set(_names_in(node))
+                if "resolution" in node.name:
+                    rules[(path.name, node.name)] = "_cell_resolution" in defs[path.name, node.name]
+    assert rules == {("mub_padic.py", "required_resolution"): True,
+                     ("mub_padic.py", "_cell_resolution"): False,
+                     ("mub_padic.py", "resolution"): True}
+    assert {n for n in names if "resolution" in n} == {
+        "required_resolution", "_cell_resolution", "resolution"}
+    stack, quad = defs["mub_padic.py", "_state_stack"], defs["mub_padic.py", "_quad_phase_indices"]
+    assert not {"_cell_resolution", "required_resolution", "_cell_phase_indices",
+                "ResolutionError"} & stack
+    assert "_phase_rows" in stack & quad
 
 
 def test_vector_v_constant_function():
@@ -1600,6 +1632,17 @@ def test_gram_report_refuses_p2_before_it_reads_a_label(monkeypatch):
     with pytest.raises(OddPrimeError, match="requires an odd prime"):
         gram_report(canonical_family_params(2), r=1, p=2)
     assert calls == []
+
+
+def test_gram_report_refuses_a_composite_p_before_it_reads_a_label():
+    """The prime check follows the odd-prime gate: p = 9 or 10^6 is refused
+    as not prime before a label of Q_3, which any reading at p refuses, is
+    read, and before the cell cap is met."""
+    foreign = parse_coefficient("1 2 *3^0", 3)
+    for p in (9, 10**6):
+        for params in ([(0, 0), (1, 0)], [(0, foreign), (None, foreign)]):
+            with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+                gram_report(params, r=1, p=p)
 
 
 def _profile_loop(a, b, grid):
