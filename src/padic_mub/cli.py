@@ -5,13 +5,15 @@ configuration; identical configurations (including seeds) produce
 byte-identical JSON.  Exit codes: 0 = pass, 1 = a verification failed
 numerically, 2 = invalid input.
 
-A call whose first word is a command is parsed by that command's standalone
-parser (`command_parser`), which prints the same help and errors as the full
-parser's subparser.  The full parser (`build_parser`) reads every other
+A call whose first word is a command is parsed by that command's own parser
+(`command_parser`), the full parser's subparser for it, so it prints the
+same help and errors.  The full parser (`build_parser`) reads every other
 call, and any call whose arguments the command's parser leaves over, so
-"invalid choice" and "unrecognized arguments" print its usage line.  Each
-call reads the terminal width once per parser it asks for, and each parser
-is built once per process and width, then shared by later calls.
+"invalid choice" and "unrecognized arguments" print its usage line.  Both
+come from one parser set, built once per process (`_parsers`) and shared by
+later calls.  argparse reads the terminal width each time it formats text,
+so help wraps at the width of the moment, and a parse that prints nothing
+reads it not at all.
 
 `--format json` writes what `json.dumps(d, sort_keys=True, indent=2)` writes
 for the report's dict d with floats rounded to 12 significant digits
@@ -29,7 +31,6 @@ import inspect
 import json
 import math
 import os
-import shutil
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -388,51 +389,35 @@ _SUBCOMMANDS = {
 COMMANDS = tuple(_SUBCOMMANDS)
 
 
-def _help_width() -> int:
-    """argparse's own default help width, read once per call instead of once
-    per `add_argument`."""
-    return shutil.get_terminal_size().columns - 2
-
-
-def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    parser.set_defaults(command=name, func=_SUBCOMMANDS[name][1](parser))
-    return parser
-
-
-# A parser is built once per (command, help width) in a process and shared
-# by every call: parsing leaves it unchanged, and help and usage text wrap at
-# the width it was built with.  The cache keeps every parser of eight widths.
-@functools.lru_cache(maxsize=8 * (len(_SUBCOMMANDS) + 1))
-def _parser(name: str | None, width: int) -> argparse.ArgumentParser:
-    """`name`'s standalone parser, or with name None the full parser."""
-    formatter_class = functools.partial(argparse.HelpFormatter, width=width)
-    if name is not None:
-        return _add_command(argparse.ArgumentParser(prog=f"padic-mub {name}",
-                                                    formatter_class=formatter_class), name)
+# The parsers are built once per process and shared by every call: parsing
+# leaves them unchanged, and argparse reads the terminal width when it
+# formats help or usage, not when it parses.
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and its subparser for each command by name."""
     parser = argparse.ArgumentParser(
         prog="padic-mub",
         description="Verification pipelines for quadratic Gauss sums and "
         "mutually unbiased bases over finite fields and Q_p.  Coefficients "
         "accept rationals 'num/den' or digit strings 'd0 d1 ... *p^v'.",
-        formatter_class=formatter_class,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd, (help_text, _) in _SUBCOMMANDS.items():
-        _add_command(sub.add_parser(cmd, help=help_text, formatter_class=formatter_class), cmd)
-    return parser
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        one = sub.add_parser(name, help=help_text)
+        one.set_defaults(command=name, func=add_arguments(one))
+    return parser, sub.choices
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The full CLI parser: every subcommand, their help and "invalid choice".
-    Cached per terminal width and shared: callers must not change it."""
-    return _parser(None, _help_width())
+    Built once and shared: callers must not change it."""
+    return _parsers()[0]
 
 
 def command_parser(name: str) -> argparse.ArgumentParser:
-    """The standalone parser of one command: the full parser's subparser for
-    it, which prints the same help and errors, with `command` as a default.
-    Cached per terminal width and shared: callers must not change it."""
-    return _parser(name, _help_width())
+    """One command's own parser: the full parser's subparser for it, with
+    `command` as a default.  Built once and shared: callers must not change it."""
+    return _parsers()[1][name]
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:

@@ -211,19 +211,11 @@ def _cell_phase_indices(a: Coefficient, b: Coefficient, grid: Grid) -> tuple[np.
 def quadratic_phase_profile(
     a: Coefficient, b: Coefficient, grid: Grid
 ) -> tuple[PFraction, ...]:
-    """The exact phase of e(a*x^2 + b*x) at every cell representative.
-
-    Each distinct numerator m/p^depth loses its power of p in numpy once.
-    """
+    """The exact phase of e(a*x^2 + b*x) at every cell representative: each
+    distinct numerator m over p^depth mapped once by frac_part."""
     idx, depth = _cell_phase_indices(a, b, grid)
-    p = grid.p
     nums, cell_num = np.unique(idx, return_inverse=True)
-    exps = np.full(nums.shape, depth)
-    for _ in range(depth):
-        div = (nums != 0) & (nums % p == 0)
-        nums[div] //= p
-        exps[div] -= 1
-    phases = [PFraction(p, m, e if m else 0) for m, e in zip(nums.tolist(), exps.tolist())]
+    phases = [frac_part(Fraction(m, grid.p**depth), grid.p) for m in nums.tolist()]
     return tuple(map(phases.__getitem__, cell_num.tolist()))
 
 
@@ -238,12 +230,18 @@ def vector_v(a: Coefficient, b: Coefficient, grid: Grid) -> StateVector:
     return StateVector(grid, _roots(idx, grid.p**depth))
 
 
+def _ball_cells(grid: Grid, i0, e: int) -> np.ndarray:
+    """The cells of the ball rep(i0) + p^e Z_p: the indices = i0 mod p^(r+e),
+    with e clipped to [-r, k].  i0 is an int, or an int64 column for one row
+    of cells per ball."""
+    p, r, k, n = grid.p, grid.r, grid.k, grid.n
+    return (i0 + np.arange(0, n, p ** min(max(r + e, 0), r + k))) % n
+
+
 def _ball_indicator(grid: Grid, i0: int, e: int, value: float) -> StateVector:
     """value on the cells of the ball rep(i0) + p^e Z_p, 0 elsewhere."""
     amps = np.zeros(grid.n, dtype=complex)
-    # the ball collects the cells with index = i0 mod p^(r+e)
-    step = grid.p ** max(grid.r + e, 0)
-    amps[(i0 + np.arange(0, grid.n, step, dtype=np.int64)) % grid.n] = value
+    amps[_ball_cells(grid, i0, e)] = value
     return StateVector(grid, amps)
 
 
@@ -300,7 +298,7 @@ def ball_fourier_closed(z: Coefficient, scale: int, dual: Grid) -> np.ndarray:
     ball z + p^scale Z_p.
     """
     p = dual.p
-    keep = np.arange(0, dual.n, p ** min(max(dual.r - scale, 0), dual.r + dual.k))
+    keep = _ball_cells(dual, 0, -scale)
     z = read_coefficient(z, p).need(scale)
     idx, depth = _quad_phase_indices(dual, None, z, keep)
     t = 2.0 * math.pi * (idx / p**depth)
@@ -339,12 +337,7 @@ def op_Z(psi: StateVector, d: Coefficient) -> StateVector:
 
 def op_P(psi: StateVector, d: Coefficient) -> StateVector:
     """Chirp |x> -> e(d*x^2)|x>; shifts the quadratic family label by d."""
-    g = psi.grid
-    d = read_coefficient(d, g.p).need(2 * g.r)
-    needed = _cell_resolution(d.valuation, INF, g.r, False)
-    if g.k < needed:
-        raise ResolutionError(f"chirp e(d*x^2) needs k >= {needed}, grid has {g.k}")
-    return _times_phase(psi, *_quad_phase_indices(g, d, None))
+    return _times_phase(psi, *_cell_phase_indices(d, 0, psi.grid))
 
 
 @dataclass
@@ -525,9 +518,7 @@ def _state_stack(reads: list, codes: np.ndarray, grid: Grid, window: int) -> np.
     if deltas:
         s, cell = np.array(deltas, dtype=np.int64).T
         stack[s] = 0
-        # the ball's cells are cell + j*p^(2r), as _ball_indicator finds them
-        step = p ** max(2 * r, 0)
-        stack[s[:, None], (cell[:, None] + np.arange(0, n, step)) % n] = float(p) ** r
+        stack[s[:, None], _ball_cells(grid, cell[:, None], r)] = float(p) ** r
     if chirps:
         s, ca, cb, depth = np.array(chirps, dtype=np.int64).T
         i = np.arange(n, dtype=np.int64)

@@ -1,16 +1,18 @@
 """The argparse surface of the CLI: help texts, usage errors and exit codes.
 
-`main` parses a known command with that command's standalone parser, and
-hands anything else, or any argument that parser leaves over, to the full
-parser.  The corpus below pins what argparse prints, byte for byte, as
-recorded from the full parser with COLUMNS=80.  Rewrite the file only when
-an output change is intended:
+`main` parses a known command with that command's own parser, the full
+parser's subparser for it, and hands anything else, or any argument that
+parser leaves over, to the full parser.  Both come from one parser set,
+built once per process.  The corpus below pins what argparse prints, byte
+for byte, as recorded from the full parser with COLUMNS=80.  Rewrite the
+file only when an output change is intended:
 
     PYTHONPATH=src python tests/test_cli_parser.py --write
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
@@ -110,20 +112,27 @@ def _subcommands(parser) -> dict:
     return action.choices
 
 
-def _surface(parser) -> tuple:
-    """What a parser reads and prints: its prog, defaults and every action."""
-    return parser.prog, parser._defaults, [
-        (type(a), a.option_strings, a.dest, a.nargs, a.const, a.default, a.type, a.choices,
-         a.required, a.help, a.metavar) for a in parser._actions]
-
-
 def test_commands_are_the_full_parsers_subcommands():
     full = _subcommands(cli.build_parser())
     assert cli.COMMANDS == tuple(full) == NAMES
     for name in cli.COMMANDS:
         one = cli.command_parser(name)
-        assert _surface(one) == _surface(full[name])
+        assert one is full[name]
+        assert one.prog == f"padic-mub {name}"
         assert one.get_default("command") == name
+
+
+def test_cli_builds_one_parser_and_leaves_the_width_to_argparse():
+    """cli.py constructs one ArgumentParser, the full parser, whose
+    subparsers are the commands' own, and names no formatter and no
+    terminal size: argparse reads the width each time it prints."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    names = [node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))]
+    constructed = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute) and node.func.attr == "ArgumentParser"]
+    assert len(constructed) == 1
+    assert not {"HelpFormatter", "get_terminal_size", "shutil"} & set(names)
 
 
 def test_main_builds_the_parser_of_its_first_word(monkeypatch, capsys):
@@ -164,7 +173,11 @@ def test_main_builds_the_parser_of_its_first_word(monkeypatch, capsys):
     assert seen == ["mub-finite", "eigen-check", "sweep", "gauss-ring"]
 
 
-def test_a_command_reads_the_terminal_width_once(monkeypatch):
+def test_a_command_reads_the_terminal_width_once(monkeypatch, capsys):
+    """Once the parser set is built, a parse that prints nothing reads the
+    terminal width not at all, and a usage error reads it once, when
+    argparse prints the usage line."""
+    cli.build_parser()
     reads = []
     get_terminal_size = shutil.get_terminal_size
 
@@ -174,17 +187,21 @@ def test_a_command_reads_the_terminal_width_once(monkeypatch):
 
     monkeypatch.setattr(shutil, "get_terminal_size", counted)
     assert cli.main(["mub-finite", "-p", "3", "-r", "1"]) == 0
-    assert len(reads) == 1
-    reads.clear()
-    with pytest.raises(SystemExit):
-        cli.main(["mub-finite", "-p", "3", "-r", "1", "--bogus"])
-    assert len(reads) == 2  # the command's parser, then the full one
+    assert cli.main(["eigen-check", "-p", "3", "-a", "1", "-b", "0", "-c", "1/3"]) == 0
+    assert len(reads) == 0
+    for argv in (["mub-finite", "-p", "3", "-r", "1", "--bogus"],  # the full parser prints
+                 ["mub-finite", "-p", "3"]):  # the command's own parser prints
+        reads.clear()
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert len(reads) == 1
+    assert capsys.readouterr().err.count("usage: ") == 2
 
 
 def _uncached(call, argv: list[str]):
     """call(argv) with every parser built afresh, past the cache."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_parser", cli._parser.__wrapped__)
+        mp.setattr(cli, "_parsers", cli._parsers.__wrapped__)
         return call(argv)
 
 
@@ -195,15 +212,15 @@ def _without_func(args) -> dict:
 def test_cached_parsers_read_every_golden_argv_as_fresh_parsers(columns_80):
     argvs = [case["argv"] for case in json.loads(GOLDEN_CLI.read_text())["cases"].values()]
     errors = [argv for name, argv in CORPUS.items() if "help" not in name]
-    cli._parser.cache_clear()
+    cli._parsers.cache_clear()
     for _ in range(2):  # every other argv, and a usage error, parsed in between
         for n, argv in enumerate(argvs):
             got = _without_func(cli.parse_args(argv))
             assert got == _without_func(_uncached(cli.parse_args, argv))
             with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit):
                 cli.parse_args(errors[n % len(errors)])
-    # each command's parser and the full parser, built once
-    assert cli._parser.cache_info().misses == len(cli.COMMANDS) + 1
+    # the full parser and its subparsers, built once
+    assert cli._parsers.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["mub-padic", "-h"], ["mub-finite", "-p", "3"],
@@ -216,7 +233,7 @@ def test_cached_parsers_print_fresh_parsers_bytes_at_each_width(monkeypatch, arg
         got = _capture(cli.main, argv)
         assert got == _uncached(lambda argv: _capture(cli.main, argv), argv)
         assert printed.setdefault(columns, got) == got
-    if argv[-1] == "-h":  # help text wraps at the width it was built with
+    if argv[-1] == "-h":  # help text wraps at the width when it prints
         assert printed[60] != printed[100]
 
 

@@ -263,7 +263,11 @@ def test_one_resolution_rule_checks_and_one_sizes():
     nested `resolution`) reads it, and no other rule is named.  _state_stack
     checks no resolution: it names no rule and no _cell_phase_indices, as
     the grid it is given resolves every state.  It and _quad_phase_indices
-    build their phase rows through _phase_rows, the one row kernel."""
+    build their phase rows through _phase_rows, the one row kernel.  op_P
+    checks its chirp through _cell_phase_indices, vector_v's check, and
+    names no rule itself.  _ball_cells, the one formula for the cells of a
+    ball, gives the ball indicators, the stack's delta rows and the support
+    of the closed ball transform."""
     rules, names, defs = {}, set(), {}
     for path in pathlib.Path(mub_padic.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
@@ -282,6 +286,10 @@ def test_one_resolution_rule_checks_and_one_sizes():
     assert not {"_cell_resolution", "required_resolution", "_cell_phase_indices",
                 "ResolutionError"} & stack
     assert "_phase_rows" in stack & quad
+    chirp = defs["mub_padic.py", "op_P"]
+    assert "_cell_phase_indices" in chirp and "_cell_resolution" not in chirp
+    for name in ("_ball_indicator", "_state_stack", "ball_fourier_closed"):
+        assert "_ball_cells" in defs["mub_padic.py", name], name
 
 
 def test_vector_v_constant_function():
@@ -505,7 +513,7 @@ def test_operator_preconditions():
         op_Z(psi, Fraction(1, 9))  # phase not cell-constant
     # the unit chirp is cell-constant at k = 1; a chirp of v(d) = -1 needs k >= 2
     assert np.allclose(op_P(psi, 1).amplitudes, vector_v(1, 0, g).amplitudes)
-    with pytest.raises(ResolutionError, match="needs k >= 2"):
+    with pytest.raises(ResolutionError, match="need k >= 2"):
         op_P(psi, Fraction(1, 3))
 
 
