@@ -5,6 +5,11 @@ configuration; identical configurations (including seeds) produce
 byte-identical JSON.  Exit codes: 0 = pass, 1 = a verification failed
 numerically, 2 = invalid input.
 
+Each handler returns its report and its table text without a verdict;
+`_emit` writes the format asked for and, under a table, the last line,
+PASS or FAIL, from the verdict (`_passed`) that also sets the exit code.
+A sweep's summary (`_default_table`) has no such line.
+
 A call whose first word is a command is parsed by that command's own parser
 (`command_parser`), the full parser's subparser for it, so it prints the
 same help and errors.  The full parser (`build_parser`) reads every other
@@ -115,8 +120,14 @@ def _json_text(report, config: dict) -> str:
     return head + marker + _json_rows(columns) + tail
 
 
+def _passed(report) -> bool:
+    """The verdict of a JSON dict report or of a report object."""
+    return report["passed"] if isinstance(report, dict) else report.passed
+
+
 def _emit(report, args, table: str | None) -> None:
-    """Print the one format asked for, with the resolved invocation in JSON."""
+    """Print the one format asked for, with the resolved invocation in JSON
+    and the verdict line, PASS or FAIL, under a command's table."""
     if args.format == "json":
         config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
         text = _json_text(report, config) + "\n"
@@ -125,7 +136,8 @@ def _emit(report, args, table: str | None) -> None:
             raise ValueError("this command has no CSV form; use json or table")
         text = report.to_csv()
     else:
-        text = table if table is not None else _default_table(report)
+        text = (_default_table(report) if table is None
+                else f"{table}{'PASS' if _passed(report) else 'FAIL'}\n")
     if args.out:
         path = Path(args.out)
         if not path.is_absolute():
@@ -150,10 +162,18 @@ def _default_table(report: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (report, table text or None), a report being a
-# JSON dict or an object with `passed`, `to_json_dict` or `json_columns`,
-# and maybe `to_csv`
+# subcommands: each returns (report, table text without its verdict line,
+# or None for a sweep), a report being a JSON dict or an object with
+# `passed`, `to_json_dict` or `json_columns`, and maybe `to_csv`
 # ---------------------------------------------------------------------------
+
+
+def _norm_lines(title: str, report) -> str:
+    """A norm report's table: the title with its parameters, then the closed
+    norm and its case, with the numeric norm under --oracle."""
+    params = " ".join(f"{k}={v}" for k, v in report.params.items())
+    numeric = "" if report.numeric is None else f"  numeric {_fmt(report.numeric)}"
+    return f"{title} {params}\nclosed {report.closed} ({report.case}){numeric}\n"
 
 
 def cmd_gauss_ring(args):
@@ -161,13 +181,7 @@ def cmd_gauss_ring(args):
     check_odd_prime(args.p, "the ring Gauss-sum norm table")
     report = ring_report(args.p, args.k, args.l, args.a, args.b,
                          oracle=args.oracle, tol=args.tol, term_cap=args.term_cap)
-    numeric = "" if report.numeric is None else f"  numeric {_fmt(report.numeric)}"
-    table = (
-        f"ring Gauss sum p={args.p} k={args.k} l={args.l} a={args.a} b={args.b}\n"
-        f"closed {report.closed} ({report.case}){numeric}\n"
-        f"{'PASS' if report.passed else 'FAIL'}\n"
-    )
-    return report, table
+    return report, _norm_lines("ring Gauss sum", report)
 
 
 def cmd_gauss_integral(args):
@@ -176,13 +190,7 @@ def cmd_gauss_integral(args):
     b = parse_coefficient(args.b, args.p)
     report = integral_report(args.p, args.r, a, b,
                              oracle=args.oracle, tol=args.tol, term_cap=args.term_cap)
-    numeric = "" if report.numeric is None else f"  numeric {_fmt(report.numeric)}"
-    table = (
-        f"Gauss integral p={args.p} r={args.r} a={report.params['a']} b={report.params['b']}\n"
-        f"closed {report.closed} ({report.case}){numeric}\n"
-        f"{'PASS' if report.passed else 'FAIL'}\n"
-    )
-    return report, table
+    return report, _norm_lines("Gauss integral", report)
 
 
 def cmd_mub_finite(args):
@@ -194,7 +202,6 @@ def cmd_mub_finite(args):
         f"{report.bases} bases in C^{field.size} (modulus {field.modulus})\n"
         f"target modulus {_fmt(report.target)}  max deviation {_fmt(report.max_deviation)}\n"
         f"orthonormality deviation {_fmt(report.ortho_deviation)}\n"
-        f"{'PASS' if report.passed else 'FAIL'}\n"
     )
     return report, table
 
@@ -215,7 +222,6 @@ def cmd_mub_padic(args):
         f"max certified deviation {_fmt(report.max_certified_deviation)}  "
         f"uncertified pairs {report.uncertified_pairs}\n"
         f"family ranks {report.family_ranks}\n"
-        f"{'PASS' if report.passed else 'FAIL'}\n"
     )
     return report, table
 
@@ -252,7 +258,6 @@ def cmd_fourier_ball(args):
     table = (
         f"ball z={zf} + p^{args.r}Z_p on grid (p={args.p}, r={grid.r}, k={grid.k})\n"
         f"max pointwise deviation {_fmt(deviation)}  norm deviation {_fmt(norm_dev)}\n"
-        f"{'PASS' if passed else 'FAIL'}\n"
     )
     return d, table
 
@@ -263,7 +268,6 @@ def cmd_eigen_check(args):
     table = (
         f"shift/modulation composite on the (a={report.a}, b={report.b}) state, c={report.c}\n"
         f"expected phase {report.expected_phase}  residual {_fmt(report.residual)}\n"
-        f"{'PASS' if report.passed else 'FAIL'}\n"
     )
     return report, table
 
@@ -439,8 +443,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, CapError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    passed = report["passed"] if isinstance(report, dict) else report.passed
-    return 0 if passed else 1
+    return 0 if _passed(report) else 1
 
 
 if __name__ == "__main__":

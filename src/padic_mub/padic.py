@@ -16,8 +16,9 @@ only modulo p**N.
 Cost: +, -, * and inv are a few big-integer operations on numbers below
 p**N (inv is one modular inverse), plus a valuation search after a sum
 whose leading digits cancel; the fractional part is one reduction modulo
-p**(-v).  None of them forms a digit: `digits` and `str` cost one divmod per
-digit and are built only when read.
+p**(-v).  None of them forms a digit, and neither do `==` and `hash`, which
+read the four integers: `digits` and `str` cost one divmod per digit and are
+computed each time they are read.
 
 A coefficient of the toolkit (a `Coefficient`: an exact rational or a digit
 string) is read in one place, `read_coefficient`, once per call, and its
@@ -174,12 +175,12 @@ class PadicNumber:
 
     The public constructor takes the digit form, PadicNumber(p, v, digits)
     with digits[j] the coefficient of p**(v + j), and checks it in full.
-    Arithmetic works on the four integers.  `digits` (one divmod per digit)
-    and `str` are built only when read; `==`, `hash` and `repr` are those of
-    the digit form.  Instances are immutable.
+    The four integers are the value: arithmetic, `==` and `hash` read them,
+    and `digits` (one divmod per digit) and `str` are computed each time they
+    are read.  Instances are immutable.
     """
 
-    __slots__ = ("prime", "valuation", "unit", "precision", "_digits")
+    __slots__ = ("prime", "valuation", "unit", "precision")
 
     def __init__(self, prime: int, valuation: int | float, digits: tuple[int, ...]):
         p = prime
@@ -194,7 +195,7 @@ class PadicNumber:
                 raise ValueError(f"digits must lie in [0, {p})")
             for d in reversed(digits):
                 u = u * p + d
-        _fill(self, p, valuation, u, len(digits), tuple(digits))
+        _fill(self, p, valuation, u, len(digits))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -210,13 +211,11 @@ class PadicNumber:
     @property
     def digits(self) -> tuple[int, ...]:
         """digits[j] is the coefficient of p**(valuation + j); () for a zero."""
-        if self._digits is None:
-            p, u, digits = self.prime, self.unit, []
-            for _ in range(self.precision):
-                u, d = divmod(u, p)
-                digits.append(d)
-            _set_digits(self, tuple(digits))
-        return self._digits
+        p, u, digits = self.prime, self.unit, []
+        for _ in range(self.precision):
+            u, d = divmod(u, p)
+            digits.append(d)
+        return tuple(digits)
 
     @property
     def is_zero(self) -> bool:
@@ -251,7 +250,7 @@ class PadicNumber:
                 and self.precision == other.precision and self.unit == other.unit)
 
     def __hash__(self) -> int:
-        return hash((self.prime, self.valuation, self.digits))
+        return hash((self.prime, self.valuation, self.precision, self.unit))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -337,17 +336,15 @@ class PadicNumber:
 # Operations build their results through these, past the frozen __setattr__
 # and the digit checks of the public constructor.
 _new = object.__new__
-_set_prime, _set_valuation, _set_unit, _set_precision, _set_digits = (
+_set_prime, _set_valuation, _set_unit, _set_precision = (
     getattr(PadicNumber, name).__set__ for name in PadicNumber.__slots__)
 
 
-def _fill(x: PadicNumber, p: int, v: int | float, u: int, n: int,
-          digits: tuple[int, ...] | None) -> PadicNumber:
+def _fill(x: PadicNumber, p: int, v: int | float, u: int, n: int) -> PadicNumber:
     _set_prime(x, p)
     _set_valuation(x, v)
     _set_unit(x, u)
     _set_precision(x, n)
-    _set_digits(x, digits)
     return x
 
 
@@ -358,12 +355,12 @@ def _padic(p: int, v: int, u: int, n: int) -> PadicNumber:
         raise PrecisionError("no significant digits survive this operation")
     if not u % p:
         raise ValueError("leading digit must be nonzero")
-    return _fill(_new(PadicNumber), p, v, u, n, None)
+    return _fill(_new(PadicNumber), p, v, u, n)
 
 
 def _zero(p: int, v: int | float) -> PadicNumber:
     """The zero O(p**v), or the exact zero for v = +inf."""
-    return _fill(_new(PadicNumber), p, v, 0, 0, ())
+    return _fill(_new(PadicNumber), p, v, 0, 0)
 
 
 def zero(p: int) -> PadicNumber:

@@ -273,6 +273,36 @@ def test_mub_padic_p5(capsys):
     assert code == 0 and "6 families" in out
 
 
+# one run of each table form; the norm tables fail only under --oracle
+TABLE_FORMS = [
+    (["gauss-ring", "-p", "3", "-k", "2", "-l", "2", "-a", "1", "-b", "0"], ["--oracle"]),
+    (["gauss-integral", "-p", "3", "-r", "1", "-a", "1", "-b", "0"], ["--oracle"]),
+    (["mub-finite", "-p", "3", "-r", "1"], []),
+    (["mub-padic", "-p", "3", "-r", "1"], []),
+    (["fourier-ball", "-p", "3", "-r", "1"], []),
+    (["eigen-check", "-p", "3", "-a", "1", "-b", "0", "-c", "1"], []),
+]
+
+
+@pytest.mark.parametrize("argv, oracle", TABLE_FORMS, ids=[a[0] for a, _ in TABLE_FORMS])
+def test_every_table_ends_in_one_verdict_line(capsys, argv, oracle):
+    for extra, code, verdict in ((oracle, 0, "PASS"), ([*oracle, "--tol=-1"], 1, "FAIL")):
+        got, out, _ = run(capsys, *argv, *extra)
+        lines = out.splitlines()
+        assert (got, lines[-1]) == (code, verdict)
+        assert [line for line in lines if line in ("PASS", "FAIL")] == [verdict]
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["gauss-ring", "-p", "3", "-k", "2", "-l", "2", "-a", "-1", "-b", "2"],
+     "ring Gauss sum p=3 k=2 l=2 a=-1 b=2\nclosed 3^{1} (case1)\nPASS\n"),
+    (["gauss-integral", "-p", "3", "-r", "1", "-a", "1/3", "-b", "0"],
+     "Gauss integral p=3 r=1 a=1/3 b=0\nclosed 3^{-1/2} (case1)\nPASS\n"),
+], ids=["gauss-ring", "gauss-integral"])
+def test_a_norm_table_without_the_oracle_keeps_its_bytes(capsys, argv, out):
+    assert run(capsys, *argv) == (0, out, "")
+
+
 @pytest.mark.parametrize("argv", [
     ["mub-padic", "-p", "5", "-r", "1"],
     ["mub-finite", "-p", "5", "-r", "2"],
