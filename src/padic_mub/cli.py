@@ -209,7 +209,7 @@ def cmd_mub_finite(args):
 def cmd_mub_padic(args):
     check_odd_prime(args.p, "the closed norm table behind the p+1 families")
     b_samples = (
-        [parse_coefficient(t, args.p) for t in args.bs.split(",")] if args.bs else None
+        None if args.bs is None else [parse_coefficient(t, args.p) for t in args.bs.split(",")]
     )
     params = mub_padic.canonical_family_params(args.p, b_samples)
     report = mub_padic.gram_report(

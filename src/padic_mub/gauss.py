@@ -80,9 +80,10 @@ DEFAULT_TERM_CAP = 10**6
 NEG_INF = -math.inf
 
 
-def _roots(m: np.ndarray, n: int) -> np.ndarray:
-    """The roots of unity exp(2*pi*i*m/n) of the integer array m: the one
-    place a root is evaluated, so each root is the same double everywhere."""
+def _roots(m: np.ndarray, n) -> np.ndarray:
+    """The roots of unity exp(2*pi*i*m/n) of the integer array m, n an int
+    or an int array broadcast against m: the one place a root is evaluated,
+    so each root is the same double everywhere."""
     return np.exp(2j * np.pi * m / n)
 
 

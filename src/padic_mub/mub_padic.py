@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ import numpy as np
 from .characters import phase_to_complex
 from .errors import ResolutionError, check_odd_prime, check_power_cap
 from .gauss import (
+    INT64_MAX,
     MAX_INT64_RESIDUE,
     NEG_INF,
     _float_power,
@@ -429,37 +431,59 @@ def _normalize_family(a: FamilyLabel):
 
 
 def _numerators(values: list[Fraction]) -> tuple[np.ndarray, int]:
-    """The values over their least common denominator d: their numerators,
-    as Python ints in an object array, and d."""
-    d = math.lcm(*(x.denominator for x in values))
-    return np.array([x.numerator * (d // x.denominator) for x in values], dtype=object), d
+    """The values over their least common denominator d: their numerators
+    and d.
+
+    With N the largest |numerator|, the numerators are int64 when
+    N*d + 2*N^2 <= 2^63 - 1.  That bounds |y*d - 2*x*z| of any three of
+    them (_linear_valuations) and, for N >= 1, |x - y| of any two
+    (_difference_valuations), so no product or difference of the pair
+    tables wraps.  Above the bound they are Python ints in an object array."""
+    d = math.lcm(*[x.denominator for x in values])
+    num = [x.numerator * (d // x.denominator) for x in values]
+    top = max(map(abs, num), default=0)
+    return np.array(num, dtype=np.int64 if top * d + 2 * top * top <= INT64_MAX else object), d
 
 
 _int_valuation = np.frompyfunc(int_valuation, 2, 1)
 
 
 def _valuations(num: np.ndarray, p: int) -> np.ndarray:
-    """v_p of each Python int of an object array, as floats, inf at 0.
+    """v_p of each entry of an int64 or object array of ints, as floats, inf
+    at 0.
 
-    When every entry fits in int64 they are divided by p together, at most
-    63 times; otherwise each takes int_valuation's repeated squaring, so a
-    huge power of p costs O(log v) divisions, not one per power."""
+    When every entry fits in int64, v_p(n) is the place of gcd(n, p^K)
+    among the powers 1, p, ..., p^K, p^K the largest below 2^63: |n| < 2^63
+    gives v_p(n) <= K.  Otherwise each entry takes int_valuation's repeated
+    squaring, so a huge power of p costs O(log v) divisions, not one per
+    power."""
     try:
-        n = num.astype(np.int64)
+        n = num.astype(np.int64, copy=False)
     except OverflowError:
         return _int_valuation(num, p).astype(float)
-    v = np.where(n == 0, INF, 0.0)
-    live = n != 0
-    while (live := live & (n % p == 0)).any():  # |n| < 2^63: at most 63 times
-        n[live] //= p
-        v[live] += 1
+    powers = [1]
+    while powers[-1] <= INT64_MAX // p:
+        powers.append(powers[-1] * p)
+    v = np.searchsorted(np.array(powers, dtype=np.int64), np.gcd(n, powers[-1])).astype(float)
+    v[n == 0] = INF
     return v
+
+
+@lru_cache(maxsize=2)
+def _upper_pairs(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, k), read-only: the pairs i, j >= i + k in row
+    order.  A Gram table's pair columns and its report's entry rows read the
+    same pairs, so they are computed once."""
+    pairs = np.triu_indices(n, k)
+    for x in pairs:
+        x.setflags(write=False)
+    return pairs
 
 
 def _difference_valuations(num: np.ndarray, d: int, p: int) -> np.ndarray:
     """The float table of v(x - y) over the values x = num/d (inf wherever
     x = y), from the numerators: each unordered pair's difference once."""
-    m, n = np.triu_indices(len(num), 1)
+    m, n = _upper_pairs(len(num), 1)
     table = np.full((len(num), len(num)), INF)
     table[m, n] = table[n, m] = _valuations(num[m] - num[n], p) - int_valuation(d, p)
     return table
@@ -473,58 +497,101 @@ def _linear_valuations(num: np.ndarray, d: int, p: int, ia, ib, ic) -> np.ndarra
 
 def _index_labels(states: list[tuple[FamilyLabel, Coefficient]]) -> tuple[list, np.ndarray]:
     """The distinct labels of the states, a delta's None among them, in the
-    order the states use them, and each state's codes (a, b) into them."""
+    order the states use them, and each state's codes (a, b) into them.
+
+    The states' label objects are matched by identity first, per column,
+    then each distinct object is normalized (an a by _normalize_family) and
+    looked up by value once: a list that repeats its label objects costs no
+    more Python calls than one that names each once."""
+    cols = tuple(zip(*states)) or ((), ())
+    # identity first: per column, id -> the first slot that holds the
+    # object, slot 2s for the a of state s and 2s + 1 for its b
+    first: tuple[dict, dict] = ({}, {})
+    slot = np.array([[*map(first[c].setdefault, map(id, col), range(c, 2 * len(col), 2))]
+                     for c, col in enumerate(cols)], dtype=np.int64)
+    # then by value, once per distinct object, in first-use order
     index: dict = {}
-    codes = [index.setdefault(x, len(index)) for ab in states for x in ab]
-    return list(index), np.array(codes, dtype=np.int64).reshape(-1, 2)
+    code = np.zeros(slot.size, dtype=np.int64)
+    for s in sorted([*first[0].values(), *first[1].values()]):
+        x = cols[s & 1][s >> 1]
+        code[s] = index.setdefault(x if s & 1 else _normalize_family(x), len(index))
+    return list(index), code[slot.T]
 
 
 def _state_stack(reads: list, codes: np.ndarray, grid: Grid, window: int) -> np.ndarray:
     """One row per state (a, b) of codes, on a grid that resolves every state
     (k at least _cell_resolution of its labels): the row vector_v_inf(b, grid)
-    builds for a = None and vector_v(a, b, grid) for any other a, with their
-    window and int64-cap errors, in the order of the states.  A delta's b is
-    read to p^window, the k of the grid gram_report reports, before its
-    cell is taken.
+    builds for a = None and vector_v(a, b, grid) for any other a, with the
+    window or int64-cap error that those raise first in the order of the
+    states.  A delta's b is read to p^window, the k of the grid gram_report
+    reports, before its cell is taken.
 
     reads[c] is gram_report's reading of label c, None for the delta family's
-    a.  Each distinct label is used once per role, in integers: a chirp's a
-    or b gives its phase term (M, c), a delta's b its cell.  A chirp's depth
-    is the larger of its a and b parts, and its rows are vector_v's: per
-    depth M, one _phase_rows of the terms lifted to M and one `gauss._roots`
-    at n = p^M.  The delta rows come from one scatter.
+    a.  Each distinct label is read once per role, in the order the states
+    first use it, in integers: a chirp's a or b gives its phase term (M, c),
+    a delta's b its cell.  A chirp's depth is the larger of its a and b
+    parts, and each distinct depth meets the int64 cap once.  Its rows are
+    vector_v's.  One _phase_rows gives each distinct term's row lifted to
+    the deepest chirp's depth D, c*p^(D - M)*i^degree mod p^D, and a state's
+    numerators are its two rows added mod p^D: p^(D - M) times its own at
+    its depth M.  Its roots are gathered from `gauss._roots` of 0..p^M - 1
+    at n = p^M, spread at stride p^(D - M), so each is the double vector_v
+    computes; p^D <= n keeps each depth's table within one row.  The delta
+    rows come from one scatter.
     """
     p, r, n = grid.p, grid.r, grid.n
-    quad: dict = {}  # code -> the phase term (M, c) of a chirp's a
-    lin: dict = {}  # and of a chirp's b
-    cells: dict = {}  # code -> the cell of -b, for a delta's b
-    chirps, deltas = [], []
-    for s, (a, b) in enumerate(codes.tolist()):
-        if reads[a] is None:
-            if b not in cells:
-                # the ball -b + p^r Z_p
-                cells[b] = -grid._index(reads[b].need(window)) % n
-            deltas.append((s, cells[b]))
+    chirp = np.array([x is not None for x in reads], dtype=bool)[codes[:, 0]]
+    # each state's two slots, keyed label * 3 + role: a chirp's a (role 0)
+    # and b (1), a delta's b (2); a delta's a is no slot, keyed -1
+    slots = np.where(chirp[:, None], codes * 3 + [0, 1], codes * [0, 3] + [-1, 2]).ravel().tolist()
+    distinct = list(dict.fromkeys(slots))  # in first-use order
+    term_of = np.array([*map({key: t for t, key in enumerate(distinct)}.get, slots)],
+                       dtype=np.int64).reshape(-1, 2)
+    terms = [(0, 0)] * len(distinct)  # (M, c) of a phase term, (0, cell) of a ball
+    failed = None  # (state, error) of the first label read that fails
+    for t, key in enumerate(distinct):
+        if key < 0:
             continue
-        for c, degree, seen in ((a, 2, quad), (b, 1, lin)):
-            if c not in seen:
-                seen[c] = _phase_term(p, r, reads[c].need(degree * r), degree)
-        (ma, ca), (mb, cb) = quad[a], lin[b]
-        depth = max(ma, mb)
-        _check_phase_depth(p, depth)
-        chirps.append((s, ca * p ** (depth - ma), cb * p ** (depth - mb), depth))
+        code, role = divmod(key, 3)
+        try:
+            x = reads[code]
+            if role == 2:  # the ball -b + p^r Z_p
+                terms[t] = 0, -grid._index(x.need(window)) % n
+            else:
+                terms[t] = _phase_term(p, r, x.need((2 - role) * r), 2 - role)
+        except ValueError as exc:
+            failed = slots.index(key) // 2, exc
+            break
+    depth_of = np.array([m for m, _ in terms], dtype=np.int64)
+    depth = depth_of[term_of].max(axis=1)
+    # each distinct depth meets the cap once, in the order of the states; a
+    # state before the failing read meets it first, as each state is
+    # checked after its own reads
+    upto = len(codes) if failed is None else failed[0]
+    for m in dict.fromkeys(depth[:upto][chirp[:upto]].tolist()):
+        _check_phase_depth(p, m)
+    if failed is not None:
+        raise failed[1]
+    c_of = np.array([c for _, c in terms], dtype=np.int64)
     # allocated once every state has passed its checks
-    stack = np.empty((len(codes), n), dtype=complex)
-    if deltas:
-        s, cell = np.array(deltas, dtype=np.int64).T
-        stack[s] = 0
-        stack[s[:, None], _ball_cells(grid, cell[:, None], r)] = float(p) ** r
-    if chirps:
-        s, ca, cb, depth = np.array(chirps, dtype=np.int64).T
-        i = np.arange(n, dtype=np.int64)
-        for m in np.unique(depth).tolist():
-            at = depth == m
-            stack[s[at]] = _roots(_phase_rows(i, ca[at, None], cb[at, None], p**m), p**m)
+    stack = np.zeros((len(codes), n), dtype=complex)
+    s = np.flatnonzero(~chirp)
+    if s.size:
+        stack[s[:, None], _ball_cells(grid, c_of[term_of[s, 1], None], r)] = float(p) ** r
+    s = np.flatnonzero(chirp)
+    if s.size:
+        # one row per distinct term, c*i^2 of an a and c*i of a b, lifted to
+        # the deepest chirp's depth D: c*p^(D - M) mod p^D
+        depths = np.array(sorted(set(depth[s].tolist())))
+        top, role = int(depths[-1]), np.array(distinct) % 3
+        lift = p ** (top - depth_of)
+        rows = _phase_rows(np.arange(n, dtype=np.int64), (c_of * (role == 0) * lift)[:, None],
+                           (c_of * (role == 1) * lift)[:, None], p**top)
+        idx = (rows[term_of[s, 0]] + rows[term_of[s, 1]]) % p**top
+        # a state's numerator at D is p^(D - M) times its own at its depth M,
+        # so its roots are read from M's, spread at that stride over 0..p^D-1
+        table = _roots(np.arange(p**top) // p ** (top - depths[:, None]), p ** depths[:, None])
+        stack[s] = table[np.searchsorted(depths, depth[s])[:, None], idx]
     return stack
 
 
@@ -532,7 +599,7 @@ def _state_stack(reads: list, codes: np.ndarray, grid: Grid, window: int) -> np.
 class GramReport:
     """Cross table of |<v_i|v_j>| against the closed three-case values, with
     columns `closed`, `certified` and `deviation` over the pairs i <= j in
-    np.triu_indices order."""
+    np.triu_indices order (_upper_pairs)."""
 
     p: int
     r_requested: int
@@ -551,7 +618,7 @@ class GramReport:
 
     def _columns(self) -> dict:
         """The entry columns: i, j, numeric, closed, certified, deviation."""
-        i, j = np.triu_indices(len(self.labels))
+        i, j = _upper_pairs(len(self.labels), 0)
         return {"i": i, "j": j, "numeric": self.moduli[i, j], "closed": self.closed,
                 "certified": self.certified, "deviation": self.deviation}
 
@@ -591,12 +658,16 @@ def gram_report(
     p = 2 is refused (OddPrimeError), and any p not prime (ValueError),
     before any label is read.
 
-    The table is built in one pass per table, not one call per state.  Each
-    distinct label is read once (`read_coefficient`): its valuation first,
-    with no Fraction built for a digit string, so that a grid past the cell
-    cap is refused before any big-int work, then its exact value.  The pair
-    valuations come from integer numerators over one common denominator, and
-    _state_stack checks each label's window on the same reading.
+    The table is built in one pass per table, not one call per state: the
+    Python work is done once per distinct label object and once per
+    distinct valuation key, and every step per state or per pair is a numpy
+    gather over the states' label codes.  Each distinct label is read once
+    (`read_coefficient`): its valuation first, with no Fraction built for a
+    digit string, so that a grid past the cell cap is refused before any
+    big-int work, then its exact value.  The pair valuations come from
+    integer numerators over one common denominator, int64 below
+    _numerators' overflow bound, and _state_stack checks each label's window
+    on the same reading.
 
     Grid(p, r_used, k_used) is the grid that is reported and capped: the
     state grid resolved max(r_used, 0) digits finer, _cell_resolution at
@@ -605,19 +676,19 @@ def gram_report(
     product run, on Grid(p, r_used, k_cell), the least grid that resolves
     every state (k_cell from _cell_resolution, required_resolution's rule).
     On it every root and float expression is that of the per-state
-    constructors, so the report's bytes do not depend on how the labels
+    constructors, the roots gathered from a table of p^M <= n of them built
+    inside each call, so the report's bytes do not depend on how the labels
     were read.
     """
     check_odd_prime(p)
     _check_prime(p)
-    raw = [(_normalize_family(a), b) for a, b in params]
-    labels, codes = _index_labels(raw)
+    labels, codes = _index_labels(params)
     reads = [None if x is None else read_coefficient(x, p) for x in labels]
     vals = [INF if x is None else x.valuation for x in reads]
-    delta = np.array([a is None for a, _ in raw], dtype=bool)
+    delta = np.array([x is None for x in reads], dtype=bool)[codes[:, 0]]
     has_delta = bool(delta.any())
-    va_min, vb_min = (min((vals[c] for c in codes[~delta, col].tolist()), default=INF)
-                      for col in (0, 1))
+    va_min, vb_min = (min(map(vals.__getitem__, col), default=INF)
+                      for col in codes[~delta].T.tolist())
 
     def resolution(r_grid: int) -> int:
         """k_used: _cell_resolution at the valuations shifted by max(r, 0).
@@ -633,36 +704,40 @@ def gram_report(
     # the valuations alone
     r_low = r
     if auto_raise:
-        r_low = max([r, *(-vals[c] for c in codes[delta, 1].tolist() if vals[c] != INF)])
+        r_low = max([r, *(-vals[c] for c in set(codes[delta, 1].tolist()))])
     check_power_cap(p, r_low + resolution(r_low), DEFAULT_CELL_CAP,
                     "{size} cells exceed the cap {cap}")
     values = [Fraction(0) if x is None else x.value for x in reads]  # a delta's a read as 0
     num, d = _numerators(values)
     table = _difference_valuations(num, d, p)
-    # the pair columns, i <= j: v(a_i - a_j) and v(b_i - b_j)
-    i, j = np.triu_indices(len(raw))
+    # the pair columns, i <= j
+    i, j = _upper_pairs(len(codes), 0)
     a_of, b_of = codes.T
-    dva, dvb = table[a_of[i], a_of[j]], table[b_of[i], b_of[j]]
-    mixed = delta[i] != delta[j]
+    delta_i = delta[i]
+    mixed = delta_i != delta[j]
+    same = ~mixed
     # a delta and a chirp (a, b): r certifies modulus 1 from v(a) and the
     # linear coefficient b - 2a*b_delta of the chirp seen from -b_delta,
     # whose numerator over d^2 is taken in integers
-    chirp, at = np.where(delta[i], j, i)[mixed], np.where(delta[i], i, j)[mixed]
+    chirp, at = np.where(delta_i, j, i)[mixed], np.where(delta_i, i, j)[mixed]
     lin = _linear_valuations(num, d, p, a_of[chirp], b_of[chirp], b_of[at])
     min_r = np.empty(len(i))
-    min_r[mixed] = np.maximum(np.ceil(-dva[mixed] / 2), -lin)
+    min_r[mixed] = np.maximum(np.ceil(-table[a_of[chirp], a_of[at]] / 2), -lin)
     # any other pair: each distinct key (v(Δa), v(Δb)) gets its threshold
     # once, then r_used, then its closed modulus once: the table read at
-    # R = max(r_used, t + 1), as gauss.simplified_norm reads it.  The keys
-    # are found as complex numbers v(Δa) + v(Δb)i, set part by part (inf*1j
-    # would be nan)
-    pairs = np.empty(np.count_nonzero(~mixed), dtype=complex)
-    pairs.real, pairs.imag = dva[~mixed], dvb[~mixed]
-    distinct, key_of = np.unique(pairs, return_inverse=True)
-    keys = [tuple(v if v == INF else int(v) for v in (key.real, key.imag))
-            for key in distinct.tolist()]
+    # R = max(r_used, t + 1), as gauss.simplified_norm reads it.  A key is
+    # coded by the places of its two valuations among the table's distinct
+    # ones, and the codes present are found by one scatter, not a sort
+    vt = sorted(set(table.ravel().tolist()))  # the distinct v(x - y), inf last
+    place = np.searchsorted(vt, table)
+    code = (place[a_of[i], a_of[j]] * len(vt) + place[b_of[i], b_of[j]])[same]
+    present = np.zeros(len(vt) ** 2, dtype=bool)
+    present[code] = True
+    key_of = (np.cumsum(present) - 1)[code]
+    v_of = [v if v == INF else int(v) for v in vt]
+    keys = [(v_of[c // len(vt)], v_of[c % len(vt)]) for c in np.flatnonzero(present).tolist()]
     thresholds = [_threshold(*key) for key in keys]
-    min_r[~mixed] = np.array(thresholds)[key_of] + 1
+    min_r[same] = np.array(thresholds)[key_of] + 1
     r_used = max(int(min_r.max(initial=r)), r_low) if auto_raise else r
     k = resolution(r_used)
     make_grid(p, r_used, k)  # the reported grid, within the cap
@@ -673,7 +748,7 @@ def gram_report(
     moduli = np.abs(gram)
     closed_of = [_simplified(p, r_used, *key)[0].value for key in keys]
     closed = np.ones(len(i))  # a delta and a chirp overlap with modulus 1
-    closed[~mixed] = np.array(closed_of)[key_of]
+    closed[same] = np.array(closed_of)[key_of]
     certified = r_used >= min_r
     deviation = np.abs(moduli[i, j] - closed)
     max_dev = float(deviation[certified].max(initial=0.0))
@@ -682,18 +757,24 @@ def gram_report(
         p=p, r_requested=r, r_used=r_used, k_used=k,
         labels=[f"a={text[a]} b={text[b]}" for a, b in codes.tolist()], moduli=moduli,
         closed=closed, certified=certified, deviation=deviation,
-        family_ranks=_family_ranks(gram, raw), tol=tol, max_certified_deviation=max_dev,
+        family_ranks=_family_ranks(gram, labels, a_of), tol=tol, max_certified_deviation=max_dev,
         uncertified_pairs=uncert, passed=max_dev <= tol and (uncert == 0 or not auto_raise),
     )
 
 
-def _family_ranks(gram: np.ndarray, states: list[tuple[FamilyLabel, Coefficient]]) -> dict:
+def _family_ranks(gram: np.ndarray, labels: list, a_of: np.ndarray) -> dict:
     """The rank of each family's block of the Gram matrix: each family sample
-    should stay linearly independent on its grid.  Blocks of one size go
-    through one stacked np.linalg.matrix_rank, which runs the SVD of each
-    block as a lone call does."""
-    fams, fam_of = np.unique(["inf" if a is None else str(a) for a, _ in states],
-                             return_inverse=True)
+    should stay linearly independent on its grid.  A state's family is its a
+    label, labels[a_of[s]], named "inf" or str(a); only the distinct names
+    are sorted.  Blocks of one size go through one stacked
+    np.linalg.matrix_rank, which runs the SVD of each block as a lone call
+    does."""
+    used = sorted(set(a_of.tolist()))
+    names = ["inf" if labels[c] is None else str(labels[c]) for c in used]
+    fams = sorted(set(names))
+    fam_code = np.zeros(len(labels), dtype=np.int64)
+    fam_code[used] = [*map(fams.index, names)]
+    fam_of = fam_code[a_of]
     sizes = np.bincount(fam_of, minlength=len(fams))
     if sizes.size and sizes.min() == sizes.max():
         rows = np.argsort(fam_of, kind="stable").reshape(len(fams), -1)
@@ -701,7 +782,7 @@ def _family_ranks(gram: np.ndarray, states: list[tuple[FamilyLabel, Coefficient]
     else:
         ranks = [int(np.linalg.matrix_rank(gram[np.ix_(fam_of == f, fam_of == f)]))
                  for f in range(len(fams))]
-    return dict(zip(fams.tolist(), ranks))
+    return dict(zip(fams, ranks))
 
 
 def canonical_family_params(

@@ -470,6 +470,8 @@ def test_invalid_coefficient_is_exit_2(capsys):
     (["mub-padic", "-p", "3", "-r", "1", "--bs", ","], ""),
     (["eigen-check", "-p", "3", "-a", "1", "-b", "x", "-c", "1"], "x"),
     (["gauss-integral", "-p", "3", "-r", "1", "-a", "1 2 *3^", "-b", "1/"], "1/"),
+    # an empty sample list is refused, not read as the default 0..p-1
+    (["mub-padic", "-p", "3", "-r", "1", "--bs", ""], ""),
 ])
 def test_an_unreadable_coefficient_is_named_in_one_message(capsys, argv, text):
     code, out, err = run(capsys, *argv)

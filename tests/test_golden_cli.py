@@ -49,6 +49,8 @@ CASES = {
                            "-c", "4 *5^0"],
     "gauss-integral-zero-den": ["gauss-integral", "-p", "3", "-r", "1", "-a", "5/0",
                                 "-b", "0"],
+    "mub-padic-p7-bs": ["mub-padic", "-p", "7", "-r", "1", "--bs", "4,2,17,7,26,15,6"],
+    "mub-padic-r0-no-raise": ["mub-padic", "-p", "3", "-r", "0", "--no-auto-raise"],
 }
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import collections
+import importlib.util
 import itertools
 import json
 import math
@@ -45,6 +46,7 @@ from padic_mub import (
 )
 from padic_mub.errors import CapError, OddPrimeError, PrecisionError
 from padic_mub.gauss import (
+    INT64_MAX,
     MAX_INT64_RESIDUE,
     NEG_INF,
     _table_norm,
@@ -1363,6 +1365,58 @@ def test_linear_valuations_match_the_fraction_valuation():
         assert table.tolist() == [[frac_valuation(x - y, p) for y in a + b] for x in a + b]
     big = np.array([2 * 3**5000, 0, -7, -(3**40)], dtype=object)
     assert mub_padic._valuations(big, 3).tolist() == [5000, INF, 0, 40]
+    for p in (3, 7, 97):  # int64 entries up to the largest power of p below 2^63
+        top = max(e for e in range(64) if p**e <= INT64_MAX)
+        edge = np.array([p**top, -(p**top), p**top - 1, 2 * p ** (top - 1), 0])
+        assert mub_padic._valuations(edge, p).tolist() == [top, top, 0, top - 1, INF]
+
+
+def _int64_bound(d):
+    """The largest N with N*d + 2*N^2 <= 2^63 - 1: _numerators' int64 bound
+    for numerators of size up to N over the common denominator d."""
+    top = (math.isqrt(d * d + 8 * INT64_MAX) - d) // 4
+    assert top * d + 2 * top * top <= INT64_MAX < (top + 1) * d + 2 * (top + 1) ** 2
+    return top
+
+
+@pytest.mark.parametrize("p", [3, 7])
+@pytest.mark.parametrize("d", [1, 6])
+def test_int64_numerators_hold_their_bound_from_both_sides(p, d):
+    """Numerators of size N just below the bound stay int64, where
+    y*d - 2*x*z reaches N*d + 2*N^2 at y = -N, x = z = N without wrapping;
+    one past it they are Python ints.  Both give the Fraction valuations."""
+    for top, dtype in ((_int64_bound(d), np.int64), (_int64_bound(d) + 1, object)):
+        nums = [top, -top, top - p**5, top - top % p, p**7, 0, 1]
+        values = [Fraction(x, d) for x in nums]
+        num, den = mub_padic._numerators(values)
+        assert (num.dtype, den, num.tolist()) == (dtype, d, nums)
+        _, codes, want = _difference_valuations_old(values, p)
+        got = mub_padic._difference_valuations(num, den, p)
+        assert got.tolist() == want[np.ix_(codes, codes)].tolist()
+        ia, ib, ic = np.array(list(itertools.product(range(len(nums)), repeat=3))).T
+        got = mub_padic._linear_valuations(num, den, p, ia, ib, ic)
+        assert got.tolist() == [frac_valuation(values[y] - 2 * values[x] * values[z], p)
+                                for x, y, z in zip(ia.tolist(), ib.tolist(), ic.tolist())]
+
+
+def _tool(name):
+    """A script of tools/ as a module."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_gram_report_enters_no_more_frames_for_repeated_states():
+    """gram_report does its Python work once per distinct label object and
+    valuation key, so listing the same states three times enters no more
+    Python frames (tools/gram_frames.py) than listing them once."""
+    gram_frames = _tool("gram_frames").gram_frames
+    p = 7
+    bs = [parse_coefficient(t, p) for t in "4,2,17,7,26,15,6".split(",")]
+    params = canonical_family_params(p, bs)
+    assert gram_frames(params * 3, 1, p) == gram_frames(params, 1, p)
 
 
 def _old_stack_error(states, grid):
