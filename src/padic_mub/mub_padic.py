@@ -521,25 +521,27 @@ def _index_labels(states: list[tuple[FamilyLabel, Coefficient]]) -> tuple[list, 
 def _state_stack(reads: list, codes: np.ndarray, grid: Grid, window: int) -> np.ndarray:
     """One row per state (a, b) of codes, on a grid that resolves every state
     (k at least _cell_resolution of its labels): the row vector_v_inf(b, grid)
-    builds for a = None and vector_v(a, b, grid) for any other a, with the
-    window or int64-cap error that those raise first in the order of the
-    states.  A delta's b is read to p^window, the k of the grid gram_report
-    reports, before its cell is taken.
+    builds for a = None and vector_v(a, b, grid) for any other a.  A delta's
+    b is read to p^window, the k of the grid gram_report reports, before its
+    cell is taken.
 
-    reads[c] is gram_report's reading of label c, None for the delta family's
-    a.  Each distinct label is read once per role, in the order the states
-    first use it, in integers: a chirp's a or b gives its phase term (M, c),
-    a delta's b its cell.  A chirp's depth is the larger of its a and b
-    parts, and each distinct depth meets the int64 cap once.  Its rows are
-    vector_v's.  One _phase_rows gives each distinct term's row lifted to
-    the deepest chirp's depth D, c*p^(D - M)*i^degree mod p^D, and a state's
-    numerators are its two rows added mod p^D: p^(D - M) times its own at
-    its depth M.  Its roots are gathered from `gauss._roots` of 0..p^M - 1
-    at n = p^M, spread at stride p^(D - M), so each is the double vector_v
-    computes; p^D <= n keeps each depth's table within one row.  The delta
-    rows come from one scatter.
+    The grid's n = p^(r+k) meets the int64 cap once, before any label is
+    read: as the grid resolves every state, each chirp's depth M has p^M <=
+    n, so that one check covers every row.  reads[c] is gram_report's
+    reading of label c, None for the delta family's a.  Each distinct label
+    is read once per role, in the order the states first use it, in
+    integers, and a failing read raises there: a chirp's a or b gives its
+    phase term (M, c), a delta's b its cell.  A chirp's depth is the larger
+    of its a and b parts.  Its rows are vector_v's.  One _phase_rows gives
+    each distinct term's row lifted to the deepest chirp's depth D,
+    c*p^(D - M)*i^degree mod p^D, and a state's numerators are its two rows
+    added mod p^D: p^(D - M) times its own at its depth M.  Its roots are
+    gathered from `gauss._roots` of 0..p^M - 1 at n = p^M, spread at stride
+    p^(D - M), so each is the double vector_v computes; p^D <= n keeps each
+    depth's table within one row.  The delta rows come from one scatter.
     """
     p, r, n = grid.p, grid.r, grid.n
+    _check_phase_depth(p, r + grid.k)
     chirp = np.array([x is not None for x in reads], dtype=bool)[codes[:, 0]]
     # each state's two slots, keyed label * 3 + role: a chirp's a (role 0)
     # and b (1), a delta's b (2); a delta's a is no slot, keyed -1
@@ -548,32 +550,18 @@ def _state_stack(reads: list, codes: np.ndarray, grid: Grid, window: int) -> np.
     term_of = np.array([*map({key: t for t, key in enumerate(distinct)}.get, slots)],
                        dtype=np.int64).reshape(-1, 2)
     terms = [(0, 0)] * len(distinct)  # (M, c) of a phase term, (0, cell) of a ball
-    failed = None  # (state, error) of the first label read that fails
     for t, key in enumerate(distinct):
         if key < 0:
             continue
         code, role = divmod(key, 3)
-        try:
-            x = reads[code]
-            if role == 2:  # the ball -b + p^r Z_p
-                terms[t] = 0, -grid._index(x.need(window)) % n
-            else:
-                terms[t] = _phase_term(p, r, x.need((2 - role) * r), 2 - role)
-        except ValueError as exc:
-            failed = slots.index(key) // 2, exc
-            break
+        x = reads[code]
+        if role == 2:  # the ball -b + p^r Z_p
+            terms[t] = 0, -grid._index(x.need(window)) % n
+        else:
+            terms[t] = _phase_term(p, r, x.need((2 - role) * r), 2 - role)
     depth_of = np.array([m for m, _ in terms], dtype=np.int64)
     depth = depth_of[term_of].max(axis=1)
-    # each distinct depth meets the cap once, in the order of the states; a
-    # state before the failing read meets it first, as each state is
-    # checked after its own reads
-    upto = len(codes) if failed is None else failed[0]
-    for m in dict.fromkeys(depth[:upto][chirp[:upto]].tolist()):
-        _check_phase_depth(p, m)
-    if failed is not None:
-        raise failed[1]
     c_of = np.array([c for _, c in terms], dtype=np.int64)
-    # allocated once every state has passed its checks
     stack = np.zeros((len(codes), n), dtype=complex)
     s = np.flatnonzero(~chirp)
     if s.size:
@@ -667,7 +655,9 @@ def gram_report(
     big-int work, then its exact value.  The pair valuations come from
     integer numerators over one common denominator, int64 below
     _numerators' overflow bound, and _state_stack checks each label's window
-    on the same reading.
+    on the same reading.  Its one int64 check, on the stack grid's p^(r+k),
+    never fires here: that grid is no larger than the reported one, which
+    make_grid caps at DEFAULT_CELL_CAP <= MAX_INT64_RESIDUE cells.
 
     Grid(p, r_used, k_used) is the grid that is reported and capped: the
     state grid resolved max(r_used, 0) digits finer, _cell_resolution at

@@ -40,15 +40,12 @@ from .padic import PFraction, frac_part, read_coefficient
 
 GAUSS_GRID_PRIMES = (3, 5, 7)
 GAUSS_GRID_MAX_EXP = 3
-GAUSS_GRID_TERM_BOUND = 400
 THRESHOLDS_PRIME = 3
 
 
 def gauss_grid_combos():
     for p in GAUSS_GRID_PRIMES:
         for k in range(1, GAUSS_GRID_MAX_EXP + 1):
-            if p**k > GAUSS_GRID_TERM_BOUND:
-                continue
             for l in range(1, k + 1):
                 yield p, k, l
 
@@ -215,8 +212,11 @@ def sweep_operators(seed: int = 0) -> dict:
     phase-index rows, on every cell, and numerically on a random state.
     Eigenrelation: the shift and modulation composite fixes each quadratic
     state up to e(-bc-ac^2).  Chirp: relabels quadratic states, checked
-    exactly on integer phase-index rows, on every cell.
+    exactly on integer phase-index rows, on every cell.  A negative seed is
+    refused (ValueError).
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     p, n_commutation, n_eigen, tol = 3, 50, 25, 1e-9
     rng = np.random.default_rng(seed)
     failures = 0

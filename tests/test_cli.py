@@ -408,6 +408,11 @@ def test_sweep_refuses_an_option_its_suite_does_not_read(capsys, suite, option):
     assert run(capsys, *argv) == (2, "", f"error: sweep {suite} does not read {option}\n")
 
 
+def test_sweep_operators_refuses_a_negative_seed(capsys):
+    assert run(capsys, "sweep", "operators", "--seed", "-1") == (
+        2, "", "error: seed must be a non-negative integer, got -1\n")
+
+
 def test_sweep_passes_an_option_its_suite_reads_and_records_the_rest(capsys):
     code, out, err = run(capsys, "sweep", "gauss-grid", "--term-cap", "5")
     assert (code, out, err) == (2, "", "error: 3^2 terms exceed the cap 5\n")

@@ -1270,13 +1270,16 @@ def test_state_stack_rows_are_the_state_vectors():
     """gram_report builds its stack on Grid(p, r_used, k_cell), a delta's
     centre read to p^k_used; on it and on the reported grid each row is bit
     for bit the state vector_v or vector_v_inf builds there, and the
-    per-label path's row, checked on the reported grid."""
+    per-label path's row, checked on the reported grid.  Every stack grid
+    has p^(r+k) <= DEFAULT_CELL_CAP <= MAX_INT64_RESIDUE, so the stack's one
+    int64 check never fires on a Gram table."""
     checked = 0
     stacks = []
     state_stack = mub_padic._state_stack
 
     def spy(reads, codes, grid, window):
         stacks.append((grid, window))
+        assert grid.p ** (grid.r + grid.k) <= mub_padic.DEFAULT_CELL_CAP <= MAX_INT64_RESIDUE
         return state_stack(reads, codes, grid, window)
 
     for p, params in _gram_sets():
@@ -1433,7 +1436,9 @@ def test_state_stack_raises_the_first_failing_states_error():
     """The stack is built on Grid(3, 1, k_cell), which resolves every state,
     a delta's centre read to the window p^k of the reported
     Grid(3, 1, max(2, k_cell)); it raises what the per-state constructors
-    raise first on the reported grid."""
+    raise first on the reported grid.  On a grid of more than
+    MAX_INT64_RESIDUE cells it raises the int64 CapError before it reads
+    any label."""
     coarse = from_rational(1, 1, 3, 1)  # known only mod 3
     fine_a = parse_coefficient("1 2 *3^0", 3)  # known mod 3^2, as 2r needs
     cases = [
@@ -1467,6 +1472,21 @@ def test_state_stack_raises_the_first_failing_states_error():
     with pytest.raises(CapError) as exc:
         _stack(states, Grid(3, 1, _cell_k(states, 1, 3)), huge.k)
     assert str(exc.value) == old[1]
+    # the cap is met on the grid's 3^22 cells before any label is read: not
+    # the first state's window, which the per-state constructors raise first
+    states = [(coarse, 0), (Fraction(1, 3**20), 0)]
+    assert _old_stack_error(states, huge)[0] is PrecisionError
+    with pytest.raises(CapError) as exc:
+        _stack(states, Grid(3, 1, 21))
+    assert str(exc.value) == old[1]
+
+    class Unread:
+        def __getattr__(self, name):
+            raise AssertionError(f"label read: .{name}")
+
+    labels, codes = mub_padic._index_labels(states)
+    with pytest.raises(CapError, match=r"^phase modulus 3\^22 exceeds"):
+        mub_padic._state_stack([Unread()] * len(labels), codes, Grid(3, 1, 21), 21)
 
 
 def _labels(p):
