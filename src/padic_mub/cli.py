@@ -36,6 +36,7 @@ import inspect
 import json
 import math
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -406,9 +407,15 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         "accept rationals 'num/den' or digit strings 'd0 d1 ... *p^v'.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse reads a word such as -5 or -0.5 as a value, but -284/25 as an
+    # unknown option, so "-a -284/25" would miss its value.  Each command's
+    # parser gets argparse's own rule for such words (its private
+    # `_negative_number_matcher`), extended to fractions.
+    negative_number = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
         one = sub.add_parser(name, help=help_text)
         one.set_defaults(command=name, func=add_arguments(one))
+        one._negative_number_matcher = negative_number
     return parser, sub.choices
 
 

@@ -20,7 +20,8 @@ a unit, refuse p = 2 through `errors.check_odd_prime`.
 The integral forms read a and b once each (`padic.read_coefficient`), a to
 the window p^(2r) and b to p^r, and form their Fractions last;
 `threshold_t` and `simplified_norm` read valuations alone and refuse a zero
-O(p^N), whose valuation is only known to be >= N.
+O(p^N), whose valuation is only known to be >= N; for such a coefficient
+`integral_report` reports no threshold and certifies nothing.
 The reduction of a ball integral to a ring sum reads the same (dx, dy): it
 takes one full period, p^l terms with l = max(1, -dx, -dy).  Whether a grid
 resolves e(a*x^2 + b*x) is cell constancy, `mub_padic.required_resolution`,
@@ -33,14 +34,17 @@ scaled by the exact number of periods).  A ring sum visits every x of the
 period: written x = u + s*v with s = p^ceil(l/2), s^2 = 0 mod p^l gives the
 exponent a*x^2 + b*x = f(u) + v*s*c(u) mod p^l, with f(u) = a*u^2 + b*u
 and c(u) = 2a*u + b, so row v of the (v, u) block is an arithmetic
-progression in v.  `_progression_rows` builds it from the exact integers
-f and s*c: its first rows by one broadcast multiply-add and one reduction
-mod p^l, every entry below p^(2l) <= INT64_MAX; then by doubling, rows
-[m, 2m) being rows [0, m) plus m*s*c mod p^l, each sum below 2p^l and
-reduced by one conditional subtraction of p^l, so the block takes no
-full-size %.  The counting oracle builds the rows a*u + b + v*(a*s) mod p^l
-of the same split the same way.  That is plain algebra on each term, not a
-Gauss-sum identity: the histogram is the defining sum's, bin for bin.
+progression in v.  `_progression_tiles` yields that block from the exact
+integers f and s*c in tiles of SEED_ROWS rows, all in one buffer: the first
+by one broadcast multiply-add and one reduction mod p^l, every entry below
+p^(2l) <= INT64_MAX; each later one as the tile before plus
+SEED_ROWS*s*c mod p^l, added in place, each sum below 2p^l and reduced by
+one conditional subtraction of p^l.  Each tile is added into the histogram,
+whose p^l bins are the one full-size array: no full-size exponent block is
+built and no full-size % taken.  The counting oracle counts the zeros of
+the tiles of the rows a*u + b + v*(a*s) mod p^l of the same split.  That is
+plain algebra on each term, not a Gauss-sum identity: the histogram is the
+defining sum's, bin for bin.
 Since Phi_{p^l}(x) = Phi_p(x^(n/p)), the p roots of each coset
 {r + j*n/p} sum to 0, so subtracting from c its minimum on each coset
 leaves the sum unchanged in Z[zeta_n]; the result c' is the canonical
@@ -71,7 +75,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapError, check_odd_prime, check_power_cap
+from .errors import CapError, PrecisionError, check_odd_prime, check_power_cap
 from .finite_field import FieldElem
 from .padic import INF, Coefficient, _check_prime, _scaled_residue, int_valuation, read_coefficient
 
@@ -101,13 +105,12 @@ MAX_INT64_RESIDUE = math.isqrt(INT64_MAX)  # 3037000499
 # The ring sum splits a period of at least SPLIT_MIN_TERMS terms into digit
 # blocks, and the counting oracle, whose unsplit form takes one full-size %
 # where the sum's takes two, one of at least twice as many;
-# `_progression_rows` computes the first SEED_ROWS rows of a block by one %
-# before it doubles.  Below these sizes the extra numpy calls (about 1.7 us
-# each) cost more than the % they save (about 4.4 ns an entry): on a 2-CPU
-# Xeon with numpy 2.4 the split sum broke even with the unsplit one near
-# 4000 terms and the split count near 9000, and 32 seed rows were as fast
-# as 16 from 3^9 to 997^2 terms without slowing 17^3 and 19^3, whose 17
-# and 19 rows 16 seed rows would double once.
+# `_progression_tiles` yields a block in tiles of SEED_ROWS rows, the first
+# by one % and each later one by an in-place shift of the one before.  Below
+# these sizes the extra numpy calls (about 1.7 us each) cost more than the %
+# they save (about 4.4 ns an entry): on a 2-CPU Xeon with numpy 2.4 the
+# split sum broke even with the unsplit one near 4000 terms and the split
+# count near 9000.  A tile of a 997^2 period holds 32 x 997 entries, 0.25 MB.
 SPLIT_MIN_TERMS = 4096
 SEED_ROWS = 32
 
@@ -237,29 +240,30 @@ def ring_sum_numeric(
     x in [0, p^l).  The period's exponents come from a digit split
     x = u + s*v, s = p^ceil(l/2) (s = p^l, one row, below SPLIT_MIN_TERMS
     terms): as s^2 = 0 mod p^l, the exponent of x is f(u) + v*s*c(u) mod p^l
-    with f(u) = a*u^2 + b*u and c(u) = 2a*u + b.  `_progression_rows` fills
-    the (v, u) block from f and s*c, both in [0, p^l): SEED_ROWS rows by one
-    multiply-add and one % (entries below p^(2l) <= INT64_MAX), the rest by
-    doubling, each new row an old row plus a shift in [0, p^l), below 2p^l
-    and wrapped back below p^l.  Every x is still visited and its exponent is
-    exact, so the histogram is that of the defining sum, bin for bin; no
-    Gauss-sum identity enters.  `_phase_sum` reduces that exact histogram by
-    its minimum on each coset of p^(l-1)Z/p^l Z, which changes the sum by an
-    exact 0, and fsums the weighted roots of the at most p^l - p^(l-1)
-    surviving bins: within (1 + eps) * eps * p^k of the same sum over the
-    rounded roots, in each of the real and imaginary parts.  A sum that is
+    with f(u) = a*u^2 + b*u and c(u) = 2a*u + b.  `_progression_tiles`
+    yields the (v, u) block from f and s*c, both in [0, p^l), in tiles of
+    SEED_ROWS rows held in one buffer: the first by one multiply-add and one
+    % (entries below p^(2l) <= INT64_MAX), each later one as the tile before
+    plus a shift in [0, p^l), below 2p^l and wrapped back below p^l in
+    place.  Each tile is added into the p^l-bin int64 histogram, the only
+    full-size array (a single row, s = p^l, is counted by one bincount).
+    Every x is still visited and its exponent is exact, so the histogram is
+    that of the defining sum, bin for bin; no Gauss-sum identity enters.
+    `_phase_sum` reduces that exact histogram by its minimum on each coset
+    of p^(l-1)Z/p^l Z, which changes the sum by an exact 0, and fsums the
+    weighted roots of the at most p^l - p^(l-1) surviving bins: within
+    (1 + eps) * eps * p^k of the same sum over the rounded roots, in each
+    of the real and imaginary parts.  A sum that is
     0 in Z[zeta_{p^l}], such as every case2 sum, comes out exactly 0j.
     """
     check_ring_params(p, k, l)
     check_power_cap(p, k, term_cap, "{size} terms exceed the cap {cap}")
-    terms = p**k
-    if terms > INT64_MAX:
-        raise CapError(f"{terms} terms overflow the int64 counts")
-    mod = p**l
+    if p**k > INT64_MAX:
+        raise CapError(f"{p**k} terms overflow the int64 counts")
     counts = _ring_histogram(p, l, a, b)
     if k > l:
         counts *= p ** (k - l)
-    return _phase_sum(counts, mod, p)
+    return _phase_sum(counts, p**l, p)
 
 
 def _split_base(p: int, l: int, min_terms: int) -> int:
@@ -269,34 +273,35 @@ def _split_base(p: int, l: int, min_terms: int) -> int:
     return mod if mod < min_terms else p ** ((l + 1) // 2)
 
 
-def _progression_rows(first: np.ndarray, step: np.ndarray | int, n: int, mod: int) -> np.ndarray:
-    """The (n, s) int64 block whose row v is first + v*step mod `mod`, from
-    entries (step an int64 s-vector or one int) in [0, mod), mod^2 <= INT64_MAX.
+def _progression_tiles(first: np.ndarray, step: np.ndarray | int, n: int, mod: int):
+    """Yield the (n, s) int64 block whose row v is first + v*step mod `mod`,
+    in tiles of at most SEED_ROWS rows, from an int64 s-vector first below
+    mod^2 and a step (an int64 s-vector or one int) in [0, mod), where
+    mod^2 <= INT64_MAX and n <= mod.
 
-    The first m = min(n, SEED_ROWS) rows take one broadcast multiply-add and
-    one %, every entry below m*mod <= mod^2 before it (n <= mod).  After that
-    the block doubles: rows [m, 2m) are rows [0, m) plus the shift
-    m*step mod `mod`, each sum below 2*mod, brought back below mod by one
-    wrap-round (as uint64, min(x, x - mod) is x - mod exactly when x >= mod),
-    so no full-size % is taken.
+    Every tile is the same buffer, valid until the next is asked for.  The
+    first m = min(n, SEED_ROWS) rows take one broadcast multiply-add and one
+    %, every entry below (m - 1)*mod + mod^2 < 2^64 before it.  Each later
+    tile is the one before plus the shift m*step mod `mod`, added in place:
+    each sum is below 2*mod and is brought back below mod by one wrap-round
+    (as uint64, min(x, x - mod) is x - mod exactly when x >= mod), so no
+    full-size % and no full-size block is taken.  A last tile of fewer rows
+    covers an n that m does not divide.
     """
-    if n == 1:
-        return first[np.newaxis]
-    rows = np.empty((n, first.size), dtype=np.uint64)
+    m = min(n, SEED_ROWS)
+    tile = np.empty((m, first.size), dtype=np.uint64)
     if isinstance(step, np.ndarray):
         step = step.view(np.uint64)  # one int stays a Python int: no numpy scalar
-    m = min(n, SEED_ROWS)
-    seed = rows[:m]
-    np.multiply(np.arange(m, dtype=np.uint64)[:, np.newaxis], step, out=seed)
-    seed += first.view(np.uint64)  # below (m - 1)*mod + mod
-    seed %= mod
-    while m < n:
-        j = min(m, n - m)
-        block = rows[m : m + j]
-        np.add(rows[:j], m * step % mod, out=block)  # m*step < n*mod <= mod^2
-        np.minimum(block, block - mod, out=block)
-        m += j
-    return rows.view(np.int64)
+    np.multiply(np.arange(m, dtype=np.uint64)[:, np.newaxis], step, out=tile)
+    tile += first.view(np.uint64)
+    tile %= mod
+    yield tile.view(np.int64)
+    shift = m * step % mod  # m*step < n*mod <= mod^2
+    for v in range(m, n, m):
+        tile = tile[: n - v]
+        tile += shift
+        np.minimum(tile, tile - mod, out=tile)
+        yield tile.view(np.int64)
 
 
 def _ring_histogram(p: int, l: int, a: int, b: int) -> np.ndarray:
@@ -314,14 +319,17 @@ def _ring_histogram(p: int, l: int, a: int, b: int) -> np.ndarray:
     f %= mod
     f *= u  # below p^l*s
     f %= mod
-    step = 0
-    if n > 1:
-        step = u * (2 * a % n)
-        step += b % n  # at most (n - 1)*s < p^l
-        step %= n
-        step *= s  # s*c(u) <= s*(n - 1) < p^l
+    if n == 1:
+        return np.bincount(f, minlength=mod)
+    step = u * (2 * a % n)
+    step += b % n  # at most (n - 1)*s < p^l
+    step %= n
+    step *= s  # s*c(u) <= s*(n - 1) < p^l
     # row v, column u holds the exponent f(u) + v*s*c(u) of x = u + s*v
-    return np.bincount(_progression_rows(f, step, n, mod).ravel(), minlength=mod)
+    counts = np.zeros(mod, dtype=np.int64)
+    for tile in _progression_tiles(f, step, n, mod):
+        np.add.at(counts, tile, 1)
+    return counts
 
 
 def ring_sum_normsq_exact(p: int, k: int, l: int, a: int, b: int) -> int:
@@ -332,8 +340,11 @@ def ring_sum_normsq_exact(p: int, k: int, l: int, a: int, b: int) -> int:
     identity rests on 2 being a unit mod p^l, so p = 2 raises OddPrimeError.
     Every y in [0, p^l) is visited: with the digit split y = u + s*v of
     `ring_sum_numeric` (from 2*SPLIT_MIN_TERMS terms), row v of the block
-    holds a*u + b + v*(a*s) mod p^l, built by `_progression_rows` from row 0
-    and the step a*s mod p^l, every intermediate below p^(2l) <= INT64_MAX.
+    holds a*u + b + v*(a*s) mod p^l, yielded by `_progression_tiles` from
+    row 0 and the step a*s mod p^l in tiles of SEED_ROWS rows, every
+    intermediate below p^(2l) <= INT64_MAX, and the zeros of each tile are
+    counted, so a split block is never held whole; a single row, s = p^l,
+    is reduced and counted at once.
     """
     check_ring_params(p, k, l)
     check_odd_prime(p)
@@ -342,10 +353,9 @@ def ring_sum_normsq_exact(p: int, k: int, l: int, a: int, b: int) -> int:
     s = _split_base(p, l, 2 * SPLIT_MIN_TERMS)
     first = np.arange(s, dtype=np.int64)
     first *= a % mod
-    first += b % mod  # below (mod - 1)*s + mod <= mod^2
-    first %= mod
-    rows = _progression_rows(first, a * s % mod, mod // s, mod)
-    count = mod - int(np.count_nonzero(rows))
+    first += b % mod  # below (mod - 1)*s + mod <= mod^2, reduced below
+    tiles = _progression_tiles(first, a * s % mod, mod // s, mod) if s < mod else [first % mod]
+    count = mod - int(sum(map(np.count_nonzero, tiles)))
     return p ** (2 * (k - l)) * mod * count
 
 
@@ -640,8 +650,11 @@ def integral_report(
     a, b = read_coefficient(a, p).need(2 * r), read_coefficient(b, p).need(r)
     af, bf, dx, dy = a.value, b.value, a.valuation - 2 * r, b.valuation - r
     closed, case = _table_norm(p, dx, dy, 2 * r)
-    t = _threshold(a.valuation, b.valuation)
-    extras = {"threshold": None if t == NEG_INF else t, "simplified_certified": r > t}
+    try:
+        t = _threshold(a.known_valuation, b.known_valuation)
+    except PrecisionError:  # a zero O(p^N): no threshold, nothing certified
+        t = math.inf
+    extras = {"threshold": t if math.isfinite(t) else None, "simplified_certified": r > t}
     numeric = deviation = None
     passed = True
     if oracle:

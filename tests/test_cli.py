@@ -139,6 +139,35 @@ def test_gauss_integral_large_ball_passes(capsys, coeffs):
     assert code == 0 and "PASS" in out
 
 
+@pytest.mark.parametrize("command, flag, value, rest", [
+    ("gauss-integral", "-a", "-284/25", ["-p", "3", "-r", "1", "-b", "1", "--oracle"]),
+    ("gauss-integral", "-b", "-7086244/3", ["-p", "11", "-r", "9", "-a", "0"]),
+    ("eigen-check", "-c", "-1/3", ["-p", "3", "-a", "1", "-b", "0"]),
+    ("fourier-ball", "-z", "-2/3", ["-p", "3", "-r", "1"]),
+    ("mub-padic", "--bs", "-1/3", ["-p", "3", "-r", "1"]),
+])
+def test_a_negative_fraction_is_read_as_two_argv_words(capsys, command, flag, value, rest):
+    # as argparse reads "-a -5", and as the attached form "-a=-284/25" reads
+    attached = run(capsys, command, *rest, f"{flag}={value}", "--format", "json")
+    assert attached[0] == 0
+    assert run(capsys, command, *rest, flag, value, "--format", "json") == attached
+
+
+def test_a_word_that_is_no_negative_number_stays_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gauss-integral", "-p", "3", "-r", "1", "-a", "-284/", "-b", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument -a: expected one argument\n")
+
+
+def test_gauss_integral_reports_no_threshold_for_a_zero_big_o(capsys):
+    # "0 *3^1" admits 9 and 18, whose threshold is 2: none is certified
+    code, out, _ = run(capsys, "gauss-integral", "-p", "3", "-r", "1", "-a", "0 *3^1",
+                       "-b", "1", "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["threshold"] is None and not report["simplified_certified"]
+
+
 def test_gauss_integral_oracle_past_the_double_range_is_exit_2(capsys):
     argv = ["gauss-integral", "-p", "599", "-r", "200", "-a", "0", "-b", "0"]
     code, out, _ = run(capsys, *argv)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -294,7 +295,7 @@ def _assert_ring_kernels_match_the_old_ones(p, k, l, a, b):
 )
 def test_digit_split_histogram_matches_the_old_histogram(data, p, l, extra, split_min, seed_rows):
     # split_min 1 splits even the shortest period, 2**62 splits none; one
-    # seed row makes every block of 2 rows or more double
+    # seed row makes every row of a split block a tile of its own
     mod = p**l
     coefficient = st.one_of(
         st.just(0),
@@ -331,9 +332,12 @@ def test_ring_kernels_match_the_old_ones_at_the_benchmark_moduli(p, l):
     seed_rows=st.sampled_from([1, 2, 3, gauss.SEED_ROWS]),
 )
 def test_progression_rows_are_first_plus_v_times_step(data, mod, n, s, vector_step, seed_rows):
-    # moduli up to isqrt(2^63 - 1), where a wrap-round past 2^63 would show
+    # moduli up to isqrt(2^63 - 1), where a wrap-round past 2^63 would show,
+    # and first below mod^2, which the first tile reduces; seed_rows 2, 3
+    # and 32 leave a shorter last tile for some n
     residue = st.integers(0, mod - 1)
-    first = np.array(data.draw(st.lists(residue, min_size=s, max_size=s)), dtype=np.int64)
+    below_square = st.integers(0, mod * mod - 1)
+    first = np.array(data.draw(st.lists(below_square, min_size=s, max_size=s)), dtype=np.int64)
     if vector_step:
         step = np.array(data.draw(st.lists(residue, min_size=s, max_size=s)), dtype=np.int64)
     else:
@@ -342,9 +346,27 @@ def test_progression_rows_are_first_plus_v_times_step(data, mod, n, s, vector_st
             for v in range(n)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gauss, "SEED_ROWS", seed_rows)
-        got = gauss._progression_rows(first, step, n, mod)
-    assert got.dtype == np.int64 and got.shape == (n, s)
-    assert got.tolist() == want
+        # each tile is overwritten by the next, so it is copied as it comes
+        tiles = [tile.copy() for tile in gauss._progression_tiles(first, step, n, mod)]
+    assert all(t.dtype == np.int64 and 1 <= len(t) <= seed_rows for t in tiles)
+    assert len(tiles) == -(-n // seed_rows)
+    assert np.concatenate(tiles).tolist() == want
+
+
+@pytest.mark.parametrize("kernel", [ring_sum_numeric, ring_sum_normsq_exact])
+def test_ring_kernels_hold_one_histogram_at_most(kernel):
+    # a 997^2 period: the p^l int64 histogram (7.6 MiB, counted as 8 MiB)
+    # is the one full-size array; every tile and _phase_sum's temporaries
+    # fit in 1 MiB more.  Holding the whole (v, u) exponent block peaked at
+    # 15.2 MiB in the sum and 11.3 MiB in the count.
+    kernel(997, 2, 2, 5, 7)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        kernel(997, 2, 2, 5, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2**20, peak
 
 
 def test_scale_invariance_exact_at_phase_level():
@@ -653,6 +675,22 @@ def test_integral_report_flags_uncertified():
     assert rep.extras["threshold"] == 1
     assert rep.extras["simplified_certified"] is False
     assert rep.passed  # the full closed form still matches the oracle
+
+
+def test_integral_report_certifies_no_threshold_of_a_zero_big_o():
+    # "0 *3^1" is 0 modulo 3^2: it admits 9 and 18, whose threshold is 2,
+    # so its digits fix no threshold, and r = 1 certifies nothing
+    zero = parse_coefficient("0 *3^1", 3)
+    for a, b in ((zero, 1), (1, zero), (zero, zero)):
+        rep = integral_report(3, 1, a, b, oracle=True)
+        assert (rep.extras["threshold"], rep.extras["simplified_certified"]) == (None, False)
+        assert rep.passed  # the closed form reads the digits' own value
+    for a in (9, 18):
+        rep = integral_report(3, 1, Fraction(a), Fraction(1))
+        assert (rep.extras["threshold"], rep.extras["simplified_certified"]) == (2, False)
+    # exact zeros have threshold -inf: null, and every r is certified
+    rep = integral_report(3, 1, Fraction(0), Fraction(0))
+    assert (rep.extras["threshold"], rep.extras["simplified_certified"]) == (None, True)
 
 
 def test_params_validation():
