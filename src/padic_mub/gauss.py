@@ -54,9 +54,12 @@ weighted roots c'[m] * w[m] over the nonzero bins of c', in ascending
 residue order, for the real and the imaginary part.  Each weighted root is
 rounded once and fsum rounds once (Shewchuk 1997), so each part lies within
 (1 + eps) * eps * N' of the same sum over the rounded roots w, where
-N' = sum(c') <= N, and results are reproducible bit for bit.  Residue arrays
-come from `_residues`, which keeps every product of two residues inside
-int64.
+N' = sum(c') <= N, and results are reproducible bit for bit.  Every int64
+modulus p^e, here and in `mub_padic`'s phase rows, first passes
+`_check_modulus(p, e)`, the one guard that keeps every product of two
+residues inside int64; it compares p^e with MAX_INT64_RESIDUE without
+forming p^e, so a huge e is refused at once.  `_residues(p, l)` builds
+0..p^l-1 only past it.
 
 The bulk table over every (a, b) in [0, p^l)^2 sums the same definition by
 one inverse FFT of each chirp row zeta^(a*x^2), which rounds like any FFT:
@@ -75,7 +78,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapError, PrecisionError, check_odd_prime, check_power_cap
+from .errors import PrecisionError, check_odd_prime, check_power_cap
 from .finite_field import FieldElem
 from .padic import INF, Coefficient, _check_prime, _scaled_residue, int_valuation, read_coefficient
 
@@ -115,18 +118,17 @@ SPLIT_MIN_TERMS = 4096
 SEED_ROWS = 32
 
 
-def _check_modulus(mod: int) -> None:
-    """Refuse a modulus whose residue products could overflow int64."""
-    if mod > MAX_INT64_RESIDUE:
-        raise CapError(
-            f"modulus {mod} exceeds {MAX_INT64_RESIDUE}: residue products overflow int64"
-        )
+def _check_modulus(p: int, e: int) -> None:
+    """Refuse a modulus p^e whose residue products could overflow int64:
+    the package's one int64 residue guard, met before p^e is formed."""
+    check_power_cap(p, e, MAX_INT64_RESIDUE,
+                    "phase modulus {size} exceeds {cap}: residue products overflow int64")
 
 
-def _residues(mod: int) -> np.ndarray:
-    """The residues 0..mod-1 as int64, for moduli whose squares fit int64."""
-    _check_modulus(mod)
-    return np.arange(mod, dtype=np.int64)
+def _residues(p: int, l: int) -> np.ndarray:
+    """The residues 0..p^l-1 as int64, for moduli whose squares fit int64."""
+    _check_modulus(p, l)
+    return np.arange(p**l, dtype=np.int64)
 
 
 def _phase_sum(counts: np.ndarray, mod: int, p: int) -> complex:
@@ -258,8 +260,7 @@ def ring_sum_numeric(
     """
     check_ring_params(p, k, l)
     check_power_cap(p, k, term_cap, "{size} terms exceed the cap {cap}")
-    if p**k > INT64_MAX:
-        raise CapError(f"{p**k} terms overflow the int64 counts")
+    check_power_cap(p, k, INT64_MAX, "{size} terms overflow the int64 counts")
     counts = _ring_histogram(p, l, a, b)
     if k > l:
         counts *= p ** (k - l)
@@ -307,8 +308,8 @@ def _progression_tiles(first: np.ndarray, step: np.ndarray | int, n: int, mod: i
 def _ring_histogram(p: int, l: int, a: int, b: int) -> np.ndarray:
     """How many x in [0, p^l) have each exponent a*x^2 + b*x mod p^l, by the
     digit split of `ring_sum_numeric` (int64, p^l bins)."""
+    _check_modulus(p, l)
     mod = p**l
-    _check_modulus(mod)
     s = _split_base(p, l, SPLIT_MIN_TERMS)
     n = mod // s
     u = np.arange(s, dtype=np.int64)
@@ -348,8 +349,8 @@ def ring_sum_normsq_exact(p: int, k: int, l: int, a: int, b: int) -> int:
     """
     check_ring_params(p, k, l)
     check_odd_prime(p)
+    _check_modulus(p, l)
     mod = p**l
-    _check_modulus(mod)
     s = _split_base(p, l, 2 * SPLIT_MIN_TERMS)
     first = np.arange(s, dtype=np.int64)
     first *= a % mod
@@ -365,9 +366,12 @@ def ring_sum_norm_closed(p: int, k: int, l: int, a: int, b: int) -> tuple[ExactN
     case1: a != 0 mod p^l and v(a) <= v(b)  ->  p^(k - l/2 + v(a)/2)
     case2: b != 0 mod p^l and v(a) >  v(b)  ->  0
     case3: a  = b = 0 mod p^l               ->  p^k
+
+    min(v(x), l) is the truncated valuation of x mod p^l, so the table is
+    read with no power of p formed.
     """
     check_ring_params(p, k, l)
-    dx, dy = (min(int_valuation(x % p**l, p), l) - l for x in (a, b))
+    dx, dy = (min(int_valuation(x, p), l) - l for x in (a, b))
     return _table_norm(p, dx, dy, 2 * k)
 
 
@@ -375,7 +379,7 @@ def ring_sum_norm_closed_table(p: int, k: int, l: int) -> tuple[np.ndarray, np.n
     """The case table's (case, half-power) arrays for every (a, b) in
     [0, p^l)^2, indexed [a, b]: ring_sum_norm_closed for all pairs at once."""
     check_ring_params(p, k, l)
-    x = _residues(p**l)
+    x = _residues(p, l)
     shift = sum((x % p**j == 0).astype(np.int64) for j in range(1, l + 1)) - l
     dx = shift[:, None]
     case = _norm_table(p, dx, shift[None, :])
@@ -405,9 +409,9 @@ def ring_sum_numeric_table(
     """
     check_ring_params(p, k, l)
     check_power_cap(p, k, term_cap, "{size} terms exceed the cap {cap}")
+    x = _residues(p, l)
     mod = p**l
     scale = p ** (k - l)  # each residue class mod p^l is hit p^(k-l) times
-    x = _residues(mod)
     w = _roots(x, mod)  # its own table, not the cached one
     chirp = w[np.outer(x, x * x % mod) % mod]  # chirp[a, x] = zeta^(a*x^2)
     return scale * mod * np.fft.ifft(chirp, axis=1)
@@ -418,8 +422,8 @@ def ring_sum_normsq_table(p: int, k: int, l: int) -> np.ndarray:
     odd p only, as ring_sum_normsq_exact."""
     check_ring_params(p, k, l)
     check_odd_prime(p)
+    y = _residues(p, l)
     mod = p**l
-    y = _residues(mod)
     a = y[:, None]
     # cell a*mod + b counts the y with a*y + b = 0 mod p^l
     hits = np.bincount((a * mod + (-a * y) % mod).ravel(), minlength=mod * mod)

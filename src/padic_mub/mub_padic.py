@@ -27,8 +27,8 @@ from .characters import phase_to_complex
 from .errors import ResolutionError, check_odd_prime, check_power_cap
 from .gauss import (
     INT64_MAX,
-    MAX_INT64_RESIDUE,
     NEG_INF,
+    _check_modulus,
     _float_power,
     _roots,
     _simplified,
@@ -162,13 +162,6 @@ def _phase_term(p: int, r: int, x: Reading, degree: int) -> tuple[int, int]:
     return depth, _scaled_residue(p, depth, x.value, x.valuation, 0)
 
 
-def _check_phase_depth(p: int, depth: int) -> None:
-    """CapError when p^depth exceeds gauss.MAX_INT64_RESIDUE, where the int64
-    residue products of a phase row would wrap."""
-    check_power_cap(p, depth, MAX_INT64_RESIDUE,
-                    "phase modulus {size} exceeds {cap}: int64 overflow")
-
-
 def _quad_phase_indices(
     grid: Grid, a: Reading | None, b: Reading | None, cells: np.ndarray | None = None
 ) -> tuple[np.ndarray, int]:
@@ -176,13 +169,13 @@ def _quad_phase_indices(
     at every cell, or only at the int64 cell indices `cells`, in their order.
     a or b None is a term left out.
 
-    The one source of exact cell phases; p^M must pass _check_phase_depth.
+    The one source of exact cell phases; p^M must pass gauss._check_modulus.
     """
     p, r = grid.p, grid.r
     ma, ca = (0, 0) if a is None else _phase_term(p, r, a, 2)
     mb, cb = (0, 0) if b is None else _phase_term(p, r, b, 1)
     depth = max(ma, mb)
-    _check_phase_depth(p, depth)
+    _check_modulus(p, depth)
     i = np.arange(grid.n, dtype=np.int64) if cells is None else cells
     return _phase_rows(i, ca * p ** (depth - ma), cb * p ** (depth - mb), p**depth), depth
 
@@ -191,8 +184,8 @@ def _phase_rows(i: np.ndarray, ca, cb, mod: int) -> np.ndarray:
     """(ca*i^2 + cb*i) mod `mod` over the int64 cell indices i: the phase
     numerators of a chirp whose terms (M, c) are lifted to c*p^(M' - M) at
     the depth M' of mod = p^M'.  ca and cb are ints or int64 columns, one
-    row per column entry; every product is of residues below mod <=
-    MAX_INT64_RESIDUE, so none passes 2^63."""
+    row per column entry; every product is of residues below mod, which
+    gauss._check_modulus has passed, so none passes 2^63."""
     j = i % mod
     return (j * j % mod * ca % mod + j * cb % mod) % mod
 
@@ -525,10 +518,11 @@ def _state_stack(reads: list, codes: np.ndarray, grid: Grid, window: int) -> np.
     b is read to p^window, the k of the grid gram_report reports, before its
     cell is taken.
 
-    The grid's n = p^(r+k) meets the int64 cap once, before any label is
-    read: as the grid resolves every state, each chirp's depth M has p^M <=
-    n, so that one check covers every row.  reads[c] is gram_report's
-    reading of label c, None for the delta family's a.  Each distinct label
+    The grid's n = p^(r+k) meets the int64 residue guard,
+    gauss._check_modulus, once, before any label is read: as the grid
+    resolves every state, each chirp's depth M has p^M <= n, so that one
+    check covers every row.  reads[c] is gram_report's reading of label c,
+    None for the delta family's a.  Each distinct label
     is read once per role, in the order the states first use it, in
     integers, and a failing read raises there: a chirp's a or b gives its
     phase term (M, c), a delta's b its cell.  A chirp's depth is the larger
@@ -541,7 +535,7 @@ def _state_stack(reads: list, codes: np.ndarray, grid: Grid, window: int) -> np.
     depth's table within one row.  The delta rows come from one scatter.
     """
     p, r, n = grid.p, grid.r, grid.n
-    _check_phase_depth(p, r + grid.k)
+    _check_modulus(p, r + grid.k)
     chirp = np.array([x is not None for x in reads], dtype=bool)[codes[:, 0]]
     # each state's two slots, keyed label * 3 + role: a chirp's a (role 0)
     # and b (1), a delta's b (2); a delta's a is no slot, keyed -1
@@ -655,9 +649,10 @@ def gram_report(
     big-int work, then its exact value.  The pair valuations come from
     integer numerators over one common denominator, int64 below
     _numerators' overflow bound, and _state_stack checks each label's window
-    on the same reading.  Its one int64 check, on the stack grid's p^(r+k),
-    never fires here: that grid is no larger than the reported one, which
-    make_grid caps at DEFAULT_CELL_CAP <= MAX_INT64_RESIDUE cells.
+    on the same reading.  Its one int64 residue guard, gauss._check_modulus
+    on the stack grid's p^(r+k), never fires here: that grid is no larger
+    than the reported one, which make_grid caps at DEFAULT_CELL_CAP <=
+    gauss.MAX_INT64_RESIDUE cells.
 
     Grid(p, r_used, k_used) is the grid that is reported and capped: the
     state grid resolved max(r_used, 0) digits finer, _cell_resolution at

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -39,12 +40,13 @@ from padic_mub.gauss import (
     _float_power,
     _integral_reduction,
     _phase_sum,
+    _table_norm,
     ring_sum_norm_closed_table,
     ring_sum_normsq_table,
     ring_sum_numeric_table,
     roots_of_unity,
 )
-from padic_mub.padic import PadicNumber, _check_prime, parse_coefficient
+from padic_mub.padic import PadicNumber, _check_prime, int_valuation, parse_coefficient
 from padic_mub.padic import zero as padic_zero
 from padic_mub.sweeps import (
     gauss_grid_combos,
@@ -240,6 +242,43 @@ def test_int64_guard_raises_cap_error():
     # 3^40 terms overflow the int64 histogram even over a small modulus
     with pytest.raises(CapError, match="overflow the int64 counts"):
         ring_sum_numeric(3, 40, 1, 1, 0, term_cap=10**30)
+
+
+def test_int64_guard_names_the_modulus_as_a_power_before_forming_it():
+    # 3^1000000 has 477122 digits: the guard compares it with the bound
+    # without forming it, and names it as p^e, as every cap does
+    want = "phase modulus 3^1000000 exceeds 3037000499: residue products overflow int64"
+    for call in (lambda: ring_sum_normsq_exact(3, 10**6, 10**6, 1, 0),
+                 lambda: ring_sum_norm_closed_table(3, 10**6, 10**6),
+                 lambda: ring_sum_normsq_table(3, 10**6, 10**6)):
+        with pytest.raises(CapError) as exc:
+            call()
+        assert str(exc.value) == want
+
+
+def test_ring_closed_form_forms_no_power_of_p():
+    # one power 3^(10^7) has 4.8 million digits; the closed form reads the
+    # valuations alone
+    start = time.perf_counter()
+    norm, case = ring_sum_norm_closed(3, 10**7, 10**7, 1, 0)
+    seconds = time.perf_counter() - start
+    assert (str(norm), case) == ("3^{5000000}", "case1")
+    assert seconds < 1, seconds
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), p=st.sampled_from([3, 5, 7]), l=st.integers(1, 4), extra=st.integers(0, 2))
+def test_ring_closed_form_matches_the_reduced_valuations(data, p, l, extra):
+    # the old form reduced a and b mod p^l before it took their valuations:
+    # for x != 0 with v(x) < l that keeps v(x), and otherwise both give l
+    coefficient = st.one_of(
+        st.integers(-2 * p ** (l + 3), 2 * p ** (l + 3)),
+        st.builds(lambda m, j: m * p**j, st.integers(-5, 5), st.sampled_from([l, l + 3])),
+    )
+    a, b = data.draw(coefficient), data.draw(coefficient)
+    k = l + extra
+    dx, dy = (min(int_valuation(x % p**l, p), l) - l for x in (a, b))
+    assert ring_sum_norm_closed(p, k, l, a, b) == _table_norm(p, dx, dy, 2 * k), (p, k, l, a, b)
 
 
 def _old_ring_histogram(p, l, a, b):
@@ -441,7 +480,7 @@ def test_numeric_table_checks_the_cap_before_allocating(monkeypatch):
     with pytest.raises(CapError, match="exceed the cap"):
         ring_sum_numeric_table(3, 21, 21, term_cap=3**21 - 1)
 
-    def no_residues(mod):
+    def no_residues(p, l):
         raise AssertionError("residues built before the cap check")
 
     monkeypatch.setattr(gauss, "_residues", no_residues)
