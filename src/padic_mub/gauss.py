@@ -30,21 +30,17 @@ which reads v(a) and v(b) themselves.
 A numeric sum over N terms is a sum of roots of unity zeta_n^e with exact
 integer exponents e, n = p^l.  It is first reduced to an exact int64
 histogram c of the exponents mod n (for a ring sum, one period of x only,
-scaled by the exact number of periods).  A ring sum visits every x of the
-period: written x = u + s*v with s = p^ceil(l/2), s^2 = 0 mod p^l gives the
-exponent a*x^2 + b*x = f(u) + v*s*c(u) mod p^l, with f(u) = a*u^2 + b*u
-and c(u) = 2a*u + b, so row v of the (v, u) block is an arithmetic
-progression in v.  `_progression_tiles` yields that block from the exact
-integers f and s*c in tiles of SEED_ROWS rows, all in one buffer: the first
-by one broadcast multiply-add and one reduction mod p^l, every entry below
-p^(2l) <= INT64_MAX; each later one as the tile before plus
-SEED_ROWS*s*c mod p^l, added in place, each sum below 2p^l and reduced by
-one conditional subtraction of p^l.  Each tile is added into the histogram,
-whose p^l bins are the one full-size array: no full-size exponent block is
-built and no full-size % taken.  The counting oracle counts the zeros of
-the tiles of the rows a*u + b + v*(a*s) mod p^l of the same split.  That is
-plain algebra on each term, not a Gauss-sum identity: the histogram is the
-defining sum's, bin for bin.
+scaled by the exact number of periods).  A ring sum counts every x of the
+period by columns: written x = u + s*v with s = p^ceil(l/2), s^2 = 0
+mod p^l gives the exponent a*x^2 + b*x = f(u) + s*(v*c(u) mod p^l/s)
+mod p^l, with f(u) = a*u^2 + b*u and c(u) = 2a*u + b.  The column fact: as
+v runs over Z/(p^l/s), v*c(u) takes each multiple of p^t = gcd(c(u), p^l/s)
+exactly p^t times, so column u adds exactly p^t to each bin x = f(u) mod
+s*p^t.
+`_ring_histogram` adds the columns level by level into prefixes of the one
+p^l-bin histogram, with no full-size scatter and no exponent block; the
+counting oracle reads the same fact off a*y + b.  That is counting, not a
+Gauss-sum identity: the histogram is the defining sum's, bin for bin.
 Since Phi_{p^l}(x) = Phi_p(x^(n/p)), the p roots of each coset
 {r + j*n/p} sum to 0, so subtracting from c its minimum on each coset
 leaves the sum unchanged in Z[zeta_n]; the result c' is the canonical
@@ -105,17 +101,16 @@ def roots_of_unity(n: int) -> np.ndarray:
 
 INT64_MAX = 2**63 - 1
 MAX_INT64_RESIDUE = math.isqrt(INT64_MAX)  # 3037000499
-# The ring sum splits a period of at least SPLIT_MIN_TERMS terms into digit
-# blocks, and the counting oracle, whose unsplit form takes one full-size %
-# where the sum's takes two, one of at least twice as many;
-# `_progression_tiles` yields a block in tiles of SEED_ROWS rows, the first
-# by one % and each later one by an in-place shift of the one before.  Below
-# these sizes the extra numpy calls (about 1.7 us each) cost more than the %
-# they save (about 4.4 ns an entry): on a 2-CPU Xeon with numpy 2.4 the
-# split sum broke even with the unsplit one near 4000 terms and the split
-# count near 9000.  A tile of a 997^2 period holds 32 x 997 entries, 0.25 MB.
-SPLIT_MIN_TERMS = 4096
-SEED_ROWS = 32
+# The ring sum and the counting oracle split a period of at least
+# SPLIT_MIN_TERMS terms into s = p^ceil(l/2) columns, each counted whole by
+# the column fact (see the module docstring), so the histogram is still the
+# defining sum's, bin for bin; a shorter period is one column of p^l terms.
+# The split sum takes about five numpy calls on each of its floor(l/2) + 1
+# levels, where the unsplit one takes one pass of about 10 ns a term: on a
+# 2-CPU Xeon with numpy 2.4 the split sum broke even with the unsplit one
+# between 1331 and 2187 terms, and the split count beat the unsplit count
+# at every period from 343 terms on.
+SPLIT_MIN_TERMS = 2048
 
 
 def _check_modulus(p: int, e: int) -> None:
@@ -239,18 +234,18 @@ def ring_sum_numeric(
 
     The exponent mod p^l has period p^l in x, so its histogram over the
     p^k terms is exactly p^(k-l) times the histogram over one period
-    x in [0, p^l).  The period's exponents come from a digit split
-    x = u + s*v, s = p^ceil(l/2) (s = p^l, one row, below SPLIT_MIN_TERMS
-    terms): as s^2 = 0 mod p^l, the exponent of x is f(u) + v*s*c(u) mod p^l
-    with f(u) = a*u^2 + b*u and c(u) = 2a*u + b.  `_progression_tiles`
-    yields the (v, u) block from f and s*c, both in [0, p^l), in tiles of
-    SEED_ROWS rows held in one buffer: the first by one multiply-add and one
-    % (entries below p^(2l) <= INT64_MAX), each later one as the tile before
-    plus a shift in [0, p^l), below 2p^l and wrapped back below p^l in
-    place.  Each tile is added into the p^l-bin int64 histogram, the only
-    full-size array (a single row, s = p^l, is counted by one bincount).
-    Every x is still visited and its exponent is exact, so the histogram is
-    that of the defining sum, bin for bin; no Gauss-sum identity enters.
+    x in [0, p^l).  That histogram is counted by the digit split
+    x = u + s*v, s = p^ceil(l/2), n = p^l/s (s = p^l, n = 1, below
+    SPLIT_MIN_TERMS terms): as s^2 = 0 mod p^l, the exponent of x is
+    f(u) + s*(v*c(u) mod n) mod p^l with f(u) = a*u^2 + b*u and
+    c(u) = 2a*u + b.  As v runs over Z/n, v*c(u) mod n takes each value of
+    p^t*Z/n exactly p^t times, p^t = gcd(c(u), n), so column u adds p^t to
+    each bin x = f(u) mod s*p^t.  The columns of level t, at most s in all,
+    are added with weight p^t into the prefix of length s*p^t, which is then
+    copied p - 1 times to length s*p^(t+1); the p^l-bin int64 histogram is
+    the only full-size array, and no exponent block is built.  Every
+    exponent is exact and every x is counted, so the histogram is that of
+    the defining sum, bin for bin; no Gauss-sum identity enters.
     `_phase_sum` reduces that exact histogram by its minimum on each coset
     of p^(l-1)Z/p^l Z, which changes the sum by an exact 0, and fsums the
     weighted roots of the at most p^l - p^(l-1) surviving bins: within
@@ -267,54 +262,22 @@ def ring_sum_numeric(
     return _phase_sum(counts, p**l, p)
 
 
-def _split_base(p: int, l: int, min_terms: int) -> int:
+def _split_base(p: int, l: int) -> int:
     """The digit base s of the period split x = u + s*v: p^ceil(l/2), or p^l
-    (a single row) for a period of fewer than min_terms terms."""
+    (one column of the whole period) for fewer than SPLIT_MIN_TERMS terms."""
     mod = p**l
-    return mod if mod < min_terms else p ** ((l + 1) // 2)
-
-
-def _progression_tiles(first: np.ndarray, step: np.ndarray | int, n: int, mod: int):
-    """Yield the (n, s) int64 block whose row v is first + v*step mod `mod`,
-    in tiles of at most SEED_ROWS rows, from an int64 s-vector first below
-    mod^2 and a step (an int64 s-vector or one int) in [0, mod), where
-    mod^2 <= INT64_MAX and n <= mod.
-
-    Every tile is the same buffer, valid until the next is asked for.  The
-    first m = min(n, SEED_ROWS) rows take one broadcast multiply-add and one
-    %, every entry below (m - 1)*mod + mod^2 < 2^64 before it.  Each later
-    tile is the one before plus the shift m*step mod `mod`, added in place:
-    each sum is below 2*mod and is brought back below mod by one wrap-round
-    (as uint64, min(x, x - mod) is x - mod exactly when x >= mod), so no
-    full-size % and no full-size block is taken.  A last tile of fewer rows
-    covers an n that m does not divide.
-    """
-    m = min(n, SEED_ROWS)
-    tile = np.empty((m, first.size), dtype=np.uint64)
-    if isinstance(step, np.ndarray):
-        step = step.view(np.uint64)  # one int stays a Python int: no numpy scalar
-    np.multiply(np.arange(m, dtype=np.uint64)[:, np.newaxis], step, out=tile)
-    tile += first.view(np.uint64)
-    tile %= mod
-    yield tile.view(np.int64)
-    shift = m * step % mod  # m*step < n*mod <= mod^2
-    for v in range(m, n, m):
-        tile = tile[: n - v]
-        tile += shift
-        np.minimum(tile, tile - mod, out=tile)
-        yield tile.view(np.int64)
+    return mod if mod < SPLIT_MIN_TERMS else p ** ((l + 1) // 2)
 
 
 def _ring_histogram(p: int, l: int, a: int, b: int) -> np.ndarray:
     """How many x in [0, p^l) have each exponent a*x^2 + b*x mod p^l, by the
-    digit split of `ring_sum_numeric` (int64, p^l bins)."""
+    column fact of `ring_sum_numeric` (int64, p^l bins)."""
     _check_modulus(p, l)
     mod = p**l
-    s = _split_base(p, l, SPLIT_MIN_TERMS)
+    s = _split_base(p, l)
     n = mod // s
     u = np.arange(s, dtype=np.int64)
-    # s*v*c(u) mod p^l needs c(u) mod n only, as s*n = p^l.  Every
-    # intermediate stays below p^(2l) <= INT64_MAX (`_check_modulus`).
+    # Every intermediate stays below p^(2l) <= INT64_MAX (`_check_modulus`).
     f = u * (a % mod)
     f += b % mod  # at most (p^l - 1)*s < p^(2l)
     f %= mod
@@ -322,15 +285,21 @@ def _ring_histogram(p: int, l: int, a: int, b: int) -> np.ndarray:
     f %= mod
     if n == 1:
         return np.bincount(f, minlength=mod)
-    step = u * (2 * a % n)
-    step += b % n  # at most (n - 1)*s < p^l
-    step %= n
-    step *= s  # s*c(u) <= s*(n - 1) < p^l
-    # row v, column u holds the exponent f(u) + v*s*c(u) of x = u + s*v
+    c = u * (2 * a % n)
+    c += b % n  # at most (n - 1)*s < p^l
+    c %= n
+    # column u adds p^t to each x = f(u) mod its period s*p^t, p^t = gcd(c(u), n)
+    period = np.gcd(c, n)
+    period *= s
     counts = np.zeros(mod, dtype=np.int64)
-    for tile in _progression_tiles(f, step, n, mod):
-        np.add.at(counts, tile, 1)
-    return counts
+    width = s
+    while True:
+        np.add.at(counts[:width], f[period == width] % width, width // s)
+        if width == mod:
+            return counts
+        # every column so far has a period dividing width: copy the prefix on
+        counts[: width * p].reshape(p, width)[1:] = counts[:width]
+        width *= p
 
 
 def ring_sum_normsq_exact(p: int, k: int, l: int, a: int, b: int) -> int:
@@ -339,24 +308,25 @@ def ring_sum_normsq_exact(p: int, k: int, l: int, a: int, b: int) -> int:
     |sum|^2 = p^(2(k-l)) * p^l * #solutions.  This counts directly, with no
     case analysis, so it is an independent oracle for the closed form.  The
     identity rests on 2 being a unit mod p^l, so p = 2 raises OddPrimeError.
-    Every y in [0, p^l) is visited: with the digit split y = u + s*v of
-    `ring_sum_numeric` (from 2*SPLIT_MIN_TERMS terms), row v of the block
-    holds a*u + b + v*(a*s) mod p^l, yielded by `_progression_tiles` from
-    row 0 and the step a*s mod p^l in tiles of SEED_ROWS rows, every
-    intermediate below p^(2l) <= INT64_MAX, and the zeros of each tile are
-    counted, so a split block is never held whole; a single row, s = p^l,
-    is reduced and counted at once.
+    Every y in [0, p^l) is counted, by the column fact of `ring_sum_numeric`:
+    with y = u + s*v, a*y + b = g(u) + s*(v*a mod n) mod p^l, g(u) = a*u + b,
+    so column u takes each value = g(u) mod s*p^t exactly p^t times,
+    p^t = gcd(a, n), and holds p^t zeros when g(u) = 0 mod s*p^t and none
+    otherwise.  The count is p^t times the number of such u < s, still the
+    defining count, solution for solution: O(s) work, every intermediate
+    below p^(2l) <= INT64_MAX, with no full-size array.
     """
     check_ring_params(p, k, l)
     check_odd_prime(p)
     _check_modulus(p, l)
     mod = p**l
-    s = _split_base(p, l, 2 * SPLIT_MIN_TERMS)
-    first = np.arange(s, dtype=np.int64)
-    first *= a % mod
-    first += b % mod  # below (mod - 1)*s + mod <= mod^2, reduced below
-    tiles = _progression_tiles(first, a * s % mod, mod // s, mod) if s < mod else [first % mod]
-    count = mod - int(sum(map(np.count_nonzero, tiles)))
+    s = _split_base(p, l)
+    period = s * math.gcd(a, mod // s)
+    g = np.arange(s, dtype=np.int64)
+    g *= a % period
+    g += b % period  # below period*s <= p^(2l)
+    g %= period
+    count = (s - int(np.count_nonzero(g))) * (period // s)
     return p ** (2 * (k - l)) * mod * count
 
 

@@ -323,36 +323,58 @@ def _assert_ring_kernels_match_the_old_ones(p, k, l, a, b):
         assert normsq == _old_normsq_exact(p, k, l, a, b), (p, k, l, a, b)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     data=st.data(),
     p=st.sampled_from([2, 3, 5, 7, 11]),
     l=st.integers(1, 6),
     extra=st.integers(0, 1),
     split_min=st.sampled_from([1, gauss.SPLIT_MIN_TERMS, 2**62]),
-    seed_rows=st.sampled_from([1, gauss.SEED_ROWS]),
 )
-def test_digit_split_histogram_matches_the_old_histogram(data, p, l, extra, split_min, seed_rows):
-    # split_min 1 splits even the shortest period, 2**62 splits none; one
-    # seed row makes every row of a split block a tile of its own
+def test_digit_split_histogram_matches_the_old_histogram(data, p, l, extra, split_min):
+    # split_min 1 splits even the shortest period, 2**62 splits none.  Small
+    # multiples of every p^j, j <= l, let a be 0 mod n = p^floor(l/2) and b
+    # 0 mod p^l, so that the columns can reach every level t = 0..log_p n,
+    # the top one included (test_digit_split_reaches_every_level pins each);
+    # p = 2 is summed though 2 is no unit
     mod = p**l
     coefficient = st.one_of(
         st.just(0),
         st.integers(-3 * mod, 3 * mod),
         st.builds(lambda j, u: p**j * (u * p + 1), st.integers(1, l + 1), st.integers(-mod, mod)),
+        st.builds(lambda j, m: m * p**j, st.integers(0, l), st.integers(-3, 3)),
     )
     a, b = data.draw(coefficient), data.draw(coefficient)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gauss, "SPLIT_MIN_TERMS", split_min)
-        patch.setattr(gauss, "SEED_ROWS", seed_rows)
         _assert_ring_kernels_match_the_old_ones(p, l + extra, l, a, b)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_digit_split_reaches_every_level(p):
+    # at every split l <= 6 these pairs give columns of every level
+    # t = min(v_p(c(u)), log_p n), c(u) = 2a*u + b: a = 1 with b = 0 or 1
+    # (at p = 2, b = 1 alone gives t = 0), and a = 0 mod n, b = 0 mod p^l
+    # (the top level only)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gauss, "SPLIT_MIN_TERMS", 1)
+        for l in range(1, 7):
+            n = p ** (l // 2)
+            pairs = [(1, 0), (1, 1), (n, 0), (5 * n, p**l)]
+            levels = {min(int_valuation((2 * a * u + b) % n, p), l // 2)
+                      for a, b in pairs for u in range(gauss._split_base(p, l))}
+            assert levels == set(range(l // 2 + 1)), (p, l, levels)
+            for a, b in pairs:
+                _assert_ring_kernels_match_the_old_ones(p, l, l, a, b)
+
+
 @pytest.mark.parametrize("p, l", [(3, 12), (3, 11), (5, 8), (7, 7), (29, 4), (31, 4), (997, 2),
-                                  (2053, 1), (4099, 1)])
+                                  (2039, 1), (2053, 1), (4099, 1), (43, 2), (47, 2)])
 def test_ring_kernels_match_the_old_ones_at_the_benchmark_moduli(p, l):
-    # the largest ring moduli of the benchmark, and one prime below and one
-    # past SPLIT_MIN_TERMS, whose single digit block is one row
+    # the largest ring moduli of the benchmark; primes below and past
+    # SPLIT_MIN_TERMS, whose l = 1 periods are one column either way, as
+    # s = p^ceil(1/2) = p; and 43^2 below it and 47^2, the first split
+    # square, past it
     mod = p**l
     pairs = [(1, 0), (p, 1), (mod - 1, p ** (l // 2) + 2), (123456789 % mod, 0),
              (2 * p ** (l - 1), 1)]  # the last a is 0 mod p^(l-1)
@@ -360,44 +382,26 @@ def test_ring_kernels_match_the_old_ones_at_the_benchmark_moduli(p, l):
         _assert_ring_kernels_match_the_old_ones(p, l, l, a, b)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    data=st.data(),
-    mod=st.one_of(st.integers(2, 10**4), st.integers(gauss.MAX_INT64_RESIDUE - 10**3,
-                                                    gauss.MAX_INT64_RESIDUE)),
-    n=st.integers(1, 70),
-    s=st.integers(1, 9),
-    vector_step=st.booleans(),
-    seed_rows=st.sampled_from([1, 2, 3, gauss.SEED_ROWS]),
-)
-def test_progression_rows_are_first_plus_v_times_step(data, mod, n, s, vector_step, seed_rows):
-    # moduli up to isqrt(2^63 - 1), where a wrap-round past 2^63 would show,
-    # and first below mod^2, which the first tile reduces; seed_rows 2, 3
-    # and 32 leave a shorter last tile for some n
-    residue = st.integers(0, mod - 1)
-    below_square = st.integers(0, mod * mod - 1)
-    first = np.array(data.draw(st.lists(below_square, min_size=s, max_size=s)), dtype=np.int64)
-    if vector_step:
-        step = np.array(data.draw(st.lists(residue, min_size=s, max_size=s)), dtype=np.int64)
-    else:
-        step = data.draw(residue)
-    want = [[(int(f) + v * int(c)) % mod for f, c in zip(first, np.broadcast_to(step, s))]
-            for v in range(n)]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gauss, "SEED_ROWS", seed_rows)
-        # each tile is overwritten by the next, so it is copied as it comes
-        tiles = [tile.copy() for tile in gauss._progression_tiles(first, step, n, mod)]
-    assert all(t.dtype == np.int64 and 1 <= len(t) <= seed_rows for t in tiles)
-    assert len(tiles) == -(-n // seed_rows)
-    assert np.concatenate(tiles).tolist() == want
+def test_a_column_takes_each_multiple_of_its_gcd_equally_often():
+    # the column fact behind both ring kernels: on Z/n, n = p^L, the multiset
+    # {v*c mod n : v < n} is p^t copies of p^t*Z/n, t = min(v_p(c), L)
+    for p in (2, 3, 5, 7):
+        for big_l in range(5):
+            n = p**big_l
+            v = np.arange(n, dtype=np.int64)
+            for c in range(n):
+                step = p ** min(int_valuation(c, p), big_l)
+                want = np.where(v % step == 0, step, 0)
+                assert np.array_equal(np.bincount(v * c % n, minlength=n), want), (p, n, c)
 
 
 @pytest.mark.parametrize("kernel", [ring_sum_numeric, ring_sum_normsq_exact])
 def test_ring_kernels_hold_one_histogram_at_most(kernel):
-    # a 997^2 period: the p^l int64 histogram (7.6 MiB, counted as 8 MiB)
-    # is the one full-size array; every tile and _phase_sum's temporaries
-    # fit in 1 MiB more.  Holding the whole (v, u) exponent block peaked at
-    # 15.2 MiB in the sum and 11.3 MiB in the count.
+    # a 997^2 period: the sum's p^l int64 histogram (7.6 MiB, counted as
+    # 8 MiB) is its one full-size array, and its per-level column adds and
+    # _phase_sum's temporaries fit in 1 MiB more; the count holds its 997
+    # columns alone (8 KiB)
+    bound = {ring_sum_numeric: 9 * 2**20, ring_sum_normsq_exact: 64 * 2**10}[kernel]
     kernel(997, 2, 2, 5, 7)  # warm caches outside the trace
     tracemalloc.start()
     try:
@@ -405,7 +409,22 @@ def test_ring_kernels_hold_one_histogram_at_most(kernel):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 9 * 2**20, peak
+    assert peak <= bound, peak
+
+
+def test_counting_oracle_reads_3_to_the_19_by_its_columns():
+    # 3^19 residues, 1.2e9: the count reads 3^10 columns, 0.45 MiB, where a
+    # pass over every y would take about 10^9 operations
+    pairs = [(1, 0), (5, 7), (3**4, 1), (0, 0), (2 * 3**15, 3**17), (3**12, 5 * 3**12)]
+    tracemalloc.start()
+    try:
+        for a, b in pairs:
+            normsq = ring_sum_normsq_exact(3, 19, 19, a, b)
+            assert normsq == ring_sum_norm_closed(3, 19, 19, a, b)[0].normsq, (a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, peak
 
 
 def test_scale_invariance_exact_at_phase_level():
