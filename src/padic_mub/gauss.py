@@ -27,23 +27,13 @@ takes one full period, p^l terms with l = max(1, -dx, -dy).  Whether a grid
 resolves e(a*x^2 + b*x) is cell constancy, `mub_padic.required_resolution`,
 which reads v(a) and v(b) themselves.
 
-A numeric sum over N terms is a sum of roots of unity zeta_n^e with exact
-integer exponents e, n = p^l.  It is first reduced to an exact int64
-histogram c of the exponents mod n (for a ring sum, one period of x only,
-scaled by the exact number of periods).  A ring sum counts every x of the
-period by columns: written x = u + s*v with s = p^ceil(l/2), s^2 = 0
-mod p^l gives the exponent a*x^2 + b*x = f(u) + s*(v*c(u) mod p^l/s)
-mod p^l, with f(u) = a*u^2 + b*u and c(u) = 2a*u + b.  The column fact: as
-v runs over Z/(p^l/s), v*c(u) takes each multiple of p^t = gcd(c(u), p^l/s)
-exactly p^t times, so column u adds exactly p^t to each bin x = f(u) mod
-s*p^t.
-`_ring_histogram` adds the columns level by level into prefixes of the one
-p^l-bin histogram, with no full-size scatter and no exponent block; the
-counting oracle reads the same fact off a*y + b.  That is counting, not a
-Gauss-sum identity: the histogram is the defining sum's, bin for bin.
-Since Phi_{p^l}(x) = Phi_p(x^(n/p)), the p roots of each coset
-{r + j*n/p} sum to 0, so subtracting from c its minimum on each coset
-leaves the sum unchanged in Z[zeta_n]; the result c' is the canonical
+A numeric sum over N terms is a sum of roots of unity zeta_{p^l}^e with
+exact integer exponents e.  It is first reduced to an exact int64
+histogram c of the exponents mod p^l (for a ring sum, one period of x only,
+scaled by the exact number of periods).  Since
+Phi_{p^l}(x) = Phi_p(x^(p^(l-1))), the p roots of each coset
+{r + j*p^(l-1)} sum to 0, so subtracting from c its minimum on each coset
+leaves the sum unchanged in Z[zeta_{p^l}]; the result c' is the canonical
 representative with a zero in every coset, and the sum is 0 exactly when
 c' is.  Only then does it convert to doubles: fsum of the
 weighted roots c'[m] * w[m] over the nonzero bins of c', in ascending
@@ -56,6 +46,21 @@ modulus p^e, here and in `mub_padic`'s phase rows, first passes
 residues inside int64; it compares p^e with MAX_INT64_RESIDUE without
 forming p^e, so a huge e is refused at once.  `_residues(p, l)` builds
 0..p^l-1 only past it.
+
+A ring sum counts only the columns that survive that reduction.  Written
+x = u + s*v with s = p^ceil(l/2) and n = p^l/s, s^2 = 0 mod p^l gives the
+exponent a*x^2 + b*x = f(u) + s*(v*c(u) mod n) mod p^l, with
+f(u) = a*u^2 + b*u and c(u) = 2a*u + b.  A column u with n | c(u) is
+stationary: its n terms all fall in bin f(u).  The lemma: any other column
+adds p^t to each bin = f(u) mod s*p^t, p^t = gcd(c(u), n) < n, as v*c(u)
+takes each multiple of p^t exactly p^t times (character orthogonality,
+sum_v zeta_n^(v*c) = n*[n | c]); its period s*p^t divides p^(l-1), so it is
+constant on every coset and the reduction removes it exactly.
+`_ring_histogram` therefore bins the stationary columns alone: the u with
+2a*u + b = 0 mod n, one residue class mod n/gcd(2a, n) or none, so at most
+s*gcd(2a, n)/n columns.  Its array is not the defining histogram bin for bin,
+but its c' is the same, so every sum keeps its bits.  The counting oracle
+reads every column of a*y + b exactly.  Neither is a Gauss-sum identity.
 
 The bulk table over every (a, b) in [0, p^l)^2 sums the same definition by
 one inverse FFT of each chirp row zeta^(a*x^2), which rounds like any FFT:
@@ -101,16 +106,6 @@ def roots_of_unity(n: int) -> np.ndarray:
 
 INT64_MAX = 2**63 - 1
 MAX_INT64_RESIDUE = math.isqrt(INT64_MAX)  # 3037000499
-# The ring sum and the counting oracle split a period of at least
-# SPLIT_MIN_TERMS terms into s = p^ceil(l/2) columns, each counted whole by
-# the column fact (see the module docstring), so the histogram is still the
-# defining sum's, bin for bin; a shorter period is one column of p^l terms.
-# The split sum takes about five numpy calls on each of its floor(l/2) + 1
-# levels, where the unsplit one takes one pass of about 10 ns a term: on a
-# 2-CPU Xeon with numpy 2.4 the split sum broke even with the unsplit one
-# between 1331 and 2187 terms, and the split count beat the unsplit count
-# at every period from 343 terms on.
-SPLIT_MIN_TERMS = 2048
 
 
 def _check_modulus(p: int, e: int) -> None:
@@ -234,24 +229,22 @@ def ring_sum_numeric(
 
     The exponent mod p^l has period p^l in x, so its histogram over the
     p^k terms is exactly p^(k-l) times the histogram over one period
-    x in [0, p^l).  That histogram is counted by the digit split
-    x = u + s*v, s = p^ceil(l/2), n = p^l/s (s = p^l, n = 1, below
-    SPLIT_MIN_TERMS terms): as s^2 = 0 mod p^l, the exponent of x is
-    f(u) + s*(v*c(u) mod n) mod p^l with f(u) = a*u^2 + b*u and
-    c(u) = 2a*u + b.  As v runs over Z/n, v*c(u) mod n takes each value of
-    p^t*Z/n exactly p^t times, p^t = gcd(c(u), n), so column u adds p^t to
-    each bin x = f(u) mod s*p^t.  The columns of level t, at most s in all,
-    are added with weight p^t into the prefix of length s*p^t, which is then
-    copied p - 1 times to length s*p^(t+1); the p^l-bin int64 histogram is
-    the only full-size array, and no exponent block is built.  Every
-    exponent is exact and every x is counted, so the histogram is that of
-    the defining sum, bin for bin; no Gauss-sum identity enters.
-    `_phase_sum` reduces that exact histogram by its minimum on each coset
-    of p^(l-1)Z/p^l Z, which changes the sum by an exact 0, and fsums the
-    weighted roots of the at most p^l - p^(l-1) surviving bins: within
-    (1 + eps) * eps * p^k of the same sum over the rounded roots, in each
-    of the real and imaginary parts.  A sum that is
-    0 in Z[zeta_{p^l}], such as every case2 sum, comes out exactly 0j.
+    x in [0, p^l).  Of that histogram only the stationary columns are
+    counted: with x = u + s*v, s = p^ceil(l/2), n = p^l/s, the exponent of
+    x is f(u) + s*(v*c(u) mod n) mod p^l, f(u) = a*u^2 + b*u and
+    c(u) = 2a*u + b, as s^2 = 0 mod p^l.  A column with n | c(u) puts its
+    n terms in bin f(u).  Any other column adds p^t to each bin
+    = f(u) mod s*p^t, p^t = gcd(c(u), n) < n, a count whose period divides
+    p^(l-1) (the lemma of the module docstring).  `_phase_sum` reduces the
+    histogram by its minimum on each coset of p^(l-1)Z/p^l Z, which changes
+    the sum by an exact 0 and removes such a column exactly, so the kept
+    columns, binned into one p^l-bin int64 array with no exponent block,
+    give the same reduced histogram, and the same bits, as every x would.
+    No Gauss-sum identity enters, only character orthogonality.  The
+    weighted roots of the at most p^l - p^(l-1) nonzero reduced bins are
+    fsummed: within (1 + eps) * eps * p^k of the same sum over the rounded
+    roots, in each of the real and imaginary parts.  A sum that is 0 in
+    Z[zeta_{p^l}], such as every case2 sum, comes out exactly 0j.
     """
     check_ring_params(p, k, l)
     check_power_cap(p, k, term_cap, "{size} terms exceed the cap {cap}")
@@ -262,44 +255,29 @@ def ring_sum_numeric(
     return _phase_sum(counts, p**l, p)
 
 
-def _split_base(p: int, l: int) -> int:
-    """The digit base s of the period split x = u + s*v: p^ceil(l/2), or p^l
-    (one column of the whole period) for fewer than SPLIT_MIN_TERMS terms."""
-    mod = p**l
-    return mod if mod < SPLIT_MIN_TERMS else p ** ((l + 1) // 2)
-
-
 def _ring_histogram(p: int, l: int, a: int, b: int) -> np.ndarray:
-    """How many x in [0, p^l) have each exponent a*x^2 + b*x mod p^l, by the
-    column fact of `ring_sum_numeric` (int64, p^l bins)."""
+    """The stationary columns of one period x in [0, p^l), as
+    `ring_sum_numeric` counts them (int64, p^l bins): the exponent
+    histogram up to a count constant on each coset of p^(l-1)Z/p^l Z."""
     _check_modulus(p, l)
     mod = p**l
-    s = _split_base(p, l)
+    s = p ** ((l + 1) // 2)
     n = mod // s
-    u = np.arange(s, dtype=np.int64)
+    # column u is stationary when 2a*u + b = 0 mod n: with g = gcd(2a, n),
+    # no u unless g | b, else the u of one residue class mod n/g
+    g = math.gcd(2 * a, n)
+    step = n // g
+    start = -(b // g) * pow(2 * a // g, -1, step) % step if b % g == 0 else s
+    u = np.arange(start, s, step, dtype=np.int64)
     # Every intermediate stays below p^(2l) <= INT64_MAX (`_check_modulus`).
     f = u * (a % mod)
     f += b % mod  # at most (p^l - 1)*s < p^(2l)
     f %= mod
     f *= u  # below p^l*s
     f %= mod
-    if n == 1:
-        return np.bincount(f, minlength=mod)
-    c = u * (2 * a % n)
-    c += b % n  # at most (n - 1)*s < p^l
-    c %= n
-    # column u adds p^t to each x = f(u) mod its period s*p^t, p^t = gcd(c(u), n)
-    period = np.gcd(c, n)
-    period *= s
-    counts = np.zeros(mod, dtype=np.int64)
-    width = s
-    while True:
-        np.add.at(counts[:width], f[period == width] % width, width // s)
-        if width == mod:
-            return counts
-        # every column so far has a period dividing width: copy the prefix on
-        counts[: width * p].reshape(p, width)[1:] = counts[:width]
-        width *= p
+    counts = np.bincount(f, minlength=mod)
+    counts *= n
+    return counts
 
 
 def ring_sum_normsq_exact(p: int, k: int, l: int, a: int, b: int) -> int:
@@ -308,19 +286,21 @@ def ring_sum_normsq_exact(p: int, k: int, l: int, a: int, b: int) -> int:
     |sum|^2 = p^(2(k-l)) * p^l * #solutions.  This counts directly, with no
     case analysis, so it is an independent oracle for the closed form.  The
     identity rests on 2 being a unit mod p^l, so p = 2 raises OddPrimeError.
-    Every y in [0, p^l) is counted, by the column fact of `ring_sum_numeric`:
-    with y = u + s*v, a*y + b = g(u) + s*(v*a mod n) mod p^l, g(u) = a*u + b,
-    so column u takes each value = g(u) mod s*p^t exactly p^t times,
-    p^t = gcd(a, n), and holds p^t zeros when g(u) = 0 mod s*p^t and none
-    otherwise.  The count is p^t times the number of such u < s, still the
-    defining count, solution for solution: O(s) work, every intermediate
+    Every y in [0, p^l) is counted, by the columns of `ring_sum_numeric`
+    on the bare digit base s = p^ceil(l/2), n = p^l/s: with y = u + s*v,
+    a*y + b = g(u) + s*(v*a mod n) mod p^l, g(u) = a*u + b.  Column u takes
+    each value = g(u) mod s*p^t exactly p^t times, p^t = gcd(a, n) (all n
+    at g(u) when it is stationary, n | a), so it holds p^t zeros when
+    g(u) = 0 mod s*p^t and none otherwise.  A count needs every column, so
+    none is dropped: the count is p^t times the number of such u < s, the
+    defining count, solution for solution, in O(s) work, every intermediate
     below p^(2l) <= INT64_MAX, with no full-size array.
     """
     check_ring_params(p, k, l)
     check_odd_prime(p)
     _check_modulus(p, l)
     mod = p**l
-    s = _split_base(p, l)
+    s = p ** ((l + 1) // 2)
     period = s * math.gcd(a, mod // s)
     g = np.arange(s, dtype=np.int64)
     g *= a % period

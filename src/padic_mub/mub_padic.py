@@ -27,7 +27,6 @@ from .characters import phase_to_complex
 from .errors import ResolutionError, check_odd_prime, check_power_cap
 from .gauss import (
     INT64_MAX,
-    NEG_INF,
     _check_modulus,
     _float_power,
     _roots,
@@ -371,21 +370,23 @@ def eigen_check(
 ) -> EigenReport:
     """Apply X_c Z_{2ac} to the (a, b) state and compare with e(-bc-ac^2) times it.
 
-    The grid is sized, and its cap checked, from the valuations alone.  Then
-    each coefficient must carry the digits that fix the phase {-(bc + ac^2)}:
-    N_a >= -2v(c), N_b >= -v(c) and N_c >= max(-v(b), -v(a) - v(c),
-    ceil(-v(a)/2)) for x known modulo p^(N_x), a zero's terms dropping out;
-    else PrecisionError.  Only then does each become a Fraction.
+    The grid is sized, and its cap checked, from the valuations alone; a
+    zero O(p^N), whose valuation is only known to be >= N, raises
+    PrecisionError, as threshold_t does.  Then each coefficient must carry
+    the digits that fix the phase {-(bc + ac^2)}: N_a >= -2v(c),
+    N_b >= -v(c) and N_c >= max(-v(b), -v(a) - v(c)) for x known modulo
+    p^(N_x), an exact zero's terms dropping out; else PrecisionError.  Only
+    then does each become a Fraction.
     """
     a, b, c = (read_coefficient(x, p) for x in (a, b, c))
-    va, vb, vc = a.valuation, b.valuation, c.valuation
+    va, vb, vc = a.known_valuation, b.known_valuation, c.known_valuation
     r = max(1, -vc)
     # the state's and the modulation's (b = 2ac) cell rule, r digits finer
     k = _cell_resolution(va - r, min(vb, int_valuation(2, p) + va + vc) - r, r, False)
     grid = make_grid(p, r, k)
     a.need(-2 * vc)
     b.need(-vc)
-    c.need(max(-vb, -va - vc, NEG_INF if va == INF else -(va // 2)))
+    c.need(max(-vb, -va - vc))
     af, bf, cf = a.value, b.value, c.value
     state = vector_v(af, bf, grid)
     moved = op_X(op_Z(state, 2 * af * cf), cf)

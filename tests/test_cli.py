@@ -538,6 +538,18 @@ def test_zero_digit_string_below_its_precision_is_exit_2(capsys):
     assert code == 0 and "PASS" in out
 
 
+def test_eigen_check_refuses_a_zero_big_o_coefficient(capsys):
+    # "0 *7^0" is 0 modulo 7 only: it admits 7 and 14, whose grids have
+    # k = 1, and 0, whose grid has k = 0, so no grid is sized from it
+    argv = ["eigen-check", "-p", "7", "-b", "0", "-c", "1"]
+    code, out, err = run(capsys, *argv, "-a", "0 *7^0")
+    assert code == 2 and out == ""
+    assert err == "error: coefficient known only as 0 modulo 7^1: its valuation is unknown\n"
+    for a in ("7", "14"):
+        code, out, _ = run(capsys, *argv, "-a", a, "--format", "json")
+        assert code == 0 and json.loads(out)["grid"] == {"p": 7, "r": 1, "k": 1}
+
+
 def _plain_json_types(obj) -> bool:
     """Only str-keyed dicts, lists, tuples and builtin scalars: what
     cli._round_floats passes through to json.dumps unchanged."""

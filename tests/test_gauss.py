@@ -311,10 +311,20 @@ def _bits(z):
     return z.real.hex(), z.imag.hex()
 
 
+def _coset_reduced(counts, p):
+    """counts less its minimum on each coset {r + j*len/p}: the canonical
+    representative that `_phase_sum` reads, as a (p, len/p) array."""
+    cosets = counts.reshape(p, -1)
+    return cosets - cosets.min(axis=0)
+
+
 def _assert_ring_kernels_match_the_old_ones(p, k, l, a, b):
+    # the kernel bins the stationary columns alone, so its histogram equals
+    # the defining one only once both are reduced on the cosets of p^(l-1)
     got = gauss._ring_histogram(p, l, a, b)
     assert got.dtype == np.int64
-    assert np.array_equal(got, _old_ring_histogram(p, l, a, b)), (p, l, a, b)
+    want = _coset_reduced(_old_ring_histogram(p, l, a, b), p)
+    assert np.array_equal(_coset_reduced(got, p), want), (p, l, a, b)
     value = ring_sum_numeric(p, k, l, a, b, term_cap=p**k)
     assert _bits(value) == _bits(_old_ring_sum_numeric(p, k, l, a, b)), (p, k, l, a, b)
     if p != 2:
@@ -329,13 +339,11 @@ def _assert_ring_kernels_match_the_old_ones(p, k, l, a, b):
     p=st.sampled_from([2, 3, 5, 7, 11]),
     l=st.integers(1, 6),
     extra=st.integers(0, 1),
-    split_min=st.sampled_from([1, gauss.SPLIT_MIN_TERMS, 2**62]),
 )
-def test_digit_split_histogram_matches_the_old_histogram(data, p, l, extra, split_min):
-    # split_min 1 splits even the shortest period, 2**62 splits none.  Small
-    # multiples of every p^j, j <= l, let a be 0 mod n = p^floor(l/2) and b
-    # 0 mod p^l, so that the columns can reach every level t = 0..log_p n,
-    # the top one included (test_digit_split_reaches_every_level pins each);
+def test_digit_split_histogram_matches_the_old_histogram(data, p, l, extra):
+    # Small multiples of every p^j, j <= l, let a be 0 mod n = p^floor(l/2)
+    # and b 0 mod p^l, so that all, some or none of the columns are
+    # stationary (test_digit_split_reaches_every_level pins both kinds);
     # p = 2 is summed though 2 is no unit
     mod = p**l
     coefficient = st.one_of(
@@ -345,36 +353,58 @@ def test_digit_split_histogram_matches_the_old_histogram(data, p, l, extra, spli
         st.builds(lambda j, m: m * p**j, st.integers(0, l), st.integers(-3, 3)),
     )
     a, b = data.draw(coefficient), data.draw(coefficient)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gauss, "SPLIT_MIN_TERMS", split_min)
-        _assert_ring_kernels_match_the_old_ones(p, l + extra, l, a, b)
+    _assert_ring_kernels_match_the_old_ones(p, l + extra, l, a, b)
+
+
+def _stationary(p, l, a, b):
+    """Whether each column u < s = p^ceil(l/2) is stationary: n | c(u),
+    n = p^floor(l/2), c(u) = 2a*u + b."""
+    n = p ** (l // 2)
+    return [(2 * a * u + b) % n == 0 for u in range(p ** ((l + 1) // 2))]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_digit_split_reaches_every_level(p):
-    # at every split l <= 6 these pairs give columns of every level
-    # t = min(v_p(c(u)), log_p n), c(u) = 2a*u + b: a = 1 with b = 0 or 1
-    # (at p = 2, b = 1 alone gives t = 0), and a = 0 mod n, b = 0 mod p^l
-    # (the top level only)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gauss, "SPLIT_MIN_TERMS", 1)
-        for l in range(1, 7):
-            n = p ** (l // 2)
-            pairs = [(1, 0), (1, 1), (n, 0), (5 * n, p**l)]
-            levels = {min(int_valuation((2 * a * u + b) % n, p), l // 2)
-                      for a, b in pairs for u in range(gauss._split_base(p, l))}
-            assert levels == set(range(l // 2 + 1)), (p, l, levels)
-            for a, b in pairs:
-                _assert_ring_kernels_match_the_old_ones(p, l, l, a, b)
+    # at every l <= 6 these pairs give stationary columns and, past l = 1
+    # (n = 1, where every column is stationary), columns that are not:
+    # a = 1 with b = 0 or 1 (at p = 2, b = 1 alone gives non-stationary
+    # ones), and a = 0 mod n, b = 0 mod p^l (stationary only)
+    for l in range(1, 7):
+        n = p ** (l // 2)
+        pairs = [(1, 0), (1, 1), (n, 0), (5 * n, p**l)]
+        kinds = {kept for a, b in pairs for kept in _stationary(p, l, a, b)}
+        assert kinds == ({True} if l == 1 else {True, False}), (p, l, kinds)
+        for a, b in pairs:
+            _assert_ring_kernels_match_the_old_ones(p, l, l, a, b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_a_column_that_is_not_stationary_is_constant_on_each_coset(p):
+    # the lemma behind the ring sum: column u of x = u + s*v, v < n, with
+    # n not dividing c(u) bins a*x^2 + b*x mod p^l, counted term by term,
+    # into a count constant on each coset of p^(l-1)Z/p^l Z
+    rng = np.random.default_rng(p)
+    for l in range(2, 7):
+        mod, s = p**l, p ** ((l + 1) // 2)
+        v = np.arange(mod // s, dtype=np.int64)
+        pairs = [(1, 0), (1, 1), (p, 1), *rng.integers(0, mod, (3, 2)).tolist()]
+        moved = 0
+        for a, b in pairs:
+            for u, kept in enumerate(_stationary(p, l, a, b)):
+                if not kept:
+                    x = u + s * v
+                    cosets = np.bincount((a * x * x + b * x) % mod, minlength=mod).reshape(p, -1)
+                    assert (cosets == cosets[0]).all(), (p, l, a, b, u)
+                    moved += 1
+        assert moved, (p, l)
 
 
 @pytest.mark.parametrize("p, l", [(3, 12), (3, 11), (5, 8), (7, 7), (29, 4), (31, 4), (997, 2),
                                   (2039, 1), (2053, 1), (4099, 1), (43, 2), (47, 2)])
 def test_ring_kernels_match_the_old_ones_at_the_benchmark_moduli(p, l):
-    # the largest ring moduli of the benchmark; primes below and past
-    # SPLIT_MIN_TERMS, whose l = 1 periods are one column either way, as
-    # s = p^ceil(1/2) = p; and 43^2 below it and 47^2, the first split
-    # square, past it
+    # the largest ring moduli of the benchmark; primes whose l = 1 periods
+    # are p stationary columns of one term each, and the short squares 43^2
+    # and 47^2
     mod = p**l
     pairs = [(1, 0), (p, 1), (mod - 1, p ** (l // 2) + 2), (123456789 % mod, 0),
              (2 * p ** (l - 1), 1)]  # the last a is 0 mod p^(l-1)
@@ -397,10 +427,9 @@ def test_a_column_takes_each_multiple_of_its_gcd_equally_often():
 
 @pytest.mark.parametrize("kernel", [ring_sum_numeric, ring_sum_normsq_exact])
 def test_ring_kernels_hold_one_histogram_at_most(kernel):
-    # a 997^2 period: the sum's p^l int64 histogram (7.6 MiB, counted as
-    # 8 MiB) is its one full-size array, and its per-level column adds and
-    # _phase_sum's temporaries fit in 1 MiB more; the count holds its 997
-    # columns alone (8 KiB)
+    # a 997^2 period: the sum's p^l int64 histogram (7.6 MiB) is its one
+    # full-size int64 array; _phase_sum's p^l bool mask brings the traced
+    # peak to 8.6 MiB; the count holds its 997 columns alone (8 KiB)
     bound = {ring_sum_numeric: 9 * 2**20, ring_sum_normsq_exact: 64 * 2**10}[kernel]
     kernel(997, 2, 2, 5, 7)  # warm caches outside the trace
     tracemalloc.start()

@@ -163,10 +163,6 @@ def _extended(text: str, extra: list[int]) -> str:
     # on the edge: N_a = 0 >= -2v(c) and N_c = 2 = -v(a) - v(c)
     (("1 *3^-2", "0", "1 0 *3^0"), ("1 0 *3^-2", "0", "1 0 *3^0")),
     (("1 0 *3^-2", "0", "1 *3^0"), ("1 0 *3^-2", "0", "1 0 *3^0")),
-    # zeros: a = O(3^1) admits 3, so a*c^2 needs N_a >= 2 at v(c) = -1; and
-    # c = O(3^0) admits 1, so a*c^2 needs N_c >= ceil(-v(a)/2) = 1
-    (("0 *3^0", "0", "1 *3^-1"), ("0 0 *3^0", "0", "1 *3^-1")),
-    (("1 *3^-2", "0", "0 *3^-1"), ("1 *3^-2", "0", "0 0 *3^-1")),
 ])
 def test_eigen_check_refuses_a_coefficient_short_of_its_phase(short, long):
     assert eigen_check(*(parse_coefficient(t, 3) for t in long), p=3).passed
@@ -174,8 +170,21 @@ def test_eigen_check_refuses_a_coefficient_short_of_its_phase(short, long):
         eigen_check(*(parse_coefficient(t, 3) for t in short), p=3)
 
 
+@pytest.mark.parametrize("short, long", [
+    (("0 *3^0", "0", "1 *3^-1"), ("0 0 *3^0", "0", "1 *3^-1")),
+    (("1 *3^-2", "0", "0 *3^-1"), ("1 *3^-2", "0", "0 0 *3^-1")),
+    (("1", "0 *3^-1", "1"), ("1", "0 0 0 *3^-1", "1")),
+])
+def test_eigen_check_refuses_a_zero_big_o_however_many_digits(short, long):
+    # a zero O(3^N) admits values of every valuation >= N, so no digit count
+    # fixes the grid: it is refused before the grid is sized
+    for texts in (short, long):
+        with pytest.raises(PrecisionError, match="its valuation is unknown"):
+            eigen_check(*(parse_coefficient(t, 3) for t in texts), p=3)
+
+
 def test_eigen_check_digits_golden_case_carries_what_it_needs():
-    # N_a = 1 >= 0 and N_c = 1 = max(-v(b), -v(a) - v(c), ceil(-v(a)/2))
+    # N_a = 1 >= 0 and N_c = 1 = max(-v(b), -v(a) - v(c))
     a, c = parse_coefficient("1 2 *5^-1", 5), parse_coefficient("4 *5^0", 5)
     assert eigen_check(a, Fraction(3, 5), c, p=5).passed
 
