@@ -28,15 +28,19 @@ resolves e(a*x^2 + b*x) is cell constancy, `mub_padic.required_resolution`,
 which reads v(a) and v(b) themselves.
 
 A numeric sum over N terms is a sum of roots of unity zeta_{p^l}^e with
-exact integer exponents e.  It is first reduced to an exact int64
-histogram c of the exponents mod p^l (for a ring sum, one period of x only,
-scaled by the exact number of periods).  Since
-Phi_{p^l}(x) = Phi_p(x^(p^(l-1))), the p roots of each coset
-{r + j*p^(l-1)} sum to 0, so subtracting from c its minimum on each coset
-leaves the sum unchanged in Z[zeta_{p^l}]; the result c' is the canonical
-representative with a zero in every coset, and the sum is 0 exactly when
-c' is.  Only then does it convert to doubles: fsum of the
-weighted roots c'[m] * w[m] over the nonzero bins of c', in ascending
+exact integer exponents e.  Its caller hands `_phase_sum`, the one place
+exponents are binned, the exact int64 exponents mod p^l, repeats allowed,
+and one exact integer weight (for a ring sum, the exponents of one period
+of x only, weighted by the exact number of periods; for a field sum, every
+trace, weighted 1).  It counts them into an exact int64 table c of p rows
+and one column for each coset {r + j*p^(l-1)} that occurs, or for every
+coset when there are at least p^l exponents, so c is never more than p
+times as long as the exponents.  Since Phi_{p^l}(x) = Phi_p(x^(p^(l-1))),
+the p roots of each coset sum to 0, so subtracting from c its minimum on
+each coset leaves the sum unchanged in Z[zeta_{p^l}]; the result c' is the
+canonical representative with a zero in every coset, and the sum is 0
+exactly when c' is.  Only then does it convert to doubles: fsum of the
+weighted roots c'[m] * w[m] over the nonzero entries of c', in ascending
 residue order, for the real and the imaginary part.  Each weighted root is
 rounded once and fsum rounds once (Shewchuk 1997), so each part lies within
 (1 + eps) * eps * N' of the same sum over the rounded roots w, where
@@ -56,10 +60,11 @@ adds p^t to each bin = f(u) mod s*p^t, p^t = gcd(c(u), n) < n, as v*c(u)
 takes each multiple of p^t exactly p^t times (character orthogonality,
 sum_v zeta_n^(v*c) = n*[n | c]); its period s*p^t divides p^(l-1), so it is
 constant on every coset and the reduction removes it exactly.
-`_ring_histogram` therefore bins the stationary columns alone: the u with
-2a*u + b = 0 mod n, one residue class mod n/gcd(2a, n) or none, so at most
-s*gcd(2a, n)/n columns.  Its array is not the defining histogram bin for bin,
-but its c' is the same, so every sum keeps its bits.  The counting oracle
+`_ring_exponents` therefore returns f(u) of the stationary columns alone:
+the u with 2a*u + b = 0 mod n, one residue class mod n/gcd(2a, n) or none,
+so at most s*gcd(2a, n)/n exponents, each of weight n*p^(k-l).  Their table
+is not the defining histogram bin for bin, but its c' is the same, so
+every sum keeps its bits.  The counting oracle
 reads every column of a*y + b exactly.  Neither is a Gauss-sum identity.
 
 The bulk table over every (a, b) in [0, p^l)^2 sums the same definition by
@@ -121,22 +126,34 @@ def _residues(p: int, l: int) -> np.ndarray:
     return np.arange(p**l, dtype=np.int64)
 
 
-def _phase_sum(counts: np.ndarray, mod: int, p: int) -> complex:
-    """sum_m counts[m] * zeta_mod^m from exact int64 counts, mod = p^l.
+def _phase_sum(expo: np.ndarray, weight: int, mod: int, p: int) -> complex:
+    """weight * sum_e zeta_mod^e over exact int64 exponents e in [0, mod),
+    repeats allowed, mod = p^l: the one place exponents are binned.
 
-    The counts are first reduced by their minimum on each coset of
-    (mod/p)Z/mod Z, which changes the sum by an exact 0; only the nonzero
-    bins of the result enter, in ascending residue order, and only they are
-    gathered and reduced.  Their roots `_roots(m, mod)` are those of
-    `roots_of_unity(mod)`, bit for bit, without a table of all mod roots.
-    See the module docstring for the error bound.
+    The exponents are grouped by coset r = e mod mod/p, over the cosets
+    that occur, and counted into a (p, #cosets) int64 table, row j of
+    column r counting r + j*mod/p, times weight.  When they number at least
+    mod, as at l = 1 or for a field sum, every coset takes a column and e is
+    its own index.  Each column less its minimum changes the sum by an
+    exact 0.  Only the nonzero entries enter, in ascending residue order
+    (np.nonzero walks the table row by row).  Every array is at most p
+    times as long as expo, whatever mod is.  The entries' roots
+    `_roots(m, mod)` are those of `roots_of_unity(mod)`, bit for bit,
+    without a table of all mod roots.  See the module docstring for the
+    error bound.
     """
     step = mod // p
-    cosets = counts.reshape(p, step)  # column r is the coset {r + j*mod/p}
-    low = cosets.min(axis=0)
-    m = np.flatnonzero(cosets != low)  # the nonzero bins of counts - low
-    c = counts[m] - low[m % step]
-    w = _roots(m, mod)
+    if mod <= expo.size:  # a bin for every residue costs no more than the exponents
+        cosets, index = np.arange(step), expo
+    else:  # np.unique imports numpy.ma at its first call: 8-18 ms on a 2-CPU Xeon
+        cosets = np.sort(expo % step)
+        cosets = np.concatenate((cosets[:1], cosets[1:][cosets[1:] != cosets[:-1]]))
+        index = expo // step * cosets.size + np.searchsorted(cosets, expo % step)
+    table = np.bincount(index, minlength=p * cosets.size).reshape(p, -1)
+    table -= table.min(axis=0)
+    j, i = np.nonzero(table)
+    c = table[j, i] * weight
+    w = _roots(j * step + cosets[i], mod)
     # fsum reads the doubles through a memoryview, without a list of floats
     real = math.fsum(memoryview(c * w.real))
     return complex(real, math.fsum(memoryview(c * w.imag)))
@@ -229,35 +246,35 @@ def ring_sum_numeric(
 
     The exponent mod p^l has period p^l in x, so its histogram over the
     p^k terms is exactly p^(k-l) times the histogram over one period
-    x in [0, p^l).  Of that histogram only the stationary columns are
-    counted: with x = u + s*v, s = p^ceil(l/2), n = p^l/s, the exponent of
+    x in [0, p^l).  Of that period only the stationary columns are
+    summed: with x = u + s*v, s = p^ceil(l/2), n = p^l/s, the exponent of
     x is f(u) + s*(v*c(u) mod n) mod p^l, f(u) = a*u^2 + b*u and
     c(u) = 2a*u + b, as s^2 = 0 mod p^l.  A column with n | c(u) puts its
     n terms in bin f(u).  Any other column adds p^t to each bin
     = f(u) mod s*p^t, p^t = gcd(c(u), n) < n, a count whose period divides
-    p^(l-1) (the lemma of the module docstring).  `_phase_sum` reduces the
-    histogram by its minimum on each coset of p^(l-1)Z/p^l Z, which changes
-    the sum by an exact 0 and removes such a column exactly, so the kept
-    columns, binned into one p^l-bin int64 array with no exponent block,
-    give the same reduced histogram, and the same bits, as every x would.
-    No Gauss-sum identity enters, only character orthogonality.  The
-    weighted roots of the at most p^l - p^(l-1) nonzero reduced bins are
-    fsummed: within (1 + eps) * eps * p^k of the same sum over the rounded
-    roots, in each of the real and imaginary parts.  A sum that is 0 in
+    p^(l-1) (the lemma of the module docstring).  `_phase_sum` reduces its
+    counts by their minimum on each coset of p^(l-1)Z/p^l Z, which changes
+    the sum by an exact 0 and removes such a column exactly.  So it is
+    handed the exponents f(u) of the kept columns alone, each of weight
+    n*p^(k-l) = p^(k - ceil(l/2)), and they give the same reduced counts,
+    and the same bits, as every x would; at 997^2 the traced peak is 12
+    KiB, with no array of p^l entries.  No Gauss-sum identity enters, only
+    character orthogonality.  The weighted roots of the at most
+    p^l - p^(l-1) nonzero reduced entries are fsummed: within
+    (1 + eps) * eps * p^k of the same sum over the rounded roots, in each
+    of the real and imaginary parts.  A sum that is 0 in
     Z[zeta_{p^l}], such as every case2 sum, comes out exactly 0j.
     """
     check_ring_params(p, k, l)
     check_power_cap(p, k, term_cap, "{size} terms exceed the cap {cap}")
     check_power_cap(p, k, INT64_MAX, "{size} terms overflow the int64 counts")
-    counts = _ring_histogram(p, l, a, b)
-    if k > l:
-        counts *= p ** (k - l)
-    return _phase_sum(counts, p**l, p)
+    return _phase_sum(_ring_exponents(p, l, a, b), p ** (k - (l + 1) // 2), p**l, p)
 
 
-def _ring_histogram(p: int, l: int, a: int, b: int) -> np.ndarray:
-    """The stationary columns of one period x in [0, p^l), as
-    `ring_sum_numeric` counts them (int64, p^l bins): the exponent
+def _ring_exponents(p: int, l: int, a: int, b: int) -> np.ndarray:
+    """The int64 exponents f(u) = a*u^2 + b*u mod p^l of the stationary
+    columns of one period x in [0, p^l), as `ring_sum_numeric` sums them,
+    each standing for n = p^floor(l/2) terms: binned, the exponent
     histogram up to a count constant on each coset of p^(l-1)Z/p^l Z."""
     _check_modulus(p, l)
     mod = p**l
@@ -275,9 +292,7 @@ def _ring_histogram(p: int, l: int, a: int, b: int) -> np.ndarray:
     f %= mod
     f *= u  # below p^l*s
     f %= mod
-    counts = np.bincount(f, minlength=mod)
-    counts *= n
-    return counts
+    return f
 
 
 def ring_sum_normsq_exact(p: int, k: int, l: int, a: int, b: int) -> int:
@@ -390,10 +405,8 @@ def field_sum_numeric(alpha: FieldElem, beta: FieldElem) -> complex:
     ctx = alpha.ctx
     if beta.ctx != ctx:
         raise ValueError("coefficients from different field contexts")
-    counts = [0] * ctx.p
-    for x in ctx.elements():
-        counts[(alpha * x * x + beta * x).trace()] += 1
-    return _phase_sum(np.array(counts, dtype=np.int64), ctx.p, ctx.p)
+    traces = [(alpha * x * x + beta * x).trace() for x in ctx.elements()]
+    return _phase_sum(np.array(traces, dtype=np.int64), 1, ctx.p, ctx.p)
 
 
 def field_sum_norm_closed(alpha: FieldElem, beta: FieldElem) -> tuple[ExactNorm, str]:

@@ -46,13 +46,17 @@ def _keys(d: dict, prefix: str = "") -> set[str]:
 
 
 @st.composite
-def _digits(draw, p: int):
+def _digits(draw, p: int, v: int | None = None, size: int | None = None):
     """(text, [text of each completion], is a zero O(p^N)): a digit string of
     1 to 4 digits and exponent -2 to 2, all-zero strings included, with its
-    own value and two more completions x + p^N*t, t p-integral."""
+    own value and two more completions x + p^N*t, t p-integral.  Given v and
+    size, a string of size digits, the first nonzero, so of valuation v."""
     digit = st.integers(0, p - 1)
-    ds = draw(st.lists(digit, min_size=1, max_size=4) | st.lists(st.just(0), min_size=1, max_size=4))
-    v = draw(st.integers(-2, 2))
+    if size is None:
+        ds = draw(st.lists(digit, min_size=1, max_size=4) | st.lists(st.just(0), min_size=1, max_size=4))
+        v = draw(st.integers(-2, 2))
+    else:
+        ds = [draw(st.integers(1, p - 1)), *draw(st.lists(digit, min_size=size - 1, max_size=size - 1))]
     x = sum(d * p**i for i, d in enumerate(ds)) * Fraction(p) ** v
     unit_den = st.integers(1, 12).filter(lambda d: d % p)
     ts = [0, *draw(st.lists(st.builds(Fraction, st.integers(-30, 30), unit_den),
@@ -106,10 +110,20 @@ def test_eigen_check_holds_for_every_admitted_value(data, p):
     # the grid and the expected phase are exact; the state is built from the
     # digits' own value, so the measured value, the residual and the echoed
     # a, b and c may differ.  A zero O(p^N) has no valuation to size from.
-    # Each coefficient is a digit string or, half the time, its exact value.
+    # Two times in three the valuations are drawn first and each digit string
+    # carries the digits they need, N_a >= -2v(c), N_b >= -v(c) and
+    # N_c >= max(-v(b), -v(a) - v(c)), so that the run is checked; else the
+    # strings are drawn freely, and many must be refused.  Each coefficient
+    # is a digit string or, half the time, its exact value.
+    draws = [_digits(p)] * 3
+    if data.draw(st.sampled_from([True, True, False])):
+        va, vb, vc = (data.draw(st.integers(-2, 2)) for _ in range(3))
+        needs = (-2 * vc, -vc, max(-vb, -va - vc))
+        draws = [_digits(p, v, max(1, need - v) + data.draw(st.integers(0, 1)))
+                 for v, need in zip((va, vb, vc), needs)]
     texts, completions, zero = [], [], False
-    for _ in range(3):
-        text, values, is_zero = data.draw(_digits(p))
+    for draw in draws:
+        text, values, is_zero = data.draw(draw)
         if data.draw(st.booleans()):
             text, values, is_zero = values[0], values[:1] * len(values), False
         texts.append(text)

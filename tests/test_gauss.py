@@ -281,9 +281,9 @@ def test_ring_closed_form_matches_the_reduced_valuations(data, p, l, extra):
     assert ring_sum_norm_closed(p, k, l, a, b) == _table_norm(p, dx, dy, 2 * k), (p, k, l, a, b)
 
 
-def _old_ring_histogram(p, l, a, b):
-    """Oracle: the exponent histogram of one period, from the exponent of
-    every x by three full-size passes of % (the kernel before the split)."""
+def _old_ring_exponents(p, l, a, b):
+    """Oracle: the exponent of every x of one period, by three full-size
+    passes of % (the kernel before the split)."""
     mod = p**l
     x = np.arange(mod, dtype=np.int64)
     expo = x * x
@@ -293,11 +293,11 @@ def _old_ring_histogram(p, l, a, b):
     x %= mod
     expo += x
     expo %= mod
-    return np.bincount(expo, minlength=mod)
+    return expo
 
 
 def _old_ring_sum_numeric(p, k, l, a, b):
-    return _phase_sum(_old_ring_histogram(p, l, a, b) * p ** (k - l), p**l, p)
+    return _phase_sum(_old_ring_exponents(p, l, a, b), p ** (k - l), p**l, p)
 
 
 def _old_normsq_exact(p, k, l, a, b):
@@ -319,12 +319,15 @@ def _coset_reduced(counts, p):
 
 
 def _assert_ring_kernels_match_the_old_ones(p, k, l, a, b):
-    # the kernel bins the stationary columns alone, so its histogram equals
-    # the defining one only once both are reduced on the cosets of p^(l-1)
-    got = gauss._ring_histogram(p, l, a, b)
+    # the kernel keeps the exponents of the stationary columns alone, each
+    # standing for n = p^floor(l/2) terms, so their histogram equals the
+    # defining one only once both are reduced on the cosets of p^(l-1)
+    got = gauss._ring_exponents(p, l, a, b)
     assert got.dtype == np.int64
-    want = _coset_reduced(_old_ring_histogram(p, l, a, b), p)
-    assert np.array_equal(_coset_reduced(got, p), want), (p, l, a, b)
+    mod = p**l
+    want = _coset_reduced(np.bincount(_old_ring_exponents(p, l, a, b), minlength=mod), p)
+    assert np.array_equal(_coset_reduced(np.bincount(got, minlength=mod) * p ** (l // 2), p),
+                          want), (p, l, a, b)
     value = ring_sum_numeric(p, k, l, a, b, term_cap=p**k)
     assert _bits(value) == _bits(_old_ring_sum_numeric(p, k, l, a, b)), (p, k, l, a, b)
     if p != 2:
@@ -427,10 +430,11 @@ def test_a_column_takes_each_multiple_of_its_gcd_equally_often():
 
 @pytest.mark.parametrize("kernel", [ring_sum_numeric, ring_sum_normsq_exact])
 def test_ring_kernels_hold_one_histogram_at_most(kernel):
-    # a 997^2 period: the sum's p^l int64 histogram (7.6 MiB) is its one
-    # full-size int64 array; _phase_sum's p^l bool mask brings the traced
-    # peak to 8.6 MiB; the count holds its 997 columns alone (8 KiB)
-    bound = {ring_sum_numeric: 9 * 2**20, ring_sum_normsq_exact: 64 * 2**10}[kernel]
+    # a 997^2 period: the sum hands _phase_sum the exponent of its one
+    # stationary column, and _phase_sum bins it over its one coset, so no
+    # array of p^l entries (7.6 MiB in int64) is built: 12 KiB traced; the
+    # count holds its 997 columns alone (8 KiB)
+    bound = 64 * 2**10
     kernel(997, 2, 2, 5, 7)  # warm caches outside the trace
     tracemalloc.start()
     try:
@@ -572,6 +576,15 @@ def test_field_sum_matches_generator_fsum(p, r):
             assert field_sum_numeric(ctx.zero, beta) == 0j
 
 
+def _exponents(data, p, l):
+    """Drawn exponents mod p^l, repeats allowed, and a weight that takes
+    every count times the weight up to 10^9."""
+    mod = p**l
+    expo = data.draw(arrays(np.int64, st.integers(0, 3 * mod), elements=st.integers(0, mod - 1)))
+    top = max(np.bincount(expo).max(initial=0), 1)
+    return expo, data.draw(st.integers(1, 10**9 // top))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     data=st.data(),
@@ -580,18 +593,43 @@ def test_field_sum_matches_generator_fsum(p, r):
 )
 def test_phase_sum_ignores_coset_constant_counts(data, p, l):
     # Phi_{p^l}(x) = Phi_p(x^(p^(l-1))): the p roots of each coset of
-    # p^(l-1)Z/p^l Z sum to 0, and the kernel sees only the reduced counts
+    # p^(l-1)Z/p^l Z sum to 0, and the kernel sees only the reduced counts;
+    # adding all p members of any coset, as often as drawn, changes no bit
     mod = p**l
-    counts = data.draw(arrays(np.int64, mod, elements=st.integers(0, 10**9)))
-    per_coset = data.draw(arrays(np.int64, mod // p, elements=st.integers(0, 10**9)))
-    shifted = counts + np.tile(per_coset, p)  # index r + j*mod/p gets per_coset[r]
-    value = _phase_sum(counts, mod, p)
-    assert _phase_sum(shifted, mod, p) == value
+    expo, weight = _exponents(data, p, l)
+    per_coset = data.draw(st.lists(st.integers(0, mod // p - 1), max_size=6))
+    whole = np.array([r + j * (mod // p) for r in per_coset for j in range(p)], dtype=np.int64)
+    value = _phase_sum(expo, weight, mod, p)
+    assert _phase_sum(np.concatenate((expo, whole)), weight, mod, p) == value
+    counts = np.bincount(expo, minlength=mod) * weight
     assert value == _coset_reduced_fsum(counts.tolist(), p)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    p=st.sampled_from([2, 3, 5, 7]),
+    l=st.integers(1, 4),
+)
+def test_phase_sum_reads_the_exponents_as_a_multiset(data, p, l):
+    # only how often each exponent occurs enters: shuffling the exponents,
+    # or splitting them and concatenating the parts in another order,
+    # changes no bit, and twice the exponents are twice the weight
+    mod = p**l
+    expo, weight = _exponents(data, p, l)
+    value = _phase_sum(expo, weight, mod, p)
+    shuffled = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(expo)
+    assert _bits(_phase_sum(shuffled, weight, mod, p)) == _bits(value)
+    cuts = sorted(data.draw(st.lists(st.integers(0, expo.size), max_size=4)))
+    parts = np.split(expo, cuts)
+    assert _bits(_phase_sum(np.concatenate(parts[::-1]), weight, mod, p)) == _bits(value)
+    if weight % 2 == 0:
+        doubled = np.concatenate((expo, expo))
+        assert _bits(_phase_sum(doubled, weight // 2, mod, p)) == _bits(value)
+
+
 def test_case2_ring_sums_are_exact_zeros():
-    # a case2 histogram is constant on every coset, so it reduces to zero
+    # a case2 sum's counts are constant on every coset, so they reduce to zero
     count = 0
     for p, k, l in gauss_grid_combos():
         mod = p**l
